@@ -32,7 +32,7 @@ func TestChaosDNSSoakDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := renderDNS(t, first), renderDNS(t, second)
+	a, b := render(t, first), render(t, second)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("fixed-seed chaos runs diverged:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}

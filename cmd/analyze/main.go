@@ -72,10 +72,7 @@ func main() {
 				s := a.Summary()
 				fmt.Printf("== DNS: %d records; %d measured, hijacked %.1f%%, attribution %v\n\n",
 					h.Records, s.MeasuredNodes, s.HijackPct, s.Attribution)
-				_, t5 := a.Table5()
-				_, t3 := a.Table3(10)
-				_, t4 := a.Table4()
-				return []*analysis.Table{t3, t4, t5}, nil
+				return a.Tables(), nil
 			}},
 		{file: "http.jsonl", geo: []string{"geo-http.jsonl", "geo.jsonl"},
 			load: func(f *os.File, cfg analysis.Config, reg *geo.Registry) ([]*analysis.Table, error) {
@@ -87,9 +84,7 @@ func main() {
 				s := a.Summary()
 				fmt.Printf("== HTTP: %d records; HTML modified %d, images %d, JS %d, CSS %d\n\n",
 					h.Records, s.HTMLModified, s.ImageModified, s.JSReplaced, s.CSSReplaced)
-				_, t6 := a.Table6()
-				_, t7 := a.Table7()
-				return []*analysis.Table{t6, t7}, nil
+				return a.Tables(), nil
 			}},
 		{file: "tls.jsonl", geo: []string{"geo-tls.jsonl", "geo.jsonl"},
 			load: func(f *os.File, cfg analysis.Config, reg *geo.Registry) ([]*analysis.Table, error) {
@@ -100,8 +95,7 @@ func main() {
 				a := analysis.AnalyzeTLS(cfg, reg, ds)
 				s := a.Summary()
 				fmt.Printf("== HTTPS: %d records; affected %d (%.2f%%)\n\n", h.Records, s.Affected, s.AffectedPct)
-				_, t8 := a.Table8()
-				return []*analysis.Table{t8}, nil
+				return a.Tables(), nil
 			}},
 		{file: "monitor.jsonl", geo: []string{"geo-monitor.jsonl", "geo.jsonl"},
 			load: func(f *os.File, cfg analysis.Config, reg *geo.Registry) ([]*analysis.Table, error) {
@@ -113,9 +107,7 @@ func main() {
 				s := a.Summary()
 				fmt.Printf("== Monitoring: %d records; monitored %d (%.2f%%)\n\n", h.Records, s.Monitored, s.MonitoredPct)
 				fmt.Println(analysis.PlotCDFs(a.Figure5(6), 90, 18))
-				_, t9 := a.Table9(6)
-				_, f5 := a.Figure5Table(6)
-				return []*analysis.Table{t9, f5}, nil
+				return a.Tables(), nil
 			}},
 		{file: "smtp.jsonl", geo: []string{"geo-smtp.jsonl", "geo.jsonl"},
 			load: func(f *os.File, cfg analysis.Config, reg *geo.Registry) ([]*analysis.Table, error) {
@@ -127,8 +119,7 @@ func main() {
 				s := a.Summary()
 				fmt.Printf("== SMTP: %d records; blocked %d (%.1f%%), stripped %d (%.2f%%)\n\n",
 					h.Records, s.Blocked, s.BlockedPct, s.Stripped, s.StrippedPct)
-				_, t := a.TableSMTP()
-				return []*analysis.Table{t}, nil
+				return a.Tables(), nil
 			}},
 	}
 

@@ -348,6 +348,15 @@ func (r Table3Row) Ratio() float64 {
 	return float64(r.Hijacked) / float64(r.Total)
 }
 
+// Tables renders the experiment's paper artifacts in report order: Tables
+// 3 (top ten countries), 4 and 5.
+func (a *DNSAnalysis) Tables() []*Table {
+	_, t3 := a.Table3(10)
+	_, t4 := a.Table4()
+	_, t5 := a.Table5()
+	return []*Table{t3, t4, t5}
+}
+
 // Table3 ranks countries by hijacked ratio (≥ the scaled 100-node cutoff),
 // returning the typed rows alongside the rendered table.
 func (a *DNSAnalysis) Table3(topN int) ([]Table3Row, *Table) {

@@ -105,6 +105,14 @@ type InjectionRow struct {
 	ASes      int
 }
 
+// Tables renders the experiment's paper artifacts in report order: Tables
+// 6 and 7.
+func (a *HTTPAnalysis) Tables() []*Table {
+	_, t6 := a.Table6()
+	_, t7 := a.Table7()
+	return []*Table{t6, t7}
+}
+
 // Table6 extracts injected-code signatures from modified HTML and groups
 // them, mirroring §5.2's URL/keyword extraction.
 func (a *HTTPAnalysis) Table6() ([]InjectionRow, *Table) {

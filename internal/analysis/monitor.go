@@ -87,6 +87,14 @@ type MonitorRow struct {
 	Delays []time.Duration
 }
 
+// Tables renders the experiment's paper artifacts in report order: Table 9
+// and Figure 5's quantile table, six entities each.
+func (a *MonAnalysis) Tables() []*Table {
+	_, t9 := a.Table9(6)
+	_, f5 := a.Figure5Table(6)
+	return []*Table{t9, f5}
+}
+
 // Table9 groups unexpected requests by the organization owning the
 // requesting addresses.
 func (a *MonAnalysis) Table9(topN int) ([]MonitorRow, *Table) {

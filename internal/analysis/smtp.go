@@ -79,6 +79,12 @@ type SMTPRow struct {
 	Total    int
 }
 
+// Tables renders the extension's findings.
+func (a *SMTPAnalysis) Tables() []*Table {
+	_, t := a.TableSMTP()
+	return []*Table{t}
+}
+
 // TableSMTP groups mail-path violations by AS (≥ the scaled server cutoff).
 func (a *SMTPAnalysis) TableSMTP() ([]SMTPRow, *Table) {
 	type agg struct{ blocked, stripped, total int }

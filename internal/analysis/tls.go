@@ -138,6 +138,12 @@ type IssuerRow struct {
 	LaunderNodes int
 }
 
+// Tables renders the experiment's paper artifact: Table 8.
+func (a *TLSAnalysis) Tables() []*Table {
+	_, t8 := a.Table8()
+	return []*Table{t8}
+}
+
 // Table8 groups affected nodes by the issuer of their replaced
 // certificates.
 func (a *TLSAnalysis) Table8() ([]IssuerRow, *Table) {

@@ -40,13 +40,6 @@ func (r ObjectSizeResult) TinyRate() float64 { return rate(r.TinyModified, r.Nod
 // FullRate is the 9KB modification rate.
 func (r ObjectSizeResult) FullRate() float64 { return rate(r.FullModified, r.Nodes) }
 
-func rate(n, d int) float64 {
-	if d == 0 {
-		return 0
-	}
-	return float64(n) / float64(d)
-}
-
 // Run probes Samples nodes. The HTTP experiment's fallback rules must be
 // installed (h-* names resolve to the web server).
 func (e *ObjectSizeAblation) Run(ctx context.Context) (ObjectSizeResult, error) {

@@ -26,12 +26,7 @@ type ScanResult struct {
 }
 
 // HijackRate is the fraction of open resolvers that hijack.
-func (r *ScanResult) HijackRate() float64 {
-	if r.Open == 0 {
-		return 0
-	}
-	return float64(r.Hijacking) / float64(r.Open)
-}
+func (r *ScanResult) HijackRate() float64 { return rate(r.Hijacking, r.Open) }
 
 // OpenResolverScan probes every target resolver with a query for a
 // nonexistent name under zone and classifies the answers. from is the

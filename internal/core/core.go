@@ -13,6 +13,10 @@
 //   - MonitorExperiment: unique per-node domains plus a 24-hour watch for
 //     unexpected third-party requests.
 //
+// All of them (and the §3.4 SMTP extension) run the same §3.2 crawl:
+// runCrawl owns the loop, and each driver hands it a crawlSpec naming its
+// probe and the few things it does differently.
+//
 // The drivers observe the world only through what the paper could see: the
 // proxy client's responses and debug headers, the authoritative DNS query
 // log, and the measurement web server's request log. Ground truth from the
@@ -22,6 +26,7 @@ package core
 import (
 	"context"
 	"math/rand/v2"
+	"net/netip"
 	"slices"
 	"strings"
 	"sync"
@@ -31,6 +36,7 @@ import (
 	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/progress"
 	"github.com/tftproject/tft/internal/proxynet"
+	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/trace"
 )
 
@@ -81,6 +87,19 @@ func (b *Budget) Used(zid string) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.used[zid]
+}
+
+// orDefault is the budget preamble every metered driver runs: a nil budget
+// becomes the paper's 1 MB cap, and a budget without a registry of its own
+// reports into the crawl's.
+func (b *Budget) orDefault(m *metrics.Registry) *Budget {
+	if b == nil {
+		b = NewBudget(0)
+	}
+	if b.Metrics == nil {
+		b.Metrics = m
+	}
+	return b
 }
 
 // CrawlConfig tunes the §3.2 exit-node discovery loop shared by all
@@ -173,7 +192,7 @@ func newCrawler(cfg CrawlConfig, weights map[geo.CountryCode]int, rng *rand.Rand
 		countries = append(countries, cc)
 	}
 	// Deterministic order for reproducible sampling.
-	sortCountries(countries)
+	slices.Sort(countries)
 	cum := make([]int, len(countries))
 	for i, cc := range countries {
 		total += weights[cc]
@@ -210,10 +229,6 @@ var probeSecondsBounds = []float64{
 // boundary is the default StopNewRate, so the lowest buckets show how the
 // crawl approached its stopping condition.
 var windowRateBounds = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8}
-
-func sortCountries(cs []geo.CountryCode) {
-	slices.Sort(cs)
-}
 
 // next picks a country (weight-proportional) and a fresh session ID, or
 // reports that the crawl should stop. A cancelled ctx stops the crawl as
@@ -320,7 +335,7 @@ type Stats struct {
 	// or their real-world analogues). They are excluded from violation
 	// denominators — a reset mid-probe says nothing about the node's DNS or
 	// content path — and surfaced here as the run's error budget. Filled by
-	// the driver after the shard merge, not by the crawler.
+	// runCrawl after the shard merge, not by the crawler.
 	Faulted int
 }
 
@@ -329,6 +344,28 @@ func (c *crawler) stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{Sessions: c.sessions, UniqueNodes: len(c.seen), StoppedByRule: c.stopped}
 }
+
+// outcome is how one measurement session ended; every session a crawl
+// spends lands in exactly one.
+type outcome int
+
+const (
+	outcomeOK outcome = iota
+	outcomeFailed
+	outcomeDuplicate
+	outcomeDiscarded
+	// outcomeFault: the probe died to a transport-layer fault rather than
+	// anything the node's path did — counted into the error budget, never
+	// the failure or violation tallies.
+	outcomeFault
+	numOutcomes
+)
+
+// outcomeNames are the span-attribute and event-filter spellings.
+var outcomeNames = [numOutcomes]string{"ok", "failed", "duplicate", "discarded", "faulted"}
+
+// String names the outcome for span attributes and event filters.
+func (o outcome) String() string { return outcomeNames[o] }
 
 // traceProbe opens the client-side root span for one measurement session.
 // The returned context parents everything the proxy chain does for the
@@ -350,18 +387,6 @@ func (c *crawler) traceProbe(ctx context.Context, name string, cc geo.CountryCod
 		}
 		span.End()
 	}
-}
-
-// workers reports the resolved worker count — the number of shards a
-// sharded consumer of runWorkers must size its sinks for.
-func (c *crawler) workers() int { return c.cfg.Workers }
-
-// beginProgress announces the crawl to the flight recorder: the experiment
-// name, the node population (the ETA denominator — the service-reported
-// country weights the crawl works through), and the shard count. Drivers
-// call it once, right after newCrawler.
-func (c *crawler) beginProgress(experiment string) {
-	c.cfg.Progress.Begin(experiment, int64(c.totalW), c.cfg.Workers)
 }
 
 // runWorkers drives measure() from cfg.Workers goroutines until the crawl
@@ -413,49 +438,175 @@ func classifyFailure(err error, dbg *proxynet.Debug) outcome {
 	return outcomeFailed
 }
 
-// shardSink accumulates one worker shard's probe records and outcome
-// tallies. Each shard is written by exactly one worker goroutine, so the
-// hot path appends without locks; mergeShards reduces the partials after
-// the crawl.
+// rate is n/d as a fraction, zero over an empty denominator.
+func rate(n, d int) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
+}
+
+// locate derives a node's AS and country from its address via the public
+// IP→AS mapping; unmapped addresses yield zero values.
+func locate(reg *geo.Registry, ip netip.Addr) (geo.ASN, geo.CountryCode) {
+	asn, ok := reg.LookupAS(ip)
+	if !ok {
+		return 0, ""
+	}
+	country, _ := reg.Country(asn)
+	return asn, country
+}
+
+// Dataset is an experiment's output: the canonical zID-ordered observations
+// plus the crawl's outcome tallies. Every session the crawl spent is one
+// observation, failure, duplicate, discard or fault.
+type Dataset[T any] struct {
+	Observations []T
+	Crawl        Stats
+	// Failures counts sessions that errored before yielding a node.
+	Failures int
+	// Duplicates counts sessions that landed on an already-measured node.
+	Duplicates int
+	// Discarded counts sessions dropped by experiment policy: the exit node
+	// changed mid-probe (DNS, TLS), or the node's AS had already met its
+	// sampling quota (HTTP). Monitoring and SMTP never discard.
+	Discarded int
+	// Faults counts probes lost to transport-layer faults; they are
+	// excluded from violation denominators (see Stats.Faulted).
+	Faults int
+}
+
+// CrawlStats returns the crawl summary — the accessor generic consumers
+// reach Crawl through, since the experiments' dataset types differ.
+func (d *Dataset[T]) CrawlStats() Stats { return d.Crawl }
+
+// crawlSpec is what one experiment tells the shared crawl loop about
+// itself. It is plain data and funcs: everything an experiment does
+// differently from its siblings is a field here, so runCrawl never asks
+// which experiment it is serving.
+type crawlSpec[T comparable] struct {
+	// name labels the flight recorder ("monitor"); the root span of every
+	// session is "probe."+name. stream is the crawler's rng stream label
+	// ("crawl/mon") — kept separate because the two spellings differ and a
+	// fixed seed must keep drawing the same sessions.
+	name, stream string
+	// measure runs one session and reports how it ended. It must call
+	// cr.observe on the zID it discovers and return outcomeDuplicate when
+	// that reports a revisit; T's zero value stands for "no record".
+	measure func(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (T, outcome)
+	// id names a record's node: the zID is the merge key and the span
+	// attribute, the country labels violation events.
+	id func(T) (zid string, country geo.CountryCode)
+	// violation, when non-nil, flags records that show the end-to-end
+	// violation the experiment looks for; each bumps violationCounter and
+	// emits an EventViolation carrying violationDetail.
+	violation                         func(T) bool
+	violationCounter, violationDetail string
+	// onOK, when non-nil, sees every successful record on its worker's
+	// goroutine before it is stored: the hook for counters and crawl state
+	// only this experiment keeps.
+	onOK func(shard int, obs T)
+	// discardedCounter names the counter outcomeDiscarded bumps — what a
+	// discard means is experiment policy.
+	discardedCounter string
+	// sink and dropObservations carry DNSExperiment.Sink and
+	// DiscardObservations to the loop's one emission point.
+	sink             func(shard int, obs T)
+	dropObservations bool
+}
+
+// shardSink accumulates one worker shard's records and outcome tallies.
+// Each shard is written by exactly one worker goroutine, so the hot path
+// appends without locks; mergeShards reduces the partials after the crawl.
 type shardSink[T any] struct {
 	obs     []T
-	tallies shardTallies
-}
-
-// shardTallies are the non-observation outcome counts a crawl accumulates.
-type shardTallies struct {
-	failures   int
-	duplicates int
-	discarded  int
-	faults     int
-}
-
-func (t *shardTallies) add(o shardTallies) {
-	t.failures += o.failures
-	t.duplicates += o.duplicates
-	t.discarded += o.discarded
-	t.faults += o.faults
-}
-
-// newShardSinks sizes one sink per worker shard.
-func newShardSinks[T any](workers int) []shardSink[T] {
-	return make([]shardSink[T], workers)
+	tallies [numOutcomes]int
 }
 
 // mergeShards reduces per-shard partials into a single dataset: tallies
 // sum, and observations are concatenated then canonically ordered by zID.
 // Because the crawler dedups zIDs globally, the sort is a total order, so
 // the merged dataset is independent of worker count and scheduling.
-func mergeShards[T any](shards []shardSink[T], zid func(T) string) (obs []T, t shardTallies) {
+func mergeShards[T any](shards []shardSink[T], zid func(T) string) *Dataset[T] {
 	n := 0
 	for i := range shards {
 		n += len(shards[i].obs)
 	}
-	obs = make([]T, 0, n)
+	var t [numOutcomes]int
+	obs := make([]T, 0, n)
 	for i := range shards {
 		obs = append(obs, shards[i].obs...)
-		t.add(shards[i].tallies)
+		for oc, n := range shards[i].tallies {
+			t[oc] += n
+		}
 	}
 	slices.SortFunc(obs, func(a, b T) int { return strings.Compare(zid(a), zid(b)) })
-	return obs, t
+	return &Dataset[T]{Observations: obs, Failures: t[outcomeFailed],
+		Duplicates: t[outcomeDuplicate], Discarded: t[outcomeDiscarded], Faults: t[outcomeFault]}
+}
+
+// runCrawl is the one §3.2 crawl every experiment hangs its probe off:
+// weighted country pick → session → x.measure → dedup by zID → stop when the
+// new-node rate drops. It owns the crawler and its rng stream, the flight
+// recorder hand-off, the per-shard sinks, the root span of each session, and
+// the single place where an outcome becomes a tally, a progress tick and a
+// counter; the merged dataset comes back with its Stats filled in.
+func runCrawl[T comparable](ctx context.Context, cfg CrawlConfig, weights map[geo.CountryCode]int, seed uint64, x crawlSpec[T]) (*Dataset[T], error) {
+	m, prog := cfg.Metrics, cfg.Progress
+	cr := newCrawler(cfg, weights, simnet.SubRand(seed, x.stream))
+	// Announce the crawl to the flight recorder: the node population (the
+	// ETA denominator — the service-reported country weights the crawl works
+	// through) and the resolved shard count.
+	prog.Begin(x.name, int64(cr.totalW), cr.cfg.Workers)
+	spanName := "probe." + x.name
+	shards := make([]shardSink[T], cr.cfg.Workers)
+	var none T
+
+	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
+		pctx, done := cr.traceProbe(ctx, spanName, cc, sess)
+		obs, oc := x.measure(pctx, cr, cc, sess)
+		var zid string
+		var country geo.CountryCode
+		if obs != none {
+			zid, country = x.id(obs)
+		}
+		done(zid, oc)
+		sink := &shards[shard]
+		sink.tallies[oc]++
+		switch oc {
+		case outcomeOK:
+			prog.Done(shard)
+			if x.onOK != nil {
+				x.onOK(shard, obs)
+			}
+			if x.violation != nil && x.violation(obs) {
+				prog.Violation(shard)
+				m.Counter(x.violationCounter).Inc()
+				m.Record(metrics.Event{Kind: metrics.EventViolation,
+					Session: sess, ZID: zid, Country: string(country),
+					Detail: x.violationDetail})
+			}
+			if x.sink != nil {
+				x.sink(shard, obs)
+			}
+			if !x.dropObservations {
+				sink.obs = append(sink.obs, obs)
+			}
+		case outcomeFailed:
+			prog.Fail(shard)
+			m.Counter("crawl_failures_total").Inc()
+		case outcomeDuplicate:
+			prog.Duplicate(shard)
+		case outcomeDiscarded:
+			prog.Discard(shard)
+			m.Counter(x.discardedCounter).Inc()
+		case outcomeFault:
+			prog.Fault(shard)
+			m.Counter("fault_probes_total").Inc()
+		}
+	})
+	ds := mergeShards(shards, func(o T) string { zid, _ := x.id(o); return zid })
+	ds.Crawl = cr.stats()
+	ds.Crawl.Faulted = ds.Faults
+	return ds, ctx.Err()
 }

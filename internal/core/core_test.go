@@ -521,6 +521,10 @@ func TestLongitudinalDNSEvolution(t *testing.T) {
 	if len(waves) != 3 {
 		t.Fatalf("waves = %d", len(waves))
 	}
+	// The per-wave seed and zone live on each wave's copy of the driver.
+	if exp.Seed != testSeed || exp.Zone != population.Zone {
+		t.Fatalf("Run mutated its caller's experiment: seed %d, zone %q", exp.Seed, exp.Zone)
+	}
 	for _, wv := range waves {
 		if wv.Measured == 0 {
 			t.Fatalf("wave %d measured nothing", wv.Index)

@@ -8,10 +8,8 @@ import (
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/proxynet"
-	"github.com/tftproject/tft/internal/simnet"
 )
 
 // DNSObservation is one measured exit node's NXDOMAIN result (§4.1).
@@ -37,21 +35,10 @@ type DNSObservation struct {
 	LandingBody []byte
 }
 
-// DNSDataset is the DNS experiment's output.
-type DNSDataset struct {
-	Observations []*DNSObservation
-	Crawl        Stats
-	// Failures counts sessions that errored before yielding a node.
-	Failures int
-	// Duplicates counts sessions that landed on an already-measured node.
-	Duplicates int
-	// Discarded counts sessions where the exit node changed between d1 and
-	// d2 (visible in the retry debug header).
-	Discarded int
-	// Faults counts probes lost to transport-layer faults; they are
-	// excluded from violation denominators (see Stats.Faulted).
-	Faults int
-}
+// DNSDataset is the DNS experiment's output. Discarded counts sessions
+// where the exit node changed between d1 and d2 (visible in the retry debug
+// header).
+type DNSDataset = Dataset[*DNSObservation]
 
 // DNSExperiment drives §4's methodology.
 type DNSExperiment struct {
@@ -107,101 +94,22 @@ func (e *DNSExperiment) InstallRules(webIP netip.Addr) {
 
 // Run executes the crawl and returns the dataset.
 func (e *DNSExperiment) Run(ctx context.Context) (*DNSDataset, error) {
-	if e.Budget == nil {
-		e.Budget = NewBudget(0)
-	}
 	m := e.Crawl.Metrics
-	if e.Budget.Metrics == nil {
-		e.Budget.Metrics = m
-	}
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/dns"))
-	cr.beginProgress("dns")
-	prog := e.Crawl.Progress
-	ds := &DNSDataset{}
-	shards := newShardSinks[*DNSObservation](cr.workers())
-
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.dns", cc, sess)
-		obs, outcome := e.measure(pctx, cr, cc, sess)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, outcome)
-		sink := &shards[shard]
-		switch outcome {
-		case outcomeOK:
-			prog.Done(shard)
-			if obs.SharedAnycast {
+	e.Budget = e.Budget.orDefault(m)
+	return runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*DNSObservation]{
+		name: "dns", stream: "crawl/dns",
+		measure:          e.measure,
+		id:               func(o *DNSObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		violation:        func(o *DNSObservation) bool { return o.Hijacked },
+		violationCounter: "dns_hijacked_total", violationDetail: "dns_hijack",
+		onOK: func(_ int, o *DNSObservation) {
+			if o.SharedAnycast {
 				m.Counter("dns_shared_anycast_total").Inc()
 			}
-			if obs.Hijacked {
-				prog.Violation(shard)
-				m.Counter("dns_hijacked_total").Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: obs.ZID, Country: string(obs.Country),
-					Detail: "dns_hijack"})
-			}
-			if e.Sink != nil {
-				e.Sink(shard, obs)
-			}
-			if !e.DiscardObservations {
-				sink.obs = append(sink.obs, obs)
-			}
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeDiscarded:
-			sink.tallies.discarded++
-			prog.Discard(shard)
-			m.Counter("crawl_discarded_total").Inc()
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
+		},
+		discardedCounter: "crawl_discarded_total",
+		sink:             e.Sink, dropObservations: e.DiscardObservations,
 	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *DNSObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.Discarded, ds.Faults =
-		t.failures, t.duplicates, t.discarded, t.faults
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
-	return ds, ctx.Err()
-}
-
-type outcome int
-
-const (
-	outcomeOK outcome = iota
-	outcomeFailed
-	outcomeDuplicate
-	outcomeDiscarded
-	// outcomeFault: the probe died to a transport-layer fault rather than
-	// anything the node's path did — counted into the error budget, never
-	// the failure or violation tallies.
-	outcomeFault
-)
-
-// String names the outcome for span attributes and event filters.
-func (o outcome) String() string {
-	switch o {
-	case outcomeOK:
-		return "ok"
-	case outcomeFailed:
-		return "failed"
-	case outcomeDuplicate:
-		return "duplicate"
-	case outcomeDiscarded:
-		return "discarded"
-	case outcomeFault:
-		return "faulted"
-	}
-	return "unknown"
 }
 
 // measure runs the three-step §4.1 probe through one session.
@@ -237,10 +145,7 @@ func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 		return nil, outcomeFailed
 	}
 	obs.NodeIP = reqs[0].Src
-	if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-		obs.ASN = asn
-		obs.Country, _ = e.Geo.Country(asn)
-	}
+	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 
 	// The node's resolver egress comes from the DNS log: drop one query
 	// from the super proxy's own resolution, and what remains is the

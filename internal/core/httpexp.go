@@ -12,9 +12,7 @@ import (
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/proxynet"
-	"github.com/tftproject/tft/internal/simnet"
 )
 
 // ObjectOutcome classifies what came back for one measurement object.
@@ -84,16 +82,11 @@ func (o *HTTPObservation) AnyModified() bool {
 
 // HTTPDataset is the HTTP experiment's output.
 type HTTPDataset struct {
-	Observations []*HTTPObservation
-	Crawl        Stats
-	Failures     int
-	Duplicates   int
-	// SkippedQuota counts nodes left unmeasured because their AS already
-	// had its three samples and showed no modification (§5.1).
+	Dataset[*HTTPObservation]
+	// SkippedQuota is Discarded under its §5.1 name: nodes left unmeasured
+	// because their AS already had its three samples and showed no
+	// modification.
 	SkippedQuota int
-	// Faults counts probes lost to transport-layer faults; they are
-	// excluded from violation denominators (see Stats.Faulted).
-	Faults int
 }
 
 // HTTPExperiment drives §5's methodology.
@@ -116,9 +109,14 @@ type HTTPExperiment struct {
 const httpPrefix = "h-"
 
 // InstallRules makes h-* names resolve to the web server.
-func (e *HTTPExperiment) InstallRules(webIP netip.Addr) {
-	e.Auth.SetFallback(func(name string) dnsserver.Rule {
-		if strings.HasPrefix(name, httpPrefix) {
+func (e *HTTPExperiment) InstallRules(webIP netip.Addr) { resolvePrefix(e.Auth, httpPrefix, webIP) }
+
+// resolvePrefix points the authority's fallback at the ungated rule the
+// HTTP and monitoring probes share: every name starting with prefix
+// resolves to webIP.
+func resolvePrefix(auth *dnsserver.Authority, prefix string, webIP netip.Addr) {
+	auth.SetFallback(func(name string) dnsserver.Rule {
+		if strings.HasPrefix(name, prefix) {
 			return dnsserver.Always(webIP)
 		}
 		return nil
@@ -127,9 +125,6 @@ func (e *HTTPExperiment) InstallRules(webIP netip.Addr) {
 
 // Run executes the crawl.
 func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
-	if e.Budget == nil {
-		e.Budget = NewBudget(0)
-	}
 	if e.PerASQuota <= 0 {
 		e.PerASQuota = 3
 	}
@@ -138,14 +133,7 @@ func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
 		kinds = content.Kinds
 	}
 	m := e.Crawl.Metrics
-	if e.Budget.Metrics == nil {
-		e.Budget.Metrics = m
-	}
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/http"))
-	cr.beginProgress("http")
-	prog := e.Crawl.Progress
-	ds := &HTTPDataset{}
-	shards := newShardSinks[*HTTPObservation](cr.workers())
+	e.Budget = e.Budget.orDefault(m)
 	// The AS sampling quota is inherently global — every shard consults it
 	// before fully measuring a node — so it stays behind a mutex while the
 	// dataset accumulation streams lock-free into per-shard sinks.
@@ -153,59 +141,28 @@ func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
 	asCount := make(map[geo.ASN]int)
 	asFlagged := make(map[geo.ASN]bool)
 
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.http", cc, sess)
-		obs, oc := e.measure(pctx, cr, cc, sess, kinds, &mu, asCount, asFlagged)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, oc)
-		sink := &shards[shard]
-		switch oc {
-		case outcomeOK:
-			prog.Done(shard)
-			sink.obs = append(sink.obs, obs)
-			for _, res := range obs.Objects {
+	crawl, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*HTTPObservation]{
+		name: "http", stream: "crawl/http",
+		measure: func(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*HTTPObservation, outcome) {
+			return e.measure(ctx, cr, cc, sess, kinds, &mu, asCount, asFlagged)
+		},
+		id:               func(o *HTTPObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		violation:        (*HTTPObservation).AnyModified,
+		violationCounter: "http_modified_total", violationDetail: "http_modified",
+		onOK: func(_ int, o *HTTPObservation) {
+			for _, res := range o.Objects {
 				m.Labeled("http_object_outcomes").Inc(res.Outcome.String())
 			}
 			mu.Lock()
-			asCount[obs.ASN]++
-			if obs.AnyModified() {
-				asFlagged[obs.ASN] = true
+			asCount[o.ASN]++
+			if o.AnyModified() {
+				asFlagged[o.ASN] = true
 			}
 			mu.Unlock()
-			if obs.AnyModified() {
-				prog.Violation(shard)
-				m.Counter("http_modified_total").Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: obs.ZID, Country: string(obs.Country),
-					Detail: "http_modified"})
-			}
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeDiscarded:
-			sink.tallies.discarded++
-			prog.Discard(shard)
-			m.Counter("http_quota_skipped_total").Inc()
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
+		},
+		discardedCounter: "http_quota_skipped_total",
 	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *HTTPObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.SkippedQuota, ds.Faults =
-		t.failures, t.duplicates, t.discarded, t.faults
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
-	return ds, ctx.Err()
+	return &HTTPDataset{Dataset: *crawl, SkippedQuota: crawl.Discarded}, err
 }
 
 // measure fetches the four objects through one node.
@@ -240,10 +197,7 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 			}
 			obs.ZID = dbg.ZID
 			obs.NodeIP = dbg.NodeIP
-			if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-				obs.ASN = asn
-				obs.Country, _ = e.Geo.Country(asn)
-			}
+			obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 			// The bandwidth-minimizing strategy: skip fully measuring
 			// ASes that already gave 3 clean samples (§5.1).
 			mu.Lock()

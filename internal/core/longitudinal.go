@@ -34,12 +34,7 @@ type Wave struct {
 }
 
 // HijackRate is the wave's hijacked fraction.
-func (w Wave) HijackRate() float64 {
-	if w.Measured == 0 {
-		return 0
-	}
-	return float64(w.Hijacked) / float64(w.Measured)
-}
+func (w Wave) HijackRate() float64 { return rate(w.Hijacked, w.Measured) }
 
 // LongitudinalDNS runs the §4 probe in repeated waves.
 type LongitudinalDNS struct {
@@ -67,7 +62,6 @@ func (l *LongitudinalDNS) Run(ctx context.Context) ([]Wave, error) {
 	if l.Waves <= 0 {
 		l.Waves = 4
 	}
-	baseSeed := l.Experiment.Seed
 	var waves []Wave
 	for i := 0; i < l.Waves; i++ {
 		if i > 0 {
@@ -76,8 +70,6 @@ func (l *LongitudinalDNS) Run(ctx context.Context) ([]Wave, error) {
 				l.BetweenWaves(i)
 			}
 		}
-		// A fresh seed namespace per wave: new sessions, new d1/d2 names.
-		l.Experiment.Seed = baseSeed + uint64(i)*1_000_003
 		ds, reg, err := l.runWave(ctx, i)
 		if err != nil {
 			return waves, err
@@ -97,15 +89,18 @@ func (l *LongitudinalDNS) Run(ctx context.Context) ([]Wave, error) {
 	return waves, nil
 }
 
-// runWave executes one crawl with wave-scoped probe names and its own
-// metrics registry.
+// runWave executes one crawl with wave-scoped probe names, a wave-scoped
+// seed, and its own metrics registry — all set on a copy, so the caller's
+// experiment is left as it was handed in.
 func (l *LongitudinalDNS) runWave(ctx context.Context, wave int) (*DNSDataset, *metrics.Registry, error) {
 	// Namespacing happens through the session IDs (sNNN) already being
 	// fresh per crawler; d1/d2 names embed them, so waves never collide —
 	// but the crawler counts sessions from 1 each run, so prefix the zone
-	// temporarily via the experiment's Zone field.
+	// via the copy's Zone field.
 	exp := *l.Experiment
 	exp.Zone = fmt.Sprintf("w%d.%s", wave, l.Experiment.Zone)
+	// A fresh seed namespace per wave: new sessions, new d1/d2 names.
+	exp.Seed = l.Experiment.Seed + uint64(wave)*1_000_003
 	reg := metrics.NewRegistry()
 	exp.Crawl.Metrics = reg
 	ds, err := exp.Run(ctx)

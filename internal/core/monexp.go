@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"net/netip"
-	"strings"
 	"time"
 
 	"github.com/tftproject/tft/internal/dnsserver"
@@ -51,15 +50,7 @@ type MonObservation struct {
 func (o *MonObservation) Monitored() bool { return len(o.Unexpected) > 0 }
 
 // MonDataset is the monitoring experiment's output.
-type MonDataset struct {
-	Observations []*MonObservation
-	Crawl        Stats
-	Failures     int
-	Duplicates   int
-	// Faults counts probes lost to transport-layer faults; they are
-	// excluded from violation denominators (see Stats.Faulted).
-	Faults int
-}
+type MonDataset = Dataset[*MonObservation]
 
 // MonitorExperiment drives §7's methodology.
 type MonitorExperiment struct {
@@ -81,65 +72,23 @@ type MonitorExperiment struct {
 const monPrefix = "u-"
 
 // InstallRules makes u-* names resolve to the web server.
-func (e *MonitorExperiment) InstallRules(webIP netip.Addr) {
-	e.Auth.SetFallback(func(name string) dnsserver.Rule {
-		if strings.HasPrefix(name, monPrefix) {
-			return dnsserver.Always(webIP)
-		}
-		return nil
-	})
-}
+func (e *MonitorExperiment) InstallRules(webIP netip.Addr) { resolvePrefix(e.Auth, monPrefix, webIP) }
 
 // Run crawls, waits out the watch window on the virtual clock, then
 // collects the unexpected requests.
 func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
-	if e.Budget == nil {
-		e.Budget = NewBudget(0)
-	}
 	if e.Watch <= 0 {
 		e.Watch = 24 * time.Hour
 	}
-	m := e.Crawl.Metrics
-	if e.Budget.Metrics == nil {
-		e.Budget.Metrics = m
-	}
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/mon"))
-	cr.beginProgress("monitor")
-	prog := e.Crawl.Progress
-	ds := &MonDataset{}
-	shards := newShardSinks[*MonObservation](cr.workers())
-
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.monitor", cc, sess)
-		obs, oc := e.fetch(pctx, cr, cc, sess)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, oc)
-		sink := &shards[shard]
-		switch oc {
-		case outcomeOK:
-			prog.Done(shard)
-			sink.obs = append(sink.obs, obs)
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
+	m, prog := e.Crawl.Metrics, e.Crawl.Progress
+	e.Budget = e.Budget.orDefault(m)
+	// No violation hook: whether a node is monitored is only known once the
+	// watch window below has run out.
+	ds, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*MonObservation]{
+		name: "monitor", stream: "crawl/mon",
+		measure: e.fetch,
+		id:      func(o *MonObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
 	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *MonObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.Faults = t.failures, t.duplicates, t.faults
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
 
 	// Monitors schedule their refetches on the virtual clock; advancing
 	// past the watch window delivers every one that falls inside it.
@@ -158,7 +107,7 @@ func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 				Value: float64(len(obs.Unexpected))})
 		}
 	}
-	return ds, ctx.Err()
+	return ds, err
 }
 
 // fetch issues the single request for a node's unique domain.
@@ -175,10 +124,7 @@ func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.Count
 	}
 	e.Budget.Charge(dbg.ZID, len(resp.Body))
 	obs := &MonObservation{ZID: dbg.ZID, NodeIP: dbg.NodeIP, Host: host, RequestAt: at}
-	if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-		obs.ASN = asn
-		obs.Country, _ = e.Geo.Country(asn)
-	}
+	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 	return obs, outcomeOK
 }
 

@@ -6,9 +6,7 @@ import (
 	"net/netip"
 
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/proxynet"
-	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/smtpwire"
 )
 
@@ -31,18 +29,11 @@ type SMTPObservation struct {
 	Banner string
 }
 
-// SMTPDataset is the extension experiment's output.
-type SMTPDataset struct {
-	Observations []*SMTPObservation
-	Crawl        Stats
-	Failures     int
-	Duplicates   int
-	// Faults counts probes lost to transport-layer faults before the
-	// tunnel opened. Faults after the tunnel opens are indistinguishable
-	// from port-25 blocking on the wire (the paper's own point about
-	// silent port blocking) and land in Blocked.
-	Faults int
-}
+// SMTPDataset is the extension experiment's output. Faults counts only
+// probes lost before the tunnel opened: a fault after that is
+// indistinguishable from port-25 blocking on the wire (the paper's own
+// point about silent port blocking) and lands in Blocked.
+type SMTPDataset = Dataset[*SMTPObservation]
 
 // SMTPExperiment probes a mail server the measurement team controls
 // through every exit node and detects port-25 blocking and STARTTLS
@@ -63,52 +54,18 @@ type SMTPExperiment struct {
 // Run executes the crawl.
 func (e *SMTPExperiment) Run(ctx context.Context) (*SMTPDataset, error) {
 	m := e.Crawl.Metrics
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/smtp"))
-	cr.beginProgress("smtp")
-	prog := e.Crawl.Progress
-	ds := &SMTPDataset{}
-	shards := newShardSinks[*SMTPObservation](cr.workers())
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.smtp", cc, sess)
-		obs, oc := e.measure(pctx, cr, cc, sess)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, oc)
-		sink := &shards[shard]
-		switch oc {
-		case outcomeOK:
-			prog.Done(shard)
-			sink.obs = append(sink.obs, obs)
-			if obs.Blocked {
+	return runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*SMTPObservation]{
+		name: "smtp", stream: "crawl/smtp",
+		measure:          e.measure,
+		id:               func(o *SMTPObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		violation:        func(o *SMTPObservation) bool { return !o.Blocked && !o.StartTLS },
+		violationCounter: "smtp_stripped_total", violationDetail: "smtp_starttls_stripped",
+		onOK: func(_ int, o *SMTPObservation) {
+			if o.Blocked {
 				m.Counter("smtp_blocked_total").Inc()
-			} else if !obs.StartTLS {
-				prog.Violation(shard)
-				m.Counter("smtp_stripped_total").Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: obs.ZID, Country: string(obs.Country),
-					Detail: "smtp_starttls_stripped"})
 			}
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
+		},
 	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *SMTPObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.Faults = t.failures, t.duplicates, t.faults
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
-	return ds, ctx.Err()
 }
 
 // measure opens one tunnel to port 25 and runs the SMTP session prefix.
@@ -123,10 +80,7 @@ func (e *SMTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 		return nil, outcomeDuplicate
 	}
 	obs := &SMTPObservation{ZID: dbg.ZID, NodeIP: dbg.NodeIP}
-	if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-		obs.ASN = asn
-		obs.Country, _ = e.Geo.Country(asn)
-	}
+	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 	session, err := smtpwire.Probe(conn, e.MailHost)
 	if err != nil {
 		// The tunnel died before a banner: the node's ISP blocks the port.

@@ -9,7 +9,6 @@ import (
 
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/proxynet"
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/tlssim"
@@ -94,19 +93,13 @@ func (o *TLSObservation) AnyReplaced() bool {
 	return false
 }
 
-// TLSDataset is the HTTPS experiment's output.
+// TLSDataset is the HTTPS experiment's output. Discarded counts sessions
+// where the exit node changed during phase 1.
 type TLSDataset struct {
-	Observations []*TLSObservation
-	Crawl        Stats
-	Failures     int
-	Duplicates   int
-	Discarded    int
+	Dataset[*TLSObservation]
 	// Probes counts CONNECT tunnels opened — the bandwidth metric the
 	// two-phase design minimizes (§6.1).
 	Probes int64
-	// Faults counts probes lost to transport-layer faults; they are
-	// excluded from violation denominators (see Stats.Faulted).
-	Faults int
 }
 
 // TLSExperiment drives §6's methodology.
@@ -129,68 +122,26 @@ type TLSExperiment struct {
 
 // Run executes the crawl.
 func (e *TLSExperiment) Run(ctx context.Context) (*TLSDataset, error) {
-	if e.Budget == nil {
-		e.Budget = NewBudget(0)
-	}
 	m := e.Crawl.Metrics
-	if e.Budget.Metrics == nil {
-		e.Budget.Metrics = m
-	}
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/tls"))
-	cr.beginProgress("tls")
-	prog := e.Crawl.Progress
+	e.Budget = e.Budget.orDefault(m)
 	ds := &TLSDataset{}
 	e.probes = &ds.Probes
-	shards := newShardSinks[*TLSObservation](cr.workers())
-
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.tls", cc, sess)
-		obs, oc := e.measure(pctx, cr, cc, sess)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, oc)
-		sink := &shards[shard]
-		switch oc {
-		case outcomeOK:
-			prog.Done(shard)
-			sink.obs = append(sink.obs, obs)
-			if obs.Phase2 {
+	crawl, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*TLSObservation]{
+		name: "tls", stream: "crawl/tls",
+		measure:          e.measure,
+		id:               func(o *TLSObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		violation:        (*TLSObservation).AnyReplaced,
+		violationCounter: "tls_replaced_total", violationDetail: "tls_cert_replaced",
+		onOK: func(_ int, o *TLSObservation) {
+			if o.Phase2 {
 				m.Counter("tls_phase2_total").Inc()
 			}
-			if obs.AnyReplaced() {
-				prog.Violation(shard)
-				m.Counter("tls_replaced_total").Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: obs.ZID, Country: string(obs.Country),
-					Detail: "tls_cert_replaced"})
-			}
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeDiscarded:
-			sink.tallies.discarded++
-			prog.Discard(shard)
-			m.Counter("crawl_discarded_total").Inc()
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
+		},
+		discardedCounter: "crawl_discarded_total",
 	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *TLSObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.Discarded, ds.Faults =
-		t.failures, t.duplicates, t.discarded, t.faults
+	ds.Dataset = *crawl
 	m.Counter("tls_probes_total").Add(ds.Probes)
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
-	return ds, ctx.Err()
+	return ds, err
 }
 
 // measure performs the two-phase scan (§6.1, Figure 3) through one node.
@@ -224,10 +175,7 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 			}
 			obs.ZID = dbg.ZID
 			obs.NodeIP = dbg.NodeIP
-			if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-				obs.ASN = asn
-				obs.Country, _ = e.Geo.Country(asn)
-			}
+			obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 		} else if dbg != nil && dbg.ZID != obs.ZID {
 			return obs, outcomeDiscarded
 		}

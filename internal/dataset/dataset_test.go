@@ -52,7 +52,8 @@ func TestHTTPRoundTrip(t *testing.T) {
 	o.Objects[1] = core.ObjectResult{Outcome: core.ObjModified, BodyLen: 20000, ImageRatio: 0.51}
 	o.Objects[2] = core.ObjectResult{Outcome: core.ObjUnmodified, BodyLen: 258 * 1024}
 	o.Objects[3] = core.ObjectResult{Outcome: core.ObjEmpty}
-	ds := &core.HTTPDataset{Observations: []*core.HTTPObservation{o}}
+	ds := &core.HTTPDataset{}
+	ds.Observations = []*core.HTTPObservation{o}
 	var buf bytes.Buffer
 	if err := WriteHTTP(&buf, 7, 0.1, ds); err != nil {
 		t.Fatal(err)
@@ -75,7 +76,8 @@ func TestTLSRoundTrip(t *testing.T) {
 				IssuerCN: "Avast Web/Mail Shield Root", LeafKey: key, ChainValid: false},
 			{Host: "b.example", Class: core.SiteInvalid, Err: "handshake timeout"},
 		}}
-	ds := &core.TLSDataset{Observations: []*core.TLSObservation{o}}
+	ds := &core.TLSDataset{}
+	ds.Observations = []*core.TLSObservation{o}
 	var buf bytes.Buffer
 	if err := WriteTLS(&buf, 7, 0.1, ds); err != nil {
 		t.Fatal(err)

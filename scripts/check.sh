@@ -1,35 +1,120 @@
 #!/bin/sh
-# Pre-merge gate: formatting, vet, tftlint static analysis, build,
-# race-enabled tests, a short fuzz smoke, one-iteration benchmark smoke runs
-# (crawl + the simnet fast-path pipe), and a live scrape of the super
-# proxy's Prometheus exposition including the resolver-cache hit-rate
-# assertion. Equivalent to `make check` for environments without make.
-set -eux
+# Pre-merge gate, and the one place its stages are written down: the
+# Makefile's targets are one-line delegates to this script.
+#
+#	scripts/check.sh            run every gate stage, in order
+#	scripts/check.sh STAGE...   run the named stages only
+#	scripts/check.sh -l         list every stage (gate stages first)
+set -eu
 
-unformatted=$(gofmt -l .)
-test -z "$unformatted" || { echo "gofmt needed: $unformatted" >&2; exit 1; }
-go vet ./...
-# tftlint's machine-readable report is archived next to the BENCH_<n>.json
-# trajectory (benchdiff prints its wall time); findings still gate the run.
-go run ./cmd/tftlint -json ./... > LINT_10.json || { cat LINT_10.json >&2; exit 1; }
-go build ./...
-go test -race ./...
-go test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
-go test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
-go test -run=NONE -bench=Crawl -benchtime=1x ./...
-go test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
-# Small-K shard-merge smoke: per-shard sinks and aggregate Merge must
-# reproduce the unsharded tables byte-for-byte.
-go test -run='TestDNSShardSinksMergeCanonically|TestDNSMergePartialsMatchUnsharded' .
-# Chaos smoke: fixed-seed soaks under fault injection — byte-identical
-# reruns, faulted probes excluded from violation rates, watchdog silent.
-go test -run 'TestChaos' .
-go run ./scripts/promsmoke
-# Flight-recorder smoke: a short crawl with -progress-jsonl must produce a
-# parseable checkpoint stream and a manifest consistent with the run.
-go run ./scripts/progresssmoke
-# Benchmark trajectory (soft gate): compare the newest two BENCH_<n>.json
-# and warn on >15% ns/op or peak-heap regressions. Warn-only — historical
-# BENCH files span machines, so deltas carry cross-host noise; run
-# scripts/benchjson twice on one host for an enforceable comparison.
-go run ./scripts/benchdiff || echo "benchdiff: WARNING: benchmark regression detected (see delta table above)" >&2
+GO=${GO:-go}
+
+# The two archived artifacts, next to each other in the repository root:
+# tftlint's machine-readable report and the benchmark baseline benchdiff
+# compares against its predecessor.
+LINT_REPORT=LINT_10.json
+BENCH_REPORT=BENCH_8.json
+
+# The gate, in order; EXTRA stages run only when named.
+GATE="fmt vet lint build race fuzz bench shards chaos promsmoke progress-smoke benchdiff"
+EXTRA="test benchjson"
+
+stage() {
+	case "$1" in
+	fmt)
+		unformatted=$(gofmt -l .)
+		test -z "$unformatted" || { echo "gofmt needed: $unformatted" >&2; exit 1; }
+		;;
+	vet)
+		$GO vet ./...
+		;;
+	lint)
+		# Repo-specific static analysis, all ten analyzers: determinism
+		# (simclock, seededrand, maporder), span hygiene (spanend), pool
+		# discipline (poolpair), context placement (ctxfirst), the event-core
+		# contracts (nogo, noblock, lockorder), and hot-path allocations
+		# (hotalloc). Any unwaived finding, malformed waiver, or unused waiver
+		# fails the stage; the JSON report (findings, package count, wall
+		# time — benchdiff prints the last) is archived either way.
+		$GO run ./cmd/tftlint -json ./... > "$LINT_REPORT" || { cat "$LINT_REPORT" >&2; exit 1; }
+		;;
+	build)
+		$GO build ./...
+		;;
+	test)
+		$GO test ./...
+		;;
+	race)
+		$GO test -race ./...
+		;;
+	fuzz)
+		# Short fuzz smoke over the two parser-shaped attack surfaces: proxy
+		# usernames (zone/session encoding) and certificate-chain
+		# unmarshalling. Five seconds each — a corpus regression check, not a
+		# campaign.
+		$GO test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
+		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
+		;;
+	bench)
+		# One iteration of the end-to-end crawl benchmarks (DNS, monitoring,
+		# SMTP, and the stop-rule ablation's three crawls) plus the simnet
+		# pipe micro-benches: a smoke test that the default-scale worlds
+		# still build and crawl and the fast path still runs, not a
+		# performance measurement.
+		$GO test -run=NONE -bench='ExperimentRun$|ExtensionSMTP$|AblationCrawlerStop$' -benchtime=1x .
+		$GO test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
+		;;
+	shards)
+		# Small-K shard-merge smoke: per-shard sinks and aggregate Merge must
+		# reproduce the unsharded tables byte-for-byte.
+		$GO test -run='TestDNSShardSinksMergeCanonically|TestDNSMergePartialsMatchUnsharded' .
+		;;
+	chaos)
+		# Chaos soak: the fault plane, breaker, and churner under the race
+		# detector, plus the fixed-seed end-to-end soaks (byte-identical
+		# reruns, faulted probes excluded from violation rates, watchdog
+		# silent).
+		$GO test -race -run 'TestFault|TestInject|TestHealth|TestBackoff|TestChurner|TestSession' ./internal/simnet ./internal/proxynet
+		$GO test -run 'TestChaos' .
+		;;
+	promsmoke)
+		# Live scrape of the super proxy's Prometheus exposition, including
+		# the resolver-cache hit-rate assertion.
+		$GO run ./scripts/promsmoke
+		;;
+	progress-smoke)
+		# Flight-recorder smoke: a short DNS crawl with -progress and
+		# -progress-jsonl must stream parseable checkpoints and finish with a
+		# manifest whose node count matches the run's own headline.
+		$GO run ./scripts/progresssmoke
+		;;
+	benchjson)
+		# Machine-readable benchmark baseline: the full-pipeline, table, pipe,
+		# and full-scale (Scale=1.0 DNS, minutes of runtime) benchmarks with
+		# -benchmem, for the perf trajectory.
+		$GO run ./scripts/benchjson -out "$BENCH_REPORT"
+		;;
+	benchdiff)
+		# Benchmark trajectory (soft gate): compare the newest two
+		# BENCH_<n>.json and warn on >15% ns/op or peak-heap regressions.
+		# Warn-only — historical BENCH files span machines, so deltas carry
+		# cross-host noise; run the benchjson stage twice on one host for an
+		# enforceable comparison.
+		$GO run ./scripts/benchdiff || echo "benchdiff: WARNING: benchmark regression detected (see delta table above)" >&2
+		;;
+	*)
+		echo "check.sh: unknown stage '$1' (have: $GATE $EXTRA)" >&2
+		exit 2
+		;;
+	esac
+}
+
+if [ "${1:-}" = -l ]; then
+	echo "$GATE $EXTRA"
+	exit 0
+fi
+[ $# -gt 0 ] || set -- $GATE
+for s in "$@"; do
+	echo "== check.sh: $s" >&2
+	stage "$s"
+done

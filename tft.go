@@ -91,7 +91,7 @@ func resolveWorkers(optWorkers, crawlWorkers int) int {
 // proxy, the tracer into the super proxy and every exit node, so one
 // measured request yields one complete span tree. The tracer runs on the
 // world's virtual clock, so span durations are in simulated time.
-func (o *Options) instrument(w *population.World) *metrics.Registry {
+func (o *Options) instrument(w *population.World) {
 	if o.Crawl.Metrics == nil {
 		o.Crawl.Metrics = metrics.NewRegistry()
 	}
@@ -101,31 +101,27 @@ func (o *Options) instrument(w *population.World) *metrics.Registry {
 		// output, so a fixed-seed run is byte-identical with or without it.
 		o.Crawl.Progress = progress.NewTracker()
 	}
-	if o.Crawl.Tracer == nil && w != nil && w.Clock != nil {
+	if o.Crawl.Tracer == nil {
 		o.Crawl.Tracer = trace.New(w.Clock.Now, 0)
 	}
-	if w != nil && w.Super != nil && w.Super.Metrics == nil {
+	if w.Super.Metrics == nil {
 		w.Super.Metrics = o.Crawl.Metrics
 	}
-	if w != nil && w.Super != nil && w.Super.Tracer == nil {
+	if w.Super.Tracer == nil {
 		w.Super.Tracer = o.Crawl.Tracer
 	}
-	if w != nil && w.Pool != nil {
-		tracer := o.Crawl.Tracer
-		clock := w.Clock
-		w.Pool.SetPrepare(func(n *proxynet.ExitNode) {
-			if n.Tracer == nil {
-				n.Tracer = tracer
-			}
-			if n.Clock == nil {
-				n.Clock = clock
-			}
-		})
-		if lp, ok := w.Pool.(*proxynet.LazyPool); ok {
-			lp.SetMetrics(o.Crawl.Metrics)
+	tracer, clock := o.Crawl.Tracer, w.Clock
+	w.Pool.SetPrepare(func(n *proxynet.ExitNode) {
+		if n.Tracer == nil {
+			n.Tracer = tracer
 		}
+		if n.Clock == nil {
+			n.Clock = clock
+		}
+	})
+	if lp, ok := w.Pool.(*proxynet.LazyPool); ok {
+		lp.SetMetrics(o.Crawl.Metrics)
 	}
-	return o.Crawl.Metrics
 }
 
 // applyChaos arms the world's fault plane and the proxy-side hardening when
@@ -149,6 +145,21 @@ func (o *Options) applyChaos(w *population.World) error {
 	return nil
 }
 
+// newWorld builds a world and wires the run into it — instrument, then
+// applyChaos — so every path that crawls (runExperiment, RunLongitudinal)
+// gets telemetry and the chaos plane from this one place.
+func (o *Options) newWorld(build func(seed uint64, scale float64) (*population.World, error)) (*population.World, error) {
+	w, err := build(o.Seed, o.Scale)
+	if err != nil {
+		return nil, err
+	}
+	o.instrument(w)
+	if err := o.applyChaos(w); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
 // wallNow stamps run manifests. Manifests are operator-facing run records
 // (when did this campaign actually execute), so they use the wall clock by
 // contract and are excluded from all determinism comparisons.
@@ -164,15 +175,11 @@ func wallNow() time.Time {
 func (o Options) buildManifest(name string, st core.Stats, started, finished time.Time) *progress.RunManifest {
 	snap := o.Crawl.Progress.Snapshot()
 	wm := o.Crawl.Progress.CaptureWatermarks()
-	workers := o.Crawl.Workers
-	if snap.Workers > 0 {
-		workers = snap.Workers // crawler-resolved count, after defaults
-	}
 	return &progress.RunManifest{
 		Experiment:      name,
 		Seed:            o.Seed,
 		Scale:           o.Scale,
-		Workers:         workers,
+		Workers:         snap.Workers, // crawler-resolved count, after defaults
 		Shards:          snap.Workers,
 		StartedAt:       started,
 		FinishedAt:      finished,
@@ -191,22 +198,6 @@ func (o Options) buildManifest(name string, st core.Stats, started, finished tim
 		Stalls:          snap.Stalls,
 		Watermarks:      wm,
 	}
-}
-
-// runManifest is the embedded carrier for the Run interface's manifest
-// accessors; every Run type gets Manifest/WriteManifest from it.
-type runManifest struct{ man *progress.RunManifest }
-
-// Manifest returns the run's flight-recorder manifest: seed, scale,
-// workers, duration, final counts, and peak runtime watermarks.
-func (r runManifest) Manifest() *progress.RunManifest { return r.man }
-
-// WriteManifest serializes the manifest as indented JSON.
-func (r runManifest) WriteManifest(w io.Writer) error {
-	if r.man == nil {
-		return nil
-	}
-	return r.man.Write(w)
 }
 
 func (o Options) cfg() analysis.Config { return analysis.Config{Scale: o.Scale} }
@@ -259,451 +250,148 @@ type Run interface {
 	WriteManifest(w io.Writer) error
 }
 
-// DNSRun bundles the §4 experiment's world, dataset, and analysis.
-type DNSRun struct {
-	runManifest
+// crawlDataset and tableSet are what ExperimentRun needs from an
+// experiment's dataset and analysis types, whatever else they carry.
+type (
+	crawlDataset interface{ CrawlStats() core.Stats }
+	tableSet     interface{ Tables() []*analysis.Table }
+)
 
+// ExperimentRun bundles one experiment's world, dataset, and analysis. It
+// is the one implementation of Run; DNSRun … SMTPRun are its instantiations.
+// Everything that differs between experiments — how the world is built,
+// which driver crawls it, how the headline reads — lives in the
+// experiment's row of the registry (experiments.go), which the run finds
+// by its own type.
+type ExperimentRun[D crawlDataset, A tableSet] struct {
 	Opts     Options
 	World    *population.World
-	Dataset  *core.DNSDataset
-	Analysis *analysis.DNSAnalysis
+	Dataset  D
+	Analysis A
 
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	man *progress.RunManifest
+}
+
+// The five experiments' run types.
+type (
+	// DNSRun bundles the §4 experiment's world, dataset, and analysis.
+	DNSRun = ExperimentRun[*core.DNSDataset, *analysis.DNSAnalysis]
+	// HTTPRun bundles the §5 experiment.
+	HTTPRun = ExperimentRun[*core.HTTPDataset, *analysis.HTTPAnalysis]
+	// TLSRun bundles the §6 experiment.
+	TLSRun = ExperimentRun[*core.TLSDataset, *analysis.TLSAnalysis]
+	// MonitorRun bundles the §7 experiment.
+	MonitorRun = ExperimentRun[*core.MonDataset, *analysis.MonAnalysis]
+	// SMTPRun bundles the §3.4 extension experiment: SMTP probing through an
+	// arbitrary-port tunnel service, implementing the paper's stated future
+	// work.
+	SMTPRun = ExperimentRun[*core.SMTPDataset, *analysis.SMTPAnalysis]
+)
+
+// runExperiment is the one path from Options to a finished run: defaults,
+// world, telemetry and chaos wiring, crawl, analysis, manifest.
+func runExperiment[D crawlDataset, A tableSet](ctx context.Context, e *experiment[D, A], opts Options) (*ExperimentRun[D, A], error) {
+	opts = opts.withDefaults()
+	started := wallNow()
+	w, err := opts.newWorld(e.build)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := e.driver(w, opts).Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &ExperimentRun[D, A]{Opts: opts, World: w, Dataset: ds,
+		Analysis: e.analyze(opts.cfg(), w.Geo, ds),
+		man:      opts.buildManifest(e.name, ds.CrawlStats(), started, wallNow())}, nil
 }
 
 // RunDNS builds a DNS world and runs the NXDOMAIN-hijack experiment.
 func RunDNS(ctx context.Context, opts Options) (*DNSRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildDNSWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.DNSExperiment{
-		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-	}
-	exp.InstallRules(population.WebIP)
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &DNSRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeDNS(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("dns", ds.Crawl, started, wallNow())}}, nil
-}
-
-// Name implements Run.
-func (r *DNSRun) Name() string { return "dns" }
-
-// Tables renders the run's paper artifacts.
-func (r *DNSRun) Tables() []*analysis.Table {
-	_, t3 := r.Analysis.Table3(10)
-	_, t4 := r.Analysis.Table4()
-	_, t5 := r.Analysis.Table5()
-	return []*analysis.Table{t3, t4, t5}
-}
-
-// Stats summarises the crawl.
-func (r *DNSRun) Stats() core.Stats { return r.Dataset.Crawl }
-
-// Metrics snapshots the run's crawl telemetry.
-func (r *DNSRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
-
-// Spans returns the run's retained request spans.
-func (r *DNSRun) Spans() []trace.SpanData { return r.tracer.Spans() }
-
-// Headline is the CLI summary.
-func (r *DNSRun) Headline() string {
-	s := r.Analysis.Summary()
-	rs := r.Analysis.ResolverStats()
-	return fmt.Sprintf("== DNS (§4): %d nodes measured (%d filtered shared-anycast), %d resolvers, %d countries, %d ASes\n"+
-		"   servers: %d total, %d above threshold; ISP-provided %d (%d above threshold, %d hijacking)\n"+
-		"   hijacked: %d (%.1f%%); attribution: %v\n",
-		s.MeasuredNodes, s.FilteredAnycast, s.UniqueResolvers, s.Countries, s.ASes,
-		rs.TotalServers, rs.AboveThreshold, rs.ISPServers, rs.ISPAboveThreshold, rs.HijackingISP,
-		s.Hijacked, s.HijackPct, s.Attribution) + faultLine(r.Dataset.Crawl)
-}
-
-// Overview is the Table-2 row.
-func (r *DNSRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	return analysis.DatasetOverview{Name: "DNS",
-		Nodes: s.MeasuredNodes + s.FilteredAnycast, ASes: s.ASes, Countries: s.Countries}
-}
-
-func (r *DNSRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteDNS(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *DNSRun) WriteGeo(w io.Writer) error {
-	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
-}
-
-// HTTPRun bundles the §5 experiment.
-type HTTPRun struct {
-	runManifest
-
-	Opts     Options
-	World    *population.World
-	Dataset  *core.HTTPDataset
-	Analysis *analysis.HTTPAnalysis
-
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	return runExperiment(ctx, dnsExperiment, opts)
 }
 
 // RunHTTP builds an HTTP world and runs the content-modification
 // experiment.
 func RunHTTP(ctx context.Context, opts Options) (*HTTPRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildHTTPWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.HTTPExperiment{
-		Client: w.Client, Auth: w.Auth, Geo: w.Geo,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-	}
-	exp.InstallRules(population.WebIP)
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &HTTPRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeHTTP(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("http", ds.Crawl, started, wallNow())}}, nil
-}
-
-// Name implements Run.
-func (r *HTTPRun) Name() string { return "http" }
-
-// Tables renders the run's paper artifacts.
-func (r *HTTPRun) Tables() []*analysis.Table {
-	_, t6 := r.Analysis.Table6()
-	_, t7 := r.Analysis.Table7()
-	return []*analysis.Table{t6, t7}
-}
-
-// Stats summarises the crawl.
-func (r *HTTPRun) Stats() core.Stats { return r.Dataset.Crawl }
-
-// Metrics snapshots the run's crawl telemetry.
-func (r *HTTPRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
-
-// Spans returns the run's retained request spans.
-func (r *HTTPRun) Spans() []trace.SpanData { return r.tracer.Spans() }
-
-// Headline is the CLI summary.
-func (r *HTTPRun) Headline() string {
-	s := r.Analysis.Summary()
-	return fmt.Sprintf("== HTTP (§5): %d nodes, %d ASes, %d countries; crawl skipped %d by AS quota\n"+
-		"   HTML modified %d (injected %d, block pages %d), images %d, JS %d, CSS %d\n",
-		s.MeasuredNodes, s.ASes, s.Countries, r.Dataset.SkippedQuota,
-		s.HTMLModified, s.HTMLInjected, s.HTMLBlockPage, s.ImageModified, s.JSReplaced, s.CSSReplaced) +
-		faultLine(r.Dataset.Crawl)
-}
-
-// Overview is the Table-2 row.
-func (r *HTTPRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	return analysis.DatasetOverview{Name: "HTTP",
-		Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
-}
-
-func (r *HTTPRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteHTTP(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *HTTPRun) WriteGeo(w io.Writer) error {
-	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
-}
-
-// TLSRun bundles the §6 experiment.
-type TLSRun struct {
-	runManifest
-
-	Opts     Options
-	World    *population.World
-	Dataset  *core.TLSDataset
-	Analysis *analysis.TLSAnalysis
-
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	return runExperiment(ctx, httpExperiment, opts)
 }
 
 // RunTLS builds a TLS world and runs the certificate-replacement
 // experiment.
 func RunTLS(ctx context.Context, opts Options) (*TLSRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildTLSWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.TLSExperiment{
-		Client: w.Client, Geo: w.Geo, Trust: w.Trust,
-		Targets: core.TargetsFromRegistry(w.Sites),
-		Weights: w.Pool.CountryCounts(),
-		Seed:    opts.Seed, Crawl: opts.Crawl,
-		Now: w.Clock.Now,
-	}
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &TLSRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeTLS(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("tls", ds.Crawl, started, wallNow())}}, nil
-}
-
-// Name implements Run.
-func (r *TLSRun) Name() string { return "tls" }
-
-// Tables renders the run's paper artifacts.
-func (r *TLSRun) Tables() []*analysis.Table {
-	_, t8 := r.Analysis.Table8()
-	return []*analysis.Table{t8}
-}
-
-// Stats summarises the crawl.
-func (r *TLSRun) Stats() core.Stats { return r.Dataset.Crawl }
-
-// Metrics snapshots the run's crawl telemetry.
-func (r *TLSRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
-
-// Spans returns the run's retained request spans.
-func (r *TLSRun) Spans() []trace.SpanData { return r.tracer.Spans() }
-
-// Headline is the CLI summary.
-func (r *TLSRun) Headline() string {
-	s := r.Analysis.Summary()
-	return fmt.Sprintf("== HTTPS (§6): %d nodes, %d ASes, %d countries; %d CONNECT tunnels\n"+
-		"   replaced certificates on %d nodes (%.2f%%); selective on %d; ASes >10%% affected: %.1f%%\n",
-		s.MeasuredNodes, s.ASes, s.Countries, r.Dataset.Probes,
-		s.Affected, s.AffectedPct, s.SelectiveNodes, s.HighASShare) + faultLine(r.Dataset.Crawl)
-}
-
-// Overview is the Table-2 row.
-func (r *TLSRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	return analysis.DatasetOverview{Name: "HTTPS",
-		Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
-}
-
-func (r *TLSRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteTLS(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *TLSRun) WriteGeo(w io.Writer) error {
-	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
-}
-
-// MonitorRun bundles the §7 experiment.
-type MonitorRun struct {
-	runManifest
-
-	Opts     Options
-	World    *population.World
-	Dataset  *core.MonDataset
-	Analysis *analysis.MonAnalysis
-
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	return runExperiment(ctx, tlsExperiment, opts)
 }
 
 // RunMonitor builds a monitoring world and runs the content-monitoring
 // experiment (24 virtual hours of server-log watching).
 func RunMonitor(ctx context.Context, opts Options) (*MonitorRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildMonitorWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.MonitorExperiment{
-		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-		Watch: 24 * time.Hour,
-	}
-	exp.InstallRules(population.WebIP)
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &MonitorRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeMonitor(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("monitor", ds.Crawl, started, wallNow())}}, nil
-}
-
-// Name implements Run.
-func (r *MonitorRun) Name() string { return "monitor" }
-
-// Tables renders the run's paper artifacts.
-func (r *MonitorRun) Tables() []*analysis.Table {
-	_, t9 := r.Analysis.Table9(6)
-	_, f5 := r.Analysis.Figure5Table(6)
-	return []*analysis.Table{t9, f5}
-}
-
-// Stats summarises the crawl.
-func (r *MonitorRun) Stats() core.Stats { return r.Dataset.Crawl }
-
-// Metrics snapshots the run's crawl telemetry.
-func (r *MonitorRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
-
-// Spans returns the run's retained request spans.
-func (r *MonitorRun) Spans() []trace.SpanData { return r.tracer.Spans() }
-
-// Headline is the CLI summary.
-func (r *MonitorRun) Headline() string {
-	s := r.Analysis.Summary()
-	return fmt.Sprintf("== Monitoring (§7): %d nodes; monitored %d (%.2f%%) by %d IPs in %d AS groups\n",
-		s.MeasuredNodes, s.Monitored, s.MonitoredPct, s.UniqueIPs, s.ASGroups) +
-		faultLine(r.Dataset.Crawl)
-}
-
-// Overview is the Table-2 row.
-func (r *MonitorRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	countries, ases := monCoverage(r)
-	return analysis.DatasetOverview{Name: "Monitoring",
-		Nodes: s.MeasuredNodes, ASes: ases, Countries: countries}
-}
-
-func (r *MonitorRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteMonitor(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *MonitorRun) WriteGeo(w io.Writer) error {
-	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
-}
-
-func monCoverage(r *MonitorRun) (countries, ases int) {
-	cset := map[string]bool{}
-	aset := map[uint32]bool{}
-	for _, o := range r.Dataset.Observations {
-		cset[string(o.Country)] = true
-		aset[uint32(o.ASN)] = true
-	}
-	return len(cset), len(aset)
-}
-
-// SMTPRun bundles the §3.4 extension experiment: SMTP probing through an
-// arbitrary-port tunnel service, implementing the paper's stated future
-// work.
-type SMTPRun struct {
-	runManifest
-
-	Opts     Options
-	World    *population.World
-	Dataset  *core.SMTPDataset
-	Analysis *analysis.SMTPAnalysis
-
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	return runExperiment(ctx, monitorExperiment, opts)
 }
 
 // RunSMTP builds the extension world (a VPN allowing any CONNECT port) and
 // probes the measurement mail server through every node, detecting port-25
 // blocking and STARTTLS stripping.
 func RunSMTP(ctx context.Context, opts Options) (*SMTPRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildSMTPWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
+	return runExperiment(ctx, smtpExperiment, opts)
+}
+
+// entry finds the run's registry row by the run's own type, so even a
+// zero-valued run knows its name.
+func (r *ExperimentRun[D, A]) entry() *experiment[D, A] {
+	for _, e := range experimentRegistry {
+		if e, ok := e.(*experiment[D, A]); ok {
+			return e
+		}
 	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.SMTPExperiment{
-		Client: w.Client, Geo: w.Geo, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-		MailIP: population.MailIP, MailHost: population.MailHost,
-	}
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &SMTPRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeSMTP(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("smtp", ds.Crawl, started, wallNow())}}, nil
+	panic(fmt.Sprintf("tft: %T is not a registered experiment's run type", r))
 }
 
 // Name implements Run.
-func (r *SMTPRun) Name() string { return "smtp" }
+func (r *ExperimentRun[D, A]) Name() string { return r.entry().name }
 
-// Tables renders the extension's findings.
-func (r *SMTPRun) Tables() []*analysis.Table {
-	_, t := r.Analysis.TableSMTP()
-	return []*analysis.Table{t}
-}
+// Tables renders the run's paper artifacts.
+func (r *ExperimentRun[D, A]) Tables() []*analysis.Table { return r.Analysis.Tables() }
 
 // Stats summarises the crawl.
-func (r *SMTPRun) Stats() core.Stats { return r.Dataset.Crawl }
+func (r *ExperimentRun[D, A]) Stats() core.Stats { return r.Dataset.CrawlStats() }
 
 // Metrics snapshots the run's crawl telemetry.
-func (r *SMTPRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
+func (r *ExperimentRun[D, A]) Metrics() *metrics.Snapshot { return r.Opts.Crawl.Metrics.Snapshot() }
 
 // Spans returns the run's retained request spans.
-func (r *SMTPRun) Spans() []trace.SpanData { return r.tracer.Spans() }
+func (r *ExperimentRun[D, A]) Spans() []trace.SpanData { return r.Opts.Crawl.Tracer.Spans() }
 
-// Headline is the CLI summary.
-func (r *SMTPRun) Headline() string {
-	s := r.Analysis.Summary()
-	return fmt.Sprintf("== SMTP extension (§3.4 future work): %d nodes probed through an any-port tunnel\n"+
-		"   port 25 blocked: %d (%.1f%%); STARTTLS stripped: %d (%.2f%%) in %d ASes\n",
-		s.MeasuredNodes, s.Blocked, s.BlockedPct, s.Stripped, s.StrippedPct, s.StripperASes) +
-		faultLine(r.Dataset.Crawl)
+// Headline is the CLI summary, closed by the run's error-budget line.
+func (r *ExperimentRun[D, A]) Headline() string {
+	return r.entry().headline(r.Analysis, r.Dataset) + faultLine(r.Stats())
 }
 
 // Overview is the Table-2 row.
-func (r *SMTPRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	cset := map[string]bool{}
-	aset := map[uint32]bool{}
-	for _, o := range r.Dataset.Observations {
-		cset[string(o.Country)] = true
-		aset[uint32(o.ASN)] = true
-	}
-	return analysis.DatasetOverview{Name: "SMTP",
-		Nodes: s.MeasuredNodes, ASes: len(aset), Countries: len(cset)}
+func (r *ExperimentRun[D, A]) Overview() analysis.DatasetOverview {
+	return r.entry().overview(r.Analysis, r.Dataset)
 }
 
-func (r *SMTPRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteSMTP(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
+// WriteDataset serializes the run's observations in the release format.
+func (r *ExperimentRun[D, A]) WriteDataset(w io.Writer) error {
+	return r.entry().write(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
 }
 
-func (r *SMTPRun) WriteGeo(w io.Writer) error {
+// WriteGeo serializes the geo snapshot of the world the run crawled.
+func (r *ExperimentRun[D, A]) WriteGeo(w io.Writer) error {
 	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
+}
+
+// Manifest returns the run's flight-recorder manifest: seed, scale,
+// workers, duration, final counts, and peak runtime watermarks.
+func (r *ExperimentRun[D, A]) Manifest() *progress.RunManifest { return r.man }
+
+// WriteManifest serializes the manifest as indented JSON.
+func (r *ExperimentRun[D, A]) WriteManifest(w io.Writer) error {
+	if r.man == nil {
+		return nil
+	}
+	return r.man.Write(w)
 }
 
 // Results is the output of a full four-experiment campaign.
@@ -804,22 +492,12 @@ type LongitudinalRun struct {
 // its own metrics snapshot in Wave.Metrics.
 func RunLongitudinal(ctx context.Context, opts Options, waves int) (*LongitudinalRun, error) {
 	opts = opts.withDefaults()
-	w, err := population.BuildDNSWorld(opts.Seed, opts.Scale)
+	w, err := opts.newWorld(dnsExperiment.build)
 	if err != nil {
 		return nil, err
 	}
-	opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.DNSExperiment{
-		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-	}
-	exp.InstallRules(population.WebIP)
 	long := &core.LongitudinalDNS{
-		Experiment:   exp,
+		Experiment:   dnsDriver(w, opts),
 		Clock:        w.Clock,
 		Waves:        waves,
 		BetweenWaves: population.StandardEvolution(w),
