@@ -296,6 +296,19 @@ func BenchmarkDNSExperimentRun(b *testing.B) {
 	}
 }
 
+// BenchmarkHTTPExperimentRun measures a full HTTP crawl at 0.5% scale: the
+// four §5.1 objects through every measured node, the byte-bound crawl.
+func BenchmarkHTTPExperimentRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run, err := RunHTTP(context.Background(), Options{Seed: uint64(i + 1), Scale: 0.005})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(run.Dataset.Crawl.Sessions), "sessions")
+	}
+}
+
 // BenchmarkMonitorExperimentRun measures a monitoring crawl plus its 24
 // virtual hours at 0.5% scale.
 func BenchmarkMonitorExperimentRun(b *testing.B) {

@@ -93,6 +93,7 @@ func readGoldenRuns(t *testing.T) map[string]string {
 // preserved behaviour: the goldens were captured before the five drivers
 // were collapsed onto one loop.
 func TestDNSRunDeterministic(t *testing.T) {
+	poisonReleasedBodies(t)
 	type runCase struct{ name, experiment, chaos string }
 	var cases []runCase
 	for _, name := range Experiments() {

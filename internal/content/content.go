@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Kind is one of the four object types fetched per exit node.
@@ -22,6 +23,7 @@ const (
 	KindImage
 	KindJS
 	KindCSS
+	numKinds // count of the kinds above
 )
 
 // String returns the kind's name.
@@ -80,10 +82,31 @@ const (
 	CSSSize   = 3 * 1024
 )
 
-// Object returns the canonical bytes for a kind. The generation is
-// deterministic so any two parties (origin server, measurement client)
-// agree on the exact payload.
+// objects holds the four canonical objects, each generated on first use.
+var objects [numKinds]struct {
+	once  sync.Once
+	bytes []byte
+}
+
+// Object returns the canonical bytes for a kind, nil for an unknown one.
+// The generation is deterministic so any two parties (origin server,
+// measurement client) agree on the exact payload. Every call returns the
+// same shared slice: callers must treat it as read-only. Its capacity equals
+// its length, so an append reallocates rather than writing past the object.
 func Object(k Kind) []byte {
+	if k < 0 || k >= numKinds {
+		return nil
+	}
+	o := &objects[k]
+	o.once.Do(func() {
+		b := generate(k)
+		o.bytes = b[:len(b):len(b)]
+	})
+	return o.bytes
+}
+
+// generate builds the canonical bytes for a kind from scratch.
+func generate(k Kind) []byte {
 	switch k {
 	case KindHTML:
 		return htmlObject()

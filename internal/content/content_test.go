@@ -3,6 +3,7 @@ package content
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +21,54 @@ func TestObjectsDeterministic(t *testing.T) {
 	for _, k := range Kinds {
 		if !bytes.Equal(Object(k), Object(k)) {
 			t.Errorf("%v object not deterministic", k)
+		}
+	}
+}
+
+// TestObjectIsSharedAndClipped: every call hands out the one canonical copy,
+// with no spare capacity for an append to scribble on.
+func TestObjectIsSharedAndClipped(t *testing.T) {
+	for _, k := range Kinds {
+		a, b := Object(k), Object(k)
+		if &a[0] != &b[0] {
+			t.Errorf("%v: two calls returned different backing arrays", k)
+		}
+		if len(a) != cap(a) {
+			t.Errorf("%v: len %d, cap %d; an append would write into the shared object", k, len(a), cap(a))
+		}
+		if !bytes.Equal(a, generate(k)) {
+			t.Errorf("%v: the shared copy differs from a fresh generation", k)
+		}
+	}
+	if Object(numKinds) != nil || Object(-1) != nil {
+		t.Error("unknown kinds must yield nil")
+	}
+}
+
+// TestObjectConcurrentFirstCall: callers racing on a kind's first use all
+// get the same bytes (run under -race).
+func TestObjectConcurrentFirstCall(t *testing.T) {
+	for i := range objects {
+		objects[i].once, objects[i].bytes = sync.Once{}, nil
+	}
+	const callers = 8
+	var got [callers][numKinds][]byte
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range Kinds {
+				got[c][k] = Object(k)
+			}
+		}()
+	}
+	wg.Wait()
+	for c := 1; c < callers; c++ {
+		for _, k := range Kinds {
+			if &got[c][k][0] != &got[0][k][0] {
+				t.Fatalf("%v: caller %d got a different backing array than caller 0", k, c)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand/v2"
 	"net/netip"
@@ -195,6 +196,7 @@ func TestDNSCountryDerivedFromIP(t *testing.T) {
 }
 
 func TestHTTPExperimentEndToEnd(t *testing.T) {
+	poisonReleasedBodies(t)
 	w, err := population.BuildHTTPWorld(testSeed, httpScale)
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +219,13 @@ func TestHTTPExperimentEndToEnd(t *testing.T) {
 		truth := w.TruthFor(o.ZID)
 		html := o.Objects[content.KindHTML]
 		img := o.Objects[content.KindImage]
+		// The response buffers went back to their pools (poisoned, here)
+		// when each fetch ended; a retained body must be the driver's own
+		// copy, still a page.
+		if html.Body != nil && (len(html.Body) != html.BodyLen || !bytes.HasPrefix(html.Body, []byte("<"))) {
+			t.Fatalf("node %s: retained HTML body (%d of %d bytes) starts %.16q; it aliases a released buffer",
+				o.ZID, len(html.Body), html.BodyLen, html.Body)
+		}
 		if html.Outcome == ObjModified || html.Outcome == ObjBlocked {
 			htmlMod++
 			if truth.HTTPModifier == "" {

@@ -175,25 +175,26 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 		obs.Objects[i].Outcome = ObjError
 	}
 
-	for idx, k := range kinds {
+	// fetch gets one object through the session's node and files its result
+	// in obs. A non-OK outcome abandons the session; otherwise more says
+	// whether to go on to the next object. It is a function of its own so
+	// that the response buffer goes back to its pool on every way out.
+	fetch := func(idx int, k content.Kind) (oc outcome, more bool) {
 		host := httpPrefix + sess + "-" + strconv.Itoa(idx) + "." + e.Zone
 		resp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+k.Path())
+		defer resp.Release()
 		if err != nil || dbg == nil || dbg.ZID == "" || dbg.Err != "" {
-			oc := classifyFailure(err, dbg)
-			if oc == outcomeFault {
-				// A transport fault mid-measurement would leave ObjError
-				// objects that AnyModified reads as tampering; exclude the
-				// probe into the error budget rather than misclassify it.
-				return nil, outcomeFault
+			// A transport fault mid-measurement would leave ObjError
+			// objects that AnyModified reads as tampering; exclude the
+			// probe into the error budget rather than misclassify it.
+			if failure := classifyFailure(err, dbg); failure == outcomeFault || idx == 0 {
+				return failure, false
 			}
-			if idx == 0 {
-				return nil, oc
-			}
-			continue
+			return outcomeOK, true
 		}
 		if idx == 0 {
 			if !cr.observe(dbg.ZID) {
-				return nil, outcomeDuplicate
+				return outcomeDuplicate, false
 			}
 			obs.ZID = dbg.ZID
 			obs.NodeIP = dbg.NodeIP
@@ -204,16 +205,26 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 			skip := asCount[obs.ASN] >= e.PerASQuota && !asFlagged[obs.ASN]
 			mu.Unlock()
 			if skip {
-				return nil, outcomeDiscarded
+				return outcomeDiscarded, false
 			}
 		} else if dbg.ZID != obs.ZID {
 			// Node switched mid-measurement; keep what we have.
-			continue
+			return outcomeOK, true
 		}
 		if !e.Budget.Charge(obs.ZID, len(resp.Body)) {
-			break
+			return outcomeOK, false
 		}
 		obs.Objects[int(k)] = classify(k, resp.StatusCode, resp.Body)
+		return outcomeOK, true
+	}
+	for idx, k := range kinds {
+		oc, more := fetch(idx, k)
+		if oc != outcomeOK {
+			return nil, oc
+		}
+		if !more {
+			break
+		}
 	}
 	if obs.ZID == "" {
 		return nil, outcomeFailed
@@ -221,14 +232,16 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 	return obs, outcomeOK
 }
 
-// classify compares a received object with the canonical one.
+// classify compares a received object with the canonical one. The result
+// does not alias body: the rare bodies it keeps are copies, so the caller
+// may recycle the buffer it was handed.
 func classify(k content.Kind, status int, body []byte) ObjectResult {
 	orig := content.Object(k)
 	r := ObjectResult{BodyLen: len(body)}
 	switch {
 	case status != 200:
 		r.Outcome = ObjBlocked
-		r.Body = body
+		r.Body = bytes.Clone(body)
 	case len(body) == 0:
 		r.Outcome = ObjEmpty
 	case bytes.Equal(body, orig):
@@ -236,7 +249,7 @@ func classify(k content.Kind, status int, body []byte) ObjectResult {
 	default:
 		r.Outcome = ObjModified
 		if k == content.KindHTML {
-			r.Body = body
+			r.Body = bytes.Clone(body)
 		}
 		if k == content.KindImage {
 			r.ImageRatio = content.CompressionRatio(orig, body)

@@ -3,6 +3,7 @@ package httpwire
 import (
 	"bufio"
 	"bytes"
+	"maps"
 	"testing"
 )
 
@@ -32,10 +33,16 @@ func FuzzReadRequest(f *testing.F) {
 	})
 }
 
-// FuzzReadResponse mirrors FuzzReadRequest for responses.
+// FuzzReadResponse mirrors FuzzReadRequest for responses, and checks the
+// pooled body path: releasing a response and parsing the same bytes again,
+// now into a recycled (and, under the test hook, poisoned) buffer, must
+// give the same response.
 func FuzzReadResponse(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"))
 	f.Add([]byte("HTTP/1.1 502 Bad Gateway\r\nX-Hola-Unblocker-Debug: dns_error peer NXDOMAIN\r\n\r\n"))
+	f.Add(append([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n"), bytes.Repeat([]byte("body"), 1250)...))
+	poisonOnRelease = true
+	f.Cleanup(func() { poisonOnRelease = false })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
@@ -51,6 +58,20 @@ func FuzzReadResponse(f *testing.F) {
 		}
 		if resp2.StatusCode != resp.StatusCode || !bytes.Equal(resp2.Body, resp.Body) {
 			t.Fatalf("unstable round trip")
+		}
+
+		want := *resp
+		want.Body = bytes.Clone(resp.Body)
+		resp.Release()
+		resp2.Release()
+		again, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatalf("second parse of accepted input failed: %v", err)
+		}
+		if again.StatusCode != want.StatusCode || again.Reason != want.Reason || again.Proto != want.Proto ||
+			!maps.Equal(again.Header, want.Header) || !bytes.Equal(again.Body, want.Body) ||
+			(again.Body == nil) != (want.Body == nil) {
+			t.Fatalf("second parse differs:\n first %+v\nsecond %+v", want, *again)
 		}
 	})
 }

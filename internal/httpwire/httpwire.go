@@ -144,6 +144,10 @@ type Response struct {
 	Proto      string
 	Header     Header
 	Body       []byte
+
+	// pooled is the pool box of the buffer ReadResponse read Body into,
+	// nil when the body was not pooled or has been released.
+	pooled *[]byte
 }
 
 // NewResponse builds a response with standard reason text and body.
@@ -237,7 +241,7 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(br, h)
+	body, _, err := readBody(br, h, false)
 	if err != nil {
 		return nil, err
 	}
@@ -263,11 +267,11 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(br, h)
+	body, box, err := readBody(br, h, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Response{StatusCode: code, Reason: reason, Proto: proto, Header: h, Body: body}, nil
+	return &Response{StatusCode: code, Reason: reason, Proto: proto, Header: h, Body: body, pooled: box}, nil
 }
 
 func readLine(br *bufio.Reader) (string, error) {
@@ -328,23 +332,36 @@ func readHeader(br *bufio.Reader) (Header, error) {
 	}
 }
 
-func readBody(br *bufio.Reader, h Header) ([]byte, error) {
+// readBody reads the body Content-Length announces, nil without the
+// header. With pool set, a body of minPooledBody bytes or more is read into
+// a buffer from bodyPools, whose box comes back beside it (see
+// Response.Release).
+func readBody(br *bufio.Reader, h Header, pool bool) ([]byte, *[]byte, error) {
 	cl := h.Get("Content-Length")
 	if cl == "" {
-		return nil, nil
+		return nil, nil, nil
 	}
 	n, err := strconv.Atoi(cl)
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("%w: Content-Length %q", ErrMalformed, cl)
+		return nil, nil, fmt.Errorf("%w: Content-Length %q", ErrMalformed, cl)
 	}
 	if n > MaxBodyBytes {
-		return nil, ErrBodyTooBig
+		return nil, nil, ErrBodyTooBig
 	}
-	body := make([]byte, n)
+	var body []byte
+	var box *[]byte
+	if pool && n >= minPooledBody {
+		body, box = getBody(n)
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
+		if box != nil {
+			putBody(box)
+		}
+		return nil, nil, err
 	}
-	return body, nil
+	return body, box, nil
 }
 
 // RoundTrip writes req on conn and reads the response. The caller owns the

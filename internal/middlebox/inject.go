@@ -151,11 +151,13 @@ func (bp BlockPage) InterceptHTTP(host, path string, resp *httpwire.Response) *h
 }
 
 // injectBeforeBodyClose inserts payload just before </body>, or appends it
-// when the page has no closing tag.
+// when the page has no closing tag. The result is always a fresh slice:
+// body may be shared (the origin serves one canonical copy of each object)
+// and an append could write into its spare capacity.
 func injectBeforeBodyClose(body, payload []byte) []byte {
 	i := bytes.LastIndex(body, []byte("</body>"))
 	if i < 0 {
-		return append(body, payload...)
+		i = len(body)
 	}
 	out := make([]byte, 0, len(body)+len(payload))
 	out = append(out, body[:i]...)

@@ -35,7 +35,9 @@ type DNSInterceptor interface {
 type HTTPInterceptor interface {
 	Label() string
 	// InterceptHTTP may rewrite resp (returning it or a replacement). host
-	// and path identify the fetched URL.
+	// and path identify the fetched URL. It may point resp.Body at new
+	// bytes but must never store into the bytes it was handed: they can be
+	// the origin's one shared copy of a §5.1 object.
 	InterceptHTTP(host, path string, resp *httpwire.Response) *httpwire.Response
 }
 

@@ -129,6 +129,52 @@ func TestHTMLInjectorSkipsNonHTML(t *testing.T) {
 	}
 }
 
+// TestInterceptorsNeverWriteIntoTheBodyTheyAreHanded: the origin serves one
+// shared copy of each object, so an interceptor that stored into resp.Body
+// would corrupt it for the whole process. Every interceptor runs over every
+// object, served under each content type, with the canonical bytes as the
+// body; the canonical hashes must not move.
+func TestInterceptorsNeverWriteIntoTheBodyTheyAreHanded(t *testing.T) {
+	interceptors := []HTTPInterceptor{
+		HTMLInjector{Product: "url", Signature: "d36mw5gp02ykm5.cloudfront.net", SignatureIsURL: true},
+		HTMLInjector{Product: "keyword", Signature: "var oiasudoj;", ExtraBytes: 23 << 10, MinSize: 1},
+		ContentFilter{Product: "netspark"},
+		BlockPage{Product: "blocked", Message: "blocked"},
+		BlockPage{Product: "empty", Empty: true},
+		ImageCompressor{Product: "transcoder", Ratios: []float64{0.5, 0.34}, MinSize: 1},
+	}
+	want := make(map[content.Kind][32]byte)
+	for _, k := range content.Kinds {
+		want[k] = content.Hash(content.Object(k))
+	}
+	for _, ic := range interceptors {
+		for _, k := range content.Kinds {
+			for _, served := range content.Kinds {
+				resp := httpwire.NewResponse(200, content.Object(k))
+				resp.Header.Set("Content-Type", served.ContentType())
+				ic.InterceptHTTP("h.example.net", k.Path(), resp)
+				if content.Hash(content.Object(k)) != want[k] {
+					t.Fatalf("%s wrote into the canonical %v object (served as %s)", ic.Label(), k, served.ContentType())
+				}
+			}
+		}
+	}
+}
+
+// TestInjectionDoesNotUseSpareCapacity: a page with no </body> takes the
+// payload at its end, in a fresh slice, not in the caller's spare capacity.
+func TestInjectionDoesNotUseSpareCapacity(t *testing.T) {
+	buf := bytes.Repeat([]byte{'x'}, 64)
+	page := buf[:10]
+	out := injectBeforeBodyClose(page, []byte("PAYLOAD"))
+	if string(out) != "xxxxxxxxxxPAYLOAD" {
+		t.Fatalf("injected page = %q", out)
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{'x'}, 64)) {
+		t.Fatalf("injection wrote into the caller's buffer: %q", buf)
+	}
+}
+
 func TestContentFilterMetaTag(t *testing.T) {
 	cf := ContentFilter{Product: "NetSpark"}
 	resp := cf.InterceptHTTP("h", "/object.html", htmlResp())

@@ -73,24 +73,37 @@ func (s *Server) Handle(src netip.Addr, req *httpwire.Request) *httpwire.Respons
 	if req.Method != "GET" {
 		return httpwire.NewResponse(400, []byte("unsupported method"))
 	}
-	for _, k := range content.Kinds {
-		if req.Target == k.Path() {
-			resp := httpwire.NewResponse(200, content.Object(k))
-			resp.Header.Set("Content-Type", k.ContentType())
-			return resp
-		}
+	body, contentType := indexBody, "text/html; charset=utf-8"
+	if k, ok := objectByPath[req.Target]; ok {
+		body, contentType = content.Object(k), k.ContentType()
 	}
-	resp := httpwire.NewResponse(200, IndexBody())
-	resp.Header.Set("Content-Type", "text/html; charset=utf-8")
+	resp := httpwire.NewResponse(200, body)
+	resp.Header.Set("Content-Type", contentType)
 	return resp
 }
 
+// objectByPath resolves a request path to the §5.1 object served there. The
+// bodies themselves are content.Object's shared read-only slices, generated
+// the first time a path is actually requested.
+var objectByPath = func() map[string]content.Kind {
+	m := make(map[string]content.Kind, len(content.Kinds))
+	for _, k := range content.Kinds {
+		m[k.Path()] = k
+	}
+	return m
+}()
+
 // IndexBody is the small page served for non-object paths. At well under
 // 1 KB it doubles as the probe for the §5.1 object-size observation:
-// injectors leave tiny objects alone.
-func IndexBody() []byte {
-	return []byte("<html><head><title>tft probe</title></head><body>ok</body></html>")
-}
+// injectors leave tiny objects alone. Every call returns the same shared
+// slice: callers must treat it as read-only.
+func IndexBody() []byte { return indexBody }
+
+const indexPage = "<html><head><title>tft probe</title></head><body>ok</body></html>"
+
+// Capacity is clipped to the length so an append by a caller reallocates
+// instead of writing into the shared page.
+var indexBody = []byte(indexPage)[:len(indexPage):len(indexPage)]
 
 func (s *Server) record(r Request) {
 	s.mu.Lock()

@@ -437,7 +437,9 @@ func (a *Agent) serveOne(ctx context.Context) error {
 			if err != nil {
 				resp = httpwire.NewResponse(502, []byte(err.Error()))
 			}
-			if err := resp.Write(conn); err != nil {
+			err = resp.Write(conn)
+			resp.Release() // forwarded; the gateway has its own copy
+			if err != nil {
 				return err
 			}
 		case "CONNECT":

@@ -449,6 +449,8 @@ func (sp *SuperProxy) handleGet(ctx context.Context, conn net.Conn, req *httpwir
 	sp.armWriteDeadline(conn)
 	resp.Write(conn)
 	sp.clearWriteDeadline(conn)
+	// The client has its own copy now; the exit node's goes back to the pool.
+	resp.Release()
 }
 
 // handleConnect establishes a TCP tunnel via an exit node; only port 443 is

@@ -27,10 +27,57 @@ var ErrWouldBlock = errors.New("simnet: operation would block")
 // fault, never as a middlebox outcome.
 var ErrInjectedReset = errors.New("simnet: connection reset by injected fault")
 
-// ringBufPool recycles full-window ring storage between connections. A crawl
-// opens millions of short-lived streams; with the pool, the steady-state
-// buffer count is the handful of connections actually in flight.
-var ringBufPool sync.Pool
+// ringBufPool recycles DefaultWindow-sized ring storage between connections.
+// A crawl opens millions of short-lived streams; with the pool, the
+// steady-state buffer count is the handful of connections actually in
+// flight. grownBufPool does the same for everything larger: the storage
+// growBuf widened a ring to, and the windows of a Fabric whose Window
+// exceeds the default. Keeping the two apart means a grown buffer is never
+// handed out as a 64KB window while the next large response allocates
+// another one beside it.
+var ringBufPool, grownBufPool sync.Pool
+
+// maxGrownWindow caps growBuf: twice httpwire.MaxBodyBytes, so any response
+// the HTTP stack accepts fits with its headers, and a handler that writes
+// without end fails instead of taking the process's memory with it.
+const maxGrownWindow = 16 << 20
+
+// errWindowOverflow is what Write returns to an inline handler that has
+// out-written maxGrownWindow.
+var errWindowOverflow = errors.New("simnet: inline handler out-wrote the largest ring window")
+
+// takeBuf returns n bytes of ring storage and its pool box: recycled when
+// the matching pool has a buffer that large, fresh otherwise. The box
+// travels with the buffer through every later Put/Get so returning it to
+// the pool never allocates.
+func takeBuf(n int) ([]byte, *[]byte) {
+	pool := &ringBufPool
+	if n > DefaultWindow {
+		pool = &grownBufPool
+	}
+	if p, _ := pool.Get().(*[]byte); p != nil {
+		if cap(*p) >= n {
+			return (*p)[:n], p
+		}
+		pool.Put(p) // too small for this ring; another will fit it
+	}
+	return make([]byte, n), new([]byte)
+}
+
+// recycleBuf returns ring storage to the pool its size belongs to. Storage
+// below DefaultWindow (the tiny windows tests use) is left to the GC, so
+// every pooled buffer serves a default ring at least.
+func recycleBuf(buf []byte, box *[]byte) {
+	if cap(buf) < DefaultWindow {
+		return
+	}
+	*box = buf[:0]
+	if cap(buf) > DefaultWindow {
+		grownBufPool.Put(box)
+	} else {
+		ringBufPool.Put(box)
+	}
+}
 
 // Pipe returns a connected pair of buffered in-memory stream ends, the
 // fabric's fast-path replacement for net.Pipe. Each direction is an
@@ -55,7 +102,7 @@ func Pipe(window int) (*Stream, *Stream) {
 
 // pair is one connection: both direction rings and both Stream ends in
 // a single allocation. Once both ends are fully closed the pair returns its
-// ring storage to ringBufPool.
+// ring storage to the pools (see recycleBuf).
 type pair struct {
 	r        [2]ring // r[0]: a→b, r[1]: b→a
 	s        [2]Stream
@@ -123,13 +170,7 @@ func (pp *pair) maybeReclaim() {
 		if wt != nil {
 			wt.Stop()
 		}
-		if cap(buf) >= DefaultWindow {
-			if bufp == nil {
-				bufp = new([]byte)
-			}
-			*bufp = buf[:0]
-			ringBufPool.Put(bufp)
-		}
+		recycleBuf(buf, bufp)
 	}
 }
 
@@ -152,7 +193,7 @@ type ring struct {
 	cond sync.Cond
 
 	buf    []byte  // ring storage; nil until first write, pooled full-window
-	bufp   *[]byte // pool box for buf, reused across Get/Put to avoid re-boxing
+	bufp   *[]byte // pool box for buf, non-nil whenever buf is (see takeBuf)
 	start  int     // index of the first unread byte
 	n      int     // unread byte count
 	window int     // buffer capacity
@@ -280,49 +321,43 @@ type deadline struct {
 // ensureBuf allocates the ring storage on first use: a pooled full-window
 // buffer when one fits, a fresh one otherwise. Allocating the whole window
 // up front means the ring never copies to grow, and the buffer recycles
-// through ringBufPool across connections.
+// through the pools across connections.
 func (r *ring) ensureBuf() {
-	if p, _ := ringBufPool.Get().(*[]byte); p != nil && cap(*p) >= r.window {
-		r.bufp = p
-		r.buf = (*p)[:r.window]
-	} else {
-		// Box the fresh buffer once; the box travels with it through every
-		// later Put/Get so returning it to the pool never allocates.
-		r.bufp = new([]byte)
-		r.buf = make([]byte, r.window)
-	}
+	r.buf, r.bufp = takeBuf(r.window)
 	r.start = 0
 }
 
 // growBuf widens the ring past its window — the escape hatch for handlers
 // running inline on the event core, whose dialer sits beneath them on the
 // stack and cannot drain the response until they finish. Blocking here
-// would deadlock; growing trades bounded memory for progress on exactly
-// the rings that need it (see Fabric.Dial). Caller holds r.mu with
-// r.n == r.window, so buf is allocated and fully occupied.
-func (r *ring) growBuf(need int) {
+// would deadlock; growing trades memory, bounded by maxGrownWindow, for
+// progress on exactly the rings that need it (see Fabric.Dial). It reports
+// false, leaving the ring as it was, when holding need more bytes would
+// pass that bound. Caller holds r.mu with r.n == r.window, so buf is
+// allocated and fully occupied.
+func (r *ring) growBuf(need int) bool {
+	if need > maxGrownWindow-r.n {
+		return false
+	}
 	newCap := r.window * 2
 	for newCap < r.n+need {
 		newCap *= 2
 	}
-	nb := make([]byte, newCap)
+	if newCap > maxGrownWindow {
+		newCap = maxGrownWindow
+	}
+	nb, nbp := takeBuf(newCap)
 	first := len(r.buf) - r.start
 	if first > r.n {
 		first = r.n
 	}
 	copy(nb, r.buf[r.start:r.start+first])
 	copy(nb[first:], r.buf[:r.n-first])
-	old, oldp := r.buf, r.bufp
-	r.buf, r.bufp = nb, nil
+	recycleBuf(r.buf, r.bufp)
+	r.buf, r.bufp = nb, nbp
 	r.start = 0
 	r.window = newCap
-	if cap(old) >= DefaultWindow {
-		if oldp == nil {
-			oldp = new([]byte)
-		}
-		*oldp = old[:0]
-		ringBufPool.Put(oldp)
-	}
+	return true
 }
 
 // pumpOrWait is the blocked path shared by read and write: run one queued
@@ -476,7 +511,10 @@ func (r *ring) write(p []byte) (int, error) {
 				break
 			}
 			if r.grow {
-				r.growBuf(len(p) - total)
+				if !r.growBuf(len(p) - total) {
+					r.mu.Unlock()
+					return total, errWindowOverflow
+				}
 				break
 			}
 			r.pumpOrWait()
