@@ -309,6 +309,20 @@ func BenchmarkHTTPExperimentRun(b *testing.B) {
 	}
 }
 
+// BenchmarkTLSExperimentRun measures a full §6 crawl at 0.5% scale: three
+// CONNECT tunnels per node, a certificate chain collected and verified
+// through each, and the full 33-site scan behind every replaced one.
+func BenchmarkTLSExperimentRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run, err := RunTLS(context.Background(), Options{Seed: uint64(i + 1), Scale: 0.005})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(run.Dataset.Crawl.Sessions), "sessions")
+	}
+}
+
 // BenchmarkMonitorExperimentRun measures a monitoring crawl plus its 24
 // virtual hours at 0.5% scale.
 func BenchmarkMonitorExperimentRun(b *testing.B) {

@@ -29,9 +29,14 @@ import (
 
 var epoch = time.Date(2016, 4, 14, 0, 0, 0, 0, time.UTC)
 
+// wrapNet wraps the network the measurement client dials through; the
+// example's test uses it to count how often each tunnel is closed.
+var wrapNet = func(d proxynet.Dialer) proxynet.Dialer { return d }
+
 func main() {
 	fabric := simnet.NewFabric()
 	clock := simnet.NewVirtual(epoch)
+	fabric.Clock = clock // stream deadlines (the proxy's write budget) run on the same clock
 	trust, cas := cert.NewOSRootStore(epoch)
 
 	// Three sites: a valid one, a self-signed one, an expired one.
@@ -52,7 +57,7 @@ func main() {
 	}
 	for host, ip := range siteIPs {
 		host := host
-		fabric.HandleTCP(ip, 443, origin.TLSSite(func(sni string) []*cert.Certificate { return chains[host] }))
+		fabric.HandleTCPStream(ip, 443, origin.TLSSite(func(sni string) []*cert.Certificate { return chains[host] }))
 	}
 
 	// Exit nodes: clean, Avast-style, Kaspersky-style (launders invalid
@@ -90,7 +95,7 @@ func main() {
 	spResolver := &dnsserver.Resolver{Addr: geo.GoogleDNSAddr, Net: fabric, Upstream: upstream}
 	sp := proxynet.NewSuperProxy(proxyIP, pool, spResolver, clock)
 	fabric.HandleTCP(proxyIP, proxynet.ProxyPort, sp.ConnHandler())
-	client := &proxynet.Client{Net: fabric, Src: netip.MustParseAddr("203.0.113.1"),
+	client := &proxynet.Client{Net: wrapNet(fabric), Src: netip.MustParseAddr("203.0.113.1"),
 		Proxy: proxyIP, User: "lum-customer-demo", Password: "pw"}
 
 	// Probe every node against every site. Luminati cannot be asked for a

@@ -43,9 +43,11 @@ func main() {
 
 	// The faithful 443-only service cannot run this at all.
 	run.World.Super.AnyPortConnect = false
-	_, _, err = run.World.Client.Connect(context.Background(),
+	conn, _, err := run.World.Client.Connect(context.Background(),
 		proxynet.Options{}, "198.18.0.25:25")
-	if err != nil {
+	if err == nil {
+		conn.Close()
+	} else {
 		fmt.Printf("\nwith CONNECT restricted to 443 (Luminati-faithful): %v\n", err)
 		fmt.Println("— which is why the paper left SMTP to future work (§3.4).")
 	}

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -82,11 +83,16 @@ type Certificate struct {
 	Signature [32]byte
 }
 
-// tbsBytes serializes every signed field.
-func (c *Certificate) tbsBytes() []byte {
-	var b []byte
-	b = binary.BigEndian.AppendUint64(b, c.SerialNumber)
-	for _, s := range []string{
+// tbsStack sizes the stack buffer signature checks assemble their input in:
+// the prefix, the issuer key and the signed fields of any certificate the
+// world issues fit, so hashing one allocates nothing; a longer certificate
+// spills to the heap and is still hashed whole.
+const tbsStack = 512
+
+// appendTBS appends every signed field to dst.
+func (c *Certificate) appendTBS(dst []byte) []byte {
+	b := binary.BigEndian.AppendUint64(dst, c.SerialNumber)
+	for _, s := range [...]string{
 		c.Subject.CommonName, c.Subject.Organization, c.Subject.Country,
 		c.Issuer.CommonName, c.Issuer.Organization, c.Issuer.Country,
 	} {
@@ -108,21 +114,18 @@ func (c *Certificate) tbsBytes() []byte {
 	return b
 }
 
-// sign computes the simulated signature of tbs under the issuer key.
-func sign(issuerKey KeyID, tbs []byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte("tft-sig:"))
-	h.Write(issuerKey[:])
-	h.Write(tbs)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+// sign computes the simulated signature of c's signed fields under the
+// issuer key.
+func sign(issuerKey KeyID, c *Certificate) [32]byte {
+	var stack [tbsStack]byte
+	b := append(stack[:0], "tft-sig:"...)
+	b = append(b, issuerKey[:]...)
+	return sha256.Sum256(c.appendTBS(b))
 }
 
 // CheckSignatureFrom verifies that parent's key signed c.
 func (c *Certificate) CheckSignatureFrom(parent *Certificate) error {
-	want := sign(parent.PublicKey, c.tbsBytes())
-	if c.Signature != want {
+	if c.Signature != sign(parent.PublicKey, c) {
 		return ErrBadSignature
 	}
 	return nil
@@ -130,19 +133,16 @@ func (c *Certificate) CheckSignatureFrom(parent *Certificate) error {
 
 // SelfSigned reports whether the certificate is signed by its own key.
 func (c *Certificate) SelfSigned() bool {
-	return c.Signature == sign(c.PublicKey, c.tbsBytes())
+	return c.Signature == sign(c.PublicKey, c)
 }
 
 // Fingerprint returns a stable identity for the exact certificate contents,
 // used by the invalid-site exact-match check (§6.1: "we check whether the
 // invalid certificate matches exactly").
 func (c *Certificate) Fingerprint() [32]byte {
-	h := sha256.New()
-	h.Write(c.tbsBytes())
-	h.Write(c.Signature[:])
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var stack [tbsStack]byte
+	b := c.appendTBS(stack[:0])
+	return sha256.Sum256(append(b, c.Signature[:]...))
 }
 
 // Clone returns a deep copy.
@@ -194,7 +194,7 @@ func NewRootCA(name Name, keySeed string, notBefore time.Time, lifetime time.Dur
 		IsCA:         true,
 		PublicKey:    kp.Public,
 	}
-	c.Signature = sign(kp.Public, c.tbsBytes())
+	c.Signature = sign(kp.Public, c)
 	return &CA{Cert: c, key: kp, serial: 1}
 }
 
@@ -227,7 +227,7 @@ func (ca *CA) Issue(tmpl Template) *Certificate {
 		PublicKey:    kp.Public,
 		DNSNames:     append([]string(nil), tmpl.DNSNames...),
 	}
-	c.Signature = sign(ca.key.Public, c.tbsBytes())
+	c.Signature = sign(ca.key.Public, c)
 	return c
 }
 
@@ -254,21 +254,35 @@ var (
 // 10.11 root store (187 roots) the paper validated against.
 type Store struct {
 	roots map[KeyID]*Certificate
+	// bySubject finds a chain's anchor from its last certificate's issuer
+	// name, so Verify checks one signature instead of one per root.
+	bySubject map[Name][]*Certificate
 }
 
 // NewStore builds a store from roots.
 func NewStore(roots ...*Certificate) *Store {
-	s := &Store{roots: make(map[KeyID]*Certificate, len(roots))}
+	s := &Store{
+		roots:     make(map[KeyID]*Certificate, len(roots)),
+		bySubject: make(map[Name][]*Certificate, len(roots)),
+	}
 	for _, r := range roots {
-		s.roots[r.PublicKey] = r
+		s.Add(r)
 	}
 	return s
 }
 
-// Add inserts a root. Installing an AV product's root into a victim's store
+// Add inserts a root; a root whose key is already trusted replaces the
+// earlier entry. Installing an AV product's root into a victim's store
 // is exactly the paper's §6.2 scenario; the measurement client never does
 // this, which is why replaced chains fail its validation.
-func (s *Store) Add(root *Certificate) { s.roots[root.PublicKey] = root }
+func (s *Store) Add(root *Certificate) {
+	if old, ok := s.roots[root.PublicKey]; ok {
+		s.bySubject[old.Subject] = slices.DeleteFunc(s.bySubject[old.Subject],
+			func(c *Certificate) bool { return c == old })
+	}
+	s.roots[root.PublicKey] = root
+	s.bySubject[root.Subject] = append(s.bySubject[root.Subject], root)
+}
 
 // Contains reports whether the store trusts a root with the given key.
 func (s *Store) Contains(key KeyID) bool { _, ok := s.roots[key]; return ok }
@@ -280,6 +294,12 @@ func (s *Store) Len() int { return len(s.roots) }
 // match on the leaf, validity window and signature on every link, CA bit on
 // intermediates, and a trusted terminal root. It mirrors `openssl verify`
 // as the paper used it (§6.1).
+//
+// The trust anchor is found the way RFC 5280 §6.1 and crypto/x509's pool
+// do: by name. The last certificate must name a trusted root as its issuer
+// and carry a signature that verifies under that root's key — which covers
+// both a chain that ends at the root itself (a root is its own issuer) and
+// one that ends just below it.
 func (s *Store) Verify(host string, chain []*Certificate, at time.Time) error {
 	if len(chain) == 0 {
 		return ErrEmptyChain
@@ -302,15 +322,21 @@ func (s *Store) Verify(host string, chain []*Certificate, at time.Time) error {
 		}
 	}
 	last := chain[len(chain)-1]
-	// The chain may either end at a trusted root itself, or at a
-	// certificate signed by a trusted root's key.
-	if s.Contains(last.PublicKey) && last.SelfSigned() {
-		return nil
-	}
-	for key := range s.roots {
-		if last.Signature == sign(key, last.tbsBytes()) {
+	for _, root := range s.bySubject[last.Issuer] {
+		if last.CheckSignatureFrom(root) == nil {
 			return nil
 		}
 	}
-	return fmt.Errorf("%w: issuer %q", ErrUntrustedRoot, last.Issuer.CommonName)
+	return &untrustedError{issuer: last.Issuer.CommonName}
 }
+
+// untrustedError is ErrUntrustedRoot naming the issuer no root vouches for.
+// Its text is built only when read: the §6 crawl gets this verdict for the
+// invalid site and every intercepted chain, and only compares it to nil.
+type untrustedError struct{ issuer string }
+
+func (e *untrustedError) Error() string {
+	return fmt.Sprintf("%v: issuer %q", ErrUntrustedRoot, e.issuer)
+}
+
+func (e *untrustedError) Unwrap() error { return ErrUntrustedRoot }

@@ -18,7 +18,11 @@ const wireVersion = 1
 
 // Marshal encodes a certificate.
 func (c *Certificate) Marshal() []byte {
-	var b []byte
+	return c.appendMarshal(make([]byte, 0, c.wireSize()))
+}
+
+// appendMarshal appends the encoding of c to b.
+func (c *Certificate) appendMarshal(b []byte) []byte {
 	b = append(b, wireVersion)
 	b = binary.BigEndian.AppendUint64(b, c.SerialNumber)
 	b = appendName(b, c.Subject)
@@ -35,8 +39,16 @@ func (c *Certificate) Marshal() []byte {
 	for _, dn := range c.DNSNames {
 		b = appendString(b, dn)
 	}
-	b = append(b, c.Signature[:]...)
-	return b
+	return append(b, c.Signature[:]...)
+}
+
+// wireSize is len(c.Marshal()), by arithmetic.
+func (c *Certificate) wireSize() int {
+	n := 1 + 8 + nameSize(c.Subject) + nameSize(c.Issuer) + 8 + 8 + 1 + len(c.PublicKey) + 2 + len(c.Signature)
+	for _, dn := range c.DNSNames {
+		n += 2 + len(dn)
+	}
+	return n
 }
 
 // Unmarshal decodes a certificate produced by Marshal.
@@ -72,14 +84,23 @@ func Unmarshal(data []byte) (*Certificate, error) {
 
 // MarshalChain encodes a chain, leaf first.
 func MarshalChain(chain []*Certificate) []byte {
-	var b []byte
+	b := make([]byte, 0, ChainSize(chain))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(chain)))
 	for _, c := range chain {
-		enc := c.Marshal()
-		b = binary.BigEndian.AppendUint32(b, uint32(len(enc)))
-		b = append(b, enc...)
+		b = binary.BigEndian.AppendUint32(b, uint32(c.wireSize()))
+		b = c.appendMarshal(b)
 	}
 	return b
+}
+
+// ChainSize is len(MarshalChain(chain)) without encoding anything: what a
+// chain cost on the wire, for callers that only account for it.
+func ChainSize(chain []*Certificate) int {
+	n := 2
+	for _, c := range chain {
+		n += 4 + c.wireSize()
+	}
+	return n
 }
 
 // UnmarshalChain decodes a chain produced by MarshalChain.
@@ -118,6 +139,10 @@ func UnmarshalChain(data []byte) ([]*Certificate, error) {
 func appendString(b []byte, s string) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
+}
+
+func nameSize(n Name) int {
+	return 2 + len(n.CommonName) + 2 + len(n.Organization) + 2 + len(n.Country)
 }
 
 func appendName(b []byte, n Name) []byte {

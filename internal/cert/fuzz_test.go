@@ -36,7 +36,11 @@ func FuzzUnmarshalChain(f *testing.F) {
 		if err != nil {
 			return
 		}
-		chain2, err := UnmarshalChain(MarshalChain(chain))
+		enc := MarshalChain(chain)
+		if ChainSize(chain) != len(enc) {
+			t.Fatalf("ChainSize = %d, MarshalChain wrote %d bytes", ChainSize(chain), len(enc))
+		}
+		chain2, err := UnmarshalChain(enc)
 		if err != nil || len(chain2) != len(chain) {
 			t.Fatalf("unstable chain round trip: %v", err)
 		}

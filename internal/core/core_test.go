@@ -258,7 +258,7 @@ func TestTLSExperimentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := &TLSExperiment{
-		Client: w.Client, Geo: w.Geo, Trust: w.Trust,
+		Client: closesOnce(t, w.Client), Geo: w.Geo, Trust: w.Trust,
 		Targets: TargetsFromRegistry(w.Sites),
 		Weights: w.Pool.CountryCounts(), Seed: testSeed,
 		Now: w.Clock.Now,
@@ -431,7 +431,7 @@ func TestSMTPExtensionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := &SMTPExperiment{
-		Client: w.Client, Geo: w.Geo, Weights: w.Pool.CountryCounts(),
+		Client: closesOnce(t, w.Client), Geo: w.Geo, Weights: w.Pool.CountryCounts(),
 		Seed: testSeed, MailIP: population.MailIP, MailHost: population.MailHost,
 	}
 	ds, err := exp.Run(context.Background())
@@ -484,7 +484,7 @@ func TestSMTPAgainstFaithful443OnlyProxy(t *testing.T) {
 	}
 	w.Super.AnyPortConnect = false
 	exp := &SMTPExperiment{
-		Client: w.Client, Geo: w.Geo, Weights: w.Pool.CountryCounts(),
+		Client: closesOnce(t, w.Client), Geo: w.Geo, Weights: w.Pool.CountryCounts(),
 		Seed: testSeed, MailIP: population.MailIP, MailHost: population.MailHost,
 		Crawl: CrawlConfig{MaxSessions: 50},
 	}

@@ -72,10 +72,13 @@ func (e *SMTPExperiment) Run(ctx context.Context) (*SMTPDataset, error) {
 func (e *SMTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*SMTPObservation, outcome) {
 	opts := proxynet.Options{Country: cc, Session: sess}
 	conn, dbg, err := e.Client.Connect(ctx, opts, fmt.Sprintf("%s:25", e.MailIP))
-	if err != nil || dbg == nil || dbg.ZID == "" {
+	if err != nil {
 		return nil, classifyFailure(err, dbg)
 	}
 	defer conn.Close()
+	if dbg.ZID == "" {
+		return nil, classifyFailure(nil, dbg)
+	}
 	if !cr.observe(dbg.ZID) {
 		return nil, outcomeDuplicate
 	}

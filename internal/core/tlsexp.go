@@ -223,7 +223,7 @@ func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site T
 	if err != nil {
 		return res, dbg, err
 	}
-	e.Budget.Charge(dbg.ZID, len(cert.MarshalChain(chain)))
+	e.Budget.Charge(dbg.ZID, cert.ChainSize(chain))
 	if len(chain) == 0 {
 		return res, dbg, fmt.Errorf("empty chain")
 	}

@@ -14,9 +14,10 @@ import (
 var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 // GetReader returns a pooled bufio.Reader reading from r. Pair it with
-// PutReader when the connection's parsing is finished — but only when the
-// reader does not outlive the call (a reader handed to a tunnel or stored
-// on a connection must stay out of the pool).
+// PutReader when the connection's parsing is finished. A reader that
+// outlives the call (handed to a tunnel, stored on a connection) needs an
+// owner that Puts it exactly once when the connection closes, as
+// proxynet's CONNECT tunnel does; without one it must stay out of the pool.
 func GetReader(r io.Reader) *bufio.Reader {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(r)

@@ -13,6 +13,7 @@ package middlebox
 import (
 	"math/rand/v2"
 	"net/netip"
+	"sync"
 	"time"
 
 	"github.com/tftproject/tft/internal/cert"
@@ -52,7 +53,10 @@ type TLSInterceptor interface {
 // stream, and the ability to issue their own HTTP fetches.
 type Env struct {
 	Clock simnet.Clock
-	Rand  *rand.Rand
+	// Rand is the node's own stream; randMu serialises the draws of
+	// concurrent fetches through the node.
+	Rand   *rand.Rand
+	randMu sync.Mutex
 	// Refetch issues a monitoring fetch of http://host+path from src after
 	// delay. A negative delay models a monitor that raced ahead of the
 	// user's held request (Bluecoat, §7.2.1): the fetch happens now but the

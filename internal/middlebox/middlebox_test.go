@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -481,6 +483,43 @@ func TestWatcherTwoRequestsBimodal(t *testing.T) {
 		if i%2 == 1 && (r.delay < 200*time.Second || r.delay > 12500*time.Second) {
 			t.Fatalf("second request delay %v out of band", r.delay)
 		}
+	}
+}
+
+// TestWatcherConcurrentFetchesThroughOneNode: two crawl workers whose
+// sessions land on the same node run Observe against one Env at once; the
+// node's random stream must not be drawn from by both (-race is the judge),
+// and every fetch must still plan its full set of requests.
+func TestWatcherConcurrentFetchesThroughOneNode(t *testing.T) {
+	w := &Watcher{
+		Product: "TrendMicro",
+		Requests: []RefetchSpec{
+			{Delay: DelaySpec{Min: 12 * time.Second, Max: 120 * time.Second, LogUniform: true},
+				Sources: []netip.Addr{netip.MustParseAddr("150.70.1.1"), netip.MustParseAddr("150.70.1.3")}},
+			{Delay: DelaySpec{Min: 200 * time.Second, Max: 12500 * time.Second},
+				Sources: []netip.Addr{netip.MustParseAddr("150.70.1.2")}},
+		},
+	}
+	var refetches atomic.Int64
+	env := &Env{
+		Clock:   simnet.NewVirtual(epoch),
+		Rand:    simnet.NewRand(7),
+		Refetch: func(netip.Addr, string, string, time.Duration) { refetches.Add(1) },
+	}
+	const workers, fetches = 4, 500
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < fetches; j++ {
+				w.Observe(env, "u1.example.net", "/", func() {})
+			}
+		}()
+	}
+	wg.Wait()
+	if got := refetches.Load(); got != workers*fetches*2 {
+		t.Fatalf("refetches = %d, want %d", got, workers*fetches*2)
 	}
 }
 

@@ -67,7 +67,18 @@ func (w *Watcher) Label() string { return w.Product }
 // Observe implements Monitor.
 func (w *Watcher) Observe(env *Env, host, path string, proceed func()) {
 	proceed()
+	// Two crawl workers can land on the same node at once, and the node's
+	// random stream is the one thing their fetches share: draw the whole
+	// plan under the Env's lock, act on it outside (a pre-fetch dials).
+	type refetch struct {
+		src   netip.Addr
+		delay time.Duration
+	}
+	var buf [4]refetch
+	plan := buf[:0]
+	env.randMu.Lock()
 	if w.SampleProb > 0 && w.SampleProb < 1 && !decide(env.Rand, w.SampleProb) {
+		env.randMu.Unlock()
 		return
 	}
 	for _, spec := range w.Requests {
@@ -81,6 +92,10 @@ func (w *Watcher) Observe(env *Env, host, path string, proceed func()) {
 		} else {
 			delay = spec.Delay.Sample(env.Rand)
 		}
-		env.Refetch(src, host, path, delay)
+		plan = append(plan, refetch{src, delay})
+	}
+	env.randMu.Unlock()
+	for _, r := range plan {
+		env.Refetch(r.src, host, path, r.delay)
 	}
 }

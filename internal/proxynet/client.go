@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/base64"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"strings"
+	"sync"
 
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/httpwire"
@@ -102,7 +104,8 @@ func (c *Client) Get(ctx context.Context, o Options, url string) (*httpwire.Resp
 
 // Connect opens a CONNECT tunnel to target ("ip:443") through the proxy.
 // On success the returned connection is the raw tunnel; the caller drives
-// the TLS handshake (§2.3) and must close it.
+// the TLS handshake (§2.3) and must close it — Close is also what hands the
+// tunnel's pooled reader back.
 func (c *Client) Connect(ctx context.Context, o Options, target string) (net.Conn, *Debug, error) {
 	conn, err := c.Net.Dial(ctx, c.Src, c.Proxy, ProxyPort)
 	if err != nil {
@@ -111,14 +114,18 @@ func (c *Client) Connect(ctx context.Context, o Options, target string) (net.Con
 	req := httpwire.NewRequest("CONNECT", target)
 	req.Header.Set("Proxy-Authorization", c.proxyAuth(o))
 	stampTrace(ctx, req)
-	br := bufio.NewReader(conn)
+	// Tunnel-lifetime reader: it may hold bytes past the CONNECT response,
+	// so on success bufferedConn owns it and Puts it on Close.
+	br := httpwire.GetReader(conn)
 	resp, err := httpwire.RoundTrip(conn, br, req)
 	if err != nil {
+		httpwire.PutReader(br)
 		conn.Close()
 		return nil, nil, err
 	}
 	dbg := ParseDebug(resp.Header)
 	if resp.StatusCode != 200 {
+		httpwire.PutReader(br)
 		conn.Close()
 		if dbg.Err == "" {
 			dbg.Err = resp.Reason
@@ -129,10 +136,33 @@ func (c *Client) Connect(ctx context.Context, o Options, target string) (net.Con
 }
 
 // bufferedConn drains any bytes the response reader buffered before handing
-// reads to the underlying connection.
+// reads to the underlying connection. The reader is pooled: Close returns it
+// exactly once, and mu keeps a Close on one goroutine from releasing it under
+// a Read on another.
 type bufferedConn struct {
 	net.Conn
-	br *bufio.Reader
+	mu sync.Mutex
+	br *bufio.Reader // nil once closed
 }
 
-func (b *bufferedConn) Read(p []byte) (int, error) { return b.br.Read(p) }
+func (b *bufferedConn) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.br == nil {
+		return 0, io.ErrClosedPipe
+	}
+	return b.br.Read(p)
+}
+
+// Close closes the tunnel first, which fails any Read in flight and so
+// frees mu, then releases the reader.
+func (b *bufferedConn) Close() error {
+	err := b.Conn.Close()
+	b.mu.Lock()
+	if b.br != nil {
+		httpwire.PutReader(b.br)
+		b.br = nil
+	}
+	b.mu.Unlock()
+	return err
+}

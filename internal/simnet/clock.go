@@ -53,9 +53,12 @@ func (r realTimer) Stop() bool { return r.t.Stop() }
 // advance it explicitly with Advance or Run, and any AfterFunc callbacks due
 // in the traversed window fire in timestamp order.
 //
-// Fired and stopped events are recycled through a free list, so a run that
-// schedules millions of callbacks (a full-scale monitor window) reuses a
-// bounded set of event objects instead of allocating one per callback.
+// The heap holds only live timers: Stop removes its event at once, so a
+// cleared deadline drops its closure (and whatever that pins) even on a clock
+// nobody advances. Fired and stopped events are recycled through a free list,
+// so a run that schedules millions of callbacks (a full-scale monitor window)
+// reuses a bounded set of event objects instead of allocating one per
+// callback.
 //
 // The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
@@ -63,7 +66,6 @@ type Virtual struct {
 	now     time.Time
 	events  eventHeap
 	seq     uint64
-	live    int      // scheduled, unfired, unstopped — Pending in O(1)
 	free    *event   // recycled event objects, linked through next
 	scratch []*event // reusable firing-batch buffer (nil while in use)
 }
@@ -94,13 +96,13 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	ev.fn = f
 	v.seq++
 	heap.Push(&v.events, ev)
-	v.live++
 	return vtimer{clock: v, ev: ev, gen: ev.gen}
 }
 
 // vtimer is the handle AfterFunc returns. The generation snapshot keeps a
 // Stop that races (or trails) the event's firing from touching a recycled —
-// possibly re-scheduled — event object.
+// possibly re-scheduled — event object; index < 0 marks an event already
+// popped into a firing batch, which runs regardless.
 type vtimer struct {
 	clock *Virtual
 	ev    *event
@@ -113,11 +115,11 @@ func (t vtimer) Stop() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	ev := t.ev
-	if ev.gen != t.gen || ev.stopped || ev.index < 0 {
+	if ev.gen != t.gen || ev.index < 0 {
 		return false
 	}
-	ev.stopped = true
-	v.live--
+	heap.Remove(&v.events, ev.index)
+	v.recycle(ev)
 	return true
 }
 
@@ -145,15 +147,10 @@ func (v *Virtual) Run() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	n := 0
-	for {
-		for len(v.events) > 0 && v.events[0].stopped {
-			v.recycle(heap.Pop(&v.events).(*event))
-		}
-		if len(v.events) == 0 {
-			return n
-		}
+	for len(v.events) > 0 {
 		n += v.advanceTo(v.events[0].at)
 	}
+	return n
 }
 
 // Pending reports the number of callbacks that have been scheduled but have
@@ -162,7 +159,7 @@ func (v *Virtual) Run() int {
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.live
+	return len(v.events)
 }
 
 // advanceTo fires due events batch-by-batch and sets now to t, returning how
@@ -179,11 +176,6 @@ func (v *Virtual) advanceTo(t time.Time) int {
 		var at time.Time
 		for len(v.events) > 0 {
 			ev := v.events[0]
-			if ev.stopped {
-				heap.Pop(&v.events)
-				v.recycle(ev)
-				continue
-			}
 			if ev.at.After(t) {
 				break
 			}
@@ -192,7 +184,6 @@ func (v *Virtual) advanceTo(t time.Time) int {
 			}
 			at = ev.at
 			heap.Pop(&v.events)
-			v.live--
 			batch = append(batch, ev)
 		}
 		if len(batch) == 0 {
@@ -245,7 +236,6 @@ func (v *Virtual) alloc() *event {
 	}
 	v.free = ev.next
 	ev.next = nil
-	ev.stopped = false
 	return ev
 }
 
@@ -254,19 +244,17 @@ func (v *Virtual) alloc() *event {
 func (v *Virtual) recycle(ev *event) {
 	ev.fn = nil
 	ev.gen++
-	ev.stopped = false
 	ev.next = v.free
 	v.free = ev
 }
 
 type event struct {
-	at      time.Time
-	seq     uint64
-	fn      func()
-	gen     uint64
-	stopped bool
-	index   int
-	next    *event // free-list link
+	at    time.Time
+	seq   uint64
+	fn    func()
+	gen   uint64
+	index int    // position in the heap, -1 once popped or removed
+	next  *event // free-list link
 }
 
 // eventHeap orders events by (time, sequence) so same-instant callbacks fire

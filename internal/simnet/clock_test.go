@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -283,7 +284,7 @@ func TestVirtualAfterFuncDuringRun(t *testing.T) {
 	}
 }
 
-// TestVirtualPendingCounts pins the O(1) live counter against schedule,
+// TestVirtualPendingCounts pins Pending against schedule,
 // stop, and fire transitions.
 func TestVirtualPendingCounts(t *testing.T) {
 	c := NewVirtual(t0)
@@ -312,5 +313,67 @@ func TestVirtualPendingCounts(t *testing.T) {
 	c.Run()
 	if got := c.Pending(); got != 0 {
 		t.Fatalf("Pending() after Run = %d, want 0", got)
+	}
+}
+
+// TestVirtualStopLeavesNothingBehind: on a clock nobody advances, a stopped
+// timer must leave the heap at once and let go of everything its callback
+// captured. (Stop used to flag the event and leave it, closure and all, for
+// an Advance that four of the five crawls never make — which pinned the
+// pipe pair behind every cleared stream deadline for the rest of the run.)
+func TestVirtualStopLeavesNothingBehind(t *testing.T) {
+	c := NewVirtual(t0)
+	collected := make(chan struct{})
+	func() {
+		pinned := new([1 << 10]byte)
+		runtime.SetFinalizer(pinned, func(*[1 << 10]byte) { close(collected) })
+		if !c.AfterFunc(time.Hour, func() { pinned[0]++ }).Stop() {
+			t.Fatal("Stop() = false on pending timer")
+		}
+	}()
+	for i := 0; i < 100_000; i++ {
+		if !c.AfterFunc(time.Hour, func() {}).Stop() {
+			t.Fatalf("timer %d: Stop() = false on pending timer", i)
+		}
+	}
+	if got := c.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after stopping every timer", got)
+	}
+	if got := len(c.events); got != 0 {
+		t.Fatalf("event heap holds %d stopped events", got)
+	}
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("object captured by a stopped callback is still reachable after GC")
+	}
+}
+
+// TestVirtualStopFromSameInstantCallback: by the time a batch fires, every
+// event of that instant has left the heap, so a callback that stops a
+// sibling of the same instant is too late — Stop reports false and the
+// sibling still runs, once.
+func TestVirtualStopFromSameInstantCallback(t *testing.T) {
+	c := NewVirtual(t0)
+	var sibling Timer
+	stopped, ran := true, 0
+	c.AfterFunc(time.Second, func() { stopped = sibling.Stop() })
+	sibling = c.AfterFunc(time.Second, func() { ran++ })
+	later := c.AfterFunc(2*time.Second, func() { t.Error("timer stopped from a callback fired") })
+	c.AfterFunc(time.Second, func() {
+		if !later.Stop() {
+			t.Error("Stop() = false on a later instant's timer")
+		}
+	})
+	c.Advance(3 * time.Second)
+	if stopped {
+		t.Fatal("Stop() = true on a timer already in the firing batch")
+	}
+	if ran != 1 {
+		t.Fatalf("sibling ran %d times, want 1", ran)
+	}
+	if c.Pending() != 0 || len(c.events) != 0 {
+		t.Fatalf("Pending() = %d, heap %d after drain", c.Pending(), len(c.events))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 )
 
 // patterned returns n bytes no two windows of which look alike, so a copy
@@ -200,5 +201,50 @@ func TestGrowthIsBounded(t *testing.T) {
 				t.Fatalf("dialer read %d bytes, handler had %d accepted (bound %d)", got, accepted, maxGrownWindow)
 			}
 		})
+	}
+}
+
+// TestClearedDeadlinesDoNotPinPipePairs: a dial that arms a deadline, clears
+// it and closes both ends must leave nothing live behind, even on a clock
+// that never advances. While Stop left stopped events in the heap, each
+// dial stayed reachable through its deadline callback (pair struct, event
+// and closure: about 0.8 KB a dial, 8 MB over this loop).
+func TestClearedDeadlinesDoNotPinPipePairs(t *testing.T) {
+	skipIfPoolLossy(t)
+	clock := NewVirtual(t0)
+	f := NewFabric()
+	f.Clock = clock
+	f.HandleTCP(hostB, 80, func(conn net.Conn) { conn.Close() })
+	dial := func() {
+		conn, err := f.Dial(bg, hostA, hostB, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetDeadline(clock.Now().Add(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetDeadline(time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	heapAlloc := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	dial() // warm-up: the pooled ring storage and the event free list
+	before := heapAlloc()
+	for i := 0; i < 10_000; i++ {
+		dial()
+	}
+	after := heapAlloc()
+	if got := clock.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d with every deadline cleared", got)
+	}
+	if after > before && after-before >= 1<<20 {
+		t.Fatalf("10 000 closed dials left %d KB live; want under 1 MB", (after-before)>>10)
 	}
 }

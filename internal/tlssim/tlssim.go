@@ -32,6 +32,9 @@ const (
 // MaxRecordSize bounds a record payload (16 MiB framing limit).
 const MaxRecordSize = 1<<24 - 1
 
+// maxUpfront is the most ReadRecord allocates on a header's say-so.
+const maxUpfront = 64 << 10
+
 // Protocol errors.
 var (
 	ErrRecordTooLarge = errors.New("tlssim: record exceeds maximum size")
@@ -65,11 +68,23 @@ func ReadRecord(r io.Reader) (Record, error) {
 		return Record{}, err
 	}
 	n := int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, err
+	// The length is four untrusted bytes: allocate for what the peer has
+	// actually sent, doubling as payload arrives, never for what it claims.
+	payload := make([]byte, min(n, maxUpfront))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return Record{}, err
+		}
+		if have = len(payload); have == n {
+			return Record{Type: RecordType(hdr[0]), Payload: payload}, nil
+		}
+		grown := make([]byte, min(n, 2*have))
+		copy(grown, payload)
+		payload = grown
 	}
-	return Record{Type: RecordType(hdr[0]), Payload: payload}, nil
 }
 
 // marshalHello encodes a ClientHello payload carrying the SNI.

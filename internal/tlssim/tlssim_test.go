@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -53,6 +54,42 @@ func TestReadRecordTruncated(t *testing.T) {
 	}
 	if _, err := ReadRecord(bytes.NewReader([]byte{1, 0, 0, 5, 'a', 'b'})); err == nil {
 		t.Fatal("short payload accepted")
+	}
+}
+
+// TestReadRecordAllocatesForWhatArrives: the length field is four bytes an
+// exit node controls. A header that claims the maximum and then stalls or
+// hangs up must not cost the client 16 MiB per tunnel, and a record that
+// does arrive in full must come back intact however many growth steps it
+// took.
+func TestReadRecordAllocatesForWhatArrives(t *testing.T) {
+	hdr := []byte{byte(RecordCertificates), 0xff, 0xff, 0xff}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadRecord(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("header then EOF: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+		t.Fatalf("a 4-byte header made ReadRecord allocate %d KB; want under 128 KB", got>>10)
+	}
+
+	if _, err := ReadRecord(bytes.NewReader(append(hdr, make([]byte, 100<<10)...))); err != io.ErrUnexpectedEOF {
+		t.Fatalf("record cut after its first chunk: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	for _, n := range []int{0, 1, maxUpfront - 1, maxUpfront, maxUpfront + 1, 3*maxUpfront + 7, 1 << 20} {
+		payload := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(payload)
+		var buf bytes.Buffer
+		if err := WriteRecord(&buf, RecordCertificates, payload); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := ReadRecord(&buf)
+		if err != nil || !bytes.Equal(rec.Payload, payload) {
+			t.Fatalf("%d-byte record: err = %v, payload intact = %v", n, err, bytes.Equal(rec.Payload, payload))
+		}
 	}
 }
 

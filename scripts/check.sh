@@ -48,23 +48,27 @@ stage() {
 		$GO test -race ./...
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces: proxy
-		# usernames (zone/session encoding), certificate-chain unmarshalling,
-		# and the HTTP request and response parsers (the latter through its
-		# pooled, poisoned body path). Five seconds each — a corpus
-		# regression check, not a campaign.
+		# Short fuzz smoke over the parser-shaped attack surfaces, all six
+		# targets in the tree: proxy usernames (zone/session encoding),
+		# certificate and certificate-chain unmarshalling (the latter also
+		# holds ChainSize to what MarshalChain writes), DNS messages, and the
+		# HTTP request and response parsers (the latter through its pooled,
+		# poisoned body path). Five seconds each — a corpus regression check,
+		# not a campaign.
 		$GO test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
+		$GO test -run=NONE -fuzz='FuzzUnmarshalChain$' -fuzztime=5s ./internal/cert
+		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/dnswire
 		$GO test -run=NONE -fuzz='FuzzReadResponse$' -fuzztime=5s ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzReadRequest$' -fuzztime=5s ./internal/httpwire
 		;;
 	bench)
-		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP,
+		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,
 		# monitoring, SMTP, and the stop-rule ablation's three crawls) plus
 		# the simnet pipe micro-benches: a smoke test that the default-scale
 		# worlds still build and crawl and the fast path still runs, not a
 		# performance measurement.
-		$GO test -run=NONE -bench='(DNS|HTTP|Monitor)ExperimentRun$|ExtensionSMTP$|AblationCrawlerStop$' -benchtime=1x .
+		$GO test -run=NONE -bench='(DNS|HTTP|TLS|Monitor)ExperimentRun$|ExtensionSMTP$|AblationCrawlerStop$' -benchtime=1x .
 		$GO test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
 		;;
 	shards)
