@@ -75,6 +75,10 @@ const (
 // semantics (§4.1 step 1): d1-* names always resolve to the web server;
 // d2-* names resolve only for the super proxy's resolver egress.
 func (e *DNSExperiment) InstallRules(webIP netip.Addr) {
+	d1 := dnsserver.Always(webIP)
+	d2 := dnsserver.OnlyFrom(webIP, func(src netip.Addr) bool {
+		return src == geo.SuperProxyResolverEgress
+	})
 	e.Auth.SetFallback(func(name string) dnsserver.Rule {
 		label, _, ok := strings.Cut(name, ".")
 		if !ok {
@@ -82,11 +86,9 @@ func (e *DNSExperiment) InstallRules(webIP netip.Addr) {
 		}
 		switch {
 		case strings.HasPrefix(label, d1Prefix):
-			return dnsserver.Always(webIP)
+			return d1
 		case strings.HasPrefix(label, d2Prefix):
-			return dnsserver.OnlyFrom(webIP, func(src netip.Addr) bool {
-				return src == geo.SuperProxyResolverEgress
-			})
+			return d2
 		}
 		return nil
 	})

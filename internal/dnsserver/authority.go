@@ -62,6 +62,10 @@ type Authority struct {
 	zone  string
 	clock simnet.Clock
 
+	// soa is the record every NXDOMAIN carries, built once: the zone never
+	// changes. Responses share its payload and must not write to it.
+	soa dnswire.Record
+
 	mu       sync.Mutex
 	rules    map[string]Rule
 	fallback func(name string) Rule
@@ -71,9 +75,17 @@ type Authority struct {
 
 // NewAuthority creates an authoritative server for zone.
 func NewAuthority(zone string, clock simnet.Clock) *Authority {
+	zone = dnswire.CanonicalName(zone)
 	return &Authority{
-		zone:   dnswire.CanonicalName(zone),
-		clock:  clock,
+		zone:  zone,
+		clock: clock,
+		soa: dnswire.Record{
+			Name: zone, Type: dnswire.TypeSOA, Class: dnswire.ClassIN, TTL: 60,
+			SOA: &dnswire.SOAData{
+				MName: "ns1." + zone, RName: "hostmaster." + zone,
+				Serial: 2016041300, Refresh: 7200, Retry: 900, Expire: 1209600, MinTTL: 60,
+			},
+		},
 		rules:  make(map[string]Rule),
 		byName: make(map[string][]Query),
 	}
@@ -156,29 +168,19 @@ func (a *Authority) Resolve(src netip.Addr, q *dnswire.Message) *dnswire.Message
 
 	if question.Type != dnswire.TypeA || rule == nil {
 		resp.RCode = dnswire.RCodeNXDomain
-		resp.Authorities = append(resp.Authorities, a.soa())
+		resp.Authorities = append(resp.Authorities, a.soa)
 		return resp
 	}
 	ip, ok := rule(src)
 	if !ok {
 		resp.RCode = dnswire.RCodeNXDomain
-		resp.Authorities = append(resp.Authorities, a.soa())
+		resp.Authorities = append(resp.Authorities, a.soa)
 		return resp
 	}
 	resp.Answers = append(resp.Answers, dnswire.Record{
 		Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 5, A: ip,
 	})
 	return resp
-}
-
-func (a *Authority) soa() dnswire.Record {
-	return dnswire.Record{
-		Name: a.zone, Type: dnswire.TypeSOA, Class: dnswire.ClassIN, TTL: 60,
-		SOA: &dnswire.SOAData{
-			MName: "ns1." + a.zone, RName: "hostmaster." + a.zone,
-			Serial: 2016041300, Refresh: 7200, Retry: 900, Expire: 1209600, MinTTL: 60,
-		},
-	}
 }
 
 // QueriesFor returns the logged queries for a name, in arrival order.

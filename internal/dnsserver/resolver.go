@@ -74,26 +74,29 @@ func (r *Resolver) Lookup(client netip.Addr, name string, qtype dnswire.Type) (*
 	if err != nil {
 		return nil, err
 	}
-
-	reply := q.Reply()
 	auth, ok := r.Upstream(name)
 	if !ok {
-		reply.RCode = dnswire.RCodeServFail
-		return r.applyHijack(name, reply), nil
+		return r.servFail(q), nil
 	}
 	respWire, err := r.Net.ExchangeDNS(r.egress(client), auth, wire)
 	if err != nil {
-		reply.RCode = dnswire.RCodeServFail
-		return r.applyHijack(name, reply), nil
+		return r.servFail(q), nil
 	}
 	resp, err := dnswire.Unmarshal(respWire)
 	if err != nil {
-		reply.RCode = dnswire.RCodeServFail
-		return r.applyHijack(name, reply), nil
+		return r.servFail(q), nil
 	}
 	resp.Authoritative = false
 	resp.RecursionAvailable = true
 	return r.applyHijack(name, resp), nil
+}
+
+// servFail is the answer to q when no authority could be asked or none gave
+// a usable reply.
+func (r *Resolver) servFail(q *dnswire.Message) *dnswire.Message {
+	reply := q.Reply()
+	reply.RCode = dnswire.RCodeServFail
+	return reply
 }
 
 // applyHijack rewrites an NXDOMAIN response per the resolver's policy.

@@ -126,9 +126,20 @@ type Message struct {
 	Answers            []Record
 	Authorities        []Record
 	Additionals        []Record
+
+	// Backing for the message every exchange in the repository is: one
+	// question, one record. Reply and Unmarshal point Questions at q1, and
+	// the section that gets the first record at r1, so such a message is
+	// one allocation; more questions or records take slices of their own
+	// as before.
+	q1 [1]Question
+	r1 [1]Record
 }
 
-// NewQuery builds a standard recursive query for (name, type).
+// NewQuery builds a standard recursive query for (name, type). It does not
+// use the inline backing: a message that points into itself lives on the
+// heap, and a query that is built, marshalled and dropped — the resolver's
+// — otherwise never leaves its caller's stack.
 func NewQuery(id uint16, name string, t Type) *Message {
 	return &Message{
 		ID:               id,
@@ -137,7 +148,8 @@ func NewQuery(id uint16, name string, t Type) *Message {
 	}
 }
 
-// Reply builds a response skeleton echoing the query's ID and question.
+// Reply builds a response skeleton echoing the query's ID and question. The
+// first record appended to its Answers costs no allocation.
 func (m *Message) Reply() *Message {
 	r := &Message{
 		ID:                 m.ID,
@@ -145,8 +157,9 @@ func (m *Message) Reply() *Message {
 		Opcode:             m.Opcode,
 		RecursionDesired:   m.RecursionDesired,
 		RecursionAvailable: true,
-		Questions:          append([]Question(nil), m.Questions...),
 	}
+	r.Questions = append(r.q1[:0], m.Questions...)
+	r.Answers = r.r1[:0]
 	return r
 }
 
@@ -171,7 +184,7 @@ const (
 
 // Marshal encodes the message with name compression.
 func (m *Message) Marshal() ([]byte, error) {
-	buf := make([]byte, 12, 512)
+	buf := make([]byte, 12, m.sizeHint())
 	binary.BigEndian.PutUint16(buf[0:2], m.ID)
 	var flags uint16
 	if m.Response {
@@ -197,10 +210,10 @@ func (m *Message) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[8:10], uint16(len(m.Authorities)))
 	binary.BigEndian.PutUint16(buf[10:12], uint16(len(m.Additionals)))
 
-	comp := map[string]int{}
+	var comp compTable
 	var err error
 	for _, q := range m.Questions {
-		buf, err = appendName(buf, q.Name, comp)
+		buf, err = appendName(buf, q.Name, &comp)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +222,7 @@ func (m *Message) Marshal() ([]byte, error) {
 	}
 	for _, sec := range [][]Record{m.Answers, m.Authorities, m.Additionals} {
 		for i := range sec {
-			buf, err = appendRecord(buf, &sec[i], comp)
+			buf, err = appendRecord(buf, &sec[i], &comp)
 			if err != nil {
 				return nil, err
 			}
@@ -218,7 +231,83 @@ func (m *Message) Marshal() ([]byte, error) {
 	return buf, nil
 }
 
-func appendRecord(buf []byte, r *Record, comp map[string]int) ([]byte, error) {
+// sizeHint bounds the encoded size from above — compression only ever
+// shortens a name — so that Marshal's buffer is made once, at about the size
+// of what is sent and not at the 512 bytes a datagram may be.
+func (m *Message) sizeHint() int {
+	// A name of n dotted bytes encodes in at most n+2.
+	n := 12
+	for i := range m.Questions {
+		n += len(m.Questions[i].Name) + 2 + 4
+	}
+	for _, sec := range [][]Record{m.Answers, m.Authorities, m.Additionals} {
+		for i := range sec {
+			r := &sec[i]
+			n += len(r.Name) + 2 + 10
+			switch r.Type {
+			case TypeA:
+				n += 4
+			case TypeNS, TypeCNAME:
+				n += len(r.Target) + 2
+			case TypeTXT:
+				for _, s := range r.Text {
+					n += len(s) + 1
+				}
+			case TypeSOA:
+				if r.SOA != nil {
+					n += len(r.SOA.MName) + len(r.SOA.RName) + 4 + 20
+				}
+			}
+		}
+	}
+	return n
+}
+
+// compTable remembers where each name suffix was written, for compression
+// pointers: the first compInline of them in place, which covers any message
+// the experiments exchange, the rest in a map made only then.
+type compTable struct {
+	n      int
+	inline [compInline]compEntry
+	more   map[string]int
+}
+
+const compInline = 16
+
+type compEntry struct {
+	suffix string
+	off    int
+}
+
+// lookup returns the offset suffix was written at.
+//
+//tftlint:hotpath
+func (c *compTable) lookup(suffix string) (int, bool) {
+	for i := 0; i < c.n; i++ {
+		if c.inline[i].suffix == suffix {
+			return c.inline[i].off, true
+		}
+	}
+	off, ok := c.more[suffix]
+	return off, ok
+}
+
+// add records that suffix, which lookup did not find, starts at off.
+//
+//tftlint:hotpath
+func (c *compTable) add(suffix string, off int) {
+	if c.n < compInline {
+		c.inline[c.n] = compEntry{suffix, off}
+		c.n++
+		return
+	}
+	if c.more == nil {
+		c.more = make(map[string]int)
+	}
+	c.more[suffix] = off
+}
+
+func appendRecord(buf []byte, r *Record, comp *compTable) ([]byte, error) {
 	var err error
 	buf, err = appendName(buf, r.Name, comp)
 	if err != nil {
@@ -275,24 +364,28 @@ func appendRecord(buf []byte, r *Record, comp map[string]int) ([]byte, error) {
 // suffix has been written before.
 //
 //tftlint:hotpath
-func appendName(buf []byte, name string, comp map[string]int) ([]byte, error) {
-	name = CanonicalName(name)
-	if name == "." || name == "" {
+func appendName(buf []byte, name string, comp *compTable) ([]byte, error) {
+	// A name that is lower-case already needs no canonical copy, dotted at
+	// the end or not: the dot is not encoded.
+	if !lowerNoSpace(name) {
+		name = CanonicalName(name)
+	}
+	trimmed := strings.TrimSuffix(name, ".")
+	if trimmed == "" {
 		return append(buf, 0), nil
 	}
-	if len(name) > 254 {
+	if len(trimmed)+1 > 254 {
 		return nil, ErrNameTooLong
 	}
 	// Walk the labels by index: every suffix is a substring of name, so
-	// the compression-map probes and inserts allocate nothing.
-	trimmed := strings.TrimSuffix(name, ".")
+	// the compression-table probes and inserts allocate nothing.
 	for i := 0; i < len(trimmed); {
 		suffix := trimmed[i:]
-		if off, ok := comp[suffix]; ok && off < 0x3FFF {
+		if off, ok := comp.lookup(suffix); ok && off < 0x3FFF {
 			return binary.BigEndian.AppendUint16(buf, uint16(0xC000|off)), nil
 		}
 		if len(buf) < 0x3FFF {
-			comp[suffix] = len(buf)
+			comp.add(suffix, len(buf))
 		}
 		l := suffix
 		if j := strings.IndexByte(suffix, '.'); j >= 0 {
@@ -335,6 +428,7 @@ func Unmarshal(data []byte) (*Message, error) {
 
 	off := 12
 	var err error
+	m.Questions = m.q1[:0]
 	for i := 0; i < qd; i++ {
 		var q Question
 		q.Name, off, err = readName(data, off)
@@ -349,19 +443,15 @@ func Unmarshal(data []byte) (*Message, error) {
 		off += 4
 		m.Questions = append(m.Questions, q)
 	}
-	for _, sec := range []*[]Record{&m.Answers, &m.Authorities, &m.Additionals} {
-		var n int
-		switch sec {
-		case &m.Answers:
-			n = an
-		case &m.Authorities:
-			n = ns
-		default:
-			n = ar
+	inline := m.r1[:0] // goes to the first section that has a record
+	for i, sec := range [...]*[]Record{&m.Answers, &m.Authorities, &m.Additionals} {
+		n := [...]int{an, ns, ar}[i]
+		if n > 0 {
+			*sec, inline = inline, nil
 		}
-		for i := 0; i < n; i++ {
+		for ; n > 0; n-- {
 			var r Record
-			r, off, err = readRecord(data, off)
+			r, off, err = m.readRecord(data, off)
 			if err != nil {
 				return nil, err
 			}
@@ -371,11 +461,15 @@ func Unmarshal(data []byte) (*Message, error) {
 	return m, nil
 }
 
-func readRecord(data []byte, off int) (Record, int, error) {
+// readRecord decodes the record at off.
+func (m *Message) readRecord(data []byte, off int) (Record, int, error) {
 	var r Record
 	var err error
-	r.Name, off, err = readName(data, off)
-	if err != nil {
+	if len(m.Questions) > 0 && off+1 < len(data) && data[off] == 0xC0 && data[off+1] == 12 {
+		// The owner name is a pointer to the first question's: every
+		// answer the authority gives. Same name, same string.
+		r.Name, off = m.Questions[0].Name, off+2
+	} else if r.Name, off, err = readName(data, off); err != nil {
 		return r, off, err
 	}
 	if off+10 > len(data) {
@@ -502,9 +596,10 @@ func readName(data []byte, off int) (string, int, error) {
 }
 
 // CanonicalName lowercases a domain name and ensures a trailing dot, the
-// form used as map keys throughout the repository.
+// form used as map keys throughout the repository. A name already in that
+// form — every name on the hot path — is returned as it is, at no cost.
 func CanonicalName(name string) string {
-	if canonicalAlready(name) {
+	if name != "" && name[len(name)-1] == '.' && lowerNoSpace(name) {
 		return name
 	}
 	name = strings.ToLower(strings.TrimSpace(name))
@@ -517,14 +612,10 @@ func CanonicalName(name string) string {
 	return name
 }
 
-// canonicalAlready reports whether name is already in canonical form — all
-// ASCII, lowercase, whitespace-free, with a trailing dot — so CanonicalName
-// can return it unchanged. Names on the hot path are canonical already; this
-// check makes the common case allocation-free.
-func canonicalAlready(name string) bool {
-	if name == "" || name[len(name)-1] != '.' {
-		return false
-	}
+// lowerNoSpace reports whether name is all ASCII with no upper-case letter
+// and no white space: what CanonicalName would leave alone, but for the dot
+// at the end.
+func lowerNoSpace(name string) bool {
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		if c >= 0x80 || (c >= 'A' && c <= 'Z') ||

@@ -3,12 +3,14 @@ package dnswire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestQueryRoundTrip(t *testing.T) {
@@ -362,5 +364,95 @@ func TestTypeAndRCodeStrings(t *testing.T) {
 	}
 	if RCodeNXDomain.String() != "NXDOMAIN" || RCode(9).String() != "RCODE9" {
 		t.Error("RCode.String mismatch")
+	}
+}
+
+// TestCompTableMatchesMap: the fixed table, and the map it spills into past
+// compInline entries, answer exactly as the map alone would.
+func TestCompTableMatchesMap(t *testing.T) {
+	var c compTable
+	ref := map[string]int{}
+	for i := 0; i < 3*compInline; i++ {
+		s := fmt.Sprintf("l%d.example.org", i)
+		if off, ok := c.lookup(s); ok {
+			t.Fatalf("%q found at %d before it was added", s, off)
+		}
+		c.add(s, 12+i)
+		ref[s] = 12 + i
+		for k, want := range ref {
+			if off, ok := c.lookup(k); !ok || off != want {
+				t.Fatalf("after %d adds: lookup(%q) = %d, %v; want %d", i+1, k, off, ok, want)
+			}
+		}
+	}
+	if c.n != compInline || len(c.more) != 2*compInline {
+		t.Fatalf("table holds %d inline, %d spilled", c.n, len(c.more))
+	}
+}
+
+// TestCompressionPastInlineTable: a suffix first written after the fixed
+// table filled is still found, and a later use of it is a 2-byte pointer.
+func TestCompressionPastInlineTable(t *testing.T) {
+	build := func(extra bool) *Message {
+		m := &Message{ID: 5, Response: true}
+		for i := 0; i < 12; i++ { // two new suffixes a record, plus "example."
+			m.Answers = append(m.Answers, Record{
+				Name: fmt.Sprintf("n%d.z%d.example", i, i), Type: TypeA, Class: ClassIN, TTL: 1,
+				A: netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}),
+			})
+		}
+		if extra {
+			m.Answers = append(m.Answers, Record{Name: "n11.z11.example", Type: TypeA, Class: ClassIN, TTL: 1,
+				A: netip.AddrFrom4([4]byte{10, 0, 0, 99})})
+		}
+		return m
+	}
+	base, err := build(false).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := build(true).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(wire)-len(base), 2+10+4; got != want {
+		t.Fatalf("repeated name took %d bytes, want %d (pointer + fixed fields + address)", got, want)
+	}
+	got, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.Answers[12].Name; n != "n11.z11.example." {
+		t.Fatalf("decompressed name = %q", n)
+	}
+}
+
+// TestOneRecordMessageIsOneAllocation: a reply given one answer, and a
+// decoded response carrying one, keep question and record in the message's
+// own allocation, and the decoded answer's owner name is the question's
+// string, not a second copy.
+func TestOneRecordMessageIsOneAllocation(t *testing.T) {
+	q := NewQuery(7, "d1-s1.probe.example.", TypeA)
+	rec := Record{Name: "d1-s1.probe.example.", Type: TypeA, Class: ClassIN, TTL: 5, A: netip.AddrFrom4([4]byte{192, 0, 2, 1})}
+	var r *Message
+	if n := testing.AllocsPerRun(100, func() {
+		r = q.Reply()
+		r.Answers = append(r.Answers, rec)
+	}); n != 1 {
+		t.Errorf("Reply + one answer allocates %.0f times, want 1", n)
+	}
+	wire, err := r.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Message
+	if n := testing.AllocsPerRun(100, func() { got, err = Unmarshal(wire) }); n != 2 {
+		t.Errorf("Unmarshal allocates %.0f times, want 2 (message, question name)", n)
+	}
+	if err != nil || len(got.Answers) != 1 || got.Answers[0].Name != rec.Name || got.Answers[0].A != rec.A {
+		t.Fatalf("decoded %+v, %v", got, err)
+	}
+	if unsafe.StringData(got.Answers[0].Name) != unsafe.StringData(got.Questions[0].Name) {
+		t.Error("answer's owner name is a separate string from the question's")
 	}
 }

@@ -11,6 +11,7 @@ package httpwire
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -33,8 +34,46 @@ var (
 	ErrBodyTooBig   = errors.New("httpwire: body exceeds limit")
 )
 
-// Header is an ordered-insensitive header map with canonicalized keys.
-type Header map[string]string
+// Header is a message's header fields, keys canonicalized. The zero value
+// is an empty header ready for Set. It is a value: assigning or passing a
+// Header copies it, and the copy shares nothing with the original that Set
+// or Del on either side can disturb.
+//
+// Fields are kept sorted by key, which is the order Write puts them on the
+// wire. The first inlineFields of them live in the struct itself, so a
+// message with the usual handful of headers carries them in the allocation
+// that holds the message.
+type Header struct {
+	n      int
+	inline [inlineFields]field
+	more   []field // fields past the inline ones, in order
+}
+
+// inlineFields covers every message the simulation sends: a proxied
+// response carries four headers at most (Content-Length, Content-Type and
+// the two X-Hola-* debug headers), a request three.
+const inlineFields = 4
+
+type field struct{ key, val string }
+
+// at returns the i-th field in key order, 0 <= i < h.n.
+func (h *Header) at(i int) *field {
+	if i < inlineFields {
+		return &h.inline[i]
+	}
+	return &h.more[i-inlineFields]
+}
+
+// find returns the position of canonical key k, or the position it would
+// be inserted at.
+func (h *Header) find(k string) (int, bool) {
+	for i := 0; i < h.n; i++ {
+		if f := h.at(i); f.key >= k {
+			return i, f.key == k
+		}
+	}
+	return h.n, false
+}
 
 // CanonicalKey normalizes a header name (content-length → Content-Length).
 func CanonicalKey(k string) string {
@@ -67,57 +106,84 @@ func canonicalKeySlow(k string) string {
 	return string(b)
 }
 
-// Set stores a header value.
-func (h Header) Set(k, v string) { h[CanonicalKey(k)] = v }
+// Set stores a header value, replacing any value already under the key.
+func (h *Header) Set(k, v string) {
+	k = CanonicalKey(k)
+	i, found := h.find(k)
+	if found {
+		h.at(i).val = v
+		return
+	}
+	if h.n >= inlineFields {
+		h.more = append(h.more, field{})
+	}
+	h.n++
+	for j := h.n - 1; j > i; j-- {
+		*h.at(j) = *h.at(j - 1)
+	}
+	*h.at(i) = field{k, v}
+}
 
 // Get retrieves a header value ("" when absent).
-func (h Header) Get(k string) string { return h[CanonicalKey(k)] }
+func (h *Header) Get(k string) string {
+	if i, found := h.find(CanonicalKey(k)); found {
+		return h.at(i).val
+	}
+	return ""
+}
 
 // Del removes a header.
-func (h Header) Del(k string) { delete(h, CanonicalKey(k)) }
-
-// Clone deep-copies the header map.
-func (h Header) Clone() Header {
-	out := make(Header, len(h))
-	for k, v := range h {
-		out[k] = v
+func (h *Header) Del(k string) {
+	i, found := h.find(CanonicalKey(k))
+	if !found {
+		return
 	}
+	for j := i; j < h.n-1; j++ {
+		*h.at(j) = *h.at(j + 1)
+	}
+	h.n--
+	*h.at(h.n) = field{}
+	if h.n >= inlineFields {
+		h.more = h.more[:h.n-inlineFields]
+	}
+}
+
+// Clone returns a copy that shares no storage with h.
+func (h *Header) Clone() Header {
+	out := *h
+	out.more = slices.Clone(h.more)
 	return out
 }
 
-// write emits headers sorted by key for deterministic wire bytes.
-func (h Header) write(w *bufio.Writer) { h.writeWith(w, "", "") }
+// write emits the headers in key order — deterministic wire bytes.
+func (h *Header) write(w *bufio.Writer) { h.writeWith(w, "", "") }
 
 // writeWith emits the headers plus one override entry — replacing any
 // existing value under the same key — in a single sorted pass, so the
-// serializers can stamp Content-Length without cloning the map per message.
-func (h Header) writeWith(w *bufio.Writer, oKey, oVal string) {
-	// Sort from a stack-backed array: messages carry a handful of headers,
-	// and slices.Sort (unlike sort.Strings) doesn't force the slice to heap.
-	var arr [12]string
-	keys := arr[:0]
-	if len(h)+1 > len(arr) {
-		keys = make([]string, 0, len(h)+1)
-	}
-	for k := range h {
-		if k != oKey {
-			keys = append(keys, k)
+// serializers can stamp Content-Length without copying the header per
+// message.
+func (h *Header) writeWith(w *bufio.Writer, oKey, oVal string) {
+	pending := oKey != ""
+	for i := 0; i < h.n; i++ {
+		f := h.at(i)
+		if pending && f.key >= oKey {
+			writeField(w, oKey, oVal)
+			pending = false
+		}
+		if f.key != oKey {
+			writeField(w, f.key, f.val)
 		}
 	}
-	if oKey != "" {
-		keys = append(keys, oKey)
+	if pending {
+		writeField(w, oKey, oVal)
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		w.WriteString(k)
-		w.WriteString(": ")
-		if k == oKey {
-			w.WriteString(oVal)
-		} else {
-			w.WriteString(h[k])
-		}
-		w.WriteString("\r\n")
-	}
+}
+
+func writeField(w *bufio.Writer, k, v string) {
+	w.WriteString(k)
+	w.WriteString(": ")
+	w.WriteString(v)
+	w.WriteString("\r\n")
 }
 
 // Request is an HTTP request in any of the three target forms the proxy
@@ -132,9 +198,9 @@ type Request struct {
 	Body   []byte
 }
 
-// NewRequest builds a request with an empty header map.
+// NewRequest builds a request with an empty header.
 func NewRequest(method, target string) *Request {
-	return &Request{Method: method, Target: target, Proto: "HTTP/1.1", Header: make(Header, 8)}
+	return &Request{Method: method, Target: target, Proto: "HTTP/1.1"}
 }
 
 // Response is an HTTP response.
@@ -152,7 +218,7 @@ type Response struct {
 
 // NewResponse builds a response with standard reason text and body.
 func NewResponse(code int, body []byte) *Response {
-	return &Response{StatusCode: code, Reason: ReasonPhrase(code), Proto: "HTTP/1.1", Header: make(Header, 8), Body: body}
+	return &Response{StatusCode: code, Reason: ReasonPhrase(code), Proto: "HTTP/1.1", Body: body}
 }
 
 // ReasonPhrase returns the standard reason for common status codes.
@@ -223,111 +289,167 @@ func protoOr(p string) string {
 	return p
 }
 
+// headScratch is the stack buffer a message head is assembled in before its
+// one conversion to a string. Every head the simulation produces fits (the
+// longest, a proxied GET with credentials and a trace header, is under 300
+// bytes); a longer one spills to the heap.
+const headScratch = 768
+
 // ReadRequest parses one request from br.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
-	line, err := readLine(br)
+	var scratch [headScratch]byte
+	head, err := appendLine(scratch[:0], br)
 	if err != nil {
 		return nil, err
 	}
-	method, rest, ok := strings.Cut(line, " ")
-	if !ok {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
+	// METHOD SP TARGET SP PROTO, cut by position so the same cuts apply to
+	// the string the head becomes.
+	sp1 := bytes.IndexByte(head, ' ')
+	sp2 := -1
+	if sp1 >= 0 {
+		sp2 = bytes.IndexByte(head[sp1+1:], ' ')
 	}
-	target, proto, ok := strings.Cut(rest, " ")
-	if !ok || !strings.HasPrefix(proto, "HTTP/") || method == "" || target == "" {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
+	if sp2 < 0 || sp1 == 0 || sp2 == 0 || !bytes.HasPrefix(head[sp1+sp2+2:], []byte("HTTP/")) {
+		return nil, malformed("request line", head)
 	}
-	h, err := readHeader(br)
-	if err != nil {
+	sp2 += sp1 + 1
+	end := len(head)
+	if head, err = appendFields(head, br); err != nil {
 		return nil, err
 	}
-	body, _, err := readBody(br, h, false)
-	if err != nil {
+	s := string(head)
+	req := &Request{Method: s[:sp1], Target: s[sp1+1 : sp2], Proto: s[sp2+1 : end]}
+	req.Header.setFields(s[end:])
+	if req.Body, _, err = readBody(br, &req.Header, false); err != nil {
 		return nil, err
 	}
-	return &Request{Method: method, Target: target, Proto: proto, Header: h, Body: body}, nil
+	return req, nil
 }
 
 // ReadResponse parses one response from br.
 func ReadResponse(br *bufio.Reader) (*Response, error) {
-	line, err := readLine(br)
+	var scratch [headScratch]byte
+	head, err := appendLine(scratch[:0], br)
 	if err != nil {
 		return nil, err
 	}
-	proto, rest, ok := strings.Cut(line, " ")
-	if !ok || !strings.HasPrefix(proto, "HTTP/") {
-		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, line)
+	// PROTO SP CODE [SP REASON]
+	sp1 := bytes.IndexByte(head, ' ')
+	if sp1 < 0 || !bytes.HasPrefix(head, []byte("HTTP/")) {
+		return nil, malformed("status line", head)
 	}
-	codeStr, reason, _ := strings.Cut(rest, " ")
-	code, err := strconv.Atoi(codeStr)
+	end := len(head)
+	sp2 := end // no reason phrase: the code runs to the end of the line
+	if i := bytes.IndexByte(head[sp1+1:], ' '); i >= 0 {
+		sp2 = sp1 + 1 + i
+	}
+	code, err := strconv.Atoi(string(head[sp1+1 : sp2]))
 	if err != nil || code < 100 || code > 599 {
-		return nil, fmt.Errorf("%w: status %q", ErrMalformed, codeStr)
+		return nil, malformed("status", head[sp1+1:sp2])
 	}
-	h, err := readHeader(br)
-	if err != nil {
+	if head, err = appendFields(head, br); err != nil {
 		return nil, err
 	}
-	body, box, err := readBody(br, h, true)
-	if err != nil {
+	s := string(head)
+	resp := &Response{StatusCode: code, Proto: s[:sp1]}
+	if sp2 < end {
+		resp.Reason = s[sp2+1 : end]
+	}
+	resp.Header.setFields(s[end:])
+	if resp.Body, resp.pooled, err = readBody(br, &resp.Header, true); err != nil {
 		return nil, err
 	}
-	return &Response{StatusCode: code, Reason: reason, Proto: proto, Header: h, Body: body, pooled: box}, nil
+	return resp, nil
 }
 
-func readLine(br *bufio.Reader) (string, error) {
-	// Fast path: the line fits the bufio buffer (every header and request
-	// line in the simulation does), so one string conversion suffices.
+// malformed builds the ErrMalformed for a rejected piece of a head. Outlined
+// so the fmt machinery stays off the parsing path; it copies piece, so the
+// callers' stack buffers do not escape through it.
+func malformed(what string, piece []byte) error {
+	return fmt.Errorf("%w: %s %q", ErrMalformed, what, string(piece))
+}
+
+// appendLine reads one line from br, without its line ending, onto dst. A
+// line is whatever bufio.Reader.ReadLine says it is: up to LF, less one CR
+// before it, or up to EOF. One longer than MaxHeaderBytes is ErrHeaderTooBig.
+//
+//tftlint:hotpath
+func appendLine(dst []byte, br *bufio.Reader) ([]byte, error) {
 	chunk, isPrefix, err := br.ReadLine()
 	if err != nil {
-		return "", err
+		return dst, err
 	}
 	if !isPrefix {
+		// The line fits the bufio buffer, as every line in the simulation
+		// does.
 		if len(chunk) > MaxHeaderBytes {
-			return "", ErrHeaderTooBig
+			return dst, ErrHeaderTooBig
 		}
-		return string(chunk), nil
+		return append(dst, chunk...), nil
 	}
-	var sb strings.Builder
-	sb.Write(chunk)
+	start := len(dst)
+	dst = append(dst, chunk...)
 	for {
 		chunk, isPrefix, err = br.ReadLine()
 		if err != nil {
-			return "", err
+			return dst, err
 		}
-		sb.Write(chunk)
-		if sb.Len() > MaxHeaderBytes {
-			return "", ErrHeaderTooBig
+		dst = append(dst, chunk...)
+		if len(dst)-start > MaxHeaderBytes {
+			return dst, ErrHeaderTooBig
 		}
 		if !isPrefix {
-			return sb.String(), nil
+			return dst, nil
 		}
 	}
 }
 
-func readHeader(br *bufio.Reader) (Header, error) {
-	// Sized for the typical message: presizing skips the incremental bucket
-	// growth that dominated this function's allocation profile.
-	h := make(Header, 8)
+// appendFields reads a header block from br through its blank line and
+// appends it to head as "\nLINE" per field line. LF cannot occur inside a
+// line, so setFields can cut the block apart again. Each line is checked
+// as it arrives — a peer that sends a bad line is turned away there, not
+// after the rest of its block has been read — and the limits are the
+// block's own: the start line already in head does not count against them.
+//
+//tftlint:hotpath
+func appendFields(head []byte, br *bufio.Reader) ([]byte, error) {
 	total := 0
 	for i := 0; ; i++ {
 		if i > maxHeaderLines {
-			return nil, ErrHeaderTooBig
+			return head, ErrHeaderTooBig
 		}
-		line, err := readLine(br)
-		if err != nil {
-			return nil, err
+		head = append(head, '\n')
+		start := len(head)
+		var err error
+		if head, err = appendLine(head, br); err != nil {
+			return head, err
 		}
-		if line == "" {
-			return h, nil
+		line := head[start:]
+		if len(line) == 0 {
+			return head[:start-1], nil
 		}
 		total += len(line)
 		if total > MaxHeaderBytes {
-			return nil, ErrHeaderTooBig
+			return head, ErrHeaderTooBig
 		}
-		k, v, ok := strings.Cut(line, ":")
-		if !ok || k == "" || strings.ContainsAny(k, " \t") {
-			return nil, fmt.Errorf("%w: header line %q", ErrMalformed, line)
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 || bytes.IndexByte(line[:colon], ' ') >= 0 || bytes.IndexByte(line[:colon], '\t') >= 0 {
+			return head, malformed("header line", line)
 		}
+	}
+}
+
+// setFields fills h from a block appendFields accepted, now a string: keys
+// and values are substrings of it. A repeated key keeps its last value.
+func (h *Header) setFields(block string) {
+	for block != "" {
+		line := block[1:] // past the LF that opens each line
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line, block = line[:i], line[i:]
+		} else {
+			block = ""
+		}
+		k, v, _ := strings.Cut(line, ":")
 		h.Set(k, strings.TrimSpace(v))
 	}
 }
@@ -336,7 +458,7 @@ func readHeader(br *bufio.Reader) (Header, error) {
 // header. With pool set, a body of minPooledBody bytes or more is read into
 // a buffer from bodyPools, whose box comes back beside it (see
 // Response.Release).
-func readBody(br *bufio.Reader, h Header, pool bool) ([]byte, *[]byte, error) {
+func readBody(br *bufio.Reader, h *Header, pool bool) ([]byte, *[]byte, error) {
 	cl := h.Get("Content-Length")
 	if cl == "" {
 		return nil, nil, nil

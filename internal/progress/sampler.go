@@ -215,9 +215,7 @@ func (s *Sampler) Stop() error {
 		return err
 	}
 	s.stopped = true
-	if s.timer != nil {
-		s.timer.Stop()
-	}
+	s.timer.Stop()
 	sample := s.sampleLocked()
 	if s.bw != nil {
 		if err := s.bw.Flush(); err != nil && s.writeErr == nil {

@@ -1,7 +1,6 @@
 package proxynet
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -205,8 +204,10 @@ func (p *remotePeer) tunnel(ctx context.Context, client net.Conn, ip netip.Addr,
 	hp = strconv.AppendUint(hp, uint64(port), 10)
 	req := httpwire.NewRequest("CONNECT", string(hp))
 	stampTrace(ctx, req)
-	br := bufio.NewReader(conn)
+	// The reader goes back at once: the relay reads conn itself.
+	br := httpwire.GetReader(conn)
 	resp, err := httpwire.RoundTrip(conn, br, req)
+	httpwire.PutReader(br)
 	if err != nil || resp.StatusCode != 200 {
 		p.drop(conn)
 		if err == nil {
@@ -397,11 +398,19 @@ func (a *Agent) serveOne(ctx context.Context) error {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
+	// The connection's reader goes back to the pool exactly once: here when
+	// the request loop breaks, or by the tunnel a CONNECT hands it to.
+	br := httpwire.GetReader(conn)
+	tunnelled := false
+	defer func() {
+		if !tunnelled {
+			httpwire.PutReader(br)
+		}
+	}()
 
 	reg := httpwire.NewRequest(methodRegister, a.Node.ZID)
 	reg.Header.Set(hdrCountry, string(a.Node.Country))
 	reg.Header.Set(hdrNodeIP, a.Node.Addr.String())
-	br := bufio.NewReader(conn)
 	resp, err := httpwire.RoundTrip(conn, br, reg)
 	if err != nil {
 		return err
@@ -456,7 +465,13 @@ func (a *Agent) serveOne(ctx context.Context) error {
 			// relays (and its TLS interceptors, if any, do their work).
 			// The client is a real socket, never a fabric stream, so the
 			// relay runs synchronously and has finished by the return.
-			a.Node.Tunnel(rctx, &bufferedConn{Conn: conn, br: br}, ip, port, nil)
+			tunnelled = true
+			tunnel := &bufferedConn{Conn: conn, br: br}
+			a.Node.Tunnel(rctx, tunnel, ip, port, nil)
+			// A relay closes its client; a tunnel refused before it had
+			// one (blocked port, unreachable server) does not. Close is
+			// idempotent and returns the reader on whichever call is first.
+			tunnel.Close()
 			return nil
 		default:
 			httpwire.NewResponse(400, []byte("unknown agent op")).Write(conn)

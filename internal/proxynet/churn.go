@@ -76,9 +76,7 @@ func (c *Churner) Stop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stopped = true
-	if c.timer != nil {
-		c.timer.Stop()
-	}
+	c.timer.Stop()
 }
 
 // OnlineCount reports currently available in-process nodes.

@@ -2,6 +2,7 @@ package proxynet
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/base64"
 	"fmt"
@@ -41,11 +42,17 @@ type Client struct {
 	User, Password string
 }
 
-// proxyAuth renders the Proxy-Authorization header value.
+// proxyAuth renders the Proxy-Authorization header value: the credentials
+// are assembled and base64-encoded on the stack, and the value is the one
+// allocation.
+//
+//tftlint:hotpath
 func (c *Client) proxyAuth(o Options) string {
+	var credBuf [128]byte
 	p := Params{User: c.User, Country: o.Country, Session: o.Session, RemoteDNS: o.RemoteDNS}
-	cred := p.Username() + ":" + c.Password
-	return "Basic " + base64.StdEncoding.EncodeToString([]byte(cred))
+	cred := append(append(p.appendUsername(credBuf[:0]), ':'), c.Password...)
+	var valBuf [192]byte
+	return string(base64.StdEncoding.AppendEncode(append(valBuf[:0], "Basic "...), cred))
 }
 
 // stampTrace attaches the context's trace header so the super proxy (and
@@ -56,22 +63,25 @@ func stampTrace(ctx context.Context, req *httpwire.Request) {
 	}
 }
 
-// parseProxyAuth decodes a Proxy-Authorization header into Params.
+// parseProxyAuth decodes a Proxy-Authorization header into Params, whose
+// strings are substrings of the one decoded credential string.
+//
+//tftlint:hotpath
 func parseProxyAuth(v string) (Params, bool) {
 	enc, ok := strings.CutPrefix(v, "Basic ")
 	if !ok {
 		return Params{}, false
 	}
-	raw, err := base64.StdEncoding.DecodeString(enc)
+	var buf [128]byte
+	raw, err := base64.StdEncoding.AppendDecode(buf[:0], []byte(enc))
 	if err != nil {
 		return Params{}, false
 	}
-	cred := string(raw)
-	user, _, ok := strings.Cut(cred, ":")
-	if !ok || user == "" {
+	colon := bytes.IndexByte(raw, ':')
+	if colon <= 0 {
 		return Params{}, false
 	}
-	return ParseUsername(user), true
+	return ParseUsername(string(raw[:colon])), true
 }
 
 // Get fetches url (absolute http:// form) through the proxy and returns the
@@ -80,6 +90,12 @@ func parseProxyAuth(v string) (Params, bool) {
 // non-nil response, mirroring how Luminati surfaces them; the error return
 // covers transport problems only.
 func (c *Client) Get(ctx context.Context, o Options, url string) (*httpwire.Response, *Debug, error) {
+	// A URL the proxy would refuse costs no connection: under chaos the
+	// fault schedule is a function of dial order.
+	host, _, _, err := httpwire.ParseAbsoluteURL(url)
+	if err != nil {
+		return nil, nil, err
+	}
 	conn, err := c.Net.Dial(ctx, c.Src, c.Proxy, ProxyPort)
 	if err != nil {
 		return nil, nil, fmt.Errorf("proxynet: dialing super proxy: %w", err)
@@ -88,10 +104,6 @@ func (c *Client) Get(ctx context.Context, o Options, url string) (*httpwire.Resp
 	req := httpwire.NewRequest("GET", url)
 	req.Header.Set("Proxy-Authorization", c.proxyAuth(o))
 	stampTrace(ctx, req)
-	host, _, _, err := httpwire.ParseAbsoluteURL(url)
-	if err != nil {
-		return nil, nil, err
-	}
 	req.Header.Set("Host", host)
 	br := httpwire.GetReader(conn)
 	resp, err := httpwire.RoundTrip(conn, br, req)
@@ -99,7 +111,7 @@ func (c *Client) Get(ctx context.Context, o Options, url string) (*httpwire.Resp
 	if err != nil {
 		return nil, nil, err
 	}
-	return resp, ParseDebug(resp.Header), nil
+	return resp, ParseDebug(&resp.Header), nil
 }
 
 // Connect opens a CONNECT tunnel to target ("ip:443") through the proxy.
@@ -123,7 +135,7 @@ func (c *Client) Connect(ctx context.Context, o Options, target string) (net.Con
 		conn.Close()
 		return nil, nil, err
 	}
-	dbg := ParseDebug(resp.Header)
+	dbg := ParseDebug(&resp.Header)
 	if resp.StatusCode != 200 {
 		httpwire.PutReader(br)
 		conn.Close()

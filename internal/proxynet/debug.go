@@ -94,20 +94,28 @@ func attachDebug(resp *httpwire.Response, zid string, ip netip.Addr, attempts []
 	}
 }
 
-// ParseDebug extracts Debug from a proxy response's headers.
-func ParseDebug(h httpwire.Header) *Debug {
+// ParseDebug extracts Debug from a proxy response's headers. ZID is a copy:
+// it ends up in datasets and in the crawler's seen set, and must not hold
+// the whole head of the response it arrived in. The rest — the error, the
+// failed attempts — are substrings of that head.
+func ParseDebug(h *httpwire.Header) *Debug {
 	d := &Debug{Err: h.Get(UnblockerHeader)}
-	tl := h.Get(TimelineHeader)
-	for _, field := range strings.Fields(tl) {
+	// Fields are single-spaced, as encodeTimeline writes them.
+	for rest, more := h.Get(TimelineHeader), true; more; {
+		var field string
+		field, rest, more = strings.Cut(rest, " ")
 		switch {
 		case strings.HasPrefix(field, "zid="):
-			d.ZID = field[len("zid="):]
+			d.ZID = strings.Clone(field[len("zid="):])
 		case strings.HasPrefix(field, "ip="):
 			if ip, err := netip.ParseAddr(field[len("ip="):]); err == nil {
 				d.NodeIP = ip
 			}
 		case strings.HasPrefix(field, "tried="):
-			for _, t := range strings.Split(field[len("tried="):], ",") {
+			tried := field[len("tried="):]
+			for more := true; more; {
+				var t string
+				t, tried, more = strings.Cut(tried, ",")
 				if zid, errStr, ok := strings.Cut(t, ":"); ok {
 					d.Attempts = append(d.Attempts, Attempt{ZID: zid, Err: errStr})
 				}

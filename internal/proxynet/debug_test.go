@@ -11,8 +11,9 @@ import (
 )
 
 func TestDebugRoundTrip(t *testing.T) {
-	h := httpwire.Header{}
-	attachDebug(&httpwire.Response{Header: h}, "z1234567",
+	resp := &httpwire.Response{}
+	h := &resp.Header
+	attachDebug(resp, "z1234567",
 		netip.MustParseAddr("91.2.3.4"),
 		[]Attempt{{ZID: "zdead1", Err: "peer_disconnected"}, {ZID: "zdead2", Err: "peer_connect_timeout"}},
 		"")
@@ -29,8 +30,9 @@ func TestDebugRoundTrip(t *testing.T) {
 }
 
 func TestDebugErrorHeader(t *testing.T) {
-	h := httpwire.Header{}
-	attachDebug(&httpwire.Response{Header: h}, "z1", netip.Addr{}, nil, ErrDNSPeer)
+	resp := &httpwire.Response{}
+	h := &resp.Header
+	attachDebug(resp, "z1", netip.Addr{}, nil, ErrDNSPeer)
 	d := ParseDebug(h)
 	if !d.PeerNXDomain() {
 		t.Fatal("peer NXDOMAIN not detected")
@@ -41,7 +43,7 @@ func TestDebugErrorHeader(t *testing.T) {
 }
 
 func TestDebugParseGarbage(t *testing.T) {
-	h := httpwire.Header{}
+	h := &httpwire.Header{}
 	h.Set(TimelineHeader, "v1 zid= ip=notanip tried=:,x")
 	d := ParseDebug(h)
 	if d.NodeIP.IsValid() {
@@ -72,8 +74,9 @@ func TestPropertyDebugRoundTrip(t *testing.T) {
 		for _, tr := range tried {
 			attempts = append(attempts, Attempt{ZID: sanitize(tr), Err: "peer_connect_timeout"})
 		}
-		h := httpwire.Header{}
-		attachDebug(&httpwire.Response{Header: h}, zid, netip.MustParseAddr("10.0.0.1"), attempts, "")
+		resp := &httpwire.Response{}
+		h := &resp.Header
+		attachDebug(resp, zid, netip.MustParseAddr("10.0.0.1"), attempts, "")
 		d := ParseDebug(h)
 		if d.ZID != zid || len(d.Attempts) != len(attempts) {
 			return false

@@ -123,29 +123,10 @@ func (n *ExitNode) FetchHTTP(ctx context.Context, host string, port uint16, path
 	}
 	var resp *httpwire.Response
 	var err error
-	fetch := func() {
-		var conn net.Conn
-		conn, err = n.Net.Dial(ctx, src, ip, port)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		if n.Clock != nil {
-			conn.SetDeadline(deadlineClock(conn, n.Clock).Now().Add(fetchBudget))
-			// Clearing on the way out stops the deadline timer rather
-			// than leaving it to fire against a closed stream.
-			defer conn.SetDeadline(time.Time{})
-		}
-		req := httpwire.NewRequest("GET", path)
-		req.Header.Set("Host", host)
-		br := httpwire.GetReader(conn)
-		resp, err = httpwire.RoundTrip(conn, br, req)
-		httpwire.PutReader(br)
-	}
-	if n.Path != nil && n.Env != nil {
-		n.Path.ObserveFetch(n.Env, host, path, fetch)
+	if n.Path != nil && n.Env != nil && len(n.Path.Monitors) > 0 {
+		resp, err = n.observedFetch(ctx, src, host, port, path, ip)
 	} else {
-		fetch()
+		resp, err = n.fetch(ctx, src, host, port, path, ip)
 	}
 	if err != nil {
 		span.SetError(err.Error())
@@ -156,6 +137,38 @@ func (n *ExitNode) FetchHTTP(ctx context.Context, host string, port uint16, path
 	}
 	span.SetAttrs(trace.Int("status", int64(resp.StatusCode)))
 	return resp, nil
+}
+
+// fetch is the node's own request to the origin.
+func (n *ExitNode) fetch(ctx context.Context, src netip.Addr, host string, port uint16, path string, ip netip.Addr) (*httpwire.Response, error) {
+	conn, err := n.Net.Dial(ctx, src, ip, port)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if n.Clock != nil {
+		conn.SetDeadline(deadlineClock(conn, n.Clock).Now().Add(fetchBudget))
+		// Clearing on the way out stops the deadline timer rather
+		// than leaving it to fire against a closed stream.
+		defer conn.SetDeadline(time.Time{})
+	}
+	req := httpwire.NewRequest("GET", path)
+	req.Header.Set("Host", host)
+	br := httpwire.GetReader(conn)
+	resp, err := httpwire.RoundTrip(conn, br, req)
+	httpwire.PutReader(br)
+	return resp, err
+}
+
+// observedFetch is fetch with the path's monitors watching. Apart from
+// FetchHTTP so that a node with no monitor — nearly every node — does not
+// pay for the closure the monitors are handed and the boxed results it
+// writes to.
+func (n *ExitNode) observedFetch(ctx context.Context, src netip.Addr, host string, port uint16, path string, ip netip.Addr) (resp *httpwire.Response, err error) {
+	n.Path.ObserveFetch(n.Env, host, path, func() {
+		resp, err = n.fetch(ctx, src, host, port, path, ip)
+	})
+	return resp, err
 }
 
 // Tunnel bridges client to ip:port — the CONNECT data phase. With TLS

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/content"
@@ -42,9 +43,13 @@ type testWorld struct {
 	pool   *Pool
 	sp     *SuperProxy
 	client *Client
+
+	// requestRig's hostnames, and which proxiedGet takes next.
+	urls    []string
+	nextURL int
 }
 
-func newTestWorld(t *testing.T, churn float64) *testWorld {
+func newTestWorld(t testing.TB, churn float64) *testWorld {
 	t.Helper()
 	w := &testWorld{
 		fabric: simnet.NewFabric(),
@@ -437,22 +442,66 @@ func TestHTTPInterceptorModifiesProxiedContent(t *testing.T) {
 	}
 }
 
-func TestSessionTablePurge(t *testing.T) {
+// TestSessionTableEvictsPastCap: the cap, not the TTL, is what bounds the
+// table on a clock nobody advances. The oldest pins go first, a refreshed
+// pin keeps its place in that order, and a pin past its TTL is gone the
+// moment it is asked for.
+func TestSessionTableEvictsPastCap(t *testing.T) {
 	clock := simnet.NewVirtual(t0)
 	st := newSessionTable(clock)
-	st.put("a", "z1")
-	st.put("b", "z2")
+	st.cap = 3
+	for _, s := range []string{"a", "b", "c"} {
+		st.put("u", s, "z"+s)
+	}
+	st.put("u", "a", "za2") // a refresh, not a new pin
+	st.put("u", "d", "zd")
+	if st.len() != 3 {
+		t.Fatalf("live sessions = %d, want the cap, 3", st.len())
+	}
+	if _, ok := st.get("u", "a"); ok {
+		t.Fatal("oldest pin survived eviction")
+	}
+	if zid, ok := st.get("u", "d"); !ok || zid != "zd" {
+		t.Fatal("newest pin lost")
+	}
+	if _, ok := st.get("v", "d"); ok {
+		t.Fatal("another customer's session number resolved")
+	}
 	clock.Advance(2 * SessionTTL)
-	st.put("c", "z3")
-	st.purge()
-	if st.len() != 1 {
-		t.Fatalf("live sessions = %d, want 1", st.len())
+	if _, ok := st.get("u", "d"); ok || st.len() != 2 {
+		t.Fatalf("expired pin still resolvable (%v), %d live", ok, st.len())
 	}
-	if _, ok := st.get("a"); ok {
-		t.Fatal("expired session still resolvable")
-	}
-	if zid, ok := st.get("c"); !ok || zid != "z3" {
-		t.Fatal("fresh session lost")
+}
+
+// TestSessionTablePinHitAllocatesNothing: looking a pin up and refreshing
+// it build no key string, and the refresh leaves the table holding the key
+// it made for the pin, through evictions and compactions of the order list.
+func TestSessionTablePinHitAllocatesNothing(t *testing.T) {
+	st := newSessionTable(simnet.NewVirtual(t0))
+	st.cap = 2
+	for round := 0; round < 3; round++ {
+		for _, s := range []string{"a", "b", "c"} { // c evicts a, then a evicts b, ...
+			st.put("lum-customer-tft", s, "z1")
+			var held string
+			for k := range st.entries {
+				if k == "lum-customer-tft/"+s {
+					held = k
+				}
+			}
+			if n := testing.AllocsPerRun(10, func() {
+				if zid, ok := st.get("lum-customer-tft", s); !ok || zid == "" {
+					t.Fatalf("round %d: session %q lost", round, s)
+				}
+				st.put("lum-customer-tft", s, "z2")
+			}); n != 0 {
+				t.Fatalf("round %d: a pin hit allocates %.0f times", round, n)
+			}
+			for k := range st.entries {
+				if k == held && unsafe.StringData(k) != unsafe.StringData(held) {
+					t.Fatalf("round %d: refresh replaced the table's key string for %q", round, s)
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package proxynet
 
 import (
-	"container/list"
 	"net/netip"
 	"sync"
 	"time"
@@ -38,7 +37,9 @@ const (
 // exit node's resolver — the thing the experiments measure — is never
 // consulted through it, and every experiment hostname (d1-*, d2-*, h-*,
 // u-*) is globally unique per session, so experiment probes always take
-// the miss path and reach the resolver exactly as before. SERVFAIL is
+// the miss path and reach the resolver exactly as before. A miss is
+// therefore what the cache costs a crawl, and it costs one allocation: the
+// entry, which is also the record of the lookup in flight. SERVFAIL is
 // never cached: a transient upstream failure must not stick.
 type ResolveCache struct {
 	// Clock supplies the TTL timebase (the virtual clock in simulations).
@@ -49,37 +50,40 @@ type ResolveCache struct {
 	MaxEntries int
 
 	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-	flights map[string]*flight
+	entries map[string]*cacheEntry // landed and in flight
+	// lru is the ring of landed entries through their own links: lru.next
+	// is the most recently used, lru.prev the next to evict.
+	lru    cacheEntry
+	landed int
 }
 
+// cacheEntry is one host's resolution. It is made when a lookup for the
+// host starts, with inflight set; callers that find it so wait on wait,
+// which the first of them makes. When the lookup lands ip and rcode are
+// written, once, before wait closes, and an answer worth keeping joins the
+// LRU. An expired entry is replaced, never reused, so whoever holds one can
+// read the answer it landed with.
 type cacheEntry struct {
-	host    string
-	ip      netip.Addr
-	rcode   dnswire.RCode
-	expires time.Time
-}
-
-// flight is one in-progress resolution other callers can wait on. ip and
-// rcode are written before done closes and read only after.
-type flight struct {
-	done  chan struct{}
-	ip    netip.Addr
-	rcode dnswire.RCode
+	host       string
+	ip         netip.Addr
+	rcode      dnswire.RCode
+	expires    time.Time
+	inflight   bool
+	wait       chan struct{}
+	prev, next *cacheEntry
 }
 
 // NewResolveCache builds a cache with the default TTLs and size on clock.
 func NewResolveCache(clock simnet.Clock) *ResolveCache {
-	return &ResolveCache{
+	c := &ResolveCache{
 		Clock:      clock,
 		TTL:        DefaultCacheTTL,
 		NegTTL:     DefaultCacheNegTTL,
 		MaxEntries: DefaultCacheEntries,
-		entries:    make(map[string]*list.Element),
-		lru:        list.New(),
-		flights:    make(map[string]*flight),
+		entries:    make(map[string]*cacheEntry),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // ttlFor maps a response code to its cache lifetime; zero means "do not
@@ -103,61 +107,73 @@ func (c *ResolveCache) Resolve(host string, lookup func(string) (netip.Addr, dns
 	now := c.Clock.Now()
 	c.mu.Lock()
 	if e, ok := c.entries[host]; ok {
-		ent := e.Value.(*cacheEntry)
-		if now.Before(ent.expires) {
-			c.lru.MoveToFront(e)
-			ip, rc := ent.ip, ent.rcode
+		switch {
+		case e.inflight:
+			if e.wait == nil {
+				e.wait = make(chan struct{})
+			}
+			wait := e.wait
+			c.mu.Unlock()
+			<-wait
+			return e.ip, e.rcode, cacheCoalesced
+		case now.Before(e.expires):
+			c.unlink(e)
+			c.pushFront(e)
+			ip, rc := e.ip, e.rcode
 			c.mu.Unlock()
 			return ip, rc, cacheHit
 		}
-		c.lru.Remove(e)
-		delete(c.entries, host)
+		c.unlink(e)
 	}
-	if f, ok := c.flights[host]; ok {
-		c.mu.Unlock()
-		<-f.done
-		return f.ip, f.rcode, cacheCoalesced
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[host] = f
+	e := &cacheEntry{host: host, inflight: true}
+	c.entries[host] = e
 	c.mu.Unlock()
 
-	f.ip, f.rcode = lookup(host)
+	ip, rcode := lookup(host)
 
-	var expires time.Time
-	if ttl := c.ttlFor(f.rcode); ttl > 0 {
-		expires = c.Clock.Now().Add(ttl)
+	ttl := c.ttlFor(rcode)
+	if ttl > 0 {
+		now = c.Clock.Now()
 	}
 	c.mu.Lock()
-	delete(c.flights, host)
-	if !expires.IsZero() {
-		c.insert(host, f.ip, f.rcode, expires)
+	e.ip, e.rcode, e.inflight = ip, rcode, false
+	wait := e.wait
+	if ttl > 0 {
+		e.expires = now.Add(ttl)
+		c.pushFront(e)
+		for c.MaxEntries > 0 && c.landed > c.MaxEntries {
+			tail := c.lru.prev
+			c.unlink(tail)
+			delete(c.entries, tail.host)
+		}
+	} else {
+		delete(c.entries, host)
 	}
 	c.mu.Unlock()
-	close(f.done)
-	return f.ip, f.rcode, cacheMiss
+	if wait != nil {
+		close(wait)
+	}
+	return ip, rcode, cacheMiss
 }
 
-// insert stores an entry at the LRU front, evicting from the tail past
-// MaxEntries. Caller holds c.mu.
-func (c *ResolveCache) insert(host string, ip netip.Addr, rcode dnswire.RCode, expires time.Time) {
-	if e, ok := c.entries[host]; ok {
-		ent := e.Value.(*cacheEntry)
-		ent.ip, ent.rcode, ent.expires = ip, rcode, expires
-		c.lru.MoveToFront(e)
-		return
-	}
-	c.entries[host] = c.lru.PushFront(&cacheEntry{host: host, ip: ip, rcode: rcode, expires: expires})
-	for c.MaxEntries > 0 && c.lru.Len() > c.MaxEntries {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		delete(c.entries, tail.Value.(*cacheEntry).host)
-	}
+// pushFront links a landed entry in as the most recently used. Caller holds
+// c.mu.
+func (c *ResolveCache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+	c.landed++
+}
+
+// unlink takes a landed entry out of the LRU. Caller holds c.mu.
+func (c *ResolveCache) unlink(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	c.landed--
 }
 
 // Len reports the current entry count.
 func (c *ResolveCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.landed
 }

@@ -27,7 +27,7 @@ type sessionTable struct {
 	cap   int
 
 	mu      sync.Mutex
-	entries map[string]sessionEntry
+	entries map[string]sessionEntry // by appendSessionKey
 	seq     uint64
 	// order holds insertion records for cap eviction; head is the next
 	// eviction candidate. Refreshing a pin does not move it; a slot whose
@@ -52,27 +52,46 @@ func newSessionTable(clock simnet.Clock) *sessionTable {
 		entries: make(map[string]sessionEntry)}
 }
 
-// get returns the pinned zID for key when the pin is still fresh.
-func (st *sessionTable) get(key string) (string, bool) {
+// appendSessionKey renders the key of one customer's session. get and put
+// render it on their stacks: a map lookup under string(bytes) converts
+// nothing, so only a new pin pays for a key string.
+func appendSessionKey(b []byte, user, session string) []byte {
+	return append(append(append(b, user...), '/'), session...)
+}
+
+// get returns the zID the customer's session is pinned to, when the pin is
+// still fresh.
+func (st *sessionTable) get(user, session string) (string, bool) {
+	var buf [64]byte
+	key := appendSessionKey(buf[:0], user, session)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e, ok := st.entries[key]
+	e, ok := st.entries[string(key)]
 	if !ok {
 		return "", false
 	}
 	if st.clock.Now().After(e.expires) {
-		delete(st.entries, key)
+		delete(st.entries, string(key))
 		return "", false
 	}
 	return e.zid, true
 }
 
-// put pins key to zid, refreshing the TTL.
-func (st *sessionTable) put(key, zid string) {
+// put pins the customer's session to zid, refreshing the TTL.
+func (st *sessionTable) put(user, session, zid string) {
+	var buf [64]byte
+	lookup := appendSessionKey(buf[:0], user, session)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e, ok := st.entries[key]
-	if !ok {
+	var key string
+	e, ok := st.entries[string(lookup)]
+	if ok {
+		// A refresh goes in under the key string the table already holds:
+		// slots are appended in seq order, one per seq, and a live entry's
+		// slot is never behind head.
+		key = st.order[st.head+int(e.seq-st.order[st.head].seq)].key
+	} else {
+		key = string(lookup)
 		st.seq++
 		e.seq = st.seq
 		st.order = append(st.order, sessionSlot{key: key, seq: e.seq})
@@ -90,18 +109,6 @@ func (st *sessionTable) put(key, zid string) {
 		st.order = append(st.order[:0], st.order[st.head:]...)
 		st.head = 0
 	}
-}
-
-// purge drops expired entries; called opportunistically.
-func (st *sessionTable) purge() {
-	now := st.clock.Now()
-	st.mu.Lock()
-	for k, e := range st.entries {
-		if now.After(e.expires) {
-			delete(st.entries, k)
-		}
-	}
-	st.mu.Unlock()
 }
 
 // len reports live entries.

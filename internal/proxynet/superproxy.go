@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/dnswire"
@@ -36,20 +37,43 @@ type Params struct {
 
 // Username renders the parameter-laden proxy username.
 func (p Params) Username() string {
-	var sb strings.Builder
-	sb.WriteString(p.User)
+	var buf [96]byte
+	return string(p.appendUsername(buf[:0]))
+}
+
+// appendUsername appends the rendered username to b.
+//
+//tftlint:hotpath
+func (p Params) appendUsername(b []byte) []byte {
+	b = append(b, p.User...)
 	if p.Country != "" {
-		sb.WriteString("-country-")
-		sb.WriteString(strings.ToLower(string(p.Country)))
+		b = append(b, "-country-"...)
+		b = appendLower(b, string(p.Country))
 	}
 	if p.Session != "" {
-		sb.WriteString("-session-")
-		sb.WriteString(p.Session)
+		b = append(b, "-session-"...)
+		b = append(b, p.Session...)
 	}
 	if p.RemoteDNS {
-		sb.WriteString("-dns-remote")
+		b = append(b, "-dns-remote"...)
 	}
-	return sb.String()
+	return b
+}
+
+// appendLower appends strings.ToLower(s), without the temporary when s is
+// ASCII, as every country code is.
+func appendLower(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return append(b[:len(b)-i], strings.ToLower(s)...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }
 
 // ParseUsername decodes a parameter-laden username. The zone-user prefix —
@@ -58,42 +82,69 @@ func (p Params) Username() string {
 // a reserved token (lum-customer-session-x) does not have the following
 // token swallowed as a parameter value; parameters parse only after the
 // prefix.
+//
+// The username is walked in place, token by token. Parameter values are
+// substrings of it, and so is User whenever the tokens that make it up are
+// adjacent — always, for a username Username rendered; only a name with
+// parameters in its middle (alice-session-9-x) has to be joined up.
+//
+//tftlint:hotpath
 func ParseUsername(u string) Params {
 	var p Params
-	toks := strings.Split(u, "-")
-	prefix := 1
-	if len(toks) >= 3 && toks[0] == "lum" && toks[1] == "customer" {
-		prefix = 3
+	// next cuts the token starting at i: the token, and where the one
+	// after it starts (past len(u) when there is none).
+	next := func(i int) (string, int) {
+		if j := strings.IndexByte(u[i:], '-'); j >= 0 {
+			return u[i : i+j], i + j + 1
+		}
+		return u[i:], len(u) + 1
 	}
-	user := append([]string(nil), toks[:prefix]...)
-	for i := prefix; i < len(toks); i++ {
-		switch toks[i] {
-		case "country":
-			if i+1 < len(toks) {
-				p.Country = geo.CountryCode(strings.ToUpper(toks[i+1]))
-				i++
-				continue
-			}
-			user = append(user, toks[i])
-		case "session":
-			if i+1 < len(toks) {
-				p.Session = toks[i+1]
-				i++
-				continue
-			}
-			user = append(user, toks[i])
-		case "dns":
-			if i+1 < len(toks) && toks[i+1] == "remote" {
-				p.RemoteDNS = true
-				i++
-				continue
-			}
-			user = append(user, toks[i])
-		default:
-			user = append(user, toks[i])
+	// The prefix: one token, or lum-customer-<name>.
+	tok, i := next(0)
+	userEnd := i - 1
+	if tok == "lum" && i <= len(u) {
+		if tok, j := next(i); tok == "customer" && j <= len(u) {
+			_, i = next(j)
+			userEnd = i - 1
 		}
 	}
-	p.User = strings.Join(user, "-")
+	// User is u[:userEnd] until a user token turns up that does not follow
+	// on from it; from then on it is joined in spill.
+	var spillBuf [96]byte
+	var spill []byte
+	for i <= len(u) {
+		start := i
+		tok, i = next(i)
+		if i <= len(u) {
+			val, after := next(i)
+			switch {
+			case tok == "country":
+				p.Country = geo.CountryCode(strings.ToUpper(val))
+				i = after
+				continue
+			case tok == "session":
+				p.Session = val
+				i = after
+				continue
+			case tok == "dns" && val == "remote":
+				p.RemoteDNS = true
+				i = after
+				continue
+			}
+		}
+		switch {
+		case spill != nil:
+			spill = append(append(spill, '-'), tok...)
+		case start == userEnd+1:
+			userEnd = i - 1
+		default:
+			spill = append(append(append(spillBuf[:0], u[:userEnd]...), '-'), tok...)
+		}
+	}
+	p.User = u[:userEnd]
+	if spill != nil {
+		p.User = string(spill)
+	}
 	return p
 }
 
@@ -189,11 +240,11 @@ func (sp *SuperProxy) ServeConn(conn net.Conn) bool {
 	}
 	// The client's trace header (when stamped) parents everything the
 	// service does for this request.
-	ctx := trace.NewContext(context.Background(), trace.ParseHeader(req.Header.Get(trace.HeaderName)))
+	parent := trace.ParseHeader(req.Header.Get(trace.HeaderName))
 	if req.Method == "CONNECT" {
-		return sp.handleConnect(ctx, conn, req, params)
+		return sp.handleConnect(parent, conn, req, params)
 	}
-	sp.handleGet(ctx, conn, req, params)
+	sp.handleGet(parent, conn, req, params)
 	return false
 }
 
@@ -295,16 +346,14 @@ func (sp *SuperProxy) selectNode(params Params, parent trace.SpanContext) (Peer,
 		}
 		exclude[zid] = true
 	}
-	sessKey := ""
 	win := func(zid string) *trace.Span {
 		return sp.Tracer.StartChild(parent, "proxy.attempt", trace.KindAttempt, trace.Str("zid", zid))
 	}
 	if params.Session != "" {
-		sessKey = params.User + "/" + params.Session
-		if zid, ok := sp.sessions.get(sessKey); ok {
+		if zid, ok := sp.sessions.get(params.User, params.Session); ok {
 			if n, ok := sp.Pool.Get(zid); ok && n.Online() {
 				if sp.Health.Allow(zid) {
-					sp.sessions.put(sessKey, zid)
+					sp.sessions.put(params.User, params.Session, zid)
 					sp.Metrics.Counter("proxy_session_hits_total").Inc()
 					return n, attempts, win(zid)
 				}
@@ -336,8 +385,8 @@ func (sp *SuperProxy) selectNode(params Params, parent trace.SpanContext) (Peer,
 			sp.Metrics.Counter("proxy_breaker_skips_total").Inc()
 			continue
 		}
-		if sessKey != "" {
-			sp.sessions.put(sessKey, n.PeerID())
+		if params.Session != "" {
+			sp.sessions.put(params.User, params.Session, n.PeerID())
 			sp.Metrics.Counter("proxy_session_pins_total").Inc()
 			sp.Metrics.Gauge("proxy_sessions_pinned").Set(int64(sp.sessions.len()))
 		}
@@ -347,13 +396,24 @@ func (sp *SuperProxy) selectNode(params Params, parent trace.SpanContext) (Peer,
 	return nil, attempts, nil
 }
 
-// logRequest emits the one structured record per proxied request. The
-// context carries the request's span, so a trace-aware handler stamps
+// orParent is span's context, or parent when there is no span to have one:
+// a service with no tracer passes its caller's context on, so the hops
+// behind it still join the caller's trace.
+func orParent(span *trace.Span, parent trace.SpanContext) trace.SpanContext {
+	if sc := span.Context(); sc.Valid() {
+		return sc
+	}
+	return parent
+}
+
+// logRequest emits the one structured record per proxied request, under a
+// context carrying the span it belongs to, so a trace-aware handler stamps
 // trace_id/span_id on every record.
-func (sp *SuperProxy) logRequest(ctx context.Context, method, target, zid, errStr string, attempts int) {
+func (sp *SuperProxy) logRequest(under trace.SpanContext, method, target, zid, errStr string, attempts int) {
 	if sp.Log == nil {
 		return
 	}
+	ctx := trace.NewContext(context.Background(), under)
 	if errStr != "" {
 		sp.Log.WarnContext(ctx, "request failed", "method", method, "target", target,
 			"zid", zid, "attempts", attempts, "err", errStr)
@@ -364,15 +424,17 @@ func (sp *SuperProxy) logRequest(ctx context.Context, method, target, zid, errSt
 }
 
 // handleGet proxies an absolute-form GET through an exit node.
-func (sp *SuperProxy) handleGet(ctx context.Context, conn net.Conn, req *httpwire.Request, params Params) {
+func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *httpwire.Request, params Params) {
 	sp.Metrics.Counter("proxy_get_total").Inc()
-	span := sp.Tracer.StartChild(trace.FromContext(ctx), "proxy.get", trace.KindProxy,
+	span := sp.Tracer.StartChild(parent, "proxy.get", trace.KindProxy,
 		trace.Str("target", req.Target))
 	defer span.End()
-	ctx = trace.NewContext(ctx, span.Context())
+	// under is the span whatever happens next belongs to: the request's,
+	// then the winning attempt's; without a tracer here, the client's.
+	under := orParent(span, parent)
 	failGet := func(status int, errStr, zid string, ip netip.Addr, attempts []Attempt) {
 		span.SetError(errStr)
-		sp.logRequest(ctx, "GET", req.Target, zid, errStr, len(attempts))
+		sp.logRequest(under, "GET", req.Target, zid, errStr, len(attempts))
 		sp.fail(conn, status, errStr, zid, ip, attempts)
 	}
 	host, port, path, err := httpwire.ParseAbsoluteURL(req.Target)
@@ -406,7 +468,8 @@ func (sp *SuperProxy) handleGet(ctx context.Context, conn net.Conn, req *httpwir
 		return
 	}
 	// Node-side work parents under the winning attempt's span.
-	ctx = trace.NewContext(ctx, aspan.Context())
+	under = orParent(aspan, under)
+	ctx := trace.NewContext(context.Background(), under)
 	failNode := func(errStr string) {
 		aspan.SetError(errStr)
 		aspan.End()
@@ -444,7 +507,7 @@ func (sp *SuperProxy) handleGet(ctx context.Context, conn net.Conn, req *httpwir
 	}
 	sp.Health.Success(node.PeerID())
 	aspan.End()
-	sp.logRequest(ctx, "GET", req.Target, node.PeerID(), "", len(attempts))
+	sp.logRequest(under, "GET", req.Target, node.PeerID(), "", len(attempts))
 	attachDebug(resp, node.PeerID(), node.PeerIP(), attempts, "")
 	sp.armWriteDeadline(conn)
 	resp.Write(conn)
@@ -455,15 +518,15 @@ func (sp *SuperProxy) handleGet(ctx context.Context, conn net.Conn, req *httpwir
 
 // handleConnect establishes a TCP tunnel via an exit node; only port 443 is
 // allowed (§2.3). It reports whether the tunnel detached (see ServeConn).
-func (sp *SuperProxy) handleConnect(ctx context.Context, conn net.Conn, req *httpwire.Request, params Params) bool {
+func (sp *SuperProxy) handleConnect(parent trace.SpanContext, conn net.Conn, req *httpwire.Request, params Params) bool {
 	sp.Metrics.Counter("proxy_connect_total").Inc()
-	span := sp.Tracer.StartChild(trace.FromContext(ctx), "proxy.connect", trace.KindProxy,
+	span := sp.Tracer.StartChild(parent, "proxy.connect", trace.KindProxy,
 		trace.Str("target", req.Target))
 	defer span.End()
-	ctx = trace.NewContext(ctx, span.Context())
+	under := orParent(span, parent) // as in handleGet
 	failConnect := func(status int, errStr, zid string, ip netip.Addr, attempts []Attempt) {
 		span.SetError(errStr)
-		sp.logRequest(ctx, "CONNECT", req.Target, zid, errStr, len(attempts))
+		sp.logRequest(under, "CONNECT", req.Target, zid, errStr, len(attempts))
 		sp.fail(conn, status, errStr, zid, ip, attempts)
 	}
 	hostStr, port := httpwire.SplitHostPort(req.Target, 0)
@@ -492,7 +555,7 @@ func (sp *SuperProxy) handleConnect(ctx context.Context, conn net.Conn, req *htt
 		failConnect(502, ErrNoPeers, "", netip.Addr{}, attempts)
 		return false
 	}
-	ctx = trace.NewContext(ctx, aspan.Context())
+	under = orParent(aspan, under)
 	sp.Metrics.Labeled("proxy_requests_by_node").Inc(node.PeerID())
 	ok := httpwire.NewResponse(200, nil)
 	ok.Reason = "Connection established"
@@ -508,10 +571,10 @@ func (sp *SuperProxy) handleConnect(ctx context.Context, conn net.Conn, req *htt
 		aspan.End()
 		return false
 	}
-	sp.logRequest(ctx, "CONNECT", req.Target, node.PeerID(), "", len(attempts))
+	sp.logRequest(under, "CONNECT", req.Target, node.PeerID(), "", len(attempts))
 	// The attempt span hands off to the tunnel: it ends when the relay
 	// does, which on the event core may be well after this call returns.
-	return node.Tunnel(ctx, conn, ip, port, func(err error) {
+	return node.Tunnel(trace.NewContext(context.Background(), under), conn, ip, port, func(err error) {
 		// errPortBlocked is a measured property of the node's network, not
 		// node distress — counting it would open breakers on every blocked
 		// SMTP port and suppress the paper's port-25 results.

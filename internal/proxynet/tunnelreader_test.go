@@ -16,7 +16,7 @@ import (
 )
 
 // tunnelWorld is a test world with one TLS site behind the exit nodes.
-func tunnelWorld(t *testing.T) (*testWorld, []*cert.Certificate) {
+func tunnelWorld(t testing.TB) (*testWorld, []*cert.Certificate) {
 	t.Helper()
 	w := newTestWorld(t, 0)
 	root := cert.NewRootCA(cert.Name{CommonName: "Site Root"}, "sr", t0.Add(-time.Hour), 1000*time.Hour)

@@ -29,11 +29,31 @@ type Clock interface {
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Timer is a handle to a pending AfterFunc callback.
-type Timer interface {
-	// Stop cancels the callback if it has not fired yet, reporting whether
-	// it was cancelled.
-	Stop() bool
+// Timer is a handle to a pending AfterFunc callback: a value, so that
+// handing one out allocates nothing. The zero Timer is no timer at all, and
+// stopping it reports false.
+type Timer struct {
+	real *time.Timer // a Real clock's timer
+
+	// A Virtual clock's: the event, and the generation it was scheduled
+	// under. The snapshot keeps a Stop that races (or trails) the event's
+	// firing from touching a recycled — possibly re-scheduled — event
+	// object.
+	clock *Virtual
+	ev    *event
+	gen   uint64
+}
+
+// Stop cancels the callback if it has not fired yet, reporting whether it
+// was cancelled.
+func (t Timer) Stop() bool {
+	switch {
+	case t.real != nil:
+		return t.real.Stop()
+	case t.clock != nil:
+		return t.clock.stop(t.ev, t.gen)
+	}
+	return false
 }
 
 // Real is a Clock backed by the wall clock.
@@ -43,11 +63,7 @@ type Real struct{}
 func (Real) Now() time.Time { return time.Now() }
 
 // AfterFunc implements Clock.
-func (Real) AfterFunc(d time.Duration, f func()) Timer { return realTimer{time.AfterFunc(d, f)} }
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) Stop() bool { return r.t.Stop() }
+func (Real) AfterFunc(d time.Duration, f func()) Timer { return Timer{real: time.AfterFunc(d, f)} }
 
 // Virtual is a discrete-event clock. Time never advances on its own: callers
 // advance it explicitly with Advance or Run, and any AfterFunc callbacks due
@@ -85,6 +101,22 @@ func (v *Virtual) Now() time.Time {
 // AfterFunc implements Clock. Callbacks scheduled with a non-positive delay
 // fire at the current virtual time on the next Advance or Run call.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
+	return v.after(d, callback(f), 0)
+}
+
+// fired is what an event calls when it fires, with the argument it was
+// scheduled with. Anything pointer-shaped sits in an event at no cost, which
+// is what lets a stream deadline arm itself without a closure: see
+// deadline.fire.
+type fired interface{ fire(arg uint64) }
+
+// callback is a plain AfterFunc callback as a fired.
+type callback func()
+
+func (f callback) fire(uint64) { f() }
+
+// after schedules f.fire(arg) for d from now.
+func (v *Virtual) after(d time.Duration, f fired, arg uint64) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if d < 0 {
@@ -93,29 +125,18 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	ev := v.alloc()
 	ev.at = v.now.Add(d)
 	ev.seq = v.seq
-	ev.fn = f
+	ev.f, ev.arg = f, arg
 	v.seq++
 	heap.Push(&v.events, ev)
-	return vtimer{clock: v, ev: ev, gen: ev.gen}
+	return Timer{clock: v, ev: ev, gen: ev.gen}
 }
 
-// vtimer is the handle AfterFunc returns. The generation snapshot keeps a
-// Stop that races (or trails) the event's firing from touching a recycled —
-// possibly re-scheduled — event object; index < 0 marks an event already
-// popped into a firing batch, which runs regardless.
-type vtimer struct {
-	clock *Virtual
-	ev    *event
-	gen   uint64
-}
-
-// Stop implements Timer.
-func (t vtimer) Stop() bool {
-	v := t.clock
+// stop is Timer.Stop for an event scheduled under gen. index < 0 marks an
+// event already popped into a firing batch, which runs regardless.
+func (v *Virtual) stop(ev *event, gen uint64) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ev := t.ev
-	if ev.gen != t.gen || ev.index < 0 {
+	if ev.gen != gen || ev.index < 0 {
 		return false
 	}
 	heap.Remove(&v.events, ev.index)
@@ -195,7 +216,7 @@ func (v *Virtual) advanceTo(t time.Time) int {
 		}
 		v.mu.Unlock()
 		for _, ev := range batch {
-			ev.fn()
+			ev.f.fire(ev.arg)
 		}
 		v.mu.Lock()
 		fired += len(batch)
@@ -242,7 +263,7 @@ func (v *Virtual) alloc() *event {
 // recycle retires a fired or stopped event to the free list. The generation
 // bump invalidates any Timer handle still pointing here.
 func (v *Virtual) recycle(ev *event) {
-	ev.fn = nil
+	ev.f = nil
 	ev.gen++
 	ev.next = v.free
 	v.free = ev
@@ -251,7 +272,8 @@ func (v *Virtual) recycle(ev *event) {
 type event struct {
 	at    time.Time
 	seq   uint64
-	fn    func()
+	f     fired
+	arg   uint64
 	gen   uint64
 	index int    // position in the heap, -1 once popped or removed
 	next  *event // free-list link

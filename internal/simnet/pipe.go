@@ -126,6 +126,7 @@ func newPipePair(window int, clock Clock, pump *taskQueue) (*Stream, *Stream) {
 		r.clock = clock
 		r.pump = pump
 		r.cond.L = &r.mu
+		r.rdead.ring, r.wdead.ring = r, r
 	}
 	pp.s[0] = Stream{in: &pp.r[1], out: &pp.r[0], pair: pp, local: pipeAddr{}, remote: pipeAddr{}}
 	pp.s[1] = Stream{in: &pp.r[0], out: &pp.r[1], pair: pp, local: pipeAddr{}, remote: pipeAddr{}}
@@ -156,20 +157,16 @@ func (pp *pair) maybeReclaim() {
 		r.buf, r.bufp = nil, nil
 		r.n, r.start = 0, 0
 		// Detach the timers under the lock but stop them after releasing
-		// it: Timer.Stop is an interface call the lockorder graph cannot
-		// see through, and the gen bump already neuters a racing fire.
+		// it: Stop takes the clock's lock, and the gen bump already
+		// neuters a racing fire.
 		rt, wt := r.rdead.timer, r.wdead.timer
-		r.rdead.timer, r.wdead.timer = nil, nil
+		r.rdead.timer, r.wdead.timer = Timer{}, Timer{}
 		r.rdead.gen++
 		r.wdead.gen++
 		r.notify = nil
 		r.mu.Unlock()
-		if rt != nil {
-			rt.Stop()
-		}
-		if wt != nil {
-			wt.Stop()
-		}
+		rt.Stop()
+		wt.Stop()
 		recycleBuf(buf, bufp)
 	}
 }
@@ -313,9 +310,28 @@ func (r *ring) injectFault(mutate func(*ringFault)) {
 // and a generation counter that lets a re-arm invalidate the callback of a
 // timer whose Stop raced with its firing.
 type deadline struct {
+	ring  *ring // whose side this is
 	timed bool
 	timer Timer
 	gen   uint64
+}
+
+// fire is the deadline's timer callback: the deadline is exceeded, unless
+// it has been re-armed or cleared since gen.
+func (d *deadline) fire(gen uint64) {
+	r := d.ring
+	r.mu.Lock()
+	var fn func()
+	if d.gen == gen {
+		d.timed = true
+		r.version++
+		r.cond.Broadcast()
+		fn = r.notify
+	}
+	r.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
 }
 
 // ensureBuf allocates the ring storage on first use: a pooled full-window
@@ -648,17 +664,13 @@ func (r *ring) closeRead() {
 func (r *ring) setDeadline(t time.Time, d *deadline) {
 	// Clock reads and timer stops stay outside the critical section; the
 	// gen bump under the lock invalidates a stale timer that fires in the
-	// gap (lockorder: interface calls under r.mu are opaque to the
-	// acquisition graph).
+	// gap (lockorder: the clock is an interface, and calls through one
+	// under r.mu are opaque to the acquisition graph).
 	now := r.clock.Now()
 	var stale Timer
-	defer func() {
-		if stale != nil {
-			stale.Stop()
-		}
-	}()
+	defer func() { stale.Stop() }()
 	r.mu.Lock()
-	stale, d.timer = d.timer, nil
+	stale, d.timer = d.timer, Timer{}
 	d.gen++
 	if t.IsZero() {
 		d.timed = false
@@ -678,23 +690,17 @@ func (r *ring) setDeadline(t time.Time, d *deadline) {
 		return
 	}
 	d.timed = false
+	// The timer must arm under r.mu so a concurrent setDeadline cannot
+	// observe a half-armed deadline. A Virtual clock — every simulated
+	// world's — takes the deadline itself and the generation, so arming
+	// allocates nothing; any other clock is handed a closure over the two.
 	gen := d.gen
-	//tftlint:ignore lockorder -- the timer must arm under r.mu so a concurrent setDeadline cannot observe a half-armed deadline; Virtual.AfterFunc takes only the clock's own mutex and ring.mu -> clock.mu is this package's one cross-type order, never reversed
-	d.timer = r.clock.AfterFunc(wait, func() {
-		r.mu.Lock()
-		fired := d.gen == gen
-		var fn func()
-		if fired {
-			d.timed = true
-			r.version++
-			r.cond.Broadcast()
-			fn = r.notify
-		}
-		r.mu.Unlock()
-		if fn != nil {
-			fn()
-		}
-	})
+	if v, ok := r.clock.(*Virtual); ok {
+		d.timer = v.after(wait, d, gen)
+	} else {
+		//tftlint:ignore lockorder -- arming under r.mu, as above: the wall clock's AfterFunc takes no lock of this package's, and ring.mu -> clock.mu is its one cross-type order, never reversed
+		d.timer = r.clock.AfterFunc(wait, func() { d.fire(gen) })
+	}
 	r.mu.Unlock()
 }
 

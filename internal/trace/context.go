@@ -31,11 +31,15 @@ func FormatHeader(sc SpanContext) string {
 // invalid (zero) context — propagation is best-effort, never an error.
 func ParseHeader(s string) SpanContext {
 	var sc SpanContext
-	parts := strings.Split(s, ";")
-	if len(parts) != 3 || parts[0] != "v1" {
+	rest, ok := strings.CutPrefix(s, "v1;")
+	if !ok {
 		return SpanContext{}
 	}
-	for _, p := range parts[1:] {
+	first, second, ok := strings.Cut(rest, ";")
+	if !ok || strings.Contains(second, ";") {
+		return SpanContext{}
+	}
+	for _, p := range [...]string{first, second} {
 		switch {
 		case strings.HasPrefix(p, "t="):
 			v, err := strconv.ParseUint(p[2:], 16, 64)
@@ -61,18 +65,35 @@ func ParseHeader(s string) SpanContext {
 
 type ctxKey struct{}
 
+// spanCtx is a context carrying a span context: the parent and the value in
+// one allocation. Value answers ctxKey with the spanCtx itself, a pointer,
+// so that looking the span context up boxes nothing.
+type spanCtx struct {
+	context.Context
+	sc SpanContext
+}
+
+func (c *spanCtx) Value(key any) any {
+	if key == (ctxKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
 // NewContext returns ctx carrying sc for downstream spans and log records.
 func NewContext(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, sc)
+	return &spanCtx{Context: ctx, sc: sc}
 }
 
 // FromContext extracts the span context carried by ctx (zero when absent).
 func FromContext(ctx context.Context) SpanContext {
-	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
-	return sc
+	if c, ok := ctx.Value(ctxKey{}).(*spanCtx); ok {
+		return c.sc
+	}
+	return SpanContext{}
 }
 
 // LogHandler wraps a slog.Handler so every record logged with a

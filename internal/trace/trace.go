@@ -293,15 +293,23 @@ func (d *SpanData) Context() SpanContext {
 func (d *SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 
 // Span is one in-flight operation. Created by a Tracer, finished with End,
-// at which point its frozen SpanData enters the tracer's collector. All
-// methods are safe on a nil receiver and for concurrent use.
+// at which point it is frozen — later SetAttrs and SetError calls change
+// nothing — and enters the tracer's collector, which keeps the span itself:
+// what it is at End is what Spans reports. All methods are safe on a nil
+// receiver and for concurrent use.
 type Span struct {
-	tracer *Tracer
+	tracer *Tracer // nil once ended
 
-	mu    sync.Mutex
-	data  SpanData
-	ended bool
+	mu   sync.Mutex
+	data SpanData
+	// inline is where data.Attrs starts out: room for what the proxy chain's
+	// spans carry, so that a span and its attributes are one allocation.
+	inline [inlineAttrs]Attr
 }
+
+// inlineAttrs covers the busiest span in the chain, node.fetch: zid, host
+// and path at start, status at the end.
+const inlineAttrs = 4
 
 // Context returns the span's propagation context (zero for a nil span, so
 // child spans of an untraced request become roots of their own traces).
@@ -318,7 +326,9 @@ func (s *Span) SetAttrs(attrs ...Attr) {
 		return
 	}
 	s.mu.Lock()
-	s.data.Attrs = append(s.data.Attrs, attrs...)
+	if s.tracer != nil {
+		s.data.Attrs = append(s.data.Attrs, attrs...)
+	}
 	s.mu.Unlock()
 }
 
@@ -328,26 +338,28 @@ func (s *Span) SetError(msg string) {
 		return
 	}
 	s.mu.Lock()
-	s.data.Err = msg
+	if s.tracer != nil {
+		s.data.Err = msg
+	}
 	s.mu.Unlock()
 }
 
-// End closes the span, stamping the end time and handing the frozen data
-// to the collector. Idempotent: only the first End records.
+// End closes the span, stamping the end time and handing it to the
+// collector. Idempotent: only the first End records.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.ended {
+	t := s.tracer
+	if t == nil {
 		s.mu.Unlock()
 		return
 	}
-	s.ended = true
-	s.data.End = s.tracer.now()
-	data := s.data
+	s.tracer = nil
+	s.data.End = t.now()
 	s.mu.Unlock()
-	s.tracer.collect(data)
+	t.collect(s)
 }
 
 // defaultCapacity bounds a tracer's span memory: roughly one default-scale
@@ -369,7 +381,7 @@ type Tracer struct {
 	nowFn func() time.Time
 
 	mu    sync.Mutex
-	buf   []SpanData
+	buf   []*Span // ended, so frozen: read without their locks
 	total int64
 }
 
@@ -383,7 +395,7 @@ func New(now func() time.Time, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
-	return &Tracer{nowFn: now, buf: make([]SpanData, 0, capacity)}
+	return &Tracer{nowFn: now, buf: make([]*Span, 0, capacity)}
 }
 
 func (t *Tracer) now() time.Time {
@@ -409,32 +421,31 @@ func (t *Tracer) start(parent SpanContext, name string, kind Kind, attrs []Attr)
 	if t == nil {
 		return nil
 	}
-	d := SpanData{
+	s := &Span{tracer: t}
+	s.data = SpanData{
 		SpanID: SpanID(newID()),
 		Name:   name,
 		Kind:   kind,
 		Start:  t.now(),
-		Attrs:  attrs,
+		// A copy, so that the caller's variadic slice stays on its stack.
+		Attrs: append(s.inline[:0], attrs...),
 	}
 	if parent.Valid() {
-		d.TraceID = parent.Trace
-		d.Parent = parent.Span
+		s.data.TraceID = parent.Trace
+		s.data.Parent = parent.Span
 	} else {
-		d.TraceID = TraceID(newID())
+		s.data.TraceID = TraceID(newID())
 	}
-	return &Span{tracer: t, data: d}
+	return s
 }
 
-// collect appends a finished span to the ring.
-func (t *Tracer) collect(d SpanData) {
-	if t == nil {
-		return
-	}
+// collect appends an ended span to the ring.
+func (t *Tracer) collect(s *Span) {
 	t.mu.Lock()
 	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, d)
+		t.buf = append(t.buf, s)
 	} else {
-		t.buf[t.total%int64(cap(t.buf))] = d
+		t.buf[t.total%int64(cap(t.buf))] = s
 	}
 	t.total++
 	t.mu.Unlock()
@@ -448,12 +459,15 @@ func (t *Tracer) Spans() []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]SpanData, 0, len(t.buf))
+	at := 0 // the oldest retained span
 	if t.total > int64(len(t.buf)) {
-		at := t.total % int64(cap(t.buf))
-		out = append(out, t.buf[at:]...)
-		out = append(out, t.buf[:at]...)
-	} else {
-		out = append(out, t.buf...)
+		at = int(t.total % int64(cap(t.buf)))
+	}
+	for _, s := range t.buf[at:] {
+		out = append(out, s.data)
+	}
+	for _, s := range t.buf[:at] {
+		out = append(out, s.data)
 	}
 	return out
 }

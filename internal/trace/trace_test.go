@@ -292,3 +292,79 @@ func TestLogHandlerInjection(t *testing.T) {
 		t.Fatalf("untraced record gained a trace id: %v", rec)
 	}
 }
+
+// TestSpanAllocs holds a span to one allocation from start to the collector
+// — attributes given at the start and added later land in the span's own
+// storage — and NewContext to one.
+func TestSpanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	now := time.Unix(0, 0)
+	tr := New(func() time.Time { return now }, 64)
+	parent := tr.StartRoot("probe", KindClient).Context()
+	if got := testing.AllocsPerRun(200, func() {
+		s := tr.StartChild(parent, "node.fetch", KindFetch, Str("zid", "z1"), Str("host", "h"))
+		s.SetAttrs(Str("path", "/"))
+		s.SetAttrs(Int("status", 200))
+		s.End()
+	}); got > 1 {
+		t.Errorf("StartChild + 2 SetAttrs + End allocates %.0f times, ceiling 1", got)
+	}
+	spans := tr.Spans()
+	if last := spans[len(spans)-1]; len(last.Attrs) != 4 || last.Str("path") != "/" || last.Attr("status") != int64(200) {
+		t.Fatalf("collected span lost attributes: %+v", last)
+	}
+
+	ctx := context.Background()
+	var carried context.Context
+	if got := testing.AllocsPerRun(200, func() { carried = NewContext(ctx, parent) }); got > 1 {
+		t.Errorf("NewContext allocates %.0f times, ceiling 1", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if FromContext(carried) != parent {
+			t.Fatal("span context lost")
+		}
+	}); got != 0 {
+		t.Errorf("FromContext allocates %.0f times, want 0", got)
+	}
+}
+
+// TestSpanFrozenAtEnd: what the collector reports is the span as End left
+// it, whatever is called on the span afterwards.
+func TestSpanFrozenAtEnd(t *testing.T) {
+	tr := New(nil, 8)
+	s := tr.StartRoot("probe", KindClient, Str("a", "1"))
+	s.End()
+	s.SetAttrs(Str("late", "x"))
+	s.SetError("late")
+	s.End()
+	spans := tr.Spans()
+	if len(spans) != 1 || len(spans[0].Attrs) != 1 || spans[0].Err != "" {
+		t.Fatalf("span changed after End: %+v", spans)
+	}
+}
+
+// TestContextKeepsParentValuesAndCancellation: the carrying context is a
+// context in every other respect.
+func TestContextKeepsParentValuesAndCancellation(t *testing.T) {
+	type k struct{}
+	base, cancel := context.WithCancel(context.WithValue(context.Background(), k{}, "v"))
+	sc := SpanContext{Trace: 1, Span: 2}
+	ctx := NewContext(base, sc)
+	inner := NewContext(ctx, SpanContext{Trace: 1, Span: 3})
+	if ctx.Value(k{}) != "v" || FromContext(ctx) != sc || FromContext(inner).Span != 3 {
+		t.Fatalf("values: %v %v %v", ctx.Value(k{}), FromContext(ctx), FromContext(inner))
+	}
+	child, stop := context.WithCancel(inner)
+	defer stop()
+	cancel()
+	select {
+	case <-child.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelling the parent did not reach a context derived from the carrier")
+	}
+	if inner.Err() == nil {
+		t.Fatal("carrier does not report its parent's error")
+	}
+}

@@ -48,28 +48,39 @@ stage() {
 		$GO test -race ./...
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all six
+		# Short fuzz smoke over the parser-shaped attack surfaces, all seven
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
-		# holds ChainSize to what MarshalChain writes), DNS messages, and the
+		# holds ChainSize to what MarshalChain writes), DNS messages, the
 		# HTTP request and response parsers (the latter through its pooled,
-		# poisoned body path). Five seconds each — a corpus regression check,
-		# not a campaign.
+		# poisoned body path), and the HTTP head parser against the
+		# line-at-a-time parser it replaced and net/http (same verdict, same
+		# fields, same bytes consumed). Five seconds each — a corpus
+		# regression check, not a campaign. The last runs without input
+		# minimisation: its seeds include 4 KB lines and 129-line blocks,
+		# and minimising one of those takes the whole five seconds.
 		$GO test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
 		$GO test -run=NONE -fuzz='FuzzUnmarshalChain$' -fuzztime=5s ./internal/cert
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/dnswire
 		$GO test -run=NONE -fuzz='FuzzReadResponse$' -fuzztime=5s ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzReadRequest$' -fuzztime=5s ./internal/httpwire
+		$GO test -run=NONE -fuzz='FuzzHeadEquivalence$' -fuzztime=5s -fuzzminimizetime=0 ./internal/httpwire
 		;;
 	bench)
 		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,
 		# monitoring, SMTP, and the stop-rule ablation's three crawls) plus
-		# the simnet pipe micro-benches: a smoke test that the default-scale
-		# worlds still build and crawl and the fast path still runs, not a
-		# performance measurement.
+		# the micro-benches of the path every one of them is made of — the
+		# simnet pipe, one proxied GET and one CONNECT end to end over a
+		# fabric, one resolver lookup against the authority: a smoke test
+		# that the default-scale worlds still build and crawl and the fast
+		# path still runs, not a performance measurement. For a reading of
+		# the per-request path without a crawl, run the last two lines with
+		# -benchtime=2s.
 		$GO test -run=NONE -bench='(DNS|HTTP|TLS|Monitor)ExperimentRun$|ExtensionSMTP$|AblationCrawlerStop$' -benchtime=1x .
 		$GO test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
+		$GO test -run=NONE -bench='Proxied(GET|CONNECT)$' -benchtime=1x -benchmem ./internal/proxynet
+		$GO test -run=NONE -bench='Lookup$' -benchtime=1x -benchmem ./internal/dnsserver
 		;;
 	shards)
 		# Small-K shard-merge smoke: per-shard sinks and aggregate Merge must
