@@ -684,13 +684,13 @@ func BenchmarkExtensionLongitudinal(b *testing.B) {
 
 // BenchmarkFullScaleDNS runs the §4 DNS experiment at the paper's full
 // population (Scale=1.0) through the complete streaming pipeline: lazy
-// shard-seeded world, crawl workers feeding per-shard sinks, per-shard
+// world, crawl workers feeding per-shard sinks, per-shard
 // analysis aggregates merged after the run, and per-shard streaming
 // dataset writers — with in-memory dataset accumulation disabled, so peak
 // heap is the pipeline's true working set. Alongside ns/op it reports the
 // peak heap sampled during the crawl, the p99 wall-clock probe latency
-// from the probe_duration_seconds histogram, and the measured-node count;
-// scripts/benchjson folds all three into BENCH_6.json.
+// from the probe_duration_seconds histogram, and the measured-node count
+// as custom metrics on the benchmark line.
 func BenchmarkFullScaleDNS(b *testing.B) {
 	const workers = 8
 	for i := 0; i < b.N; i++ {

@@ -20,24 +20,6 @@ func AnalyzeSMTP(cfg Config, reg *geo.Registry, ds *core.SMTPDataset) *SMTPAnaly
 	return &SMTPAnalysis{Cfg: cfg, Geo: reg, DS: ds}
 }
 
-// NewSMTPAnalysis creates an empty aggregate for streaming use; shard
-// partials combine with Merge.
-func NewSMTPAnalysis(cfg Config, reg *geo.Registry) *SMTPAnalysis {
-	return AnalyzeSMTP(cfg, reg, &core.SMTPDataset{})
-}
-
-// Observe adds one observation to the aggregate.
-func (a *SMTPAnalysis) Observe(o *core.SMTPObservation) {
-	a.DS.Observations = append(a.DS.Observations, o)
-}
-
-// Merge folds another shard's partial aggregate into a; b must not be used
-// afterwards. Summaries and tables reduce over unordered maps with
-// deterministic tie-breakers, so merge order never shows in the output.
-func (a *SMTPAnalysis) Merge(b *SMTPAnalysis) {
-	a.DS.Observations = append(a.DS.Observations, b.DS.Observations...)
-}
-
 // SMTPSummary is the extension headline.
 type SMTPSummary struct {
 	MeasuredNodes int

@@ -131,11 +131,6 @@ func (c *Certificate) CheckSignatureFrom(parent *Certificate) error {
 	return nil
 }
 
-// SelfSigned reports whether the certificate is signed by its own key.
-func (c *Certificate) SelfSigned() bool {
-	return c.Signature == sign(c.PublicKey, c)
-}
-
 // Fingerprint returns a stable identity for the exact certificate contents,
 // used by the invalid-site exact-match check (§6.1: "we check whether the
 // invalid certificate matches exactly").
@@ -283,9 +278,6 @@ func (s *Store) Add(root *Certificate) {
 	s.roots[root.PublicKey] = root
 	s.bySubject[root.Subject] = append(s.bySubject[root.Subject], root)
 }
-
-// Contains reports whether the store trusts a root with the given key.
-func (s *Store) Contains(key KeyID) bool { _, ok := s.roots[key]; return ok }
 
 // Len returns the number of trusted roots.
 func (s *Store) Len() int { return len(s.roots) }

@@ -74,29 +74,14 @@ func WriteDNS(w io.Writer, seed uint64, scale float64, ds *core.DNSDataset) erro
 
 // ReadDNS loads a DNS dataset.
 func ReadDNS(r io.Reader) (*Header, *core.DNSDataset, error) {
-	h, dec, err := readHeader(r, "dns")
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := &core.DNSDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec dnsRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
-		o := &core.DNSObservation{
-			ZID: rec.ZID, ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country),
+	return readRecords(r, "dns", func(rec *dnsRecord) *core.DNSObservation {
+		return &core.DNSObservation{
+			ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP), ResolverIP: parseAddr(rec.ResolverIP),
+			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country),
 			SharedAnycast: rec.SharedAnycast, Hijacked: rec.Hijacked,
 			LandingDomains: rec.LandingDomains, LandingBody: rec.LandingBody,
 		}
-		o.NodeIP = parseAddr(rec.NodeIP)
-		o.ResolverIP = parseAddr(rec.ResolverIP)
-		ds.Observations = append(ds.Observations, o)
-	}
-	return h, ds, nil
+	})
 }
 
 // httpRecord is the JSON shape of an HTTP observation.
@@ -139,19 +124,7 @@ func WriteHTTP(w io.Writer, seed uint64, scale float64, ds *core.HTTPDataset) er
 
 // ReadHTTP loads an HTTP dataset.
 func ReadHTTP(r io.Reader) (*Header, *core.HTTPDataset, error) {
-	h, dec, err := readHeader(r, "http")
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := &core.HTTPDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec httpRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
+	h, ds, err := readRecords(r, "http", func(rec *httpRecord) *core.HTTPObservation {
 		o := &core.HTTPObservation{ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP),
 			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country)}
 		for k, obj := range rec.Objects {
@@ -163,9 +136,12 @@ func ReadHTTP(r io.Reader) (*Header, *core.HTTPDataset, error) {
 				Body: obj.Body, ImageRatio: obj.ImageRatio,
 			}
 		}
-		ds.Observations = append(ds.Observations, o)
+		return o
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return h, ds, nil
+	return h, &core.HTTPDataset{Dataset: *ds}, nil
 }
 
 // tlsRecord is the JSON shape of a TLS observation.
@@ -213,32 +189,22 @@ func WriteTLS(w io.Writer, seed uint64, scale float64, ds *core.TLSDataset) erro
 
 // ReadTLS loads a TLS dataset.
 func ReadTLS(r io.Reader) (*Header, *core.TLSDataset, error) {
-	h, dec, err := readHeader(r, "tls")
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := &core.TLSDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec tlsRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
+	h, ds, err := readRecords(r, "tls", func(rec *tlsRecord) *core.TLSObservation {
 		o := &core.TLSObservation{ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP),
 			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country), Phase2: rec.Phase2}
 		for _, s := range rec.Sites {
-			sr := core.SiteResult{
+			o.Sites = append(o.Sites, core.SiteResult{
 				Host: s.Host, Class: core.SiteClass(s.Class), Replaced: s.Replaced,
-				IssuerCN: s.IssuerCN, ChainValid: s.ChainValid, Err: s.Err,
-			}
-			sr.LeafKey = parseKeyID(s.LeafKey)
-			o.Sites = append(o.Sites, sr)
+				IssuerCN: s.IssuerCN, LeafKey: parseKeyID(s.LeafKey),
+				ChainValid: s.ChainValid, Err: s.Err,
+			})
 		}
-		ds.Observations = append(ds.Observations, o)
+		return o
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return h, ds, nil
+	return h, &core.TLSDataset{Dataset: *ds}, nil
 }
 
 // monRecord is the JSON shape of a monitoring observation.
@@ -287,19 +253,7 @@ func WriteMonitor(w io.Writer, seed uint64, scale float64, ds *core.MonDataset) 
 
 // ReadMonitor loads a monitoring dataset.
 func ReadMonitor(r io.Reader) (*Header, *core.MonDataset, error) {
-	h, dec, err := readHeader(r, "monitor")
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := &core.MonDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec monRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
+	return readRecords(r, "monitor", func(rec *monRecord) *core.MonObservation {
 		o := &core.MonObservation{ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP),
 			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country),
 			Host: rec.Host, RequestAt: rec.RequestAt, ViaVPN: rec.ViaVPN, OwnSrc: parseAddr(rec.OwnSrc)}
@@ -309,9 +263,8 @@ func ReadMonitor(r io.Reader) (*Header, *core.MonDataset, error) {
 				Delay: time.Duration(u.DelayNS), UserAgent: u.UserAgent,
 			})
 		}
-		ds.Observations = append(ds.Observations, o)
-	}
-	return h, ds, nil
+		return o
+	})
 }
 
 // smtpRecord is the JSON shape of an SMTP observation.
@@ -343,26 +296,13 @@ func WriteSMTP(w io.Writer, seed uint64, scale float64, ds *core.SMTPDataset) er
 
 // ReadSMTP loads an SMTP-extension dataset.
 func ReadSMTP(r io.Reader) (*Header, *core.SMTPDataset, error) {
-	h, dec, err := readHeader(r, "smtp")
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := &core.SMTPDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec smtpRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
-		ds.Observations = append(ds.Observations, &core.SMTPObservation{
+	return readRecords(r, "smtp", func(rec *smtpRecord) *core.SMTPObservation {
+		return &core.SMTPObservation{
 			ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP),
 			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country),
 			Blocked: rec.Blocked, StartTLS: rec.StartTLS, Banner: rec.Banner,
-		})
-	}
-	return h, ds, nil
+		}
+	})
 }
 
 // readHeader decodes and validates the header line.
@@ -385,6 +325,28 @@ func readHeader(r io.Reader, wantExperiment string) (*Header, *json.Decoder, err
 		return nil, nil, fmt.Errorf("dataset: negative record count")
 	}
 	return &h, dec, nil
+}
+
+// readRecords is the read side's counterpart of Writer[T]: it validates the
+// header, decodes record lines of shape R — exactly Header.Records of them,
+// or to EOF for a streamed file — and collects what conv makes of each.
+func readRecords[R, T any](r io.Reader, experiment string, conv func(*R) T) (*Header, *core.Dataset[T], error) {
+	h, dec, err := readHeader(r, experiment)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds := &core.Dataset[T]{}
+	for i := 0; h.Records < 0 || i < h.Records; i++ {
+		var rec R
+		if err := dec.Decode(&rec); err != nil {
+			if h.Records < 0 && errors.Is(err, io.EOF) {
+				break
+			}
+			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
+		}
+		ds.Observations = append(ds.Observations, conv(&rec))
+	}
+	return h, ds, nil
 }
 
 // drain writes every observation through a streaming writer and closes it,

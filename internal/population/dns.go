@@ -18,9 +18,9 @@ func BuildDNSWorld(seed uint64, scale float64) (*World, error) {
 		return nil, err
 	}
 	b := &dnsBuilder{World: w,
-		total:  make(map[geo.CountryCode]int),
-		hijack: make(map[geo.CountryCode]int),
-		asPool: make(map[geo.CountryCode]*asPool),
+		total:   make(map[geo.CountryCode]int),
+		hijack:  make(map[geo.CountryCode]int),
+		asPools: w.newASPools(asCapacity),
 	}
 	b.buildISPGroups()
 	b.buildPathOnlyISPs()
@@ -35,36 +35,10 @@ func BuildDNSWorld(seed uint64, scale float64) (*World, error) {
 // dnsBuilder carries the running per-country tallies the fill step needs.
 type dnsBuilder struct {
 	*World
+	asPools
 	total  map[geo.CountryCode]int
 	hijack map[geo.CountryCode]int
-	asPool map[geo.CountryCode]*asPool
 	misc   int // counter for generic landing domains
-}
-
-// asPool hands out background ASes for a country, rolling to a new AS every
-// asCapacity nodes so the world's AS count tracks the paper's (~74 nodes
-// per AS).
-type asPool struct {
-	asns []geo.ASN
-	used int
-}
-
-const asCapacity = 74
-
-// bgAS returns a background AS for a country, creating orgs/ASes on demand.
-func (b *dnsBuilder) bgAS(cc geo.CountryCode) geo.ASN {
-	p := b.asPool[cc]
-	if p == nil {
-		p = &asPool{}
-		b.asPool[cc] = p
-	}
-	if len(p.asns) == 0 || p.used >= asCapacity {
-		org := b.newOrg("", cc)
-		p.asns = append(p.asns, b.newAS(org, false))
-		p.used = 0
-	}
-	p.used++
-	return p.asns[len(p.asns)-1]
 }
 
 // note updates the tallies after adding a node.

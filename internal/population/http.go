@@ -16,8 +16,8 @@ func BuildHTTPWorld(seed uint64, scale float64) (*World, error) {
 		return nil, err
 	}
 	b := &httpBuilder{World: w,
-		total:  make(map[geo.CountryCode]int),
-		asPool: make(map[geo.CountryCode]*asPool),
+		total:   make(map[geo.CountryCode]int),
+		asPools: w.newASPools(httpASCapacity),
 	}
 	b.buildRimon()
 	b.buildInjectors()
@@ -29,28 +29,13 @@ func BuildHTTPWorld(seed uint64, scale float64) (*World, error) {
 
 type httpBuilder struct {
 	*World
-	total  map[geo.CountryCode]int
-	asPool map[geo.CountryCode]*asPool
+	asPools
+	total map[geo.CountryCode]int
 }
 
 // httpASCapacity keeps the HTTP world's AS structure near the paper's (~4
 // measured nodes per AS).
 const httpASCapacity = 4
-
-func (b *httpBuilder) bgAS(cc geo.CountryCode) geo.ASN {
-	p := b.asPool[cc]
-	if p == nil {
-		p = &asPool{}
-		b.asPool[cc] = p
-	}
-	if len(p.asns) == 0 || p.used >= httpASCapacity {
-		org := b.newOrg("", cc)
-		p.asns = append(p.asns, b.newAS(org, false))
-		p.used = 0
-	}
-	p.used++
-	return p.asns[len(p.asns)-1]
-}
 
 // addHTTPNode creates a node with an honest resolver and the given path.
 func (b *httpBuilder) addHTTPNode(cc geo.CountryCode, asn geo.ASN, path *middlebox.Path, truthLabel, imageISP string) {
@@ -221,22 +206,7 @@ func (b *httpBuilder) fill() {
 	for _, v := range b.total {
 		built += v
 	}
-	remaining := target - built
-	if remaining <= 0 {
-		return
-	}
-	countries := b.pickCountries(HTTPTotalCountries, nil)
-	var weightSum float64
-	for i := range countries {
-		weightSum += 1 / float64(i+2)
-	}
-	for i, cc := range countries {
-		n := int(float64(remaining) * (1 / float64(i+2)) / weightSum)
-		if n < 1 {
-			n = 1
-		}
-		for j := 0; j < n; j++ {
-			b.addHTTPNode(cc, b.bgAS(cc), nil, "", "")
-		}
-	}
+	b.fillHarmonic(b.pickCountries(HTTPTotalCountries, nil), target-built, func(cc geo.CountryCode) {
+		b.addHTTPNode(cc, b.bgAS(cc), nil, "", "")
+	})
 }

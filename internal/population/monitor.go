@@ -26,7 +26,7 @@ func BuildMonitorWorld(seed uint64, scale float64) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &monBuilder{World: w, asPool: make(map[geo.CountryCode]*asPool)}
+	b := &monBuilder{World: w, asPools: w.newASPools(asCapacity)}
 	for i := range Table9 {
 		b.buildGroup(&Table9[i])
 	}
@@ -37,25 +37,8 @@ func BuildMonitorWorld(seed uint64, scale float64) (*World, error) {
 
 type monBuilder struct {
 	*World
-	asPool map[geo.CountryCode]*asPool
-	total  int
-}
-
-const monASCapacity = 74
-
-func (b *monBuilder) bgAS(cc geo.CountryCode) geo.ASN {
-	p := b.asPool[cc]
-	if p == nil {
-		p = &asPool{}
-		b.asPool[cc] = p
-	}
-	if len(p.asns) == 0 || p.used >= monASCapacity {
-		org := b.newOrg("", cc)
-		p.asns = append(p.asns, b.newAS(org, false))
-		p.used = 0
-	}
-	p.used++
-	return p.asns[len(p.asns)-1]
+	asPools
+	total int
 }
 
 // refetchFunc builds the middlebox.Env Refetch implementation: the monitor
@@ -237,23 +220,8 @@ func (b *monBuilder) buildMiscMonitors() {
 
 // fill adds clean nodes up to the Table 2 total across 167 countries.
 func (b *monBuilder) fill() {
-	target := b.scaledBg(MonTotalNodes)
-	remaining := target - b.total
-	if remaining <= 0 {
-		return
-	}
-	countries := b.pickCountries(MonTotalCountries, nil)
-	var weightSum float64
-	for i := range countries {
-		weightSum += 1 / float64(i+2)
-	}
-	for i, cc := range countries {
-		n := int(float64(remaining) * (1 / float64(i+2)) / weightSum)
-		if n < 1 {
-			n = 1
-		}
-		for j := 0; j < n; j++ {
-			b.addNode(cc, b.bgAS(cc), b.Google, nil)
-		}
-	}
+	remaining := b.scaledBg(MonTotalNodes) - b.total
+	b.fillHarmonic(b.pickCountries(MonTotalCountries, nil), remaining, func(cc geo.CountryCode) {
+		b.addNode(cc, b.bgAS(cc), b.Google, nil)
+	})
 }

@@ -4,7 +4,6 @@ import (
 	"net"
 	"net/netip"
 
-	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/middlebox"
 	"github.com/tftproject/tft/internal/smtpwire"
 )
@@ -52,29 +51,14 @@ func BuildSMTPWorld(seed uint64, scale float64) (*World, error) {
 		mail.ServeOnce(conn)
 	})
 
-	b := &smtpBuilder{World: w, asPool: make(map[geo.CountryCode]*asPool)}
+	b := &smtpBuilder{World: w, asPools: w.newASPools(asCapacity)}
 	b.build()
 	return w, nil
 }
 
 type smtpBuilder struct {
 	*World
-	asPool map[geo.CountryCode]*asPool
-}
-
-func (b *smtpBuilder) bgAS(cc geo.CountryCode) geo.ASN {
-	p := b.asPool[cc]
-	if p == nil {
-		p = &asPool{}
-		b.asPool[cc] = p
-	}
-	if len(p.asns) == 0 || p.used >= asCapacity {
-		org := b.newOrg("", cc)
-		p.asns = append(p.asns, b.newAS(org, false))
-		p.used = 0
-	}
-	p.used++
-	return p.asns[len(p.asns)-1]
+	asPools
 }
 
 func (b *smtpBuilder) build() {

@@ -60,7 +60,7 @@ func BuildTLSWorld(seed uint64, scale float64) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &tlsBuilder{World: w, asPool: make(map[geo.CountryCode]*asPool)}
+	b := &tlsBuilder{World: w, asPools: w.newASPools(tlsASCapacity)}
 	// 115 countries had usable Alexa rankings (§6.2 footnote). Russia must
 	// be among them: the Cloudguard malware population is pinned there.
 	b.countries = b.pickCountries(TLSTotalCountries, nil)
@@ -83,28 +83,13 @@ func BuildTLSWorld(seed uint64, scale float64) (*World, error) {
 
 type tlsBuilder struct {
 	*World
+	asPools
 	countries []geo.CountryCode
 	sites     *SiteRegistry
-	asPool    map[geo.CountryCode]*asPool
 	total     int
 }
 
 const tlsASCapacity = 81 // ~808k nodes over ~10k ASes
-
-func (b *tlsBuilder) bgAS(cc geo.CountryCode) geo.ASN {
-	p := b.asPool[cc]
-	if p == nil {
-		p = &asPool{}
-		b.asPool[cc] = p
-	}
-	if len(p.asns) == 0 || p.used >= tlsASCapacity {
-		org := b.newOrg("", cc)
-		p.asns = append(p.asns, b.newAS(org, false))
-		p.used = 0
-	}
-	p.used++
-	return p.asns[len(p.asns)-1]
-}
 
 // registerSite issues a certificate, registers the HTTPS host, and indexes
 // the site. Sites with an AltChain rotate between the two chains across
@@ -266,22 +251,7 @@ func (b *tlsBuilder) buildProducts() {
 // fill adds clean nodes up to the Table 2 total, spread over the site
 // countries.
 func (b *tlsBuilder) fill() {
-	target := b.scaledBg(TLSTotalNodes)
-	remaining := target - b.total
-	if remaining <= 0 {
-		return
-	}
-	var weightSum float64
-	for i := range b.countries {
-		weightSum += 1 / float64(i+2)
-	}
-	for i, cc := range b.countries {
-		n := int(float64(remaining) * (1 / float64(i+2)) / weightSum)
-		if n < 1 {
-			n = 1
-		}
-		for j := 0; j < n; j++ {
-			b.addNode(cc, b.bgAS(cc), b.Google, nil)
-		}
-	}
+	b.fillHarmonic(b.countries, b.scaledBg(TLSTotalNodes)-b.total, func(cc geo.CountryCode) {
+		b.addNode(cc, b.bgAS(cc), b.Google, nil)
+	})
 }

@@ -119,7 +119,7 @@ func newWorld(seed uint64, scale float64, label string) (*World, error) {
 		Clock:          simnet.NewVirtual(Epoch),
 		Fabric:         simnet.NewFabric(),
 		Geo:            geo.NewRegistry(),
-		Spec:           NewWorldSpec(seed),
+		Spec:           NewWorldSpec(),
 		ResolversByOrg: make(map[geo.OrgID][]*dnsserver.Resolver),
 		rng:            simnet.SubRand(seed, "population/"+label),
 		nextASN:        100000,
@@ -371,6 +371,62 @@ func (w *World) Truths() []*NodeTruth {
 		out[i] = w.Spec.Truth(i)
 	}
 	return out
+}
+
+// asCapacity is the default nodes-per-AS ratio of the background
+// population (the DNS world's ~74; HTTP and TLS have their own).
+const asCapacity = 74
+
+// asPools hands out background ASes country by country, rolling a country
+// over to a fresh organization and AS every capacity nodes so the world's
+// AS count tracks the paper's nodes-per-AS ratio for that experiment.
+type asPools struct {
+	world    *World
+	capacity int
+	current  map[geo.CountryCode]*asPool
+}
+
+// asPool is the AS a country's background nodes are currently landing in.
+type asPool struct {
+	asn  geo.ASN
+	used int
+}
+
+func (w *World) newASPools(capacity int) asPools {
+	return asPools{world: w, capacity: capacity, current: make(map[geo.CountryCode]*asPool)}
+}
+
+// bgAS returns a background AS for a country, creating orgs/ASes on demand.
+func (a *asPools) bgAS(cc geo.CountryCode) geo.ASN {
+	p := a.current[cc]
+	if p == nil || p.used >= a.capacity {
+		p = &asPool{asn: a.world.newAS(a.world.newOrg("", cc), false)}
+		a.current[cc] = p
+	}
+	p.used++
+	return p.asn
+}
+
+// fillHarmonic tops a world up with remaining clean nodes spread over
+// countries by harmonic weight — country i takes a share proportional to
+// 1/(i+2), and at least one node — calling add once per node.
+func (w *World) fillHarmonic(countries []geo.CountryCode, remaining int, add func(geo.CountryCode)) {
+	if remaining <= 0 {
+		return
+	}
+	var weightSum float64
+	for i := range countries {
+		weightSum += 1 / float64(i+2)
+	}
+	for i, cc := range countries {
+		n := int(float64(remaining) * (1 / float64(i+2)) / weightSum)
+		if n < 1 {
+			n = 1
+		}
+		for j := 0; j < n; j++ {
+			add(cc)
+		}
+	}
 }
 
 // pickCountries returns n distinct background countries, deterministically

@@ -8,7 +8,6 @@ import (
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/middlebox"
 	"github.com/tftproject/tft/internal/proxynet"
-	"github.com/tftproject/tft/internal/simnet"
 )
 
 // WorldSpec is the recorded blueprint of a world's exit-node population.
@@ -16,17 +15,15 @@ import (
 // same random streams and allocating addresses in the same order — but each
 // addNode call records one compact columnar row here instead of
 // materializing a *proxynet.ExitNode and registering it in a pool. Nodes
-// are materialized on demand (per pick, or per shard for sharded
-// consumers), so idle cost per unrealized node is a handful of column cells
-// instead of a live node object plus pool and truth map entries.
+// are materialized on demand, one fresh instance per pick, so idle cost per
+// unrealized node is a handful of column cells instead of a live node
+// object plus pool and truth map entries.
 //
 // Storage is structure-of-arrays: shared components (resolvers, interceptor
 // paths, monitor envs) are stored as pointers to objects the builders share
 // between many nodes, so two materializations of the same index observe the
 // same cross-pick state.
 type WorldSpec struct {
-	seed uint64
-
 	addrs     []netip.Addr
 	asns      []geo.ASN
 	countries []geo.CountryCode
@@ -36,10 +33,8 @@ type WorldSpec struct {
 	truths    []NodeTruth
 }
 
-// NewWorldSpec creates an empty spec store for a world with the given seed.
-func NewWorldSpec(seed uint64) *WorldSpec {
-	return &WorldSpec{seed: seed}
-}
+// NewWorldSpec creates an empty spec store.
+func NewWorldSpec() *WorldSpec { return &WorldSpec{} }
 
 // Len is the recorded population size.
 func (s *WorldSpec) Len() int { return len(s.addrs) }
@@ -100,51 +95,6 @@ func (s *WorldSpec) Materialize(i int, net proxynet.Dialer) *proxynet.ExitNode {
 		Net:      net,
 	}
 }
-
-// SpecShard is one contiguous share of a sharded traversal of the spec,
-// with a splitmix-derived seed of its own so per-shard consumers draw from
-// decorrelated random streams and any shard's work is reproducible without
-// touching the others.
-type SpecShard struct {
-	spec *WorldSpec
-	// Index is the shard number; Start/End the half-open row range.
-	Index      int
-	Start, End int
-}
-
-// Shards splits the spec into k contiguous shards (earlier shards absorb
-// the remainder). k is clamped to [1, Len()] for non-empty specs.
-func (s *WorldSpec) Shards(k int) []SpecShard {
-	n := s.Len()
-	if k < 1 {
-		k = 1
-	}
-	if n > 0 && k > n {
-		k = n
-	}
-	out := make([]SpecShard, k)
-	for i := 0; i < k; i++ {
-		out[i] = SpecShard{spec: s, Index: i, Start: i * n / k, End: (i + 1) * n / k}
-	}
-	return out
-}
-
-// Len is the shard's row count.
-func (sh SpecShard) Len() int { return sh.End - sh.Start }
-
-// Seed is the shard's derived random-stream root.
-func (sh SpecShard) Seed() uint64 { return simnet.ShardSeed(sh.spec.seed, sh.Index) }
-
-// Each visits the shard's rows in order, handing the visitor the row
-// index; materialize what is needed via the parent spec.
-func (sh SpecShard) Each(visit func(i int)) {
-	for i := sh.Start; i < sh.End; i++ {
-		visit(i)
-	}
-}
-
-// Spec returns the parent spec.
-func (sh SpecShard) Spec() *WorldSpec { return sh.spec }
 
 // NodeHandle is the builders' reference to a recorded node: enough to set
 // the per-node components assigned after creation (interceptor path,

@@ -36,6 +36,22 @@ type shardCell struct {
 	_          [8]byte
 }
 
+// load reads the cell's counters. The shard's worker counts a probe before
+// its outcome and a completion before its violation, so the reads run the
+// other way round: a snapshot racing the worker can show a probe still in
+// flight, never an outcome without its probe.
+func (c *shardCell) load() Counts {
+	return Counts{
+		Violations: c.violations.Load(),
+		Done:       c.done.Load(),
+		Failures:   c.failures.Load(),
+		Discarded:  c.discarded.Load(),
+		Duplicates: c.duplicates.Load(),
+		Faults:     c.faults.Load(),
+		Probes:     c.probes.Load(),
+	}
+}
+
 // runState is the per-crawl portion of a Tracker, swapped atomically by
 // Begin so a long-lived Tracker can recycle across a campaign's runs.
 type runState struct {
@@ -238,8 +254,12 @@ func storeMaxInt64(p *atomic.Int64, v int64) {
 	}
 }
 
-// ShardStatus is one worker shard's progress counters.
-type ShardStatus struct {
+// Counts is the crawl's outcome tally, declared once for everything that
+// reports it: a shard's cell, the Status sums, and every Sample line. Each
+// probe issued ends in exactly one of Done, Failures, Discarded, Duplicates
+// or Faults, so a reader can reconcile any of those views against Probes;
+// Violations is a subset of Done.
+type Counts struct {
 	Done       int64 `json:"done"`
 	Probes     int64 `json:"probes"`
 	Violations int64 `json:"violations"`
@@ -249,6 +269,20 @@ type ShardStatus struct {
 	Faults     int64 `json:"faults"`
 }
 
+// add folds another tally into c.
+func (c *Counts) add(o Counts) {
+	c.Done += o.Done
+	c.Probes += o.Probes
+	c.Violations += o.Violations
+	c.Failures += o.Failures
+	c.Discarded += o.Discarded
+	c.Duplicates += o.Duplicates
+	c.Faults += o.Faults
+}
+
+// ShardStatus is one worker shard's progress counters.
+type ShardStatus = Counts
+
 // Status is a Tracker's point-in-time view: per-shard counters, their sums,
 // the process watermarks, and (when a Sampler runs) the latest rate sample.
 type Status struct {
@@ -256,13 +290,7 @@ type Status struct {
 	TotalNodes int64  `json:"total_nodes"`
 	Workers    int    `json:"workers"`
 
-	Done       int64 `json:"done"`
-	Probes     int64 `json:"probes"`
-	Violations int64 `json:"violations"`
-	Failures   int64 `json:"failures"`
-	Discarded  int64 `json:"discarded"`
-	Duplicates int64 `json:"duplicates"`
-	Faults     int64 `json:"faults"`
+	Counts
 
 	Shards     []ShardStatus `json:"shards,omitempty"`
 	Watermarks Watermarks    `json:"watermarks"`
@@ -296,24 +324,8 @@ func (t *Tracker) Snapshot() Status {
 	st.Workers = rs.workers
 	st.Shards = make([]ShardStatus, len(rs.shards))
 	for i := range rs.shards {
-		c := &rs.shards[i]
-		s := ShardStatus{
-			Done:       c.done.Load(),
-			Probes:     c.probes.Load(),
-			Violations: c.violations.Load(),
-			Failures:   c.failures.Load(),
-			Discarded:  c.discarded.Load(),
-			Duplicates: c.duplicates.Load(),
-			Faults:     c.faults.Load(),
-		}
-		st.Shards[i] = s
-		st.Done += s.Done
-		st.Probes += s.Probes
-		st.Violations += s.Violations
-		st.Failures += s.Failures
-		st.Discarded += s.Discarded
-		st.Duplicates += s.Duplicates
-		st.Faults += s.Faults
+		st.Shards[i] = rs.shards[i].load()
+		st.Counts.add(st.Shards[i])
 	}
 	return st
 }

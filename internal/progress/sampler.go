@@ -27,13 +27,9 @@ type Sample struct {
 	// ElapsedSeconds is time since Start on the sampler's clock.
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 
-	Done       int64 `json:"done"`
-	Total      int64 `json:"total"`
-	Probes     int64 `json:"probes"`
-	Violations int64 `json:"violations"`
-	Failures   int64 `json:"failures"`
-	Discarded  int64 `json:"discarded"`
-	Duplicates int64 `json:"duplicates"`
+	// Total is the node population the ETA counts down from.
+	Total int64 `json:"total"`
+	Counts
 
 	// NodesPerSec and ProbesPerSec are sliding-window rates over the last
 	// Window samples.
@@ -264,13 +260,8 @@ func (s *Sampler) sampleLocked() Sample {
 		Type:           "sample",
 		Experiment:     st.Experiment,
 		ElapsedSeconds: now.Sub(s.start).Seconds(),
-		Done:           st.Done,
 		Total:          st.TotalNodes,
-		Probes:         st.Probes,
-		Violations:     st.Violations,
-		Failures:       st.Failures,
-		Discarded:      st.Discarded,
-		Duplicates:     st.Duplicates,
+		Counts:         st.Counts,
 		Watermarks:     wm,
 		Shards:         st.Shards,
 		ETASeconds:     -1,

@@ -171,13 +171,13 @@ func (n *ExitNode) observedFetch(ctx context.Context, src netip.Addr, host strin
 	return resp, err
 }
 
-// Tunnel bridges client to ip:port — the CONNECT data phase. With TLS
-// interceptors on the node's path, the relay parses the handshake and lets
 // errPortBlocked reports an ISP-filtered outbound port. A sentinel rather
 // than a formatted error: Tunnel is a hot path, and the tunnel span already
 // records the port as an attribute.
 var errPortBlocked = errors.New("proxynet: outbound port blocked by the node's ISP")
 
+// Tunnel bridges client to ip:port — the CONNECT data phase. With TLS
+// interceptors on the node's path, the relay parses the handshake and lets
 // them replace the certificate chain; otherwise bytes pass transparently.
 //
 // When both tunnel legs are fabric streams the relay runs on the event

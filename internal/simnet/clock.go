@@ -153,14 +153,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// AdvanceTo moves the clock forward to t (no-op if t is not after Now),
-// firing every due callback in timestamp order.
-func (v *Virtual) AdvanceTo(t time.Time) {
-	v.mu.Lock()
-	v.advanceTo(t)
-	v.mu.Unlock()
-}
-
 // Run fires every pending callback, jumping the clock to each event's
 // timestamp, until no events remain. Callbacks scheduled during Run also
 // fire. It returns the number of callbacks fired.

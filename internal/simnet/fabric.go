@@ -220,16 +220,6 @@ func (f *Fabric) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error) 
 	return resp, nil
 }
 
-// HasHost reports whether addr is registered on the fabric.
-func (f *Fabric) HasHost(addr netip.Addr) bool { return f.lookup(addr) != nil }
-
-// NumHosts returns the number of registered hosts.
-func (f *Fabric) NumHosts() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.hosts)
-}
-
 // taskQueue is the FIFO run queue of the fabric's run-to-completion
 // scheduler. Tasks are pushed by Dial and drained by blocked stream
 // operations (see ring.pumpOrWait); with a single crawl worker that drain

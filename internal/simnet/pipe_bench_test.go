@@ -14,10 +14,9 @@ func mustParse(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 // benchStream measures one-directional throughput over a Pipe: a
 // writer pushes b.N writes of size bytes while a drain goroutine consumes.
-// The BENCH_n.json trajectory and the check gate's smoke run both key off
-// the benchmark names below. (The net.Pipe comparison benches that shared
-// this harness are gone: BENCH_3.json and BENCH_6.json keep their numbers,
-// and TestPipeNetPipeParity remains the semantic reference.)
+// The check gate's smoke run selects the benchmarks below by name
+// (-bench=Pipe). TestPipeNetPipeParity is the semantic reference against
+// net.Pipe.
 func benchStream(b *testing.B, size int) {
 	w, r := Pipe(0)
 	defer w.Close()

@@ -20,17 +20,3 @@ func SubRand(seed uint64, label string) *rand.Rand {
 	h.Write([]byte(label))
 	return NewRand(seed ^ h.Sum64())
 }
-
-// ShardSeed derives the seed for shard i of a sharded computation with a
-// splitmix64 step over the parent seed, so per-shard random streams are
-// decorrelated from each other and from every SubRand stream, and any
-// shard's seed is computable without enumerating the others.
-func ShardSeed(seed uint64, shard int) uint64 {
-	z := seed + (uint64(shard)+1)*0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}

@@ -155,8 +155,8 @@ func (s *Server) handleProgressz(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, "nodes:       %d/%d (%.1f%%) done, %d workers, %d shards\n",
 		st.Done, st.TotalNodes, pct, st.Workers, len(st.Shards))
-	fmt.Fprintf(w, "probes:      %d issued, %d failed, %d duplicate, %d discarded\n",
-		st.Probes, st.Failures, st.Duplicates, st.Discarded)
+	fmt.Fprintf(w, "probes:      %d issued, %d failed, %d duplicate, %d discarded, %d faulted\n",
+		st.Probes, st.Failures, st.Duplicates, st.Discarded, st.Faults)
 	fmt.Fprintf(w, "violations:  %d\n", st.Violations)
 	if sm := st.Sample; sm != nil {
 		fmt.Fprintf(w, "throughput:  %.1f probes/s, %.1f nodes/s\n",

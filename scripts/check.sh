@@ -9,15 +9,11 @@ set -eu
 
 GO=${GO:-go}
 
-# The two archived artifacts, next to each other in the repository root:
-# tftlint's machine-readable report and the benchmark baseline benchdiff
-# compares against its predecessor.
-LINT_REPORT=LINT_10.json
-BENCH_REPORT=BENCH_8.json
-
-# The gate, in order; EXTRA stages run only when named.
-GATE="fmt vet lint build race fuzz bench shards chaos promsmoke progress-smoke benchdiff"
-EXTRA="test benchjson"
+# The gate, in order; EXTRA stages run only when named: each re-runs a
+# subset of what test and race have already run. No stage writes a tracked
+# file.
+GATE="fmt vet lint build test race fuzz bench tftbench promsmoke progress-smoke"
+EXTRA="shards chaos"
 
 stage() {
 	case "$1" in
@@ -34,14 +30,16 @@ stage() {
 		# discipline (poolpair), context placement (ctxfirst), the event-core
 		# contracts (nogo, noblock, lockorder), and hot-path allocations
 		# (hotalloc). Any unwaived finding, malformed waiver, or unused waiver
-		# fails the stage; the JSON report (findings, package count, wall
-		# time — benchdiff prints the last) is archived either way.
-		$GO run ./cmd/tftlint -json ./... > "$LINT_REPORT" || { cat "$LINT_REPORT" >&2; exit 1; }
+		# is printed and fails the stage.
+		$GO run ./cmd/tftlint ./... >&2
 		;;
 	build)
 		$GO build ./...
 		;;
 	test)
+		# Not redundant with race: the allocation ceilings and memory bounds
+		# skip themselves under the detector, so this is the only stage that
+		# enforces them.
 		$GO test ./...
 		;;
 	race)
@@ -82,6 +80,12 @@ stage() {
 		$GO test -run=NONE -bench='Proxied(GET|CONNECT)$' -benchtime=1x -benchmem ./internal/proxynet
 		$GO test -run=NONE -bench='Lookup$' -benchtime=1x -benchmem ./internal/dnsserver
 		;;
+	tftbench)
+		# The benchmark is a nested module, so none of vet, test, race or
+		# TestRepositoryClean above descends into it: vet and test it here,
+		# or a repository API change that breaks its compile passes the gate.
+		(cd scripts/tftbench && $GO vet ./... && $GO test ./...)
+		;;
 	shards)
 		# Small-K shard-merge smoke: per-shard sinks and aggregate Merge must
 		# reproduce the unsharded tables byte-for-byte.
@@ -105,20 +109,6 @@ stage() {
 		# -progress-jsonl must stream parseable checkpoints and finish with a
 		# manifest whose node count matches the run's own headline.
 		$GO run ./scripts/progresssmoke
-		;;
-	benchjson)
-		# Machine-readable benchmark baseline: the full-pipeline, table, pipe,
-		# and full-scale (Scale=1.0 DNS, minutes of runtime) benchmarks with
-		# -benchmem, for the perf trajectory.
-		$GO run ./scripts/benchjson -out "$BENCH_REPORT"
-		;;
-	benchdiff)
-		# Benchmark trajectory (soft gate): compare the newest two
-		# BENCH_<n>.json and warn on >15% ns/op or peak-heap regressions.
-		# Warn-only — historical BENCH files span machines, so deltas carry
-		# cross-host noise; run the benchjson stage twice on one host for an
-		# enforceable comparison.
-		$GO run ./scripts/benchdiff || echo "benchdiff: WARNING: benchmark regression detected (see delta table above)" >&2
 		;;
 	*)
 		echo "check.sh: unknown stage '$1' (have: $GATE $EXTRA)" >&2
