@@ -13,9 +13,11 @@ package tft
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/netip"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -332,6 +334,38 @@ func BenchmarkMonitorExperimentRun(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(run.Analysis.Summary().Monitored), "monitored")
+	}
+}
+
+// BenchmarkCrawlWorkers reads what a second worker buys: the DNS crawl at 1%
+// scale with one worker and with two, as sessions per wall second and
+// process CPU (user+sys, collector included) per session. workers=2 over
+// workers=1 in sessions/s is the scaling; the gap in cpu-us/session is what
+// sharing one world costs. One iteration is a smoke test; a reading needs
+// -benchtime=5x -count=6.
+func BenchmarkCrawlWorkers(b *testing.B) {
+	cpuSeconds := func() float64 {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			b.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var sessions int64
+			cpu0 := cpuSeconds()
+			for i := 0; i < b.N; i++ {
+				run, err := RunDNS(context.Background(), Options{Seed: benchSeed, Scale: 0.01, Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sessions += run.Manifest().Sessions
+			}
+			cpu := cpuSeconds() - cpu0
+			b.ReportMetric(float64(sessions)/b.Elapsed().Seconds(), "sessions/s")
+			b.ReportMetric(cpu*1e6/float64(sessions), "cpu-us/session")
+		})
 	}
 }
 

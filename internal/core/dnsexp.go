@@ -116,15 +116,18 @@ func (e *DNSExperiment) Run(ctx context.Context) (*DNSDataset, error) {
 
 // measure runs the three-step §4.1 probe through one session.
 func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*DNSObservation, outcome) {
-	d1 := d1Prefix + sess + "." + e.Zone
-	d2 := d2Prefix + sess + "." + e.Zone
+	// The authority keys its log by the dotted name; the host is that name
+	// less its last byte, so each probe name is built once.
+	fqdn1 := d1Prefix + sess + "." + e.Zone + "."
+	fqdn2 := d2Prefix + sess + "." + e.Zone + "."
+	d1, d2 := fqdn1[:len(fqdn1)-1], fqdn2[:len(fqdn2)-1]
 	// Probe names are unique per session, so once this probe returns their
 	// log entries can never be consulted again; releasing them keeps the
 	// authority and web-server logs at O(in-flight sessions) instead of
 	// O(all sessions) across a paper-scale crawl.
 	defer func() {
-		e.Auth.Forget(d1)
-		e.Auth.Forget(d2)
+		e.Auth.Forget(fqdn1)
+		e.Auth.Forget(fqdn2)
 		e.Web.Forget(d1)
 		e.Web.Forget(d2)
 	}()
@@ -153,7 +156,7 @@ func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 	// from the super proxy's own resolution, and what remains is the
 	// node's resolver.
 	superSeen := false
-	for _, q := range e.Auth.QueriesFor(d1) {
+	for _, q := range e.Auth.QueriesFor(fqdn1) {
 		if !superSeen && q.Src == geo.SuperProxyResolverEgress {
 			superSeen = true
 			continue

@@ -11,8 +11,11 @@
 package dnsserver
 
 import (
+	"hash/maphash"
+	"maps"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tftproject/tft/internal/dnswire"
@@ -66,17 +69,36 @@ type Authority struct {
 	// changes. Responses share its payload and must not write to it.
 	soa dnswire.Record
 
-	mu       sync.Mutex
+	// The answer policy is settled while a world is built and then read by
+	// every query: an immutable value, replaced whole under mu.
+	mu     sync.Mutex
+	policy atomic.Pointer[policy]
+
+	// The query log is striped by name: a probe name belongs to one session,
+	// so concurrent sessions rarely meet on a stripe's lock.
+	seed maphash.Seed
+	logs [logStripes]queryLog
+}
+
+type policy struct {
 	rules    map[string]Rule
 	fallback func(name string) Rule
-	byName   map[string][]Query // name -> logged queries, arrival order
-	total    int
+}
+
+const logStripes = 16
+
+// queryLog is one stripe of the per-name query log.
+type queryLog struct {
+	mu     sync.Mutex
+	byName map[string][]Query // name -> logged queries, arrival order
+	total  int
+	_      [64]byte // the next stripe's lock is on another cache line
 }
 
 // NewAuthority creates an authoritative server for zone.
 func NewAuthority(zone string, clock simnet.Clock) *Authority {
 	zone = dnswire.CanonicalName(zone)
-	return &Authority{
+	a := &Authority{
 		zone:  zone,
 		clock: clock,
 		soa: dnswire.Record{
@@ -86,9 +108,13 @@ func NewAuthority(zone string, clock simnet.Clock) *Authority {
 				Serial: 2016041300, Refresh: 7200, Retry: 900, Expire: 1209600, MinTTL: 60,
 			},
 		},
-		rules:  make(map[string]Rule),
-		byName: make(map[string][]Query),
+		seed: maphash.MakeSeed(),
 	}
+	a.policy.Store(&policy{rules: map[string]Rule{}})
+	for i := range a.logs {
+		a.logs[i].byName = make(map[string][]Query)
+	}
+	return a
 }
 
 // Zone returns the served zone.
@@ -97,9 +123,20 @@ func (a *Authority) Zone() string { return a.zone }
 // SetRule installs the answer rule for name (which must fall inside the
 // zone; out-of-zone names are refused at query time anyway).
 func (a *Authority) SetRule(name string, r Rule) {
+	a.setPolicy(func(p *policy) {
+		p.rules = maps.Clone(p.rules)
+		p.rules[dnswire.CanonicalName(name)] = r
+	})
+}
+
+// setPolicy publishes the policy as change leaves it. The explicit-rule map
+// holds a handful of names, so a change that writes to it copies it first.
+func (a *Authority) setPolicy(change func(*policy)) {
 	a.mu.Lock()
-	a.rules[dnswire.CanonicalName(name)] = r
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	p := *a.policy.Load()
+	change(&p)
+	a.policy.Store(&p)
 }
 
 // SetFallback installs a rule generator consulted for names with no
@@ -107,16 +144,15 @@ func (a *Authority) SetRule(name string, r Rule) {
 // (d1-*, d2-*, u-*) their semantics in O(1) memory, instead of one map
 // entry per probed node.
 func (a *Authority) SetFallback(f func(name string) Rule) {
-	a.mu.Lock()
-	a.fallback = f
-	a.mu.Unlock()
+	a.setPolicy(func(p *policy) { p.fallback = f })
 }
 
 // DeleteRule removes a name's rule; subsequent queries get NXDOMAIN.
 func (a *Authority) DeleteRule(name string) {
-	a.mu.Lock()
-	delete(a.rules, dnswire.CanonicalName(name))
-	a.mu.Unlock()
+	a.setPolicy(func(p *policy) {
+		p.rules = maps.Clone(p.rules)
+		delete(p.rules, dnswire.CanonicalName(name))
+	})
 }
 
 // Handler adapts the authority to the simnet DNS handler signature.
@@ -157,14 +193,19 @@ func (a *Authority) Resolve(src netip.Addr, q *dnswire.Message) *dnswire.Message
 		return resp
 	}
 
-	a.mu.Lock()
-	a.byName[name] = append(a.byName[name], Query{Time: a.clock.Now(), Src: src, Name: name, Type: question.Type})
-	a.total++
-	rule := a.rules[name]
-	if rule == nil && a.fallback != nil {
-		rule = a.fallback(name)
+	// Only the append needs an order: the clock and the policy are read
+	// before the stripe's lock, not under it.
+	logged := Query{Time: a.clock.Now(), Src: src, Name: name, Type: question.Type}
+	p := a.policy.Load()
+	rule := p.rules[name]
+	if rule == nil && p.fallback != nil {
+		rule = p.fallback(name)
 	}
-	a.mu.Unlock()
+	l := a.log(name)
+	l.mu.Lock()
+	l.byName[name] = append(l.byName[name], logged)
+	l.total++
+	l.mu.Unlock()
 
 	if question.Type != dnswire.TypeA || rule == nil {
 		resp.RCode = dnswire.RCodeNXDomain
@@ -183,13 +224,22 @@ func (a *Authority) Resolve(src netip.Addr, q *dnswire.Message) *dnswire.Message
 	return resp
 }
 
+// log returns the stripe of the query log that holds name (in canonical
+// form).
+//
+//tftlint:hotpath
+func (a *Authority) log(name string) *queryLog {
+	return &a.logs[maphash.String(a.seed, name)%logStripes]
+}
+
 // QueriesFor returns the logged queries for a name, in arrival order.
 func (a *Authority) QueriesFor(name string) []Query {
 	name = dnswire.CanonicalName(name)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Query, len(a.byName[name]))
-	copy(out, a.byName[name])
+	l := a.log(name)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]Query, len(l.byName[name]))
+	copy(out, l.byName[name])
 	return out
 }
 
@@ -199,15 +249,21 @@ func (a *Authority) QueriesFor(name string) []Query {
 // still includes forgotten arrivals.
 func (a *Authority) Forget(name string) {
 	name = dnswire.CanonicalName(name)
-	a.mu.Lock()
-	delete(a.byName, name)
-	a.mu.Unlock()
+	l := a.log(name)
+	l.mu.Lock()
+	delete(l.byName, name)
+	l.mu.Unlock()
 }
 
 // QueryCount returns the total number of logged queries, including any
 // later released with Forget.
 func (a *Authority) QueryCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
+	total := 0
+	for i := range a.logs {
+		l := &a.logs[i]
+		l.mu.Lock()
+		total += l.total
+		l.mu.Unlock()
+	}
+	return total
 }

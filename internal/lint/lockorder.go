@@ -1,8 +1,9 @@
 package lint
 
-// lockorder builds the per-package mutex acquisition graph of the
-// concurrency-heavy packages (internal/simnet, internal/proxynet,
-// internal/metrics) and diagnoses two hazards:
+// lockorder builds the per-package mutex acquisition graph of the packages
+// whose locks a request crosses (internal/simnet, internal/proxynet,
+// internal/metrics, internal/trace, internal/dnsserver, internal/origin) and
+// diagnoses two hazards:
 //
 //  1. Acquisition cycles: if one code path locks A then B and another
 //     locks B then A, the two can deadlock. Edges come from a forward
@@ -34,6 +35,9 @@ func lockorderScoped(relFile string) bool {
 	return strings.HasPrefix(relFile, "internal/simnet/") ||
 		strings.HasPrefix(relFile, "internal/proxynet/") ||
 		strings.HasPrefix(relFile, "internal/metrics/") ||
+		strings.HasPrefix(relFile, "internal/trace/") ||
+		strings.HasPrefix(relFile, "internal/dnsserver/") ||
+		strings.HasPrefix(relFile, "internal/origin/") ||
 		strings.Contains(relFile, "testdata/src/lockorder/")
 }
 

@@ -8,9 +8,10 @@
 //     instrumented code paths (the crawler, the budget, the super proxy)
 //     never branch on "is telemetry enabled" — an un-threaded registry
 //     simply costs a nil check.
-//   - Lock sharding: counters stripe their hot adds across padded atomic
-//     cells and labeled counters shard their maps by label hash, so the
-//     worker pool's concurrent sessions do not serialize on telemetry.
+//   - Concurrent sessions do not serialize on telemetry: an existing
+//     instrument is found by name without a lock, counters stripe their
+//     adds across padded atomic cells chosen by the calling goroutine's
+//     stack, and labeled counters shard their maps by label hash.
 package metrics
 
 import (
@@ -20,9 +21,12 @@ import (
 	"sync/atomic"
 )
 
-// numShards stripes hot-path writes; a power of two so masking replaces
-// modulo.
-const numShards = 16
+// numShards stripes hot-path writes; a power of two so that a stripe is the
+// top shardBits of a hash.
+const (
+	shardBits = 4
+	numShards = 1 << shardBits
+)
 
 // cell is a padded atomic counter; the padding keeps adjacent shards on
 // separate cache lines.
@@ -31,16 +35,23 @@ type cell struct {
 	_ [56]byte
 }
 
-// shardIndex distributes calls across shards. A goroutine's stack address
-// is stable within the goroutine and well spread between goroutines, which
-// is exactly the distribution striping wants.
-func shardIndex(p *byte) int {
-	// The pointer itself (not its contents) is the entropy source; shift
-	// past allocator alignment.
-	return int((uintptr(unsafePointer(p)) >> 6) & (numShards - 1))
+// ShardIndex picks one of 16 stripes for the goroutine whose stack p points
+// into (the pointer itself, not its contents, is the entropy source). A
+// goroutine keeps its stripe for as long as it calls from one depth of an
+// unmoved stack. Stacks are aligned to their size, so two goroutines at the
+// same depth of the same code — crawl workers — differ only in the address
+// bits above that alignment: those are the bits hashed, the low ones being
+// the same for everybody. There is no goroutine identity to do better with,
+// so two workers still land on one stripe in one process out of 16; such a
+// process pays for a shared line, and medians over fresh processes absorb it.
+//
+//tftlint:hotpath
+func ShardIndex(p *byte) int {
+	// Above bit 11: the smallest stack is 2 KB. Fibonacci hashing, top bits.
+	return int((uint64(uintptr(unsafePointer(p))>>11) * 0x9E3779B97F4A7C15) >> (64 - shardBits))
 }
 
-// Counter is a lock-free striped counter.
+// Counter is a lock-free counter striped by caller (see ShardIndex).
 type Counter struct {
 	shards [numShards]cell
 }
@@ -51,7 +62,7 @@ func (c *Counter) Add(n int64) {
 		return
 	}
 	var probe byte
-	c.shards[shardIndex(&probe)].n.Add(n)
+	c.shards[ShardIndex(&probe)].n.Add(n)
 }
 
 // Inc increments the counter by one.
@@ -219,104 +230,127 @@ func (lc *LabeledCounter) Values() map[string]int64 {
 // Registry names and owns a process's metrics. The zero value is not
 // usable; construct with NewRegistry. A nil *Registry is a valid no-op
 // sink: every accessor returns a nil instrument whose methods do nothing.
+//
+// A process creates a few dozen instruments, each once, and then looks them
+// up by name on every request, so a lookup reads an immutable map without a
+// lock and a creation replaces that map under mu.
 type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	labeled    map[string]*LabeledCounter
+	mu         sync.Mutex // orders creations
+	counters   byName[Counter]
+	gauges     byName[Gauge]
+	histograms byName[Histogram]
+	labeled    byName[LabeledCounter]
 	trace      *Trace
+}
+
+// byName is one kind of instrument, by name.
+type byName[T any] struct {
+	m atomic.Pointer[map[string]*T] // never written once stored
+}
+
+// all returns the instruments created so far; the caller must not write to
+// the map.
+func (b *byName[T]) all() map[string]*T {
+	if m := b.m.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// add publishes a copy of the map with v in it. Caller holds Registry.mu.
+func (b *byName[T]) add(name string, v *T) {
+	old := b.all()
+	next := make(map[string]*T, len(old)+1)
+	for k, x := range old {
+		next[k] = x
+	}
+	next[name] = v
+	b.m.Store(&next)
 }
 
 // NewRegistry creates an empty registry with a default-capacity event
 // trace.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		labeled:    make(map[string]*LabeledCounter),
-		trace:      newTrace(defaultTraceCap),
-	}
+	return &Registry{trace: newTrace(defaultTraceCap)}
 }
 
 // Counter returns the named counter, creating it on first use.
+//
+//tftlint:hotpath
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
+	if c := r.counters.all()[name]; c != nil {
 		return c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
+	c := r.counters.all()[name]
+	if c == nil {
+		c = new(Counter)
+		r.counters.add(name, c)
 	}
 	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
+//
+//tftlint:hotpath
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
+	if g := r.gauges.all()[name]; g != nil {
 		return g
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
+	g := r.gauges.all()[name]
+	if g == nil {
+		g = new(Gauge)
+		r.gauges.add(name, g)
 	}
 	return g
 }
 
 // Histogram returns the named histogram, creating it with bounds on first
 // use. Later calls ignore bounds and return the existing histogram.
+//
+//tftlint:hotpath
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.histograms[name]
-	r.mu.RUnlock()
-	if h != nil {
+	if h := r.histograms.all()[name]; h != nil {
 		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
+	h := r.histograms.all()[name]
+	if h == nil {
 		h = newHistogram(bounds)
-		r.histograms[name] = h
+		r.histograms.add(name, h)
 	}
 	return h
 }
 
 // Labeled returns the named labeled counter, creating it on first use.
+//
+//tftlint:hotpath
 func (r *Registry) Labeled(name string) *LabeledCounter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	lc := r.labeled[name]
-	r.mu.RUnlock()
-	if lc != nil {
+	if lc := r.labeled.all()[name]; lc != nil {
 		return lc
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if lc = r.labeled[name]; lc == nil {
+	lc := r.labeled.all()[name]
+	if lc == nil {
 		lc = newLabeledCounter()
-		r.labeled[name] = lc
+		r.labeled.add(name, lc)
 	}
 	return lc
 }

@@ -95,23 +95,21 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
+	if counters := r.counters.all(); len(counters) > 0 {
+		s.Counters = make(map[string]int64, len(counters))
+		for name, c := range counters {
 			s.Counters[name] = c.Value()
 		}
 	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
+	if gauges := r.gauges.all(); len(gauges) > 0 {
+		s.Gauges = make(map[string]int64, len(gauges))
+		for name, g := range gauges {
 			s.Gauges[name] = g.Value()
 		}
 	}
-	if len(r.histograms) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.histograms))
-		for name, h := range r.histograms {
+	if histograms := r.histograms.all(); len(histograms) > 0 {
+		s.Histograms = make(map[string]HistogramSnapshot, len(histograms))
+		for name, h := range histograms {
 			hs := HistogramSnapshot{
 				Bounds: append([]float64(nil), h.bounds...),
 				Counts: make([]int64, len(h.counts)),
@@ -124,9 +122,9 @@ func (r *Registry) Snapshot() *Snapshot {
 			s.Histograms[name] = hs
 		}
 	}
-	if len(r.labeled) > 0 {
-		s.Labeled = make(map[string]map[string]int64, len(r.labeled))
-		for name, lc := range r.labeled {
+	if labeled := r.labeled.all(); len(labeled) > 0 {
+		s.Labeled = make(map[string]map[string]int64, len(labeled))
+		for name, lc := range labeled {
 			s.Labeled[name] = lc.Values()
 		}
 	}

@@ -6,6 +6,7 @@
 package origin
 
 import (
+	"hash/maphash"
 	"net"
 	"net/netip"
 	"sync"
@@ -46,14 +47,29 @@ type Server struct {
 	// AllowSkew honours SkewHeader; the simulated world enables it.
 	AllowSkew bool
 
+	// The request log is striped by Host: a probe host belongs to one
+	// session, so concurrent sessions rarely meet on a stripe's lock.
+	seed maphash.Seed
+	logs [logStripes]requestLog
+}
+
+const logStripes = 16
+
+// requestLog is one stripe of the per-host request log.
+type requestLog struct {
 	mu     sync.Mutex
-	byHost map[string][]Request
+	byHost map[string][]Request // host -> logged requests, arrival order
 	total  int
+	_      [64]byte // the next stripe's lock is on another cache line
 }
 
 // NewServer creates a measurement web server on the given clock.
 func NewServer(clock simnet.Clock) *Server {
-	return &Server{clock: clock, byHost: make(map[string][]Request)}
+	s := &Server{clock: clock, seed: maphash.MakeSeed()}
+	for i := range s.logs {
+		s.logs[i].byHost = make(map[string][]Request)
+	}
+	return s
 }
 
 // Handle processes one parsed request from src and returns the response.
@@ -105,21 +121,30 @@ const indexPage = "<html><head><title>tft probe</title></head><body>ok</body></h
 // instead of writing into the shared page.
 var indexBody = []byte(indexPage)[:len(indexPage):len(indexPage)]
 
+// log returns the stripe of the request log that holds host.
+//
+//tftlint:hotpath
+func (s *Server) log(host string) *requestLog {
+	return &s.logs[maphash.String(s.seed, host)%logStripes]
+}
+
 func (s *Server) record(r Request) {
-	s.mu.Lock()
-	s.byHost[r.Host] = append(s.byHost[r.Host], r)
-	s.total++
-	s.mu.Unlock()
+	l := s.log(r.Host)
+	l.mu.Lock()
+	l.byHost[r.Host] = append(l.byHost[r.Host], r)
+	l.total++
+	l.mu.Unlock()
 }
 
 // RequestsFor returns the logged requests whose Host is host, ordered by
 // log arrival (callers sort by Time when they need backdated entries
 // in timestamp order).
 func (s *Server) RequestsFor(host string) []Request {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Request, len(s.byHost[host]))
-	copy(out, s.byHost[host])
+	l := s.log(host)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]Request, len(l.byHost[host]))
+	copy(out, l.byHost[host])
 	return out
 }
 
@@ -128,17 +153,23 @@ func (s *Server) RequestsFor(host string) []Request {
 // O(in-flight sessions) log entries instead of O(all sessions).
 // RequestCount still includes forgotten arrivals.
 func (s *Server) Forget(host string) {
-	s.mu.Lock()
-	delete(s.byHost, host)
-	s.mu.Unlock()
+	l := s.log(host)
+	l.mu.Lock()
+	delete(l.byHost, host)
+	l.mu.Unlock()
 }
 
 // RequestCount returns the total number of logged requests, including any
 // later released with Forget.
 func (s *Server) RequestCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+	total := 0
+	for i := range s.logs {
+		l := &s.logs[i]
+		l.mu.Lock()
+		total += l.total
+		l.mu.Unlock()
+	}
+	return total
 }
 
 // ConnHandler serves one connection: a single request/response exchange,

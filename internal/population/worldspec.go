@@ -1,8 +1,8 @@
 package population
 
 import (
-	"fmt"
 	"net/netip"
+	"strconv"
 
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
@@ -42,7 +42,13 @@ func (s *WorldSpec) Len() int { return len(s.addrs) }
 // ZID returns the persistent identifier of node i. Identifiers are dense —
 // node i is "z%08d" of i+1 — so a zID maps back to its row without an index
 // structure.
-func (s *WorldSpec) ZID(i int) string { return fmt.Sprintf("z%08d", i+1) }
+func (s *WorldSpec) ZID(i int) string {
+	zid := [9]byte{'z', '0', '0', '0', '0', '0', '0', '0', '0'}
+	var digits [8]byte // what Index maps back: at most eight
+	d := strconv.AppendInt(digits[:0], int64(i+1), 10)
+	copy(zid[len(zid)-len(d):], d)
+	return string(zid[:])
+}
 
 // Index maps a zID back to its row, reporting false for identifiers this
 // spec never issued.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 	"unsafe"
@@ -442,33 +443,53 @@ func TestHTTPInterceptorModifiesProxiedContent(t *testing.T) {
 	}
 }
 
+// sameStripeSessions returns n session numbers of customer user whose pins
+// share one stripe of st: the cap and its eviction order are per stripe.
+func sameStripeSessions(st *sessionTable, user string, n int) []string {
+	var out []string
+	var want *sessionStripe
+	for i := 0; len(out) < n; i++ {
+		s := strconv.Itoa(i)
+		stripe := st.stripe(appendSessionKey(nil, user, s))
+		if want == nil {
+			want = stripe
+		}
+		if stripe == want {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestSessionTableEvictsPastCap: the cap, not the TTL, is what bounds the
-// table on a clock nobody advances. The oldest pins go first, a refreshed
-// pin keeps its place in that order, and a pin past its TTL is gone the
-// moment it is asked for.
+// table on a clock nobody advances. Within a stripe the oldest pins go
+// first, a refreshed pin keeps its place in that order, and a pin past its
+// TTL is gone the moment it is asked for.
 func TestSessionTableEvictsPastCap(t *testing.T) {
 	clock := simnet.NewVirtual(t0)
 	st := newSessionTable(clock)
 	st.cap = 3
-	for _, s := range []string{"a", "b", "c"} {
-		st.put("u", s, "z"+s)
+	s := sameStripeSessions(st, "u", 4)
+	a, d := s[0], s[3]
+	for _, sess := range s[:3] {
+		st.put("u", sess, "z"+sess)
 	}
-	st.put("u", "a", "za2") // a refresh, not a new pin
-	st.put("u", "d", "zd")
+	st.put("u", a, "za2") // a refresh, not a new pin
+	st.put("u", d, "zd")
 	if st.len() != 3 {
 		t.Fatalf("live sessions = %d, want the cap, 3", st.len())
 	}
-	if _, ok := st.get("u", "a"); ok {
+	if _, ok := st.get("u", a); ok {
 		t.Fatal("oldest pin survived eviction")
 	}
-	if zid, ok := st.get("u", "d"); !ok || zid != "zd" {
+	if zid, ok := st.get("u", d); !ok || zid != "zd" {
 		t.Fatal("newest pin lost")
 	}
-	if _, ok := st.get("v", "d"); ok {
+	if _, ok := st.get("v", d); ok {
 		t.Fatal("another customer's session number resolved")
 	}
 	clock.Advance(2 * SessionTTL)
-	if _, ok := st.get("u", "d"); ok || st.len() != 2 {
+	if _, ok := st.get("u", d); ok || st.len() != 2 {
 		t.Fatalf("expired pin still resolvable (%v), %d live", ok, st.len())
 	}
 }
@@ -477,26 +498,29 @@ func TestSessionTableEvictsPastCap(t *testing.T) {
 // it build no key string, and the refresh leaves the table holding the key
 // it made for the pin, through evictions and compactions of the order list.
 func TestSessionTablePinHitAllocatesNothing(t *testing.T) {
+	const user = "lum-customer-tft"
 	st := newSessionTable(simnet.NewVirtual(t0))
 	st.cap = 2
+	sessions := sameStripeSessions(st, user, 3)
+	entries := st.stripe(appendSessionKey(nil, user, sessions[0])).entries
 	for round := 0; round < 3; round++ {
-		for _, s := range []string{"a", "b", "c"} { // c evicts a, then a evicts b, ...
-			st.put("lum-customer-tft", s, "z1")
+		for _, s := range sessions { // the third evicts the first, then the first the second, ...
+			st.put(user, s, "z1")
 			var held string
-			for k := range st.entries {
-				if k == "lum-customer-tft/"+s {
+			for k := range entries {
+				if k == user+"/"+s {
 					held = k
 				}
 			}
 			if n := testing.AllocsPerRun(10, func() {
-				if zid, ok := st.get("lum-customer-tft", s); !ok || zid == "" {
+				if zid, ok := st.get(user, s); !ok || zid == "" {
 					t.Fatalf("round %d: session %q lost", round, s)
 				}
-				st.put("lum-customer-tft", s, "z2")
+				st.put(user, s, "z2")
 			}); n != 0 {
 				t.Fatalf("round %d: a pin hit allocates %.0f times", round, n)
 			}
-			for k := range st.entries {
+			for k := range entries {
 				if k == held && unsafe.StringData(k) != unsafe.StringData(held) {
 					t.Fatalf("round %d: refresh replaced the table's key string for %q", round, s)
 				}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
@@ -60,7 +61,13 @@ type LazyPool struct {
 
 	materialize func(i int) *ExitNode
 	index       func(zid string) (int, bool)
-	prepare     func(*ExitNode)
+	// hooks is what instrumentation installs before a crawl and node reads
+	// on every materialization: replaced whole under mu, read without it.
+	hooks atomic.Pointer[poolHooks]
+}
+
+type poolHooks struct {
+	prepare func(*ExitNode)
 	// materialized counts node materializations — the pool's dominant cost
 	// at paper scale, where every pick rebuilds a node from its spec. Nil
 	// (the nil-safe Counter) until SetMetrics installs a registry.
@@ -69,16 +76,20 @@ type LazyPool struct {
 
 // NewLazyPool creates an empty lazy pool drawing selection randomness from
 // rng. materialize builds the node for a spec index; index maps a zID back
-// to its spec index (reporting false for unknown zIDs). Both are consulted
-// under the pool lock and must not call back into the pool.
+// to its spec index (reporting false for unknown zIDs). Both run outside the
+// pool lock, concurrently with themselves, on every path but a retry's
+// exclusion probe: the lock covers which node a pick gets, not building it.
+// Neither may call back into the pool.
 func NewLazyPool(rng *rand.Rand, churn float64, materialize func(i int) *ExitNode, index func(zid string) (int, bool)) *LazyPool {
-	return &LazyPool{
+	p := &LazyPool{
 		rng:         rng,
 		churn:       churn,
 		byCountry:   make(map[geo.CountryCode][]int32),
 		materialize: materialize,
 		index:       index,
 	}
+	p.hooks.Store(&poolHooks{})
+	return p
 }
 
 // Register records the next spec's country and returns its index. Call
@@ -92,13 +103,15 @@ func (p *LazyPool) Register(cc geo.CountryCode) int {
 	return i
 }
 
-// node materializes index i and applies the prepare hook. Caller holds
-// p.mu.
+// node materializes index i and applies the prepare hook. The pool lock
+// covers the draw that chose i, not this: two materializations of one index
+// are interchangeable, so building them needs no order.
 func (p *LazyPool) node(i int) *ExitNode {
-	p.materialized.Inc()
+	h := p.hooks.Load()
+	h.materialized.Inc()
 	n := p.materialize(i)
-	if p.prepare != nil {
-		p.prepare(n)
+	if h.prepare != nil {
+		h.prepare(n)
 	}
 	return n
 }
@@ -109,15 +122,15 @@ func (p *LazyPool) node(i int) *ExitNode {
 func (p *LazyPool) SetMetrics(reg *metrics.Registry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.materialized = reg.Counter("proxy_pool_materializations_total")
+	h := *p.hooks.Load()
+	h.materialized = reg.Counter("proxy_pool_materializations_total")
+	p.hooks.Store(&h)
 }
 
 // Get implements NodeSource.
 func (p *LazyPool) Get(zid string) (Peer, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	i, ok := p.index(zid)
-	if !ok || i < 0 || i >= p.n {
+	if !ok || i < 0 || i >= p.Len() {
 		return nil, false
 	}
 	return p.node(i), true
@@ -127,15 +140,28 @@ func (p *LazyPool) Get(zid string) (Peer, bool) {
 // churn semantics as Pool.Pick.
 func (p *LazyPool) Pick(country geo.CountryCode, exclude map[string]bool) (Peer, bool) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	n, i, up := p.draw(country, exclude)
+	p.mu.Unlock()
+	if i < 0 {
+		return nil, false
+	}
+	if n == nil {
+		n = p.node(i)
+	}
+	return n, up
+}
+
+// draw settles a pick: the spec index (negative when nothing is eligible)
+// and the churn roll, in the rng order a fixed-seed run depends on. A first
+// attempt excludes nothing and draw leaves n nil for the caller to build
+// outside the lock; telling whether a retry's pick is excluded takes the
+// node's zID, so that rare path builds it here. Caller holds p.mu.
+func (p *LazyPool) draw(country geo.CountryCode, exclude map[string]bool) (n *ExitNode, i int, up bool) {
 	var candidates []int32
 	total := p.n
 	if country != "" {
 		candidates = p.byCountry[country]
 		total = len(candidates)
-	}
-	if total == 0 {
-		return nil, false
 	}
 	at := func(j int) int {
 		if candidates != nil {
@@ -144,31 +170,23 @@ func (p *LazyPool) Pick(country geo.CountryCode, exclude map[string]bool) (Peer,
 		return j
 	}
 	// Bounded random probing keeps selection O(1) on the fast path.
-	for probe := 0; probe < 32; probe++ {
-		i := at(p.rng.IntN(total))
+	for probe := 0; probe < 32 && total > 0; probe++ {
+		i = at(p.rng.IntN(total))
 		if len(exclude) > 0 {
-			n := p.node(i)
+			n = p.node(i)
 			if exclude[n.ZID] {
 				continue
 			}
-			if p.churn > 0 && p.rng.Float64() < p.churn {
-				return n, false
-			}
-			return n, true
 		}
-		if p.churn > 0 && p.rng.Float64() < p.churn {
-			return p.node(i), false
-		}
-		return p.node(i), true
+		return n, i, !(p.churn > 0 && p.rng.Float64() < p.churn)
 	}
 	// Dense exclusion: fall back to a scan.
 	for j := 0; j < total; j++ {
-		n := p.node(at(j))
-		if !exclude[n.ZID] {
-			return n, true
+		if n = p.node(at(j)); !exclude[n.ZID] {
+			return n, at(j), true
 		}
 	}
-	return nil, false
+	return nil, -1, false
 }
 
 // Len implements NodeSource.
@@ -215,5 +233,7 @@ func (p *LazyPool) Nodes() []*ExitNode {
 func (p *LazyPool) SetPrepare(prepare func(*ExitNode)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.prepare = prepare
+	h := *p.hooks.Load()
+	h.prepare = prepare
+	p.hooks.Store(&h)
 }

@@ -13,6 +13,7 @@ package simnet
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -78,8 +79,13 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer { return Timer{real: time
 //
 // The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
+	// The current instant, as nanoseconds past start: written under mu, read
+	// by Now without it. An integer rather than a boxed time.Time so that
+	// crossing an instant allocates nothing.
+	start   time.Time
+	elapsed atomic.Int64
+
 	mu      sync.Mutex
-	now     time.Time
 	events  eventHeap
 	seq     uint64
 	free    *event   // recycled event objects, linked through next
@@ -88,14 +94,22 @@ type Virtual struct {
 
 // NewVirtual returns a Virtual clock whose current time is start.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start}
+	return &Virtual{start: start}
 }
 
-// Now implements Clock.
+// Now implements Clock. It takes no lock: every request reads the clock
+// dozens of times and a crawl never advances it, so the instant is one
+// atomic load that advanceTo publishes before it fires a batch — a callback,
+// and everything it wakes, reads its own event's instant.
+//
+//tftlint:hotpath
 func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
+	return v.start.Add(time.Duration(v.elapsed.Load()))
+}
+
+// setNow publishes t as the current instant. Caller holds v.mu.
+func (v *Virtual) setNow(t time.Time) {
+	v.elapsed.Store(int64(t.Sub(v.start)))
 }
 
 // AfterFunc implements Clock. Callbacks scheduled with a non-positive delay
@@ -123,7 +137,7 @@ func (v *Virtual) after(d time.Duration, f fired, arg uint64) Timer {
 		d = 0
 	}
 	ev := v.alloc()
-	ev.at = v.now.Add(d)
+	ev.at = v.Now().Add(d)
 	ev.seq = v.seq
 	ev.f, ev.arg = f, arg
 	v.seq++
@@ -149,7 +163,7 @@ func (v *Virtual) stop(ev *event, gen uint64) bool {
 // if they fall within the window.
 func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Lock()
-	v.advanceTo(v.now.Add(d))
+	v.advanceTo(v.Now().Add(d))
 	v.mu.Unlock()
 }
 
@@ -203,8 +217,8 @@ func (v *Virtual) advanceTo(t time.Time) int {
 			v.giveScratch(batch)
 			break
 		}
-		if at.After(v.now) {
-			v.now = at
+		if at.After(v.Now()) {
+			v.setNow(at)
 		}
 		v.mu.Unlock()
 		for _, ev := range batch {
@@ -217,8 +231,8 @@ func (v *Virtual) advanceTo(t time.Time) int {
 		}
 		v.giveScratch(batch)
 	}
-	if t.After(v.now) {
-		v.now = t
+	if t.After(v.Now()) {
+		v.setNow(t)
 	}
 	return fired
 }

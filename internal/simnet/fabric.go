@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 )
 
 // Errors returned by the fabric.
@@ -60,8 +62,14 @@ type Fabric struct {
 	// stream end (see FaultPlane).
 	Faults *FaultPlane
 
-	mu    sync.RWMutex
-	hosts map[netip.Addr]*host
+	// Registration is a burst that ends before the first lookup (a world is
+	// built, then crawled), so lookups read a frozen copy of the host table
+	// without a lock. A registration that adds a host only drops the copy,
+	// under the mutex it already holds; the first lookup to find it gone
+	// rebuilds it once — one O(hosts) copy per burst, not one per host.
+	mu     sync.Mutex
+	hosts  map[netip.Addr]*host
+	frozen atomic.Pointer[map[netip.Addr]*host] // nil: hosts has changed since the last copy
 
 	// tasks is the run queue of the run-to-completion scheduler: accepted
 	// HandleTCP connections wait here and run inline on whichever
@@ -71,14 +79,36 @@ type Fabric struct {
 
 // service is one registered TCP listener.
 type service struct {
+	port   uint16
 	h      ConnHandler
 	stream bool // run on an own goroutine instead of the event core
 }
 
+// host is one address's services. What Dial and ExchangeDNS read is an
+// immutable value behind an atomic pointer; a registration replaces it
+// under mu. A host has a handful of ports at most, so a registration copies
+// a short slice and a dial scans one.
 type host struct {
-	mu  sync.RWMutex
-	tcp map[uint16]service
+	mu       sync.Mutex
+	services atomic.Pointer[services]
+}
+
+type services struct {
+	tcp []service
 	dns DNSHandler
+}
+
+// listener returns the service registered on port (the zero service when
+// there is none).
+//
+//tftlint:hotpath
+func (s *services) listener(port uint16) service {
+	for _, svc := range s.tcp {
+		if svc.port == port {
+			return svc
+		}
+	}
+	return service{}
 }
 
 // NewFabric returns an empty network fabric.
@@ -113,20 +143,29 @@ func (f *Fabric) handleTCP(addr netip.Addr, port uint16, h ConnHandler, stream b
 	hst := f.hostFor(addr)
 	hst.mu.Lock()
 	defer hst.mu.Unlock()
-	if h == nil {
-		delete(hst.tcp, port)
-		return
+	old := hst.services.Load()
+	next := &services{dns: old.dns, tcp: make([]service, 0, len(old.tcp)+1)}
+	for _, svc := range old.tcp {
+		if svc.port != port {
+			next.tcp = append(next.tcp, svc)
+		}
 	}
-	hst.tcp[port] = service{h: h, stream: stream}
+	if h != nil {
+		next.tcp = append(next.tcp, service{port: port, h: h, stream: stream})
+	}
+	hst.services.Store(next)
 }
 
 // HandleDNS registers h as the DNS service on addr.
 func (f *Fabric) HandleDNS(addr netip.Addr, h DNSHandler) {
 	hst := f.hostFor(addr)
 	hst.mu.Lock()
-	hst.dns = h
-	hst.mu.Unlock()
+	defer hst.mu.Unlock()
+	hst.services.Store(&services{tcp: hst.services.Load().tcp, dns: h})
 }
+
+// noServices is what a host starts out with.
+var noServices services
 
 // hostFor returns (creating if needed) the host record for addr.
 func (f *Fabric) hostFor(addr netip.Addr) *host {
@@ -134,17 +173,36 @@ func (f *Fabric) hostFor(addr netip.Addr) *host {
 	defer f.mu.Unlock()
 	hst, ok := f.hosts[addr]
 	if !ok {
-		hst = &host{tcp: make(map[uint16]service)}
+		hst = &host{}
+		hst.services.Store(&noServices)
 		f.hosts[addr] = hst
+		f.frozen.Store(nil)
 	}
 	return hst
 }
 
 // lookup returns the host record for addr, or nil.
+//
+//tftlint:hotpath
 func (f *Fabric) lookup(addr netip.Addr) *host {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.hosts[addr]
+	hosts := f.frozen.Load()
+	if hosts == nil {
+		hosts = f.freeze()
+	}
+	return (*hosts)[addr]
+}
+
+// freeze publishes a copy of the host table for lookup to read.
+func (f *Fabric) freeze() *map[netip.Addr]*host {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	hosts := f.frozen.Load()
+	if hosts == nil {
+		copied := maps.Clone(f.hosts)
+		hosts = &copied
+		f.frozen.Store(hosts)
+	}
+	return hosts
 }
 
 // Dial opens an in-memory stream from src to (dst, port). The returned
@@ -167,9 +225,7 @@ func (f *Fabric) Dial(ctx context.Context, src, dst netip.Addr, port uint16) (ne
 	if hst == nil {
 		return nil, fmt.Errorf("%w: %s", ErrHostUnreachable, dst)
 	}
-	hst.mu.RLock()
-	svc := hst.tcp[port]
-	hst.mu.RUnlock()
+	svc := hst.services.Load().listener(port)
 	if svc.h == nil {
 		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, dst, port)
 	}
@@ -207,9 +263,7 @@ func (f *Fabric) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error) 
 	if hst == nil {
 		return nil, fmt.Errorf("%w: %s", ErrHostUnreachable, dst)
 	}
-	hst.mu.RLock()
-	h := hst.dns
-	hst.mu.RUnlock()
+	h := hst.services.Load().dns
 	if h == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoDNSService, dst)
 	}

@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/tftproject/tft/internal/metrics"
 )
 
 // TraceID identifies one request's whole span tree.
@@ -367,12 +369,45 @@ func (s *Span) End() {
 // daemon's footprint.
 const defaultCapacity = 16384
 
-// lastID hands out process-unique span and trace IDs. A single counter
-// shared by every tracer keeps IDs unique even when several worlds (the
-// all-experiments campaign) trace concurrently.
+// lastID hands out process-unique span and trace IDs, a block at a time. A
+// single counter shared by every tracer keeps IDs unique even when several
+// worlds (the all-experiments campaign) trace concurrently.
 var lastID atomic.Uint64
 
-func newID() uint64 { return lastID.Add(1) }
+// IDs are drawn from per-stripe blocks of idBlock, the stripe picked by the
+// calling goroutine (metrics.ShardIndex), so that concurrent workers share
+// one add per block rather than one per span. Values are unique and
+// otherwise no contract: blocks interleave between stripes, and one is
+// dropped part-used when two goroutines on a stripe race to replace it.
+const (
+	numIDStripes = 16
+	idBlock      = 64
+)
+
+// idStripe holds the last ID its stripe handed out (a multiple of idBlock:
+// the block is used up, or was never taken), padded to its own cache line.
+type idStripe struct {
+	last atomic.Uint64
+	_    [56]byte
+}
+
+var idStripes [numIDStripes]idStripe
+
+//tftlint:hotpath
+func newID() uint64 {
+	var probe byte
+	s := &idStripes[metrics.ShardIndex(&probe)%numIDStripes]
+	for {
+		last := s.last.Load()
+		id := last + 1
+		if last%idBlock == 0 {
+			id = lastID.Add(idBlock) - idBlock + 1
+		}
+		if s.last.CompareAndSwap(last, id) {
+			return id
+		}
+	}
+}
 
 // Tracer creates spans and retains finished ones in a fixed-capacity ring
 // (oldest spans are overwritten once the ring wraps; Total reports how
@@ -380,9 +415,12 @@ func newID() uint64 { return lastID.Add(1) }
 type Tracer struct {
 	nowFn func() time.Time
 
-	mu    sync.Mutex
-	buf   []*Span // ended, so frozen: read without their locks
-	total int64
+	// An ended span claims the next ring slot with one add on total and is
+	// stored into it: no lock, and completion order is the order of the adds.
+	// A slot claimed but not yet stored reads as nil, or as the span it is
+	// about to overwrite.
+	buf   []atomic.Pointer[Span] // ended, so frozen: read without their locks
+	total atomic.Int64
 }
 
 // New creates a tracer. now supplies timestamps (nil means the wall
@@ -395,7 +433,7 @@ func New(now func() time.Time, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
-	return &Tracer{nowFn: now, buf: make([]*Span, 0, capacity)}
+	return &Tracer{nowFn: now, buf: make([]atomic.Pointer[Span], capacity)}
 }
 
 func (t *Tracer) now() time.Time {
@@ -440,15 +478,11 @@ func (t *Tracer) start(parent SpanContext, name string, kind Kind, attrs []Attr)
 }
 
 // collect appends an ended span to the ring.
+//
+//tftlint:hotpath
 func (t *Tracer) collect(s *Span) {
-	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, s)
-	} else {
-		t.buf[t.total%int64(cap(t.buf))] = s
-	}
-	t.total++
-	t.mu.Unlock()
+	slot := (t.total.Add(1) - 1) % int64(len(t.buf))
+	t.buf[slot].Store(s)
 }
 
 // Spans returns the retained finished spans in completion order.
@@ -456,18 +490,13 @@ func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanData, 0, len(t.buf))
-	at := 0 // the oldest retained span
-	if t.total > int64(len(t.buf)) {
-		at = int(t.total % int64(cap(t.buf)))
-	}
-	for _, s := range t.buf[at:] {
-		out = append(out, s.data)
-	}
-	for _, s := range t.buf[:at] {
-		out = append(out, s.data)
+	total, size := t.total.Load(), int64(len(t.buf))
+	at := max(total-size, 0) // the oldest retained span
+	out := make([]SpanData, 0, total-at)
+	for ; at < total; at++ {
+		if s := t.buf[at%size].Load(); s != nil {
+			out = append(out, s.data)
+		}
 	}
 	return out
 }
@@ -478,7 +507,5 @@ func (t *Tracer) Total() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.total.Load()
 }

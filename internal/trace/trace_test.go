@@ -136,35 +136,64 @@ func names(spans []SpanData) []string {
 }
 
 // The collector must be race-free under concurrent span creation and End
-// across the wrap boundary (run with -race).
+// across the wrap boundary (run with -race), and lose nothing doing it: a
+// ring slot is claimed with one add and stored without a lock, so a slot
+// claimed and never stored would show as a short window, and IDs come from
+// per-goroutine blocks, so a block handed out twice would show as a
+// duplicate — across tracers too, the blocks being the process's.
 func TestConcurrentCollect(t *testing.T) {
 	const (
-		capacity = 64
-		workers  = 8
-		perW     = 100
+		workers = 8
+		perW    = 100
+		total   = 2 * workers * perW
 	)
-	tr := New(nil, capacity)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				root := tr.StartRoot("root", KindClient, Int("w", int64(w)))
-				child := tr.StartChild(root.Context(), "child", KindAttempt)
-				child.SetAttrs(Int("i", int64(i)))
-				child.SetError("err")
-				child.End()
-				root.End()
+	seen := map[uint64]bool{}
+	for _, capacity := range []int{64, total} {
+		tr := New(nil, capacity)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perW; i++ {
+					root := tr.StartRoot("root", KindClient, Int("w", int64(w)))
+					child := tr.StartChild(root.Context(), "child", KindAttempt)
+					child.SetAttrs(Int("i", int64(i)))
+					child.SetError("err")
+					child.End()
+					root.End()
+				}
+			}(w)
+		}
+		wg.Wait()
+		if got := tr.Total(); got != total {
+			t.Fatalf("total = %d, want %d", got, total)
+		}
+		spans := tr.Spans()
+		if len(spans) != capacity {
+			t.Fatalf("retained = %d, want %d", len(spans), capacity)
+		}
+		retained := map[SpanID]bool{}
+		for _, d := range spans {
+			retained[d.SpanID] = true
+			ids := []uint64{uint64(d.SpanID)}
+			if d.Parent == 0 {
+				ids = append(ids, uint64(d.TraceID)) // a root draws its trace's ID too
 			}
-		}(w)
-	}
-	wg.Wait()
-	if got := tr.Total(); got != 2*workers*perW {
-		t.Fatalf("total = %d, want %d", got, 2*workers*perW)
-	}
-	if got := len(tr.Spans()); got != capacity {
-		t.Fatalf("retained = %d, want %d", got, capacity)
+			for _, id := range ids {
+				if seen[id] {
+					t.Fatalf("ID %d handed out twice", id)
+				}
+				seen[id] = true
+			}
+		}
+		// Every worker ends a child before its root, so a retained child's
+		// root is newer than it and retained too.
+		for _, d := range spans {
+			if d.Parent != 0 && !retained[d.Parent] {
+				t.Fatalf("span %v retained without its parent %v, which ended after it", d.SpanID, d.Parent)
+			}
+		}
 	}
 }
 

@@ -67,15 +67,16 @@ stage() {
 		;;
 	bench)
 		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,
-		# monitoring, SMTP, and the stop-rule ablation's three crawls) plus
-		# the micro-benches of the path every one of them is made of — the
-		# simnet pipe, one proxied GET and one CONNECT end to end over a
-		# fabric, one resolver lookup against the authority: a smoke test
-		# that the default-scale worlds still build and crawl and the fast
-		# path still runs, not a performance measurement. For a reading of
-		# the per-request path without a crawl, run the last two lines with
-		# -benchtime=2s.
-		$GO test -run=NONE -bench='(DNS|HTTP|TLS|Monitor)ExperimentRun$|ExtensionSMTP$|AblationCrawlerStop$' -benchtime=1x .
+		# monitoring, SMTP, the stop-rule ablation's three crawls, and the
+		# one-worker/two-worker scaling pair) plus the micro-benches of the
+		# path every one of them is made of — the simnet pipe, one proxied
+		# GET and one CONNECT end to end over a fabric, one resolver lookup
+		# against the authority: a smoke test that the default-scale worlds
+		# still build and crawl and the fast path still runs, not a
+		# performance measurement. For a reading of the per-request path
+		# without a crawl, run the last two lines with -benchtime=2s; for
+		# what a second worker buys, CrawlWorkers with -benchtime=5x -count=6.
+		$GO test -run=NONE -bench='(DNS|HTTP|TLS|Monitor)ExperimentRun$|ExtensionSMTP$|AblationCrawlerStop$|CrawlWorkers$' -benchtime=1x .
 		$GO test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
 		$GO test -run=NONE -bench='Proxied(GET|CONNECT)$' -benchtime=1x -benchmem ./internal/proxynet
 		$GO test -run=NONE -bench='Lookup$' -benchtime=1x -benchmem ./internal/dnsserver
