@@ -722,9 +722,8 @@ func BenchmarkExtensionLongitudinal(b *testing.B) {
 // analysis aggregates merged after the run, and per-shard streaming
 // dataset writers — with in-memory dataset accumulation disabled, so peak
 // heap is the pipeline's true working set. Alongside ns/op it reports the
-// peak heap sampled during the crawl, the p99 wall-clock probe latency
-// from the probe_duration_seconds histogram, and the measured-node count
-// as custom metrics on the benchmark line.
+// peak heap sampled during the crawl and the measured-node count as custom
+// metrics on the benchmark line.
 func BenchmarkFullScaleDNS(b *testing.B) {
 	const workers = 8
 	for i := 0; i < b.N; i++ {
@@ -732,7 +731,6 @@ func BenchmarkFullScaleDNS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reg := metrics.NewRegistry()
 		shardAgg := make([]*analysis.DNSAnalysis, workers)
 		shardWriters := make([]*dataset.DNSWriter, workers)
 		for s := range shardAgg {
@@ -756,11 +754,7 @@ func BenchmarkFullScaleDNS(b *testing.B) {
 			},
 		}
 		exp.Crawl.Workers = workers
-		exp.Crawl.Metrics = reg
-		// The virtual clock never advances during a DNS crawl, so probe
-		// durations need the wall clock to be meaningful.
-		//tftlint:ignore simclock -- benchmark-only wall-clock probe timing; no measured output depends on it
-		exp.Crawl.Now = time.Now
+		exp.Crawl.Metrics = metrics.NewRegistry()
 		exp.InstallRules(population.WebIP)
 
 		// The flight recorder doubles as the benchmark's heap sampler: the
@@ -804,8 +798,6 @@ func BenchmarkFullScaleDNS(b *testing.B) {
 			b.Fatal("no nodes measured at full scale")
 		}
 
-		h := reg.Snapshot().Histograms["probe_duration_seconds"]
-		b.ReportMetric(h.Quantile(0.99)*1e3, "p99-probe-ms")
 		b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
 		b.ReportMetric(float64(sum.MeasuredNodes), "nodes")
 	}

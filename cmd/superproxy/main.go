@@ -15,10 +15,9 @@
 //
 // -metrics-addr mounts the statusz introspection surface: /statusz,
 // /metrics (Prometheus text exposition; ?format=json for the snapshot),
-// /traces (recent request spans, ?kind=/?zid= filters), /events (the crawl
-// event ring), and — with -pprof — net/http/pprof. Logging is structured
-// (log/slog); records emitted while serving a traced request carry its
-// trace and span IDs.
+// /traces (recent request spans, ?kind=/?zid= filters), and — with -pprof —
+// net/http/pprof. Logging is structured (log/slog); records emitted while
+// serving a traced request carry its trace and span IDs.
 package main
 
 import (

@@ -6,7 +6,7 @@
 //	tft [-experiment dns|http|tls|monitor|smtp|longitudinal|all]
 //	    [-scale 0.05] [-seed N] [-workers 8] [-report]
 //	    [-chaos flaky-exits|lossy-links|slow-network]
-//	    [-metrics] [-metrics-json] [-events-json] [-events-kind violation]
+//	    [-metrics] [-metrics-json]
 //	    [-trace out.json] [-trace-jsonl out.jsonl]
 //	    [-progress] [-progress-jsonl out.jsonl] [-progress-interval 1s]
 //	    [-stall-after 2m] [-status-addr :8080]
@@ -25,13 +25,14 @@
 // Every experiment implements the tft.Run interface, so the single-
 // experiment and all-experiment paths share one printing loop. -metrics
 // appends the crawl-engine metrics table per run; -metrics-json dumps the
-// raw snapshots as expvar-style JSON to stdout; -events-json dumps each
-// run's event ring as JSONL (filter with -events-kind).
+// raw snapshots as expvar-style JSON to stdout.
 //
 // -trace writes every run's spans as Chrome trace_event JSON — open it at
 // ui.perfetto.dev or chrome://tracing to see each probe's client → super
 // proxy → exit node span tree. -trace-jsonl writes the same spans one JSON
-// object per line for grep/jq pipelines.
+// object per line for grep/jq pipelines; each probe's root span (kind
+// "client") is its record: session, country, zid, outcome and, when the
+// probe found one, violation.
 //
 // -progress attaches the flight recorder and rewrites a live stderr line
 // (done/total, throughput, ETA, heap, goroutines). -progress-jsonl streams
@@ -49,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -92,8 +92,6 @@ func main() {
 		dump        = flag.String("dump", "", "directory to write the dataset release into (all experiments only)")
 		showMetrics = flag.Bool("metrics", false, "print each run's crawl-engine metrics table")
 		metricsJSON = flag.Bool("metrics-json", false, "dump each run's metrics snapshot as JSON to stdout")
-		eventsJSON  = flag.Bool("events-json", false, "dump each run's event ring as JSONL to stdout")
-		eventsKind  = flag.String("events-kind", "", "filter -events-json to one event kind (e.g. violation)")
 		traceOut    = flag.String("trace", "", "write all runs' spans as Chrome trace_event JSON to this file")
 		traceJSONL  = flag.String("trace-jsonl", "", "write all runs' spans as JSONL to this file")
 
@@ -104,22 +102,6 @@ func main() {
 		statusAddr    = flag.String("status-addr", "", "serve the statusz introspection surface (incl. /progressz) on this address while running")
 	)
 	flag.Parse()
-
-	var eventKinds []metrics.EventKind
-	if *eventsKind != "" {
-		k, ok := metrics.ParseEventKind(*eventsKind)
-		if !ok {
-			var names []string
-			for _, kk := range metrics.EventKinds() {
-				names = append(names, kk.String())
-			}
-			sort.Strings(names)
-			fmt.Fprintf(os.Stderr, "tft: unknown event kind %q (valid: %s)\n",
-				*eventsKind, strings.Join(names, ", "))
-			os.Exit(2)
-		}
-		eventKinds = append(eventKinds, k)
-	}
 
 	opts := tft.Options{Seed: *seed, Scale: *scale, Workers: *workers, Chaos: *chaos}
 	ctx := context.Background()
@@ -183,11 +165,6 @@ func main() {
 				exitOn(err)
 			}
 			fmt.Println()
-		}
-		if *eventsJSON {
-			if err := run.Metrics().WriteEventsJSONL(os.Stdout, eventKinds...); err != nil {
-				exitOn(err)
-			}
 		}
 		allSpans = append(allSpans, run.Spans()...)
 		if m := run.Manifest(); m != nil {

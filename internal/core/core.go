@@ -30,7 +30,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
@@ -45,8 +44,8 @@ import (
 type Budget struct {
 	// MaxBytes per zID; zero means the paper's 1 MB.
 	MaxBytes int64
-	// Metrics, when non-nil, receives the charged-byte counter and a
-	// budget-exhausted event the first time each node crosses the cap.
+	// Metrics, when non-nil, receives the charged-byte counter and counts
+	// each node once when it first crosses the cap.
 	Metrics *metrics.Registry
 
 	mu   sync.Mutex
@@ -76,8 +75,6 @@ func (b *Budget) Charge(zid string, n int) bool {
 	b.Metrics.Counter("budget_charged_bytes").Add(int64(n))
 	if before <= b.MaxBytes && after > b.MaxBytes {
 		b.Metrics.Counter("budget_exhausted_total").Inc()
-		b.Metrics.Record(metrics.Event{Kind: metrics.EventBudgetExhausted,
-			ZID: zid, Value: float64(after)})
 	}
 	return after <= b.MaxBytes
 }
@@ -118,7 +115,7 @@ type CrawlConfig struct {
 	MaxSessions int
 	// Metrics, when non-nil, receives the crawl's live telemetry: session
 	// and novelty counters, per-country session counts, the stop-rule
-	// window trajectory, and the typed event trace. A nil registry
+	// window trajectory, and why the crawl stopped. A nil registry
 	// disables instrumentation at the cost of a nil check.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, wraps every measurement session in a client
@@ -130,11 +127,6 @@ type CrawlConfig struct {
 	// so a Sampler can expose live done/total, rates, and ETA while the
 	// crawl runs. Nil disables progress reporting.
 	Progress *progress.Tracker
-	// Now, when non-nil, timestamps each probe so its duration feeds the
-	// probe_duration_seconds histogram. Simulated runs inject the world's
-	// virtual clock; benchmarks may inject a wall clock to measure real
-	// per-probe latency. Nil disables probe timing.
-	Now func() time.Time
 }
 
 // withDefaults fills unset fields.
@@ -162,16 +154,16 @@ type crawler struct {
 	cum       []int // cumulative weights
 	totalW    int
 
-	mu            sync.Mutex
-	rng           *rand.Rand
-	seen          map[string]bool
-	recent        []bool
-	recentAt      int
-	filled        int
-	newInWin      int
-	sessions      int
-	stopped       bool
-	stopEventDone bool
+	mu          sync.Mutex
+	rng         *rand.Rand
+	seen        map[string]bool
+	recent      []bool
+	recentAt    int
+	filled      int
+	newInWin    int
+	sessions    int
+	stopped     bool
+	stopCounted bool
 
 	// Cached instrument handles; all nil-safe no-ops when cfg.Metrics is
 	// nil, so the hot path never branches on telemetry being enabled.
@@ -181,7 +173,6 @@ type crawler struct {
 	mByCountry  *metrics.LabeledCounter
 	mWindowNew  *metrics.Gauge
 	mWindowRate *metrics.Histogram
-	mProbeSecs  *metrics.Histogram
 }
 
 // newCrawler builds a crawler over the service-reported country weights.
@@ -212,17 +203,7 @@ func newCrawler(cfg CrawlConfig, weights map[geo.CountryCode]int, rng *rand.Rand
 		mByCountry:  m.Labeled("crawl_sessions_by_country"),
 		mWindowNew:  m.Gauge("crawl_window_new"),
 		mWindowRate: m.Histogram("crawl_window_new_rate", windowRateBounds),
-		mProbeSecs:  m.Histogram("probe_duration_seconds", probeSecondsBounds),
 	}
-}
-
-// probeSecondsBounds bucket per-probe durations. The sub-millisecond
-// buckets resolve in-process simulated probes under a wall clock; the upper
-// buckets cover virtual-clock worlds where middlebox delays advance
-// simulated time.
-var probeSecondsBounds = []float64{
-	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3,
-	0.01, 0.05, 0.1, 0.5, 1, 5, 30,
 }
 
 // windowRateBounds bucket the stop-rule window's new-node rate; the 0.05
@@ -264,19 +245,16 @@ func (c *crawler) next(ctx context.Context) (geo.CountryCode, string, bool) {
 	cc := c.countries[idx]
 	c.mSessions.Inc()
 	c.mByCountry.Inc(string(cc))
-	c.cfg.Metrics.Record(metrics.Event{Kind: metrics.EventSessionStarted,
-		Session: id, Country: string(cc)})
 	return cc, id, true
 }
 
-// recordStop emits the crawl-stopped event once. Callers hold c.mu.
+// recordStop counts why the crawl stopped, once. Callers hold c.mu.
 func (c *crawler) recordStop(reason string) {
-	if c.stopEventDone {
+	if c.stopCounted {
 		return
 	}
-	c.stopEventDone = true
-	c.cfg.Metrics.Record(metrics.Event{Kind: metrics.EventCrawlStopped,
-		Detail: reason, Value: float64(c.sessions)})
+	c.stopCounted = true
+	c.cfg.Metrics.Labeled("crawl_stopped_total").Inc(reason)
 }
 
 // observe records a measured zID, returning false when this node was
@@ -288,10 +266,8 @@ func (c *crawler) observe(zid string) bool {
 	if isNew {
 		c.seen[zid] = true
 		c.mNodes.Inc()
-		c.cfg.Metrics.Record(metrics.Event{Kind: metrics.EventNodeDiscovered, ZID: zid})
 	} else {
 		c.mDuplicates.Inc()
-		c.cfg.Metrics.Record(metrics.Event{Kind: metrics.EventDuplicateNode, ZID: zid})
 	}
 	// Ring buffer of recent novelty outcomes.
 	if c.filled == len(c.recent) {
@@ -310,9 +286,7 @@ func (c *crawler) observe(zid string) bool {
 	if c.filled == len(c.recent) && c.recentAt == 0 {
 		// One trajectory sample per full window turn: how fast is the
 		// crawl still finding new nodes?
-		rate := float64(c.newInWin) / float64(len(c.recent))
-		c.mWindowRate.Observe(rate)
-		c.cfg.Metrics.Record(metrics.Event{Kind: metrics.EventStopWindow, Value: rate})
+		c.mWindowRate.Observe(float64(c.newInWin) / float64(len(c.recent)))
 	}
 	if c.filled == len(c.recent) &&
 		float64(c.newInWin) < c.cfg.StopNewRate*float64(len(c.recent)) {
@@ -361,24 +335,29 @@ const (
 	numOutcomes
 )
 
-// outcomeNames are the span-attribute and event-filter spellings.
+// outcomeNames are the span-attribute spellings.
 var outcomeNames = [numOutcomes]string{"ok", "failed", "duplicate", "discarded", "faulted"}
 
-// String names the outcome for span attributes and event filters.
+// String names the outcome for span attributes.
 func (o outcome) String() string { return outcomeNames[o] }
 
-// traceProbe opens the client-side root span for one measurement session.
-// The returned context parents everything the proxy chain does for the
-// probe; done stamps the measured zID and outcome, then closes the span.
-// With a nil CrawlConfig.Tracer both are cheap no-ops.
-func (c *crawler) traceProbe(ctx context.Context, name string, cc geo.CountryCode, sess string) (context.Context, func(zid string, oc outcome)) {
+// traceProbe opens the client-side root span for one measurement session —
+// the one per-probe record. The returned context parents everything the
+// proxy chain does for the probe; done stamps the measured zID, the outcome
+// and, when the probe found one, the violation, then closes the span. A
+// clean probe's four attributes fit the span's inline storage; only a
+// violating one spills. With a nil CrawlConfig.Tracer both are cheap no-ops.
+func (c *crawler) traceProbe(ctx context.Context, name string, cc geo.CountryCode, sess string) (context.Context, func(zid string, oc outcome, violation string)) {
 	span := c.cfg.Tracer.StartRoot(name, trace.KindClient,
 		trace.Str("session", sess), trace.Str("country", string(cc)))
-	return trace.NewContext(ctx, span.Context()), func(zid string, oc outcome) {
+	return trace.NewContext(ctx, span.Context()), func(zid string, oc outcome, violation string) {
 		if zid != "" {
 			span.SetAttrs(trace.Str("zid", zid))
 		}
 		span.SetAttrs(trace.Str("outcome", oc.String()))
+		if violation != "" {
+			span.SetAttrs(trace.Str("violation", violation))
+		}
 		switch oc {
 		case outcomeFailed:
 			span.SetError("probe_failed")
@@ -394,8 +373,7 @@ func (c *crawler) traceProbe(ctx context.Context, name string, cc geo.CountryCod
 // index, a country, and a session ID, and must do its own recording; a
 // given shard's calls are sequential, so per-shard state needs no
 // synchronization. Cancellation is checked before every session hand-out,
-// so each worker finishes at most the session it is in. With a non-nil
-// cfg.Now each probe's duration is observed into probe_duration_seconds.
+// so each worker finishes at most the session it is in.
 func (c *crawler) runWorkers(ctx context.Context, measure func(shard int, cc geo.CountryCode, session string)) {
 	var wg sync.WaitGroup
 	for w := 0; w < c.cfg.Workers; w++ {
@@ -408,13 +386,7 @@ func (c *crawler) runWorkers(ctx context.Context, measure func(shard int, cc geo
 					return
 				}
 				c.cfg.Progress.Probe(shard)
-				if c.cfg.Now == nil {
-					measure(shard, cc, sess)
-					continue
-				}
-				start := c.cfg.Now()
 				measure(shard, cc, sess)
-				c.mProbeSecs.Observe(c.cfg.Now().Sub(start).Seconds())
 			}
 		}(w)
 	}
@@ -494,12 +466,12 @@ type crawlSpec[T comparable] struct {
 	// cr.observe on the zID it discovers and return outcomeDuplicate when
 	// that reports a revisit; T's zero value stands for "no record".
 	measure func(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (T, outcome)
-	// id names a record's node: the zID is the merge key and the span
-	// attribute, the country labels violation events.
-	id func(T) (zid string, country geo.CountryCode)
+	// zid names a record's node: the merge key and the span attribute.
+	zid func(T) string
 	// violation, when non-nil, flags records that show the end-to-end
 	// violation the experiment looks for; each bumps violationCounter and
-	// emits an EventViolation carrying violationDetail.
+	// stamps violationDetail on the session's root span. A spec that sets
+	// the hook sets both names.
 	violation                         func(T) bool
 	violationCounter, violationDetail string
 	// onOK, when non-nil, sees every successful record on its worker's
@@ -565,12 +537,14 @@ func runCrawl[T comparable](ctx context.Context, cfg CrawlConfig, weights map[ge
 	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
 		pctx, done := cr.traceProbe(ctx, spanName, cc, sess)
 		obs, oc := x.measure(pctx, cr, cc, sess)
-		var zid string
-		var country geo.CountryCode
+		var zid, violation string
 		if obs != none {
-			zid, country = x.id(obs)
+			zid = x.zid(obs)
 		}
-		done(zid, oc)
+		if oc == outcomeOK && x.violation != nil && x.violation(obs) {
+			violation = x.violationDetail
+		}
+		done(zid, oc, violation)
 		sink := &shards[shard]
 		sink.tallies[oc]++
 		switch oc {
@@ -579,12 +553,9 @@ func runCrawl[T comparable](ctx context.Context, cfg CrawlConfig, weights map[ge
 			if x.onOK != nil {
 				x.onOK(shard, obs)
 			}
-			if x.violation != nil && x.violation(obs) {
+			if violation != "" {
 				prog.Violation(shard)
 				m.Counter(x.violationCounter).Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: zid, Country: string(country),
-					Detail: x.violationDetail})
 			}
 			if x.sink != nil {
 				x.sink(shard, obs)
@@ -605,7 +576,7 @@ func runCrawl[T comparable](ctx context.Context, cfg CrawlConfig, weights map[ge
 			m.Counter("fault_probes_total").Inc()
 		}
 	})
-	ds := mergeShards(shards, func(o T) string { zid, _ := x.id(o); return zid })
+	ds := mergeShards(shards, x.zid)
 	ds.Crawl = cr.stats()
 	ds.Crawl.Faulted = ds.Faults
 	return ds, ctx.Err()

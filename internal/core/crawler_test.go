@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"github.com/tftproject/tft/internal/geo"
+	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/simnet"
 )
 
@@ -87,7 +88,8 @@ func TestCrawlerEmptyWeights(t *testing.T) {
 }
 
 func TestCrawlerMaxSessionsCap(t *testing.T) {
-	cr := newCrawler(CrawlConfig{Window: 1 << 20, MaxSessions: 37},
+	reg := metrics.NewRegistry()
+	cr := newCrawler(CrawlConfig{Window: 1 << 20, MaxSessions: 37, Metrics: reg},
 		map[geo.CountryCode]int{"DE": 1}, simnet.NewRand(5))
 	n := 0
 	for {
@@ -104,6 +106,9 @@ func TestCrawlerMaxSessionsCap(t *testing.T) {
 	if cr.stats().StoppedByRule {
 		t.Fatal("cap stop misreported as rule stop")
 	}
+	// Asking again at the cap does not count a second stop.
+	cr.next(context.Background())
+	wantStopReason(t, reg, "session_cap")
 }
 
 // Property: budget accounting is exact under concurrency.

@@ -101,7 +101,7 @@ func (e *DNSExperiment) Run(ctx context.Context) (*DNSDataset, error) {
 	return runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*DNSObservation]{
 		name: "dns", stream: "crawl/dns",
 		measure:          e.measure,
-		id:               func(o *DNSObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		zid:              func(o *DNSObservation) string { return o.ZID },
 		violation:        func(o *DNSObservation) bool { return o.Hijacked },
 		violationCounter: "dns_hijacked_total", violationDetail: "dns_hijack",
 		onOK: func(_ int, o *DNSObservation) {

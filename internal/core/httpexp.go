@@ -146,7 +146,7 @@ func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
 		measure: func(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*HTTPObservation, outcome) {
 			return e.measure(ctx, cr, cc, sess, kinds, &mu, asCount, asFlagged)
 		},
-		id:               func(o *HTTPObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		zid:              func(o *HTTPObservation) string { return o.ZID },
 		violation:        (*HTTPObservation).AnyModified,
 		violationCounter: "http_modified_total", violationDetail: "http_modified",
 		onOK: func(_ int, o *HTTPObservation) {

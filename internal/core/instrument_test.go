@@ -42,8 +42,15 @@ func TestBudgetChargeConcurrentMetrics(t *testing.T) {
 	if got := s.Counter("budget_exhausted_total"); got != 1 {
 		t.Fatalf("exhausted counter = %d, want 1", got)
 	}
-	if got := len(s.EventsOfKind(metrics.EventBudgetExhausted)); got != 1 {
-		t.Fatalf("exhausted events = %d, want 1", got)
+}
+
+// wantStopReason requires the crawl behind reg to have counted exactly one
+// stop, under reason.
+func wantStopReason(t *testing.T, reg *metrics.Registry, reason string) {
+	t.Helper()
+	stops := reg.Snapshot().Labeled["crawl_stopped_total"]
+	if len(stops) != 1 || stops[reason] != 1 {
+		t.Fatalf("crawl_stopped_total = %v, want one %s", stops, reason)
 	}
 }
 
@@ -116,10 +123,8 @@ func TestCrawlerCancellationMidCrawl(t *testing.T) {
 	if st.StoppedByRule {
 		t.Fatal("cancellation misreported as a rule stop")
 	}
-	stops := reg.Snapshot().EventsOfKind(metrics.EventCrawlStopped)
-	if len(stops) != 1 || stops[0].Detail != "context_cancelled" {
-		t.Fatalf("stop events = %+v, want one context_cancelled", stops)
-	}
+	// Every worker's next() saw the cancellation; it is counted once.
+	wantStopReason(t, reg, "context_cancelled")
 }
 
 // The crawler's counters must agree with its stats under a concurrent
@@ -160,6 +165,7 @@ func TestCrawlerMetricsMatchStats(t *testing.T) {
 	if !st.StoppedByRule {
 		t.Fatal("crawl did not stop by rule")
 	}
+	wantStopReason(t, reg, "stop_rule")
 	if s.Histograms["crawl_window_new_rate"].Count == 0 {
 		t.Fatal("no stop-rule window trajectory samples")
 	}

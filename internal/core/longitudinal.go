@@ -29,7 +29,7 @@ type Wave struct {
 	Hijacked int
 	// Metrics is the wave's own telemetry snapshot: each wave crawls
 	// against a fresh registry, so per-wave session counts, stop-rule
-	// trajectories, and violation events stay comparable across waves.
+	// trajectories, and violation counts stay comparable across waves.
 	Metrics *metrics.Snapshot
 }
 

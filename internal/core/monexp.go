@@ -7,7 +7,6 @@ import (
 
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/proxynet"
 	"github.com/tftproject/tft/internal/simnet"
@@ -87,7 +86,7 @@ func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 	ds, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*MonObservation]{
 		name: "monitor", stream: "crawl/mon",
 		measure: e.fetch,
-		id:      func(o *MonObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		zid:     func(o *MonObservation) string { return o.ZID },
 	})
 
 	// Monitors schedule their refetches on the virtual clock; advancing
@@ -102,9 +101,6 @@ func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 			prog.Violation(0)
 			m.Counter("monitor_monitored_total").Inc()
 			m.Counter("monitor_unexpected_requests_total").Add(int64(len(obs.Unexpected)))
-			m.Record(metrics.Event{Kind: metrics.EventViolation,
-				ZID: obs.ZID, Country: string(obs.Country), Detail: "monitored",
-				Value: float64(len(obs.Unexpected))})
 		}
 	}
 	return ds, err

@@ -57,7 +57,7 @@ func (e *SMTPExperiment) Run(ctx context.Context) (*SMTPDataset, error) {
 	return runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*SMTPObservation]{
 		name: "smtp", stream: "crawl/smtp",
 		measure:          e.measure,
-		id:               func(o *SMTPObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		zid:              func(o *SMTPObservation) string { return o.ZID },
 		violation:        func(o *SMTPObservation) bool { return !o.Blocked && !o.StartTLS },
 		violationCounter: "smtp_stripped_total", violationDetail: "smtp_starttls_stripped",
 		onOK: func(_ int, o *SMTPObservation) {

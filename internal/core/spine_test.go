@@ -11,6 +11,7 @@ import (
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/progress"
+	"github.com/tftproject/tft/internal/trace"
 )
 
 // toyObs is the record of a sixth, test-only experiment: everything a new
@@ -18,7 +19,6 @@ import (
 // and the crawlSpec literal in the test below.
 type toyObs struct {
 	zid     string
-	country geo.CountryCode
 	flagged bool
 }
 
@@ -29,7 +29,7 @@ const toySessions = 350
 // third one flagged as a violation), 5 fails, 6 revisits one shared node
 // (new exactly once, a duplicate ever after), 7 is discarded after the
 // node was identified, 8 dies to a transport fault, 9 fails.
-func toyMeasure(_ context.Context, cr *crawler, cc geo.CountryCode, sess string) (*toyObs, outcome) {
+func toyMeasure(_ context.Context, cr *crawler, _ geo.CountryCode, sess string) (*toyObs, outcome) {
 	n, err := strconv.Atoi(sess[1:])
 	if err != nil {
 		panic(err)
@@ -40,7 +40,7 @@ func toyMeasure(_ context.Context, cr *crawler, cc geo.CountryCode, sess string)
 	case 8:
 		return nil, outcomeFault
 	}
-	obs := &toyObs{zid: fmt.Sprintf("z%05d", n*7919%10007), country: cc, flagged: n%3 == 0}
+	obs := &toyObs{zid: fmt.Sprintf("z%05d", n*7919%10007), flagged: n%3 == 0}
 	if n%10 == 6 {
 		obs.zid, obs.flagged = "shared", false
 	}
@@ -81,22 +81,24 @@ func toyWant(n int) (want [numOutcomes]int, violations int) {
 
 // TestCrawlSpineToyExperiment drives runCrawl with a scripted sixth
 // experiment and requires every session to land exactly once — in the
-// dataset tallies, the flight recorder and the named counters alike — and
-// the merged observations to come back zID-sorted for any worker count.
+// dataset tallies, the flight recorder, the named counters and the root
+// spans alike — and the merged observations to come back zID-sorted for any
+// worker count.
 func TestCrawlSpineToyExperiment(t *testing.T) {
 	want, wantViolations := toyWant(toySessions)
 	for _, workers := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			reg, prog := metrics.NewRegistry(), progress.NewTracker()
+			tracer := trace.New(nil, 2*toySessions) // retains every span
 			onOK, sunk := make([]int, workers), make([]int, workers)
 			ds, err := runCrawl(context.Background(),
 				CrawlConfig{Workers: workers, Window: 10 * toySessions, MaxSessions: toySessions,
-					Metrics: reg, Progress: prog},
+					Metrics: reg, Progress: prog, Tracer: tracer},
 				map[geo.CountryCode]int{"DE": 3, "US": 5}, testSeed,
 				crawlSpec[*toyObs]{
 					name: "toy", stream: "crawl/toy",
 					measure:          toyMeasure,
-					id:               func(o *toyObs) (string, geo.CountryCode) { return o.zid, o.country },
+					zid:              func(o *toyObs) string { return o.zid },
 					violation:        func(o *toyObs) bool { return o.flagged },
 					violationCounter: "toy_flagged_total", violationDetail: "toy_flagged",
 					onOK:             func(shard int, _ *toyObs) { onOK[shard]++ },
@@ -143,9 +145,25 @@ func TestCrawlSpineToyExperiment(t *testing.T) {
 					t.Errorf("%s = %d, want %d", name, got, n)
 				}
 			}
-			events := snap.EventsOfKind(metrics.EventViolation)
-			if len(events) != wantViolations || events[0].Detail != "toy_flagged" {
-				t.Errorf("%d violation events, want %d with detail toy_flagged", len(events), wantViolations)
+			// One root span a session, carrying its outcome and — on exactly
+			// the flagged records — the verdict.
+			var gotSpans [numOutcomes]int
+			violating := 0
+			for _, sp := range tracer.Spans() {
+				if sp.Name != "probe.toy" || sp.Kind != trace.KindClient {
+					t.Fatalf("unexpected span %+v", sp)
+				}
+				gotSpans[slices.Index(outcomeNames[:], sp.Str("outcome"))]++
+				if v := sp.Str("violation"); v != "" {
+					violating++
+					if v != "toy_flagged" || sp.Str("outcome") != "ok" || sp.Str("zid") == "" {
+						t.Errorf("violating span %+v", sp)
+					}
+				}
+			}
+			if gotSpans != want || violating != wantViolations {
+				t.Errorf("root spans by outcome = %v with %d violations, want %v with %d",
+					gotSpans, violating, want, wantViolations)
 			}
 			for shard := range onOK {
 				if onOK[shard] != sunk[shard] || int64(sunk[shard]) != st.Shards[shard].Done {

@@ -129,7 +129,7 @@ func (e *TLSExperiment) Run(ctx context.Context) (*TLSDataset, error) {
 	crawl, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*TLSObservation]{
 		name: "tls", stream: "crawl/tls",
 		measure:          e.measure,
-		id:               func(o *TLSObservation) (string, geo.CountryCode) { return o.ZID, o.Country },
+		zid:              func(o *TLSObservation) string { return o.ZID },
 		violation:        (*TLSObservation).AnyReplaced,
 		violationCounter: "tls_replaced_total", violationDetail: "tls_cert_replaced",
 		onOK: func(_ int, o *TLSObservation) {

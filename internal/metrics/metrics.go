@@ -1,6 +1,6 @@
 // Package metrics is the crawl engine's observability substrate: a small,
 // dependency-free registry of counters, gauges, fixed-bucket histograms,
-// and labeled counters, plus a typed crawl-event trace (trace.go).
+// and labeled counters.
 //
 // Two properties shape the design:
 //
@@ -227,9 +227,9 @@ func (lc *LabeledCounter) Values() map[string]int64 {
 	return out
 }
 
-// Registry names and owns a process's metrics. The zero value is not
-// usable; construct with NewRegistry. A nil *Registry is a valid no-op
-// sink: every accessor returns a nil instrument whose methods do nothing.
+// Registry names and owns a process's metrics; construct with NewRegistry.
+// A nil *Registry is a valid no-op sink: every accessor returns a nil
+// instrument whose methods do nothing.
 //
 // A process creates a few dozen instruments, each once, and then looks them
 // up by name on every request, so a lookup reads an immutable map without a
@@ -240,7 +240,6 @@ type Registry struct {
 	gauges     byName[Gauge]
 	histograms byName[Histogram]
 	labeled    byName[LabeledCounter]
-	trace      *Trace
 }
 
 // byName is one kind of instrument, by name.
@@ -268,11 +267,8 @@ func (b *byName[T]) add(name string, v *T) {
 	b.m.Store(&next)
 }
 
-// NewRegistry creates an empty registry with a default-capacity event
-// trace.
-func NewRegistry() *Registry {
-	return &Registry{trace: newTrace(defaultTraceCap)}
-}
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the named counter, creating it on first use.
 //
@@ -353,12 +349,4 @@ func (r *Registry) Labeled(name string) *LabeledCounter {
 		r.labeled.add(name, lc)
 	}
 	return lc
-}
-
-// Record appends an event to the registry's trace.
-func (r *Registry) Record(e Event) {
-	if r == nil {
-		return
-	}
-	r.trace.record(e)
 }

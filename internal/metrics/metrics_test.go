@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -125,7 +124,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Gauge("y").Add(1)
 	r.Histogram("z", []float64{1}).Observe(0.5)
 	r.Labeled("l").Inc("DE")
-	r.Record(Event{Kind: EventViolation})
 	if v := r.Counter("x").Value(); v != 0 {
 		t.Fatalf("nil counter = %d", v)
 	}
@@ -133,62 +131,11 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Fatalf("nil labeled = %d", v)
 	}
 	s := r.Snapshot()
-	if s == nil || len(s.Counters) != 0 || s.EventsTotal != 0 {
+	if s == nil || len(s.Counters) != 0 || len(s.Labeled) != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
 	if s.Counter("anything") != 0 || len(s.TopLabels("l", 5)) != 0 {
 		t.Fatal("empty snapshot accessors broken")
-	}
-}
-
-func TestTraceRingWraparound(t *testing.T) {
-	tr := newTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.record(Event{Kind: EventSessionStarted, Session: fmt.Sprintf("s%d", i)})
-	}
-	ev := tr.Events()
-	if len(ev) != 4 {
-		t.Fatalf("retained = %d", len(ev))
-	}
-	// Chronological order, oldest retained first.
-	for i, e := range ev {
-		wantSeq := int64(6 + i)
-		if e.Seq != wantSeq || e.Session != fmt.Sprintf("s%d", wantSeq) {
-			t.Fatalf("event %d = %+v, want seq %d", i, e, wantSeq)
-		}
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-}
-
-func TestTraceUnderCapacity(t *testing.T) {
-	tr := newTrace(8)
-	tr.record(Event{Kind: EventNodeDiscovered, ZID: "z1"})
-	tr.record(Event{Kind: EventDuplicateNode, ZID: "z1"})
-	ev := tr.Events()
-	if len(ev) != 2 || ev[0].Seq != 0 || ev[1].Seq != 1 {
-		t.Fatalf("events = %+v", ev)
-	}
-}
-
-func TestTraceConcurrent(t *testing.T) {
-	r := NewRegistry()
-	const workers, perWorker = 8, 300
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				r.Record(Event{Kind: EventNodeDiscovered})
-			}
-		}()
-	}
-	wg.Wait()
-	s := r.Snapshot()
-	if s.EventsTotal != workers*perWorker {
-		t.Fatalf("events total = %d", s.EventsTotal)
 	}
 }
 
@@ -198,7 +145,6 @@ func TestSnapshotJSON(t *testing.T) {
 	r.Gauge("crawl_window_new").Set(3)
 	r.Histogram("window_rate", []float64{0.05, 0.5}).Observe(0.2)
 	r.Labeled("sessions_by_country").Add("MY", 2)
-	r.Record(Event{Kind: EventViolation, ZID: "z42", Detail: "dns_hijack"})
 
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -208,7 +154,7 @@ func TestSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	for _, want := range []string{"crawl_sessions_total", "sessions_by_country", `"kind": "violation"`, `"zid": "z42"`} {
+	for _, want := range []string{"crawl_sessions_total", "crawl_window_new", "window_rate", "sessions_by_country", `"MY": 2`} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("JSON missing %q:\n%s", want, buf.String())
 		}
@@ -239,7 +185,6 @@ func TestSnapshotConcurrentWithWriters(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Counter("c").Inc()
 				r.Labeled("l").Inc("x")
-				r.Record(Event{Kind: EventSessionStarted})
 			}
 		}()
 	}
@@ -248,7 +193,7 @@ func TestSnapshotConcurrentWithWriters(t *testing.T) {
 	}
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Counter("c") != workers*perWorker || s.EventsTotal != workers*perWorker {
-		t.Fatalf("snapshot missed writes: %+v, events %d", s.Counters, s.EventsTotal)
+	if s.Counter("c") != workers*perWorker || s.Labeled["l"]["x"] != workers*perWorker {
+		t.Fatalf("snapshot missed writes: %+v %+v", s.Counters, s.Labeled)
 	}
 }

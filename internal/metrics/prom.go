@@ -44,8 +44,7 @@ func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // format (version 0.0.4): counters and labeled counters as counter
 // families, gauges as gauges, histograms as cumulative le-bucketed
 // histogram families with _sum and _count. Output is sorted and
-// deterministic; tft_events_total is always present, so the exposition is
-// never empty.
+// deterministic.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	if s == nil {
 		s = &Snapshot{}
@@ -56,8 +55,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 		n := promName(name)
 		fmt.Fprintf(&sb, "# TYPE %s counter\n%s %d\n", n, n, s.Counters[name])
 	}
-	n := promPrefix + "events_total"
-	fmt.Fprintf(&sb, "# TYPE %s counter\n%s %d\n", n, n, s.EventsTotal)
 
 	for _, name := range sortedNames(s.Gauges) {
 		n := promName(name)
@@ -91,8 +88,8 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// WritePrometheus snapshots the registry and renders the exposition. A nil
-// registry yields the minimal valid exposition.
+// WritePrometheus snapshots the registry and renders the exposition; a nil
+// registry's is empty.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	return r.Snapshot().WritePrometheus(w)
 }

@@ -2,11 +2,9 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -61,7 +59,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 		h.Observe(v)
 	}
 	r.Labeled("crawl_sessions_by_country").Inc(`DE"e\x` + "\n")
-	r.Record(Event{Kind: EventViolation, ZID: "z1"})
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -86,7 +83,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 	for _, want := range []string{
 		"tft_crawl_sessions_total 7",
-		"tft_events_total 1",
 		"tft_crawl_window_new 3",
 		`tft_probe_latency_bucket{le="0.1"} 1`,
 		`tft_probe_latency_bucket{le="0.5"} 3`,
@@ -101,103 +97,13 @@ func TestWritePrometheusFormat(t *testing.T) {
 		}
 	}
 
-	// A nil registry still produces the minimal valid exposition.
+	// A nil registry's exposition is empty, which is valid.
 	buf.Reset()
 	var nilReg *Registry
 	if err := nilReg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "tft_events_total 0") {
+	if buf.Len() != 0 {
 		t.Fatalf("nil registry exposition = %q", buf.String())
-	}
-}
-
-// ParseEventKind inverts String for every kind and rejects unknowns.
-func TestParseEventKind(t *testing.T) {
-	for k := EventSessionStarted; k <= EventCrawlStopped; k++ {
-		got, ok := ParseEventKind(k.String())
-		if !ok || got != k {
-			t.Fatalf("ParseEventKind(%q) = %v, %v", k.String(), got, ok)
-		}
-	}
-	if _, ok := ParseEventKind("no_such_kind"); ok {
-		t.Fatal("unknown kind parsed")
-	}
-}
-
-// WriteEventsJSONL emits one decodable object per line and honours the
-// kind filter.
-func TestWriteEventsJSONL(t *testing.T) {
-	r := NewRegistry()
-	r.Record(Event{Kind: EventSessionStarted, Session: "s1"})
-	r.Record(Event{Kind: EventViolation, ZID: "z1", Detail: "dns_hijack"})
-	r.Record(Event{Kind: EventSessionStarted, Session: "s2"})
-
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteEventsJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d, want 3", len(lines))
-	}
-	var e struct {
-		Seq  int64  `json:"seq"`
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Kind != "violation" || e.Seq != 1 {
-		t.Fatalf("line 1 = %+v", e)
-	}
-
-	buf.Reset()
-	if err := r.Snapshot().WriteEventsJSONL(&buf, EventViolation); err != nil {
-		t.Fatal(err)
-	}
-	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 || !strings.Contains(lines[0], "dns_hijack") {
-		t.Fatalf("filtered lines = %v", lines)
-	}
-}
-
-// After the ring wraps under concurrent writers, Events() must return a
-// contiguous, Seq-ordered window ending at the newest event — no holes, no
-// stale entries, no reordering (run with -race).
-func TestTraceEventsOrderAfterWrapConcurrent(t *testing.T) {
-	const (
-		capacity = 64
-		workers  = 8
-		perW     = 200
-	)
-	tr := newTrace(capacity)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				tr.record(Event{Kind: EventNodeDiscovered})
-			}
-		}()
-	}
-	wg.Wait()
-
-	total := int64(workers * perW)
-	if got := tr.Total(); got != total {
-		t.Fatalf("total = %d, want %d", got, total)
-	}
-	events := tr.Events()
-	if len(events) != capacity {
-		t.Fatalf("retained = %d, want %d", len(events), capacity)
-	}
-	if last := events[len(events)-1].Seq; last != total-1 {
-		t.Fatalf("last seq = %d, want %d", last, total-1)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq != events[i-1].Seq+1 {
-			t.Fatalf("seq hole at %d: %d then %d", i, events[i-1].Seq, events[i].Seq)
-		}
 	}
 }

@@ -81,10 +81,6 @@ type Snapshot struct {
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Labeled    map[string]map[string]int64  `json:"labeled,omitempty"`
-	// Events is the trace's retained window; EventsTotal counts every
-	// event ever recorded (EventsTotal - len(Events) were overwritten).
-	Events      []Event `json:"events,omitempty"`
-	EventsTotal int64   `json:"events_total"`
 }
 
 // Snapshot freezes the registry. Safe to call concurrently with writers;
@@ -128,8 +124,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			s.Labeled[name] = lc.Values()
 		}
 	}
-	s.Events = r.trace.Events()
-	s.EventsTotal = r.trace.Total()
 	return s
 }
 
@@ -139,20 +133,6 @@ func (s *Snapshot) Counter(name string) int64 {
 		return 0
 	}
 	return s.Counters[name]
-}
-
-// EventsOfKind filters the retained events.
-func (s *Snapshot) EventsOfKind(k EventKind) []Event {
-	if s == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range s.Events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // TopLabels returns the named labeled counter's labels sorted by
@@ -183,36 +163,6 @@ func (s *Snapshot) TopLabels(name string, n int) []LabelCount {
 type LabelCount struct {
 	Label string `json:"label"`
 	Count int64  `json:"count"`
-}
-
-// WriteEventsJSONL writes the retained events one JSON object per line,
-// filtered to the given kinds (no kinds = everything). The flat form for
-// grep/jq pipelines and the -events-json CLI dump.
-func (s *Snapshot) WriteEventsJSONL(w io.Writer, kinds ...EventKind) error {
-	if s == nil {
-		return nil
-	}
-	keep := func(e Event) bool {
-		if len(kinds) == 0 {
-			return true
-		}
-		for _, k := range kinds {
-			if e.Kind == k {
-				return true
-			}
-		}
-		return false
-	}
-	enc := json.NewEncoder(w)
-	for _, e := range s.Events {
-		if !keep(e) {
-			continue
-		}
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJSON writes the snapshot as indented JSON — the expvar-style dump

@@ -1,9 +1,9 @@
 // Package progress is the flight recorder for long-running crawls: a
 // lock-sharded Tracker the crawl workers report into, a clock-injected
 // Sampler that periodically snapshots throughput, ETA, and runtime
-// watermarks into a bounded ring (and optionally a JSONL checkpoint
-// stream), a stall watchdog, and the RunManifest written alongside every
-// dataset release.
+// watermarks into the tracker's latest sample, the progress gauges and
+// optionally a JSONL checkpoint stream, a stall watchdog, and the
+// RunManifest written alongside every dataset release.
 //
 // The package follows the same two design rules as internal/metrics:
 //

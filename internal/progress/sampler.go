@@ -32,7 +32,7 @@ type Sample struct {
 	Counts
 
 	// NodesPerSec and ProbesPerSec are sliding-window rates over the last
-	// Window samples.
+	// ten samples.
 	NodesPerSec  float64 `json:"nodes_per_sec"`
 	ProbesPerSec float64 `json:"probes_per_sec"`
 	// ETASeconds extrapolates the remaining (Total - Done) work at the
@@ -66,11 +66,10 @@ var checkpointWriterPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(nil, 16<<10) },
 }
 
-// Defaults for the sampler's tunables.
 const (
 	defaultInterval = time.Second
-	defaultWindow   = 10
-	defaultRingCap  = 512
+	// rateWindow is how many trailing samples the rate estimate spans.
+	rateWindow = 10
 )
 
 // Sampler periodically snapshots a Tracker on an injected clock. All time
@@ -87,15 +86,10 @@ type Sampler struct {
 	Clock simnet.Clock
 	// Interval between samples (default 1s).
 	Interval time.Duration
-	// Window is how many trailing samples the rate estimate spans
-	// (default 10).
-	Window int
-	// RingCap bounds the retained samples (default 512; oldest evicted).
-	RingCap int
 	// Metrics, when non-nil, receives the progress gauges
 	// (progress_nodes_done, progress_probes_per_sec, progress_eta_seconds,
-	// progress_heap_bytes, progress_goroutines) and the watchdog's stall
-	// events.
+	// progress_heap_bytes, progress_goroutines) and the watchdog's
+	// progress_stalls_total.
 	Metrics *metrics.Registry
 	// Log, when non-nil, receives the watchdog's structured stall report.
 	Log *slog.Logger
@@ -104,7 +98,7 @@ type Sampler struct {
 	// after every line so it can be tailed live.
 	Checkpoint io.Writer
 	// StallAfter arms the watchdog: when no probe or completion lands for
-	// at least this long, the sampler records a stall event, logs it, and
+	// at least this long, the sampler counts a stall, logs it, and
 	// dumps the goroutine profile to the checkpoint. Zero disables the
 	// watchdog. The watchdog fires once per stall episode and re-arms when
 	// progress resumes.
@@ -121,8 +115,6 @@ type Sampler struct {
 	bw             *bufio.Writer
 	enc            *json.Encoder
 	writeErr       error
-	ring           []Sample
-	ringStart      int
 	window         []ratePoint
 	lastCounts     int64
 	lastProgressAt time.Time
@@ -141,20 +133,6 @@ func (s *Sampler) interval() time.Duration {
 		return s.Interval
 	}
 	return defaultInterval
-}
-
-func (s *Sampler) ringCap() int {
-	if s.RingCap > 0 {
-		return s.RingCap
-	}
-	return defaultRingCap
-}
-
-func (s *Sampler) windowLen() int {
-	if s.Window > 0 {
-		return s.Window
-	}
-	return defaultWindow
 }
 
 // Start arms the periodic tick. It returns an error when the required
@@ -238,19 +216,9 @@ func (s *Sampler) Err() error {
 	return s.writeErr
 }
 
-// Samples returns the retained ring in chronological order.
-func (s *Sampler) Samples() []Sample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Sample, 0, len(s.ring))
-	out = append(out, s.ring[s.ringStart:]...)
-	out = append(out, s.ring[:s.ringStart]...)
-	return out
-}
-
 // sampleLocked takes one reading: snapshot the tracker, capture watermarks,
-// update rates and the watchdog, publish gauges, append to the ring, and
-// write the checkpoint line. Caller holds s.mu.
+// update rates and the watchdog, publish gauges and the tracker's latest
+// sample, and write the checkpoint line. Caller holds s.mu.
 func (s *Sampler) sampleLocked() Sample {
 	now := s.Clock.Now()
 	st := s.Tracker.Snapshot()
@@ -269,7 +237,7 @@ func (s *Sampler) sampleLocked() Sample {
 
 	// Sliding-window rates: compare against the oldest retained point.
 	s.window = append(s.window, ratePoint{at: now, probes: st.Probes, done: st.Done})
-	if n := s.windowLen() + 1; len(s.window) > n {
+	if n := rateWindow + 1; len(s.window) > n {
 		s.window = s.window[len(s.window)-n:]
 	}
 	oldest := s.window[0]
@@ -288,14 +256,6 @@ func (s *Sampler) sampleLocked() Sample {
 	s.watchdogLocked(&sample, st, now)
 
 	s.publishGauges(sample)
-
-	// Bounded ring; oldest sample evicted once full.
-	if len(s.ring) < s.ringCap() {
-		s.ring = append(s.ring, sample)
-	} else {
-		s.ring[s.ringStart] = sample
-		s.ringStart = (s.ringStart + 1) % len(s.ring)
-	}
 
 	published := sample
 	s.Tracker.setSample(&published)
@@ -336,8 +296,7 @@ func (s *Sampler) watchdogLocked(sample *Sample, st Status, now time.Time) {
 	}
 	s.stalled = true
 	s.Tracker.noteStall()
-	s.Metrics.Record(metrics.Event{Kind: metrics.EventStall,
-		Detail: st.Experiment, Value: since.Seconds()})
+	s.Metrics.Counter("progress_stalls_total").Inc()
 	if s.Log != nil {
 		s.Log.Error("crawl stalled",
 			"experiment", st.Experiment,

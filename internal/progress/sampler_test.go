@@ -37,22 +37,23 @@ func TestSamplerRequiredFields(t *testing.T) {
 	}
 }
 
-// A Virtual clock drives the sampler deterministically: rates, ETA, the
-// ring, and the checkpoint stream are all exact functions of the scripted
-// progress.
+// A Virtual clock drives the sampler deterministically: rates, ETA, what
+// OnSample sees, and the checkpoint stream are all exact functions of the
+// scripted progress.
 func TestSamplerVirtualClock(t *testing.T) {
 	clock := simnet.NewVirtual(t0)
 	tk := NewTracker()
 	tk.Begin("dns", 1000, 4)
 	var ckpt bytes.Buffer
 	reg := metrics.NewRegistry()
+	var samples []Sample
 	s := &Sampler{
 		Tracker:    tk,
 		Clock:      clock,
 		Interval:   time.Second,
-		Window:     5,
 		Metrics:    reg,
 		Checkpoint: &ckpt,
+		OnSample:   func(sm Sample) { samples = append(samples, sm) },
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -66,7 +67,6 @@ func TestSamplerVirtualClock(t *testing.T) {
 		}
 		clock.Advance(time.Second)
 	}
-	samples := s.Samples()
 	if len(samples) != 10 {
 		t.Fatalf("samples = %d, want 10", len(samples))
 	}
@@ -107,7 +107,7 @@ func TestSamplerVirtualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stop appended one final sample.
-	if n := len(s.Samples()); n != 11 {
+	if n := len(samples); n != 11 {
 		t.Fatalf("samples after Stop = %d, want 11", n)
 	}
 
@@ -127,33 +127,6 @@ func TestSamplerVirtualClock(t *testing.T) {
 	}
 	if lines != 11 {
 		t.Fatalf("checkpoint lines = %d, want 11", lines)
-	}
-}
-
-func TestSamplerRingEviction(t *testing.T) {
-	clock := simnet.NewVirtual(t0)
-	tk := NewTracker()
-	tk.Begin("dns", 0, 1)
-	s := &Sampler{Tracker: tk, Clock: clock, Interval: time.Second, RingCap: 4}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		tk.Done(0)
-		clock.Advance(time.Second)
-	}
-	samples := s.Samples()
-	if len(samples) != 4 {
-		t.Fatalf("ring size = %d, want 4", len(samples))
-	}
-	// Chronological order: oldest retained first.
-	for i := 1; i < len(samples); i++ {
-		if samples[i].ElapsedSeconds <= samples[i-1].ElapsedSeconds {
-			t.Fatalf("ring out of order: %v", samples)
-		}
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -180,6 +153,7 @@ func TestStallWatchdog(t *testing.T) {
 	tk.Begin("dns", 100, 2)
 	var ckpt bytes.Buffer
 	reg := metrics.NewRegistry()
+	var latest Sample
 	s := &Sampler{
 		Tracker:    tk,
 		Clock:      clock,
@@ -187,6 +161,7 @@ func TestStallWatchdog(t *testing.T) {
 		Metrics:    reg,
 		Checkpoint: &ckpt,
 		StallAfter: 3 * time.Second,
+		OnSample:   func(sm Sample) { latest = sm },
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -204,20 +179,16 @@ func TestStallWatchdog(t *testing.T) {
 	if got := tk.Stalls(); got != 1 {
 		t.Fatalf("stalls after wedge = %d, want 1 (single-fire per episode)", got)
 	}
-	events := reg.Snapshot().EventsOfKind(metrics.EventStall)
-	if len(events) != 1 || events[0].Detail != "dns" {
-		t.Fatalf("stall events = %+v", events)
+	if got := reg.Snapshot().Counter("progress_stalls_total"); got != 1 {
+		t.Fatalf("progress_stalls_total after wedge = %d, want 1", got)
 	}
-	if events[0].Value < 3 {
-		t.Fatalf("stall event since-progress = %v, want >= 3", events[0].Value)
-	}
-	samples := s.Samples()
-	if !samples[len(samples)-1].Stalled {
+	if !latest.Stalled {
 		t.Fatal("latest sample should be marked stalled")
 	}
 
-	// The checkpoint stream carries exactly one "stall" line whose goroutine
-	// profile names the wedged function.
+	// The checkpoint stream carries exactly one "stall" line, naming the
+	// experiment and how long it has been stuck, whose goroutine profile
+	// names the wedged function.
 	var stallLines []map[string]any
 	sc := bufio.NewScanner(bytes.NewReader(ckpt.Bytes()))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -233,6 +204,10 @@ func TestStallWatchdog(t *testing.T) {
 	if len(stallLines) != 1 {
 		t.Fatalf("stall lines = %d, want 1", len(stallLines))
 	}
+	if since, _ := stallLines[0]["since_progress_seconds"].(float64); stallLines[0]["experiment"] != "dns" || since < 3 {
+		t.Fatalf("stall line = experiment %v, since-progress %v; want dns, >= 3",
+			stallLines[0]["experiment"], stallLines[0]["since_progress_seconds"])
+	}
 	prof, _ := stallLines[0]["goroutine_profile"].(string)
 	if !strings.Contains(prof, "wedgedFakeShard") {
 		t.Fatalf("goroutine profile does not name the wedged shard:\n%s", prof)
@@ -241,13 +216,15 @@ func TestStallWatchdog(t *testing.T) {
 	// Progress resumes: the episode ends and a later stall fires again.
 	tk.Done(1)
 	clock.Advance(time.Second)
-	samples = s.Samples()
-	if samples[len(samples)-1].Stalled {
+	if latest.Stalled {
 		t.Fatal("progress should clear the stalled flag")
 	}
 	clock.Advance(10 * time.Second)
 	if got := tk.Stalls(); got != 2 {
 		t.Fatalf("stalls after second wedge = %d, want 2 (watchdog re-arms)", got)
+	}
+	if got := reg.Snapshot().Counter("progress_stalls_total"); got != 2 {
+		t.Fatalf("progress_stalls_total after second wedge = %d, want 2", got)
 	}
 
 	if err := s.Stop(); err != nil {

@@ -16,10 +16,11 @@ const SessionTTL = 60 * time.Second
 // sessionCap bounds the pin table. Experiment sessions are short-lived
 // (a handful of requests each) but the virtual clock may not advance during
 // a crawl, so TTL expiry alone cannot reclaim the entries; without a cap a
-// paper-scale crawl would retain one pin per session forever. The cap is
-// far larger than any plausible set of concurrently live sessions, so
-// eviction only ever removes pins that will never be consulted again.
-const sessionCap = 1 << 17
+// crawl would retain one pin per session it ever spent. Sessions in use at
+// once number at most the crawl's workers, so 512 a stripe is far more than
+// are ever live and eviction only removes pins that will never be consulted
+// again.
+const sessionCap = 1 << 13
 
 // sessionStripes is how many independently locked parts the pin table is in.
 const sessionStripes = 16

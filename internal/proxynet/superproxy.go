@@ -492,7 +492,6 @@ func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *ht
 		ip = nip
 	}
 
-	sp.Metrics.Labeled("proxy_requests_by_node").Inc(node.PeerID())
 	resp, err := node.FetchHTTP(ctx, host, port, path, ip)
 	if err != nil {
 		sp.Health.Failure(node.PeerID())
@@ -556,7 +555,6 @@ func (sp *SuperProxy) handleConnect(parent trace.SpanContext, conn net.Conn, req
 		return false
 	}
 	under = orParent(aspan, under)
-	sp.Metrics.Labeled("proxy_requests_by_node").Inc(node.PeerID())
 	ok := httpwire.NewResponse(200, nil)
 	ok.Reason = "Connection established"
 	attachDebug(ok, node.PeerID(), node.PeerIP(), attempts, "")

@@ -1,7 +1,7 @@
 // Package statusz is the daemons' live-introspection surface: one HTTP
 // handler exposing the metrics registry (Prometheus text exposition and
-// the expvar-style JSON snapshot), the span collector, the crawl event
-// ring, and — behind a flag — net/http/pprof. It is the debug listener
+// the expvar-style JSON snapshot), the span collector, the flight
+// recorder, and — behind a flag — net/http/pprof. It is the debug listener
 // the super proxy mounts on -metrics-addr, playing the role Luminati's
 // own debug headers played for the paper: letting an operator ask "what
 // happened to request N" while the service is running.
@@ -28,7 +28,7 @@ import (
 // enable.
 type Server struct {
 	// Metrics backs /metrics (Prometheus by default, ?format=json for the
-	// snapshot) and /events.
+	// snapshot).
 	Metrics *metrics.Registry
 	// Tracer backs /traces.
 	Tracer *trace.Tracer
@@ -46,7 +46,6 @@ type Server struct {
 //	/metrics        Prometheus text exposition; ?format=json for the snapshot
 //	/progressz      live crawl progress; ?format=json for the full snapshot
 //	/traces         recent spans as JSON; ?kind=, ?zid=, ?limit= filters
-//	/events         crawl event ring as JSONL; ?kind=, ?limit= filters
 //	/debug/pprof/   (only when Pprof is set)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -54,7 +53,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/progressz", s.handleProgressz)
 	mux.HandleFunc("/traces", s.handleTraces)
-	mux.HandleFunc("/events", s.handleEvents)
 	if s.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -99,7 +97,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "counters:    %d\n", len(snap.Counters))
 	fmt.Fprintf(w, "gauges:      %d\n", len(snap.Gauges))
 	fmt.Fprintf(w, "histograms:  %d\n", len(snap.Histograms))
-	fmt.Fprintf(w, "events:      %d retained / %d total\n", len(snap.Events), snap.EventsTotal)
 	fmt.Fprintf(w, "spans:       %d retained / %d total\n", len(s.Tracer.Spans()), s.Tracer.Total())
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "endpoints:")
@@ -107,7 +104,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /metrics?format=json expvar-style snapshot")
 	fmt.Fprintln(w, "  /progressz           live crawl progress (?format=json)")
 	fmt.Fprintln(w, "  /traces              recent spans (?kind=, ?zid=, ?limit=)")
-	fmt.Fprintln(w, "  /events              crawl event ring as JSONL (?kind=, ?limit=)")
 	if s.Pprof {
 		fmt.Fprintln(w, "  /debug/pprof/        runtime profiles")
 	}
@@ -175,17 +171,16 @@ func (s *Server) handleProgressz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "stalls:      %d\n", st.Stalls)
 }
 
-// parseLimit validates an optional non-negative integer ?limit= value,
-// answering the request itself (400 plus the endpoint's usage line) on a
-// malformed one.
-func (s *Server) parseLimit(w http.ResponseWriter, r *http.Request, usage string) (int, bool) {
+// parseLimit validates /traces' optional non-negative integer ?limit= value,
+// answering the request itself (400 plus the usage line) on a malformed one.
+func (s *Server) parseLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
 	v := r.URL.Query().Get("limit")
 	if v == "" {
 		return 0, true
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {
-		http.Error(w, fmt.Sprintf("bad limit %q: must be a non-negative integer\nusage: %s", v, usage),
+		http.Error(w, fmt.Sprintf("bad limit %q: must be a non-negative integer\nusage: %s", v, tracesUsage()),
 			http.StatusBadRequest)
 		return 0, false
 	}
@@ -213,7 +208,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	zid := q.Get("zid")
-	limit, ok := s.parseLimit(w, r, tracesUsage())
+	limit, ok := s.parseLimit(w, r)
 	if !ok {
 		return
 	}
@@ -235,57 +230,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if err := trace.WriteJSONL(w, out); err != nil && s.Log != nil {
 		s.Log.Error("traces dump", "err", err)
-	}
-}
-
-// eventsUsage is /events' self-describing error text; the kind list comes
-// from metrics.EventKinds, the enum's single source of truth.
-func eventsUsage() string {
-	kinds := metrics.EventKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.String()
-	}
-	return fmt.Sprintf("/events?kind=<%s>&limit=<non-negative int>",
-		strings.Join(names, "|"))
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	var kinds []metrics.EventKind
-	if v := r.URL.Query().Get("kind"); v != "" {
-		k, ok := metrics.ParseEventKind(v)
-		if !ok {
-			http.Error(w, fmt.Sprintf("unknown event kind %q\nusage: %s", v, eventsUsage()),
-				http.StatusBadRequest)
-			return
-		}
-		kinds = append(kinds, k)
-	}
-	limit, ok := s.parseLimit(w, r, eventsUsage())
-	if !ok {
-		return
-	}
-	snap := s.Metrics.Snapshot()
-	if limit > 0 {
-		// The ring is oldest-first; the limit keeps the most recent events
-		// matching the kind filter.
-		events := snap.Events
-		if len(kinds) > 0 {
-			events = events[:0:0]
-			for _, e := range snap.Events {
-				if e.Kind == kinds[0] {
-					events = append(events, e)
-				}
-			}
-			kinds = nil
-		}
-		if len(events) > limit {
-			events = events[len(events)-limit:]
-		}
-		snap.Events = events
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := snap.WriteEventsJSONL(w, kinds...); err != nil && s.Log != nil {
-		s.Log.Error("events dump", "err", err)
 	}
 }

@@ -18,14 +18,13 @@ func testServer(t *testing.T, pprof bool) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	reg.Counter("crawl_sessions_total").Add(3)
-	reg.Record(metrics.Event{Kind: metrics.EventViolation, ZID: "z1", Detail: "dns_hijack"})
-	reg.Record(metrics.Event{Kind: metrics.EventSessionStarted, Session: "s1"})
 
 	clock := time.Unix(1460505600, 0)
 	tr := trace.New(func() time.Time { clock = clock.Add(time.Millisecond); return clock }, 0)
 	root := tr.StartRoot("probe.dns", trace.KindClient)
 	child := tr.StartChild(root.Context(), "node.fetch", trace.KindFetch, trace.Str("zid", "z1"))
 	child.End()
+	root.SetAttrs(trace.Str("zid", "z1"), trace.Str("outcome", "ok"), trace.Str("violation", "dns_hijack"))
 	root.End()
 	other := tr.StartRoot("probe.http", trace.KindClient, trace.Str("zid", "z2"))
 	other.End()
@@ -65,7 +64,7 @@ func TestEndpoints(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "tft_crawl_sessions_total 3") {
 		t.Fatalf("/metrics = %d %q", code, body)
 	}
-	if !strings.Contains(body, "# TYPE tft_events_total counter") {
+	if !strings.Contains(body, "# TYPE tft_crawl_sessions_total counter") {
 		t.Errorf("/metrics missing exposition type line:\n%s", body)
 	}
 
@@ -109,27 +108,28 @@ func TestTracesFiltering(t *testing.T) {
 	if len(got) != 1 || !strings.Contains(got[0], "probe.http") {
 		t.Fatalf("/traces?limit=1 should keep the newest span, got %v", got)
 	}
+	// A node's verdict is on its probe's root span.
+	_, body = get(t, ts.URL+"/traces?kind=client&zid=z1")
+	got = lines(body)
+	if len(got) != 1 || !strings.Contains(got[0], `{"key":"violation","value":"dns_hijack"}`) {
+		t.Fatalf("/traces?kind=client&zid=z1 = %v", got)
+	}
 	code, _ := get(t, ts.URL+"/traces?limit=bogus")
 	if code != http.StatusBadRequest {
 		t.Fatalf("bad limit = %d, want 400", code)
 	}
 }
 
-func TestEventsFiltering(t *testing.T) {
+// The event ring's endpoint is gone, not hidden.
+func TestEventsEndpointGone(t *testing.T) {
 	_, ts := testServer(t, false)
-
-	_, body := get(t, ts.URL+"/events")
-	if n := len(strings.Split(strings.TrimSpace(body), "\n")); n != 2 {
-		t.Fatalf("/events lines = %d, want 2:\n%s", n, body)
+	for _, path := range []string{"/events", "/events?kind=violation&limit=1"} {
+		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Errorf("%s = %d, want 404", path, code)
+		}
 	}
-	_, body = get(t, ts.URL+"/events?kind=violation")
-	got := strings.Split(strings.TrimSpace(body), "\n")
-	if len(got) != 1 || !strings.Contains(got[0], "dns_hijack") {
-		t.Fatalf("/events?kind=violation = %v", got)
-	}
-	code, _ := get(t, ts.URL+"/events?kind=bogus")
-	if code != http.StatusBadRequest {
-		t.Fatalf("unknown kind = %d, want 400", code)
+	if _, body := get(t, ts.URL+"/statusz"); strings.Contains(body, "events") {
+		t.Errorf("/statusz still mentions events:\n%s", body)
 	}
 }
 
@@ -145,9 +145,7 @@ func TestFilterValidation(t *testing.T) {
 		{"/traces?kind=bogus", "superproxy"},
 		{"/traces?limit=-1", "non-negative"},
 		{"/traces?limit=abc", "usage: /traces"},
-		{"/events?kind=bogus", "session_started"},
-		{"/events?limit=-3", "usage: /events"},
-		{"/events?limit=1.5", "non-negative"},
+		{"/traces?limit=1.5", "non-negative"},
 	}
 	for _, tc := range cases {
 		code, body := get(t, ts.URL+tc.path)
@@ -163,21 +161,6 @@ func TestFilterValidation(t *testing.T) {
 	code, _ := get(t, ts.URL+"/traces?kind=attempt&limit=5")
 	if code != http.StatusOK {
 		t.Fatalf("/traces?kind=attempt&limit=5 = %d", code)
-	}
-}
-
-// /events?limit= keeps the newest matching events.
-func TestEventsLimit(t *testing.T) {
-	_, ts := testServer(t, false)
-	_, body := get(t, ts.URL+"/events?limit=1")
-	got := strings.Split(strings.TrimSpace(body), "\n")
-	if len(got) != 1 || !strings.Contains(got[0], "session_started") {
-		t.Fatalf("/events?limit=1 should keep the newest event, got %v", got)
-	}
-	_, body = get(t, ts.URL+"/events?kind=violation&limit=1")
-	got = strings.Split(strings.TrimSpace(body), "\n")
-	if len(got) != 1 || !strings.Contains(got[0], "dns_hijack") {
-		t.Fatalf("/events?kind=violation&limit=1 = %v", got)
 	}
 }
 
@@ -235,14 +218,14 @@ func TestPprofGating(t *testing.T) {
 func TestNilSources(t *testing.T) {
 	ts := httptest.NewServer((&Server{}).Handler())
 	defer ts.Close()
-	for _, path := range []string{"/statusz", "/metrics", "/metrics?format=json", "/traces", "/events", "/progressz", "/progressz?format=json"} {
+	for _, path := range []string{"/statusz", "/metrics", "/metrics?format=json", "/traces", "/progressz", "/progressz?format=json"} {
 		code, _ := get(t, ts.URL+path)
 		if code != http.StatusOK {
 			t.Fatalf("%s = %d with nil sources", path, code)
 		}
 	}
-	_, body := get(t, ts.URL+"/metrics")
-	if !strings.Contains(body, "tft_events_total 0") {
+	// An empty exposition is a valid one.
+	if _, body := get(t, ts.URL+"/metrics"); body != "" {
 		t.Fatalf("nil /metrics = %q", body)
 	}
 }

@@ -132,8 +132,8 @@ func TestRunDNSFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(sampler.Samples()) == 0 {
-		t.Fatal("sampler retained no samples (Stop must take a final one)")
+	if tracker.Snapshot().Sample == nil {
+		t.Fatal("sampler published no sample (Stop must take a final one)")
 	}
 
 	man := run.Manifest()

@@ -192,9 +192,8 @@ func topMonitor(rows []analysis.MonitorRow) string {
 }
 
 // MetricsTable renders a crawl-engine snapshot as a text table: counters
-// and gauges first (sorted by name), then histogram summaries, the
-// top labeled-counter entries, and an event-kind tally. name labels the
-// run the snapshot came from.
+// and gauges first (sorted by name), then histogram summaries and the
+// top labeled-counter entries. name labels the run the snapshot came from.
 func MetricsTable(name string, s *metrics.Snapshot) *analysis.Table {
 	t := &analysis.Table{ID: "Metrics", Title: "Crawl engine metrics: " + name,
 		Headers: []string{"Metric", "Value"}}
@@ -221,18 +220,6 @@ func MetricsTable(name string, s *metrics.Snapshot) *analysis.Table {
 			parts = append(parts, fmt.Sprintf("%s=%d", lc.Label, lc.Count))
 		}
 		add(k+" (top)", strings.Join(parts, " "))
-	}
-	if s.EventsTotal > 0 {
-		kinds := map[string]int{}
-		for _, e := range s.Events {
-			kinds[e.Kind.String()]++
-		}
-		var parts []string
-		for _, k := range sortedKeys(kinds) {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, kinds[k]))
-		}
-		add("events (retained)", strings.Join(parts, " "))
-		add("events (total)", fmt.Sprintf("%d", s.EventsTotal))
 	}
 	return t
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"github.com/tftproject/tft/internal/core"
-	"github.com/tftproject/tft/internal/metrics"
+	"github.com/tftproject/tft/internal/trace"
 )
 
 // Every experiment must satisfy the unified Run interface.
@@ -21,8 +21,8 @@ var (
 
 // The acceptance bar for the instrumented engine: a default-scale DNS run
 // exposes a non-empty metrics snapshot — sessions, unique nodes,
-// duplicates, the stop-rule window trajectory, and per-country session
-// counts — and report.go renders it as a table.
+// duplicates, the stop-rule window trajectory, why the crawl stopped, and
+// per-country session counts — and report.go renders it as a table.
 func TestRunDNSDefaultScaleMetrics(t *testing.T) {
 	run, err := RunDNS(context.Background(), Options{Seed: 9})
 	if err != nil {
@@ -42,15 +42,26 @@ func TestRunDNSDefaultScaleMetrics(t *testing.T) {
 	if s.Histograms["crawl_window_new_rate"].Count == 0 {
 		t.Fatal("no stop-rule window trajectory")
 	}
-	if len(s.EventsOfKind(metrics.EventStopWindow)) == 0 {
-		t.Fatal("no stop-window events in the trace")
+	if stops := s.Labeled["crawl_stopped_total"]; !st.StoppedByRule || len(stops) != 1 || stops["stop_rule"] != 1 {
+		t.Fatalf("crawl_stopped_total = %v, stats = %+v; want one stop_rule", stops, st)
 	}
 	byCountry := s.Labeled["crawl_sessions_by_country"]
 	if len(byCountry) < 10 {
 		t.Fatalf("per-country sessions cover %d countries", len(byCountry))
 	}
-	if len(s.EventsOfKind(metrics.EventSessionStarted)) == 0 {
-		t.Fatal("no session events retained")
+	// Each retained session's record is its root span.
+	sessions := 0
+	for _, sp := range run.Spans() {
+		if sp.Kind != trace.KindClient {
+			continue
+		}
+		sessions++
+		if sp.Str("session") == "" || byCountry[sp.Str("country")] == 0 || sp.Str("outcome") == "" {
+			t.Fatalf("root span is not a session record: %+v", sp)
+		}
+	}
+	if sessions == 0 {
+		t.Fatal("no session root spans retained")
 	}
 
 	tbl := MetricsTable(run.Name(), s)

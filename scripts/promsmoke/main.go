@@ -1,10 +1,12 @@
 // Command promsmoke is the check.sh exposition gate: it builds
 // cmd/superproxy, starts it with -metrics-addr on free ports against an
-// in-process UDP DNS authority, scrapes /metrics, and fails on any line
-// that is not valid Prometheus text exposition (version 0.0.4). It then
-// proxies two GETs for the same hostname and asserts the resolver cache
-// registered a hit, so the cache's telemetry is exercised end to end.
-// Pure Go so the gate has no curl/wget dependency.
+// in-process UDP DNS authority, proxies two GETs for the same hostname (a
+// fresh daemon has counted nothing, and an empty exposition proves
+// nothing), scrapes /metrics, and fails on any line that is not valid
+// Prometheus text exposition (version 0.0.4). It then asserts both GETs
+// were counted and the resolver cache registered a hit, so the cache's
+// telemetry is exercised end to end. Pure Go so the gate has no curl/wget
+// dependency.
 //
 //	go run ./scripts/promsmoke
 package main
@@ -114,6 +116,20 @@ func metricValue(body, name string) (float64, bool) {
 	return 0, false
 }
 
+// scrape fetches /metrics from the daemon's introspection listener.
+func scrape(addr string) (string, error) {
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("status %d", resp.StatusCode)
+	}
+	b, err := io.ReadAll(resp.Body)
+	return string(b), err
+}
+
 func run() error {
 	dir, err := os.MkdirTemp("", "promsmoke")
 	if err != nil {
@@ -158,23 +174,29 @@ func run() error {
 
 	// The daemon binds its listeners asynchronously; poll until /metrics
 	// answers or the deadline passes.
-	var body string
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get("http://" + metricsAddr + "/metrics")
+		_, err := scrape(metricsAddr)
 		if err == nil {
-			b, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK {
-				body = string(b)
-				break
-			}
-			err = fmt.Errorf("status %d", resp.StatusCode)
+			break
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("scraping /metrics: %v", err)
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+
+	// Two GETs for the same host: both counted, one resolver miss and at
+	// least one hit.
+	const host = "cache-probe.tft.example"
+	for i := 0; i < 2; i++ {
+		if err := proxyGet(listenAddr, host); err != nil {
+			return fmt.Errorf("proxy GET %d: %w", i+1, err)
+		}
+	}
+	body, err := scrape(metricsAddr)
+	if err != nil {
+		return fmt.Errorf("re-scraping /metrics: %w", err)
 	}
 
 	samples := 0
@@ -196,28 +218,9 @@ func run() error {
 	if samples == 0 {
 		return fmt.Errorf("exposition has no samples:\n%s", body)
 	}
-	if !strings.Contains(body, "tft_events_total") {
-		return fmt.Errorf("exposition missing tft_events_total:\n%s", body)
+	if gets, ok := metricValue(body, "tft_proxy_get_total"); !ok || gets != 2 {
+		return fmt.Errorf("tft_proxy_get_total = %v (present=%v), want 2; exposition:\n%s", gets, ok, body)
 	}
-
-	// Resolver-cache assertion: two GETs for the same host must produce one
-	// miss (the resolver query) and at least one hit in /metrics.
-	const host = "cache-probe.tft.example"
-	for i := 0; i < 2; i++ {
-		if err := proxyGet(listenAddr, host); err != nil {
-			return fmt.Errorf("proxy GET %d: %w", i+1, err)
-		}
-	}
-	resp, err := http.Get("http://" + metricsAddr + "/metrics")
-	if err != nil {
-		return fmt.Errorf("re-scraping /metrics: %w", err)
-	}
-	b, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	body = string(b)
 	hits, ok := metricValue(body, "tft_proxy_dns_cache_hits_total")
 	if !ok || hits < 1 {
 		return fmt.Errorf("resolver cache hits = %v (present=%v), want >= 1; exposition:\n%s", hits, ok, body)
