@@ -83,7 +83,6 @@ func main() {
 	sp := proxynet.NewSuperProxy(selfIP, pool, resolver, simnet.Real{})
 	sp.HTTPPort = uint16(*httpPort)
 	sp.ConnectPort = uint16(*connectPort)
-	sp.DNSCache = proxynet.NewResolveCache(simnet.Real{})
 	reg := metrics.NewRegistry()
 	sp.Metrics = reg
 	tracer := trace.New(simnet.Real{}.Now, 0)

@@ -8,7 +8,6 @@
 package content
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -124,10 +123,6 @@ func generate(k Kind) []byte {
 	}
 	return nil
 }
-
-// Hash returns the SHA-256 of an object, the comparison key for
-// modification detection.
-func Hash(b []byte) [32]byte { return sha256.Sum256(b) }
 
 // htmlObject builds the 9 KB HTML page. It intentionally contains realistic
 // structure (head, scripts, body text) because several real-world injectors

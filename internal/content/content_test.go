@@ -2,6 +2,7 @@ package content
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"sync"
 	"testing"
@@ -76,7 +77,7 @@ func TestObjectConcurrentFirstCall(t *testing.T) {
 func TestObjectsDistinct(t *testing.T) {
 	seen := make(map[[32]byte]Kind)
 	for _, k := range Kinds {
-		h := Hash(Object(k))
+		h := sha256.Sum256(Object(k))
 		if prev, ok := seen[h]; ok {
 			t.Fatalf("%v and %v hash identically", prev, k)
 		}

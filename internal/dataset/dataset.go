@@ -318,7 +318,7 @@ func readHeader(r io.Reader, wantExperiment string) (*Header, *json.Decoder, err
 	if h.Version != Version {
 		return nil, nil, fmt.Errorf("dataset: unsupported version %d", h.Version)
 	}
-	if wantExperiment != "" && h.Experiment != wantExperiment {
+	if h.Experiment != wantExperiment {
 		return nil, nil, fmt.Errorf("dataset: experiment %q, want %q", h.Experiment, wantExperiment)
 	}
 	if h.Records < StreamRecords {
@@ -359,12 +359,6 @@ func drain[T any](sw *Writer[T], obs []T) error {
 		}
 	}
 	return sw.Close()
-}
-
-// Peek reads only the header to identify a file.
-func Peek(r io.Reader) (*Header, error) {
-	h, _, err := readHeader(r, "")
-	return h, err
 }
 
 func addrString(a netip.Addr) string {
@@ -413,8 +407,7 @@ type geoRecord struct {
 // analogue, required to reproduce attribution from the raw observations.
 func WriteGeo(w io.Writer, seed uint64, scale float64, reg *geo.Registry) error {
 	orgs, ases, prefixes := reg.Snapshot()
-	bw := getWriter(w)
-	defer putWriter(bw)
+	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(Header{Format: FormatName, Version: Version, Experiment: "geo",
 		Seed: seed, Scale: scale, Records: len(orgs) + len(ases) + len(prefixes)}); err != nil {

@@ -153,12 +153,14 @@ func TestTruncatedRecords(t *testing.T) {
 	}
 }
 
+// TestPeek: the header alone says what a file is — an empty dataset reads
+// back its experiment and seed.
 func TestPeek(t *testing.T) {
 	var buf bytes.Buffer
 	WriteMonitor(&buf, 5, 0.5, &core.MonDataset{})
-	h, err := Peek(&buf)
+	h, _, err := ReadMonitor(&buf)
 	if err != nil || h.Experiment != "monitor" || h.Seed != 5 {
-		t.Fatalf("peek = %+v, %v", h, err)
+		t.Fatalf("header = %+v, %v", h, err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"github.com/tftproject/tft/internal/core"
 )
@@ -15,28 +14,11 @@ import (
 // unknown. Readers of a streamed file consume records until EOF.
 const StreamRecords = -1
 
-// writerPool recycles the bufio.Writers every dataset writer serializes
-// through. A paper-scale run opens one writer per experiment per shard;
-// pooling keeps that churn out of the allocation profile the same way
-// httpwire pools its per-connection buffers.
-var writerPool = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
-
-func getWriter(w io.Writer) *bufio.Writer {
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-func putWriter(bw *bufio.Writer) {
-	bw.Reset(nil)
-	writerPool.Put(bw)
-}
-
 // Writer streams one dataset: a header line followed by one JSON record
 // per observation, written as each arrives rather than from a materialized
 // slice. Not safe for concurrent use; sharded crawls write one file per
-// shard. Close flushes and recycles the underlying buffer — every Write
-// after Close fails.
+// shard. Close flushes and drops the underlying buffer — every Write after
+// Close fails.
 type Writer[T any] struct {
 	bw   *bufio.Writer
 	enc  *json.Encoder
@@ -48,11 +30,10 @@ type Writer[T any] struct {
 // the exact observation count when known, or StreamRecords for an
 // unbounded stream.
 func newStreamWriter[T any](w io.Writer, experiment string, seed uint64, scale float64, records int, conv func(T) any) (*Writer[T], error) {
-	bw := getWriter(w)
+	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(Header{Format: FormatName, Version: Version, Experiment: experiment,
 		Seed: seed, Scale: scale, Records: records}); err != nil {
-		putWriter(bw)
 		return nil, err
 	}
 	return &Writer[T]{bw: bw, enc: enc, conv: conv}, nil
@@ -70,13 +51,12 @@ func (sw *Writer[T]) Write(o T) error {
 // Count reports the records written so far.
 func (sw *Writer[T]) Count() int { return sw.n }
 
-// Close flushes buffered output and recycles the buffer. Idempotent.
+// Close flushes buffered output. Idempotent.
 func (sw *Writer[T]) Close() error {
 	if sw.bw == nil {
 		return nil
 	}
 	err := sw.bw.Flush()
-	putWriter(sw.bw)
 	sw.bw = nil
 	sw.enc = nil
 	return err

@@ -53,11 +53,6 @@ func OnlyFrom(ip netip.Addr, allow func(src netip.Addr) bool) Rule {
 	}
 }
 
-// Never always answers NXDOMAIN.
-func Never() Rule {
-	return func(netip.Addr) (netip.Addr, bool) { return netip.Addr{}, false }
-}
-
 // Authority is the measurement team's authoritative DNS server for one
 // zone. Every query is logged with its source address and virtual
 // timestamp.

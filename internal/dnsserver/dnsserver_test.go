@@ -260,7 +260,9 @@ func TestServeUDPEndToEnd(t *testing.T) {
 	}()
 	q := dnswire.NewQuery(77, "d1.probe.tft-example.net", dnswire.TypeA)
 	wire, _ := q.Marshal()
-	respWire, err := QueryUDP(pc.LocalAddr().String(), wire, 2*time.Second)
+	server := pc.LocalAddr().(*net.UDPAddr).AddrPort()
+	respWire, err := (&UDPExchanger{Port: server.Port(), Timeout: 2 * time.Second}).
+		ExchangeDNS(netip.Addr{}, server.Addr(), wire)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,29 +35,6 @@ func ServeUDP(pc net.PacketConn, handler simnet.DNSHandler) error {
 	}
 }
 
-// QueryUDP sends one query datagram to server and waits for the reply. It
-// always runs against real sockets, so the deadline timebase is explicitly
-// the wall clock.
-func QueryUDP(server string, query []byte, timeout time.Duration) ([]byte, error) {
-	conn, err := net.Dial("udp", server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(simnet.Real{}.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(query); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 4096)
-	n, err := conn.Read(buf)
-	if err != nil {
-		return nil, err
-	}
-	return buf[:n], nil
-}
-
 func addrOf(a net.Addr) netip.Addr {
 	if ua, ok := a.(*net.UDPAddr); ok {
 		if ip, ok := netip.AddrFromSlice(ua.IP); ok {

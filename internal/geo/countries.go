@@ -75,6 +75,3 @@ func CountryName(code CountryCode) string {
 	}
 	return string(code)
 }
-
-// NumCountries is the size of the curated country set.
-func NumCountries() int { return len(Countries) }

@@ -231,8 +231,8 @@ func TestCountryName(t *testing.T) {
 	if got := CountryName("ZZ"); got != "ZZ" {
 		t.Fatalf("CountryName(ZZ) = %q", got)
 	}
-	if NumCountries() < 172 {
-		t.Fatalf("curated set has %d countries; need >= 172 to match paper scale", NumCountries())
+	if len(Countries) < 172 {
+		t.Fatalf("curated set has %d countries; need >= 172 to match paper scale", len(Countries))
 	}
 }
 

@@ -119,14 +119,15 @@ func (p *Path) ApplyHTTP(host, path string, resp *httpwire.Response) *httpwire.R
 }
 
 // ApplyTLS runs the TLS interceptors in order; the first one that replaces
-// the chain wins (stacked SSL proxies do not compose in practice).
+// the chain wins (stacked SSL proxies do not compose in practice). It
+// returns nil when none does.
 func (p *Path) ApplyTLS(serverName string, chain []*cert.Certificate) []*cert.Certificate {
 	for _, ic := range p.TLS {
 		if replaced := ic.InterceptChain(serverName, chain); replaced != nil {
 			return replaced
 		}
 	}
-	return chain
+	return nil
 }
 
 // ObserveFetch threads a node fetch through every monitor, innermost last,
@@ -139,13 +140,6 @@ func (p *Path) ObserveFetch(env *Env, host, path string, fetch func()) {
 		wrapped = func() { m.Observe(env, host, path, inner) }
 	}
 	wrapped()
-}
-
-// Empty reports whether the path intercepts nothing at all.
-func (p *Path) Empty() bool {
-	return p == nil || (len(p.DNS) == 0 && len(p.HTTP) == 0 && len(p.TLS) == 0 &&
-		len(p.Stream) == 0 && len(p.Monitors) == 0 && len(p.BlockedPorts) == 0 &&
-		!p.VPNEgress.IsValid())
 }
 
 // PortBlocked reports whether the node's ISP refuses connections to port.

@@ -153,9 +153,6 @@ func newWorld(seed uint64, scale float64, label string) (*World, error) {
 		w.Spec.Index)
 	w.Pool = w.lazy
 	w.Super = proxynet.NewSuperProxy(ProxyIP, w.Pool, spResolver, w.Clock)
-	// Experiment hostnames are per-session unique, so the cache never
-	// changes what the probes observe; repeated-host traffic benefits.
-	w.Super.DNSCache = proxynet.NewResolveCache(w.Clock)
 	w.Fabric.HandleTCP(ProxyIP, proxynet.ProxyPort, w.Super.ConnHandler())
 	w.Client = &proxynet.Client{
 		Net: w.Fabric, Src: ClientIP, Proxy: ProxyIP,

@@ -59,13 +59,6 @@ type stallRecord struct {
 	GoroutineProfile     string  `json:"goroutine_profile,omitempty"`
 }
 
-// checkpointWriterPool recycles the buffered writers in front of checkpoint
-// streams, mirroring dataset's pooled-writer discipline: one Get at Start,
-// one Put at Stop.
-var checkpointWriterPool = sync.Pool{
-	New: func() any { return bufio.NewWriterSize(nil, 16<<10) },
-}
-
 const (
 	defaultInterval = time.Second
 	// rateWindow is how many trailing samples the rate estimate spans.
@@ -153,8 +146,7 @@ func (s *Sampler) Start() error {
 	s.start = s.Clock.Now()
 	s.lastProgressAt = s.start
 	if s.Checkpoint != nil {
-		s.bw = checkpointWriterPool.Get().(*bufio.Writer)
-		s.bw.Reset(s.Checkpoint)
+		s.bw = bufio.NewWriterSize(s.Checkpoint, 16<<10)
 		s.enc = json.NewEncoder(s.bw)
 	}
 	s.timer = s.Clock.AfterFunc(s.interval(), s.tick)
@@ -178,9 +170,8 @@ func (s *Sampler) tick() {
 }
 
 // Stop disarms the tick, takes one final sample (so even a crawl shorter
-// than the interval leaves a record), flushes the checkpoint, and returns
-// the buffered writer to the pool. It reports the first checkpoint write
-// error, if any. Stop is idempotent.
+// than the interval leaves a record) and flushes the checkpoint. It reports
+// the first checkpoint write error, if any. Stop is idempotent.
 func (s *Sampler) Stop() error {
 	s.mu.Lock()
 	if !s.started || s.stopped {
@@ -195,8 +186,6 @@ func (s *Sampler) Stop() error {
 		if err := s.bw.Flush(); err != nil && s.writeErr == nil {
 			s.writeErr = err
 		}
-		s.bw.Reset(nil)
-		checkpointWriterPool.Put(s.bw)
 		s.bw = nil
 		s.enc = nil
 	}

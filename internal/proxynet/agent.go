@@ -331,20 +331,16 @@ type Agent struct {
 	Backoff time.Duration
 	// BackoffMax caps the reconnect delay (default 30s).
 	BackoffMax time.Duration
-	// Seed derives the per-connection jitter generators; agents on the
-	// same gateway should differ so reconnect storms decorrelate.
-	Seed uint64
 	// Clock paces reconnect backoff; nil means the wall clock (the agent
 	// dials real sockets).
 	Clock simnet.Clock
 }
 
-// Run maintains the agent connections until ctx is cancelled.
-func (a *Agent) Run(ctx context.Context) error {
-	conns := a.Conns
-	if conns <= 0 {
-		conns = 4
-	}
+// backoff is the reconnect schedule of the agent's i'th connection. Its
+// jitter stream is keyed by the node's zID and the connection index, so
+// neither the agents on one gateway nor one agent's connections reconnect
+// in lockstep after a simultaneous drop.
+func (a *Agent) backoff(i int) *Backoff {
 	base := a.Backoff
 	if base <= 0 {
 		base = 500 * time.Millisecond
@@ -353,6 +349,15 @@ func (a *Agent) Run(ctx context.Context) error {
 	if maxDelay <= 0 {
 		maxDelay = 30 * time.Second
 	}
+	return NewBackoff(base, maxDelay, simnet.SubRand(uint64(i), "agent/"+a.Node.ZID))
+}
+
+// Run maintains the agent connections until ctx is cancelled.
+func (a *Agent) Run(ctx context.Context) error {
+	conns := a.Conns
+	if conns <= 0 {
+		conns = 4
+	}
 	clock := a.Clock
 	if clock == nil {
 		clock = simnet.Real{}
@@ -360,9 +365,7 @@ func (a *Agent) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for i := 0; i < conns; i++ {
 		wg.Add(1)
-		// Each connection gets its own jitter stream so simultaneous drops
-		// do not reconnect in lockstep.
-		bo := NewBackoff(base, maxDelay, simnet.NewRand(a.Seed^(uint64(i)*0x9e3779b97f4a7c15+1)))
+		bo := a.backoff(i)
 		//tftlint:ignore nogo -- agent worker pool: each persistent connection to the super proxy blocks on a real socket
 		go func() {
 			defer wg.Done()

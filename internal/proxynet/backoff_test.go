@@ -75,3 +75,27 @@ func TestBackoffDelayGuards(t *testing.T) {
 		t.Fatalf("degenerate factor delay = %v, want 2s", d)
 	}
 }
+
+// TestAgentBackoffKeyedByZID: agents on one gateway must not draw the same
+// reconnect jitter, or a gateway restart brings them all back at once — and
+// one agent's schedule is a function of its zID alone.
+func TestAgentBackoffKeyedByZID(t *testing.T) {
+	first := func(zid string, conn int) time.Duration {
+		return (&Agent{Node: &ExitNode{ZID: zid}}).backoff(conn).Next()
+	}
+	a, b := first("znode0001", 0), first("znode0002", 0)
+	if a == b {
+		t.Fatalf("two zIDs share a first reconnect delay, %v", a)
+	}
+	if again := first("znode0001", 0); again != a {
+		t.Fatalf("znode0001 drew %v, then %v", a, again)
+	}
+	if other := first("znode0001", 1); other == a {
+		t.Fatalf("one agent's connections 0 and 1 share a first delay, %v", a)
+	}
+	for _, d := range []time.Duration{a, b} {
+		if d < 400*time.Millisecond || d > 600*time.Millisecond {
+			t.Fatalf("first delay %v outside the default 500ms ± 20%%", d)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package proxynet
 
 import (
 	"context"
+	"crypto/sha256"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -22,14 +23,14 @@ func TestProxiedObjectFetchRecyclesItsBuffers(t *testing.T) {
 	}
 	w := newTestWorld(t, 0)
 	w.setRule("h", dnsserver.Always(webIP))
-	want := content.Hash(content.Object(content.KindJS))
+	want := sha256.Sum256(content.Object(content.KindJS))
 	get := func() {
 		resp, _, err := w.client.Get(context.Background(), Options{Country: "DE", Session: "7"},
 			"http://h."+zone+content.KindJS.Path())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != 200 || content.Hash(resp.Body) != want {
+		if resp.StatusCode != 200 || sha256.Sum256(resp.Body) != want {
 			t.Fatalf("status %d, %d-byte body differs from the object", resp.StatusCode, len(resp.Body))
 		}
 		resp.Release()
@@ -40,7 +41,7 @@ func TestProxiedObjectFetchRecyclesItsBuffers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	get()
-	get() // the second warm-up settles the session pin and resolver caches
+	get() // the second warm-up settles the session pin and the pools
 	const gets = 50
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

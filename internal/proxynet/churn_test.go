@@ -9,120 +9,10 @@ import (
 	"github.com/tftproject/tft/internal/simnet"
 )
 
-func TestChurnerFlipsAvailability(t *testing.T) {
-	w := newTestWorld(t, 0)
-	ch := &Churner{
-		Pool: w.pool, Clock: w.clock, Rand: simnet.NewRand(31),
-		Interval: time.Second, DownProb: 0.5, UpProb: 0.3,
-	}
-	ch.Start()
-	defer ch.Stop()
-	sawDown := false
-	for i := 0; i < 30; i++ {
-		w.clock.Advance(time.Second)
-		if ch.OnlineCount() < w.pool.Len() {
-			sawDown = true
-		}
-	}
-	if !sawDown {
-		t.Fatal("churner never took a node offline")
-	}
-	// With UpProb > 0 the pool must recover eventually.
-	ch.Stop()
-	for _, n := range w.pool.Nodes() {
-		n.SetOnline(true)
-	}
-	if ch.OnlineCount() != w.pool.Len() {
-		t.Fatal("recovery failed")
-	}
-}
-
-func TestChurnerStop(t *testing.T) {
-	w := newTestWorld(t, 0)
-	ch := &Churner{Pool: w.pool, Clock: w.clock, Rand: simnet.NewRand(32),
-		Interval: time.Second, DownProb: 1.0, UpProb: 0}
-	ch.Start()
-	w.clock.Advance(time.Second) // everyone goes down
-	ch.Stop()
-	for _, n := range w.pool.Nodes() {
-		n.SetOnline(true)
-	}
-	w.clock.Advance(10 * time.Second) // no further ticks may fire
-	if ch.OnlineCount() != w.pool.Len() {
-		t.Fatal("churner ticked after Stop")
-	}
-}
-
-// TestChurnerTickSemanticsOnVirtualClock pins down when a tick fires on the
-// injected clock: never before a full Interval has elapsed (partial
-// advances accumulate), exactly at the boundary, and again at every
-// subsequent boundary.
-func TestChurnerTickSemanticsOnVirtualClock(t *testing.T) {
-	w := newTestWorld(t, 0)
-	ch := &Churner{Pool: w.pool, Clock: w.clock, Rand: simnet.NewRand(34),
-		Interval: 10 * time.Second, DownProb: 1.0, UpProb: 0}
-	ch.Start()
-	defer ch.Stop()
-
-	// Partial advances below the interval must not tick.
-	for i := 0; i < 9; i++ {
-		w.clock.Advance(time.Second)
-	}
-	if ch.OnlineCount() != w.pool.Len() {
-		t.Fatalf("tick fired before the interval elapsed: %d/%d online",
-			ch.OnlineCount(), w.pool.Len())
-	}
-	// The tenth second completes the interval: DownProb 1 takes all down.
-	w.clock.Advance(time.Second)
-	if ch.OnlineCount() != 0 {
-		t.Fatalf("tick did not fire at the interval boundary: %d still online", ch.OnlineCount())
-	}
-	// The churner reschedules itself: bring everyone back and the next full
-	// interval must take them down again.
-	for _, n := range w.pool.Nodes() {
-		n.SetOnline(true)
-	}
-	w.clock.Advance(10 * time.Second)
-	if ch.OnlineCount() != 0 {
-		t.Fatalf("churner did not reschedule after its first tick: %d online", ch.OnlineCount())
-	}
-}
-
-// TestChurnerStopRacesPendingTick drives Stop concurrently with clock
-// advances that are firing the pending tick. Run under -race this pins the
-// mutex discipline around stopped/timer; the functional guarantee is that
-// no tick lands after Stop returns.
-func TestChurnerStopRacesPendingTick(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		w := newTestWorld(t, 0)
-		ch := &Churner{Pool: w.pool, Clock: w.clock, Rand: simnet.NewRand(uint64(35 + round)),
-			Interval: time.Second, DownProb: 1.0, UpProb: 0}
-		ch.Start()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < 5; i++ {
-				w.clock.Advance(time.Second)
-			}
-		}()
-		ch.Stop()
-		<-done
-		// After Stop has returned and the advancing goroutine has drained,
-		// no further tick may fire.
-		for _, n := range w.pool.Nodes() {
-			n.SetOnline(true)
-		}
-		w.clock.Advance(10 * time.Second)
-		if ch.OnlineCount() != w.pool.Len() {
-			t.Fatalf("round %d: churner ticked after Stop", round)
-		}
-	}
-}
-
 // TestSessionRepinsAfterPinnedNodeChurnsOffline is the deterministic core
-// of the retry test below: pin a session, take exactly that node offline
-// (as a churn tick would), and require the next request to succeed on a
-// different node with the dead pin reported in the attempt chain.
+// of the retry test below: pin a session, take exactly that node offline,
+// and require the next request to succeed on a different node with the dead
+// pin reported in the attempt chain.
 func TestSessionRepinsAfterPinnedNodeChurnsOffline(t *testing.T) {
 	w := newTestWorld(t, 0)
 	w.setRule("d1", dnsserver.Always(webIP))
@@ -175,15 +65,18 @@ func TestSessionsSurviveChurnViaRetry(t *testing.T) {
 	// methodology depends on to discard split measurements.
 	w := newTestWorld(t, 0)
 	w.setRule("d1", dnsserver.Always(webIP))
-	ch := &Churner{Pool: w.pool, Clock: w.clock, Rand: simnet.NewRand(33),
-		Interval: 5 * time.Second, DownProb: 0.6, UpProb: 0.6}
-	ch.Start()
-	defer ch.Stop()
+	rng := simnet.NewRand(33)
 
 	opts := Options{Session: "churny"}
 	repins, ok := 0, 0
 	for i := 0; i < 40; i++ {
 		w.clock.Advance(5 * time.Second)
+		// Each node's availability flips with probability 0.6 a round.
+		for _, n := range w.pool.Nodes() {
+			if rng.Float64() < 0.6 {
+				n.SetOnline(!n.Online())
+			}
+		}
 		resp, dbg, err := w.client.Get(context.Background(), opts, "http://d1."+zone+"/")
 		if err != nil {
 			t.Fatal(err)

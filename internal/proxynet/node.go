@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/geo"
@@ -233,16 +232,8 @@ func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, p
 	// TLS-intercepting products engage on TLS-bearing tunnels; mail ports
 	// belong to the stream interceptors above.
 	if rewrite == nil && n.Path != nil && len(n.Path.TLS) > 0 && port != 25 && port != 587 {
-		hook := func(sni string, chain []*cert.Certificate) []*cert.Certificate {
-			for _, ic := range n.Path.TLS {
-				if replaced := ic.InterceptChain(sni, chain); replaced != nil {
-					return replaced
-				}
-			}
-			return nil
-		}
 		relay := func() error {
-			err := tlssim.Relay(client, server, hook)
+			err := tlssim.Relay(client, server, n.Path.ApplyTLS)
 			client.Close()
 			server.Close()
 			if benignRelayErr(err) {

@@ -50,22 +50,19 @@ func TestGetRejectsMalformedURLBeforeDialing(t *testing.T) {
 }
 
 // requestRig is the test world set up the way a crawl runs it: a tracer on
-// the super proxy and every exit node, the resolve cache in front of the
-// super proxy's resolver, a context carrying the probe's root span, and a
-// family of d1-<n> names that resolve for everyone, twice as many as the
-// cache holds, so that taking them in turn never hits it: a crawl's
-// hostnames are unique to their sessions.
+// the super proxy and every exit node, a context carrying the probe's root
+// span, and a family of d1-<n> names that resolve for everyone, taken in
+// turn because a crawl's hostnames are unique to their sessions.
 func requestRig(tb testing.TB) (*testWorld, context.Context) {
 	w := newTestWorld(tb, 0)
 	d1 := dnsserver.Always(webIP)
 	w.auth.SetFallback(func(string) dnsserver.Rule { return d1 })
 	tr := trace.New(w.clock.Now, 0)
 	w.sp.Tracer = tr
-	w.sp.DNSCache = NewResolveCache(w.clock)
 	for _, n := range w.pool.Nodes() {
 		n.Tracer = tr
 	}
-	w.urls = make([]string, 2*DefaultCacheEntries)
+	w.urls = make([]string, 256)
 	for i := range w.urls {
 		w.urls[i] = fmt.Sprintf("http://d1-%04d.%s/", i, zone)
 	}
@@ -91,12 +88,11 @@ func (w *testWorld) proxiedGet(tb testing.TB, ctx context.Context) {
 }
 
 // TestProxiedGetAllocs holds one warmed proxied GET — client, super proxy,
-// its resolver behind a cache that misses, the exit node's resolver and
-// fetch, the origin, and the five spans all that leaves — to an allocation
-// ceiling. It measured 47 when the ceiling was set, and 122 on this rig
-// before a message head became one string, a header block a field list, a
-// DNS exchange eight allocations and a span one; the slack is for Go
-// releases, not for regressions of ours.
+// its resolver, the exit node's resolver and fetch, the origin, and the five
+// spans all that leaves — to an allocation ceiling. It measured 46 when the
+// ceiling was set, and 122 on this rig before a message head became one
+// string, a header block a field list, a DNS exchange eight allocations and
+// a span one; the slack is for Go releases, not for regressions of ours.
 func TestProxiedGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -105,8 +101,8 @@ func TestProxiedGetAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	w.proxiedGet(t, ctx)
-	w.proxiedGet(t, ctx) // the second warm-up settles the session pin and the caches
-	const ceiling = 50
+	w.proxiedGet(t, ctx) // the second warm-up settles the session pin and the pools
+	const ceiling = 49
 	if got := testing.AllocsPerRun(100, func() { w.proxiedGet(t, ctx) }); got > ceiling {
 		t.Fatalf("a proxied GET allocates %.0f times, ceiling %d", got, ceiling)
 	}

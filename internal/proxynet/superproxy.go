@@ -162,9 +162,6 @@ type SuperProxy struct {
 	Resolver *dnsserver.Resolver
 	// Clock drives session TTLs.
 	Clock simnet.Clock
-	// DNSCache, when non-nil, caches the super-proxy-side existence checks
-	// (never the exit node's resolutions — see ResolveCache).
-	DNSCache *ResolveCache
 	// HTTPPort and ConnectPort override the service's allowed target ports
 	// (80 and 443). Real-network demos run origins on unprivileged ports.
 	HTTPPort    uint16
@@ -286,27 +283,11 @@ func (sp *SuperProxy) fail(conn net.Conn, status int, errStr, zid string, ip net
 	sp.clearWriteDeadline(conn)
 }
 
-// resolveSuper resolves host at the super proxy, consulting the DNS cache
-// when one is configured.
-func (sp *SuperProxy) resolveSuper(host string) (netip.Addr, dnswire.RCode) {
-	if sp.DNSCache == nil {
-		return sp.lookupSuper(host)
-	}
-	ip, rcode, how := sp.DNSCache.Resolve(host, sp.lookupSuper)
-	switch how {
-	case cacheHit:
-		sp.Metrics.Counter("proxy_dns_cache_hits_total").Inc()
-	case cacheCoalesced:
-		sp.Metrics.Counter("proxy_dns_cache_coalesced_total").Inc()
-	default:
-		sp.Metrics.Counter("proxy_dns_cache_misses_total").Inc()
-	}
-	return ip, rcode
-}
-
-// lookupSuper performs the uncached resolution. The client address passed
-// to the resolver is the super proxy itself, so the Google anycast egress is
-// the pinned instance.
+// lookupSuper resolves host at the super proxy, upstream every time: the
+// methodology's probe names are unique per session (§4.1), so there is
+// nothing for a cache to answer. The client address passed to the resolver
+// is the super proxy itself, so the Google anycast egress is the pinned
+// instance.
 func (sp *SuperProxy) lookupSuper(host string) (netip.Addr, dnswire.RCode) {
 	resp, err := sp.Resolver.Lookup(sp.Addr, host, dnswire.TypeA)
 	if err != nil {
@@ -451,7 +432,7 @@ func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *ht
 	// forwarding (§4.1) — the reason the d2 gate answers its resolver.
 	dspan := sp.Tracer.StartChild(span.Context(), "proxy.resolve", trace.KindDNS,
 		trace.Str("host", host))
-	ip, rcode := sp.resolveSuper(host)
+	ip, rcode := sp.lookupSuper(host)
 	dspan.SetAttrs(trace.Int("rcode", int64(rcode)))
 	if rcode != dnswire.RCodeSuccess || !ip.IsValid() {
 		dspan.SetError(ErrDNSSuper)
@@ -539,7 +520,7 @@ func (sp *SuperProxy) handleConnect(parent trace.SpanContext, conn net.Conn, req
 		dspan := sp.Tracer.StartChild(span.Context(), "proxy.resolve", trace.KindDNS,
 			trace.Str("host", hostStr))
 		var rcode dnswire.RCode
-		ip, rcode = sp.resolveSuper(hostStr)
+		ip, rcode = sp.lookupSuper(hostStr)
 		dspan.SetAttrs(trace.Int("rcode", int64(rcode)))
 		if rcode != dnswire.RCodeSuccess || !ip.IsValid() {
 			dspan.SetError(ErrDNSSuper)

@@ -224,7 +224,6 @@ func TestTCPHijackingAgentResolver(t *testing.T) {
 	// the experiment the other way: rule answers only "super" — here we
 	// emulate the gate by answering every query (the hijack path is what
 	// is under test).
-	r.auth.SetRule("d9."+zone, dnsserver.Never())
 	r.auth.SetRule("dgate."+zone, dnsserver.Always(r.webIPReal))
 
 	// Landing page host on TCP.

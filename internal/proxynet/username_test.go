@@ -23,6 +23,9 @@ func TestParseUsernameTable(t *testing.T) {
 		{"lum-customer-session-x", Params{User: "lum-customer-session-x"}},
 		{"lum-customer-country-session-7", Params{User: "lum-customer-country", Session: "7"}},
 		{"lum-customer-dns-dns-remote", Params{User: "lum-customer-dns", RemoteDNS: true}},
+		// A bare "lum-customer" is an incomplete zone triple: the first
+		// parameter token becomes its <name> and the value joins the user.
+		{"lum-customer-dns-remote", Params{User: "lum-customer-dns-remote"}},
 		// Non-Luminati zone users: only the first token is the prefix.
 		{"alice", Params{User: "alice"}},
 		{"alice-session-9", Params{User: "alice", Session: "9"}},
@@ -42,12 +45,16 @@ func TestParseUsernameTable(t *testing.T) {
 }
 
 // reservedAfterPrefix reports whether a user name contains a reserved token
-// outside its zone-user prefix — names the username grammar inherently
-// cannot round-trip (the token would parse as a parameter).
+// outside its zone-user prefix, or is a "lum-customer" missing its third
+// token — names the username grammar inherently cannot round-trip (the token
+// would parse as a parameter, or the first parameter as the <name>).
 func reservedAfterPrefix(user string) bool {
 	toks := strings.Split(user, "-")
 	prefix := 1
-	if len(toks) >= 3 && toks[0] == "lum" && toks[1] == "customer" {
+	if len(toks) >= 2 && toks[0] == "lum" && toks[1] == "customer" {
+		if len(toks) == 2 {
+			return true
+		}
 		prefix = 3
 	}
 	for _, tok := range toks[prefix:] {

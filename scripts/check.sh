@@ -12,7 +12,7 @@ GO=${GO:-go}
 # The gate, in order; EXTRA stages run only when named: each re-runs a
 # subset of what test and race have already run. No stage writes a tracked
 # file.
-GATE="fmt vet lint build test race fuzz bench tftbench promsmoke progress-smoke"
+GATE="fmt vet lint build test race fuzz bench tftbench"
 EXTRA="shards chaos"
 
 stage() {
@@ -93,23 +93,12 @@ stage() {
 		$GO test -run='TestDNSShardSinksMergeCanonically|TestDNSMergePartialsMatchUnsharded' .
 		;;
 	chaos)
-		# Chaos soak: the fault plane, breaker, and churner under the race
-		# detector, plus the fixed-seed end-to-end soaks (byte-identical
+		# Chaos soak: the fault plane, breaker, and session repinning under
+		# the race detector, plus the fixed-seed end-to-end soaks (byte-identical
 		# reruns, faulted probes excluded from violation rates, watchdog
 		# silent).
-		$GO test -race -run 'TestFault|TestInject|TestHealth|TestBackoff|TestChurner|TestSession' ./internal/simnet ./internal/proxynet
+		$GO test -race -run 'TestFault|TestInject|TestHealth|TestBackoff|TestSession' ./internal/simnet ./internal/proxynet
 		$GO test -run 'TestChaos' .
-		;;
-	promsmoke)
-		# Live scrape of the super proxy's Prometheus exposition, including
-		# the resolver-cache hit-rate assertion.
-		$GO run ./scripts/promsmoke
-		;;
-	progress-smoke)
-		# Flight-recorder smoke: a short DNS crawl with -progress and
-		# -progress-jsonl must stream parseable checkpoints and finish with a
-		# manifest whose node count matches the run's own headline.
-		$GO run ./scripts/progresssmoke
 		;;
 	*)
 		echo "check.sh: unknown stage '$1' (have: $GATE $EXTRA)" >&2
