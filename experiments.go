@@ -47,8 +47,10 @@ type experiment[D crawlDataset, A tableSet] struct {
 	headline func(a A, ds D) string
 	// overview is the run's Table-2 coverage row.
 	overview func(a A, ds D) analysis.DatasetOverview
-	// write serializes the dataset in the release format.
+	// write serializes the dataset in the release format; read is its
+	// inverse.
 	write func(w io.Writer, seed uint64, scale float64, ds D) error
+	read  func(r io.Reader) (*dataset.Header, D, error)
 }
 
 // crawlDriver is a core experiment driver, ready to run.
@@ -61,6 +63,7 @@ type crawlDriver[D any] interface {
 type registeredExperiment interface {
 	info() experimentInfo
 	run(ctx context.Context, opts Options) (Run, error)
+	load(dir string) (Run, error)
 }
 
 func (e *experiment[D, A]) info() experimentInfo { return e.experimentInfo }
@@ -114,6 +117,7 @@ var dnsExperiment = &experiment[*core.DNSDataset, *analysis.DNSAnalysis]{
 			Nodes: s.MeasuredNodes + s.FilteredAnycast, ASes: s.ASes, Countries: s.Countries}
 	},
 	write: dataset.WriteDNS,
+	read:  dataset.ReadDNS,
 }
 
 var httpExperiment = &experiment[*core.HTTPDataset, *analysis.HTTPAnalysis]{
@@ -142,6 +146,7 @@ var httpExperiment = &experiment[*core.HTTPDataset, *analysis.HTTPAnalysis]{
 			Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
 	},
 	write: dataset.WriteHTTP,
+	read:  dataset.ReadHTTP,
 }
 
 var tlsExperiment = &experiment[*core.TLSDataset, *analysis.TLSAnalysis]{
@@ -171,6 +176,7 @@ var tlsExperiment = &experiment[*core.TLSDataset, *analysis.TLSAnalysis]{
 			Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
 	},
 	write: dataset.WriteTLS,
+	read:  dataset.ReadTLS,
 }
 
 var monitorExperiment = &experiment[*core.MonDataset, *analysis.MonAnalysis]{
@@ -200,6 +206,7 @@ var monitorExperiment = &experiment[*core.MonDataset, *analysis.MonAnalysis]{
 			Nodes: a.Summary().MeasuredNodes, ASes: ases, Countries: countries}
 	},
 	write: dataset.WriteMonitor,
+	read:  dataset.ReadMonitor,
 }
 
 var smtpExperiment = &experiment[*core.SMTPDataset, *analysis.SMTPAnalysis]{
@@ -227,6 +234,7 @@ var smtpExperiment = &experiment[*core.SMTPDataset, *analysis.SMTPAnalysis]{
 			Nodes: a.Summary().MeasuredNodes, ASes: ases, Countries: countries}
 	},
 	write: dataset.WriteSMTP,
+	read:  dataset.ReadSMTP,
 }
 
 // coverage counts the distinct countries and ASes a dataset's records span

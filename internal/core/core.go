@@ -72,11 +72,18 @@ func (b *Budget) Charge(zid string, n int) bool {
 	b.used[zid] += int64(n)
 	after := b.used[zid]
 	b.mu.Unlock()
-	b.Metrics.Counter("budget_charged_bytes").Add(int64(n))
+	chargeBytes(b.Metrics, n)
 	if before <= b.MaxBytes && after > b.MaxBytes {
 		b.Metrics.Counter("budget_exhausted_total").Inc()
 	}
 	return after <= b.MaxBytes
+}
+
+// chargeBytes counts n bytes downloaded through an exit node: the §3.4
+// accounting every metered driver keeps. Only the HTTP crawl, the one that
+// can reach the cap, also holds nodes to it (Budget).
+func chargeBytes(m *metrics.Registry, n int) {
+	m.Counter("budget_charged_bytes").Add(int64(n))
 }
 
 // Used reports the bytes charged to zid.
@@ -86,9 +93,9 @@ func (b *Budget) Used(zid string) int64 {
 	return b.used[zid]
 }
 
-// orDefault is the budget preamble every metered driver runs: a nil budget
-// becomes the paper's 1 MB cap, and a budget without a registry of its own
-// reports into the crawl's.
+// orDefault is the HTTP driver's budget preamble: a nil budget becomes the
+// paper's 1 MB cap, and a budget without a registry of its own reports into
+// the crawl's.
 func (b *Budget) orDefault(m *metrics.Registry) *Budget {
 	if b == nil {
 		b = NewBudget(0)

@@ -50,7 +50,6 @@ type DNSExperiment struct {
 	Zone string
 	// Weights are the service-reported per-country node counts (§3.2).
 	Weights map[geo.CountryCode]int
-	Budget  *Budget
 	Crawl   CrawlConfig
 	Seed    uint64
 	// Sink, when non-nil, receives every successful observation as it is
@@ -97,7 +96,6 @@ func (e *DNSExperiment) InstallRules(webIP netip.Addr) {
 // Run executes the crawl and returns the dataset.
 func (e *DNSExperiment) Run(ctx context.Context) (*DNSDataset, error) {
 	m := e.Crawl.Metrics
-	e.Budget = e.Budget.orDefault(m)
 	return runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*DNSObservation]{
 		name: "dns", stream: "crawl/dns",
 		measure:          e.measure,
@@ -167,7 +165,7 @@ func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 		// Footnote 8: the node's resolver egress is the super proxy's own
 		// anycast instance, so the d2 gate cannot tell them apart — filter.
 		obs.SharedAnycast = true
-		e.Budget.Charge(obs.ZID, len(resp1.Body))
+		chargeBytes(e.Crawl.Metrics, len(resp1.Body))
 		return obs, outcomeOK
 	}
 
@@ -180,7 +178,7 @@ func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 	if dbg2.ZID != obs.ZID {
 		return nil, outcomeDiscarded
 	}
-	e.Budget.Charge(obs.ZID, len(resp1.Body)+len(resp2.Body))
+	chargeBytes(e.Crawl.Metrics, len(resp1.Body)+len(resp2.Body))
 	if dbg2.PeerNXDomain() {
 		return obs, outcomeOK
 	}

@@ -102,8 +102,6 @@ type HTTPExperiment struct {
 	// PerASQuota is the initial sample per AS (paper: 3). Setting it very
 	// high disables the sampling strategy (the exhaustive ablation).
 	PerASQuota int
-	// Kinds restricts the fetched objects (ablations); nil means all four.
-	Kinds []content.Kind
 }
 
 const httpPrefix = "h-"
@@ -128,10 +126,6 @@ func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
 	if e.PerASQuota <= 0 {
 		e.PerASQuota = 3
 	}
-	kinds := e.Kinds
-	if kinds == nil {
-		kinds = content.Kinds
-	}
 	m := e.Crawl.Metrics
 	e.Budget = e.Budget.orDefault(m)
 	// The AS sampling quota is inherently global — every shard consults it
@@ -144,7 +138,7 @@ func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
 	crawl, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*HTTPObservation]{
 		name: "http", stream: "crawl/http",
 		measure: func(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*HTTPObservation, outcome) {
-			return e.measure(ctx, cr, cc, sess, kinds, &mu, asCount, asFlagged)
+			return e.measure(ctx, cr, cc, sess, &mu, asCount, asFlagged)
 		},
 		zid:              func(o *HTTPObservation) string { return o.ZID },
 		violation:        (*HTTPObservation).AnyModified,
@@ -167,7 +161,7 @@ func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
 
 // measure fetches the four objects through one node.
 func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string,
-	kinds []content.Kind, mu *sync.Mutex, asCount map[geo.ASN]int, asFlagged map[geo.ASN]bool) (*HTTPObservation, outcome) {
+	mu *sync.Mutex, asCount map[geo.ASN]int, asFlagged map[geo.ASN]bool) (*HTTPObservation, outcome) {
 
 	opts := proxynet.Options{Country: cc, Session: sess}
 	obs := &HTTPObservation{}
@@ -217,7 +211,7 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 		obs.Objects[int(k)] = classify(k, resp.StatusCode, resp.Body)
 		return outcomeOK, true
 	}
-	for idx, k := range kinds {
+	for idx, k := range content.Kinds {
 		oc, more := fetch(idx, k)
 		if oc != outcomeOK {
 			return nil, oc

@@ -60,7 +60,6 @@ type MonitorExperiment struct {
 	Clock   *simnet.Virtual
 	Zone    string
 	Weights map[geo.CountryCode]int
-	Budget  *Budget
 	Crawl   CrawlConfig
 	Seed    uint64
 	// Watch is how long the server log is monitored after the fetches
@@ -80,7 +79,6 @@ func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 		e.Watch = 24 * time.Hour
 	}
 	m, prog := e.Crawl.Metrics, e.Crawl.Progress
-	e.Budget = e.Budget.orDefault(m)
 	// No violation hook: whether a node is monitored is only known once the
 	// watch window below has run out.
 	ds, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*MonObservation]{
@@ -118,7 +116,7 @@ func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.Count
 	if !cr.observe(dbg.ZID) {
 		return nil, outcomeDuplicate
 	}
-	e.Budget.Charge(dbg.ZID, len(resp.Body))
+	chargeBytes(e.Crawl.Metrics, len(resp.Body))
 	obs := &MonObservation{ZID: dbg.ZID, NodeIP: dbg.NodeIP, Host: host, RequestAt: at}
 	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 	return obs, outcomeOK

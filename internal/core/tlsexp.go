@@ -109,7 +109,6 @@ type TLSExperiment struct {
 	Trust   *cert.Store
 	Targets *TLSTargets
 	Weights map[geo.CountryCode]int
-	Budget  *Budget
 	Crawl   CrawlConfig
 	Seed    uint64
 	// Now supplies verification time.
@@ -123,7 +122,6 @@ type TLSExperiment struct {
 // Run executes the crawl.
 func (e *TLSExperiment) Run(ctx context.Context) (*TLSDataset, error) {
 	m := e.Crawl.Metrics
-	e.Budget = e.Budget.orDefault(m)
 	ds := &TLSDataset{}
 	e.probes = &ds.Probes
 	crawl, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*TLSObservation]{
@@ -223,7 +221,7 @@ func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site T
 	if err != nil {
 		return res, dbg, err
 	}
-	e.Budget.Charge(dbg.ZID, cert.ChainSize(chain))
+	chargeBytes(e.Crawl.Metrics, cert.ChainSize(chain))
 	if len(chain) == 0 {
 		return res, dbg, fmt.Errorf("empty chain")
 	}

@@ -112,9 +112,6 @@ func NewAuthority(zone string, clock simnet.Clock) *Authority {
 	return a
 }
 
-// Zone returns the served zone.
-func (a *Authority) Zone() string { return a.zone }
-
 // SetRule installs the answer rule for name (which must fall inside the
 // zone; out-of-zone names are refused at query time anyway).
 func (a *Authority) SetRule(name string, r Rule) {

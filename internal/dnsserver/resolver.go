@@ -17,8 +17,6 @@ type Exchanger interface {
 // the landing-page address to substitute for the error (ok=false leaves the
 // NXDOMAIN untouched). Implementations live with the middlebox behaviours.
 type NXRewriter interface {
-	// Label names the rewriting party for diagnostics.
-	Label() string
 	RewriteNX(name string) (netip.Addr, bool)
 }
 
@@ -132,12 +130,11 @@ func queryID(client netip.Addr, name string) uint16 {
 
 // StaticNX is the simplest NXRewriter: every NXDOMAIN becomes landing.
 type StaticNX struct {
+	// Name labels the rewriting party where a resolver is printed; no code
+	// reads it.
 	Name    string
 	Landing netip.Addr
 }
-
-// Label implements NXRewriter.
-func (s StaticNX) Label() string { return s.Name }
 
 // RewriteNX implements NXRewriter.
 func (s StaticNX) RewriteNX(string) (netip.Addr, bool) { return s.Landing, true }

@@ -57,9 +57,6 @@ type UDPExchanger struct {
 	BindSrc bool
 	// Timeout per exchange (default 3s).
 	Timeout time.Duration
-	// Clock supplies the deadline timebase; nil means the wall clock
-	// (exchanges ride real UDP sockets).
-	Clock simnet.Clock
 }
 
 // ExchangeDNS implements Exchanger.
@@ -81,11 +78,7 @@ func (u *UDPExchanger) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, e
 		return nil, err
 	}
 	defer conn.Close()
-	clock := u.Clock
-	if clock == nil {
-		clock = simnet.Real{}
-	}
-	if err := conn.SetDeadline(clock.Now().Add(timeout)); err != nil {
+	if err := conn.SetDeadline(simnet.Real{}.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
 	if _, err := conn.Write(query); err != nil {

@@ -64,9 +64,6 @@ type CertMITM struct {
 	serial atomic.Uint64
 }
 
-// Label implements TLSInterceptor.
-func (m *CertMITM) Label() string { return m.Product }
-
 // InterceptChain implements TLSInterceptor.
 func (m *CertMITM) InterceptChain(serverName string, chain []*cert.Certificate) []*cert.Certificate {
 	if len(chain) == 0 {
@@ -161,9 +158,6 @@ type ProductCAs struct {
 	hosts     func(string) bool
 	trust     *cert.Store
 }
-
-// Spec returns the product description.
-func (pc *ProductCAs) Spec() ProductSpec { return pc.spec }
 
 // Instance creates the per-node interceptor.
 func (pc *ProductCAs) Instance(nodeSeed string, now func() time.Time) *CertMITM {

@@ -19,24 +19,14 @@ type ImageCompressor struct {
 	// saw multiple ratios (Vodacom ZA, Vodafone EG). Selection between them
 	// is per-request pseudo-random but deterministic per (host, path).
 	Ratios []float64
-	// MinSize is the smallest image worth transcoding; zero means
-	// MinInjectSize.
-	MinSize int
 }
-
-// Label implements HTTPInterceptor.
-func (ic ImageCompressor) Label() string { return ic.Product }
 
 // InterceptHTTP implements HTTPInterceptor.
 func (ic ImageCompressor) InterceptHTTP(host, path string, resp *httpwire.Response) *httpwire.Response {
 	if resp.StatusCode != 200 || !strings.HasPrefix(resp.Header.Get("Content-Type"), "image/") {
 		return resp
 	}
-	min := ic.MinSize
-	if min == 0 {
-		min = MinInjectSize
-	}
-	if len(resp.Body) < min || len(ic.Ratios) == 0 {
+	if len(resp.Body) < MinInjectSize || len(ic.Ratios) == 0 {
 		return resp
 	}
 	ratio := ic.Ratios[hashStrings(host, path)%uint32(len(ic.Ratios))]

@@ -36,24 +36,14 @@ type HTMLInjector struct {
 	// ExtraBytes pads the injection to model heavyweight ad payloads
 	// (AdTaily adds ~335 KB, oiasudoj ~23 KB).
 	ExtraBytes int
-	// MinSize is the smallest object the injector touches; zero means
-	// MinInjectSize.
-	MinSize int
 }
-
-// Label implements HTTPInterceptor.
-func (in HTMLInjector) Label() string { return in.Product }
 
 // InterceptHTTP implements HTTPInterceptor.
 func (in HTMLInjector) InterceptHTTP(host, path string, resp *httpwire.Response) *httpwire.Response {
 	if resp.StatusCode != 200 || !isHTML(resp) {
 		return resp
 	}
-	min := in.MinSize
-	if min == 0 {
-		min = MinInjectSize
-	}
-	if len(resp.Body) < min {
+	if len(resp.Body) < MinInjectSize {
 		return resp
 	}
 	var inject string
@@ -79,30 +69,22 @@ const NetSparkMetaTag = `<meta name="NetSparkQuiltingResult" content="clean">`
 // rewritten and stamped with the filter's meta tag.
 type ContentFilter struct {
 	Product string
-	Meta    string
 }
-
-// Label implements HTTPInterceptor.
-func (cf ContentFilter) Label() string { return cf.Product }
 
 // InterceptHTTP implements HTTPInterceptor.
 func (cf ContentFilter) InterceptHTTP(host, path string, resp *httpwire.Response) *httpwire.Response {
 	if resp.StatusCode != 200 || !isHTML(resp) {
 		return resp
 	}
-	meta := cf.Meta
-	if meta == "" {
-		meta = NetSparkMetaTag
-	}
 	if i := bytes.Index(resp.Body, []byte("<head>")); i >= 0 {
 		var out []byte
 		out = append(out, resp.Body[:i+len("<head>")]...)
 		out = append(out, '\n')
-		out = append(out, meta...)
+		out = append(out, NetSparkMetaTag...)
 		out = append(out, resp.Body[i+len("<head>"):]...)
 		resp.Body = out
 	} else {
-		resp.Body = append([]byte(meta+"\n"), resp.Body...)
+		resp.Body = append([]byte(NetSparkMetaTag+"\n"), resp.Body...)
 	}
 	return resp
 }
@@ -119,9 +101,6 @@ type BlockPage struct {
 	// Empty returns a 200 with an empty body instead of an error page.
 	Empty bool
 }
-
-// Label implements HTTPInterceptor.
-func (bp BlockPage) Label() string { return bp.Product }
 
 // InterceptHTTP implements HTTPInterceptor.
 func (bp BlockPage) InterceptHTTP(host, path string, resp *httpwire.Response) *httpwire.Response {

@@ -74,9 +74,6 @@ type PathNXHijack struct {
 	Landing netip.Addr
 }
 
-// Label implements DNSInterceptor.
-func (h PathNXHijack) Label() string { return h.Product }
-
 // InterceptDNS implements DNSInterceptor.
 func (h PathNXHijack) InterceptDNS(name string, resp *dnswire.Message) *dnswire.Message {
 	if resp == nil || resp.RCode != dnswire.RCodeNXDomain {

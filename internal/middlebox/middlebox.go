@@ -19,14 +19,11 @@ import (
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/httpwire"
-	"github.com/tftproject/tft/internal/simnet"
 )
 
 // DNSInterceptor rewrites DNS responses on the node's path — a transparent
 // DNS proxy in the ISP or resolver-tampering software on the host (§4.3.3).
 type DNSInterceptor interface {
-	// Label names the interceptor for attribution ground truth.
-	Label() string
 	// InterceptDNS may rewrite the response for the queried name in place
 	// and must return it (or a replacement).
 	InterceptDNS(name string, resp *dnswire.Message) *dnswire.Message
@@ -34,7 +31,6 @@ type DNSInterceptor interface {
 
 // HTTPInterceptor rewrites HTTP responses in flight (§5).
 type HTTPInterceptor interface {
-	Label() string
 	// InterceptHTTP may rewrite resp (returning it or a replacement). host
 	// and path identify the fetched URL. It may point resp.Body at new
 	// bytes but must never store into the bytes it was handed: they can be
@@ -45,14 +41,12 @@ type HTTPInterceptor interface {
 // TLSInterceptor replaces certificate chains in CONNECT tunnels (§6).
 // Returning nil leaves the original chain untouched (selective MITM).
 type TLSInterceptor interface {
-	Label() string
 	InterceptChain(serverName string, chain []*cert.Certificate) []*cert.Certificate
 }
 
-// Env gives monitors access to the simulation clock, a deterministic random
-// stream, and the ability to issue their own HTTP fetches.
+// Env gives monitors a deterministic random stream and the ability to issue
+// their own HTTP fetches.
 type Env struct {
-	Clock simnet.Clock
 	// Rand is the node's own stream; randMu serialises the draws of
 	// concurrent fetches through the node.
 	Rand   *rand.Rand
@@ -66,7 +60,6 @@ type Env struct {
 
 // Monitor observes the node's HTTP requests and may duplicate them (§7).
 type Monitor interface {
-	Label() string
 	// Observe is called when the node fetches http://host+path. proceed
 	// performs the node's own fetch and must be called exactly once.
 	Observe(env *Env, host, path string, proceed func())
@@ -77,7 +70,6 @@ type Monitor interface {
 // the §3.4 SMTP extension hunts for. Only the server→client direction is
 // rewritten (capability advertisements flow that way).
 type StreamInterceptor interface {
-	Label() string
 	// AppliesTo reports whether the interceptor engages for tunnels to the
 	// given destination port.
 	AppliesTo(port uint16) bool

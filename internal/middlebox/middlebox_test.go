@@ -140,11 +140,11 @@ func TestHTMLInjectorSkipsNonHTML(t *testing.T) {
 func TestInterceptorsNeverWriteIntoTheBodyTheyAreHanded(t *testing.T) {
 	interceptors := []HTTPInterceptor{
 		HTMLInjector{Product: "url", Signature: "d36mw5gp02ykm5.cloudfront.net", SignatureIsURL: true},
-		HTMLInjector{Product: "keyword", Signature: "var oiasudoj;", ExtraBytes: 23 << 10, MinSize: 1},
+		HTMLInjector{Product: "keyword", Signature: "var oiasudoj;", ExtraBytes: 23 << 10},
 		ContentFilter{Product: "netspark"},
 		BlockPage{Product: "blocked", Message: "blocked"},
 		BlockPage{Product: "empty", Empty: true},
-		ImageCompressor{Product: "transcoder", Ratios: []float64{0.5, 0.34}, MinSize: 1},
+		ImageCompressor{Product: "transcoder", Ratios: []float64{0.5, 0.34}},
 	}
 	want := make(map[content.Kind][32]byte)
 	for _, k := range content.Kinds {
@@ -157,7 +157,7 @@ func TestInterceptorsNeverWriteIntoTheBodyTheyAreHanded(t *testing.T) {
 				resp.Header.Set("Content-Type", served.ContentType())
 				ic.InterceptHTTP("h.example.net", k.Path(), resp)
 				if sha256.Sum256(content.Object(k)) != want[k] {
-					t.Fatalf("%s wrote into the canonical %v object (served as %s)", ic.Label(), k, served.ContentType())
+					t.Fatalf("%T wrote into the canonical %v object (served as %s)", ic, k, served.ContentType())
 				}
 			}
 		}
@@ -445,8 +445,7 @@ type refetchRec struct {
 func watchEnv(rng *rand.Rand) (*Env, *[]refetchRec) {
 	var recs []refetchRec
 	env := &Env{
-		Clock: simnet.NewVirtual(epoch),
-		Rand:  rng,
+		Rand: rng,
 		Refetch: func(src netip.Addr, host, path string, delay time.Duration) {
 			recs = append(recs, refetchRec{src, host, delay})
 		},
@@ -501,7 +500,6 @@ func TestWatcherConcurrentFetchesThroughOneNode(t *testing.T) {
 	}
 	var refetches atomic.Int64
 	env := &Env{
-		Clock:   simnet.NewVirtual(epoch),
 		Rand:    simnet.NewRand(7),
 		Refetch: func(netip.Addr, string, string, time.Duration) { refetches.Add(1) },
 	}
@@ -548,34 +546,10 @@ func TestWatcherPreFetch(t *testing.T) {
 	}
 }
 
-func TestWatcherSampling(t *testing.T) {
-	w := &Watcher{
-		Product:    "Tiscali",
-		SampleProb: 0.5,
-		Requests: []RefetchSpec{{
-			Delay:   DelaySpec{Min: 30 * time.Second, Max: 30 * time.Second},
-			Sources: []netip.Addr{netip.MustParseAddr("212.74.1.1")},
-		}},
-	}
-	env, recs := watchEnv(simnet.NewRand(7))
-	for i := 0; i < 400; i++ {
-		w.Observe(env, "u.example.net", "/", func() {})
-	}
-	frac := float64(len(*recs)) / 400
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("sampled fraction = %.2f, want ~0.5", frac)
-	}
-	for _, r := range *recs {
-		if r.delay != 30*time.Second {
-			t.Fatalf("Tiscali delay = %v, want exactly 30s", r.delay)
-		}
-	}
-}
-
 func TestObserveFetchOrdering(t *testing.T) {
 	var order []string
 	mkWatcher := func(name string) Monitor {
-		return watcherFunc{name: name, fn: func(env *Env, host, path string, proceed func()) {
+		return watcherFunc{fn: func(env *Env, host, path string, proceed func()) {
 			order = append(order, "pre-"+name)
 			proceed()
 			order = append(order, "post-"+name)
@@ -591,11 +565,9 @@ func TestObserveFetchOrdering(t *testing.T) {
 }
 
 type watcherFunc struct {
-	name string
-	fn   func(env *Env, host, path string, proceed func())
+	fn func(env *Env, host, path string, proceed func())
 }
 
-func (w watcherFunc) Label() string { return w.name }
 func (w watcherFunc) Observe(env *Env, host, path string, proceed func()) {
 	w.fn(env, host, path, proceed)
 }
@@ -624,9 +596,6 @@ func TestSTARTTLSStripperPortScope(t *testing.T) {
 	}
 	if st.AppliesTo(443) || st.AppliesTo(80) {
 		t.Fatal("non-mail ports covered")
-	}
-	if st.Label() != "mailguard" {
-		t.Fatal("label mismatch")
 	}
 }
 

@@ -55,14 +55,7 @@ type Watcher struct {
 	Product string
 	// Requests lists the unexpected requests issued per observed fetch.
 	Requests []RefetchSpec
-	// SampleProb monitors only this fraction of fetches (1 = all). §7.2.2
-	// raises non-deterministic monitoring as a possibility; the ablation
-	// bench uses it.
-	SampleProb float64
 }
-
-// Label implements Monitor.
-func (w *Watcher) Label() string { return w.Product }
 
 // Observe implements Monitor.
 func (w *Watcher) Observe(env *Env, host, path string, proceed func()) {
@@ -77,10 +70,6 @@ func (w *Watcher) Observe(env *Env, host, path string, proceed func()) {
 	var buf [4]refetch
 	plan := buf[:0]
 	env.randMu.Lock()
-	if w.SampleProb > 0 && w.SampleProb < 1 && !decide(env.Rand, w.SampleProb) {
-		env.randMu.Unlock()
-		return
-	}
 	for _, spec := range w.Requests {
 		if len(spec.Sources) == 0 {
 			continue

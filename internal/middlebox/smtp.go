@@ -10,9 +10,6 @@ type STARTTLSStripper struct {
 	Product string
 }
 
-// Label implements StreamInterceptor.
-func (st STARTTLSStripper) Label() string { return st.Product }
-
 // AppliesTo implements StreamInterceptor: mail submission ports only.
 func (st STARTTLSStripper) AppliesTo(port uint16) bool {
 	return port == 25 || port == 587

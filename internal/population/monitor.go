@@ -81,7 +81,6 @@ func scannerUA(product string) string {
 // monitorEnv builds the per-node Env monitors run in.
 func (b *monBuilder) monitorEnv(zid, product string) *middlebox.Env {
 	return &middlebox.Env{
-		Clock:   b.Clock,
 		Rand:    simnet.SubRand(b.Seed, "monenv/"+zid),
 		Refetch: b.refetchFunc(scannerUA(product)),
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"log/slog"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -84,17 +83,15 @@ type Sampler struct {
 	// progress_heap_bytes, progress_goroutines) and the watchdog's
 	// progress_stalls_total.
 	Metrics *metrics.Registry
-	// Log, when non-nil, receives the watchdog's structured stall report.
-	Log *slog.Logger
 	// Checkpoint, when non-nil, receives the JSONL stream: one "sample"
 	// line per tick, "stall" lines from the watchdog. The stream is flushed
 	// after every line so it can be tailed live.
 	Checkpoint io.Writer
 	// StallAfter arms the watchdog: when no probe or completion lands for
-	// at least this long, the sampler counts a stall, logs it, and
-	// dumps the goroutine profile to the checkpoint. Zero disables the
-	// watchdog. The watchdog fires once per stall episode and re-arms when
-	// progress resumes.
+	// at least this long, the sampler counts a stall and dumps the
+	// goroutine profile to the checkpoint. Zero disables the watchdog. The
+	// watchdog fires once per stall episode and re-arms when progress
+	// resumes.
 	StallAfter time.Duration
 	// OnSample, when non-nil, observes every sample — the -progress stderr
 	// line. Called outside the sampler lock.
@@ -198,13 +195,6 @@ func (s *Sampler) Stop() error {
 	return err
 }
 
-// Err reports the first checkpoint write error.
-func (s *Sampler) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeErr
-}
-
 // sampleLocked takes one reading: snapshot the tracker, capture watermarks,
 // update rates and the watchdog, publish gauges and the tracker's latest
 // sample, and write the checkpoint line. Caller holds s.mu.
@@ -286,15 +276,6 @@ func (s *Sampler) watchdogLocked(sample *Sample, st Status, now time.Time) {
 	s.stalled = true
 	s.Tracker.noteStall()
 	s.Metrics.Counter("progress_stalls_total").Inc()
-	if s.Log != nil {
-		s.Log.Error("crawl stalled",
-			"experiment", st.Experiment,
-			"since_progress", since,
-			"done", st.Done,
-			"total", st.TotalNodes,
-			"probes", st.Probes,
-			"goroutines", sample.Watermarks.Goroutines)
-	}
 	if s.enc != nil {
 		rec := stallRecord{
 			Type:                 "stall",

@@ -39,11 +39,19 @@ const (
 const agentConnsPerPeer = 16
 
 // Agent-protocol timeouts: waiting for an idle connection, one RPC
-// round-trip, and the registration handshake.
+// round-trip, and the registration handshake. Agent connections ride real
+// sockets, so every one of them runs on the wall clock (simnet.Real).
 const (
 	agentBorrowTimeout   = 2 * time.Second
 	agentRPCTimeout      = 30 * time.Second
 	agentRegisterTimeout = 10 * time.Second
+)
+
+// The agent's reconnect schedule: the first delay, which consecutive
+// failures double with seeded jitter, and the cap.
+const (
+	agentBackoff    = 500 * time.Millisecond
+	agentBackoffCap = 30 * time.Second
 )
 
 // errPeerBusy is returned when a remote peer has no idle agent connection.
@@ -54,7 +62,6 @@ type remotePeer struct {
 	zid     string
 	ip      netip.Addr
 	country geo.CountryCode
-	clock   simnet.Clock
 
 	mu   sync.Mutex
 	idle chan net.Conn
@@ -95,11 +102,10 @@ func (p *remotePeer) addConn(conn net.Conn) bool {
 	}
 }
 
-// borrow takes an idle connection, giving up after agentBorrowTimeout on
-// the peer's injected clock.
+// borrow takes an idle connection, giving up after agentBorrowTimeout.
 func (p *remotePeer) borrow() (net.Conn, error) {
 	timeout := make(chan struct{})
-	t := p.clock.AfterFunc(agentBorrowTimeout, func() { close(timeout) })
+	t := simnet.Real{}.AfterFunc(agentBorrowTimeout, func() { close(timeout) })
 	defer t.Stop()
 	select {
 	case conn := <-p.idle:
@@ -132,7 +138,7 @@ func (p *remotePeer) rpc(req *httpwire.Request) (*httpwire.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(p.clock.Now().Add(agentRPCTimeout))
+	conn.SetDeadline(simnet.Real{}.Now().Add(agentRPCTimeout))
 	br := httpwire.GetReader(conn)
 	resp, err := httpwire.RoundTrip(conn, br, req)
 	httpwire.PutReader(br)
@@ -229,9 +235,6 @@ func tunnelRefused(code int) error {
 // pool.
 type Gateway struct {
 	Pool *Pool
-	// Clock supplies handshake and RPC deadlines; nil means the wall
-	// clock (agent connections ride real sockets).
-	Clock simnet.Clock
 
 	mu    sync.Mutex
 	peers map[string]*remotePeer
@@ -242,14 +245,6 @@ func NewGateway(pool *Pool) *Gateway {
 	return &Gateway{Pool: pool, peers: make(map[string]*remotePeer)}
 }
 
-// clock returns the injected clock, defaulting to the wall clock.
-func (g *Gateway) clock() simnet.Clock {
-	if g.Clock != nil {
-		return g.Clock
-	}
-	return simnet.Real{}
-}
-
 // Serve runs the agent accept loop until the listener closes.
 func (g *Gateway) Serve(l net.Listener) error {
 	return ServeListener(l, g.handle)
@@ -257,7 +252,7 @@ func (g *Gateway) Serve(l net.Listener) error {
 
 // handle performs one agent connection's registration handshake.
 func (g *Gateway) handle(conn net.Conn) {
-	conn.SetDeadline(g.clock().Now().Add(agentRegisterTimeout))
+	conn.SetDeadline(simnet.Real{}.Now().Add(agentRegisterTimeout))
 	br := httpwire.GetReader(conn)
 	req, err := httpwire.ReadRequest(br)
 	httpwire.PutReader(br)
@@ -277,7 +272,7 @@ func (g *Gateway) handle(conn net.Conn) {
 	g.mu.Lock()
 	peer, ok := g.peers[zid]
 	if !ok {
-		peer = &remotePeer{zid: zid, ip: ip, country: country, clock: g.clock(),
+		peer = &remotePeer{zid: zid, ip: ip, country: country,
 			idle: make(chan net.Conn, agentConnsPerPeer)}
 		g.peers[zid] = peer
 	}
@@ -325,31 +320,14 @@ type Agent struct {
 	Gateway string
 	// Conns is the number of parallel agent connections (default 4).
 	Conns int
-	// Backoff is the first reconnect delay (default 500ms); consecutive
-	// failures double it with seeded jitter up to BackoffMax, and a
-	// successful connection resets the schedule.
-	Backoff time.Duration
-	// BackoffMax caps the reconnect delay (default 30s).
-	BackoffMax time.Duration
-	// Clock paces reconnect backoff; nil means the wall clock (the agent
-	// dials real sockets).
-	Clock simnet.Clock
 }
 
-// backoff is the reconnect schedule of the agent's i'th connection. Its
-// jitter stream is keyed by the node's zID and the connection index, so
-// neither the agents on one gateway nor one agent's connections reconnect
-// in lockstep after a simultaneous drop.
+// backoff is the reconnect schedule of the agent's i'th connection; a
+// successful connection resets it. Its jitter stream is keyed by the node's
+// zID and the connection index, so neither the agents on one gateway nor
+// one agent's connections reconnect in lockstep after a simultaneous drop.
 func (a *Agent) backoff(i int) *Backoff {
-	base := a.Backoff
-	if base <= 0 {
-		base = 500 * time.Millisecond
-	}
-	maxDelay := a.BackoffMax
-	if maxDelay <= 0 {
-		maxDelay = 30 * time.Second
-	}
-	return NewBackoff(base, maxDelay, simnet.SubRand(uint64(i), "agent/"+a.Node.ZID))
+	return NewBackoff(agentBackoff, agentBackoffCap, simnet.SubRand(uint64(i), "agent/"+a.Node.ZID))
 }
 
 // Run maintains the agent connections until ctx is cancelled.
@@ -357,10 +335,6 @@ func (a *Agent) Run(ctx context.Context) error {
 	conns := a.Conns
 	if conns <= 0 {
 		conns = 4
-	}
-	clock := a.Clock
-	if clock == nil {
-		clock = simnet.Real{}
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < conns; i++ {
@@ -372,7 +346,7 @@ func (a *Agent) Run(ctx context.Context) error {
 			for ctx.Err() == nil {
 				if err := a.serveOne(ctx); err != nil && ctx.Err() == nil {
 					wait := make(chan struct{})
-					t := clock.AfterFunc(bo.Next(), func() { close(wait) })
+					t := simnet.Real{}.AfterFunc(bo.Next(), func() { close(wait) })
 					select {
 					case <-wait:
 					case <-ctx.Done():

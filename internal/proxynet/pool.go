@@ -3,7 +3,6 @@ package proxynet
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync"
 
 	"github.com/tftproject/tft/internal/geo"
@@ -113,17 +112,6 @@ func (p *Pool) CountryCounts() map[geo.CountryCode]int {
 	for cc, ns := range p.byCountry {
 		out[cc] = len(ns)
 	}
-	return out
-}
-
-// Countries lists countries with at least one node, sorted for determinism.
-func (p *Pool) Countries() []geo.CountryCode {
-	counts := p.CountryCounts()
-	out := make([]geo.CountryCode, 0, len(counts))
-	for cc := range counts {
-		out = append(out, cc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -2,7 +2,6 @@ package proxynet
 
 import (
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -28,8 +27,6 @@ type NodeSource interface {
 	Len() int
 	// CountryCounts reports the advertised node count per country.
 	CountryCounts() map[geo.CountryCode]int
-	// Countries lists countries with at least one node, sorted.
-	Countries() []geo.CountryCode
 	// Nodes materializes every in-process exit node — a test and
 	// instrumentation helper; O(population) on a LazyPool.
 	Nodes() []*ExitNode
@@ -204,17 +201,6 @@ func (p *LazyPool) CountryCounts() map[geo.CountryCode]int {
 	for cc, idx := range p.byCountry {
 		out[cc] = len(idx)
 	}
-	return out
-}
-
-// Countries implements NodeSource.
-func (p *LazyPool) Countries() []geo.CountryCode {
-	counts := p.CountryCounts()
-	out := make([]geo.CountryCode, 0, len(counts))
-	for cc := range counts {
-		out = append(out, cc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -24,15 +24,12 @@ type TCPDialer struct {
 	MapAddr func(dst netip.Addr, port uint16) string
 	// Timeout bounds connection establishment (default 5s).
 	Timeout time.Duration
-	// BindSrc, when set, binds the local end to the src address — loopback
-	// demos use distinct 127.x.y.z addresses so servers can tell callers
-	// apart, exactly as the methodology requires.
-	BindSrc bool
 }
 
-// Dial implements Dialer. The src address is honoured only under BindSrc;
-// real networks do not let applications spoof sources.
-func (d *TCPDialer) Dial(ctx context.Context, src, dst netip.Addr, port uint16) (net.Conn, error) {
+// Dial implements Dialer. The src address is ignored: real networks do not
+// let applications spoof sources, and the one gate that tells callers apart
+// (d2) keys on the DNS source, which dnsserver.UDPExchanger binds.
+func (d *TCPDialer) Dial(ctx context.Context, _, dst netip.Addr, port uint16) (net.Conn, error) {
 	var target string
 	if d.MapAddr != nil {
 		target = d.MapAddr(dst, port)
@@ -42,9 +39,6 @@ func (d *TCPDialer) Dial(ctx context.Context, src, dst netip.Addr, port uint16) 
 	nd := net.Dialer{Timeout: d.Timeout}
 	if nd.Timeout == 0 {
 		nd.Timeout = 5 * time.Second
-	}
-	if d.BindSrc && src.IsValid() {
-		nd.LocalAddr = &net.TCPAddr{IP: src.AsSlice()}
 	}
 	return nd.DialContext(ctx, "tcp", target)
 }

@@ -46,12 +46,6 @@ type DNSHandler func(src netip.Addr, query []byte) []byte
 // simulation analogue of the real net package and is safe for concurrent
 // use.
 type Fabric struct {
-	// Window overrides the per-direction buffer window of dialed streams
-	// (DefaultWindow when zero). Larger windows let bulk transfers stream
-	// further ahead of the reader; smaller ones bound per-connection
-	// memory. See Pipe.
-	Window int
-
 	// Clock is the timebase for stream deadlines on dialed connections
 	// (nil means the wall clock). Simulated worlds inject their Virtual
 	// clock so SetDeadline instants live on virtual time.
@@ -229,7 +223,7 @@ func (f *Fabric) Dial(ctx context.Context, src, dst netip.Addr, port uint16) (ne
 	if svc.h == nil {
 		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, dst, port)
 	}
-	local, remote := newPipePair(f.Window, f.clock(), &f.tasks)
+	local, remote := newPipePair(DefaultWindow, f.clock(), &f.tasks)
 	// The endpoint addresses live inside the pair's single allocation.
 	pp := local.pair
 	pp.ends[0] = endpoint{ip: src}

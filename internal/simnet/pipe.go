@@ -10,10 +10,9 @@ import (
 	"time"
 )
 
-// DefaultWindow is the per-direction buffer window of a fabric stream when
-// the Fabric does not override it. 64KB holds any single httpwire message
-// the measurement stack emits, so a writer streams an entire request or
-// response without ever blocking on the reader.
+// DefaultWindow is the per-direction buffer window of a fabric stream. 64KB
+// holds any single httpwire message the measurement stack emits, so a writer
+// streams an entire request or response without ever blocking on the reader.
 const DefaultWindow = 64 << 10
 
 // ErrWouldBlock is returned by TryRead and TryWrite when the operation
@@ -31,10 +30,10 @@ var ErrInjectedReset = errors.New("simnet: connection reset by injected fault")
 // A crawl opens millions of short-lived streams; with the pool, the
 // steady-state buffer count is the handful of connections actually in
 // flight. grownBufPool does the same for everything larger: the storage
-// growBuf widened a ring to, and the windows of a Fabric whose Window
-// exceeds the default. Keeping the two apart means a grown buffer is never
-// handed out as a 64KB window while the next large response allocates
-// another one beside it.
+// growBuf widened a ring to, and the windows of a bare Pipe wider than the
+// default. Keeping the two apart means a grown buffer is never handed out as
+// a 64KB window while the next large response allocates another one beside
+// it.
 var ringBufPool, grownBufPool sync.Pool
 
 // maxGrownWindow caps growBuf: twice httpwire.MaxBodyBytes, so any response

@@ -147,7 +147,6 @@ type attrKind uint8
 const (
 	attrString attrKind = iota
 	attrInt
-	attrBool
 )
 
 // Attr is one typed span attribute. The value lives in typed fields rather
@@ -166,23 +165,12 @@ func Str(key, value string) Attr { return Attr{Key: key, kind: attrString, str: 
 // Int builds an integer attribute.
 func Int(key string, value int64) Attr { return Attr{Key: key, kind: attrInt, num: value} }
 
-// Bool builds a boolean attribute.
-func Bool(key string, value bool) Attr {
-	var n int64
-	if value {
-		n = 1
-	}
-	return Attr{Key: key, kind: attrBool, num: n}
-}
-
 // Value returns the attribute's value boxed as any — for exporters and
 // generic inspection; hot paths stay on the typed fields.
 func (a Attr) Value() any {
 	switch a.kind {
 	case attrInt:
 		return a.num
-	case attrBool:
-		return a.num != 0
 	default:
 		return a.str
 	}
@@ -198,8 +186,6 @@ func (a Attr) MarshalJSON() ([]byte, error) {
 	switch a.kind {
 	case attrInt:
 		b = strconv.AppendInt(b, a.num, 10)
-	case attrBool:
-		b = strconv.AppendBool(b, a.num != 0)
 	default:
 		b = appendJSONString(b, a.str)
 	}
@@ -217,22 +203,12 @@ func (a *Attr) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	a.Key = raw.Key
-	v := string(raw.Value)
-	switch {
-	case len(v) > 0 && v[0] == '"':
+	if len(raw.Value) > 0 && raw.Value[0] == '"' {
 		a.kind = attrString
 		return json.Unmarshal(raw.Value, &a.str)
-	case v == "true" || v == "false":
-		a.kind = attrBool
-		a.num = 0
-		if v == "true" {
-			a.num = 1
-		}
-		return nil
-	default:
-		a.kind = attrInt
-		return json.Unmarshal(raw.Value, &a.num)
 	}
+	a.kind = attrInt
+	return json.Unmarshal(raw.Value, &a.num)
 }
 
 // appendJSONString appends s as a JSON string. The fast path covers plain
@@ -284,11 +260,6 @@ func (d *SpanData) Str(key string) string {
 		}
 	}
 	return ""
-}
-
-// Context returns the span's propagation context.
-func (d *SpanData) Context() SpanContext {
-	return SpanContext{Trace: d.TraceID, Span: d.SpanID}
 }
 
 // Duration is the span's elapsed time on its tracer's clock.

@@ -232,28 +232,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// MetricsReport renders one metrics table per run in the campaign.
-func (r *Results) MetricsReport() []*analysis.Table {
-	var out []*analysis.Table
-	for _, run := range r.Runs() {
-		out = append(out, MetricsTable(run.Name(), run.Metrics()))
-	}
-	return out
-}
-
-// Markdown renders the comparison as a GitHub-flavored markdown table —
-// the generator behind EXPERIMENTS.md's headline section.
-func (r *Results) Markdown() string {
-	var sb strings.Builder
-	sb.WriteString("| Ref | Metric | Paper | Measured | Shape holds |\n")
-	sb.WriteString("|---|---|---|---|---|\n")
-	for _, c := range r.Compare() {
-		holds := "yes"
-		if !c.Holds {
-			holds = "**NO**"
-		}
-		fmt.Fprintf(&sb, "| %s | %s | %s | %s | %s |\n", c.Ref, c.Metric, c.Paper, c.Measured, holds)
-	}
-	return sb.String()
-}

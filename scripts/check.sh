@@ -67,16 +67,20 @@ stage() {
 		;;
 	bench)
 		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,
-		# monitoring, SMTP, the stop-rule ablation's three crawls, and the
-		# one-worker/two-worker scaling pair) plus the micro-benches of the
-		# path every one of them is made of — the simnet pipe, one proxied
-		# GET and one CONNECT end to end over a fabric, one resolver lookup
-		# against the authority: a smoke test that the default-scale worlds
-		# still build and crawl and the fast path still runs, not a
-		# performance measurement. For a reading of the per-request path
-		# without a crawl, run the last two lines with -benchtime=2s; for
-		# what a second worker buys, CrawlWorkers with -benchtime=5x -count=6.
-		$GO test -run=NONE -bench='(DNS|HTTP|TLS|Monitor)ExperimentRun$|ExtensionSMTP$|AblationCrawlerStop$|CrawlWorkers$' -benchtime=1x .
+		# monitoring, SMTP, the one-worker/two-worker scaling pair) plus the
+		# micro-benches of the path every one of them is made of — the simnet
+		# pipe, one proxied GET and one CONNECT end to end over a fabric, one
+		# resolver lookup against the authority: a smoke test that the
+		# default-scale worlds still build and crawl and the fast path still
+		# runs, not a performance measurement. Every Ablation and Baseline
+		# benchmark runs too (seven, ~5 s): a field kept because a benchmark
+		# sets it (AlwaysFullScan, HTTPExperiment.Budget, PerASQuota,
+		# ObjectSizeAblation, the CrawlConfig stop rule) is one rename from
+		# dead unless that benchmark runs on every check. FullScaleDNS (~50 s,
+		# ~1 GB) stays out. For a reading of the per-request path without a
+		# crawl, run the last two lines with -benchtime=2s; for what a second
+		# worker buys, CrawlWorkers with -benchtime=5x -count=6.
+		$GO test -run=NONE -bench='(DNS|HTTP|TLS|Monitor)ExperimentRun$|ExtensionSMTP$|Ablation|Baseline|CrawlWorkers$' -benchtime=1x .
 		$GO test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
 		$GO test -run=NONE -bench='Proxied(GET|CONNECT)$' -benchtime=1x -benchmem ./internal/proxynet
 		$GO test -run=NONE -bench='Lookup$' -benchtime=1x -benchmem ./internal/dnsserver

@@ -22,8 +22,10 @@ package tft
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -439,12 +441,20 @@ func (r *Results) Overview() *analysis.Table {
 	return analysis.Table2(rows)
 }
 
-// Dump writes the campaign's datasets plus the geo snapshots into dir —
-// the code-and-data release of the paper's fourth contribution.
-// cmd/analyze regenerates every table from these files alone. The DNS
-// world's geo snapshot is written as geo.jsonl (the fallback with the
-// richest attribution structure); every other run writes
-// geo-<name>.jsonl.
+// geoFile names a run's geo snapshot within a release: each experiment ran
+// against its own world, so each dataset <name>.jsonl has its own snapshot,
+// geo-<name>.jsonl — except the DNS world's, which is geo.jsonl.
+func geoFile(name string) string {
+	if name == "dns" {
+		return "geo.jsonl"
+	}
+	return "geo-" + name + ".jsonl"
+}
+
+// Dump writes the campaign's datasets plus the geo snapshots (geoFile) into
+// dir — the code-and-data release of the paper's fourth contribution.
+// LoadRelease, and through it cmd/analyze, regenerates every table from
+// these files alone.
 func (r *Results) Dump(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -459,11 +469,7 @@ func (r *Results) Dump(dir string) error {
 	}
 	manifests := make([]*progress.RunManifest, 0, 4)
 	for _, run := range r.Runs() {
-		geoName := "geo-" + run.Name() + ".jsonl"
-		if run.Name() == "dns" {
-			geoName = "geo.jsonl"
-		}
-		if err := write(geoName, run.WriteGeo); err != nil {
+		if err := write(geoFile(run.Name()), run.WriteGeo); err != nil {
 			return err
 		}
 		if err := write(run.Name()+".jsonl", run.WriteDataset); err != nil {
@@ -476,6 +482,61 @@ func (r *Results) Dump(dir string) error {
 	return write("manifest.json", func(w io.Writer) error {
 		return progress.WriteManifests(w, manifests)
 	})
+}
+
+// LoadRelease reads back what Dump wrote: for each registered experiment
+// whose dataset is in dir, in paper order, the dataset and its geo snapshot,
+// analyzed again. An experiment with no dataset file is skipped; a dataset
+// without its snapshot, or a directory with no dataset at all, is an error.
+//
+// A loaded run answers Name, Tables, Headline, Overview, WriteDataset and
+// WriteGeo like the live run it was dumped from. What a release does not
+// carry reads empty: Stats is zero, and so are the two crawl-cost figures a
+// headline quotes (HTTP's quota skips, TLS's tunnel count); Metrics is an
+// empty snapshot, Spans and Manifest are nil, and World holds the geo
+// registry and nothing else.
+func LoadRelease(dir string) ([]Run, error) {
+	var runs []Run
+	for _, e := range experimentRegistry {
+		run, err := e.load(dir)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
+	}
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("no dataset files in %s", dir)
+	}
+	return runs, nil
+}
+
+// load is LoadRelease for one row. The error wraps fs.ErrNotExist only when
+// the dataset file itself is absent.
+func (e *experiment[D, A]) load(dir string) (Run, error) {
+	f, err := os.Open(filepath.Join(dir, e.name+".jsonl"))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	h, ds, err := e.read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", f.Name(), err)
+	}
+	g, err := os.Open(filepath.Join(dir, geoFile(e.name)))
+	if err != nil {
+		return nil, fmt.Errorf("%s has no geo snapshot: %v", f.Name(), err)
+	}
+	defer g.Close()
+	_, reg, err := dataset.ReadGeo(g)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", g.Name(), err)
+	}
+	opts := Options{Seed: h.Seed, Scale: h.Scale}
+	return &ExperimentRun[D, A]{Opts: opts, World: &population.World{Geo: reg}, Dataset: ds,
+		Analysis: e.analyze(opts.cfg(), reg, ds)}, nil
 }
 
 // LongitudinalRun bundles a §9-style continuous measurement: repeated DNS

@@ -1,14 +1,18 @@
 package tft
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/tftproject/tft/internal/analysis"
-	"github.com/tftproject/tft/internal/dataset"
+	"github.com/tftproject/tft/internal/core"
+	"github.com/tftproject/tft/internal/metrics"
 )
 
 // Integration tests run the whole pipeline at a small scale; the benches in
@@ -82,10 +86,10 @@ func TestDefaultOptions(t *testing.T) {
 	}
 }
 
+// TestDumpAndReanalyze is the release round trip, all of it: run a small
+// campaign, dump it, reload it with LoadRelease — what cmd/analyze is a
+// wrapper of — and hold every reloaded run to the live run it came from.
 func TestDumpAndReanalyze(t *testing.T) {
-	// The release round trip: run a small campaign, dump it, reload the
-	// datasets with the geo snapshots, and confirm the regenerated analysis
-	// matches the live one.
 	res, err := RunAll(context.Background(), Options{Seed: 11, Scale: 0.005})
 	if err != nil {
 		t.Fatal(err)
@@ -94,67 +98,91 @@ func TestDumpAndReanalyze(t *testing.T) {
 	if err := res.Dump(dir); err != nil {
 		t.Fatal(err)
 	}
-
-	gf, err := os.Open(filepath.Join(dir, "geo.jsonl"))
+	loaded, err := LoadRelease(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gh, reg, err := dataset.ReadGeo(gf)
-	gf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gh.Scale != 0.005 || reg.NumASes() == 0 {
-		t.Fatalf("geo header %+v, ases %d", gh, reg.NumASes())
+	live := res.Runs()
+	if len(loaded) != len(live) {
+		t.Fatalf("loaded %d runs, dumped %d", len(loaded), len(live))
 	}
 
-	df, err := os.Open(filepath.Join(dir, "dns.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+	// A release carries observations, not crawl statistics, so the two
+	// crawl-cost figures a headline quotes read 0 after a reload; every
+	// other byte of every headline is the live one's.
+	wantHeadline := map[string]string{
+		"dns": res.DNS.Headline(),
+		"http": strings.Replace(res.HTTP.Headline(),
+			fmt.Sprintf("crawl skipped %d by", res.HTTP.Dataset.SkippedQuota), "crawl skipped 0 by", 1),
+		"tls": strings.Replace(res.TLS.Headline(),
+			fmt.Sprintf("%d CONNECT tunnels", res.TLS.Dataset.Probes), "0 CONNECT tunnels", 1),
+		"monitor": res.Monitor.Headline(),
 	}
-	_, ds, err := dataset.ReadDNS(df)
-	df.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded := analysis.AnalyzeDNS(analysis.Config{Scale: gh.Scale}, reg, ds)
-	live := res.DNS.Analysis.Summary()
-	got := reloaded.Summary()
-	if got.MeasuredNodes != live.MeasuredNodes || got.Hijacked != live.Hijacked {
-		t.Fatalf("reloaded summary %+v != live %+v", got, live)
-	}
-	if got.Attribution[analysis.SourceISPResolver] != live.Attribution[analysis.SourceISPResolver] {
-		t.Fatalf("attribution diverged: %v vs %v", got.Attribution, live.Attribution)
-	}
-	// Table 4 regenerates identically.
-	_, liveTable4 := res.DNS.Analysis.Table4()
-	_, reTable4 := reloaded.Table4()
-	liveT4 := liveTable4.String()
-	reT4 := reTable4.String()
-	if liveT4 != reT4 {
-		t.Fatalf("Table 4 diverged:\n%s\nvs\n%s", liveT4, reT4)
+	for i, got := range loaded {
+		want := live[i]
+		name := got.Name()
+		if name != want.Name() {
+			t.Fatalf("run %d loaded as %q, dumped as %q", i, name, want.Name())
+		}
+		gotTables, wantTables := got.Tables(), want.Tables()
+		if len(gotTables) != len(wantTables) {
+			t.Fatalf("%s: %d tables reloaded, %d live", name, len(gotTables), len(wantTables))
+		}
+		for j := range wantTables {
+			if g, w := gotTables[j].String(), wantTables[j].String(); g != w {
+				t.Errorf("%s: %s diverged:\n%s\nvs live\n%s", name, wantTables[j].ID, g, w)
+			}
+		}
+		if g := got.Headline(); g != wantHeadline[name] {
+			t.Errorf("%s: headline\n%s\nwant\n%s", name, g, wantHeadline[name])
+		}
+		if g, w := got.Overview(), want.Overview(); g != w {
+			t.Errorf("%s: overview %+v, live %+v", name, g, w)
+		}
+		// A reloaded run writes back the files it was read from.
+		for file, write := range map[string]func(io.Writer) error{
+			name + ".jsonl": got.WriteDataset, geoFile(name): got.WriteGeo,
+		} {
+			var buf bytes.Buffer
+			if err := write(&buf); err != nil {
+				t.Fatalf("%s: rewriting %s: %v", name, file, err)
+			}
+			onDisk, err := os.ReadFile(filepath.Join(dir, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), onDisk) {
+				t.Errorf("%s: %s rewritten from the reloaded run differs from the dump", name, file)
+			}
+		}
+		// What a release does not carry reads empty.
+		if got.Stats() != (core.Stats{}) || got.Spans() != nil || got.Manifest() != nil ||
+			!reflect.DeepEqual(got.Metrics(), &metrics.Snapshot{}) {
+			t.Errorf("%s: reloaded run reports crawl telemetry: stats %+v, %d spans, manifest %v, metrics %+v",
+				name, got.Stats(), len(got.Spans()), got.Manifest(), got.Metrics())
+		}
+		var buf bytes.Buffer
+		if err := got.WriteManifest(&buf); err != nil || buf.Len() != 0 {
+			t.Errorf("%s: WriteManifest of a reloaded run wrote %d bytes, err %v", name, buf.Len(), err)
+		}
 	}
 
-	// Monitoring delays survive the round trip.
-	mf, err := os.Open(filepath.Join(dir, "monitor.jsonl"))
-	if err != nil {
+	// An absent dataset is skipped, a dataset without its geo snapshot is an
+	// error, and so is a directory with no dataset in it.
+	if err := os.Remove(filepath.Join(dir, "http.jsonl")); err != nil {
 		t.Fatal(err)
 	}
-	_, mds, err := dataset.ReadMonitor(mf)
-	mf.Close()
-	if err != nil {
+	if loaded, err = LoadRelease(dir); err != nil || len(loaded) != len(live)-1 {
+		t.Fatalf("without http.jsonl: %d runs, err %v", len(loaded), err)
+	}
+	if err := os.Remove(filepath.Join(dir, "geo-tls.jsonl")); err != nil {
 		t.Fatal(err)
 	}
-	mgf, _ := os.Open(filepath.Join(dir, "geo-monitor.jsonl"))
-	_, mreg, err := dataset.ReadGeo(mgf)
-	mgf.Close()
-	if err != nil {
-		t.Fatal(err)
+	if _, err = LoadRelease(dir); err == nil || !strings.Contains(err.Error(), "geo snapshot") {
+		t.Fatalf("tls.jsonl without geo-tls.jsonl: err %v", err)
 	}
-	liveMon := res.Monitor.Analysis.Summary()
-	reMon := analysis.AnalyzeMonitor(analysis.Config{Scale: gh.Scale}, mreg, mds).Summary()
-	if reMon.Monitored != liveMon.Monitored || reMon.UniqueIPs != liveMon.UniqueIPs {
-		t.Fatalf("monitor summary diverged: %+v vs %+v", reMon, liveMon)
+	if _, err = LoadRelease(t.TempDir()); err == nil {
+		t.Fatal("an empty directory loaded as a release")
 	}
 }
 
