@@ -44,7 +44,7 @@ func All() []*Analyzer {
 		},
 		{
 			Name: "poolpair",
-			Doc:  "every pooled buffer Get (httpwire readers/writers, proxynet copy buffers) needs its matching Put in the same function",
+			Doc:  "every pooled buffer Get (httpwire readers/writers, proxynet copy buffers) needs its matching Put in the same function; an owned one (simnet ring storage, connection pairs) in the same package",
 			Run:  runPoolPair,
 		},
 		{

@@ -32,3 +32,14 @@ func LeakLocal() int {
 	buf := getCopyBuf()
 	return len(*buf)
 }
+
+// takePair mirrors simnet's owned pair: the result outlives the function by
+// design, so the Put may be anywhere in the package — here it is nowhere.
+func takePair() *[2]int { return new([2]int) }
+
+func recyclePair(*[2]int) {}
+
+type owner struct{ pp *[2]int }
+
+// Open keeps what it takes; nothing in the package ever gives it back.
+func Open() *owner { return &owner{pp: takePair()} }

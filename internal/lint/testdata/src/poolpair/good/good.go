@@ -29,3 +29,18 @@ func PairedDefer() int {
 	defer putCopyBuf(buf)
 	return len(*buf)
 }
+
+// takePair and recyclePair mirror simnet's owned pair: taken in one
+// function, kept by a structure, returned by another when the structure's
+// lifetime ends.
+func takePair() *[2]int { return new([2]int) }
+
+func recyclePair(*[2]int) {}
+
+type owner struct{ pp *[2]int }
+
+// Open keeps what it takes.
+func Open() *owner { return &owner{pp: takePair()} }
+
+// Close gives it back.
+func (o *owner) Close() { recyclePair(o.pp) }

@@ -25,7 +25,7 @@ func Branched(ctx context.Context, t *trace.Tracer, fail bool) {
 }
 
 // Handed transfers ownership to the caller.
-func Handed(t *trace.Tracer) *trace.Span {
+func Handed(t *trace.Tracer) trace.Span {
 	return t.StartRoot("handed", trace.KindClient)
 }
 

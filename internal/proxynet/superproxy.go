@@ -316,7 +316,7 @@ func (sp *SuperProxy) failAttempt(parent trace.SpanContext, attempts []Attempt, 
 // under parent. The winning attempt's span is returned open; the caller
 // parents the node-side work under it and Ends it when the request
 // completes.
-func (sp *SuperProxy) selectNode(params Params, parent trace.SpanContext) (Peer, []Attempt, *trace.Span) {
+func (sp *SuperProxy) selectNode(params Params, parent trace.SpanContext) (Peer, []Attempt, trace.Span) {
 	var attempts []Attempt
 	// exclude stays nil until a retry actually needs it — the common
 	// request succeeds on the first pick and never pays for the map.
@@ -327,7 +327,7 @@ func (sp *SuperProxy) selectNode(params Params, parent trace.SpanContext) (Peer,
 		}
 		exclude[zid] = true
 	}
-	win := func(zid string) *trace.Span {
+	win := func(zid string) trace.Span {
 		return sp.Tracer.StartChild(parent, "proxy.attempt", trace.KindAttempt, trace.Str("zid", zid))
 	}
 	if params.Session != "" {
@@ -374,13 +374,13 @@ func (sp *SuperProxy) selectNode(params Params, parent trace.SpanContext) (Peer,
 		return n, attempts, win(n.PeerID())
 	}
 	sp.Metrics.Counter("proxy_no_peers_total").Inc()
-	return nil, attempts, nil
+	return nil, attempts, trace.Span{}
 }
 
 // orParent is span's context, or parent when there is no span to have one:
 // a service with no tracer passes its caller's context on, so the hops
 // behind it still join the caller's trace.
-func orParent(span *trace.Span, parent trace.SpanContext) trace.SpanContext {
+func orParent(span trace.Span, parent trace.SpanContext) trace.SpanContext {
 	if sc := span.Context(); sc.Valid() {
 		return sc
 	}

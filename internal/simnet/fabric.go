@@ -223,20 +223,22 @@ func (f *Fabric) Dial(ctx context.Context, src, dst netip.Addr, port uint16) (ne
 	if svc.h == nil {
 		return nil, fmt.Errorf("%w: %s:%d", ErrConnRefused, dst, port)
 	}
-	local, remote := newPipePair(DefaultWindow, f.clock(), &f.tasks)
-	// The endpoint addresses live inside the pair's single allocation.
-	pp := local.pair
-	pp.ends[0] = endpoint{ip: src}
-	pp.ends[1] = endpoint{ip: dst, port: port}
-	cl, sv := &pp.ends[0], &pp.ends[1]
-	local.local, local.remote = cl, sv
-	remote.local, remote.remote = sv, cl
-	if !svc.stream {
-		// A sequential handler's dialer is parked beneath it on the stack
-		// while it runs, so a response larger than the window could never
-		// drain: the service-side send ring grows instead of blocking.
-		remote.out.grow = true
-	}
+	return f.connect(svc, src, dst, port), nil
+}
+
+// connect is Dial once the listener is known: what every successful dial
+// pays.
+//
+//tftlint:hotpath
+func (f *Fabric) connect(svc service, src, dst netip.Addr, port uint16) *Stream {
+	// A sequential handler's dialer is parked beneath it on the stack while
+	// it runs, so a response larger than the window could never drain: the
+	// service-side send ring grows instead of blocking.
+	c := newConn(DefaultWindow, f.clock(), &f.tasks, !svc.stream)
+	c.ends[0] = endpoint{ip: src}
+	c.ends[1] = endpoint{ip: dst, port: port}
+	local, remote := &c.s[0], &c.s[1]
+	local.dialed, remote.dialed = true, true
 	// Arm any scheduled faults before the handler dispatches, so the fault
 	// schedule is a function of dial order alone.
 	f.Faults.arm(local, port)
@@ -244,9 +246,9 @@ func (f *Fabric) Dial(ctx context.Context, src, dst netip.Addr, port uint16) (ne
 		//tftlint:ignore nogo -- stream handlers (server-talks-first or multi-round protocols) deadlock on the dialer's event loop and keep their own goroutine by contract
 		go svc.h(remote)
 	} else {
-		f.tasks.push(func() { svc.h(remote) })
+		f.tasks.push(task{h: svc.h, conn: remote})
 	}
-	return local, nil
+	return local
 }
 
 // ExchangeDNS delivers one DNS query datagram from src to the service at
@@ -274,12 +276,19 @@ func (f *Fabric) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error) 
 // order is deterministic.
 type taskQueue struct {
 	mu    sync.Mutex
-	tasks []func()
+	tasks []task
 	head  int
 	// waiters are the conds of rings parked with nothing to pump; the next
 	// push wakes them all so the new task cannot strand behind goroutines
 	// that stopped watching the queue.
 	waiters []*sync.Cond
+}
+
+// task is one accepted connection waiting for its handler to run: the two as
+// values, so that queueing an accept allocates nothing.
+type task struct {
+	h    ConnHandler
+	conn *Stream
 }
 
 // push enqueues one task and wakes every parked ring. A task pushed while
@@ -289,9 +298,11 @@ type taskQueue struct {
 // waiter that subscribed but has not reached Wait — it holds that lock from
 // its queue re-check through parking, so it either saw this task pending or
 // receives the broadcast.
-func (q *taskQueue) push(fn func()) {
+//
+//tftlint:hotpath
+func (q *taskQueue) push(t task) {
 	q.mu.Lock()
-	q.tasks = append(q.tasks, fn)
+	q.tasks = append(q.tasks, t)
 	ws := q.waiters
 	q.waiters = nil
 	q.mu.Unlock()
@@ -331,15 +342,15 @@ func (q *taskQueue) runOne() bool {
 		q.mu.Unlock()
 		return false
 	}
-	fn := q.tasks[q.head]
-	q.tasks[q.head] = nil
+	t := q.tasks[q.head]
+	q.tasks[q.head] = task{}
 	q.head++
 	if q.head == len(q.tasks) {
 		q.tasks = q.tasks[:0]
 		q.head = 0
 	}
 	q.mu.Unlock()
-	fn()
+	t.h(t.conn)
 	return true
 }
 

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -78,6 +77,12 @@ func recycleBuf(buf []byte, box *[]byte) {
 	}
 }
 
+// pairPool recycles the heavy half of a connection — both rings, with their
+// locks, conds and deadline state — between dials, as ringBufPool does their
+// storage: a crawl dials two or three times a session and closes every
+// connection before the next session starts.
+var pairPool sync.Pool
+
 // Pipe returns a connected pair of buffered in-memory stream ends, the
 // fabric's fast-path replacement for net.Pipe. Each direction is an
 // independent ring buffer of at most window bytes (DefaultWindow when
@@ -96,62 +101,103 @@ func recycleBuf(buf []byte, box *[]byte) {
 // A bare Pipe runs deadlines on the wall clock; fabric-dialed streams run
 // them on the fabric's injected Clock.
 func Pipe(window int) (*Stream, *Stream) {
-	return newPipePair(window, Real{}, nil)
+	c := newConn(window, Real{}, nil, false)
+	return &c.s[0], &c.s[1]
 }
 
-// pair is one connection: both direction rings and both Stream ends in
-// a single allocation. Once both ends are fully closed the pair returns its
-// ring storage to the pools (see recycleBuf).
+// pair is the recycled half of a connection: both direction rings. Once both
+// ends are fully closed it returns its ring storage to the buffer pools and
+// itself to pairPool, to be issued to a later dial in a later generation.
 type pair struct {
-	r        [2]ring // r[0]: a→b, r[1]: b→a
-	s        [2]Stream
-	ends     [2]endpoint // fabric endpoint addresses, carried in the same allocation
-	released atomic.Bool
+	r [2]ring // r[0]: a→b, r[1]: b→a
 }
 
-// newPipePair builds a connected pair whose deadlines run on clock and
-// whose blocked operations drain pump (when non-nil) before parking.
-func newPipePair(window int, clock Clock, pump *taskQueue) (*Stream, *Stream) {
+// conn is the half of a connection a dial allocates and nothing recycles:
+// the two Stream ends, their addresses, and the generation the pair was
+// issued to them in. Every ring operation carries that generation and the
+// ring compares it under its lock, so an end that outlives its connection —
+// held past both Closes, by a late deadline or a delayed fault — finds a
+// closed stream (io.ErrClosedPipe, or nothing to do), never the connection
+// the pair serves now. The addresses stay here for the same reason: a
+// net.Addr handed out by LocalAddr is the caller's for good.
+type conn struct {
+	pair  *pair
+	gen   uint64
+	clock Clock       // deadline timebase
+	ends  [2]endpoint // fabric endpoint addresses (zero on a bare Pipe)
+	s     [2]Stream
+}
+
+// newConn builds a connection whose deadlines run on clock and whose blocked
+// operations drain pump (when non-nil) before parking. grow lets the second
+// end out-write the window (see Fabric.Dial).
+//
+//tftlint:hotpath
+func newConn(window int, clock Clock, pump *taskQueue, grow bool) *conn {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	if clock == nil {
-		clock = Real{}
+	pp := takePair()
+	c := &conn{pair: pp, clock: clock}
+	for i := range pp.r {
+		r := &pp.r[i]
+		// Under the lock: an end from the pair's last generation may be
+		// calling in.
+		r.mu.Lock()
+		r.window, r.pump, r.grow = window, pump, grow && i == 1
+		r.wclosed, r.rclosed = false, false
+		c.gen = r.gen // the same in both rings: maybeReclaim bumps them together
+		r.mu.Unlock()
+	}
+	c.s[0] = Stream{c: c, side: 0}
+	c.s[1] = Stream{c: c, side: 1}
+	return c
+}
+
+// takePair returns a pair no connection holds: recycled, in the state
+// maybeReclaim left it in, or fresh.
+func takePair() *pair {
+	if pp, _ := pairPool.Get().(*pair); pp != nil {
+		return pp
 	}
 	pp := &pair{}
 	for i := range pp.r {
 		r := &pp.r[i]
-		r.window = window
-		r.clock = clock
-		r.pump = pump
 		r.cond.L = &r.mu
 		r.rdead.ring, r.wdead.ring = r, r
 	}
-	pp.s[0] = Stream{in: &pp.r[1], out: &pp.r[0], pair: pp, local: pipeAddr{}, remote: pipeAddr{}}
-	pp.s[1] = Stream{in: &pp.r[0], out: &pp.r[1], pair: pp, local: pipeAddr{}, remote: pipeAddr{}}
-	return &pp.s[0], &pp.s[1]
+	return pp
 }
 
-// maybeReclaim returns the pair's ring storage to the pool once both ends
-// are fully closed. Any operation still in flight observes a closed flag
-// under the ring lock before it could touch the buffer, so reclaiming here
-// is safe; late closes and deadline callbacks only touch flags.
-func (pp *pair) maybeReclaim() {
+// recyclePair hands a reclaimed pair to the next dial.
+func recyclePair(pp *pair) { pairPool.Put(pp) }
+
+// maybeReclaim ends generation gen once both ends are fully closed: the
+// ring storage goes back to the buffer pools and the pair to pairPool. Any
+// operation still in flight observes a closed flag, or the new generation,
+// under the ring lock before it could touch the buffer, so reclaiming here is
+// safe. Generations only count up — the rings' and the deadlines' — so
+// whatever still names the old one (a stale end, a deadline timer that fired
+// while being stopped) stays inert however often the pair is reissued.
+func (pp *pair) maybeReclaim(gen uint64) {
 	for i := range pp.r {
 		r := &pp.r[i]
 		r.mu.Lock()
-		closed := r.wclosed && r.rclosed
+		closed := r.gen == gen && r.wclosed && r.rclosed
 		r.mu.Unlock()
 		if !closed {
 			return
 		}
 	}
-	if !pp.released.CompareAndSwap(false, true) {
-		return
-	}
 	for i := range pp.r {
 		r := &pp.r[i]
 		r.mu.Lock()
+		if r.gen != gen {
+			// Both ends' Close got here; the other one is reclaiming.
+			r.mu.Unlock()
+			return
+		}
+		r.gen++
 		buf, bufp := r.buf, r.bufp
 		r.buf, r.bufp = nil, nil
 		r.n, r.start = 0, 0
@@ -162,12 +208,14 @@ func (pp *pair) maybeReclaim() {
 		r.rdead.timer, r.wdead.timer = Timer{}, Timer{}
 		r.rdead.gen++
 		r.wdead.gen++
-		r.notify = nil
+		r.rdead.timed, r.wdead.timed = false, false
+		r.notify, r.fault, r.pump = nil, nil, nil
 		r.mu.Unlock()
 		rt.Stop()
 		wt.Stop()
 		recycleBuf(buf, bufp)
 	}
+	recyclePair(pp)
 }
 
 // pipeAddr is the placeholder endpoint address, as with net.Pipe.
@@ -184,9 +232,14 @@ func (pipeAddr) String() string  { return "pipe" }
 // releasing the lock to run a queued fabric task, and re-checks instead of
 // parking if the ring changed underneath — the lost-wakeup guard of the
 // run-to-completion scheduler.
+//
+// gen is the generation of the connection the ring serves (see conn). Every
+// entry point takes the caller's and, on a mismatch, does what it does on a
+// closed ring; blocking ones compare again each time they wake.
 type ring struct {
 	mu   sync.Mutex
 	cond sync.Cond
+	gen  uint64
 
 	buf    []byte  // ring storage; nil until first write, pooled full-window
 	bufp   *[]byte // pool box for buf, non-nil whenever buf is (see takeBuf)
@@ -199,7 +252,6 @@ type ring struct {
 
 	rdead, wdead deadline // per-side deadline state
 
-	clock   Clock      // deadline timebase
 	pump    *taskQueue // fabric run queue drained while blocked (may be nil)
 	grow    bool       // widen past the window instead of blocking writes
 	version uint64     // state-transition counter
@@ -289,8 +341,12 @@ func (f *ringFault) readFaultErr() error {
 // state-transition path — version bump, broadcast, readiness notify — so
 // parked readers, pumping handlers, and TryRead/TryWrite splices observe
 // the fault like any other stream event.
-func (r *ring) injectFault(mutate func(*ringFault)) {
+func (r *ring) injectFault(gen uint64, mutate func(*ringFault)) {
 	r.mu.Lock()
+	if r.gen != gen {
+		r.mu.Unlock()
+		return
+	}
 	if r.fault == nil {
 		r.fault = &ringFault{stallAfter: -1, truncAfter: -1}
 	}
@@ -387,16 +443,16 @@ func (r *ring) growBuf(need int) bool {
 // parking — push broadcasts while holding r.mu, so it either finds us in
 // Wait or we see its task pending here and return to pump it.
 func (r *ring) pumpOrWait() {
-	if r.pump != nil {
+	if pump := r.pump; pump != nil {
 		v := r.version
 		r.mu.Unlock()
-		if r.pump.runOne() {
+		if pump.runOne() {
 			r.mu.Lock()
 			return
 		}
-		subscribed := r.pump.subscribe(&r.cond)
+		subscribed := pump.subscribe(&r.cond)
 		r.mu.Lock()
-		if !subscribed || r.version != v || r.pump.pending() {
+		if !subscribed || r.version != v || pump.pending() {
 			return
 		}
 	}
@@ -447,10 +503,10 @@ func (r *ring) copyIn(p []byte) int {
 
 // read copies buffered bytes out, blocking per the ring's state. Caller is
 // the Stream whose in-direction this ring is.
-func (r *ring) read(p []byte) (int, error) {
+func (r *ring) read(gen uint64, p []byte) (int, error) {
 	r.mu.Lock()
 	for {
-		if r.rclosed {
+		if r.gen != gen || r.rclosed {
 			r.mu.Unlock()
 			return 0, io.ErrClosedPipe
 		}
@@ -495,10 +551,10 @@ func (r *ring) read(p []byte) (int, error) {
 
 // write copies p into the ring, blocking while the window is full. It
 // returns the byte count written before any error.
-func (r *ring) write(p []byte) (int, error) {
+func (r *ring) write(gen uint64, p []byte) (int, error) {
 	if len(p) == 0 {
 		r.mu.Lock()
-		closed := r.wclosed || r.rclosed
+		closed := r.gen != gen || r.wclosed || r.rclosed
 		r.mu.Unlock()
 		if closed {
 			return 0, io.ErrClosedPipe
@@ -509,7 +565,7 @@ func (r *ring) write(p []byte) (int, error) {
 	for {
 		r.mu.Lock()
 		for {
-			if r.wclosed || r.rclosed {
+			if r.gen != gen || r.wclosed || r.rclosed {
 				r.mu.Unlock()
 				return total, io.ErrClosedPipe
 			}
@@ -550,9 +606,9 @@ func (r *ring) write(p []byte) (int, error) {
 
 // tryRead is the non-blocking read: (0, ErrWouldBlock) when the ring is
 // empty but open.
-func (r *ring) tryRead(p []byte) (int, error) {
+func (r *ring) tryRead(gen uint64, p []byte) (int, error) {
 	r.mu.Lock()
-	if r.rclosed {
+	if r.gen != gen || r.rclosed {
 		r.mu.Unlock()
 		return 0, io.ErrClosedPipe
 	}
@@ -592,9 +648,9 @@ func (r *ring) tryRead(p []byte) (int, error) {
 
 // tryWrite is the non-blocking write: it appends what fits and reports
 // ErrWouldBlock alongside a short count when the window is full.
-func (r *ring) tryWrite(p []byte) (int, error) {
+func (r *ring) tryWrite(gen uint64, p []byte) (int, error) {
 	r.mu.Lock()
-	if r.wclosed || r.rclosed {
+	if r.gen != gen || r.wclosed || r.rclosed {
 		r.mu.Unlock()
 		return 0, io.ErrClosedPipe
 	}
@@ -631,8 +687,12 @@ func (r *ring) tryWrite(p []byte) (int, error) {
 
 // closeWrite marks the direction's write side closed: the reader drains
 // whatever is buffered and then sees io.EOF.
-func (r *ring) closeWrite() {
+func (r *ring) closeWrite(gen uint64) {
 	r.mu.Lock()
+	if r.gen != gen {
+		r.mu.Unlock()
+		return
+	}
 	r.wclosed = true
 	r.version++
 	r.cond.Broadcast()
@@ -645,8 +705,12 @@ func (r *ring) closeWrite() {
 
 // closeRead marks the direction's read side closed: pending and future
 // writes fail with io.ErrClosedPipe, local reads too.
-func (r *ring) closeRead() {
+func (r *ring) closeRead(gen uint64) {
 	r.mu.Lock()
+	if r.gen != gen {
+		r.mu.Unlock()
+		return
+	}
 	r.rclosed = true
 	r.version++
 	r.cond.Broadcast()
@@ -657,18 +721,22 @@ func (r *ring) closeRead() {
 	}
 }
 
-// setDeadline (re)arms one side's deadline flag and timer on the ring's
-// clock: the fabric's injected Clock for dialed streams (simnet.Real in
-// daemons), the wall clock for bare Pipes.
-func (r *ring) setDeadline(t time.Time, d *deadline) {
+// setDeadline (re)arms one side's deadline flag and timer on the
+// connection's clock: the fabric's injected Clock for dialed streams
+// (simnet.Real in daemons), the wall clock for bare Pipes.
+func (r *ring) setDeadline(gen uint64, clock Clock, t time.Time, d *deadline) {
 	// Clock reads and timer stops stay outside the critical section; the
 	// gen bump under the lock invalidates a stale timer that fires in the
 	// gap (lockorder: the clock is an interface, and calls through one
 	// under r.mu are opaque to the acquisition graph).
-	now := r.clock.Now()
+	now := clock.Now()
 	var stale Timer
 	defer func() { stale.Stop() }()
 	r.mu.Lock()
+	if r.gen != gen {
+		r.mu.Unlock()
+		return
+	}
 	stale, d.timer = d.timer, Timer{}
 	d.gen++
 	if t.IsZero() {
@@ -693,55 +761,56 @@ func (r *ring) setDeadline(t time.Time, d *deadline) {
 	// observe a half-armed deadline. A Virtual clock — every simulated
 	// world's — takes the deadline itself and the generation, so arming
 	// allocates nothing; any other clock is handed a closure over the two.
-	gen := d.gen
-	if v, ok := r.clock.(*Virtual); ok {
-		d.timer = v.after(wait, d, gen)
+	armed := d.gen
+	if v, ok := clock.(*Virtual); ok {
+		d.timer = v.after(wait, d, armed)
 	} else {
 		//tftlint:ignore lockorder -- arming under r.mu, as above: the wall clock's AfterFunc takes no lock of this package's, and ring.mu -> clock.mu is its one cross-type order, never reversed
-		d.timer = r.clock.AfterFunc(wait, func() { d.fire(gen) })
+		d.timer = clock.AfterFunc(wait, func() { d.fire(armed) })
 	}
 	r.mu.Unlock()
 }
 
-func (r *ring) setReadDeadline(t time.Time)  { r.setDeadline(t, &r.rdead) }
-func (r *ring) setWriteDeadline(t time.Time) { r.setDeadline(t, &r.wdead) }
-
 // setNotify arms (or clears) the ring's readiness callback.
-func (r *ring) setNotify(fn func()) {
+func (r *ring) setNotify(gen uint64, fn func()) {
 	r.mu.Lock()
-	r.notify = fn
+	if r.gen == gen {
+		r.notify = fn
+	}
 	r.mu.Unlock()
 }
 
-// Stream is one end of a buffered fabric pipe. It implements net.Conn plus
-// the CloseWrite half-close that TCP-like streams offer, and a non-blocking
-// readiness API (TryRead, TryWrite, SetNotify) for event-driven consumers
-// like the proxy tunnel splice.
+// Stream is one end of a connection: a buffered fabric pipe. It implements
+// net.Conn plus the CloseWrite half-close that TCP-like streams offer, and a
+// non-blocking readiness API (TryRead, TryWrite, SetNotify) for event-driven
+// consumers like the proxy tunnel splice.
 type Stream struct {
-	in  *ring // peer → us
-	out *ring // us → peer
-
-	pair          *pair
-	local, remote net.Addr
+	c      *conn
+	side   uint8 // 0: the dialing end
+	dialed bool  // through a fabric: the ends have addresses
 }
 
 var _ net.Conn = (*Stream)(nil)
 
+// in is the peer → us direction, out the us → peer one.
+func (s *Stream) in() *ring  { return &s.c.pair.r[1-s.side] }
+func (s *Stream) out() *ring { return &s.c.pair.r[s.side] }
+
 // Read implements net.Conn.
-func (s *Stream) Read(p []byte) (int, error) { return s.in.read(p) }
+func (s *Stream) Read(p []byte) (int, error) { return s.in().read(s.c.gen, p) }
 
 // Write implements net.Conn.
-func (s *Stream) Write(p []byte) (int, error) { return s.out.write(p) }
+func (s *Stream) Write(p []byte) (int, error) { return s.out().write(s.c.gen, p) }
 
 // TryRead is the non-blocking Read: it returns whatever is buffered, or
 // (0, ErrWouldBlock) when nothing is and the peer still writes. io.EOF and
 // close errors surface exactly as with Read.
-func (s *Stream) TryRead(p []byte) (int, error) { return s.in.tryRead(p) }
+func (s *Stream) TryRead(p []byte) (int, error) { return s.in().tryRead(s.c.gen, p) }
 
 // TryWrite is the non-blocking Write: it buffers what fits in the window
 // and returns the count written, with ErrWouldBlock when p did not fit
 // entirely.
-func (s *Stream) TryWrite(p []byte) (int, error) { return s.out.tryWrite(p) }
+func (s *Stream) TryWrite(p []byte) (int, error) { return s.out().tryWrite(s.c.gen, p) }
 
 // SetNotify arms fn as the stream's readiness callback: it fires, without
 // any lock held, after every state transition on either direction — data
@@ -749,49 +818,60 @@ func (s *Stream) TryWrite(p []byte) (int, error) { return s.out.tryWrite(p) }
 // be brief, must tolerate spurious invocations, and at most one consumer
 // per stream end may arm one. A nil fn disarms.
 func (s *Stream) SetNotify(fn func()) {
-	s.in.setNotify(fn)
-	s.out.setNotify(fn)
+	s.in().setNotify(s.c.gen, fn)
+	s.out().setNotify(s.c.gen, fn)
 }
 
 // Close implements net.Conn: the peer drains any buffered data and then
 // reads io.EOF; its writes — and every further local operation — fail with
 // io.ErrClosedPipe.
 func (s *Stream) Close() error {
-	s.out.closeWrite()
-	s.in.closeRead()
-	s.pair.maybeReclaim()
+	s.out().closeWrite(s.c.gen)
+	s.in().closeRead(s.c.gen)
+	s.c.pair.maybeReclaim(s.c.gen)
 	return nil
 }
 
 // CloseWrite half-closes the stream: the peer sees io.EOF after draining,
 // while reads on this end keep working — a TCP FIN.
 func (s *Stream) CloseWrite() error {
-	s.out.closeWrite()
+	s.out().closeWrite(s.c.gen)
 	return nil
 }
 
 // LocalAddr implements net.Conn.
-func (s *Stream) LocalAddr() net.Addr { return s.local }
+func (s *Stream) LocalAddr() net.Addr { return s.addr(s.side) }
 
 // RemoteAddr implements net.Conn.
-func (s *Stream) RemoteAddr() net.Addr { return s.remote }
+func (s *Stream) RemoteAddr() net.Addr { return s.addr(1 - s.side) }
+
+// addr is the address of one end of the connection: the placeholder on a
+// bare Pipe.
+func (s *Stream) addr(side uint8) net.Addr {
+	if !s.dialed {
+		return pipeAddr{}
+	}
+	return &s.c.ends[side]
+}
 
 // SetDeadline implements net.Conn.
 func (s *Stream) SetDeadline(t time.Time) error {
-	s.in.setReadDeadline(t)
-	s.out.setWriteDeadline(t)
+	s.SetReadDeadline(t)
+	s.SetWriteDeadline(t)
 	return nil
 }
 
 // SetReadDeadline implements net.Conn.
 func (s *Stream) SetReadDeadline(t time.Time) error {
-	s.in.setReadDeadline(t)
+	r := s.in()
+	r.setDeadline(s.c.gen, s.c.clock, t, &r.rdead)
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn.
 func (s *Stream) SetWriteDeadline(t time.Time) error {
-	s.out.setWriteDeadline(t)
+	r := s.out()
+	r.setDeadline(s.c.gen, s.c.clock, t, &r.wdead)
 	return nil
 }
 
@@ -799,8 +879,8 @@ func (s *Stream) SetWriteDeadline(t time.Time) error {
 // write — on either end, buffered data included — fails with
 // ErrInjectedReset, as after a TCP RST.
 func (s *Stream) InjectReset() {
-	s.in.injectFault(func(f *ringFault) { f.failErr = ErrInjectedReset })
-	s.out.injectFault(func(f *ringFault) { f.failErr = ErrInjectedReset })
+	s.in().injectFault(s.c.gen, func(f *ringFault) { f.failErr = ErrInjectedReset })
+	s.out().injectFault(s.c.gen, func(f *ringFault) { f.failErr = ErrInjectedReset })
 }
 
 // InjectStall lets this end read after more bytes of its receive
@@ -808,23 +888,23 @@ func (s *Stream) InjectReset() {
 // silent until the reader's patience ran out. The peer's writes are
 // unaffected.
 func (s *Stream) InjectStall(after int64) {
-	s.in.injectFault(func(f *ringFault) { f.stallAfter = after })
+	s.in().injectFault(s.c.gen, func(f *ringFault) { f.stallAfter = after })
 }
 
 // InjectTruncate delivers after more bytes of this end's receive
 // direction and then reports a clean io.EOF — a response cut short.
 func (s *Stream) InjectTruncate(after int64) {
-	s.in.injectFault(func(f *ringFault) { f.truncAfter = after })
+	s.in().injectFault(s.c.gen, func(f *ringFault) { f.truncAfter = after })
 }
 
 // InjectTrickle caps every read on this end's receive direction at chunk
 // bytes — a slow link releasing bytes a few at a time.
 func (s *Stream) InjectTrickle(chunk int) {
-	s.in.injectFault(func(f *ringFault) { f.trickle = chunk })
+	s.in().injectFault(s.c.gen, func(f *ringFault) { f.trickle = chunk })
 }
 
 // InjectCorrupt XORs every every-th byte delivered on this end's receive
 // direction — an on-path link mangling payloads.
 func (s *Stream) InjectCorrupt(every int64) {
-	s.in.injectFault(func(f *ringFault) { f.corruptEvery = every })
+	s.in().injectFault(s.c.gen, func(f *ringFault) { f.corruptEvery = every })
 }

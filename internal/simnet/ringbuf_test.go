@@ -34,9 +34,8 @@ func skipIfPoolLossy(t *testing.T) {
 
 // TestGrownRingStorageIsRecycled: an inline handler that out-writes the
 // window makes its ring grow. Once one dial has paid for the grown buffer,
-// later dials reuse it: what a dial still allocates is its pair struct and
-// the accept closure (about 740 bytes), against 512 KB before grown
-// storage was pooled.
+// later dials reuse it: what a dial still allocates is its conn (128
+// bytes), against 512 KB before grown storage was pooled.
 func TestGrownRingStorageIsRecycled(t *testing.T) {
 	skipIfPoolLossy(t)
 	const bodySize = 258 << 10
@@ -63,6 +62,10 @@ func TestGrownRingStorageIsRecycled(t *testing.T) {
 	// test.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Drain whatever earlier tests left: a smaller grown buffer at the head
+	// of the pool would be offered, and refused, on every dial.
+	for grownBufPool.Get() != nil {
+	}
 	dial() // warm-up: allocates the window and the grown buffer once
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -82,10 +85,10 @@ func TestGrownRingStorageIsRecycled(t *testing.T) {
 // wrap around the end of its storage.
 func TestGrowFromWrappedRing(t *testing.T) {
 	const window = 1 << 10
-	rd, wr := newPipePair(window, Real{}, nil)
+	c := newConn(window, Real{}, nil, true)
+	rd, wr := &c.s[0], &c.s[1]
 	defer rd.Close()
 	defer wr.Close()
-	wr.out.grow = true
 	data := patterned(800 + 5000)
 	if _, err := wr.Write(data[:800]); err != nil {
 		t.Fatal(err)
@@ -94,7 +97,7 @@ func TestGrowFromWrappedRing(t *testing.T) {
 	if _, err := io.ReadFull(rd, got[:500]); err != nil {
 		t.Fatal(err)
 	}
-	if wr.out.start == 0 {
+	if wr.out().start == 0 {
 		t.Fatal("ring did not advance; the test would not cover a wrapped grow")
 	}
 	// 300 bytes unread at offset 500: this write fills the window across the
@@ -102,8 +105,8 @@ func TestGrowFromWrappedRing(t *testing.T) {
 	if _, err := wr.Write(data[800:]); err != nil {
 		t.Fatal(err)
 	}
-	if wr.out.window <= window {
-		t.Fatalf("ring window %d did not grow past %d", wr.out.window, window)
+	if wr.out().window <= window {
+		t.Fatalf("ring window %d did not grow past %d", wr.out().window, window)
 	}
 	if _, err := io.ReadFull(rd, got[500:]); err != nil {
 		t.Fatal(err)
@@ -117,8 +120,8 @@ func TestGrowFromWrappedRing(t *testing.T) {
 // default ring is handed after grown ones were recycled, its window is
 // still DefaultWindow.
 func TestRecycledGrownBufferKeepsDefaultBackPressure(t *testing.T) {
-	rd, wr := newPipePair(0, Real{}, nil)
-	wr.out.grow = true
+	c := newConn(0, Real{}, nil, true)
+	rd, wr := &c.s[0], &c.s[1]
 	if _, err := wr.Write(make([]byte, 4*DefaultWindow)); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestGrowthIsBounded(t *testing.T) {
 // it and closes both ends must leave nothing live behind, even on a clock
 // that never advances. While Stop left stopped events in the heap, each
 // dial stayed reachable through its deadline callback (pair struct, event
-// and closure: about 0.8 KB a dial, 8 MB over this loop).
+// and closure: about 0.8 KB a dial then, 8 MB over this loop).
 func TestClearedDeadlinesDoNotPinPipePairs(t *testing.T) {
 	skipIfPoolLossy(t)
 	clock := NewVirtual(t0)

@@ -11,7 +11,7 @@
 // one hop of that timeline; a trace tree is the whole timeline.
 //
 // Like metrics.Registry, everything is nil-safe: a nil *Tracer hands out
-// nil *Spans whose methods are no-ops, so instrumented code paths never
+// zero Spans whose methods are no-ops, so instrumented code paths never
 // branch on "is tracing enabled". Timestamps come from a caller-supplied
 // clock function (the simnet virtual clock in simulated worlds, the wall
 // clock in the cmd/ daemons), so full-scale simulated crawls produce spans
@@ -21,6 +21,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -265,74 +266,98 @@ func (d *SpanData) Str(key string) string {
 // Duration is the span's elapsed time on its tracer's clock.
 func (d *SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 
-// Span is one in-flight operation. Created by a Tracer, finished with End,
-// at which point it is frozen — later SetAttrs and SetError calls change
-// nothing — and enters the tracer's collector, which keeps the span itself:
-// what it is at End is what Spans reports. All methods are safe on a nil
-// receiver and for concurrent use.
+// Span is a handle to one in-flight operation: the storage the tracer issued
+// for it and the generation it was issued in. Created by a Tracer, finished
+// with End, at which point the span is frozen — later SetAttrs and SetError
+// calls change nothing — and enters the tracer's collector. The collector
+// keeps the storage until the ring overwrites it and then issues it again,
+// to a new span in a later generation; a handle from an earlier generation
+// behaves as a handle to an ended span does, never as a handle to the span
+// now living there. The zero Span (what a nil *Tracer hands out) is a valid
+// no-op, and all methods are safe for concurrent use.
 type Span struct {
+	s   *span
+	gen uint64
+}
+
+// span is a span's storage. mu guards every field but next.
+type span struct {
+	mu     sync.Mutex
+	gen    uint64  // counts up each time the storage is issued
 	tracer *Tracer // nil once ended
 
-	mu   sync.Mutex
 	data SpanData
 	// inline is where data.Attrs starts out: room for what the proxy chain's
 	// spans carry, so that a span and its attributes are one allocation.
 	inline [inlineAttrs]Attr
+
+	next *span // free-list link, guarded by the stripe's lock
 }
 
 // inlineAttrs covers the busiest span in the chain, node.fetch: zid, host
 // and path at start, status at the end.
 const inlineAttrs = 4
 
-// Context returns the span's propagation context (zero for a nil span, so
-// child spans of an untraced request become roots of their own traces).
-func (s *Span) Context() SpanContext {
-	if s == nil {
+// open reports whether the storage still holds the span issued in gen,
+// unended. Caller holds s.mu.
+func (s *span) open(gen uint64) bool { return s.gen == gen && s.tracer != nil }
+
+// Context returns the span's propagation context (zero for the zero span, so
+// child spans of an untraced request become roots of their own traces, and
+// for a span whose storage has been issued again).
+func (h Span) Context() SpanContext {
+	if h.s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{Trace: s.data.TraceID, Span: s.data.SpanID}
+	var sc SpanContext
+	h.s.mu.Lock()
+	if h.s.gen == h.gen {
+		sc = SpanContext{Trace: h.s.data.TraceID, Span: h.s.data.SpanID}
+	}
+	h.s.mu.Unlock()
+	return sc
 }
 
 // SetAttrs appends attributes to the span.
-func (s *Span) SetAttrs(attrs ...Attr) {
-	if s == nil {
+func (h Span) SetAttrs(attrs ...Attr) {
+	if h.s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.tracer != nil {
-		s.data.Attrs = append(s.data.Attrs, attrs...)
+	h.s.mu.Lock()
+	if h.s.open(h.gen) {
+		h.s.data.Attrs = append(h.s.data.Attrs, attrs...)
 	}
-	s.mu.Unlock()
+	h.s.mu.Unlock()
 }
 
 // SetError marks the span failed. The last non-empty message wins.
-func (s *Span) SetError(msg string) {
-	if s == nil || msg == "" {
+func (h Span) SetError(msg string) {
+	if h.s == nil || msg == "" {
 		return
 	}
-	s.mu.Lock()
-	if s.tracer != nil {
-		s.data.Err = msg
+	h.s.mu.Lock()
+	if h.s.open(h.gen) {
+		h.s.data.Err = msg
 	}
-	s.mu.Unlock()
+	h.s.mu.Unlock()
 }
 
 // End closes the span, stamping the end time and handing it to the
 // collector. Idempotent: only the first End records.
-func (s *Span) End() {
-	if s == nil {
+func (h Span) End() {
+	if h.s == nil {
 		return
 	}
-	s.mu.Lock()
-	t := s.tracer
-	if t == nil {
-		s.mu.Unlock()
+	h.s.mu.Lock()
+	if !h.s.open(h.gen) {
+		h.s.mu.Unlock()
 		return
 	}
-	s.tracer = nil
-	s.data.End = t.now()
-	s.mu.Unlock()
-	t.collect(s)
+	t := h.s.tracer
+	h.s.tracer = nil
+	h.s.data.End = t.now()
+	h.s.mu.Unlock()
+	t.collect(h.s)
 }
 
 // defaultCapacity bounds a tracer's span memory: roughly one default-scale
@@ -351,8 +376,8 @@ var lastID atomic.Uint64
 // otherwise no contract: blocks interleave between stripes, and one is
 // dropped part-used when two goroutines on a stripe race to replace it.
 const (
-	numIDStripes = 16
-	idBlock      = 64
+	numStripes = 16
+	idBlock    = 64
 )
 
 // idStripe holds the last ID its stripe handed out (a multiple of idBlock:
@@ -362,12 +387,12 @@ type idStripe struct {
 	_    [56]byte
 }
 
-var idStripes [numIDStripes]idStripe
+var idStripes [numStripes]idStripe
 
 //tftlint:hotpath
 func newID() uint64 {
 	var probe byte
-	s := &idStripes[metrics.ShardIndex(&probe)%numIDStripes]
+	s := &idStripes[metrics.ShardIndex(&probe)%numStripes]
 	for {
 		last := s.last.Load()
 		id := last + 1
@@ -387,11 +412,24 @@ type Tracer struct {
 	nowFn func() time.Time
 
 	// An ended span claims the next ring slot with one add on total and is
-	// stored into it: no lock, and completion order is the order of the adds.
-	// A slot claimed but not yet stored reads as nil, or as the span it is
+	// swapped into it: no lock, and completion order is the order of the adds.
+	// A slot claimed but not yet written reads as nil, or as the span it is
 	// about to overwrite.
-	buf   []atomic.Pointer[Span] // ended, so frozen: read without their locks
+	buf   []atomic.Pointer[span]
 	total atomic.Int64
+
+	// Storage the ring has overwritten waits here to be issued again, so that
+	// a tracer whose ring has wrapped allocates no further span: an End puts
+	// one in and a start takes one out. Striped by caller, as idStripes is.
+	free [numStripes]freeStripe
+}
+
+// freeStripe is one stripe of a tracer's free list, linked through span.next
+// and padded to its own cache line.
+type freeStripe struct {
+	mu   sync.Mutex
+	head atomic.Pointer[span] // written under mu; read without it to pass over an empty stripe
+	_    [48]byte
 }
 
 // New creates a tracer. now supplies timestamps (nil means the wall
@@ -404,7 +442,7 @@ func New(now func() time.Time, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
-	return &Tracer{nowFn: now, buf: make([]atomic.Pointer[Span], capacity)}
+	return &Tracer{nowFn: now, buf: make([]atomic.Pointer[span], capacity)}
 }
 
 func (t *Tracer) now() time.Time {
@@ -415,48 +453,93 @@ func (t *Tracer) now() time.Time {
 }
 
 // StartRoot opens a span at the root of a fresh trace.
-func (t *Tracer) StartRoot(name string, kind Kind, attrs ...Attr) *Span {
+func (t *Tracer) StartRoot(name string, kind Kind, attrs ...Attr) Span {
 	return t.start(SpanContext{}, name, kind, attrs)
 }
 
 // StartChild opens a span under parent. An invalid parent context (an
 // untraced request) starts a fresh trace instead, so per-hop spans survive
 // callers that never propagated context.
-func (t *Tracer) StartChild(parent SpanContext, name string, kind Kind, attrs ...Attr) *Span {
+func (t *Tracer) StartChild(parent SpanContext, name string, kind Kind, attrs ...Attr) Span {
 	return t.start(parent, name, kind, attrs)
 }
 
-func (t *Tracer) start(parent SpanContext, name string, kind Kind, attrs []Attr) *Span {
+//tftlint:hotpath
+func (t *Tracer) start(parent SpanContext, name string, kind Kind, attrs []Attr) Span {
 	if t == nil {
-		return nil
+		return Span{}
 	}
-	s := &Span{tracer: t}
-	s.data = SpanData{
-		SpanID: SpanID(newID()),
-		Name:   name,
-		Kind:   kind,
-		Start:  t.now(),
-		// A copy, so that the caller's variadic slice stays on its stack.
-		Attrs: append(s.inline[:0], attrs...),
-	}
+	d := SpanData{SpanID: SpanID(newID()), Name: name, Kind: kind, Start: t.now()}
 	if parent.Valid() {
-		s.data.TraceID = parent.Trace
-		s.data.Parent = parent.Span
+		d.TraceID = parent.Trace
+		d.Parent = parent.Span
 	} else {
-		s.data.TraceID = TraceID(newID())
+		d.TraceID = TraceID(newID())
 	}
-	return s
+	s := t.recycled()
+	if s == nil {
+		s = &span{}
+	}
+	// Under the lock even when fresh: a handle from the storage's last
+	// generation may be calling in.
+	s.mu.Lock()
+	s.gen++
+	s.tracer = t
+	s.data = d
+	// A copy, so that the caller's variadic slice stays on its stack.
+	s.data.Attrs = append(s.inline[:0], attrs...)
+	h := Span{s: s, gen: s.gen}
+	s.mu.Unlock()
+	return h
 }
 
-// collect appends an ended span to the ring.
+// recycled takes a span's storage off the free list: from the caller's own
+// stripe, or the next one that has any — a goroutine whose starts and Ends
+// hash to different stripes would otherwise fill one and starve the other.
+// nil when every stripe is empty, as all are until the ring has wrapped.
 //
 //tftlint:hotpath
-func (t *Tracer) collect(s *Span) {
-	slot := (t.total.Add(1) - 1) % int64(len(t.buf))
-	t.buf[slot].Store(s)
+func (t *Tracer) recycled() *span {
+	var probe byte
+	own := metrics.ShardIndex(&probe)
+	for i := 0; i < numStripes; i++ {
+		st := &t.free[(own+i)%numStripes]
+		if st.head.Load() == nil {
+			continue
+		}
+		st.mu.Lock()
+		s := st.head.Load()
+		if s != nil {
+			st.head.Store(s.next)
+			s.next = nil
+		}
+		st.mu.Unlock()
+		if s != nil {
+			return s
+		}
+	}
+	return nil
 }
 
-// Spans returns the retained finished spans in completion order.
+// collect appends an ended span to the ring; the span it overwrites goes to
+// the free list.
+//
+//tftlint:hotpath
+func (t *Tracer) collect(s *span) {
+	slot := (t.total.Add(1) - 1) % int64(len(t.buf))
+	old := t.buf[slot].Swap(s)
+	if old == nil {
+		return
+	}
+	var probe byte
+	st := &t.free[metrics.ShardIndex(&probe)%numStripes]
+	st.mu.Lock()
+	old.next = st.head.Load()
+	st.head.Store(old)
+	st.mu.Unlock()
+}
+
+// Spans returns a copy of the retained finished spans in completion order.
 func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
@@ -465,9 +548,21 @@ func (t *Tracer) Spans() []SpanData {
 	at := max(total-size, 0) // the oldest retained span
 	out := make([]SpanData, 0, total-at)
 	for ; at < total; at++ {
-		if s := t.buf[at%size].Load(); s != nil {
-			out = append(out, s.data)
+		slot := &t.buf[at%size]
+		s := slot.Load()
+		if s == nil {
+			continue
 		}
+		// Storage is issued again only after the ring has let go of it, and
+		// then under its lock: a span still in its slot with the lock held is
+		// the ended span the slot was given, whole.
+		s.mu.Lock()
+		if slot.Load() == s {
+			d := s.data
+			d.Attrs = slices.Clone(d.Attrs) // out of the span's inline array
+			out = append(out, d)
+		}
+		s.mu.Unlock()
 	}
 	return out
 }
@@ -479,4 +574,13 @@ func (t *Tracer) Total() int64 {
 		return 0
 	}
 	return t.total.Load()
+}
+
+// Retained reports how many spans Spans would return: the ring's capacity
+// once it has wrapped.
+func (t *Tracer) Retained() int {
+	if t == nil {
+		return 0
+	}
+	return int(min(t.total.Load(), int64(len(t.buf))))
 }

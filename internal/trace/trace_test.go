@@ -29,7 +29,7 @@ func (c *fakeClock) Now() time.Time {
 	return c.t
 }
 
-// Nil tracer and nil span: every method must be a safe no-op, because the
+// Nil tracer and zero span: every method must be a safe no-op, because the
 // whole proxy chain is instrumented unconditionally.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
@@ -40,8 +40,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil tracer Total = %d", got)
 	}
 	sp := tr.StartRoot("x", KindClient)
-	if sp != nil {
-		t.Fatal("nil tracer handed out a non-nil span")
+	if sp != (Span{}) {
+		t.Fatal("nil tracer handed out a non-zero span")
 	}
 	sp.SetAttrs(Str("k", "v"))
 	sp.SetError("boom")
@@ -51,7 +51,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil span context valid: %+v", sc)
 	}
 	child := tr.StartChild(sp.Context(), "y", KindProxy)
-	if child != nil {
+	if child != (Span{}) {
 		t.Fatal("nil tracer handed out a child span")
 	}
 }
@@ -63,7 +63,7 @@ func TestParentLinks(t *testing.T) {
 	root := tr.StartRoot("probe", KindClient)
 	child := tr.StartChild(root.Context(), "proxy", KindProxy)
 	grand := tr.StartChild(child.Context(), "fetch", KindFetch)
-	for _, sp := range []*Span{grand, child, root} {
+	for _, sp := range []Span{grand, child, root} {
 		sp.End()
 	}
 	spans := tr.Spans()
@@ -323,22 +323,30 @@ func TestLogHandlerInjection(t *testing.T) {
 }
 
 // TestSpanAllocs holds a span to one allocation from start to the collector
-// — attributes given at the start and added later land in the span's own
-// storage — and NewContext to one.
+// while the ring fills — attributes given at the start and added later land
+// in the span's own storage — to none once the ring has wrapped and every
+// start is handed the storage an End evicted, and NewContext to one.
 func TestSpanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	now := time.Unix(0, 0)
-	tr := New(func() time.Time { return now }, 64)
+	tr := New(func() time.Time { return now }, 512)
 	parent := tr.StartRoot("probe", KindClient).Context()
-	if got := testing.AllocsPerRun(200, func() {
+	fetch := func() {
 		s := tr.StartChild(parent, "node.fetch", KindFetch, Str("zid", "z1"), Str("host", "h"))
 		s.SetAttrs(Str("path", "/"))
 		s.SetAttrs(Int("status", 200))
 		s.End()
-	}); got > 1 {
-		t.Errorf("StartChild + 2 SetAttrs + End allocates %.0f times, ceiling 1", got)
+	}
+	if got := testing.AllocsPerRun(200, fetch); got > 1 {
+		t.Errorf("StartChild + 2 SetAttrs + End allocates %.0f times while the ring fills, ceiling 1", got)
+	}
+	for tr.Total() <= 512 {
+		fetch()
+	}
+	if got := testing.AllocsPerRun(200, fetch); got != 0 {
+		t.Errorf("StartChild + 2 SetAttrs + End allocates %.0f times once the ring has wrapped, want 0", got)
 	}
 	spans := tr.Spans()
 	if last := spans[len(spans)-1]; len(last.Attrs) != 4 || last.Str("path") != "/" || last.Attr("status") != int64(200) {
@@ -371,6 +379,127 @@ func TestSpanFrozenAtEnd(t *testing.T) {
 	spans := tr.Spans()
 	if len(spans) != 1 || len(spans[0].Attrs) != 1 || spans[0].Err != "" {
 		t.Fatalf("span changed after End: %+v", spans)
+	}
+}
+
+// TestStaleHandleIsInert: a handle outlives its span's storage — the ring
+// overwrites the ended span and the tracer issues the storage to another —
+// and then behaves as a handle to an ended span does: the span now living
+// there is not decorated, failed, ended or named by it.
+func TestStaleHandleIsInert(t *testing.T) {
+	const capacity = 8
+	tr := New(newFakeClock().Now, capacity)
+	stale := tr.StartRoot("old", KindClient, Str("a", "1"))
+	stale.End()
+	for i := 0; i < 2*capacity; i++ { // until the ring has let go of it
+		tr.StartRoot("filler", KindDNS).End()
+	}
+	var tenant Span
+	for i := 0; tenant.s != stale.s; i++ {
+		if i == 4*capacity {
+			t.Fatal("the ended span's storage never came back: the test would pass vacuously")
+		}
+		tenant.End()
+		tenant = tr.StartRoot("tenant", KindProxy, Str("mine", "yes"))
+	}
+	if tenant.gen == stale.gen {
+		t.Fatal("storage reissued in the generation it was last issued in")
+	}
+
+	before := tr.Total()
+	stale.SetAttrs(Str("late", "x"))
+	stale.SetError("late")
+	stale.End()
+	if sc := stale.Context(); sc.Valid() {
+		t.Fatalf("stale handle names a span: %+v", sc)
+	}
+	if got := tr.Total(); got != before {
+		t.Fatalf("End through a stale handle collected %d span(s)", got-before)
+	}
+	want := tenant.Context()
+	tenant.SetAttrs(Int("status", 200))
+	tenant.End()
+	tenant.End()
+	stale.End()
+	if got := tr.Total(); got != before+1 {
+		t.Fatalf("the tenant was collected %d times, want once", got-before)
+	}
+	spans := tr.Spans()
+	last := spans[len(spans)-1]
+	if last.SpanID != want.Span || last.Name != "tenant" || last.Err != "" ||
+		len(last.Attrs) != 2 || last.Str("mine") != "yes" || last.Attr("status") != int64(200) {
+		t.Fatalf("the span living in reissued storage was touched through a stale handle: %+v", last)
+	}
+}
+
+// TestSpansReturnsCopies: a record handed out by Spans is the caller's —
+// reusing the span's storage afterwards changes nothing in it.
+func TestSpansReturnsCopies(t *testing.T) {
+	const capacity = 8
+	tr := New(newFakeClock().Now, capacity)
+	s := tr.StartRoot("kept", KindClient, Str("k", "v"))
+	s.SetAttrs(Int("n", 7))
+	s.End()
+	held := tr.Spans()[0]
+	for i := 0; i < 4*capacity; i++ {
+		tr.StartRoot("overwriter", KindDNS, Str("k", "other"), Int("n", 8)).End()
+	}
+	if held.Name != "kept" || len(held.Attrs) != 2 || held.Str("k") != "v" || held.Attr("n") != int64(7) {
+		t.Fatalf("a record from Spans changed when its span's storage was reused: %+v", held)
+	}
+	if got, want := tr.Retained(), len(tr.Spans()); got != want || got != capacity {
+		t.Fatalf("Retained = %d, Spans returns %d, capacity %d", got, want, capacity)
+	}
+}
+
+// TestSpansWholeUnderReuse (run with -race): two goroutines start and end
+// spans across many ring wraps while a third reads Spans. Every record it is
+// handed is whole: the attributes are the ones its own span was started and
+// decorated with, whoever the storage has been issued to since.
+func TestSpansWholeUnderReuse(t *testing.T) {
+	const (
+		capacity = 32
+		perW     = 40 * capacity
+	)
+	tr := New(nil, capacity)
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int64) {
+			defer writers.Done()
+			for i := int64(0); i < perW; i++ {
+				tag := w<<32 | i
+				s := tr.StartRoot("probe", KindClient, Int("tag", tag))
+				id := int64(s.Context().Span)
+				s.SetAttrs(Int("id", id), Int("tag2", tag))
+				s.End()
+				s.SetAttrs(Int("late", 1)) // stale or ended: inert either way
+			}
+		}(int64(w))
+	}
+	done := make(chan struct{})
+	go func() { writers.Wait(); close(done) }()
+	check := func() {
+		for _, d := range tr.Spans() {
+			if len(d.Attrs) != 3 || d.Attr("id") != int64(d.SpanID) || d.Attr("tag") != d.Attr("tag2") || d.End.IsZero() {
+				t.Errorf("torn record: %+v", d)
+				return
+			}
+		}
+	}
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		check()
+	}
+	if got := tr.Total(); got != 2*perW {
+		t.Fatalf("total = %d, want %d", got, 2*perW)
+	}
+	if got := len(tr.Spans()); got != capacity {
+		t.Fatalf("retained = %d after the writers finished, want %d", got, capacity)
 	}
 }
 

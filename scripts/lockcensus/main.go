@@ -24,11 +24,13 @@ import (
 
 const shared, striped, private = "shared by every worker", "striped by key or by caller", "per connection or span"
 
-// groupOf says whose locks and counters not every worker shares (DESIGN §6).
+// groupOf says whose locks and counters not every worker shares (DESIGN §6):
+// by the type the field is on, or by "Type.field[]" for one element of it.
 var groupOf = map[string]string{
 	"cell": striped, "idStripe": striped, "sessionStripe": striped, "queryLog": striped,
 	"requestLog": striped, "labeledShard": striped, "shardCell": striped,
-	"ring": private, "Span": private, "bufferedConn": private, "pair": private,
+	"freeStripe": striped, "Tracer.buf[]": striped,
+	"ring": private, "span": private, "bufferedConn": private, "pair": private,
 }
 
 // counted are sync's and sync/atomic's methods that write to a shared line.
@@ -89,7 +91,10 @@ func main() {
 		}
 		for _, s := range sites[file] {
 			if (s.line > l0 || s.line == l0 && s.col >= c0) && (s.line < l1 || s.line == l1 && s.col < c1) {
-				group := groupOf[strings.Split(s.on, ".")[0]]
+				group := groupOf[s.on]
+				if group == "" {
+					group = groupOf[strings.Split(s.on, ".")[0]]
+				}
 				if group == "" {
 					group = shared
 				}
@@ -131,10 +136,13 @@ func findSites(check func(error, ...any)) (map[string][]*site, string) {
 				return true
 			}
 			if fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func); fn != nil && fn.Pkg() != nil && counted[fn.Pkg().Path()+"."+fn.Name()] {
-				on := types.ExprString(sel.X) // a variable, unless it is a field of something
-				if field, ok := sel.X.(*ast.SelectorExpr); ok {
+				on, x, elem := types.ExprString(sel.X), sel.X, "" // a variable, unless it is a field of something
+				if ix, ok := x.(*ast.IndexExpr); ok {
+					x, elem = ix.X, "[]" // or one element of a field
+				}
+				if field, ok := x.(*ast.SelectorExpr); ok {
 					owner := types.TypeString(pkg.Info.TypeOf(field.X), func(*types.Package) string { return "" })
-					on = strings.TrimPrefix(owner, "*") + "." + field.Sel.Name
+					on = strings.TrimPrefix(owner, "*") + "." + field.Sel.Name + elem
 				}
 				p := loader.Fset.Position(sel.Pos())
 				file := filepath.ToSlash(filepath.Join(pkg.RelDir, filepath.Base(p.Filename)))
