@@ -46,17 +46,18 @@ func OpenResolverScan(net dnsserver.Exchanger, from netip.Addr, targets []netip.
 			res.Unreachable++
 			continue
 		}
-		resp, err := dnswire.Unmarshal(respWire)
+		ans, err := dnswire.ParseAnswer(respWire, uint16(i), name, dnswire.TypeA)
 		if err != nil {
+			// Undecodable, or not the answer to this query.
 			res.Unreachable++
 			continue
 		}
 		switch {
-		case resp.RCode == dnswire.RCodeRefused:
+		case ans.RCode == dnswire.RCodeRefused:
 			res.Refused++
-		case resp.RCode == dnswire.RCodeNXDomain:
+		case ans.RCode == dnswire.RCodeNXDomain:
 			res.Open++
-		case resp.RCode == dnswire.RCodeSuccess && len(resp.Answers) > 0:
+		case ans.RCode == dnswire.RCodeSuccess && ans.A.IsValid():
 			res.Open++
 			res.Hijacking++
 			res.HijackingAddrs = append(res.HijackingAddrs, target)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/tftproject/tft/internal/content"
+	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/simnet"
@@ -396,6 +397,11 @@ func TestOpenResolverScanBaseline(t *testing.T) {
 	if res.Scanned == 0 || res.Open == 0 {
 		t.Fatalf("scan = %+v", res)
 	}
+	// Every resolver in the directory is up and echoes the scanner's
+	// question under its ID: none is lost to the answer match.
+	if res.Unreachable != 0 {
+		t.Fatalf("%d of %d resolvers counted unreachable", res.Unreachable, res.Scanned)
+	}
 	// Closed ISP resolvers refuse the scanner.
 	if res.Refused == 0 {
 		t.Fatal("no resolver refused the scanner; ISP resolvers should be closed")
@@ -411,6 +417,31 @@ func TestOpenResolverScanBaseline(t *testing.T) {
 	// methodology finds, because ISP resolvers are invisible to it.
 	if res.Hijacking > res.Refused {
 		t.Fatal("scan saw more hijackers than closed resolvers; blind spot not reproduced")
+	}
+}
+
+// strayNet answers every scan query with a well-formed hijack-shaped reply
+// to the name wrong was asked about: right ID, wrong question.
+type strayNet struct{ wrong string }
+
+func (s strayNet) ExchangeDNS(_, _ netip.Addr, query []byte) ([]byte, error) {
+	q, err := dnswire.Unmarshal(query)
+	if err != nil {
+		return nil, err
+	}
+	r := dnswire.NewQuery(q.ID, s.wrong, dnswire.TypeA).Reply()
+	r.Answers = append(r.Answers, dnswire.Record{Name: s.wrong, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60, A: population.WebIP})
+	return r.Marshal()
+}
+
+// TestOpenResolverScanIgnoresStrayReplies: a reply to another name is no
+// verdict on the scanned target, which counts as unreachable — except the
+// one target whose scan name the stray reply happens to be about.
+func TestOpenResolverScanIgnoresStrayReplies(t *testing.T) {
+	targets := []netip.Addr{population.ClientIP, population.WebIP, population.AuthIP}
+	res := OpenResolverScan(strayNet{wrong: "nx-scan-000001." + population.Zone}, population.ClientIP, targets, population.Zone)
+	if res.Unreachable != 2 || res.Hijacking != 1 || res.Open != 1 {
+		t.Fatalf("scan = %+v, want two unreachable and one hijacking", res)
 	}
 }
 

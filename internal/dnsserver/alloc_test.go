@@ -14,31 +14,67 @@ func lookupRig(tb testing.TB) (*Resolver, *Authority) {
 	tb.Helper()
 	a := NewAuthority("probe.tft-example.net", simnet.NewVirtual(t0))
 	a.SetRule("d1.probe.tft-example.net", Always(webIP))
+	a.SetRule("d2.probe.tft-example.net", OnlyFrom(webIP, func(src netip.Addr) bool { return src == superDNS }))
 	fabric := simnet.NewFabric()
 	fabric.HandleDNS(authIP, a.Handler())
 	return NewResolver(ispDNSIP, fabric, func(string) (netip.Addr, bool) { return authIP, true }), a
 }
 
-// TestLookupAllocs holds one answered Lookup — query, authority, reply — to
-// eight allocations: the query's wire bytes; at the authority the decoded
-// message, its question name, the reply, the query-log slot and the reply's
-// wire bytes; back at the resolver the decoded response and its question
-// name, which the answer record shares.
+// TestLookupAllocs holds one Lookup — query, authority, reply — to four
+// allocations however it ends: the query's wire bytes; at the authority the
+// question's name, which the query log keeps, the log slot and the reply's
+// wire bytes. The resolver reads the reply where it lies.
 func TestLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	r, a := lookupRig(t)
-	const name = "d1.probe.tft-example.net"
-	got := testing.AllocsPerRun(200, func() {
-		resp, err := r.Lookup(nodeIP, name, dnswire.TypeA)
-		if err != nil || len(resp.Answers) != 1 || resp.Answers[0].A != webIP {
-			t.Fatalf("lookup: %v %+v", err, resp)
+	for _, tc := range []struct {
+		outcome, name string
+		hijack        NXRewriter
+		want          dnswire.Answer
+	}{
+		{"answered", "d1.probe.tft-example.net", nil, dnswire.Answer{RCode: dnswire.RCodeSuccess, A: webIP, TTL: 5}},
+		{"refused", "d2.probe.tft-example.net", nil, dnswire.Answer{RCode: dnswire.RCodeNXDomain}},
+		{"hijacked", "d2.probe.tft-example.net", StaticNX{Landing: landingIP}, dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landingIP, TTL: 300}},
+	} {
+		r, a := lookupRig(t)
+		r.Hijack = tc.hijack
+		got := testing.AllocsPerRun(200, func() {
+			ans, err := r.Lookup(nodeIP, tc.name, dnswire.TypeA)
+			if err != nil || ans != tc.want {
+				t.Fatalf("%s lookup: %+v, %v", tc.outcome, ans, err)
+			}
+			a.Forget(tc.name + ".") // as the experiments do: one log slot per lookup
+		})
+		if got > 4 {
+			t.Errorf("%s Lookup allocates %.0f times, ceiling 4", tc.outcome, got)
 		}
-		a.Forget(name + ".") // as the experiments do: one log slot per lookup
-	})
-	if got > 8 {
-		t.Fatalf("Lookup allocates %.0f times, ceiling 8", got)
+	}
+}
+
+// TestAuthorityAnswerAllocs holds the authority's side alone to its three —
+// name, log slot, reply — so that a regression in escape analysis (a reply
+// tree moved to the heap) is reported against the side that has it.
+func TestAuthorityAnswerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, a := lookupRig(t)
+	handle := a.Handler()
+	for _, name := range []string{"d1.probe.tft-example.net", "d2.probe.tft-example.net"} {
+		query, err := dnswire.NewQuery(9, name, dnswire.TypeA).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if handle(ispDNSIP, query) == nil {
+				t.Fatalf("query for %s dropped", name)
+			}
+			a.Forget(name + ".")
+		})
+		if got > 3 {
+			t.Errorf("answering %s allocates %.0f times, ceiling 3", name, got)
+		}
 	}
 }
 

@@ -7,7 +7,14 @@
 // query, forwards it to the authoritative server for the zone (so the
 // authoritative query log records the resolver's egress address, which is
 // all the paper can observe), and may rewrite an NXDOMAIN answer into an A
-// record pointing at an ad-laden landing page before handing it back.
+// record pointing at an ad-laden landing page before handing it back. What
+// it hands back is a dnswire.Answer — the response code and the first
+// address, all that a client of a resolver acts on — and not a message: the
+// authority's reply is read where it lies, checked to be the answer to the
+// question asked, and dropped. Only the datagrams themselves cross the
+// network; the service population.registerResolver offers open-resolver
+// scanners encodes a reply from that Answer, and so relays neither the
+// authority's SOA nor any record besides the address.
 package dnsserver
 
 import (
@@ -148,46 +155,57 @@ func (a *Authority) DeleteRule(name string) {
 }
 
 // Handler adapts the authority to the simnet DNS handler signature.
-func (a *Authority) Handler() simnet.DNSHandler {
-	return func(src netip.Addr, query []byte) []byte {
-		resp := a.HandleQuery(src, query)
-		if resp == nil {
-			return nil
-		}
-		out, err := resp.Marshal()
-		if err != nil {
-			return nil
-		}
-		return out
-	}
-}
+func (a *Authority) Handler() simnet.DNSHandler { return a.answer }
 
-// HandleQuery answers one parsed-or-raw query. Malformed input yields a nil
-// response (dropped), mirroring a server that refuses garbage.
-func (a *Authority) HandleQuery(src netip.Addr, query []byte) *dnswire.Message {
-	q, err := dnswire.Unmarshal(query)
-	if err != nil || q.Response || len(q.Questions) != 1 {
+// answer is the authority on the wire: one query datagram in, the response
+// datagram out. Malformed input, a response, or anything but one question is
+// dropped (nil), mirroring a server that refuses garbage. The reply is a
+// Message over a question and a record on this frame — decide hands back
+// values, so nothing but the question's name and the encoded reply is made.
+//
+//tftlint:hotpath
+func (a *Authority) answer(src netip.Addr, query []byte) []byte {
+	h, q, err := dnswire.ParseQuery(query)
+	if err != nil || h.Response || h.Questions != 1 {
 		return nil
 	}
-	return a.Resolve(src, q)
+	name, rcode, ip := a.decide(src, q.Name, q.Type)
+	questions := [1]dnswire.Question{q}
+	var record [1]dnswire.Record
+	resp := dnswire.Message{
+		ID: h.ID, Response: true, Opcode: h.Opcode, Authoritative: true,
+		RecursionDesired: h.RecursionDesired, RecursionAvailable: true,
+		RCode: rcode, Questions: questions[:],
+	}
+	switch rcode {
+	case dnswire.RCodeSuccess:
+		record[0] = dnswire.Record{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 5, A: ip}
+		resp.Answers = record[:]
+	case dnswire.RCodeNXDomain:
+		record[0] = a.soa
+		resp.Authorities = record[:]
+	}
+	out, err := resp.Marshal()
+	if err != nil {
+		return nil
+	}
+	return out
 }
 
-// Resolve produces the authoritative response for a parsed query,
-// logging it.
-func (a *Authority) Resolve(src netip.Addr, q *dnswire.Message) *dnswire.Message {
-	question := q.Questions[0]
-	name := dnswire.CanonicalName(question.Name)
-	resp := q.Reply()
-	resp.Authoritative = true
-
+// decide is the authority's policy for one question from src, logging it:
+// the name in canonical form, the response code, and with NOERROR the
+// address.
+//
+//tftlint:hotpath
+func (a *Authority) decide(src netip.Addr, qname string, qtype dnswire.Type) (name string, rcode dnswire.RCode, ip netip.Addr) {
+	name = dnswire.CanonicalName(qname)
 	if !dnswire.IsSubdomain(name, a.zone) {
-		resp.RCode = dnswire.RCodeRefused
-		return resp
+		return name, dnswire.RCodeRefused, netip.Addr{}
 	}
 
 	// Only the append needs an order: the clock and the policy are read
 	// before the stripe's lock, not under it.
-	logged := Query{Time: a.clock.Now(), Src: src, Name: name, Type: question.Type}
+	logged := Query{Time: a.clock.Now(), Src: src, Name: name, Type: qtype}
 	p := a.policy.Load()
 	rule := p.rules[name]
 	if rule == nil && p.fallback != nil {
@@ -199,21 +217,14 @@ func (a *Authority) Resolve(src netip.Addr, q *dnswire.Message) *dnswire.Message
 	l.total++
 	l.mu.Unlock()
 
-	if question.Type != dnswire.TypeA || rule == nil {
-		resp.RCode = dnswire.RCodeNXDomain
-		resp.Authorities = append(resp.Authorities, a.soa)
-		return resp
+	if qtype != dnswire.TypeA || rule == nil {
+		return name, dnswire.RCodeNXDomain, netip.Addr{}
 	}
 	ip, ok := rule(src)
 	if !ok {
-		resp.RCode = dnswire.RCodeNXDomain
-		resp.Authorities = append(resp.Authorities, a.soa)
-		return resp
+		return name, dnswire.RCodeNXDomain, netip.Addr{}
 	}
-	resp.Answers = append(resp.Answers, dnswire.Record{
-		Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 5, A: ip,
-	})
-	return resp
+	return name, dnswire.RCodeSuccess, ip
 }
 
 // log returns the stripe of the query log that holds name (in canonical

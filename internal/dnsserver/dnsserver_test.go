@@ -39,9 +39,13 @@ func lookupA(t *testing.T, a *Authority, src netip.Addr, name string) *dnswire.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := a.HandleQuery(src, wire)
-	if resp == nil {
+	respWire := a.Handler()(src, wire)
+	if respWire == nil {
 		t.Fatalf("query for %s dropped", name)
+	}
+	resp, err := dnswire.Unmarshal(respWire)
+	if err != nil {
+		t.Fatalf("reply for %s does not decode: %v", name, err)
 	}
 	return resp
 }
@@ -112,13 +116,13 @@ func TestQueryLogRecordsSourceAndTime(t *testing.T) {
 
 func TestMalformedQueryDropped(t *testing.T) {
 	a, _ := testAuthority(t)
-	if resp := a.HandleQuery(nodeIP, []byte("garbage")); resp != nil {
+	if resp := a.Handler()(nodeIP, []byte("garbage")); resp != nil {
 		t.Fatal("garbage produced a response")
 	}
 	// A response message must not be answered either.
 	r := dnswire.NewQuery(1, "d1.probe.tft-example.net", dnswire.TypeA).Reply()
 	wire, _ := r.Marshal()
-	if resp := a.HandleQuery(nodeIP, wire); resp != nil {
+	if resp := a.Handler()(nodeIP, wire); resp != nil {
 		t.Fatal("response message was answered")
 	}
 }
@@ -178,8 +182,8 @@ func TestHijackingResolverRewritesNXDomain(t *testing.T) {
 	if resp.RCode != dnswire.RCodeSuccess {
 		t.Fatalf("hijacked RCode = %v", resp.RCode)
 	}
-	if len(resp.Answers) != 1 || resp.Answers[0].A != landingIP {
-		t.Fatalf("answers = %+v", resp.Answers)
+	if resp.A != landingIP || resp.TTL != 300 {
+		t.Fatalf("answer = %+v", resp)
 	}
 }
 
@@ -191,8 +195,8 @@ func TestHijackingResolverLeavesSuccessAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Answers) != 1 || resp.Answers[0].A != webIP {
-		t.Fatalf("valid answer modified: %+v", resp.Answers)
+	if resp.RCode != dnswire.RCodeSuccess || resp.A != webIP {
+		t.Fatalf("valid answer modified: %+v", resp)
 	}
 }
 
@@ -279,4 +283,61 @@ func TestServeUDPEndToEnd(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("ServeUDP did not exit on close")
 	}
+}
+
+// staleNet is a network on which every reply arrives one exchange late: the
+// caller is handed the datagram that answered the query before its own, as a
+// late duplicate on a real socket would be.
+type staleNet struct {
+	net  Exchanger
+	last []byte
+}
+
+func (s *staleNet) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error) {
+	resp, err := s.net.ExchangeDNS(src, dst, query)
+	resp, s.last = s.last, resp
+	return resp, err
+}
+
+// TestLookupRejectsAnotherQuerysAnswer: a datagram that is well-formed but
+// answers another name, carries another ID, or is no response at all is not
+// this lookup's verdict. The d1 answer handed to the d2 lookup would
+// otherwise read as "d2 resolves".
+func TestLookupRejectsAnotherQuerysAnswer(t *testing.T) {
+	f, _ := fabricWorld(t)
+	stale := &staleNet{net: f}
+	r := NewResolver(ispDNSIP, stale, upstreamAll)
+	if _, err := r.Lookup(nodeIP, "d1.probe.tft-example.net", dnswire.TypeA); err != nil {
+		t.Fatal(err) // nothing to hand back yet: SERVFAIL, and d1's answer is now in flight
+	}
+	ans, err := r.Lookup(nodeIP, "d2.probe.tft-example.net", dnswire.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans != (dnswire.Answer{RCode: dnswire.RCodeServFail}) {
+		t.Fatalf("d2 lookup handed d1's answer returned %+v, want SERVFAIL", ans)
+	}
+
+	// The same name from another client is another query ID.
+	stale.last = nil
+	r.Lookup(nodeIP, "d1.probe.tft-example.net", dnswire.TypeA)
+	if ans, _ := r.Lookup(superDNS, "d1.probe.tft-example.net", dnswire.TypeA); ans.RCode != dnswire.RCodeServFail {
+		t.Fatalf("answer to another ID returned %+v, want SERVFAIL", ans)
+	}
+
+	// A query reflected back is not a response; the echo differing only in
+	// case and the trailing dot is this query's answer.
+	reflect := exchangerFunc(func(_, _ netip.Addr, query []byte) ([]byte, error) { return query, nil })
+	if ans, _ := NewResolver(ispDNSIP, reflect, upstreamAll).Lookup(nodeIP, "d1.probe.tft-example.net", dnswire.TypeA); ans.RCode != dnswire.RCodeServFail {
+		t.Fatalf("reflected query returned %+v, want SERVFAIL", ans)
+	}
+	if ans, _ := NewResolver(ispDNSIP, f, upstreamAll).Lookup(nodeIP, "D1.Probe.TFT-example.net.", dnswire.TypeA); ans.A != webIP {
+		t.Fatalf("lower-cased echo of a mixed-case name returned %+v", ans)
+	}
+}
+
+type exchangerFunc func(src, dst netip.Addr, query []byte) ([]byte, error)
+
+func (f exchangerFunc) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error) {
+	return f(src, dst, query)
 }

@@ -25,7 +25,8 @@ func (o *oracleLog) record(q Query) {
 }
 
 func resolveA(a *Authority, src netip.Addr, name string) {
-	a.Resolve(src, dnswire.NewQuery(1, name, dnswire.TypeA))
+	wire, _ := dnswire.NewQuery(1, name, dnswire.TypeA).Marshal()
+	a.Handler()(src, wire)
 }
 
 // TestQueryLogMatchesSingleLockOracle drives the striped log and the

@@ -64,55 +64,43 @@ func (r *Resolver) egress(client netip.Addr) netip.Addr {
 	return r.Addr
 }
 
-// Lookup resolves name for client, returning the parsed response the client
-// receives after any hijack policy has run.
-func (r *Resolver) Lookup(client netip.Addr, name string, qtype dnswire.Type) (*dnswire.Message, error) {
-	q := dnswire.NewQuery(queryID(client, name), name, qtype)
-	wire, err := q.Marshal()
-	if err != nil {
-		return nil, err
-	}
+// Lookup resolves name for client and returns what the client learns: the
+// response code and first address, after any hijack policy has run. A name
+// with no authority, an exchange that fails, and a datagram that is
+// malformed or not the answer to this query are all SERVFAIL.
+//
+//tftlint:hotpath
+func (r *Resolver) Lookup(client netip.Addr, name string, qtype dnswire.Type) (dnswire.Answer, error) {
 	auth, ok := r.Upstream(name)
 	if !ok {
-		return r.servFail(q), nil
+		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
+	}
+	id := queryID(client, name)
+	wire, err := dnswire.NewQuery(id, name, qtype).Marshal()
+	if err != nil {
+		return dnswire.Answer{}, err
 	}
 	respWire, err := r.Net.ExchangeDNS(r.egress(client), auth, wire)
 	if err != nil {
-		return r.servFail(q), nil
+		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
 	}
-	resp, err := dnswire.Unmarshal(respWire)
+	ans, err := dnswire.ParseAnswer(respWire, id, name, qtype)
 	if err != nil {
-		return r.servFail(q), nil
+		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
 	}
-	resp.Authoritative = false
-	resp.RecursionAvailable = true
-	return r.applyHijack(name, resp), nil
+	return r.applyHijack(name, ans), nil
 }
 
-// servFail is the answer to q when no authority could be asked or none gave
-// a usable reply.
-func (r *Resolver) servFail(q *dnswire.Message) *dnswire.Message {
-	reply := q.Reply()
-	reply.RCode = dnswire.RCodeServFail
-	return reply
-}
-
-// applyHijack rewrites an NXDOMAIN response per the resolver's policy.
-func (r *Resolver) applyHijack(name string, resp *dnswire.Message) *dnswire.Message {
-	if r.Hijack == nil || resp.RCode != dnswire.RCodeNXDomain {
-		return resp
+// applyHijack rewrites an NXDOMAIN answer per the resolver's policy.
+func (r *Resolver) applyHijack(name string, ans dnswire.Answer) dnswire.Answer {
+	if r.Hijack == nil || ans.RCode != dnswire.RCodeNXDomain {
+		return ans
 	}
 	landing, ok := r.Hijack.RewriteNX(name)
 	if !ok {
-		return resp
+		return ans
 	}
-	resp.RCode = dnswire.RCodeSuccess
-	resp.Authorities = nil
-	resp.Answers = []dnswire.Record{{
-		Name: dnswire.CanonicalName(name), Type: dnswire.TypeA, Class: dnswire.ClassIN,
-		TTL: 300, A: landing,
-	}}
-	return resp
+	return dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landing, TTL: 300}
 }
 
 // queryID derives a deterministic query ID from client and name so runs are

@@ -6,8 +6,14 @@
 // The NXDOMAIN-hijacking experiment (§4) hinges on three wire-level
 // behaviours this package provides faithfully: source-conditional answers
 // (the server inspects who asked before deciding between an A record and
-// RCODE NXDOMAIN), NXDOMAIN itself, and answer substitution by on-path
-// interceptors, which rewrite a response message in place.
+// RCODE NXDOMAIN), NXDOMAIN itself, and answer substitution by resolvers and
+// on-path interceptors, which rewrite the Answer — response code and first
+// address — a client reads out of a response.
+//
+// Decoding is split in two. The scan layer decides whether a datagram is
+// well-formed and builds nothing; Unmarshal (the whole tree), ParseQuery
+// (header and question) and ParseAnswer (an Answer, matched to its query)
+// read what it has passed.
 package dnswire
 
 import (
@@ -404,48 +410,275 @@ func appendName(buf []byte, name string, comp *compTable) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
-// Unmarshal decodes a wire-format message.
-func Unmarshal(data []byte) (*Message, error) {
-	if len(data) < 12 {
-		return nil, ErrShortMessage
-	}
-	m := &Message{ID: binary.BigEndian.Uint16(data[0:2])}
-	flags := binary.BigEndian.Uint16(data[2:4])
-	m.Response = flags&flagQR != 0
-	m.Opcode = uint8(flags >> 11 & 0xF)
-	m.Authoritative = flags&flagAA != 0
-	m.Truncated = flags&flagTC != 0
-	m.RecursionDesired = flags&flagRD != 0
-	m.RecursionAvailable = flags&flagRA != 0
-	m.RCode = RCode(flags & 0xF)
-	qd := int(binary.BigEndian.Uint16(data[4:6]))
-	an := int(binary.BigEndian.Uint16(data[6:8]))
-	ns := int(binary.BigEndian.Uint16(data[8:10]))
-	ar := int(binary.BigEndian.Uint16(data[10:12]))
-	if qd+an+ns+ar > len(data) {
-		return nil, ErrTooManyRecords
-	}
+// Header is the fixed twelve bytes a message opens with, decoded: the flags
+// a Message carries and the four section counts as the datagram states them.
+type Header struct {
+	ID                 uint16
+	Response           bool
+	Opcode             uint8
+	Authoritative      bool
+	Truncated          bool
+	RecursionDesired   bool
+	RecursionAvailable bool
+	RCode              RCode
 
+	Questions, Answers, Authorities, Additionals int
+}
+
+// Answer is what a resolver's client learns from a response: the response
+// code and the first A record of the answer section (A is the zero Addr when
+// there is none). It is everything the methodology reads of a DNS exchange.
+type Answer struct {
+	RCode RCode
+	A     netip.Addr
+	TTL   uint32
+}
+
+// ErrNotMyAnswer is ParseAnswer's verdict on a well-formed datagram that is
+// not the response to the question asked.
+var ErrNotMyAnswer = errors.New("dnswire: not the response to this query")
+
+// The scan layer — scanHeader, scanName, scanQuestion(s), scanRecord — is the
+// one place that decides whether a datagram is well-formed. It builds
+// nothing: Unmarshal materialises the tree from a datagram it has passed,
+// and ParseQuery and ParseAnswer read out the few values an exchange needs.
+
+// scanHeader decodes the fixed header.
+//
+//tftlint:hotpath
+func scanHeader(data []byte) (Header, error) {
+	if len(data) < 12 {
+		return Header{}, ErrShortMessage
+	}
+	flags := binary.BigEndian.Uint16(data[2:4])
+	h := Header{
+		ID:                 binary.BigEndian.Uint16(data[0:2]),
+		Response:           flags&flagQR != 0,
+		Opcode:             uint8(flags >> 11 & 0xF),
+		Authoritative:      flags&flagAA != 0,
+		Truncated:          flags&flagTC != 0,
+		RecursionDesired:   flags&flagRD != 0,
+		RecursionAvailable: flags&flagRA != 0,
+		RCode:              RCode(flags & 0xF),
+		Questions:          int(binary.BigEndian.Uint16(data[4:6])),
+		Answers:            int(binary.BigEndian.Uint16(data[6:8])),
+		Authorities:        int(binary.BigEndian.Uint16(data[8:10])),
+		Additionals:        int(binary.BigEndian.Uint16(data[10:12])),
+	}
+	if h.Questions+h.Answers+h.Authorities+h.Additionals > len(data) {
+		return Header{}, ErrTooManyRecords
+	}
+	return h, nil
+}
+
+// scanName checks the possibly-compressed name starting at off — bounds,
+// pointer direction and count, label and name lengths — and returns the
+// length n of its dotted form (0 for the root) and the offset just past the
+// name's in-place bytes. With nb non-nil the dotted form is left in nb[:n]:
+// 256 bytes cover every legal name, whose dotted form is at most 255.
+//
+//tftlint:hotpath
+func scanName(data []byte, off int, nb *[256]byte) (n, end int, err error) {
+	jumped := false
+	end = off
+	hops := 0
+	for {
+		if off >= len(data) {
+			return 0, end, ErrShortMessage
+		}
+		b := data[off]
+		switch {
+		case b == 0:
+			if !jumped {
+				end = off + 1
+			}
+			if n > 255 {
+				return 0, end, ErrNameTooLong
+			}
+			return n, end, nil
+		case b&0xC0 == 0xC0:
+			if off+1 >= len(data) {
+				return 0, end, ErrShortMessage
+			}
+			ptr := int(binary.BigEndian.Uint16(data[off:]) & 0x3FFF)
+			if !jumped {
+				end = off + 2
+				jumped = true
+			}
+			hops++
+			if hops > 64 || ptr >= off {
+				return 0, end, ErrPointerLoop
+			}
+			off = ptr
+		case b&0xC0 != 0:
+			return 0, end, ErrBadName
+		default:
+			l := int(b)
+			if off+1+l > len(data) {
+				return 0, end, ErrShortMessage
+			}
+			if n+l+1 > len(nb) {
+				return 0, end, ErrNameTooLong
+			}
+			if nb != nil {
+				copy(nb[n:], data[off+1:off+1+l])
+				nb[n+l] = '.'
+			}
+			n += l + 1
+			off += 1 + l
+		}
+	}
+}
+
+// dotted is the string form of the n bytes scanName left in nb.
+func dotted(nb *[256]byte, n int) string {
+	if n == 0 {
+		return "."
+	}
+	return string(nb[:n])
+}
+
+// scanQuestion checks the question entry at off and returns its type, its
+// class and the offset of what follows; the name goes to nb as scanName
+// leaves it.
+//
+//tftlint:hotpath
+func scanQuestion(data []byte, off int, nb *[256]byte) (n int, t Type, c Class, next int, err error) {
+	n, off, err = scanName(data, off, nb)
+	if err != nil {
+		return 0, 0, 0, off, err
+	}
+	if off+4 > len(data) {
+		return 0, 0, 0, off, ErrShortMessage
+	}
+	t = Type(binary.BigEndian.Uint16(data[off:]))
+	c = Class(binary.BigEndian.Uint16(data[off+2:]))
+	return n, t, c, off + 4, nil
+}
+
+// scanQuestions checks the count question entries a datagram opens with and
+// returns the first one's type and class — its name goes to nb — and the
+// offset of the first record.
+//
+//tftlint:hotpath
+func scanQuestions(data []byte, count int, nb *[256]byte) (n int, t Type, c Class, off int, err error) {
+	off = 12
+	for i := 0; i < count; i++ {
+		if i == 0 {
+			n, t, c, off, err = scanQuestion(data, off, nb)
+		} else {
+			_, _, _, off, err = scanQuestion(data, off, nil)
+		}
+		if err != nil {
+			return 0, 0, 0, off, err
+		}
+	}
+	return n, t, c, off, nil
+}
+
+// rrHead is what scanRecord reports of a record it found well-formed: the
+// fixed fields, and where its RDATA lies in the datagram.
+type rrHead struct {
+	Type  Type
+	Class Class
+	TTL   uint32
+	rdata int // RDATA is data[rdata : rdata+rdlen]
+	rdlen int
+}
+
+// scanRecord checks the resource record at off: its owner name, the fixed
+// fields, that the RDATA lies inside the datagram and has the shape its type
+// demands — names in it may point anywhere earlier in the message — and that
+// the type is one this package carries. It returns the offset of what
+// follows the record.
+//
+//tftlint:hotpath
+func scanRecord(data []byte, off int) (rrHead, int, error) {
+	_, off, err := scanName(data, off, nil)
+	if err != nil {
+		return rrHead{}, off, err
+	}
+	if off+10 > len(data) {
+		return rrHead{}, off, ErrShortMessage
+	}
+	r := rrHead{
+		Type:  Type(binary.BigEndian.Uint16(data[off:])),
+		Class: Class(binary.BigEndian.Uint16(data[off+2:])),
+		TTL:   binary.BigEndian.Uint32(data[off+4:]),
+		rdata: off + 10,
+		rdlen: int(binary.BigEndian.Uint16(data[off+8:])),
+	}
+	next := r.rdata + r.rdlen
+	if next > len(data) {
+		return rrHead{}, off, ErrShortMessage
+	}
+	switch r.Type {
+	case TypeA:
+		if r.rdlen != 4 {
+			return rrHead{}, off, errARDLength
+		}
+	case TypeNS, TypeCNAME:
+		if _, _, err = scanName(data, r.rdata, nil); err != nil {
+			return rrHead{}, off, err
+		}
+	case TypeTXT:
+		for p := r.rdata; p < next; {
+			p += 1 + int(data[p])
+			if p > next {
+				return rrHead{}, off, errTXTOverrun
+			}
+		}
+	case TypeSOA:
+		p := r.rdata
+		for range 2 { // MNAME, RNAME
+			if _, p, err = scanName(data, p, nil); err != nil {
+				return rrHead{}, off, err
+			}
+		}
+		if p+20 > next {
+			return rrHead{}, off, ErrShortMessage
+		}
+	default:
+		return rrHead{}, off, errUnsupportedType
+	}
+	return r, next, nil
+}
+
+// What scanRecord finds wrong with an RDATA, preformatted: a hot path makes
+// no fmt call. Each is ErrBadRecord under errors.Is.
+var (
+	errARDLength       = fmt.Errorf("%w: A RDATA is not 4 octets", ErrBadRecord)
+	errTXTOverrun      = fmt.Errorf("%w: TXT string overruns RDATA", ErrBadRecord)
+	errUnsupportedType = fmt.Errorf("%w: unsupported type", ErrBadRecord)
+)
+
+// Unmarshal decodes a wire-format message into the tree.
+func Unmarshal(data []byte) (*Message, error) {
+	h, err := scanHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	m := &Message{
+		ID: h.ID, Response: h.Response, Opcode: h.Opcode, Authoritative: h.Authoritative,
+		Truncated: h.Truncated, RecursionDesired: h.RecursionDesired,
+		RecursionAvailable: h.RecursionAvailable, RCode: h.RCode,
+	}
 	off := 12
-	var err error
+	var nb [256]byte
 	m.Questions = m.q1[:0]
-	for i := 0; i < qd; i++ {
+	for i := 0; i < h.Questions; i++ {
 		var q Question
-		q.Name, off, err = readName(data, off)
+		var n int
+		n, q.Type, q.Class, off, err = scanQuestion(data, off, &nb)
 		if err != nil {
 			return nil, err
 		}
-		if off+4 > len(data) {
-			return nil, ErrShortMessage
-		}
-		q.Type = Type(binary.BigEndian.Uint16(data[off:]))
-		q.Class = Class(binary.BigEndian.Uint16(data[off+2:]))
-		off += 4
+		q.Name = dotted(&nb, n)
 		m.Questions = append(m.Questions, q)
 	}
 	inline := m.r1[:0] // goes to the first section that has a record
 	for i, sec := range [...]*[]Record{&m.Answers, &m.Authorities, &m.Additionals} {
-		n := [...]int{an, ns, ar}[i]
+		n := [...]int{h.Answers, h.Authorities, h.Additionals}[i]
 		if n > 0 {
 			*sec, inline = inline, nil
 		}
@@ -461,138 +694,143 @@ func Unmarshal(data []byte) (*Message, error) {
 	return m, nil
 }
 
-// readRecord decodes the record at off.
+// readRecord materialises the record at off, once scanRecord has passed it.
 func (m *Message) readRecord(data []byte, off int) (Record, int, error) {
-	var r Record
-	var err error
-	if len(m.Questions) > 0 && off+1 < len(data) && data[off] == 0xC0 && data[off+1] == 12 {
+	h, next, err := scanRecord(data, off)
+	if err != nil {
+		return Record{}, off, err
+	}
+	r := Record{Type: h.Type, Class: h.Class, TTL: h.TTL}
+	if len(m.Questions) > 0 && data[off] == 0xC0 && data[off+1] == 12 {
 		// The owner name is a pointer to the first question's: every
 		// answer the authority gives. Same name, same string.
-		r.Name, off = m.Questions[0].Name, off+2
-	} else if r.Name, off, err = readName(data, off); err != nil {
-		return r, off, err
+		r.Name = m.Questions[0].Name
+	} else {
+		r.Name, _ = readName(data, off)
 	}
-	if off+10 > len(data) {
-		return r, off, ErrShortMessage
-	}
-	r.Type = Type(binary.BigEndian.Uint16(data[off:]))
-	r.Class = Class(binary.BigEndian.Uint16(data[off+2:]))
-	r.TTL = binary.BigEndian.Uint32(data[off+4:])
-	rdlen := int(binary.BigEndian.Uint16(data[off+8:]))
-	off += 10
-	if off+rdlen > len(data) {
-		return r, off, ErrShortMessage
-	}
-	rdata := data[off : off+rdlen]
+	rdata := data[h.rdata:next]
 	switch r.Type {
 	case TypeA:
-		if rdlen != 4 {
-			return r, off, fmt.Errorf("%w: A RDATA length %d", ErrBadRecord, rdlen)
-		}
 		r.A = netip.AddrFrom4([4]byte(rdata))
 	case TypeNS, TypeCNAME:
-		// Names in RDATA may use compression pointers into the full message.
-		r.Target, _, err = readName(data, off)
-		if err != nil {
-			return r, off, err
-		}
+		r.Target, _ = readName(data, h.rdata)
 	case TypeTXT:
-		for p := 0; p < rdlen; {
+		for p := 0; p < len(rdata); {
 			l := int(rdata[p])
-			p++
-			if p+l > rdlen {
-				return r, off, fmt.Errorf("%w: TXT string overruns RDATA", ErrBadRecord)
-			}
-			r.Text = append(r.Text, string(rdata[p:p+l]))
-			p += l
+			r.Text = append(r.Text, string(rdata[p+1:p+1+l]))
+			p += 1 + l
 		}
 	case TypeSOA:
 		soa := &SOAData{}
-		p := off
-		soa.MName, p, err = readName(data, p)
-		if err != nil {
-			return r, off, err
-		}
-		soa.RName, p, err = readName(data, p)
-		if err != nil {
-			return r, off, err
-		}
-		if p+20 > len(data) || p+20 > off+rdlen {
-			return r, off, ErrShortMessage
-		}
+		p := h.rdata
+		soa.MName, p = readName(data, p)
+		soa.RName, p = readName(data, p)
 		soa.Serial = binary.BigEndian.Uint32(data[p:])
 		soa.Refresh = binary.BigEndian.Uint32(data[p+4:])
 		soa.Retry = binary.BigEndian.Uint32(data[p+8:])
 		soa.Expire = binary.BigEndian.Uint32(data[p+12:])
 		soa.MinTTL = binary.BigEndian.Uint32(data[p+16:])
 		r.SOA = soa
-	default:
-		return r, off, fmt.Errorf("%w: unsupported type %v", ErrBadRecord, r.Type)
 	}
-	return r, off + rdlen, nil
+	return r, next, nil
 }
 
-// readName decodes a possibly-compressed name starting at off, returning the
-// canonical dotted name and the offset just past the name's in-place bytes.
+// readName returns, as a string, a name the scan layer has passed, and the
+// offset just past its in-place bytes: the one allocation a name costs.
+func readName(data []byte, off int) (string, int) {
+	var nb [256]byte
+	n, end, _ := scanName(data, off, &nb)
+	return dotted(&nb, n), end
+}
+
+// ParseQuery reads a datagram as the query every exchange in the repository
+// sends: the header and the first question, whose name is the one string the
+// exchange makes. The whole datagram is held to what Unmarshal demands of
+// it. It is for the caller to refuse a header that says response, or counts
+// other than one question.
 //
 //tftlint:hotpath
-func readName(data []byte, off int) (string, int, error) {
-	// Accumulate into a stack buffer so the whole decode costs exactly one
-	// allocation (the final string). 256 bytes covers every legal name: the
-	// dotted form of a maximal name is 255 bytes, which the n > 255 check
-	// below rejects anyway.
+func ParseQuery(data []byte) (Header, Question, error) {
+	h, err := scanHeader(data)
+	if err != nil {
+		return Header{}, Question{}, err
+	}
 	var nb [256]byte
-	n := 0
-	jumped := false
-	end := off
-	hops := 0
-	for {
-		if off >= len(data) {
-			return "", end, ErrShortMessage
-		}
-		b := data[off]
-		switch {
-		case b == 0:
-			if !jumped {
-				end = off + 1
-			}
-			if n == 0 {
-				return ".", end, nil
-			}
-			if n > 255 {
-				return "", end, ErrNameTooLong
-			}
-			return string(nb[:n]), end, nil
-		case b&0xC0 == 0xC0:
-			if off+1 >= len(data) {
-				return "", end, ErrShortMessage
-			}
-			ptr := int(binary.BigEndian.Uint16(data[off:]) & 0x3FFF)
-			if !jumped {
-				end = off + 2
-				jumped = true
-			}
-			hops++
-			if hops > 64 || ptr >= off {
-				return "", end, ErrPointerLoop
-			}
-			off = ptr
-		case b&0xC0 != 0:
-			return "", end, ErrBadName
-		default:
-			l := int(b)
-			if off+1+l > len(data) {
-				return "", end, ErrShortMessage
-			}
-			if n+l+1 > len(nb) {
-				return "", end, ErrNameTooLong
-			}
-			n += copy(nb[n:], data[off+1:off+1+l])
-			nb[n] = '.'
-			n++
-			off += 1 + l
+	n, t, c, off, err := scanQuestions(data, h.Questions, &nb)
+	if err != nil {
+		return Header{}, Question{}, err
+	}
+	for i := h.Answers + h.Authorities + h.Additionals; i > 0; i-- {
+		if _, off, err = scanRecord(data, off); err != nil {
+			return Header{}, Question{}, err
 		}
 	}
+	if h.Questions == 0 {
+		return h, Question{}, nil
+	}
+	return h, Question{Name: dotted(&nb, n), Type: t, Class: c}, nil
+}
+
+// ParseAnswer reads a datagram as the response to the query (id, name,
+// qtype): its response code and the first A record of its answer section,
+// at no allocation. The whole datagram is held to what Unmarshal demands of
+// it, and one that passes must also be this query's answer — a response,
+// with the query's ID, whose first question is the query's (names compared
+// without regard to ASCII case or a trailing dot) — or the error is
+// ErrNotMyAnswer: a late duplicate or a reply to another name is nobody's
+// verdict on this one.
+//
+//tftlint:hotpath
+func ParseAnswer(data []byte, id uint16, name string, qtype Type) (Answer, error) {
+	h, err := scanHeader(data)
+	if err != nil {
+		return Answer{}, err
+	}
+	var nb [256]byte
+	n, t, _, off, err := scanQuestions(data, h.Questions, &nb)
+	if err != nil {
+		return Answer{}, err
+	}
+	ans := Answer{RCode: h.RCode}
+	for i := 0; i < h.Answers+h.Authorities+h.Additionals; i++ {
+		var r rrHead
+		if r, off, err = scanRecord(data, off); err != nil {
+			return Answer{}, err
+		}
+		if i < h.Answers && r.Type == TypeA && !ans.A.IsValid() {
+			ans.A = netip.AddrFrom4([4]byte(data[r.rdata:off]))
+			ans.TTL = r.TTL
+		}
+	}
+	if !h.Response || h.ID != id || h.Questions == 0 || t != qtype || !sameName(nb[:n], name) {
+		return Answer{}, ErrNotMyAnswer
+	}
+	return ans, nil
+}
+
+// sameName reports whether wire — a name in the dotted form scanName leaves,
+// empty for the root — is name, ASCII case and a trailing dot on name aside.
+func sameName(wire []byte, name string) bool {
+	name = strings.TrimSuffix(name, ".")
+	if name == "" {
+		return len(wire) == 0
+	}
+	if len(wire) != len(name)+1 {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if lowerASCII(wire[i]) != lowerASCII(name[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if c >= 'A' && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // CanonicalName lowercases a domain name and ensures a trailing dot, the

@@ -456,3 +456,46 @@ func TestOneRecordMessageIsOneAllocation(t *testing.T) {
 		t.Error("answer's owner name is a separate string from the question's")
 	}
 }
+
+// TestParseAnswerMatchesItsQuery: ParseAnswer reads the first A record at no
+// allocation, and a well-formed datagram that is not the response to (id,
+// name, type) is ErrNotMyAnswer.
+func TestParseAnswerMatchesItsQuery(t *testing.T) {
+	web := netip.AddrFrom4([4]byte{198, 51, 100, 10})
+	r := NewQuery(7, "d1-s1.probe.example", TypeA).Reply()
+	r.Answers = append(r.Answers, Record{Name: "d1-s1.probe.example", Type: TypeA, Class: ClassIN, TTL: 5, A: web})
+	wire, err := r.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	query, _ := NewQuery(7, "d1-s1.probe.example", TypeA).Marshal()
+
+	var ans Answer
+	if n := testing.AllocsPerRun(100, func() { ans, err = ParseAnswer(wire, 7, "D1-s1.Probe.example.", TypeA) }); n != 0 {
+		t.Errorf("ParseAnswer allocates %.0f times, want 0", n)
+	}
+	if want := (Answer{RCode: RCodeSuccess, A: web, TTL: 5}); err != nil || ans != want {
+		t.Fatalf("ParseAnswer = %+v, %v; want %+v", ans, err, want)
+	}
+	for _, tc := range []struct {
+		why  string
+		wire []byte
+		id   uint16
+		name string
+		typ  Type
+	}{
+		{"another ID", wire, 8, "d1-s1.probe.example", TypeA},
+		{"another name", wire, 7, "d2-s1.probe.example", TypeA},
+		{"a longer name", wire, 7, "d1-s1.probe.example.net", TypeA},
+		{"the root", wire, 7, ".", TypeA},
+		{"another type", wire, 7, "d1-s1.probe.example", TypeTXT},
+		{"a query", query, 7, "d1-s1.probe.example", TypeA},
+	} {
+		if _, err := ParseAnswer(tc.wire, tc.id, tc.name, tc.typ); !errors.Is(err, ErrNotMyAnswer) {
+			t.Errorf("%s: err = %v, want ErrNotMyAnswer", tc.why, err)
+		}
+	}
+	if _, err := ParseAnswer(wire[:len(wire)-1], 8, "x", TypeA); !errors.Is(err, ErrShortMessage) {
+		t.Errorf("malformed and mismatched: err = %v, want ErrShortMessage first", err)
+	}
+}

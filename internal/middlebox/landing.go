@@ -75,17 +75,11 @@ type PathNXHijack struct {
 }
 
 // InterceptDNS implements DNSInterceptor.
-func (h PathNXHijack) InterceptDNS(name string, resp *dnswire.Message) *dnswire.Message {
-	if resp == nil || resp.RCode != dnswire.RCodeNXDomain {
-		return resp
+func (h PathNXHijack) InterceptDNS(_ string, ans dnswire.Answer) dnswire.Answer {
+	if ans.RCode != dnswire.RCodeNXDomain {
+		return ans
 	}
-	resp.RCode = dnswire.RCodeSuccess
-	resp.Authorities = nil
-	resp.Answers = []dnswire.Record{{
-		Name: dnswire.CanonicalName(name), Type: dnswire.TypeA, Class: dnswire.ClassIN,
-		TTL: 60, A: h.Landing,
-	}}
-	return resp
+	return dnswire.Answer{RCode: dnswire.RCodeSuccess, A: h.Landing, TTL: 60}
 }
 
 // RewriteNX lets PathNXHijack double as a resolver hijack policy

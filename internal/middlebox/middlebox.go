@@ -21,12 +21,12 @@ import (
 	"github.com/tftproject/tft/internal/httpwire"
 )
 
-// DNSInterceptor rewrites DNS responses on the node's path — a transparent
+// DNSInterceptor rewrites DNS answers on the node's path — a transparent
 // DNS proxy in the ISP or resolver-tampering software on the host (§4.3.3).
 type DNSInterceptor interface {
-	// InterceptDNS may rewrite the response for the queried name in place
-	// and must return it (or a replacement).
-	InterceptDNS(name string, resp *dnswire.Message) *dnswire.Message
+	// InterceptDNS returns what the node learns in place of ans, the
+	// resolver's answer for the queried name: ans itself, or a rewrite.
+	InterceptDNS(name string, ans dnswire.Answer) dnswire.Answer
 }
 
 // HTTPInterceptor rewrites HTTP responses in flight (§5).
@@ -95,11 +95,11 @@ type Path struct {
 }
 
 // ApplyDNS runs the DNS interceptors in order.
-func (p *Path) ApplyDNS(name string, resp *dnswire.Message) *dnswire.Message {
+func (p *Path) ApplyDNS(name string, ans dnswire.Answer) dnswire.Answer {
 	for _, ic := range p.DNS {
-		resp = ic.InterceptDNS(name, resp)
+		ans = ic.InterceptDNS(name, ans)
 	}
-	return resp
+	return ans
 }
 
 // ApplyHTTP runs the HTTP interceptors in order.

@@ -35,13 +35,6 @@ func imageResp() *httpwire.Response {
 	return resp
 }
 
-func nxResp(name string) *dnswire.Message {
-	q := dnswire.NewQuery(1, name, dnswire.TypeA)
-	r := q.Reply()
-	r.RCode = dnswire.RCodeNXDomain
-	return r
-}
-
 func TestLandingPageSharedAppliance(t *testing.T) {
 	a := LandingSpec{Operator: "Verizon", RedirectURL: "http://searchassist.verizon.com/main", SharedAppliance: true}
 	b := LandingSpec{Operator: "Cox Communications", RedirectURL: "http://finder.cox.net/", SharedAppliance: true}
@@ -70,16 +63,21 @@ func TestLandingPageTagline(t *testing.T) {
 
 func TestPathNXHijackRewrites(t *testing.T) {
 	h := PathNXHijack{Product: "norton-connectsafe", Landing: landingIP}
-	resp := h.InterceptDNS("typo.example.net", nxResp("typo.example.net"))
-	if resp.RCode != dnswire.RCodeSuccess || len(resp.Answers) != 1 || resp.Answers[0].A != landingIP {
-		t.Fatalf("resp = %+v", resp)
+	got := h.InterceptDNS("typo.example.net", dnswire.Answer{RCode: dnswire.RCodeNXDomain})
+	if want := (dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landingIP, TTL: 60}); got != want {
+		t.Fatalf("NXDOMAIN became %+v, want %+v", got, want)
 	}
-	// Success responses pass through untouched.
-	ok := dnswire.NewQuery(2, "real.example.net", dnswire.TypeA).Reply()
-	ok.Answers = []dnswire.Record{{Name: "real.example.net", Type: dnswire.TypeA, Class: dnswire.ClassIN, A: landingIP}}
-	before := len(ok.Answers)
-	if got := h.InterceptDNS("real.example.net", ok); got.RCode != dnswire.RCodeSuccess || len(got.Answers) != before {
-		t.Fatal("success response modified")
+	// NOERROR answers pass through untouched.
+	webIP := netip.MustParseAddr("198.51.100.10")
+	ok := dnswire.Answer{RCode: dnswire.RCodeSuccess, A: webIP, TTL: 5}
+	if got := h.InterceptDNS("real.example.net", ok); got != ok {
+		t.Fatalf("NOERROR answer became %+v", got)
+	}
+	// A Path runs its interceptors in order: the first rewrite leaves the
+	// second nothing to hijack.
+	path := &Path{DNS: []DNSInterceptor{h, PathNXHijack{Landing: webIP}}}
+	if got := path.ApplyDNS("typo.example.net", dnswire.Answer{RCode: dnswire.RCodeNXDomain}); got.A != landingIP {
+		t.Fatalf("path answered %+v", got)
 	}
 	if ip, hijack := h.RewriteNX("x"); !hijack || ip != landingIP {
 		t.Fatal("RewriteNX mismatch")

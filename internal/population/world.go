@@ -317,11 +317,21 @@ func (w *World) registerResolver(r *dnsserver.Resolver, open bool) {
 				return out
 			}
 		}
-		resp, err := r.Lookup(src, q.Questions[0].Name, q.Questions[0].Type)
+		question := q.Questions[0]
+		ans, err := r.Lookup(src, question.Name, question.Type)
 		if err != nil {
 			return nil
 		}
-		resp.ID = q.ID
+		// The relay carries what Lookup returns and no more: the response
+		// code and, when there is one, the address under the question's own
+		// name. The authority's SOA is not forwarded; no scanner reads it.
+		resp := q.Reply()
+		resp.RCode = ans.RCode
+		if ans.A.IsValid() {
+			resp.Answers = append(resp.Answers, dnswire.Record{
+				Name: question.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ans.TTL, A: ans.A,
+			})
+		}
 		out, err := resp.Marshal()
 		if err != nil {
 			return nil

@@ -91,21 +91,16 @@ func (n *ExitNode) ResolveA(ctx context.Context, name string) (netip.Addr, dnswi
 	span := n.Tracer.StartChild(trace.FromContext(ctx), "node.resolve", trace.KindDNS,
 		trace.Str("zid", n.ZID), trace.Str("name", name))
 	defer span.End()
-	resp, err := n.Resolver.Lookup(n.Addr, name, dnswire.TypeA)
+	ans, err := n.Resolver.Lookup(n.Addr, name, dnswire.TypeA)
 	if err != nil {
 		span.SetError(err.Error())
 		return netip.Addr{}, dnswire.RCodeServFail, err
 	}
 	if n.Path != nil {
-		resp = n.Path.ApplyDNS(name, resp)
+		ans = n.Path.ApplyDNS(name, ans)
 	}
-	span.SetAttrs(trace.Int("rcode", int64(resp.RCode)))
-	for _, a := range resp.Answers {
-		if a.Type == dnswire.TypeA {
-			return a.A, resp.RCode, nil
-		}
-	}
-	return netip.Addr{}, resp.RCode, nil
+	span.SetAttrs(trace.Int("rcode", int64(ans.RCode)))
+	return ans.A, ans.RCode, nil
 }
 
 // FetchHTTP performs the node's part of a proxied GET: connect to ip:port,

@@ -289,16 +289,11 @@ func (sp *SuperProxy) fail(conn net.Conn, status int, errStr, zid string, ip net
 // is the super proxy itself, so the Google anycast egress is the pinned
 // instance.
 func (sp *SuperProxy) lookupSuper(host string) (netip.Addr, dnswire.RCode) {
-	resp, err := sp.Resolver.Lookup(sp.Addr, host, dnswire.TypeA)
+	ans, err := sp.Resolver.Lookup(sp.Addr, host, dnswire.TypeA)
 	if err != nil {
 		return netip.Addr{}, dnswire.RCodeServFail
 	}
-	for _, a := range resp.Answers {
-		if a.Type == dnswire.TypeA {
-			return a.A, resp.RCode
-		}
-	}
-	return netip.Addr{}, resp.RCode
+	return ans.A, ans.RCode
 }
 
 // failAttempt records one failed exit-node try both ways the service

@@ -46,21 +46,26 @@ stage() {
 		$GO test -race ./...
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all seven
+		# Short fuzz smoke over the parser-shaped attack surfaces, all nine
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
-		# holds ChainSize to what MarshalChain writes), DNS messages, the
-		# HTTP request and response parsers (the latter through its pooled,
-		# poisoned body path), and the HTTP head parser against the
-		# line-at-a-time parser it replaced and net/http (same verdict, same
-		# fields, same bytes consumed). Five seconds each — a corpus
-		# regression check, not a campaign. The last runs without input
-		# minimisation: its seeds include 4 KB lines and 129-line blocks,
-		# and minimising one of those takes the whole five seconds.
+		# holds ChainSize to what MarshalChain writes), DNS messages — the
+		# tree decoder, the scan layer and its two flat readers against the
+		# one-pass decoder they replaced (same verdict, same sentinel, same
+		# values), and name compression round trips — the HTTP request and
+		# response parsers (the latter through its pooled, poisoned body
+		# path), and the HTTP head parser against the line-at-a-time parser
+		# it replaced and net/http (same verdict, same fields, same bytes
+		# consumed). Five seconds each — a corpus regression check, not a
+		# campaign. The last runs without input minimisation: its seeds
+		# include 4 KB lines and 129-line blocks, and minimising one of
+		# those takes the whole five seconds.
 		$GO test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
 		$GO test -run=NONE -fuzz='FuzzUnmarshalChain$' -fuzztime=5s ./internal/cert
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/dnswire
+		$GO test -run=NONE -fuzz='FuzzFlatAgreesWithTree$' -fuzztime=5s ./internal/dnswire
+		$GO test -run=NONE -fuzz='FuzzNameRoundTrip$' -fuzztime=5s ./internal/dnswire
 		$GO test -run=NONE -fuzz='FuzzReadResponse$' -fuzztime=5s ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzReadRequest$' -fuzztime=5s ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzHeadEquivalence$' -fuzztime=5s -fuzzminimizetime=0 ./internal/httpwire
