@@ -24,6 +24,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // KeyID is a public-key fingerprint. The paper's §6.2 finding that most AV
@@ -148,22 +150,75 @@ func (c *Certificate) Clone() *Certificate {
 }
 
 // MatchesHostname reports whether the certificate covers host, honouring
-// single-label wildcards (*.example.org).
+// single-label wildcards (*.example.org). Names compare as strings.ToLower
+// would have them compare — ASCII case folded in place, anything else rune
+// by rune through unicode.ToLower — without lower-casing either side.
+//
+//tftlint:hotpath
 func (c *Certificate) MatchesHostname(host string) bool {
-	host = strings.ToLower(strings.TrimSuffix(host, "."))
-	names := append([]string{c.Subject.CommonName}, c.DNSNames...)
-	for _, n := range names {
-		n = strings.ToLower(strings.TrimSuffix(n, "."))
-		if n == host {
+	host = strings.TrimSuffix(host, ".")
+	if nameCovers(c.Subject.CommonName, host) {
+		return true
+	}
+	for _, n := range c.DNSNames {
+		if nameCovers(n, host) {
 			return true
-		}
-		if rest, ok := strings.CutPrefix(n, "*."); ok {
-			if i := strings.IndexByte(host, '.'); i > 0 && host[i+1:] == rest {
-				return true
-			}
 		}
 	}
 	return false
+}
+
+// nameCovers reports whether one certificate name covers host (its trailing
+// dot already trimmed).
+//
+//tftlint:hotpath
+func nameCovers(n, host string) bool {
+	n = strings.TrimSuffix(n, ".")
+	if lowerEqual(n, host) {
+		return true
+	}
+	// Lower-casing maps no rune to '*' or '.', nor either of them to
+	// anything else, so the wildcard and the first label are found on the
+	// names as given.
+	if rest, ok := strings.CutPrefix(n, "*."); ok {
+		if i := strings.IndexByte(host, '.'); i > 0 && lowerEqual(host[i+1:], rest) {
+			return true
+		}
+	}
+	return false
+}
+
+// lowerEqual reports whether strings.ToLower(a) == strings.ToLower(b). Both
+// sides lower rune for rune (an invalid byte as U+FFFD), and UTF-8 encodes
+// distinct runes distinctly, so comparing the lowered runes in step is the
+// same test. This is not strings.EqualFold, which folds more: 'ſ' and 's'
+// fold together but lower apart.
+//
+//tftlint:hotpath
+func lowerEqual(a, b string) bool {
+	for len(a) > 0 && len(b) > 0 {
+		if ca, cb := a[0], b[0]; ca < utf8.RuneSelf && cb < utf8.RuneSelf {
+			if lowerASCII(ca) != lowerASCII(cb) {
+				return false
+			}
+			a, b = a[1:], b[1:]
+			continue
+		}
+		ra, na := utf8.DecodeRuneInString(a)
+		rb, nb := utf8.DecodeRuneInString(b)
+		if unicode.ToLower(ra) != unicode.ToLower(rb) {
+			return false
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return len(a) == len(b)
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // CA couples a certificate with signing ability. Issue is safe for
@@ -298,14 +353,14 @@ func (s *Store) Verify(host string, chain []*Certificate, at time.Time) error {
 	}
 	leaf := chain[0]
 	if host != "" && !leaf.MatchesHostname(host) {
-		return fmt.Errorf("%w: %q not covered by %q", ErrNameMismatch, host, leaf.Subject.CommonName)
+		return &mismatchError{host: host, cn: leaf.Subject.CommonName}
 	}
 	for i, c := range chain {
 		if at.Before(c.NotBefore) || at.After(c.NotAfter) {
-			return fmt.Errorf("%w: %q (depth %d)", ErrExpired, c.Subject.CommonName, i)
+			return &depthError{err: ErrExpired, cn: c.Subject.CommonName, depth: i}
 		}
 		if i > 0 && !c.IsCA {
-			return fmt.Errorf("%w: %q (depth %d)", ErrNotCA, c.Subject.CommonName, i)
+			return &depthError{err: ErrNotCA, cn: c.Subject.CommonName, depth: i}
 		}
 	}
 	for i := 0; i < len(chain)-1; i++ {
@@ -322,9 +377,12 @@ func (s *Store) Verify(host string, chain []*Certificate, at time.Time) error {
 	return &untrustedError{issuer: last.Issuer.CommonName}
 }
 
+// Verify's verdicts against a chain are formatted only when read: the §6
+// crawl gets one for the invalid sites and every intercepted chain, and
+// only compares it to nil. Each renders the text fmt.Errorf("%w: …") gave
+// it and unwraps to its sentinel.
+
 // untrustedError is ErrUntrustedRoot naming the issuer no root vouches for.
-// Its text is built only when read: the §6 crawl gets this verdict for the
-// invalid site and every intercepted chain, and only compares it to nil.
 type untrustedError struct{ issuer string }
 
 func (e *untrustedError) Error() string {
@@ -332,3 +390,27 @@ func (e *untrustedError) Error() string {
 }
 
 func (e *untrustedError) Unwrap() error { return ErrUntrustedRoot }
+
+// mismatchError is ErrNameMismatch naming the host and the leaf's common
+// name.
+type mismatchError struct{ host, cn string }
+
+func (e *mismatchError) Error() string {
+	return fmt.Sprintf("%v: %q not covered by %q", ErrNameMismatch, e.host, e.cn)
+}
+
+func (e *mismatchError) Unwrap() error { return ErrNameMismatch }
+
+// depthError is ErrExpired or ErrNotCA naming the certificate and its depth
+// in the chain.
+type depthError struct {
+	err   error
+	cn    string
+	depth int
+}
+
+func (e *depthError) Error() string {
+	return fmt.Sprintf("%v: %q (depth %d)", e.err, e.cn, e.depth)
+}
+
+func (e *depthError) Unwrap() error { return e.err }

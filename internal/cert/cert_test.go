@@ -3,6 +3,7 @@ package cert
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -107,6 +108,69 @@ func TestWildcardMatch(t *testing.T) {
 	// Wildcards cover exactly one label.
 	if err := store.Verify("a.b.example.org", []*Certificate{leaf, root.Cert}, epoch); !errors.Is(err, ErrNameMismatch) {
 		t.Fatalf("multi-label wildcard accepted: %v", err)
+	}
+}
+
+// TestMatchesHostnameAgreesWithToLower holds MatchesHostname to the
+// lower-case-both-sides function it replaced (oracle_test.go): on the
+// upper-case labels the world's popular sites carry, trailing dots and
+// wildcards, and on the non-ASCII names where strings.ToLower and case
+// folding part ways (ſ, ς, the Kelvin sign, dotted İ, invalid UTF-8) — as a
+// common name and as a SAN. A random sweep over the same alphabet follows,
+// and the verdict on a popular host allocates nothing.
+func TestMatchesHostnameAgreesWithToLower(t *testing.T) {
+	names := []string{
+		"www.popular03.DE.example", "www.popular03.de.example", "WWW.POPULAR03.DE.EXAMPLE.",
+		"*.DE.example", "*.de.example", "*.", "*", "*..", ".", "", "a.b.example.org", "*.b.example.org",
+		"\u212Aelvin.example", "kelvin.example", "ſtraße.example", "straße.example", "STRASSE.example",
+		"ς.example", "Σ.example", "σ.example", "İstanbul.example", "istanbul.example", "ıstanbul.example",
+		"\xff.example", "\ufffd.example", "\xc3.example", "ÄÖÜ.example", "äöü.example", "*.ÄÖÜ.example",
+	}
+	matches := 0
+	check := func(c *Certificate, host string) {
+		t.Helper()
+		got, want := c.MatchesHostname(host), oracleMatchesHostname(c, host)
+		if got != want {
+			t.Fatalf("MatchesHostname(%q) = %v for CN %q, SANs %q; ToLower says %v", host, got, c.Subject.CommonName, c.DNSNames, want)
+		}
+		if got {
+			matches++
+		}
+	}
+	for _, n := range names {
+		for _, host := range names {
+			check(&Certificate{Subject: Name{CommonName: n}}, host)
+			check(&Certificate{Subject: Name{CommonName: "unrelated.example"}, DNSNames: []string{"other.example", n}}, host)
+		}
+	}
+	if matches < len(names) {
+		t.Fatalf("only %d matching pairs: the table does not exercise a match", matches)
+	}
+
+	alphabet := []string{"a", "A", "k", "K", "\u212A", "s", "S", "ſ", "ß", "σ", "ς", "Σ", "i", "I", "İ", "ı", "é", "É", ".", "*", "\xff", "\ufffd"}
+	rng := rand.New(rand.NewSource(25))
+	word := func() string {
+		var b strings.Builder
+		for n := rng.Intn(6); n > 0; n-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := word(), word()
+		if got, want := lowerEqual(a, b), strings.ToLower(a) == strings.ToLower(b); got != want {
+			t.Fatalf("lowerEqual(%q, %q) = %v; ToLower equality says %v", a, b, got, want)
+		}
+		check(&Certificate{Subject: Name{CommonName: a}}, b)
+	}
+
+	c := &Certificate{Subject: Name{CommonName: "www.popular03.DE.example"}, DNSNames: []string{"popular03.DE.example", "*.popular03.DE.example"}}
+	if n := testing.AllocsPerRun(100, func() {
+		if !c.MatchesHostname("WWW.popular03.de.example.") {
+			t.Fatal("popular host not matched")
+		}
+	}); n != 0 {
+		t.Errorf("MatchesHostname allocated %v times, want 0", n)
 	}
 }
 

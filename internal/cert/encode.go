@@ -10,6 +10,13 @@ import (
 // Wire encoding for certificates and chains, used by the tlssim handshake.
 // The format is a simple length-prefixed TLV; it has no compatibility
 // obligations beyond this repository.
+//
+// Decoding reads a string, not bytes. UnmarshalChain converts its input
+// once; every name of every certificate it returns is a substring of that
+// one string, and the certificates share one backing array, so a chain
+// costs three allocations however many names it carries (and one more per
+// certificate that has DNS names). A decoded name therefore keeps the whole
+// encoding reachable: a caller that retains one past the chain copies it.
 
 // ErrDecode reports malformed certificate bytes.
 var ErrDecode = errors.New("cert: malformed certificate encoding")
@@ -53,38 +60,23 @@ func (c *Certificate) wireSize() int {
 
 // Unmarshal decodes a certificate produced by Marshal.
 func Unmarshal(data []byte) (*Certificate, error) {
-	d := &decoder{data: data}
-	if v := d.byte(); v != wireVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrDecode, v)
-	}
-	c := &Certificate{}
-	c.SerialNumber = d.uint64()
-	c.Subject = d.name()
-	c.Issuer = d.name()
-	c.NotBefore = time.Unix(int64(d.uint64()), 0).UTC()
-	c.NotAfter = time.Unix(int64(d.uint64()), 0).UTC()
-	c.IsCA = d.byte() == 1
-	d.copy(c.PublicKey[:])
-	n := int(d.uint16())
-	if n > 256 {
-		return nil, fmt.Errorf("%w: %d DNS names", ErrDecode, n)
-	}
-	for i := 0; i < n; i++ {
-		c.DNSNames = append(c.DNSNames, d.string())
-	}
-	d.copy(c.Signature[:])
+	d := decoder{data: string(data)}
+	c := new(Certificate)
+	d.certificate(c)
 	if d.err != nil {
 		return nil, d.err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(data)-d.off)
 	}
 	return c, nil
 }
 
 // MarshalChain encodes a chain, leaf first.
 func MarshalChain(chain []*Certificate) []byte {
-	b := make([]byte, 0, ChainSize(chain))
+	return AppendChain(make([]byte, 0, ChainSize(chain)), chain)
+}
+
+// AppendChain appends the encoding MarshalChain returns to b: ChainSize
+// bytes, so a caller that frames the chain sizes b once.
+func AppendChain(b []byte, chain []*Certificate) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(chain)))
 	for _, c := range chain {
 		b = binary.BigEndian.AppendUint32(b, uint32(c.wireSize()))
@@ -103,7 +95,8 @@ func ChainSize(chain []*Certificate) int {
 	return n
 }
 
-// UnmarshalChain decodes a chain produced by MarshalChain.
+// UnmarshalChain decodes a chain produced by MarshalChain: the data as one
+// string, the certificates in one array, and the chain pointing into it.
 func UnmarshalChain(data []byte) ([]*Certificate, error) {
 	if len(data) < 2 {
 		return nil, ErrDecode
@@ -112,25 +105,28 @@ func UnmarshalChain(data []byte) ([]*Certificate, error) {
 	if n > 64 {
 		return nil, fmt.Errorf("%w: chain of %d certificates", ErrDecode, n)
 	}
+	s := string(data)
+	certs := make([]Certificate, n)
+	chain := make([]*Certificate, n)
 	off := 2
-	chain := make([]*Certificate, 0, n)
-	for i := 0; i < n; i++ {
-		if off+4 > len(data) {
+	for i := range certs {
+		if off+4 > len(s) {
 			return nil, ErrDecode
 		}
 		l := int(binary.BigEndian.Uint32(data[off:]))
 		off += 4
-		if off+l > len(data) {
+		if off+l > len(s) {
 			return nil, ErrDecode
 		}
-		c, err := Unmarshal(data[off : off+l])
-		if err != nil {
-			return nil, err
+		d := decoder{data: s[off : off+l]}
+		d.certificate(&certs[i])
+		if d.err != nil {
+			return nil, d.err
 		}
-		chain = append(chain, c)
+		chain[i] = &certs[i]
 		off += l
 	}
-	if off != len(data) {
+	if off != len(s) {
 		return nil, fmt.Errorf("%w: trailing bytes after chain", ErrDecode)
 	}
 	return chain, nil
@@ -151,11 +147,53 @@ func appendName(b []byte, n Name) []byte {
 	return appendString(b, n.Country)
 }
 
-// decoder is a cursor with sticky error handling.
+// decoder is a cursor over one encoding with sticky error handling. What it
+// reads out of a string costs nothing: names are substrings of data.
 type decoder struct {
-	data []byte
+	data string
 	off  int
 	err  error
+}
+
+// certificate decodes the whole of d.data into c — the step Unmarshal and
+// UnmarshalChain share. A malformed encoding leaves d.err set and c
+// partly filled.
+//
+//tftlint:hotpath
+func (d *decoder) certificate(c *Certificate) {
+	if v := d.byte(); v != wireVersion {
+		d.reject("version %d", int(v))
+		return
+	}
+	c.SerialNumber = d.uint64()
+	c.Subject = d.name()
+	c.Issuer = d.name()
+	c.NotBefore = time.Unix(int64(d.uint64()), 0).UTC()
+	c.NotAfter = time.Unix(int64(d.uint64()), 0).UTC()
+	c.IsCA = d.byte() == 1
+	d.copy(c.PublicKey[:])
+	n := int(d.uint16())
+	if n > 256 {
+		d.reject("%d DNS names", n)
+		return
+	}
+	if n > 0 {
+		c.DNSNames = make([]string, n)
+		for i := range c.DNSNames {
+			c.DNSNames[i] = d.string()
+		}
+	}
+	d.copy(c.Signature[:])
+	if d.err == nil && d.off != len(d.data) {
+		d.reject("%d trailing bytes", len(d.data)-d.off)
+	}
+}
+
+// reject records a malformed encoding with its detail, replacing whatever
+// the cursor recorded before. It formats, so the hot step calls it only on
+// the way out.
+func (d *decoder) reject(format string, n int) {
+	d.err = fmt.Errorf("%w: "+format, ErrDecode, n)
 }
 
 func (d *decoder) fail() {
@@ -164,6 +202,7 @@ func (d *decoder) fail() {
 	}
 }
 
+//tftlint:hotpath
 func (d *decoder) byte() byte {
 	if d.err != nil || d.off+1 > len(d.data) {
 		d.fail()
@@ -174,41 +213,48 @@ func (d *decoder) byte() byte {
 	return v
 }
 
+//tftlint:hotpath
 func (d *decoder) uint16() uint16 {
 	if d.err != nil || d.off+2 > len(d.data) {
 		d.fail()
 		return 0
 	}
-	v := binary.BigEndian.Uint16(d.data[d.off:])
+	v := uint16(d.data[d.off])<<8 | uint16(d.data[d.off+1])
 	d.off += 2
 	return v
 }
 
+//tftlint:hotpath
 func (d *decoder) uint64() uint64 {
 	if d.err != nil || d.off+8 > len(d.data) {
 		d.fail()
 		return 0
 	}
-	v := binary.BigEndian.Uint64(d.data[d.off:])
-	d.off += 8
+	var v uint64
+	for end := d.off + 8; d.off < end; d.off++ {
+		v = v<<8 | uint64(d.data[d.off])
+	}
 	return v
 }
 
+//tftlint:hotpath
 func (d *decoder) string() string {
 	n := int(d.uint16())
 	if d.err != nil || d.off+n > len(d.data) {
 		d.fail()
 		return ""
 	}
-	s := string(d.data[d.off : d.off+n])
+	s := d.data[d.off : d.off+n]
 	d.off += n
 	return s
 }
 
+//tftlint:hotpath
 func (d *decoder) name() Name {
 	return Name{CommonName: d.string(), Organization: d.string(), Country: d.string()}
 }
 
+//tftlint:hotpath
 func (d *decoder) copy(dst []byte) {
 	if d.err != nil || d.off+len(dst) > len(d.data) {
 		d.fail()

@@ -1,6 +1,11 @@
 package cert
 
-import "testing"
+import (
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+)
 
 // FuzzUnmarshal: the certificate decoder must never panic, and accepted
 // inputs must be re-encodable to an identical fingerprint.
@@ -45,4 +50,47 @@ func FuzzUnmarshalChain(f *testing.F) {
 			t.Fatalf("unstable chain round trip: %v", err)
 		}
 	})
+}
+
+// FuzzChainAgreesWithOracle holds UnmarshalChain and Unmarshal to the byte
+// decoder they replaced (oracle_test.go): each rejects exactly what the
+// oracle rejects, with the same error (and so the same sentinel), returns
+// what the oracle returns field for field, and a chain it accepts is
+// ChainSize bytes — every byte the oracle read.
+func FuzzChainAgreesWithOracle(f *testing.F) {
+	root := NewRootCA(Name{CommonName: "Fuzz Root", Organization: "O", Country: "US"}, "fo", epoch, 1000*time.Hour)
+	inter := root.IssueIntermediate(Name{CommonName: "Fuzz Issuing CA"}, "fo-inter", epoch, 1000*time.Hour)
+	leaf := inter.Issue(Template{Subject: Name{CommonName: "www.Example.org", Organization: "Site"},
+		DNSNames: []string{"example.org", "*.cdn.example.org", ""}, NotBefore: epoch, NotAfter: epoch.Add(time.Hour), KeySeed: "fo-leaf"})
+	for _, chain := range [][]*Certificate{{}, {root.Cert}, {leaf, inter.Cert}, {leaf, inter.Cert, root.Cert}} {
+		enc := MarshalChain(chain)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+		f.Add(append(enc, 0))
+	}
+	f.Add(leaf.Marshal())
+	f.Add(inter.Cert.Marshal()[:40])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		chain, err := UnmarshalChain(data)
+		want, wantErr := oracleUnmarshalChain(data)
+		agreeWithOracle(t, "UnmarshalChain", chain, err, want, wantErr)
+		if err == nil && ChainSize(chain) != len(data) {
+			t.Fatalf("UnmarshalChain accepted %d bytes; ChainSize of what it returned is %d", len(data), ChainSize(chain))
+		}
+		c, err := Unmarshal(data)
+		wantC, wantErr := oracleUnmarshal(data)
+		agreeWithOracle(t, "Unmarshal", c, err, wantC, wantErr)
+	})
+}
+
+func agreeWithOracle(t *testing.T, fn string, got any, err error, want any, wantErr error) {
+	t.Helper()
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("%s: err = %v, the oracle's = %v", fn, err, wantErr)
+	case err != nil && (!errors.Is(err, ErrDecode) || err.Error() != wantErr.Error()):
+		t.Fatalf("%s: err = %q, the oracle's = %q", fn, err, wantErr)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("%s decoded\n%+v\nthe oracle\n%+v", fn, got, want)
+	}
 }

@@ -208,3 +208,49 @@ func BenchmarkVerifyUntrusted(b *testing.B) {
 		b.Fatal(verifyErr)
 	}
 }
+
+// TestVerifyVerdictsReadAsBefore: the verdicts Verify no longer formats read
+// exactly as the fmt.Errorf values they replaced, still unwrap to their
+// sentinels, and cost one allocation — the verdict itself.
+func TestVerifyVerdictsReadAsBefore(t *testing.T) {
+	store, root := testPKI(t)
+	expired := leafTemplate("old.example.org")
+	expired.NotAfter = epoch.Add(-time.Minute)
+	notCA := root.Issue(leafTemplate("not-a-ca.example.org"))
+	for _, tc := range []struct {
+		host     string
+		chain    []*Certificate
+		sentinel error
+		text     string
+	}{
+		{"www.example.org", []*Certificate{root.Issue(leafTemplate("other.example.org"))}, ErrNameMismatch,
+			fmt.Errorf("%w: %q not covered by %q", ErrNameMismatch, "www.example.org", "other.example.org").Error()},
+		{"old.example.org", []*Certificate{root.Issue(expired), root.Cert}, ErrExpired,
+			fmt.Errorf("%w: %q (depth %d)", ErrExpired, "old.example.org", 0).Error()},
+		{"www.example.org", []*Certificate{root.Issue(leafTemplate("www.example.org")), notCA, root.Cert}, ErrNotCA,
+			fmt.Errorf("%w: %q (depth %d)", ErrNotCA, "not-a-ca.example.org", 1).Error()},
+	} {
+		err := store.Verify(tc.host, tc.chain, epoch)
+		if !errors.Is(err, tc.sentinel) || err.Error() != tc.text {
+			t.Errorf("Verify = %q (is %v: %v); want %q", err, tc.sentinel, errors.Is(err, tc.sentinel), tc.text)
+		}
+		if n := testing.AllocsPerRun(100, func() { store.Verify(tc.host, tc.chain, epoch) }); n > 1 {
+			t.Errorf("the %v verdict allocated %v times, want at most 1", tc.sentinel, n)
+		}
+	}
+}
+
+// TestUnmarshalChainAllocations: a two-certificate chain decodes into its
+// string, its certificate array and the chain — three allocations, not one
+// per name and one per certificate.
+func TestUnmarshalChainAllocations(t *testing.T) {
+	_, valid, _ := verifyFixtures()
+	wire := MarshalChain(valid)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalChain(wire); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("UnmarshalChain of a two-certificate chain allocated %v times, want at most 3", n)
+	}
+}

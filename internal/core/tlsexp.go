@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -40,7 +41,9 @@ func (c SiteClass) String() string {
 // TLSSite is one probe target.
 type TLSSite struct {
 	Host string
-	IP   netip.Addr
+	// Addr is the CONNECT target, the site's IP:443, rendered once rather
+	// than on every probe.
+	Addr string
 	// KnownChain is what the genuine server presents; for the invalid sites
 	// the team controls, detection is an exact match against it.
 	KnownChain []*cert.Certificate
@@ -174,6 +177,7 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 			obs.ZID = dbg.ZID
 			obs.NodeIP = dbg.NodeIP
 			obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
+			obs.Sites = make([]SiteResult, 0, len(phase1))
 		} else if dbg != nil && dbg.ZID != obs.ZID {
 			return obs, outcomeDiscarded
 		}
@@ -212,7 +216,7 @@ func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site T
 	if e.probes != nil {
 		atomic.AddInt64(e.probes, 1)
 	}
-	conn, dbg, err := e.Client.Connect(ctx, opts, site.IP.String()+":443")
+	conn, dbg, err := e.Client.Connect(ctx, opts, site.Addr)
 	if err != nil {
 		return res, dbg, err
 	}
@@ -226,7 +230,7 @@ func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site T
 		return res, dbg, fmt.Errorf("empty chain")
 	}
 	leaf := chain[0]
-	res.IssuerCN = leaf.Issuer.CommonName
+	res.IssuerCN = issuerCN(leaf, site.KnownChain[0])
 	res.LeafKey = leaf.PublicKey
 	res.ChainValid = e.Trust.Verify(site.Host, chain, e.Now()) == nil
 	switch site.Class {
@@ -240,4 +244,16 @@ func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site T
 		res.Replaced = !res.ChainValid
 	}
 	return res, dbg, nil
+}
+
+// issuerCN is the presented leaf's issuer name as the dataset keeps it. A
+// decoded name is a substring of the chain's one string and would keep the
+// whole encoding alive in the dataset, so it is never kept itself: an
+// issuer the genuine leaf shares — every chain nobody replaced — is the
+// genuine leaf's string, and any other is copied.
+func issuerCN(leaf, genuine *cert.Certificate) string {
+	if cn := genuine.Issuer.CommonName; leaf.Issuer.CommonName == cn {
+		return cn
+	}
+	return strings.Clone(leaf.Issuer.CommonName)
 }

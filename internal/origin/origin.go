@@ -2,7 +2,8 @@
 // infrastructure: the web server that serves the probe objects and logs
 // every arriving request (the paper's detection signal for both the exit
 // node's identity, §4.1 step 2, and content monitoring, §7), plus helpers
-// for hijacker landing pages and TLS sites.
+// for hijacker landing pages and TLS sites (a site serves a certificate
+// record framed before the handshake, FramedTLSSite).
 package origin
 
 import (
@@ -206,10 +207,24 @@ func StaticPage(body []byte, contentType string) simnet.ConnHandler {
 }
 
 // TLSSite returns a handler that answers tlssim handshakes with the chain
-// for the requested SNI.
+// for the requested SNI, framed afresh for every handshake. The world's
+// sites frame theirs once (FramedTLSSite); this adapter is for callers that
+// hold chains.
 func TLSSite(chains tlssim.ChainSource) simnet.ConnHandler {
+	return FramedTLSSite(func(sni string) []byte {
+		if chain := chains(sni); chain != nil {
+			return tlssim.FrameChain(chain)
+		}
+		return nil
+	})
+}
+
+// FramedTLSSite returns a handler that answers tlssim handshakes with the
+// certificate record records supplies for the requested SNI, as framed:
+// the serve path encodes nothing.
+func FramedTLSSite(records tlssim.RecordSource) simnet.ConnHandler {
 	return func(conn net.Conn) {
 		defer conn.Close()
-		tlssim.ServeOnce(conn, chains)
+		tlssim.ServeOnce(conn, records)
 	}
 }

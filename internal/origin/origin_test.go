@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"net"
 	"net/netip"
 	"testing"
 	"time"
@@ -170,6 +171,50 @@ func TestTLSSiteOverFabric(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].Subject.CommonName != "site.example" {
 		t.Fatalf("chain = %+v", got)
+	}
+}
+
+// helloConn is the server end of one handshake: it reads a hello and keeps
+// the last buffer the handler wrote.
+type helloConn struct {
+	net.Conn // nil: a TLS site only reads, writes and closes
+	hello    bytes.Reader
+	last     []byte
+	writes   int
+}
+
+func (c *helloConn) Read(p []byte) (int, error) { return c.hello.Read(p) }
+
+func (c *helloConn) Write(p []byte) (int, error) {
+	c.last, c.writes = p, c.writes+1
+	return len(p), nil
+}
+
+func (c *helloConn) Close() error { return nil }
+
+// TestFramedTLSSiteServesTheRecordItHolds: a site answers a handshake by
+// writing the record it was given — that buffer, in one Write, no chain
+// encoded — so serving costs what reading the hello does: its header, its
+// payload and the server name, three allocations (five before, when every
+// handshake encoded the chain and wrote the header apart).
+func TestFramedTLSSiteServesTheRecordItHolds(t *testing.T) {
+	root := cert.NewRootCA(cert.Name{CommonName: "R"}, "r", t0.Add(-time.Hour), 1000*time.Hour)
+	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},
+		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "s"})
+	rec := tlssim.FrameChain([]*cert.Certificate{leaf, root.Cert})
+	const sni = "site.example"
+	hello := append([]byte{byte(tlssim.RecordClientHello), 0, 0, 2 + byte(len(sni)), 0, byte(len(sni))}, sni...)
+	serve := FramedTLSSite(func(string) []byte { return rec })
+	conn := &helloConn{}
+	if n := testing.AllocsPerRun(100, func() {
+		conn.hello.Reset(hello)
+		conn.writes = 0
+		serve(conn)
+		if conn.writes != 1 || len(conn.last) != len(rec) || &conn.last[0] != &rec[0] {
+			t.Fatalf("the site wrote %d times, last %d bytes; want its %d-byte record once", conn.writes, len(conn.last), len(rec))
+		}
+	}); n > 3 {
+		t.Errorf("serving a framed record allocated %v times, want at most 3", n)
 	}
 }
 

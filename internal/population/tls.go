@@ -10,6 +10,7 @@ import (
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/middlebox"
 	"github.com/tftproject/tft/internal/origin"
+	"github.com/tftproject/tft/internal/tlssim"
 )
 
 // Site is one HTTPS destination the §6 experiment probes.
@@ -91,24 +92,31 @@ type tlsBuilder struct {
 
 const tlsASCapacity = 81 // ~808k nodes over ~10k ASes
 
-// registerSite issues a certificate, registers the HTTPS host, and indexes
-// the site. Sites with an AltChain rotate between the two chains across
-// connections, like CDN-fronted services.
-func (b *tlsBuilder) registerSite(host string, asn geo.ASN, chain []*cert.Certificate, invalid bool) *Site {
+// registerSite registers the HTTPS host and indexes the site. Each chain
+// is framed as a certificate record here, once, and every handshake writes
+// that record as it is. A site with an alternative chain rotates between
+// the two across connections, like a CDN-fronted service.
+func (b *tlsBuilder) registerSite(host string, asn geo.ASN, chain, alt []*cert.Certificate, invalid bool) *Site {
 	ip := b.addr(asn)
-	s := &Site{Host: host, IP: ip, Chain: chain, Invalid: invalid}
-	var flip atomic.Uint64
+	s := &Site{Host: host, IP: ip, Chain: chain, AltChain: alt, Invalid: invalid}
+	framed := tlssim.FrameChain(chain)
+	serve := func(string) []byte { return framed }
+	if alt != nil {
+		altFramed := tlssim.FrameChain(alt)
+		var flip atomic.Uint64
+		serve = func(string) []byte {
+			if flip.Add(1)%2 == 0 {
+				return altFramed
+			}
+			return framed
+		}
+	}
 	// Stream, not run-to-completion: HTTPS origins are dialed by the exit
 	// node while setting up a CONNECT tunnel, so their first bytes (the
 	// ClientHello) only arrive after the tunnel's 200 has reached the client
 	// and the relay is armed — the handler cannot run to completion inline
 	// on whichever goroutine happens to pump it.
-	b.Fabric.HandleTCPStream(ip, 443, origin.TLSSite(func(sni string) []*cert.Certificate {
-		if s.AltChain != nil && flip.Add(1)%2 == 0 {
-			return s.AltChain
-		}
-		return chain
-	}))
+	b.Fabric.HandleTCPStream(ip, 443, origin.FramedTLSSite(serve))
 	b.sites.byHost[host] = s
 	return s
 }
@@ -138,17 +146,17 @@ func (b *tlsBuilder) buildSites() {
 	for _, cc := range b.countries {
 		for i := 0; i < 20; i++ {
 			host := fmt.Sprintf("www.popular%02d.%s.example", i, cc)
-			site := b.registerSite(host, webASN, valid(host, ca), false)
+			chain := valid(host, ca)
+			var alt []*cert.Certificate
 			if i%3 == 0 {
-				alt := ca.Issue(cert.Template{
+				alt = []*cert.Certificate{ca.Issue(cert.Template{
 					Subject:   cert.Name{CommonName: host, Organization: "Site Operator (CDN edge)"},
 					NotBefore: Epoch.Add(-60 * 24 * time.Hour),
 					NotAfter:  Epoch.Add(305 * 24 * time.Hour),
 					KeySeed:   "site-cdn/" + host,
-				})
-				site.AltChain = []*cert.Certificate{alt, ca.Cert}
+				}), ca.Cert}
 			}
-			b.sites.Popular[cc] = append(b.sites.Popular[cc], site)
+			b.sites.Popular[cc] = append(b.sites.Popular[cc], b.registerSite(host, webASN, chain, alt, false))
 		}
 	}
 
@@ -157,7 +165,7 @@ func (b *tlsBuilder) buildSites() {
 	eduASN := b.newAS(eduOrg, false)
 	for i := 0; i < 10; i++ {
 		host := fmt.Sprintf("www.university%02d.edu.example", i)
-		b.sites.Universities = append(b.sites.Universities, b.registerSite(host, eduASN, valid(host, eduCA), false))
+		b.sites.Universities = append(b.sites.Universities, b.registerSite(host, eduASN, valid(host, eduCA), nil, false))
 	}
 
 	// Invalid sites: self-signed, expired, wrong common name (§6.1).
@@ -167,7 +175,7 @@ func (b *tlsBuilder) buildSites() {
 		Epoch.Add(-time.Hour), 365*24*time.Hour)
 	b.sites.Invalid = append(b.sites.Invalid,
 		b.registerSite("selfsigned.tft-invalid.example", invASN,
-			[]*cert.Certificate{self.Cert}, true))
+			[]*cert.Certificate{self.Cert}, nil, true))
 	expired := ca.Issue(cert.Template{
 		Subject:   cert.Name{CommonName: "expired.tft-invalid.example"},
 		NotBefore: Epoch.Add(-2 * 365 * 24 * time.Hour),
@@ -176,7 +184,7 @@ func (b *tlsBuilder) buildSites() {
 	})
 	b.sites.Invalid = append(b.sites.Invalid,
 		b.registerSite("expired.tft-invalid.example", invASN,
-			[]*cert.Certificate{expired, ca.Cert}, true))
+			[]*cert.Certificate{expired, ca.Cert}, nil, true))
 	wrongCN := ca.Issue(cert.Template{
 		Subject:   cert.Name{CommonName: "completely-different-name.example"},
 		NotBefore: Epoch.Add(-time.Hour),
@@ -185,7 +193,7 @@ func (b *tlsBuilder) buildSites() {
 	})
 	b.sites.Invalid = append(b.sites.Invalid,
 		b.registerSite("wrongname.tft-invalid.example", invASN,
-			[]*cert.Certificate{wrongCN, ca.Cert}, true))
+			[]*cert.Certificate{wrongCN, ca.Cert}, nil, true))
 }
 
 // buildProducts instantiates Table 8's interceptor population plus the

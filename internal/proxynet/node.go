@@ -184,32 +184,25 @@ var errPortBlocked = errors.New("proxynet: outbound port blocked by the node's I
 func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, port uint16, done func(error)) bool {
 	span := n.Tracer.StartChild(trace.FromContext(ctx), "node.tunnel", trace.KindTunnel,
 		trace.Str("zid", n.ZID), trace.Int("port", int64(port)))
-	finish := func(err error) {
-		if err != nil {
-			span.SetError(err.Error())
-		}
-		span.End()
-		if done != nil {
-			done(err)
-		}
-	}
 	if n.Path.PortBlocked(port) {
-		finish(errPortBlocked)
+		endTunnel(span, done, errPortBlocked)
 		return false
 	}
 	server, err := n.Net.Dial(ctx, n.Addr, ip, port)
 	if err != nil {
-		finish(err)
+		endTunnel(span, done, err)
 		return false
 	}
-	if n.Clock != nil {
+	timed := n.Clock != nil
+	if timed {
 		server.SetDeadline(deadlineClock(server, n.Clock).Now().Add(tunnelBudget))
-		inner := finish
-		finish = func(err error) {
+	}
+	finish := func(err error) {
+		if timed {
 			// The budget covers the relay only; clearing stops the timer.
 			server.SetDeadline(time.Time{})
-			inner(err)
 		}
+		endTunnel(span, done, err)
 	}
 
 	var rewrite func([]byte) []byte
@@ -258,6 +251,18 @@ func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, p
 	}
 	finish(relayBoth(client, server, rewrite))
 	return false
+}
+
+// endTunnel closes a tunnel's span, with err when it failed, and reports
+// to done (which may be nil).
+func endTunnel(span trace.Span, done func(error), err error) {
+	if err != nil {
+		span.SetError(err.Error())
+	}
+	span.End()
+	if done != nil {
+		done(err)
+	}
 }
 
 // relayBoth copies bytes both ways until either side closes — the blocking

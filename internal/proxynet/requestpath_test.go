@@ -91,10 +91,11 @@ func (w *testWorld) proxiedGet(tb testing.TB, ctx context.Context) {
 
 // TestProxiedGetAllocs holds one warmed proxied GET — client, super proxy,
 // its resolver, the exit node's resolver and fetch, the origin, and the five
-// spans all that leaves — to an allocation ceiling. It measured 31 when the
-// ceiling was set — 39 while a DNS exchange was eight allocations and not
-// four, 46 before spans and connection pairs were recycled and an accept was
-// queued by value, and 122 on this rig before a message head became one
+// spans all that leaves — to an allocation ceiling. It measured 30 when the
+// ceiling was set — 31 while the super proxy upper-cased the country code
+// anew, 39 while a DNS exchange was eight allocations and not four, 46
+// before spans and connection pairs were recycled and an accept was queued
+// by value, and 122 on this rig before a message head became one
 // string and a header block a field list; the slack is for Go releases, not
 // for regressions of ours.
 func TestProxiedGetAllocs(t *testing.T) {
@@ -107,15 +108,16 @@ func TestProxiedGetAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ { // settles the session pin and the pools, and wraps the tracer's ring
 		w.proxiedGet(t, ctx)
 	}
-	const ceiling = 34
+	const ceiling = 33
 	if got := testing.AllocsPerRun(100, func() { w.proxiedGet(t, ctx) }); got > ceiling {
 		t.Fatalf("a proxied GET allocates %.0f times, ceiling %d", got, ceiling)
 	}
 }
 
-// TestProxyAuthAllocs: the credentials cross the wire at three allocations:
-// the header value at the client; the decoded user name, and the country
-// code upper-cased, at the super proxy.
+// TestProxyAuthAllocs: the credentials cross the wire at two allocations:
+// the header value at the client and the decoded user name at the super
+// proxy. A country geo.Countries lists comes back as the table's own string
+// (three allocations while it was upper-cased anew).
 func TestProxyAuthAllocs(t *testing.T) {
 	c := &Client{User: "lum-customer-tft", Password: "tft-secret"}
 	o := Options{Country: "DE", Session: "s0000429", RemoteDNS: true}
@@ -124,8 +126,8 @@ func TestProxyAuthAllocs(t *testing.T) {
 		if p, ok := parseProxyAuth(c.proxyAuth(o)); !ok || p != want {
 			t.Fatalf("round trip = %+v, %v; want %+v", p, ok, want)
 		}
-	}); got > 3 {
-		t.Fatalf("proxyAuth -> parseProxyAuth allocates %.0f times, ceiling 3", got)
+	}); got > 2 {
+		t.Fatalf("proxyAuth -> parseProxyAuth allocates %.0f times, ceiling 2", got)
 	}
 }
 

@@ -59,11 +59,12 @@ func startSplice(client, server *simnet.Stream, rewrite func([]byte) []byte, don
 	s.dirs[0] = spliceDir{src: client, dst: server, buf: getCopyBuf()}
 	//tftlint:ignore poolpair -- tunnel-lifetime buffer: Get here, Put in finish when the splice tears down
 	s.dirs[1] = spliceDir{src: server, dst: client, rewrite: rewrite, buf: getCopyBuf()}
-	client.SetNotify(s.kick)
-	server.SetNotify(s.kick)
+	kick := s.kick // one method value for both streams: each evaluation is a closure
+	client.SetNotify(kick)
+	server.SetNotify(kick)
 	// Drain anything already buffered (the client may have pipelined data
 	// behind its CONNECT before the tunnel was established).
-	s.kick()
+	kick()
 }
 
 // kick drains both direction state machines until neither can progress.

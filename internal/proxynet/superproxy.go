@@ -76,6 +76,28 @@ func appendLower(b []byte, s string) []byte {
 	return b
 }
 
+// lowerCountries maps every code in geo.Countries, lower-cased as
+// appendUsername renders it, to the code itself.
+var lowerCountries = func() map[string]geo.CountryCode {
+	m := make(map[string]geo.CountryCode, len(geo.Countries))
+	for _, c := range geo.Countries {
+		m[strings.ToLower(string(c.Code))] = c.Code
+	}
+	return m
+}()
+
+// countryCode is a username's country value upper-cased: for a code
+// geo.Countries lists, as appendUsername renders it, the table's own string
+// rather than a new one; strings.ToUpper for anything else.
+//
+//tftlint:hotpath
+func countryCode(val string) geo.CountryCode {
+	if cc, ok := lowerCountries[val]; ok {
+		return cc
+	}
+	return geo.CountryCode(strings.ToUpper(val))
+}
+
 // ParseUsername decodes a parameter-laden username. The zone-user prefix —
 // the full "lum-customer-<name>" triple for Luminati-style zones, otherwise
 // the first token — is taken literally, so a customer whose name is itself
@@ -119,7 +141,7 @@ func ParseUsername(u string) Params {
 			val, after := next(i)
 			switch {
 			case tok == "country":
-				p.Country = geo.CountryCode(strings.ToUpper(val))
+				p.Country = countryCode(val)
 				i = after
 				continue
 			case tok == "session":

@@ -114,3 +114,26 @@ func FuzzUsernameRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestCountryCodeIsToUpper: a country value parses to what strings.ToUpper
+// made of it, in any case; a listed code rendered lower-case, as every
+// username is, comes back at no allocation.
+func TestCountryCodeIsToUpper(t *testing.T) {
+	for _, c := range geo.Countries {
+		code := string(c.Code)
+		for _, v := range []string{code, strings.ToLower(code), strings.ToLower(code[:1]) + code[1:]} {
+			if got := countryCode(v); got != geo.CountryCode(strings.ToUpper(v)) {
+				t.Fatalf("countryCode(%q) = %q", v, got)
+			}
+		}
+		lower := strings.ToLower(code)
+		if n := testing.AllocsPerRun(10, func() { countryCode(lower) }); n != 0 {
+			t.Fatalf("countryCode(%q) allocated %v times", lower, n)
+		}
+	}
+	for _, v := range []string{"", "x", "zz", "QQ", "d3", "@[", "`{", "deu", "ÿé", "\xff\xfe"} {
+		if got := countryCode(v); got != geo.CountryCode(strings.ToUpper(v)) {
+			t.Fatalf("countryCode(%q) = %q, want %q", v, got, strings.ToUpper(v))
+		}
+	}
+}

@@ -8,9 +8,17 @@
 // on-path interceptor) sees records, not structures. A man-in-the-middle
 // replaces the server's certificate record in flight, which is exactly how
 // the AV products, OpenDNS, and the Cloudguard malware of §6.2 operate.
+//
+// A handshake is two records, and each crosses its stream in one Write:
+// the client builds header and hello in one buffer, and a server answers
+// with a record framed before the handshake (FrameChain) — the world's
+// sites frame each chain once, when they are built — so serving encodes
+// nothing. The client decodes the chain over one string
+// (cert.UnmarshalChain).
 package tlssim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,16 +56,19 @@ type Record struct {
 	Payload []byte
 }
 
-// WriteRecord frames and writes one record.
+// appendHeader appends a record header announcing n payload bytes.
+func appendHeader(b []byte, typ RecordType, n int) []byte {
+	return append(b, byte(typ), byte(n>>16), byte(n>>8), byte(n))
+}
+
+// WriteRecord frames and writes one record: header and payload in one
+// buffer, crossing w in one Write.
 func WriteRecord(w io.Writer, typ RecordType, payload []byte) error {
 	if len(payload) > MaxRecordSize {
 		return ErrRecordTooLarge
 	}
-	hdr := [4]byte{byte(typ), byte(len(payload) >> 16), byte(len(payload) >> 8), byte(len(payload))}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	b := appendHeader(make([]byte, 0, 4+len(payload)), typ, len(payload))
+	_, err := w.Write(append(b, payload...))
 	return err
 }
 
@@ -68,28 +79,57 @@ func ReadRecord(r io.Reader) (Record, error) {
 		return Record{}, err
 	}
 	n := int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-	// The length is four untrusted bytes: allocate for what the peer has
-	// actually sent, doubling as payload arrives, never for what it claims.
+	// The length is three untrusted bytes: allocate for what the peer has
+	// actually sent, never for what it claims.
 	payload := make([]byte, min(n, maxUpfront))
-	for have := 0; ; {
-		if _, err := io.ReadFull(r, payload[have:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF // the header promised more
-			}
+	if err := readFull(r, payload); err != nil {
+		return Record{}, err
+	}
+	if n > len(payload) {
+		var err error
+		if payload, err = readRest(r, payload, n); err != nil {
 			return Record{}, err
 		}
-		if have = len(payload); have == n {
-			return Record{Type: RecordType(hdr[0]), Payload: payload}, nil
-		}
-		grown := make([]byte, min(n, 2*have))
-		copy(grown, payload)
-		payload = grown
 	}
+	return Record{Type: RecordType(hdr[0]), Payload: payload}, nil
 }
 
-// marshalHello encodes a ClientHello payload carrying the SNI.
-func marshalHello(serverName string) []byte {
-	b := make([]byte, 0, 2+len(serverName))
+// maxChunks is how many maxUpfront chunks the largest record takes.
+const maxChunks = (MaxRecordSize + maxUpfront - 1) / maxUpfront
+
+// readRest reads the rest of an n-byte payload whose first chunk arrived:
+// chunk by chunk, each at most maxUpfront and allocated only once the one
+// before it is full, then joined. A header that lies costs the bytes the
+// peer really sent plus one chunk.
+func readRest(r io.Reader, first []byte, n int) ([]byte, error) {
+	var chunks [maxChunks][]byte // on the stack: no bookkeeping on the heap
+	chunks[0] = first
+	k, have := 1, len(first)
+	for ; have < n; k++ {
+		chunks[k] = make([]byte, min(n-have, maxUpfront))
+		if err := readFull(r, chunks[k]); err != nil {
+			return nil, err
+		}
+		have += len(chunks[k])
+	}
+	return bytes.Join(chunks[:k], nil), nil
+}
+
+// readFull fills p from r; an EOF is unexpected, since a header promised
+// the bytes.
+func readFull(r io.Reader, p []byte) error {
+	_, err := io.ReadFull(r, p)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// helloRecord frames a ClientHello carrying the SNI: header and payload in
+// one buffer, for one Write.
+func helloRecord(serverName string) []byte {
+	n := 2 + len(serverName)
+	b := appendHeader(make([]byte, 0, 4+n), RecordClientHello, n)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(serverName)))
 	return append(b, serverName...)
 }
@@ -109,9 +149,10 @@ func ParseHello(payload []byte) (serverName string, err error) {
 // CollectChain performs the client side of the handshake over rw: it sends
 // a hello for serverName and returns the certificate chain the peer
 // presents. This is the §6.1 operation — connect, record certificates,
-// terminate without requesting content.
+// terminate without requesting content. The chain's names share one
+// string (cert.UnmarshalChain): a caller that keeps one copies it.
 func CollectChain(rw io.ReadWriter, serverName string) ([]*cert.Certificate, error) {
-	if err := WriteRecord(rw, RecordClientHello, marshalHello(serverName)); err != nil {
+	if _, err := rw.Write(helloRecord(serverName)); err != nil {
 		return nil, err
 	}
 	rec, err := ReadRecord(rw)
@@ -132,8 +173,27 @@ func CollectChain(rw io.ReadWriter, serverName string) ([]*cert.Certificate, err
 // return produces an alert (unknown server name).
 type ChainSource func(serverName string) []*cert.Certificate
 
-// ServeOnce performs the server side for a single handshake on rw.
-func ServeOnce(rw io.ReadWriter, chains ChainSource) error {
+// RecordSource supplies the framed certificate record (FrameChain) a
+// server answers an SNI value with. A nil return produces an alert
+// (unknown server name). ServeOnce writes the record as it is and never
+// modifies it, so one record may answer every handshake.
+type RecordSource func(serverName string) []byte
+
+// FrameChain encodes chain as a complete certificate record, header
+// included, in one allocation. A chain too large for a record frames as
+// an alert, which is what a server that cannot send its chain answers.
+func FrameChain(chain []*cert.Certificate) []byte {
+	n := cert.ChainSize(chain)
+	if n > MaxRecordSize {
+		const msg = "certificate chain exceeds the record size"
+		return append(appendHeader(make([]byte, 0, 4+len(msg)), RecordAlert, len(msg)), msg...)
+	}
+	return cert.AppendChain(appendHeader(make([]byte, 0, 4+n), RecordCertificates, n), chain)
+}
+
+// ServeOnce performs the server side for a single handshake on rw: it
+// reads the hello and writes the record records supplies for its SNI.
+func ServeOnce(rw io.ReadWriter, records RecordSource) error {
 	rec, err := ReadRecord(rw)
 	if err != nil {
 		return err
@@ -145,11 +205,12 @@ func ServeOnce(rw io.ReadWriter, chains ChainSource) error {
 	if err != nil {
 		return err
 	}
-	chain := chains(sni)
-	if chain == nil {
+	framed := records(sni)
+	if framed == nil {
 		return WriteRecord(rw, RecordAlert, []byte("unrecognized name: "+sni))
 	}
-	return WriteRecord(rw, RecordCertificates, cert.MarshalChain(chain))
+	_, err = rw.Write(framed)
+	return err
 }
 
 // ChainInterceptor rewrites a server's certificate chain in flight. The
@@ -188,7 +249,8 @@ func Relay(client, server io.ReadWriter, icept ChainInterceptor) error {
 			return err
 		}
 		if replaced := icept(sni, chain); replaced != nil {
-			resp.Payload = cert.MarshalChain(replaced)
+			_, err := client.Write(FrameChain(replaced))
+			return err
 		}
 	}
 	return WriteRecord(client, resp.Type, resp.Payload)

@@ -46,10 +46,14 @@ stage() {
 		$GO test -race ./...
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all nine
+		# Short fuzz smoke over the parser-shaped attack surfaces, all eleven
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
-		# holds ChainSize to what MarshalChain writes), DNS messages — the
+		# holds ChainSize to what MarshalChain writes), the string decoder
+		# against the byte decoder it replaced (same verdict, same error,
+		# same chain, ChainSize the bytes read), handshake records (a lying
+		# length costs at most one chunk past what arrived; what ReadRecord
+		# accepts round-trips through WriteRecord), DNS messages — the
 		# tree decoder, the scan layer and its two flat readers against the
 		# one-pass decoder they replaced (same verdict, same sentinel, same
 		# values), and name compression round trips — the HTTP request and
@@ -63,6 +67,8 @@ stage() {
 		$GO test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
 		$GO test -run=NONE -fuzz='FuzzUnmarshalChain$' -fuzztime=5s ./internal/cert
+		$GO test -run=NONE -fuzz='FuzzChainAgreesWithOracle$' -fuzztime=5s ./internal/cert
+		$GO test -run=NONE -fuzz='FuzzReadRecord$' -fuzztime=5s ./internal/tlssim
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/dnswire
 		$GO test -run=NONE -fuzz='FuzzFlatAgreesWithTree$' -fuzztime=5s ./internal/dnswire
 		$GO test -run=NONE -fuzz='FuzzNameRoundTrip$' -fuzztime=5s ./internal/dnswire
