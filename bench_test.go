@@ -25,6 +25,7 @@ import (
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/core"
 	"github.com/tftproject/tft/internal/dataset"
+	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/progress"
@@ -378,11 +379,7 @@ func BenchmarkAblationObjectSize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	exp := &core.HTTPExperiment{
-		Client: w.Client, Auth: w.Auth, Geo: w.Geo,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: benchSeed,
-	}
-	exp.InstallRules(population.WebIP)
+	w.Auth.SetFallback(core.ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 	b.ResetTimer()
 	var res core.ObjectSizeResult
 	for i := 0; i < b.N; i++ {
@@ -459,11 +456,11 @@ func BenchmarkAblationASSampling(b *testing.B) {
 	}
 	run := func(quota int) *core.HTTPDataset {
 		exp := &core.HTTPExperiment{
-			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+			Client: w.Client, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: benchSeed, PerASQuota: quota,
 		}
-		exp.InstallRules(population.WebIP)
+		w.Auth.SetFallback(core.ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 		ds, err := exp.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -649,12 +646,12 @@ func BenchmarkAblationBudget(b *testing.B) {
 	}
 	run := func(maxBytes int64) (complete, truncated int) {
 		exp := &core.HTTPExperiment{
-			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+			Client: w.Client, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: benchSeed, Budget: core.NewBudget(maxBytes),
 			Crawl: core.CrawlConfig{MaxSessions: 600},
 		}
-		exp.InstallRules(population.WebIP)
+		w.Auth.SetFallback(core.ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 		ds, err := exp.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -755,7 +752,7 @@ func BenchmarkFullScaleDNS(b *testing.B) {
 		}
 		exp.Crawl.Workers = workers
 		exp.Crawl.Metrics = metrics.NewRegistry()
-		exp.InstallRules(population.WebIP)
+		w.Auth.SetFallback(core.ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 
 		// The flight recorder doubles as the benchmark's heap sampler: the
 		// tracker's watermarks record peak heap while the sampler drives

@@ -1,7 +1,9 @@
 // Command authdns runs the measurement team's authoritative DNS server over
-// UDP, implementing the d1/d2 gate of §4.1: d1-* names always resolve to the
-// web server; d2-* names resolve only for queries arriving from the super
-// proxy's source address; everything else under the zone is NXDOMAIN.
+// UDP, implementing the d1/d2 gate of §4.1 with the crawls' own rules
+// (core.ProbeRules): d1-*, h-* and u-* names always resolve to the web
+// server; d2-* names resolve only for queries arriving from the super
+// proxy's source address, and for nobody without -super-src; everything
+// else under the zone is NXDOMAIN.
 //
 //	authdns -listen 127.0.0.1:5353 -zone probe.tft-example.net \
 //	        -web 127.0.0.1 [-super-src 127.0.0.2]
@@ -17,8 +19,8 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"strings"
 
+	"github.com/tftproject/tft/internal/core"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/trace"
@@ -53,22 +55,7 @@ func main() {
 	}
 
 	auth := dnsserver.NewAuthority(*zone, simnet.Real{})
-	auth.SetFallback(func(name string) dnsserver.Rule {
-		label, _, ok := strings.Cut(name, ".")
-		if !ok {
-			return nil
-		}
-		switch {
-		case strings.HasPrefix(label, "d1-"), strings.HasPrefix(label, "h-"),
-			strings.HasPrefix(label, "u-"):
-			return dnsserver.Always(webIP)
-		case strings.HasPrefix(label, "d2-"):
-			return dnsserver.OnlyFrom(webIP, func(src netip.Addr) bool {
-				return superIP.IsValid() && src == superIP
-			})
-		}
-		return nil
-	})
+	auth.SetFallback(core.ProbeRules(webIP, superIP))
 
 	pc, err := net.ListenPacket("udp", *listen)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/tftproject/tft/internal/core"
+	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/population"
 )
@@ -172,7 +173,7 @@ func TestDNSShardSinksMergeCanonically(t *testing.T) {
 	}
 	exp.Crawl.Workers = workers
 	exp.Crawl.Metrics = metrics.NewRegistry()
-	exp.InstallRules(population.WebIP)
+	w.Auth.SetFallback(core.ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 	ds, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

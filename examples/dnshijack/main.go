@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/tftproject/tft/internal/core"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/middlebox"
@@ -70,16 +71,7 @@ func main() {
 	go proxynet.ServeListener(ll, origin.StaticPage(landing, "text/html"))
 	fmt.Printf("web server on :%d, landing page on :%d\n", webPort, landingPort)
 
-	auth.SetFallback(func(name string) dnsserver.Rule {
-		label, _, _ := strings.Cut(name, ".")
-		switch {
-		case strings.HasPrefix(label, "d1-"):
-			return dnsserver.Always(loop)
-		case strings.HasPrefix(label, "d2-"):
-			return dnsserver.OnlyFrom(loop, func(src netip.Addr) bool { return src == superSrc })
-		}
-		return nil
-	})
+	auth.SetFallback(core.ProbeRules(loop, superSrc))
 
 	// Super proxy with agent gateway; its resolver queries from superSrc.
 	upstream := func(string) (netip.Addr, bool) { return dnsAP.Addr(), true }

@@ -37,8 +37,8 @@ type experiment[D crawlDataset, A tableSet] struct {
 	experimentInfo
 	// build constructs the experiment's calibrated world.
 	build func(seed uint64, scale float64) (*population.World, error)
-	// driver wires the core driver to a built world (installing its DNS
-	// rules, if it has any) under the run's seed and crawl configuration.
+	// driver wires the core driver to a built world under the run's seed
+	// and crawl configuration.
 	driver func(w *population.World, o Options) crawlDriver[D]
 	// analyze reduces the dataset to the aggregates behind A's tables.
 	analyze func(cfg analysis.Config, reg *geo.Registry, ds D) A
@@ -85,13 +85,11 @@ var experimentRegistry = []registeredExperiment{
 // dnsDriver is the DNS row's driver constructor, named because
 // RunLongitudinal crawls with it too.
 func dnsDriver(w *population.World, o Options) *core.DNSExperiment {
-	exp := &core.DNSExperiment{
+	return &core.DNSExperiment{
 		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 		Seed: o.Seed, Crawl: o.Crawl,
 	}
-	exp.InstallRules(population.WebIP)
-	return exp
 }
 
 var dnsExperiment = &experiment[*core.DNSDataset, *analysis.DNSAnalysis]{
@@ -124,13 +122,11 @@ var httpExperiment = &experiment[*core.HTTPDataset, *analysis.HTTPAnalysis]{
 	experimentInfo: experimentInfo{name: "http", desc: "§5 HTTP object manipulation"},
 	build:          population.BuildHTTPWorld,
 	driver: func(w *population.World, o Options) crawlDriver[*core.HTTPDataset] {
-		exp := &core.HTTPExperiment{
-			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+		return &core.HTTPExperiment{
+			Client: w.Client, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: o.Seed, Crawl: o.Crawl,
 		}
-		exp.InstallRules(population.WebIP)
-		return exp
 	},
 	analyze: analysis.AnalyzeHTTP,
 	headline: func(a *analysis.HTTPAnalysis, ds *core.HTTPDataset) string {
@@ -184,14 +180,12 @@ var monitorExperiment = &experiment[*core.MonDataset, *analysis.MonAnalysis]{
 		desc: "§7 traffic monitoring (alias: monitoring)"},
 	build: population.BuildMonitorWorld,
 	driver: func(w *population.World, o Options) crawlDriver[*core.MonDataset] {
-		exp := &core.MonitorExperiment{
-			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
+		return &core.MonitorExperiment{
+			Client: w.Client, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: o.Seed, Crawl: o.Crawl,
 			Watch: 24 * time.Hour,
 		}
-		exp.InstallRules(population.WebIP)
-		return exp
 	},
 	analyze: analysis.AnalyzeMonitor,
 	headline: func(a *analysis.MonAnalysis, _ *core.MonDataset) string {

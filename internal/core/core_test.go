@@ -34,7 +34,7 @@ func runDNS(t testing.TB, scale float64) (*population.World, *DNSDataset) {
 		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
 	}
-	exp.InstallRules(population.WebIP)
+	w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 	ds, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -203,10 +203,10 @@ func TestHTTPExperimentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := &HTTPExperiment{
-		Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+		Client: w.Client, Geo: w.Geo,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
 	}
-	exp.InstallRules(population.WebIP)
+	w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 	ds, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -335,11 +335,11 @@ func TestMonitorExperimentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := &MonitorExperiment{
-		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
+		Client: w.Client, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
 		Watch: 24 * time.Hour,
 	}
-	exp.InstallRules(population.WebIP)
+	w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 	ds, err := exp.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -540,7 +540,7 @@ func TestLongitudinalDNSEvolution(t *testing.T) {
 		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
 	}
-	exp.InstallRules(population.WebIP)
+	w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 	long := &LongitudinalDNS{
 		Experiment: exp, Clock: w.Clock, Waves: 3,
 		BetweenWaves: func(wave int) {

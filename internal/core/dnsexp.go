@@ -70,27 +70,31 @@ const (
 	d2Prefix = "d2-"
 )
 
-// InstallRules points the authoritative server's fallback at the d1/d2
-// semantics (§4.1 step 1): d1-* names always resolve to the web server;
-// d2-* names resolve only for the super proxy's resolver egress.
-func (e *DNSExperiment) InstallRules(webIP netip.Addr) {
-	d1 := dnsserver.Always(webIP)
-	d2 := dnsserver.OnlyFrom(webIP, func(src netip.Addr) bool {
-		return src == geo.SuperProxyResolverEgress
+// ProbeRules is the authoritative server's fallback for every probe name
+// (§4.1 step 1): d1-, h- and u- names resolve to web for anyone; d2- names
+// resolve only for queries from exactly superEgress, the super proxy's
+// resolver, and for nobody when superEgress is the zero address. A name
+// matches on its first label, so a dotless name gets no rule. Both rules
+// are built once, here.
+func ProbeRules(web, superEgress netip.Addr) func(name string) dnsserver.Rule {
+	open := dnsserver.Always(web)
+	gated := dnsserver.OnlyFrom(web, func(src netip.Addr) bool {
+		return superEgress.IsValid() && src == superEgress
 	})
-	e.Auth.SetFallback(func(name string) dnsserver.Rule {
+	return func(name string) dnsserver.Rule {
 		label, _, ok := strings.Cut(name, ".")
 		if !ok {
 			return nil
 		}
 		switch {
-		case strings.HasPrefix(label, d1Prefix):
-			return d1
+		case strings.HasPrefix(label, d1Prefix), strings.HasPrefix(label, httpPrefix),
+			strings.HasPrefix(label, monPrefix):
+			return open
 		case strings.HasPrefix(label, d2Prefix):
-			return d2
+			return gated
 		}
 		return nil
-	})
+	}
 }
 
 // Run executes the crawl and returns the dataset.

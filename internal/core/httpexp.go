@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"net/netip"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/tftproject/tft/internal/content"
-	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/proxynet"
 )
@@ -92,7 +90,6 @@ type HTTPDataset struct {
 // HTTPExperiment drives §5's methodology.
 type HTTPExperiment struct {
 	Client  *proxynet.Client
-	Auth    *dnsserver.Authority
 	Geo     *geo.Registry
 	Zone    string
 	Weights map[geo.CountryCode]int
@@ -105,21 +102,6 @@ type HTTPExperiment struct {
 }
 
 const httpPrefix = "h-"
-
-// InstallRules makes h-* names resolve to the web server.
-func (e *HTTPExperiment) InstallRules(webIP netip.Addr) { resolvePrefix(e.Auth, httpPrefix, webIP) }
-
-// resolvePrefix points the authority's fallback at the ungated rule the
-// HTTP and monitoring probes share: every name starting with prefix
-// resolves to webIP.
-func resolvePrefix(auth *dnsserver.Authority, prefix string, webIP netip.Addr) {
-	auth.SetFallback(func(name string) dnsserver.Rule {
-		if strings.HasPrefix(name, prefix) {
-			return dnsserver.Always(webIP)
-		}
-		return nil
-	})
-}
 
 // Run executes the crawl.
 func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {

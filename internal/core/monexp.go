@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"time"
 
-	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/proxynet"
@@ -54,7 +53,6 @@ type MonDataset = Dataset[*MonObservation]
 // MonitorExperiment drives §7's methodology.
 type MonitorExperiment struct {
 	Client  *proxynet.Client
-	Auth    *dnsserver.Authority
 	Web     *origin.Server
 	Geo     *geo.Registry
 	Clock   *simnet.Virtual
@@ -68,9 +66,6 @@ type MonitorExperiment struct {
 }
 
 const monPrefix = "u-"
-
-// InstallRules makes u-* names resolve to the web server.
-func (e *MonitorExperiment) InstallRules(webIP netip.Addr) { resolvePrefix(e.Auth, monPrefix, webIP) }
 
 // Run crawls, waits out the watch window on the virtual clock, then
 // collects the unexpected requests.

@@ -12,9 +12,11 @@
 // address, all that a client of a resolver acts on — and not a message: the
 // authority's reply is read where it lies, checked to be the answer to the
 // question asked, and dropped. Only the datagrams themselves cross the
-// network; the service population.registerResolver offers open-resolver
-// scanners encodes a reply from that Answer, and so relays neither the
-// authority's SOA nor any record besides the address.
+// network. The package owns both responders on the wire, Authority.Handler
+// and Resolver.Handler — the service a resolver offers open-resolver
+// scanners — and both encode through one reply step; the resolver's
+// encodes what Lookup returned, and so relays neither the authority's SOA
+// nor any record besides the address.
 package dnsserver
 
 import (
@@ -139,9 +141,9 @@ func (a *Authority) setPolicy(change func(*policy)) {
 }
 
 // SetFallback installs a rule generator consulted for names with no
-// explicit rule. The experiments use it to give entire name families
-// (d1-*, d2-*, u-*) their semantics in O(1) memory, instead of one map
-// entry per probed node.
+// explicit rule. Every world installs core.ProbeRules here, giving the
+// probe name families (d1-*, d2-*, h-*, u-*) their semantics in O(1)
+// memory instead of one map entry per probed node.
 func (a *Authority) SetFallback(f func(name string) Rule) {
 	a.setPolicy(func(p *policy) { p.fallback = f })
 }
@@ -159,8 +161,7 @@ func (a *Authority) Handler() simnet.DNSHandler { return a.answer }
 
 // answer is the authority on the wire: one query datagram in, the response
 // datagram out. Malformed input, a response, or anything but one question is
-// dropped (nil), mirroring a server that refuses garbage. The reply is a
-// Message over a question and a record on this frame — decide hands back
+// dropped (nil), mirroring a server that refuses garbage. decide hands back
 // values, so nothing but the question's name and the encoded reply is made.
 //
 //tftlint:hotpath
@@ -170,20 +171,32 @@ func (a *Authority) answer(src netip.Addr, query []byte) []byte {
 		return nil
 	}
 	name, rcode, ip := a.decide(src, q.Name, q.Type)
-	questions := [1]dnswire.Question{q}
 	var record [1]dnswire.Record
-	resp := dnswire.Message{
-		ID: h.ID, Response: true, Opcode: h.Opcode, Authoritative: true,
-		RecursionDesired: h.RecursionDesired, RecursionAvailable: true,
-		RCode: rcode, Questions: questions[:],
-	}
 	switch rcode {
 	case dnswire.RCodeSuccess:
 		record[0] = dnswire.Record{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 5, A: ip}
-		resp.Answers = record[:]
+		return reply(h, q, true, rcode, record[:], nil)
 	case dnswire.RCodeNXDomain:
 		record[0] = a.soa
-		resp.Authorities = record[:]
+		return reply(h, q, true, rcode, nil, record[:])
+	}
+	return reply(h, q, true, rcode, nil, nil)
+}
+
+// reply encodes the response to the query (h, q) that both responders, the
+// authority and a resolver's service, send: the query's ID, opcode,
+// recursion-desired bit and question echoed, recursion available, and the
+// given sections. The reply is a Message over its caller's records on this
+// frame, so the encoded bytes are all it makes; a record that does not
+// encode drops the reply (nil).
+//
+//tftlint:hotpath
+func reply(h dnswire.Header, q dnswire.Question, authoritative bool, rcode dnswire.RCode, answers, authorities []dnswire.Record) []byte {
+	questions := [1]dnswire.Question{q}
+	resp := dnswire.Message{
+		ID: h.ID, Response: true, Opcode: h.Opcode, Authoritative: authoritative,
+		RecursionDesired: h.RecursionDesired, RecursionAvailable: true,
+		RCode: rcode, Questions: questions[:], Answers: answers, Authorities: authorities,
 	}
 	out, err := resp.Marshal()
 	if err != nil {

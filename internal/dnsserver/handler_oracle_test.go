@@ -132,3 +132,114 @@ func TestHandlerMatchesTreeOracle(t *testing.T) {
 		}
 	}
 }
+
+// oracleRelay is a resolver's wire service as it stood before
+// Resolver.Handler: decode the query into a tree, answer a source admit
+// turns away with a REFUSED Reply tree, otherwise Lookup and marshal a Reply
+// carrying the answer's code and, when there is one, its address.
+func oracleRelay(r *Resolver, admit func(netip.Addr) bool, src netip.Addr, query []byte) []byte {
+	q, err := dnswire.Unmarshal(query)
+	if err != nil || q.Response || len(q.Questions) != 1 {
+		return nil
+	}
+	if admit != nil && !admit(src) {
+		refused := q.Reply()
+		refused.RCode = dnswire.RCodeRefused
+		out, _ := refused.Marshal()
+		return out
+	}
+	question := q.Questions[0]
+	ans, err := r.Lookup(src, question.Name, question.Type)
+	if err != nil {
+		return nil
+	}
+	resp := q.Reply()
+	resp.RCode = ans.RCode
+	if ans.A.IsValid() {
+		resp.Answers = append(resp.Answers, dnswire.Record{
+			Name: question.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ans.TTL, A: ans.A,
+		})
+	}
+	out, err := resp.Marshal()
+	if err != nil {
+		return nil
+	}
+	return out
+}
+
+// TestResolverHandlerMatchesRelayOracle: over 3 000 random datagrams —
+// well-formed queries with random names, types and flags, the authority's
+// test mutations, single-byte corruptions and plain noise — from an
+// admitted or a refused source, through an honest or a hijacking resolver,
+// closed or open, Resolver.Handler's reply is byte for byte the relay's, and
+// a datagram one of them drops the other drops.
+func TestResolverHandlerMatchesRelayOracle(t *testing.T) {
+	honest, _ := lookupRig(t)
+	hijacking, _ := lookupRig(t)
+	hijacking.Hijack = StaticNX{Landing: landingIP}
+	closed := func(src netip.Addr) bool { return src == nodeIP }
+	rng := rand.New(rand.NewPCG(20160413, 26))
+	names := []string{
+		"d1.probe.tft-example.net", "d2.probe.tft-example.net.", "D1.Probe.TFT-Example.Net",
+		"never-configured.probe.tft-example.net", "probe.tft-example.net", "www.google.com", ".",
+	}
+	types := []dnswire.Type{dnswire.TypeA, dnswire.TypeA, dnswire.TypeA, dnswire.TypeTXT, dnswire.TypeNS, 28}
+	srcs := []netip.Addr{nodeIP, ispDNSIP, superDNS}
+	answered, refused, dropped := 0, 0, 0
+	for i := 0; i < 3000; i++ {
+		name := names[rng.IntN(len(names))]
+		q := dnswire.NewQuery(uint16(rng.Uint32()), name, types[rng.IntN(len(types))])
+		q.RecursionDesired = rng.IntN(2) == 0
+		q.Opcode = uint8(rng.IntN(3))
+		switch rng.IntN(30) {
+		case 0:
+			q.Response = true
+		case 1:
+			q.Questions = append(q.Questions, q.Questions[0])
+		case 2:
+			q.Questions = nil
+		case 3:
+			q.Additionals = []dnswire.Record{{Name: name, Type: dnswire.TypeTXT, Class: dnswire.ClassIN, Text: []string{"cookie"}}}
+		}
+		wire, err := q.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch rng.IntN(10) {
+		case 0:
+			wire[rng.IntN(len(wire))] ^= byte(1 + rng.IntN(255))
+		case 1:
+			wire = wire[:rng.IntN(len(wire))]
+		case 2:
+			wire = make([]byte, rng.IntN(64))
+			for j := range wire {
+				wire[j] = byte(rng.Uint32())
+			}
+		}
+		r := honest
+		if rng.IntN(2) == 0 {
+			r = hijacking
+		}
+		admit := closed
+		if rng.IntN(4) == 0 {
+			admit = nil // open
+		}
+		src := srcs[rng.IntN(len(srcs))]
+		got, want := r.Handler(admit)(src, wire), oracleRelay(r, admit, src, wire)
+		if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("datagram %d (%x from %v, hijack %v, open %v):\n got %x\nwant %x",
+				i, wire, src, r.Hijack != nil, admit == nil, got, want)
+		}
+		switch {
+		case got == nil:
+			dropped++
+		case got[3]&0xF == byte(dnswire.RCodeRefused):
+			refused++
+		default:
+			answered++
+		}
+	}
+	if answered == 0 || refused == 0 || dropped == 0 {
+		t.Fatalf("answered %d, refused %d, dropped %d: a path went untested", answered, refused, dropped)
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/geo"
+	"github.com/tftproject/tft/internal/simnet"
 )
 
 // Exchanger moves one DNS datagram from src to dst — *simnet.Fabric
@@ -89,6 +90,34 @@ func (r *Resolver) Lookup(client netip.Addr, name string, qtype dnswire.Type) (d
 		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
 	}
 	return r.applyHijack(name, ans), nil
+}
+
+// Handler serves the resolver on the wire to the sources admit lets in
+// (nil admits everyone: an open resolver); anyone else is REFUSED, as a
+// closed ISP resolver answers outsiders (§8). An admitted query is relayed
+// through Lookup, and the reply carries what Lookup returns and no more: the
+// response code and, when there is one, the address under the question's
+// own name. Malformed input, a response, anything but one question, or a
+// failed Lookup is dropped (nil).
+func (r *Resolver) Handler(admit func(src netip.Addr) bool) simnet.DNSHandler {
+	return func(src netip.Addr, query []byte) []byte {
+		h, q, err := dnswire.ParseQuery(query)
+		if err != nil || h.Response || h.Questions != 1 {
+			return nil
+		}
+		if admit != nil && !admit(src) {
+			return reply(h, q, false, dnswire.RCodeRefused, nil, nil)
+		}
+		ans, err := r.Lookup(src, q.Name, q.Type)
+		if err != nil {
+			return nil
+		}
+		if !ans.A.IsValid() {
+			return reply(h, q, false, ans.RCode, nil, nil)
+		}
+		record := [1]dnswire.Record{{Name: q.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ans.TTL, A: ans.A}}
+		return reply(h, q, false, ans.RCode, record[:], nil)
+	}
 }
 
 // applyHijack rewrites an NXDOMAIN answer per the resolver's policy.

@@ -88,13 +88,12 @@ func (b *dnsBuilder) buildISPGroups() {
 			// honest server), keeping per-server hijack ratios near but
 			// below 100% as the paper observed.
 			if i%37 == 36 {
-				n := b.addNode(g.Country, asn, honest, nil)
-				b.truth(n).DNSHijacker = ""
+				b.addNode(g.Country, asn, honest, nil)
 				b.note(g.Country, false)
 				continue
 			}
 			n := b.addNode(g.Country, asn, servers[i%len(servers)], nil)
-			b.truth(n).DNSHijacker = "isp:" + g.ISP
+			b.labels(n).DNSHijacker = "isp:" + g.ISP
 			b.note(g.Country, true)
 		}
 
@@ -108,9 +107,7 @@ func (b *dnsBuilder) buildISPGroups() {
 			asn := asns[i%min(len(asns), max(1, g.PathASNs))]
 			path := &middlebox.Path{DNS: []middlebox.DNSInterceptor{rewriter}}
 			n := b.addNode(g.Country, asn, b.Google, path)
-			t := b.truth(n)
-			t.DNSHijacker = "path:" + g.ISP
-			t.UsesGoogleDNS = true
+			b.labels(n).DNSHijacker = "path:" + g.ISP
 			b.note(g.Country, true)
 		}
 	}
@@ -134,9 +131,7 @@ func (b *dnsBuilder) buildPathOnlyISPs() {
 		for i := 0; i < n; i++ {
 			path := &middlebox.Path{DNS: []middlebox.DNSInterceptor{rewriter}}
 			node := b.addNode(g.Country, asn, b.Google, path)
-			t := b.truth(node)
-			t.DNSHijacker = "path:" + g.ISP
-			t.UsesGoogleDNS = true
+			b.labels(node).DNSHijacker = "path:" + g.ISP
 			b.note(g.Country, true)
 		}
 	}
@@ -169,7 +164,7 @@ func (b *dnsBuilder) buildPublicResolvers() {
 			for i := 0; i < perServer; i++ {
 				cc := countries[(si+i)%len(countries)]
 				n := b.addNode(cc, b.bgAS(cc), server, nil)
-				b.truth(n).DNSHijacker = "public:" + g.Org
+				b.labels(n).DNSHijacker = "public:" + g.Org
 				b.note(cc, true)
 			}
 		}
@@ -225,9 +220,7 @@ func (b *dnsBuilder) buildSoftwareHijackers() {
 			cc := countries[i%len(countries)]
 			path := &middlebox.Path{DNS: []middlebox.DNSInterceptor{rewriter}}
 			n := b.addNode(cc, b.bgAS(cc), b.Google, path)
-			t := b.truth(n)
-			t.DNSHijacker = "software:" + g.Product
-			t.UsesGoogleDNS = true
+			b.labels(n).DNSHijacker = "software:" + g.Product
 			b.note(cc, true)
 		}
 	}
@@ -257,9 +250,7 @@ func (b *dnsBuilder) buildMiscPathHijacks() {
 		cc := countries[i%len(countries)]
 		path := &middlebox.Path{DNS: []middlebox.DNSInterceptor{rewriter}}
 		n := b.addNode(cc, b.bgAS(cc), b.Google, path)
-		t := b.truth(n)
-		t.DNSHijacker = "software:misc"
-		t.UsesGoogleDNS = true
+		b.labels(n).DNSHijacker = "software:misc"
 		b.note(cc, true)
 	}
 }
@@ -376,7 +367,7 @@ func (b *dnsBuilder) fillCountry(cc geo.CountryCode, targetTotal, targetHijack i
 		}
 		for i := 0; i < size && b.hijack[cc] < targetHijack && b.total[cc] < targetTotal; i++ {
 			n := b.addNode(cc, asn, server, nil)
-			b.truth(n).DNSHijacker = "isp:" + org.Name
+			b.labels(n).DNSHijacker = "isp:" + org.Name
 			b.note(cc, true)
 		}
 	}

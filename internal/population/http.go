@@ -41,7 +41,7 @@ const httpASCapacity = 4
 func (b *httpBuilder) addHTTPNode(cc geo.CountryCode, asn geo.ASN, path *middlebox.Path, truthLabel, imageISP string) {
 	r := b.Google // DNS is incidental here; the super proxy resolves anyway
 	n := b.addNode(cc, asn, r, path)
-	t := b.truth(n)
+	t := b.labels(n)
 	t.HTTPModifier = truthLabel
 	t.ImageISP = imageISP
 	b.total[cc]++

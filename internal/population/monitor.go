@@ -145,7 +145,7 @@ func (b *monBuilder) buildGroup(g *MonitorGroup) {
 		}
 		node.SetPath(path)
 		node.SetEnv(b.monitorEnv(node.ZID(), g.Name))
-		b.truth(node).MonitorProduct = g.Name
+		b.labels(node).MonitorProduct = g.Name
 		b.total++
 	}
 
@@ -211,7 +211,7 @@ func (b *monBuilder) buildMiscMonitors() {
 				}},
 			}}})
 			node.SetEnv(b.monitorEnv(node.ZID(), name))
-			b.truth(node).MonitorProduct = name
+			b.labels(node).MonitorProduct = name
 			b.total++
 		}
 	}

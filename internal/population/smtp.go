@@ -79,7 +79,7 @@ func (b *smtpBuilder) build() {
 		size := 30 + int(b.rng.IntN(60))
 		for i := 0; i < size && placed < blocked; i++ {
 			node := b.addNode(cc, asn, b.Google, &middlebox.Path{BlockedPorts: []uint16{25}})
-			b.truth(node).HTTPModifier = "smtp:port25-blocked"
+			b.labels(node).HTTPModifier = "smtp:port25-blocked"
 			placed++
 		}
 	}
@@ -95,7 +95,7 @@ func (b *smtpBuilder) build() {
 		for i := 0; i < perAS && placedStrip < stripped; i++ {
 			node := b.addNode(cc, asn, b.Google,
 				&middlebox.Path{Stream: []middlebox.StreamInterceptor{stripper}})
-			b.truth(node).HTTPModifier = "smtp:starttls-stripped"
+			b.labels(node).HTTPModifier = "smtp:starttls-stripped"
 			placedStrip++
 		}
 	}

@@ -232,7 +232,7 @@ func (b *tlsBuilder) buildProducts() {
 			asn := b.bgAS(cc)
 			node := b.addNode(cc, asn, b.Google, nil)
 			node.SetPath(&middlebox.Path{TLS: []middlebox.TLSInterceptor{pcs.Instance(node.ZID(), now)}})
-			b.truth(node).TLSProduct = spec.Product
+			b.labels(node).TLSProduct = spec.Product
 			b.total++
 		}
 	}
@@ -251,7 +251,7 @@ func (b *tlsBuilder) buildProducts() {
 		asn := b.bgAS(cc)
 		node := b.addNode(cc, asn, b.Google, nil)
 		node.SetPath(&middlebox.Path{TLS: []middlebox.TLSInterceptor{pcs.Instance(node.ZID(), now)}})
-		b.truth(node).TLSProduct = spec.Product
+		b.labels(node).TLSProduct = spec.Product
 		b.total++
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/dnsserver"
-	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/middlebox"
 	"github.com/tftproject/tft/internal/origin"
@@ -41,19 +40,27 @@ var (
 )
 
 // NodeTruth is the generator's ground-truth record for one exit node,
-// used by tests to validate what the pipeline measures.
+// used by tests to validate what the pipeline measures. It is assembled on
+// demand: the identity fields from the node's spec row, the labels as the
+// builders set them.
 type NodeTruth struct {
 	ZID     string
 	Country geo.CountryCode
 	ASN     geo.ASN
-	// DNSHijacker is the party hijacking NXDOMAIN for this node:
-	// "" (none), or a label like "isp:TMnet", "public:Comodo",
-	// "path:Deutsche Telekom", "software:Norton ConnectSafe".
-	DNSHijacker string
 	// UsesGoogleDNS marks nodes configured with 8.8.8.8.
 	UsesGoogleDNS bool
+	Labels
+}
+
+// Labels are the ground truths a builder assigns a node after creating it;
+// each is "" for a clean node.
+type Labels struct {
+	// DNSHijacker is the party hijacking NXDOMAIN for this node: a label
+	// like "isp:TMnet", "public:Comodo", "path:Deutsche Telekom",
+	// "software:Norton ConnectSafe".
+	DNSHijacker string
 	// HTTPModifier / ImageISP / TLSProduct / MonitorProduct label the other
-	// experiment ground truths ("" = clean).
+	// experiments' ground truths.
 	HTTPModifier   string
 	ImageISP       string
 	TLSProduct     string
@@ -300,65 +307,34 @@ func (w *World) SetOrgHijack(org geo.OrgID, rewriter dnsserver.NXRewriter) int {
 // see ISP-resolver hijacking (§8).
 func (w *World) registerResolver(r *dnsserver.Resolver, open bool) {
 	w.ResolverDir = append(w.ResolverDir, ResolverEntry{Addr: r.Addr, Open: open})
-	ownASN, _ := w.Geo.LookupAS(r.Addr)
-	ownOrg, _ := w.Geo.Org(ownASN)
-	w.Fabric.HandleDNS(r.Addr, func(src netip.Addr, query []byte) []byte {
-		q, err := dnswire.Unmarshal(query)
-		if err != nil || q.Response || len(q.Questions) != 1 {
-			return nil
-		}
-		if !open {
+	var admit func(src netip.Addr) bool
+	if !open {
+		ownASN, _ := w.Geo.LookupAS(r.Addr)
+		ownOrg, _ := w.Geo.Org(ownASN)
+		admit = func(src netip.Addr) bool {
 			srcASN, ok := w.Geo.LookupAS(src)
 			srcOrg, ok2 := w.Geo.Org(srcASN)
-			if !ok || !ok2 || ownOrg == nil || srcOrg.ID != ownOrg.ID {
-				refused := q.Reply()
-				refused.RCode = dnswire.RCodeRefused
-				out, _ := refused.Marshal()
-				return out
-			}
+			return ok && ok2 && ownOrg != nil && srcOrg.ID == ownOrg.ID
 		}
-		question := q.Questions[0]
-		ans, err := r.Lookup(src, question.Name, question.Type)
-		if err != nil {
-			return nil
-		}
-		// The relay carries what Lookup returns and no more: the response
-		// code and, when there is one, the address under the question's own
-		// name. The authority's SOA is not forwarded; no scanner reads it.
-		resp := q.Reply()
-		resp.RCode = ans.RCode
-		if ans.A.IsValid() {
-			resp.Answers = append(resp.Answers, dnswire.Record{
-				Name: question.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ans.TTL, A: ans.A,
-			})
-		}
-		out, err := resp.Marshal()
-		if err != nil {
-			return nil
-		}
-		return out
-	})
+	}
+	w.Fabric.HandleDNS(r.Addr, r.Handler(admit))
 }
 
-// addNode records an exit-node spec row, registers its country with the
-// lazy pool, and seeds its ground truth. The node itself is materialized on
-// demand when the super proxy picks it. Returns a handle for the per-node
-// assignments builders make after creation.
+// addNode records an exit-node spec row and registers its country with the
+// lazy pool. The node itself is materialized on demand when the super proxy
+// picks it. Returns a handle for the per-node assignments builders make
+// after creation.
 func (w *World) addNode(cc geo.CountryCode, asn geo.ASN, resolver *dnsserver.Resolver, path *middlebox.Path) NodeHandle {
 	i := w.Spec.add(cc, asn, w.addr(asn), resolver, path)
 	if j := w.lazy.Register(cc); j != i {
 		panic(fmt.Sprintf("population: spec row %d registered as pool index %d", i, j))
 	}
-	t := w.Spec.Truth(i)
-	*t = NodeTruth{ZID: w.Spec.ZID(i), Country: cc, ASN: asn}
-	if resolver == w.Google {
-		t.UsesGoogleDNS = true
-	}
 	return NodeHandle{spec: w.Spec, idx: i}
 }
 
-// truth returns the ground-truth record for a recorded node.
-func (w *World) truth(h NodeHandle) *NodeTruth { return w.Spec.Truth(h.idx) }
+// labels returns the ground-truth labels of a recorded node, for its
+// builder to set.
+func (w *World) labels(h NodeHandle) *Labels { return &w.Spec.labels[h.idx] }
 
 // TruthFor returns the ground-truth record for a zID, or nil for unknown
 // identifiers. Tests use it to validate what the pipeline measures.
@@ -367,7 +343,7 @@ func (w *World) TruthFor(zid string) *NodeTruth {
 	if !ok {
 		return nil
 	}
-	return w.Spec.Truth(i)
+	return w.truth(i)
 }
 
 // Truths returns the ground-truth records for every recorded node in
@@ -375,9 +351,18 @@ func (w *World) TruthFor(zid string) *NodeTruth {
 func (w *World) Truths() []*NodeTruth {
 	out := make([]*NodeTruth, w.Spec.Len())
 	for i := range out {
-		out[i] = w.Spec.Truth(i)
+		out[i] = w.truth(i)
 	}
 	return out
+}
+
+// truth assembles row i's ground-truth record from its spec row.
+func (w *World) truth(i int) *NodeTruth {
+	s := w.Spec
+	return &NodeTruth{
+		ZID: s.ZID(i), Country: s.countries[i], ASN: s.asns[i],
+		UsesGoogleDNS: s.resolvers[i] == w.Google, Labels: s.labels[i],
+	}
 }
 
 // asCapacity is the default nodes-per-AS ratio of the background

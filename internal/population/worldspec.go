@@ -17,7 +17,8 @@ import (
 // materializing a *proxynet.ExitNode and registering it in a pool. Nodes
 // are materialized on demand, one fresh instance per pick, so idle cost per
 // unrealized node is a handful of column cells instead of a live node
-// object plus pool and truth map entries.
+// object plus pool and truth map entries. A node's ground truth is
+// its row: the identity columns and the labels its builder set.
 //
 // Storage is structure-of-arrays: shared components (resolvers, interceptor
 // paths, monitor envs) are stored as pointers to objects the builders share
@@ -30,7 +31,7 @@ type WorldSpec struct {
 	resolvers []*dnsserver.Resolver
 	paths     []*middlebox.Path
 	envs      []*middlebox.Env
-	truths    []NodeTruth
+	labels    []Labels
 }
 
 // NewWorldSpec creates an empty spec store.
@@ -79,12 +80,9 @@ func (s *WorldSpec) add(cc geo.CountryCode, asn geo.ASN, addr netip.Addr, resolv
 	s.resolvers = append(s.resolvers, resolver)
 	s.paths = append(s.paths, path)
 	s.envs = append(s.envs, nil)
-	s.truths = append(s.truths, NodeTruth{})
+	s.labels = append(s.labels, Labels{})
 	return i
 }
-
-// Truth returns the mutable ground-truth record for row i.
-func (s *WorldSpec) Truth(i int) *NodeTruth { return &s.truths[i] }
 
 // Materialize builds the live exit node for row i, carrying its traffic
 // over net. Every call returns a fresh instance; all cross-pick state lives

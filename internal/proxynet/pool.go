@@ -79,28 +79,38 @@ func (p *Pool) Pick(country geo.CountryCode, exclude map[string]bool) (Peer, boo
 	if country != "" {
 		candidates = p.byCountry[country]
 	}
-	if len(candidates) == 0 {
+	j, up := pick(p.rng, p.churn, len(candidates), func(j int) bool {
+		n := candidates[j]
+		return exclude[n.PeerID()] || !n.Online()
+	})
+	if j < 0 {
 		return nil, false
 	}
+	return candidates[j], up
+}
+
+// pick is the node selection both pools run, drawing rng in the order a
+// fixed-seed run depends on: up to 32 uniform probes of the positions
+// [0, total), passing over those skip rejects, and on the first it accepts
+// the churn roll; when every probe was passed over (dense exclusion), a scan
+// in order. It returns the chosen position, -1 when skip rejects them all,
+// and whether the node is up — false is the churn roll: selected, but
+// transiently unavailable for this attempt.
+func pick(rng *rand.Rand, churn float64, total int, skip func(j int) bool) (int, bool) {
 	// Bounded random probing keeps selection O(1) on the fast path.
-	for i := 0; i < 32; i++ {
-		n := candidates[p.rng.IntN(len(candidates))]
-		if exclude[n.PeerID()] || !n.Online() {
+	for probe := 0; probe < 32 && total > 0; probe++ {
+		j := rng.IntN(total)
+		if skip(j) {
 			continue
 		}
-		if p.churn > 0 && p.rng.Float64() < p.churn {
-			// Transient failure: report the pick so the proxy logs a retry.
-			return n, false
-		}
-		return n, true
+		return j, !(churn > 0 && rng.Float64() < churn)
 	}
-	// Dense exclusion: fall back to a scan.
-	for _, n := range candidates {
-		if !exclude[n.PeerID()] && n.Online() {
-			return n, true
+	for j := 0; j < total; j++ {
+		if !skip(j) {
+			return j, true
 		}
 	}
-	return nil, false
+	return -1, false
 }
 
 // CountryCounts reports how many nodes the service advertises per country —

@@ -15,6 +15,7 @@ import (
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
+	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/middlebox"
 	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/simnet"
@@ -155,6 +156,40 @@ func TestSuperProxyGateBlocksUnknownDomain(t *testing.T) {
 	}
 	if w.web.RequestCount() != 0 {
 		t.Fatal("request reached the web server despite super proxy NXDOMAIN")
+	}
+}
+
+// TestSuperProxyCountsEveryFailedExistenceCheck: a GET and a CONNECT to a
+// name the super proxy cannot resolve both fail with ErrDNSSuper, and both
+// count in proxy_dns_super_fail_total — the existence check is one step
+// whichever method asks.
+func TestSuperProxyCountsEveryFailedExistenceCheck(t *testing.T) {
+	w := newTestWorld(t, 0)
+	reg := metrics.NewRegistry()
+	w.sp.Metrics = reg
+	failures := reg.Counter("proxy_dns_super_fail_total")
+
+	resp, dbg, err := w.client.Get(context.Background(), Options{}, "http://nx-get."+zone+"/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 502 || dbg.Err != ErrDNSSuper {
+		t.Fatalf("GET: resp = %d, dbg = %+v", resp.StatusCode, dbg)
+	}
+	if got := failures.Value(); got != 1 {
+		t.Fatalf("after the GET the counter reads %d, want 1", got)
+	}
+
+	conn, dbg, err := w.client.Connect(context.Background(), Options{}, "nx-connect."+zone+":443")
+	if err == nil {
+		conn.Close()
+		t.Fatal("CONNECT to an unresolvable name succeeded")
+	}
+	if dbg == nil || dbg.Err != ErrDNSSuper {
+		t.Fatalf("CONNECT: err = %v, dbg = %+v", err, dbg)
+	}
+	if got := failures.Value(); got != 2 {
+		t.Fatalf("after the CONNECT the counter reads %d, want 2", got)
 	}
 }
 

@@ -148,11 +148,11 @@ func (p *LazyPool) Pick(country geo.CountryCode, exclude map[string]bool) (Peer,
 	return n, up
 }
 
-// draw settles a pick: the spec index (negative when nothing is eligible)
-// and the churn roll, in the rng order a fixed-seed run depends on. A first
-// attempt excludes nothing and draw leaves n nil for the caller to build
-// outside the lock; telling whether a retry's pick is excluded takes the
-// node's zID, so that rare path builds it here. Caller holds p.mu.
+// draw settles a pick (see pick): the spec index (negative when nothing is
+// eligible) and the churn roll. A first attempt excludes nothing and draw
+// leaves n nil for the caller to build outside the lock; telling whether a
+// retry's pick is excluded takes the node's zID, so that rare path builds it
+// here. Caller holds p.mu.
 func (p *LazyPool) draw(country geo.CountryCode, exclude map[string]bool) (n *ExitNode, i int, up bool) {
 	var candidates []int32
 	total := p.n
@@ -166,24 +166,17 @@ func (p *LazyPool) draw(country geo.CountryCode, exclude map[string]bool) (n *Ex
 		}
 		return j
 	}
-	// Bounded random probing keeps selection O(1) on the fast path.
-	for probe := 0; probe < 32 && total > 0; probe++ {
-		i = at(p.rng.IntN(total))
-		if len(exclude) > 0 {
-			n = p.node(i)
-			if exclude[n.ZID] {
-				continue
-			}
+	j, up := pick(p.rng, p.churn, total, func(j int) bool {
+		if len(exclude) == 0 {
+			return false
 		}
-		return n, i, !(p.churn > 0 && p.rng.Float64() < p.churn)
+		n = p.node(at(j))
+		return exclude[n.ZID]
+	})
+	if j < 0 {
+		return nil, -1, false
 	}
-	// Dense exclusion: fall back to a scan.
-	for j := 0; j < total; j++ {
-		if n = p.node(at(j)); !exclude[n.ZID] {
-			return n, at(j), true
-		}
-	}
-	return nil, -1, false
+	return n, at(j), up
 }
 
 // Len implements NodeSource.

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"github.com/tftproject/tft/internal/geo"
 )
 
 // testLazyPool is a pool of n nodes "z0"…, built by build.
@@ -81,6 +83,56 @@ func TestLazyPoolDrawOrder(t *testing.T) {
 		got, up := p.Pick("", exclude)
 		if got == nil || got.PeerID() != "z"+strconv.Itoa(want) || up != wantUp {
 			t.Fatalf("pick %d (excluding %v) = %v, %v; the rng stream says z%d, %v", pick, exclude, got, up, want, wantUp)
+		}
+	}
+}
+
+// TestPoolsPickAlike: Pool and LazyPool run one selection, so over the same
+// population and seed they pick the same sequence — node and churn roll —
+// by country or not, first attempt or retry, sparse exclusion or one dense
+// enough to end in the scan, and agree when nothing is left.
+func TestPoolsPickAlike(t *testing.T) {
+	const seed, churn = 20160413, 0.2
+	countries := []geo.CountryCode{"DE", "FR", "DE", "US", "DE"}
+	nodes := make([]*ExitNode, 40)
+	eager := NewPool(rand.New(rand.NewPCG(seed, 0)), churn)
+	lazy := NewLazyPool(rand.New(rand.NewPCG(seed, 0)), churn,
+		func(i int) *ExitNode { return nodes[i] },
+		func(zid string) (int, bool) {
+			i, err := strconv.Atoi(zid[1:])
+			return i, err == nil && i < len(nodes)
+		})
+	for i := range nodes {
+		nodes[i] = &ExitNode{ZID: "z" + strconv.Itoa(i), Country: countries[i%len(countries)]}
+		if err := eager.Add(nodes[i]); err != nil {
+			t.Fatal(err)
+		}
+		lazy.Register(nodes[i].Country)
+	}
+	allBut := func(cc geo.CountryCode, keep string) map[string]bool {
+		ex := map[string]bool{}
+		for _, n := range nodes {
+			if (cc == "" || n.Country == cc) && n.ZID != keep {
+				ex[n.ZID] = true
+			}
+		}
+		return ex
+	}
+	for pick := 0; pick < 600; pick++ {
+		cc := []geo.CountryCode{"", "DE", "US", "FR"}[pick%4]
+		var exclude map[string]bool
+		switch pick % 7 {
+		case 1, 2:
+			exclude = map[string]bool{"z" + strconv.Itoa(pick%40): true, "z" + strconv.Itoa(pick*7%40): true}
+		case 3:
+			exclude = allBut(cc, "z3") // dense: only z3 is left, in "" and US
+		case 4:
+			exclude = allBut(cc, "") // nothing is left
+		}
+		en, eup := eager.Pick(cc, exclude)
+		ln, lup := lazy.Pick(cc, exclude)
+		if (en == nil) != (ln == nil) || eup != lup || (en != nil && en.PeerID() != ln.PeerID()) {
+			t.Fatalf("pick %d (%q, excluding %d): Pool %v %v, LazyPool %v %v", pick, cc, len(exclude), en, eup, ln, lup)
 		}
 	}
 }

@@ -305,17 +305,28 @@ func (sp *SuperProxy) fail(conn net.Conn, status int, errStr, zid string, ip net
 	sp.clearWriteDeadline(conn)
 }
 
-// lookupSuper resolves host at the super proxy, upstream every time: the
-// methodology's probe names are unique per session (§4.1), so there is
-// nothing for a cache to answer. The client address passed to the resolver
-// is the super proxy itself, so the Google anycast egress is the pinned
-// instance.
-func (sp *SuperProxy) lookupSuper(host string) (netip.Addr, dnswire.RCode) {
+// resolveSuper is the existence check Luminati runs before forwarding
+// (§4.1) — the reason the d2 gate answers the super proxy's resolver — as a
+// proxy.resolve span under parent. It asks upstream every time: the
+// methodology's probe names are unique per session, so there is nothing for
+// a cache to answer. The client address passed to the resolver is the super
+// proxy itself, so the Google anycast egress is the pinned instance. A name
+// that does not resolve ends the span with ErrDNSSuper, counts
+// proxy_dns_super_fail_total and reports false.
+func (sp *SuperProxy) resolveSuper(parent trace.SpanContext, host string) (netip.Addr, bool) {
+	span := sp.Tracer.StartChild(parent, "proxy.resolve", trace.KindDNS, trace.Str("host", host))
+	defer span.End()
 	ans, err := sp.Resolver.Lookup(sp.Addr, host, dnswire.TypeA)
 	if err != nil {
-		return netip.Addr{}, dnswire.RCodeServFail
+		ans = dnswire.Answer{RCode: dnswire.RCodeServFail}
 	}
-	return ans.A, ans.RCode
+	span.SetAttrs(trace.Int("rcode", int64(ans.RCode)))
+	if ans.RCode != dnswire.RCodeSuccess || !ans.A.IsValid() {
+		span.SetError(ErrDNSSuper)
+		sp.Metrics.Counter("proxy_dns_super_fail_total").Inc()
+		return netip.Addr{}, false
+	}
+	return ans.A, true
 }
 
 // failAttempt records one failed exit-node try both ways the service
@@ -445,20 +456,11 @@ func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *ht
 		return
 	}
 
-	// Luminati checks the domain exists at the super proxy before
-	// forwarding (§4.1) — the reason the d2 gate answers its resolver.
-	dspan := sp.Tracer.StartChild(span.Context(), "proxy.resolve", trace.KindDNS,
-		trace.Str("host", host))
-	ip, rcode := sp.lookupSuper(host)
-	dspan.SetAttrs(trace.Int("rcode", int64(rcode)))
-	if rcode != dnswire.RCodeSuccess || !ip.IsValid() {
-		dspan.SetError(ErrDNSSuper)
-		dspan.End()
-		sp.Metrics.Counter("proxy_dns_super_fail_total").Inc()
+	ip, ok := sp.resolveSuper(span.Context(), host)
+	if !ok {
 		failGet(502, ErrDNSSuper, "", netip.Addr{}, nil)
 		return
 	}
-	dspan.End()
 
 	node, attempts, aspan := sp.selectNode(params, span.Context())
 	if node == nil {
@@ -534,18 +536,11 @@ func (sp *SuperProxy) handleConnect(parent trace.SpanContext, conn net.Conn, req
 	ip, err := netip.ParseAddr(hostStr)
 	if err != nil {
 		// Clients normally CONNECT to IP literals; resolve as a courtesy.
-		dspan := sp.Tracer.StartChild(span.Context(), "proxy.resolve", trace.KindDNS,
-			trace.Str("host", hostStr))
-		var rcode dnswire.RCode
-		ip, rcode = sp.lookupSuper(hostStr)
-		dspan.SetAttrs(trace.Int("rcode", int64(rcode)))
-		if rcode != dnswire.RCodeSuccess || !ip.IsValid() {
-			dspan.SetError(ErrDNSSuper)
-			dspan.End()
+		var ok bool
+		if ip, ok = sp.resolveSuper(span.Context(), hostStr); !ok {
 			failConnect(502, ErrDNSSuper, "", netip.Addr{}, nil)
 			return false
 		}
-		dspan.End()
 	}
 	node, attempts, aspan := sp.selectNode(params, span.Context())
 	if node == nil {

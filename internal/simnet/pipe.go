@@ -352,13 +352,7 @@ func (r *ring) injectFault(gen uint64, mutate func(*ringFault)) {
 	}
 	//tftlint:ignore lockorder -- every mutate closure (Stream.Inject*) only assigns ringFault fields; none can lock
 	mutate(r.fault)
-	r.version++
-	r.cond.Broadcast()
-	fn := r.notify
-	r.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	r.changed()
 }
 
 // deadline is one side's deadline: the exceeded flag, the pending timer,
@@ -376,17 +370,12 @@ type deadline struct {
 func (d *deadline) fire(gen uint64) {
 	r := d.ring
 	r.mu.Lock()
-	var fn func()
-	if d.gen == gen {
-		d.timed = true
-		r.version++
-		r.cond.Broadcast()
-		fn = r.notify
+	if d.gen != gen {
+		r.mu.Unlock()
+		return
 	}
-	r.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	d.timed = true
+	r.changed()
 }
 
 // ensureBuf allocates the ring storage on first use: a pooled full-window
@@ -501,9 +490,24 @@ func (r *ring) copyIn(p []byte) int {
 	return total
 }
 
-// read copies buffered bytes out, blocking per the ring's state. Caller is
-// the Stream whose in-direction this ring is.
-func (r *ring) read(gen uint64, p []byte) (int, error) {
+// changed ends a state transition: it bumps version, wakes every parked
+// operation, releases r.mu and runs the readiness callback outside it — the
+// order SetNotify promises. Caller holds r.mu.
+func (r *ring) changed() {
+	r.version++
+	r.cond.Broadcast()
+	fn := r.notify
+	r.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
+
+// read copies buffered bytes out for the Stream whose in-direction this ring
+// is. An empty, open ring parks the caller when block is set (Read) and
+// reports ErrWouldBlock when it is not (TryRead); every other outcome is the
+// same for both.
+func (r *ring) read(gen uint64, p []byte, block bool) (int, error) {
 	r.mu.Lock()
 	for {
 		if r.gen != gen || r.rclosed {
@@ -525,6 +529,10 @@ func (r *ring) read(gen uint64, p []byte) (int, error) {
 			r.mu.Unlock()
 			return 0, io.EOF
 		}
+		if !block {
+			r.mu.Unlock()
+			return 0, ErrWouldBlock
+		}
 		if len(p) == 0 {
 			r.mu.Unlock()
 			return 0, nil
@@ -539,13 +547,7 @@ func (r *ring) read(gen uint64, p []byte) (int, error) {
 	if r.fault != nil {
 		r.fault.deliver(dst[:total])
 	}
-	r.version++
-	r.cond.Broadcast()
-	fn := r.notify
-	r.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	r.changed()
 	return total, nil
 }
 
@@ -591,59 +593,11 @@ func (r *ring) write(gen uint64, p []byte) (int, error) {
 			r.pumpOrWait()
 		}
 		total += r.copyIn(p[total:])
-		r.version++
-		r.cond.Broadcast()
-		fn := r.notify
-		r.mu.Unlock()
-		if fn != nil {
-			fn()
-		}
+		r.changed()
 		if total == len(p) {
 			return total, nil
 		}
 	}
-}
-
-// tryRead is the non-blocking read: (0, ErrWouldBlock) when the ring is
-// empty but open.
-func (r *ring) tryRead(gen uint64, p []byte) (int, error) {
-	r.mu.Lock()
-	if r.gen != gen || r.rclosed {
-		r.mu.Unlock()
-		return 0, io.ErrClosedPipe
-	}
-	if err := r.fault.readFaultErr(); err != nil {
-		r.mu.Unlock()
-		return 0, err
-	}
-	if r.rdead.timed {
-		r.mu.Unlock()
-		return 0, os.ErrDeadlineExceeded
-	}
-	if r.n == 0 {
-		wc := r.wclosed
-		r.mu.Unlock()
-		if wc {
-			return 0, io.EOF
-		}
-		return 0, ErrWouldBlock
-	}
-	dst := p
-	if r.fault != nil {
-		dst = r.fault.capRead(p)
-	}
-	total := r.copyOut(dst)
-	if r.fault != nil {
-		r.fault.deliver(dst[:total])
-	}
-	r.version++
-	r.cond.Broadcast()
-	fn := r.notify
-	r.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
-	return total, nil
 }
 
 // tryWrite is the non-blocking write: it appends what fits and reports
@@ -672,13 +626,7 @@ func (r *ring) tryWrite(gen uint64, p []byte) (int, error) {
 		return 0, ErrWouldBlock
 	}
 	total := r.copyIn(p)
-	r.version++
-	r.cond.Broadcast()
-	fn := r.notify
-	r.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	r.changed()
 	if total < len(p) {
 		return total, ErrWouldBlock
 	}
@@ -694,13 +642,7 @@ func (r *ring) closeWrite(gen uint64) {
 		return
 	}
 	r.wclosed = true
-	r.version++
-	r.cond.Broadcast()
-	fn := r.notify
-	r.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	r.changed()
 }
 
 // closeRead marks the direction's read side closed: pending and future
@@ -712,13 +654,7 @@ func (r *ring) closeRead(gen uint64) {
 		return
 	}
 	r.rclosed = true
-	r.version++
-	r.cond.Broadcast()
-	fn := r.notify
-	r.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
+	r.changed()
 }
 
 // setDeadline (re)arms one side's deadline flag and timer on the
@@ -747,13 +683,7 @@ func (r *ring) setDeadline(gen uint64, clock Clock, t time.Time, d *deadline) {
 	wait := t.Sub(now)
 	if wait <= 0 {
 		d.timed = true
-		r.version++
-		r.cond.Broadcast()
-		fn := r.notify
-		r.mu.Unlock()
-		if fn != nil {
-			fn()
-		}
+		r.changed()
 		return
 	}
 	d.timed = false
@@ -797,7 +727,7 @@ func (s *Stream) in() *ring  { return &s.c.pair.r[1-s.side] }
 func (s *Stream) out() *ring { return &s.c.pair.r[s.side] }
 
 // Read implements net.Conn.
-func (s *Stream) Read(p []byte) (int, error) { return s.in().read(s.c.gen, p) }
+func (s *Stream) Read(p []byte) (int, error) { return s.in().read(s.c.gen, p, true) }
 
 // Write implements net.Conn.
 func (s *Stream) Write(p []byte) (int, error) { return s.out().write(s.c.gen, p) }
@@ -805,7 +735,7 @@ func (s *Stream) Write(p []byte) (int, error) { return s.out().write(s.c.gen, p)
 // TryRead is the non-blocking Read: it returns whatever is buffered, or
 // (0, ErrWouldBlock) when nothing is and the peer still writes. io.EOF and
 // close errors surface exactly as with Read.
-func (s *Stream) TryRead(p []byte) (int, error) { return s.in().tryRead(s.c.gen, p) }
+func (s *Stream) TryRead(p []byte) (int, error) { return s.in().read(s.c.gen, p, false) }
 
 // TryWrite is the non-blocking Write: it buffers what fits in the window
 // and returns the count written, with ErrWouldBlock when p did not fit

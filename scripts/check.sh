@@ -46,7 +46,7 @@ stage() {
 		$GO test -race ./...
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all eleven
+		# Short fuzz smoke over the parser-shaped attack surfaces, all twelve
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
 		# holds ChainSize to what MarshalChain writes), the string decoder
@@ -60,10 +60,12 @@ stage() {
 		# response parsers (the latter through its pooled, poisoned body
 		# path), and the HTTP head parser against the line-at-a-time parser
 		# it replaced and net/http (same verdict, same fields, same bytes
-		# consumed). Five seconds each — a corpus regression check, not a
-		# campaign. The last runs without input minimisation: its seeds
-		# include 4 KB lines and 129-line blocks, and minimising one of
-		# those takes the whole five seconds.
+		# consumed), and the SMTP client's Probe against whatever a scripted
+		# peer sends as the server's side (a session or an error, never a
+		# panic or a hang). Five seconds each — a corpus regression check,
+		# not a campaign. FuzzHeadEquivalence runs without input
+		# minimisation: its seeds include 4 KB lines and 129-line blocks,
+		# and minimising one of those takes the whole five seconds.
 		$GO test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
 		$GO test -run=NONE -fuzz='FuzzUnmarshalChain$' -fuzztime=5s ./internal/cert
@@ -75,6 +77,7 @@ stage() {
 		$GO test -run=NONE -fuzz='FuzzReadResponse$' -fuzztime=5s ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzReadRequest$' -fuzztime=5s ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzHeadEquivalence$' -fuzztime=5s -fuzzminimizetime=0 ./internal/httpwire
+		$GO test -run=NONE -fuzz='FuzzProbe$' -fuzztime=5s ./internal/smtpwire
 		;;
 	bench)
 		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,

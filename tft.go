@@ -33,6 +33,7 @@ import (
 	"github.com/tftproject/tft/internal/analysis"
 	"github.com/tftproject/tft/internal/core"
 	"github.com/tftproject/tft/internal/dataset"
+	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/progress"
@@ -147,14 +148,15 @@ func (o *Options) applyChaos(w *population.World) error {
 	return nil
 }
 
-// newWorld builds a world and wires the run into it — instrument, then
-// applyChaos — so every path that crawls (runExperiment, RunLongitudinal)
-// gets telemetry and the chaos plane from this one place.
+// newWorld builds a world and wires the run into it — the probe names'
+// answer rules, instrument, then applyChaos — so every path that crawls
+// (runExperiment, RunLongitudinal) gets them from this one place.
 func (o *Options) newWorld(build func(seed uint64, scale float64) (*population.World, error)) (*population.World, error) {
 	w, err := build(o.Seed, o.Scale)
 	if err != nil {
 		return nil, err
 	}
+	w.Auth.SetFallback(core.ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 	o.instrument(w)
 	if err := o.applyChaos(w); err != nil {
 		return nil, err
