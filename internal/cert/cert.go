@@ -18,6 +18,7 @@ package cert
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -35,6 +36,22 @@ type KeyID [16]byte
 
 // String renders the fingerprint in hex.
 func (k KeyID) String() string { return fmt.Sprintf("%x", k[:]) }
+
+// MarshalText encodes the fingerprint in its String form.
+func (k KeyID) MarshalText() ([]byte, error) { return hex.AppendEncode(nil, k[:]), nil }
+
+// UnmarshalText decodes the String form: exactly 32 hex digits.
+func (k *KeyID) UnmarshalText(text []byte) error {
+	if len(text) != 2*len(k) {
+		return fmt.Errorf("cert: key id %q: want %d hex digits", text, 2*len(k))
+	}
+	var id KeyID
+	if _, err := hex.Decode(id[:], text); err != nil {
+		return fmt.Errorf("cert: key id %q: %w", text, err)
+	}
+	*k = id
+	return nil
+}
 
 // KeyPair is a simulated asymmetric key pair.
 type KeyPair struct {

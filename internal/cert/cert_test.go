@@ -243,6 +243,35 @@ func TestKeyReuseObservable(t *testing.T) {
 	}
 }
 
+// TestKeyIDTextRoundTrip: a key id travels as its String form, and only
+// 32 hex digits read back as one.
+func TestKeyIDTextRoundTrip(t *testing.T) {
+	for _, k := range []KeyID{NewKeyPair("roundtrip").Public, {}} {
+		text, err := k.MarshalText()
+		if err != nil || string(text) != k.String() {
+			t.Fatalf("MarshalText(%v) = %q, %v; want %q", k, text, err, k.String())
+		}
+		var got KeyID
+		if err := got.UnmarshalText(text); err != nil || got != k {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", text, got, err)
+		}
+	}
+	upper := strings.ToUpper(NewKeyPair("roundtrip").Public.String())
+	var got KeyID
+	if err := got.UnmarshalText([]byte(upper)); err != nil || got != NewKeyPair("roundtrip").Public {
+		t.Fatalf("upper-case hex: %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "00", strings.Repeat("0", 31), strings.Repeat("0", 33),
+		strings.Repeat("0", 64), strings.Repeat("0", 30) + "0g", strings.Repeat("x", 32)} {
+		k := NewKeyPair("kept").Public
+		if err := k.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", bad)
+		} else if k != NewKeyPair("kept").Public {
+			t.Errorf("UnmarshalText(%q) failed but changed the key to %v", bad, k)
+		}
+	}
+}
+
 func TestFingerprintDistinguishesCertificates(t *testing.T) {
 	_, root := testPKI(t)
 	a := root.Issue(leafTemplate("www.example.org"))

@@ -21,6 +21,12 @@
 // proxy client's responses and debug headers, the authoritative DNS query
 // log, and the measurement web server's request log. Ground truth from the
 // population package is never consulted.
+//
+// Each experiment's observation type is also its release record: the json
+// tags on DNSObservation, HTTPObservation, TLSObservation, MonObservation
+// and SMTPObservation (and the element types they hold) are the line format
+// internal/dataset writes. A field added to one of them is tagged where it
+// is declared, or marked `json:"-"` to keep it out of the release.
 package core
 
 import (

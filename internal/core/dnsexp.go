@@ -14,25 +14,25 @@ import (
 
 // DNSObservation is one measured exit node's NXDOMAIN result (§4.1).
 type DNSObservation struct {
-	ZID    string
-	NodeIP netip.Addr
+	ZID    string     `json:"zid"`
+	NodeIP netip.Addr `json:"node_ip"`
 	// ResolverIP is the egress address of the node's DNS server, learned
 	// from the authoritative query log for d1 (step 2).
-	ResolverIP netip.Addr
+	ResolverIP netip.Addr `json:"resolver_ip,omitzero"`
 	// ASN and Country are derived from NodeIP via the public IP→AS mapping.
-	ASN     geo.ASN
-	Country geo.CountryCode
+	ASN     geo.ASN         `json:"asn"`
+	Country geo.CountryCode `json:"country"`
 	// SharedAnycast marks nodes filtered per footnote 8: their Google
 	// anycast instance is the super proxy's, so the d2 gate cannot
 	// distinguish them.
-	SharedAnycast bool
+	SharedAnycast bool `json:"shared_anycast,omitempty"`
 	// Hijacked is true when d2 returned content instead of NXDOMAIN.
-	Hijacked bool
+	Hijacked bool `json:"hijacked,omitempty"`
 	// LandingDomains are the link hosts extracted from the hijack page.
-	LandingDomains []string
+	LandingDomains []string `json:"landing_domains,omitempty"`
 	// LandingBody is the raw hijack page (kept for fingerprinting the
 	// shared-appliance JavaScript).
-	LandingBody []byte
+	LandingBody []byte `json:"landing_body,omitempty"`
 }
 
 // DNSDataset is the DNS experiment's output. Discarded counts sessions

@@ -49,23 +49,23 @@ func (o ObjectOutcome) String() string {
 
 // ObjectResult is the per-object record.
 type ObjectResult struct {
-	Outcome ObjectOutcome
+	Outcome ObjectOutcome `json:"outcome"`
 	// BodyLen is the received length.
-	BodyLen int
+	BodyLen int `json:"body_len,omitempty"`
 	// Body is retained only for modified HTML (signature extraction) and
 	// block pages (filtering).
-	Body []byte
+	Body []byte `json:"body,omitempty"`
 	// ImageRatio is received/original size for the image object.
-	ImageRatio float64
+	ImageRatio float64 `json:"image_ratio,omitempty"`
 }
 
 // HTTPObservation is one measured node.
 type HTTPObservation struct {
-	ZID     string
-	NodeIP  netip.Addr
-	ASN     geo.ASN
-	Country geo.CountryCode
-	Objects [4]ObjectResult
+	ZID     string          `json:"zid"`
+	NodeIP  netip.Addr      `json:"node_ip"`
+	ASN     geo.ASN         `json:"asn"`
+	Country geo.CountryCode `json:"country"`
+	Objects [4]ObjectResult `json:"objects"`
 }
 
 // AnyModified reports whether any object came back tampered.

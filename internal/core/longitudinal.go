@@ -36,6 +36,10 @@ type Wave struct {
 // HijackRate is the wave's hijacked fraction.
 func (w Wave) HijackRate() float64 { return rate(w.Hijacked, w.Measured) }
 
+// waveInterval is the virtual time between wave starts: a weekly
+// continuous measurement.
+const waveInterval = 7 * 24 * time.Hour
+
 // LongitudinalDNS runs the §4 probe in repeated waves.
 type LongitudinalDNS struct {
 	// Experiment is the per-wave driver; its Auth rules must already be
@@ -43,9 +47,6 @@ type LongitudinalDNS struct {
 	Experiment *DNSExperiment
 	// Clock advances between waves.
 	Clock *simnet.Virtual
-	// Interval between wave starts (default 7 virtual days — a weekly
-	// continuous measurement).
-	Interval time.Duration
 	// Waves is the number of crawls (default 4).
 	Waves int
 	// BetweenWaves, when non-nil, runs after the clock advances and before
@@ -56,16 +57,13 @@ type LongitudinalDNS struct {
 
 // Run executes the waves.
 func (l *LongitudinalDNS) Run(ctx context.Context) ([]Wave, error) {
-	if l.Interval <= 0 {
-		l.Interval = 7 * 24 * time.Hour
-	}
 	if l.Waves <= 0 {
 		l.Waves = 4
 	}
 	var waves []Wave
 	for i := 0; i < l.Waves; i++ {
 		if i > 0 {
-			l.Clock.Advance(l.Interval)
+			l.Clock.Advance(waveInterval)
 			if l.BetweenWaves != nil {
 				l.BetweenWaves(i)
 			}

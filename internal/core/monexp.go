@@ -14,34 +14,34 @@ import (
 // UnexpectedRequest is one third-party fetch of a unique measurement domain
 // (§7.1) — the content-monitoring signal.
 type UnexpectedRequest struct {
-	Src netip.Addr
+	Src netip.Addr `json:"src"`
 	// ASN and Org locate the requester (Table 9's grouping).
-	ASN geo.ASN
-	Org string
+	ASN geo.ASN `json:"asn"`
+	Org string  `json:"org,omitempty"`
 	// Delay is the time between the node's own request and this one;
 	// negative when the monitor raced ahead (Bluecoat).
-	Delay time.Duration
+	Delay time.Duration `json:"delay_ns"`
 	// UserAgent the request carried.
-	UserAgent string
+	UserAgent string `json:"user_agent,omitempty"`
 }
 
 // MonObservation is one measured node.
 type MonObservation struct {
-	ZID     string
-	NodeIP  netip.Addr
-	ASN     geo.ASN
-	Country geo.CountryCode
+	ZID     string          `json:"zid"`
+	NodeIP  netip.Addr      `json:"node_ip"`
+	ASN     geo.ASN         `json:"asn"`
+	Country geo.CountryCode `json:"country"`
 	// Host is the node's unique probe domain.
-	Host string
+	Host string `json:"host"`
 	// RequestAt is when the client issued the fetch.
-	RequestAt time.Time
+	RequestAt time.Time `json:"request_at"`
 	// ViaVPN: the node's own request arrived from an address other than the
 	// service-reported node IP (AnchorFree, §7.2.1).
-	ViaVPN bool
+	ViaVPN bool `json:"via_vpn,omitempty"`
 	// OwnSrc is the address the node's own request arrived from.
-	OwnSrc netip.Addr
+	OwnSrc netip.Addr `json:"own_src,omitzero"`
 	// Unexpected lists the third-party fetches within the watch window.
-	Unexpected []UnexpectedRequest
+	Unexpected []UnexpectedRequest `json:"unexpected,omitempty"`
 }
 
 // Monitored reports whether any third party refetched this node's domain.

@@ -14,19 +14,19 @@ import (
 // extension: through a VPN that tunnels arbitrary ports, SMTP becomes
 // measurable.
 type SMTPObservation struct {
-	ZID     string
-	NodeIP  netip.Addr
-	ASN     geo.ASN
-	Country geo.CountryCode
+	ZID     string          `json:"zid"`
+	NodeIP  netip.Addr      `json:"node_ip"`
+	ASN     geo.ASN         `json:"asn"`
+	Country geo.CountryCode `json:"country"`
 	// Blocked: the tunnel opened but no SMTP banner ever arrived — the
 	// signature of ISP port-25 blocking (indistinguishable on the wire
 	// from a dead server, which is why the experiment uses its own mail
 	// server as the target).
-	Blocked bool
+	Blocked bool `json:"blocked,omitempty"`
 	// StartTLS reports whether the STARTTLS capability survived the path.
-	StartTLS bool
+	StartTLS bool `json:"starttls,omitempty"`
 	// Banner is the greeting the node saw.
-	Banner string
+	Banner string `json:"banner,omitempty"`
 }
 
 // SMTPDataset is the extension experiment's output. Faults counts only

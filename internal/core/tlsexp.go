@@ -60,30 +60,30 @@ type TLSTargets struct {
 
 // SiteResult is the per-site handshake outcome.
 type SiteResult struct {
-	Host  string
-	Class SiteClass
+	Host  string    `json:"host"`
+	Class SiteClass `json:"class"`
 	// Replaced: the presented chain is not the genuine one.
-	Replaced bool
+	Replaced bool `json:"replaced,omitempty"`
 	// IssuerCN of the presented leaf (Table 8's grouping key).
-	IssuerCN string
+	IssuerCN string `json:"issuer_cn,omitempty"`
 	// LeafKey of the presented leaf (key-reuse analysis).
-	LeafKey cert.KeyID
+	LeafKey cert.KeyID `json:"leaf_key"`
 	// ChainValid: the presented chain verifies against the clean OS store —
 	// for invalid sites this exposes certificate laundering (§6.2).
-	ChainValid bool
+	ChainValid bool `json:"chain_valid,omitempty"`
 	// Err records handshake failure.
-	Err string
+	Err string `json:"err,omitempty"`
 }
 
 // TLSObservation is one measured node.
 type TLSObservation struct {
-	ZID     string
-	NodeIP  netip.Addr
-	ASN     geo.ASN
-	Country geo.CountryCode
+	ZID     string          `json:"zid"`
+	NodeIP  netip.Addr      `json:"node_ip"`
+	ASN     geo.ASN         `json:"asn"`
+	Country geo.CountryCode `json:"country"`
 	// Phase2 reports whether the full 33-site scan ran.
-	Phase2 bool
-	Sites  []SiteResult
+	Phase2 bool         `json:"phase2,omitempty"`
+	Sites  []SiteResult `json:"sites"`
 }
 
 // AnyReplaced reports whether any probed site presented a replaced chain.

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -225,16 +227,6 @@ func TestGeoRejectsWrongFile(t *testing.T) {
 	}
 }
 
-func TestParseKeyIDRoundTrip(t *testing.T) {
-	k := cert.NewKeyPair("roundtrip").Public
-	if got := parseKeyID(k.String()); got != k {
-		t.Fatalf("parseKeyID(%q) = %v", k.String(), got)
-	}
-	if got := parseKeyID(""); got != (cert.KeyID{}) {
-		t.Fatal("empty string not zero key")
-	}
-}
-
 func TestSMTPRoundTrip(t *testing.T) {
 	ds := &core.SMTPDataset{Observations: []*core.SMTPObservation{
 		{ZID: "z1", NodeIP: netip.MustParseAddr("91.1.2.3"), ASN: 64500, Country: "US",
@@ -257,5 +249,153 @@ func TestSMTPRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Observations, ds.Observations) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Observations[0], ds.Observations[0])
+	}
+}
+
+// TestMalformedFieldsRejected: an address or key id that does not parse
+// fails the read, naming the record, rather than reading as a zero value.
+func TestMalformedFieldsRejected(t *testing.T) {
+	files := map[string]string{}
+	for _, c := range readerCases() {
+		files[c.experiment] = c.file(t, 2)
+	}
+	read := map[string]func(io.Reader) error{
+		"dns":     func(r io.Reader) error { _, _, err := ReadDNS(r); return err },
+		"tls":     func(r io.Reader) error { _, _, err := ReadTLS(r); return err },
+		"monitor": func(r io.Reader) error { _, _, err := ReadMonitor(r); return err },
+	}
+	key := cert.NewKeyPair("k").Public.String()
+	for _, tc := range []struct{ experiment, good, bad, wantPrefix string }{
+		{"dns", `"node_ip":"91.1.2.3"`, `"node_ip":"91.1.2.300"`, "dataset: record 0: "},
+		{"dns", `"node_ip":"91.1.2.4"`, `"node_ip":"node"`, "dataset: record 1: "},
+		{"dns", `"resolver_ip":"91.1.0.53"`, `"resolver_ip":"91.1.0"`, "dataset: record 0: "},
+		{"monitor", `"own_src":"203.0.113.9"`, `"own_src":"203.0.113.9/32"`, "dataset: record 0: "},
+		{"monitor", `"src":"150.70.1.2"`, `"src":"150.70.1.2:80"`, "dataset: record 0: "},
+		{"tls", `"leaf_key":"` + key + `"`, `"leaf_key":"` + key[:30] + `"`, "dataset: record 0: "},
+		{"tls", `"leaf_key":"` + key + `"`, `"leaf_key":"` + key[:30] + `zz"`, "dataset: record 0: "},
+		{"tls", `"leaf_key":"00000000000000000000000000000000"`, `"leaf_key":""`, "dataset: record 0: "},
+	} {
+		file := strings.Replace(files[tc.experiment], tc.good, tc.bad, 1)
+		if file == files[tc.experiment] {
+			t.Fatalf("%s: fixture has no %s", tc.experiment, tc.good)
+		}
+		if err := read[tc.experiment](strings.NewReader(file)); err == nil || !strings.HasPrefix(err.Error(), tc.wantPrefix) {
+			t.Errorf("%s with %s: err = %v, want %q...", tc.experiment, tc.bad, err, tc.wantPrefix)
+		}
+	}
+}
+
+// TestReleaseFieldSet pins what the release publishes: an observation with
+// every field set writes exactly these keys (a nested record's keys follow
+// its field's, after a dot). A field added to an observation reaches the
+// release only by changing this list.
+func TestReleaseFieldSet(t *testing.T) {
+	id := []string{"zid", "node_ip", "asn", "country"}
+	for _, tc := range []struct {
+		experiment string
+		write      func(*bytes.Buffer) error
+		keys       []string
+	}{
+		{"dns", func(b *bytes.Buffer) error {
+			return WriteDNS(b, 1, 1, &core.DNSDataset{Observations: []*core.DNSObservation{filled[core.DNSObservation]()}})
+		}, append(id, "resolver_ip", "shared_anycast", "hijacked", "landing_domains", "landing_body")},
+		{"http", func(b *bytes.Buffer) error {
+			ds := &core.HTTPDataset{}
+			ds.Observations = []*core.HTTPObservation{filled[core.HTTPObservation]()}
+			return WriteHTTP(b, 1, 1, ds)
+		}, append(id, "objects", "objects.outcome", "objects.body_len", "objects.body", "objects.image_ratio")},
+		{"tls", func(b *bytes.Buffer) error {
+			ds := &core.TLSDataset{}
+			ds.Observations = []*core.TLSObservation{filled[core.TLSObservation]()}
+			return WriteTLS(b, 1, 1, ds)
+		}, append(id, "phase2", "sites", "sites.host", "sites.class", "sites.replaced", "sites.issuer_cn",
+			"sites.leaf_key", "sites.chain_valid", "sites.err")},
+		{"monitor", func(b *bytes.Buffer) error {
+			return WriteMonitor(b, 1, 1, &core.MonDataset{Observations: []*core.MonObservation{filled[core.MonObservation]()}})
+		}, append(id, "host", "request_at", "via_vpn", "own_src", "unexpected", "unexpected.src",
+			"unexpected.asn", "unexpected.org", "unexpected.delay_ns", "unexpected.user_agent")},
+		{"smtp", func(b *bytes.Buffer) error {
+			return WriteSMTP(b, 1, 1, &core.SMTPDataset{Observations: []*core.SMTPObservation{filled[core.SMTPObservation]()}})
+		}, append(id, "blocked", "starttls", "banner")},
+	} {
+		var buf bytes.Buffer
+		if err := tc.write(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.experiment, err)
+		}
+		_, line, _ := strings.Cut(buf.String(), "\n")
+		var rec any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("%s: %v", tc.experiment, err)
+		}
+		got := map[string]bool{}
+		jsonKeys(rec, "", got)
+		want := map[string]bool{}
+		for _, k := range tc.keys {
+			want[k] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: release keys %v, want %v", tc.experiment, got, want)
+		}
+	}
+}
+
+// filled returns a T with every settable field non-zero, recursively.
+func filled[T any]() *T {
+	v := new(T)
+	fill(reflect.ValueOf(v).Elem())
+	return v
+}
+
+func fill(v reflect.Value) {
+	switch x := v.Addr().Interface().(type) {
+	case *netip.Addr:
+		*x = netip.MustParseAddr("192.0.2.1")
+		return
+	case *time.Time:
+		*x = time.Date(2016, 4, 13, 10, 0, 0, 0, time.UTC)
+		return
+	}
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(0.5)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fill(v.Index(0))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).CanSet() {
+				fill(v.Field(i))
+			}
+		}
+	default:
+		panic("fill: no value for " + v.Type().String())
+	}
+}
+
+// jsonKeys collects every object key under v, nested keys after their
+// parent's and a dot; list elements share their list's prefix.
+func jsonKeys(v any, prefix string, into map[string]bool) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, x := range v {
+			into[prefix+k] = true
+			jsonKeys(x, prefix+k+".", into)
+		}
+	case []any:
+		for _, x := range v {
+			jsonKeys(x, prefix, into)
+		}
 	}
 }

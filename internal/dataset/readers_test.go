@@ -19,7 +19,7 @@ import (
 // file.
 type readerCase struct {
 	experiment string
-	file       func(t *testing.T, records int) string
+	file       func(t testing.TB, records int) string
 	read       func(r io.Reader) (*Header, any, error)
 	want       any
 }
@@ -29,7 +29,7 @@ func readerCaseOf[T, D any](experiment string, obs []T,
 	read func(io.Reader) (*Header, D, error), observations func(D) []T) readerCase {
 	return readerCase{
 		experiment: experiment,
-		file: func(t *testing.T, records int) string {
+		file: func(t testing.TB, records int) string {
 			t.Helper()
 			var buf bytes.Buffer
 			sw, err := open(&buf, 3, 0.5, records)

@@ -20,23 +20,22 @@ const StreamRecords = -1
 // shard. Close flushes and drops the underlying buffer — every Write after
 // Close fails.
 type Writer[T any] struct {
-	bw   *bufio.Writer
-	enc  *json.Encoder
-	conv func(T) any
-	n    int
+	bw  *bufio.Writer
+	enc *json.Encoder
+	n   int
 }
 
 // newStreamWriter writes the header and returns the row writer. records is
 // the exact observation count when known, or StreamRecords for an
 // unbounded stream.
-func newStreamWriter[T any](w io.Writer, experiment string, seed uint64, scale float64, records int, conv func(T) any) (*Writer[T], error) {
+func newStreamWriter[T any](w io.Writer, experiment string, seed uint64, scale float64, records int) (*Writer[T], error) {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	if err := enc.Encode(Header{Format: FormatName, Version: Version, Experiment: experiment,
 		Seed: seed, Scale: scale, Records: records}); err != nil {
 		return nil, err
 	}
-	return &Writer[T]{bw: bw, enc: enc, conv: conv}, nil
+	return &Writer[T]{bw: bw, enc: enc}, nil
 }
 
 // Write encodes one observation.
@@ -45,7 +44,7 @@ func (sw *Writer[T]) Write(o T) error {
 		return fmt.Errorf("dataset: write after Close")
 	}
 	sw.n++
-	return sw.enc.Encode(sw.conv(o))
+	return sw.enc.Encode(o)
 }
 
 // Count reports the records written so far.
@@ -79,25 +78,25 @@ type (
 // NewDNSWriter opens a streaming DNS dataset writer. records may be
 // StreamRecords when the count is unknown up front.
 func NewDNSWriter(w io.Writer, seed uint64, scale float64, records int) (*DNSWriter, error) {
-	return newStreamWriter(w, "dns", seed, scale, records, dnsRecordOf)
+	return newStreamWriter[*core.DNSObservation](w, "dns", seed, scale, records)
 }
 
 // NewHTTPWriter opens a streaming HTTP dataset writer.
 func NewHTTPWriter(w io.Writer, seed uint64, scale float64, records int) (*HTTPWriter, error) {
-	return newStreamWriter(w, "http", seed, scale, records, httpRecordOf)
+	return newStreamWriter[*core.HTTPObservation](w, "http", seed, scale, records)
 }
 
 // NewTLSWriter opens a streaming TLS dataset writer.
 func NewTLSWriter(w io.Writer, seed uint64, scale float64, records int) (*TLSWriter, error) {
-	return newStreamWriter(w, "tls", seed, scale, records, tlsRecordOf)
+	return newStreamWriter[*core.TLSObservation](w, "tls", seed, scale, records)
 }
 
 // NewMonitorWriter opens a streaming monitoring dataset writer.
 func NewMonitorWriter(w io.Writer, seed uint64, scale float64, records int) (*MonitorWriter, error) {
-	return newStreamWriter(w, "monitor", seed, scale, records, monRecordOf)
+	return newStreamWriter[*core.MonObservation](w, "monitor", seed, scale, records)
 }
 
 // NewSMTPWriter opens a streaming SMTP dataset writer.
 func NewSMTPWriter(w io.Writer, seed uint64, scale float64, records int) (*SMTPWriter, error) {
-	return newStreamWriter(w, "smtp", seed, scale, records, smtpRecordOf)
+	return newStreamWriter[*core.SMTPObservation](w, "smtp", seed, scale, records)
 }

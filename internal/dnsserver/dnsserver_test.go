@@ -239,6 +239,25 @@ func TestResolverNoUpstreamServFail(t *testing.T) {
 	}
 }
 
+// TestLookupFromAnyClientAddress: the query ID hashes whatever client
+// address it is given — an IPv6 exit node (cmd/exitnode -ip 2001:db8::1)
+// and the zero address get the authority's answer instead of a panic, and
+// an IPv4-mapped client keeps its IPv4 query ID.
+func TestLookupFromAnyClientAddress(t *testing.T) {
+	f, _ := fabricWorld(t)
+	r := NewResolver(ispDNSIP, f, upstreamAll)
+	for _, client := range []netip.Addr{netip.MustParseAddr("2001:db8::1"), {}} {
+		ans, err := r.Lookup(client, "d1.probe.tft-example.net", dnswire.TypeA)
+		if err != nil || ans.RCode != dnswire.RCodeSuccess || ans.A != webIP {
+			t.Fatalf("lookup from %v = %+v, %v", client, ans, err)
+		}
+	}
+	mapped := netip.AddrFrom16(nodeIP.As16())
+	if a, b := queryID(nodeIP, "d1.probe.tft-example.net"), queryID(mapped, "d1.probe.tft-example.net"); a != b {
+		t.Fatalf("query id %#04x from %v, %#04x from %v", a, nodeIP, b, mapped)
+	}
+}
+
 func TestResolverUnreachableAuthorityServFail(t *testing.T) {
 	f := simnet.NewFabric()
 	r := NewResolver(ispDNSIP, f, upstreamAll) // authIP not registered

@@ -133,10 +133,19 @@ func (r *Resolver) applyHijack(name string, ans dnswire.Answer) dnswire.Answer {
 }
 
 // queryID derives a deterministic query ID from client and name so runs are
-// reproducible.
+// reproducible. An IPv4 (or IPv4-mapped) client hashes its four bytes, an
+// IPv6 client its sixteen, and the zero address none.
 func queryID(client netip.Addr, name string) uint16 {
 	var h uint32 = 2166136261
-	for _, b := range client.As4() {
+	a16 := client.As16()
+	addr := a16[:]
+	switch {
+	case client.Is4() || client.Is4In6():
+		addr = a16[12:]
+	case !client.IsValid():
+		addr = nil
+	}
+	for _, b := range addr {
 		h = (h ^ uint32(b)) * 16777619
 	}
 	for i := 0; i < len(name); i++ {

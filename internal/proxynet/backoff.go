@@ -6,30 +6,24 @@ import (
 )
 
 // Backoff computes truncated exponential retry delays with seeded jitter:
-// Next returns Base doubling per attempt (Factor when set), capped at Max,
-// scaled by a jitter factor in [1-Jitter, 1+Jitter) drawn from the seeded
-// generator. Reset after a success restarts the schedule. The zero Jitter
-// or a nil generator disables jitter; the helper is shared by the agent's
-// reconnect loop and the health breaker's cooldown schedule.
+// Next returns base doubling per attempt, capped at max, scaled by a jitter
+// factor in [0.8, 1.2) drawn from the seeded generator. Reset after a
+// success restarts the schedule. A nil generator draws the band's centre,
+// which disables jitter; the schedule is shared by the agent's reconnect
+// loop and the health breaker's cooldown.
 type Backoff struct {
-	// Base is the first delay.
-	Base time.Duration
-	// Max caps the delay.
-	Max time.Duration
-	// Factor is the per-attempt multiplier (default 2).
-	Factor float64
-	// Jitter is the +/- fraction applied to each delay (default 0.2 via
-	// NewBackoff; 0 disables).
-	Jitter float64
-
-	rng     *rand.Rand
-	attempt int
+	base, max time.Duration
+	rng       *rand.Rand
+	attempt   int
 }
+
+// backoffJitter is Backoff's +/- jitter fraction.
+const backoffJitter = 0.2
 
 // NewBackoff returns a doubling backoff between base and max with 20%
 // seeded jitter.
 func NewBackoff(base, max time.Duration, rng *rand.Rand) *Backoff {
-	return &Backoff{Base: base, Max: max, Factor: 2, Jitter: 0.2, rng: rng}
+	return &Backoff{base: base, max: max, rng: rng}
 }
 
 // Next returns the delay for the current attempt and advances the
@@ -39,7 +33,7 @@ func (b *Backoff) Next() time.Duration {
 	if b.rng != nil {
 		draw = b.rng.Float64()
 	}
-	d := backoffDelay(b.Base, b.Max, b.Factor, b.Jitter, b.attempt, draw)
+	d := backoffDelay(b.base, b.max, backoffJitter, b.attempt, draw)
 	b.attempt++
 	return d
 }
@@ -48,18 +42,15 @@ func (b *Backoff) Next() time.Duration {
 func (b *Backoff) Reset() { b.attempt = 0 }
 
 // backoffDelay is the stateless core shared with the health breaker's
-// cooldown: base*factor^attempt capped at max, scaled by a jitter factor
-// in [1-jitter, 1+jitter) where draw is a uniform sample in [0, 1).
-func backoffDelay(base, max time.Duration, factor, jitter float64, attempt int, draw float64) time.Duration {
+// cooldown: base*2^attempt capped at max, scaled by a jitter factor in
+// [1-jitter, 1+jitter) where draw is a uniform sample in [0, 1).
+func backoffDelay(base, max time.Duration, jitter float64, attempt int, draw float64) time.Duration {
 	if base <= 0 {
 		return 0
 	}
-	if factor < 1 {
-		factor = 2
-	}
 	d := float64(base)
 	for i := 0; i < attempt; i++ {
-		d *= factor
+		d *= 2
 		if max > 0 && d >= float64(max) {
 			d = float64(max)
 			break

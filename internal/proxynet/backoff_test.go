@@ -8,7 +8,7 @@ import (
 )
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	b := &Backoff{Base: 100 * time.Millisecond, Max: 1 * time.Second, Factor: 2}
+	b := NewBackoff(100*time.Millisecond, 1*time.Second, nil) // no generator: no jitter
 	want := []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
@@ -64,15 +64,11 @@ func TestBackoffNilRNGUsesBandCentre(t *testing.T) {
 }
 
 func TestBackoffDelayGuards(t *testing.T) {
-	if d := backoffDelay(0, time.Second, 2, 0.2, 3, 0.5); d != 0 {
+	if d := backoffDelay(0, time.Second, 0.2, 3, 0.5); d != 0 {
 		t.Fatalf("zero base should yield 0, got %v", d)
 	}
-	if d := backoffDelay(time.Second, 0, 2, 0, 4, 0.5); d != 16*time.Second {
+	if d := backoffDelay(time.Second, 0, 0, 4, 0.5); d != 16*time.Second {
 		t.Fatalf("uncapped delay = %v, want 16s", d)
-	}
-	// A factor below 1 falls back to doubling rather than decaying.
-	if d := backoffDelay(time.Second, 0, 0.5, 0, 1, 0.5); d != 2*time.Second {
-		t.Fatalf("degenerate factor delay = %v, want 2s", d)
 	}
 }
 

@@ -37,14 +37,23 @@ func IsTransportFault(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Breaker states. A node starts closed (healthy); Threshold consecutive
-// failures trip it open for a jittered cooldown; the first Allow after the
-// cooldown admits exactly one half-open probe, whose outcome either resets
-// the breaker or re-trips it with a doubled cooldown.
+// Breaker states. A node starts closed (healthy); breakerThreshold
+// consecutive failures trip it open for a jittered cooldown; the first Allow
+// after the cooldown admits exactly one half-open probe, whose outcome
+// either resets the breaker or re-trips it with a doubled cooldown.
 const (
 	breakerClosed int32 = iota
 	breakerOpen
 	breakerHalfOpen
+)
+
+// The breaker's schedule: breakerThreshold consecutive failures trip it;
+// the first open interval is breakerCooldown, and each re-trip doubles it
+// up to breakerCooldownMax.
+const (
+	breakerThreshold   = 3
+	breakerCooldown    = 30 * time.Second
+	breakerCooldownMax = 5 * time.Minute
 )
 
 // nodeHealth is one exit node's breaker record. All fields are atomics:
@@ -70,13 +79,6 @@ type nodeHealth struct {
 // count), not from a shared generator, so the schedule is independent of
 // goroutine interleaving and a fixed-seed run reproduces it exactly.
 type HealthTracker struct {
-	// Threshold is the consecutive-failure trip count (default 3).
-	Threshold int
-	// Cooldown is the first open interval; each re-trip doubles it up to
-	// CooldownMax (defaults 30s and 5m).
-	Cooldown    time.Duration
-	CooldownMax time.Duration
-
 	clock simnet.Clock
 	seed  uint64
 	nodes sync.Map // zid -> *nodeHealth
@@ -96,15 +98,12 @@ func NewHealthTracker(clock simnet.Clock, seed uint64, m *metrics.Registry) *Hea
 		clock = simnet.Real{}
 	}
 	return &HealthTracker{
-		Threshold:   3,
-		Cooldown:    30 * time.Second,
-		CooldownMax: 5 * time.Minute,
-		clock:       clock,
-		seed:        seed,
-		mTrips:      m.Counter("proxy_breaker_trips_total"),
-		mProbes:     m.Counter("proxy_breaker_halfopen_probes_total"),
-		mResets:     m.Counter("proxy_breaker_resets_total"),
-		gOpen:       m.Gauge("proxy_breaker_open_nodes"),
+		clock:   clock,
+		seed:    seed,
+		mTrips:  m.Counter("proxy_breaker_trips_total"),
+		mProbes: m.Counter("proxy_breaker_halfopen_probes_total"),
+		mResets: m.Counter("proxy_breaker_resets_total"),
+		gOpen:   m.Gauge("proxy_breaker_open_nodes"),
 	}
 }
 
@@ -168,9 +167,9 @@ func (h *HealthTracker) Success(zid string) {
 	}
 }
 
-// Failure reports a failed attempt on zid. Threshold consecutive failures
-// trip the breaker; a failed half-open probe re-trips it with a doubled
-// cooldown.
+// Failure reports a failed attempt on zid. breakerThreshold consecutive
+// failures trip the breaker; a failed half-open probe re-trips it with a
+// doubled cooldown.
 func (h *HealthTracker) Failure(zid string) {
 	if h == nil {
 		return
@@ -187,11 +186,7 @@ func (h *HealthTracker) Failure(zid string) {
 			h.trip(nh, zid)
 		}
 	case breakerClosed:
-		threshold := h.Threshold
-		if threshold <= 0 {
-			threshold = 3
-		}
-		if int(nh.fails.Add(1)) >= threshold && nh.state.CompareAndSwap(breakerClosed, breakerOpen) {
+		if nh.fails.Add(1) >= breakerThreshold && nh.state.CompareAndSwap(breakerClosed, breakerOpen) {
 			h.trip(nh, zid)
 		}
 	case breakerOpen:
@@ -205,7 +200,7 @@ func (h *HealthTracker) Failure(zid string) {
 // trip) so it is deterministic yet decorrelated across nodes.
 func (h *HealthTracker) trip(nh *nodeHealth, zid string) {
 	trip := nh.trips.Add(1)
-	d := backoffDelay(h.Cooldown, h.CooldownMax, 2, 0.25, int(trip-1), healthJitterDraw(h.seed, zid, trip))
+	d := backoffDelay(breakerCooldown, breakerCooldownMax, 0.25, int(trip-1), healthJitterDraw(h.seed, zid, trip))
 	nh.until.Store(h.clock.Now().Add(d).UnixNano())
 	nh.fails.Store(0)
 	h.gOpen.Set(h.open.Add(1))

@@ -21,10 +21,10 @@ func TestHealthTrackerTripsAfterThreshold(t *testing.T) {
 	clock := simnet.NewVirtual(time.Unix(0, 0))
 	h, m := newTestTracker(clock)
 	const zid = "z1"
-	for i := 0; i < h.Threshold-1; i++ {
+	for i := 0; i < breakerThreshold-1; i++ {
 		h.Failure(zid)
 		if !h.Allow(zid) {
-			t.Fatalf("breaker open after %d failures, threshold is %d", i+1, h.Threshold)
+			t.Fatalf("breaker open after %d failures, threshold is %d", i+1, breakerThreshold)
 		}
 	}
 	h.Failure(zid)
@@ -60,7 +60,7 @@ func TestHealthTrackerHalfOpenProbe(t *testing.T) {
 	clock := simnet.NewVirtual(time.Unix(0, 0))
 	h, m := newTestTracker(clock)
 	const zid = "z1"
-	for i := 0; i < h.Threshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		h.Failure(zid)
 	}
 	if h.Allow(zid) {
@@ -68,7 +68,7 @@ func TestHealthTrackerHalfOpenProbe(t *testing.T) {
 	}
 	// The cooldown has at most 25% jitter above its base; doubling it is
 	// safely past expiry.
-	clock.Advance(2 * h.Cooldown)
+	clock.Advance(2 * breakerCooldown)
 	if !h.Allow(zid) {
 		t.Fatal("first Allow after cooldown should admit a half-open probe")
 	}
@@ -98,13 +98,11 @@ func TestHealthTrackerHalfOpenProbe(t *testing.T) {
 func TestHealthTrackerFailedProbeDoublesCooldown(t *testing.T) {
 	clock := simnet.NewVirtual(time.Unix(0, 0))
 	h, _ := newTestTracker(clock)
-	h.Cooldown = 10 * time.Second
-	h.CooldownMax = time.Minute
 	const zid = "z1"
-	for i := 0; i < h.Threshold; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		h.Failure(zid)
 	}
-	clock.Advance(2 * h.Cooldown)
+	clock.Advance(2 * breakerCooldown)
 	if !h.Allow(zid) {
 		t.Fatal("half-open probe not admitted")
 	}
@@ -112,13 +110,13 @@ func TestHealthTrackerFailedProbeDoublesCooldown(t *testing.T) {
 	if got := h.State(zid); got != "open" {
 		t.Fatalf("state after failed probe = %q, want open", got)
 	}
-	// The second cooldown is doubled (20s base, +/-25% jitter): after the
+	// The second cooldown is doubled (60s base, +/-25% jitter): after the
 	// first base interval the breaker must still be open.
-	clock.Advance(h.Cooldown)
+	clock.Advance(breakerCooldown)
 	if h.Allow(zid) {
 		t.Fatal("doubled cooldown expired after a single base interval")
 	}
-	clock.Advance(3 * h.Cooldown)
+	clock.Advance(3 * breakerCooldown)
 	if !h.Allow(zid) {
 		t.Fatal("probe not admitted after the doubled cooldown")
 	}
@@ -128,7 +126,7 @@ func TestHealthTrackerCooldownJitterDeterministic(t *testing.T) {
 	until := func() int64 {
 		clock := simnet.NewVirtual(time.Unix(0, 0))
 		h, _ := newTestTracker(clock)
-		for i := 0; i < h.Threshold; i++ {
+		for i := 0; i < breakerThreshold; i++ {
 			h.Failure("z9")
 		}
 		v, _ := h.nodes.Load("z9")
@@ -138,7 +136,7 @@ func TestHealthTrackerCooldownJitterDeterministic(t *testing.T) {
 	if u1 != u2 {
 		t.Fatalf("cooldown expiry differs across identical runs: %d vs %d", u1, u2)
 	}
-	if u1 == int64(30*time.Second) {
+	if u1 == int64(breakerCooldown) {
 		t.Fatal("cooldown has no jitter applied")
 	}
 }

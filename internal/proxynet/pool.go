@@ -118,11 +118,7 @@ func pick(rng *rand.Rand, churn float64, total int, skip func(j int) bool) (int,
 func (p *Pool) CountryCounts() map[geo.CountryCode]int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[geo.CountryCode]int, len(p.byCountry))
-	for cc, ns := range p.byCountry {
-		out[cc] = len(ns)
-	}
-	return out
+	return countryCounts(p.byCountry)
 }
 
 // Peers returns the underlying peer slice (not a copy; treat as

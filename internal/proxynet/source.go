@@ -190,9 +190,14 @@ func (p *LazyPool) Len() int {
 func (p *LazyPool) CountryCounts() map[geo.CountryCode]int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[geo.CountryCode]int, len(p.byCountry))
-	for cc, idx := range p.byCountry {
-		out[cc] = len(idx)
+	return countryCounts(p.byCountry)
+}
+
+// countryCounts is CountryCounts over either pool's per-country index.
+func countryCounts[E any](byCountry map[geo.CountryCode][]E) map[geo.CountryCode]int {
+	out := make(map[geo.CountryCode]int, len(byCountry))
+	for cc, nodes := range byCountry {
+		out[cc] = len(nodes)
 	}
 	return out
 }

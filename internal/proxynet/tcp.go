@@ -46,21 +46,7 @@ func (d *TCPDialer) Dial(ctx context.Context, _, dst netip.Addr, port uint16) (n
 // Serve runs the super proxy's client-facing accept loop on a real
 // listener until the listener closes.
 func (sp *SuperProxy) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		//tftlint:ignore nogo -- real-listener accept loop: each client connection rides an OS socket and needs a blocking goroutine
-		go func() {
-			if !sp.ServeConn(conn) {
-				conn.Close()
-			}
-		}()
-	}
+	return ServeListener(l, sp.ConnHandler())
 }
 
 // ServeListener runs any simnet.ConnHandler-style handler on a real

@@ -46,7 +46,7 @@ stage() {
 		$GO test -race ./...
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all twelve
+		# Short fuzz smoke over the parser-shaped attack surfaces, all fourteen
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
 		# holds ChainSize to what MarshalChain writes), the string decoder
@@ -62,7 +62,11 @@ stage() {
 		# it replaced and net/http (same verdict, same fields, same bytes
 		# consumed), and the SMTP client's Probe against whatever a scripted
 		# peer sends as the server's side (a session or an error, never a
-		# panic or a hang). Five seconds each — a corpus regression check,
+		# panic or a hang), and the release datasets — observations written
+		# by their json tags against the mirrored record types they replaced
+		# (same bytes or same error, same observations read back), and any
+		# bytes through the six readers (an error, or records that write out
+		# and read back stably). Five seconds each — a corpus regression check,
 		# not a campaign. FuzzHeadEquivalence runs without input
 		# minimisation: its seeds include 4 KB lines and 129-line blocks,
 		# and minimising one of those takes the whole five seconds.
@@ -78,6 +82,8 @@ stage() {
 		$GO test -run=NONE -fuzz='FuzzReadRequest$' -fuzztime=5s ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzHeadEquivalence$' -fuzztime=5s -fuzzminimizetime=0 ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzProbe$' -fuzztime=5s ./internal/smtpwire
+		$GO test -run=NONE -fuzz='FuzzRecordsAgreeWithOracle$' -fuzztime=5s ./internal/dataset
+		$GO test -run=NONE -fuzz='FuzzReadRelease$' -fuzztime=5s ./internal/dataset
 		;;
 	bench)
 		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,
