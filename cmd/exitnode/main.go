@@ -69,19 +69,13 @@ func main() {
 		fatal("bad -ip", "err", err)
 	}
 
-	resolver := &dnsserver.Resolver{
-		Addr: addr,
-		Net: &dnsserver.UDPExchanger{Port: dnsAP.Port(), BindSrc: *dnsBind != "",
-			Timeout: 2 * time.Second},
-		Upstream: func(string) (netip.Addr, bool) { return dnsAP.Addr(), true },
-	}
+	var bind netip.Addr
 	if *dnsBind != "" {
-		bind, err := netip.ParseAddr(*dnsBind)
-		if err != nil {
+		if bind, err = netip.ParseAddr(*dnsBind); err != nil {
 			fatal("bad -dns-bind", "err", err)
 		}
-		resolver.EgressFor = func(netip.Addr) netip.Addr { return bind }
 	}
+	resolver := dnsserver.NewUDPResolver(addr, dnsAP, bind)
 	if *hijackLand != "" {
 		landing, err := netip.ParseAddr(*hijackLand)
 		if err != nil {

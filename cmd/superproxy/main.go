@@ -61,20 +61,13 @@ func main() {
 	if err != nil {
 		fatal("bad -dns", "err", err)
 	}
-	egress := geo.SuperProxyResolverEgress
+	var egress netip.Addr
 	if *dnsBind != "" {
-		egress, err = netip.ParseAddr(*dnsBind)
-		if err != nil {
+		if egress, err = netip.ParseAddr(*dnsBind); err != nil {
 			fatal("bad -dns-bind", "err", err)
 		}
 	}
-	resolver := &dnsserver.Resolver{
-		Addr: geo.GoogleDNSAddr,
-		Net: &dnsserver.UDPExchanger{Port: dnsAP.Port(), BindSrc: *dnsBind != "",
-			Timeout: 2 * time.Second},
-		Upstream:  func(string) (netip.Addr, bool) { return dnsAP.Addr(), true },
-		EgressFor: func(netip.Addr) netip.Addr { return egress },
-	}
+	resolver := dnsserver.NewUDPResolver(geo.GoogleDNSAddr, dnsAP, egress)
 
 	// A live deployment wants different churn ordering per restart, so
 	// the pool seed deliberately comes from the wall clock.

@@ -74,13 +74,7 @@ func main() {
 	auth.SetFallback(core.ProbeRules(loop, superSrc))
 
 	// Super proxy with agent gateway; its resolver queries from superSrc.
-	upstream := func(string) (netip.Addr, bool) { return dnsAP.Addr(), true }
-	spResolver := &dnsserver.Resolver{
-		Addr:      geo.GoogleDNSAddr,
-		Net:       &dnsserver.UDPExchanger{Port: dnsAP.Port(), BindSrc: true, Timeout: 2 * time.Second},
-		Upstream:  upstream,
-		EgressFor: func(netip.Addr) netip.Addr { return superSrc },
-	}
+	spResolver := dnsserver.NewUDPResolver(geo.GoogleDNSAddr, dnsAP, superSrc)
 	pool := proxynet.NewPool(simnet.NewRand(1), 0)
 	sp := proxynet.NewSuperProxy(loop, pool, spResolver, simnet.Real{})
 	sp.HTTPPort = webPort
@@ -92,13 +86,8 @@ func main() {
 
 	// Two exit-node agents: honest and hijacking.
 	startAgent := func(zid string, egress netip.Addr, hijack dnsserver.NXRewriter, mapLanding bool) {
-		resolver := &dnsserver.Resolver{
-			Addr:      egress,
-			Net:       &dnsserver.UDPExchanger{Port: dnsAP.Port(), BindSrc: true, Timeout: 2 * time.Second},
-			Upstream:  upstream,
-			Hijack:    hijack,
-			EgressFor: func(netip.Addr) netip.Addr { return egress },
-		}
+		resolver := dnsserver.NewUDPResolver(egress, dnsAP, egress)
+		resolver.Hijack = hijack
 		dialer := &proxynet.TCPDialer{Timeout: 2 * time.Second}
 		if mapLanding {
 			dialer.MapAddr = func(dst netip.Addr, port uint16) string {

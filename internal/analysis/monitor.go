@@ -150,7 +150,6 @@ func (a *MonAnalysis) Table9(topN int) ([]MonitorRow, *Table) {
 		}
 		return rows[i].Name < rows[j].Name
 	})
-	all := rows
 	if topN > 0 && len(rows) > topN {
 		rows = rows[:topN]
 	}
@@ -160,7 +159,6 @@ func (a *MonAnalysis) Table9(topN int) ([]MonitorRow, *Table) {
 		t.Rows = append(t.Rows, []string{r.Name, itoa(r.IPs), itoa(r.Nodes), itoa(r.ASes),
 			itoa(r.Countries), r.UserAgent})
 	}
-	_ = all
 	return rows, t
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
 
 	"github.com/tftproject/tft/internal/geo"
@@ -71,7 +70,7 @@ func (e *SMTPExperiment) Run(ctx context.Context) (*SMTPDataset, error) {
 // measure opens one tunnel to port 25 and runs the SMTP session prefix.
 func (e *SMTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*SMTPObservation, outcome) {
 	opts := proxynet.Options{Country: cc, Session: sess}
-	conn, dbg, err := e.Client.Connect(ctx, opts, fmt.Sprintf("%s:25", e.MailIP))
+	conn, dbg, err := e.Client.Connect(ctx, opts, netip.AddrPortFrom(e.MailIP, 25).String())
 	if err != nil {
 		return nil, classifyFailure(err, dbg)
 	}

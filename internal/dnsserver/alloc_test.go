@@ -13,8 +13,7 @@ import (
 func lookupRig(tb testing.TB) (*Resolver, *Authority) {
 	tb.Helper()
 	a := NewAuthority("probe.tft-example.net", simnet.NewVirtual(t0))
-	a.SetRule("d1.probe.tft-example.net", Always(webIP))
-	a.SetRule("d2.probe.tft-example.net", OnlyFrom(webIP, func(src netip.Addr) bool { return src == superDNS }))
+	a.SetFallback(testPolicy)
 	fabric := simnet.NewFabric()
 	fabric.HandleDNS(authIP, a.Handler())
 	return NewResolver(ispDNSIP, fabric, func(string) (netip.Addr, bool) { return authIP, true }), a

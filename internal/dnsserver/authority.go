@@ -21,7 +21,6 @@ package dnsserver
 
 import (
 	"hash/maphash"
-	"maps"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -73,20 +72,14 @@ type Authority struct {
 	// changes. Responses share its payload and must not write to it.
 	soa dnswire.Record
 
-	// The answer policy is settled while a world is built and then read by
-	// every query: an immutable value, replaced whole under mu.
-	mu     sync.Mutex
-	policy atomic.Pointer[policy]
+	// policy is the answer policy SetFallback installed, read by every
+	// query.
+	policy atomic.Pointer[func(name string) Rule]
 
 	// The query log is striped by name: a probe name belongs to one session,
 	// so concurrent sessions rarely meet on a stripe's lock.
 	seed maphash.Seed
 	logs [logStripes]queryLog
-}
-
-type policy struct {
-	rules    map[string]Rule
-	fallback func(name string) Rule
 }
 
 const logStripes = 16
@@ -114,46 +107,19 @@ func NewAuthority(zone string, clock simnet.Clock) *Authority {
 		},
 		seed: maphash.MakeSeed(),
 	}
-	a.policy.Store(&policy{rules: map[string]Rule{}})
 	for i := range a.logs {
 		a.logs[i].byName = make(map[string][]Query)
 	}
 	return a
 }
 
-// SetRule installs the answer rule for name (which must fall inside the
-// zone; out-of-zone names are refused at query time anyway).
-func (a *Authority) SetRule(name string, r Rule) {
-	a.setPolicy(func(p *policy) {
-		p.rules = maps.Clone(p.rules)
-		p.rules[dnswire.CanonicalName(name)] = r
-	})
-}
-
-// setPolicy publishes the policy as change leaves it. The explicit-rule map
-// holds a handful of names, so a change that writes to it copies it first.
-func (a *Authority) setPolicy(change func(*policy)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p := *a.policy.Load()
-	change(&p)
-	a.policy.Store(&p)
-}
-
-// SetFallback installs a rule generator consulted for names with no
-// explicit rule. Every world installs core.ProbeRules here, giving the
-// probe name families (d1-*, d2-*, h-*, u-*) their semantics in O(1)
-// memory instead of one map entry per probed node.
+// SetFallback installs the authority's answer policy, replacing any earlier
+// one whole: f maps a queried name, in canonical form, to its rule, and a
+// nil rule — or no policy at all — is NXDOMAIN. Every world installs
+// core.ProbeRules here, giving the probe name families (d1-*, d2-*, h-*,
+// u-*) their semantics in O(1) memory instead of one entry per probed node.
 func (a *Authority) SetFallback(f func(name string) Rule) {
-	a.setPolicy(func(p *policy) { p.fallback = f })
-}
-
-// DeleteRule removes a name's rule; subsequent queries get NXDOMAIN.
-func (a *Authority) DeleteRule(name string) {
-	a.setPolicy(func(p *policy) {
-		p.rules = maps.Clone(p.rules)
-		delete(p.rules, dnswire.CanonicalName(name))
-	})
+	a.policy.Store(&f)
 }
 
 // Handler adapts the authority to the simnet DNS handler signature.
@@ -219,10 +185,9 @@ func (a *Authority) decide(src netip.Addr, qname string, qtype dnswire.Type) (na
 	// Only the append needs an order: the clock and the policy are read
 	// before the stripe's lock, not under it.
 	logged := Query{Time: a.clock.Now(), Src: src, Name: name, Type: qtype}
-	p := a.policy.Load()
-	rule := p.rules[name]
-	if rule == nil && p.fallback != nil {
-		rule = p.fallback(name)
+	var rule Rule
+	if f := a.policy.Load(); f != nil && *f != nil {
+		rule = (*f)(name)
 	}
 	l := a.log(name)
 	l.mu.Lock()

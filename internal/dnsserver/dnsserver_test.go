@@ -21,14 +21,30 @@ var (
 	ispDNSIP  = netip.MustParseAddr("91.5.0.53")
 )
 
+// The test authority's rules, each built once: a policy that built its
+// rules per query would count against the allocation ceilings.
+var (
+	d1Rule = Always(webIP)
+	d2Rule = OnlyFrom(webIP, func(src netip.Addr) bool { return src == superDNS })
+)
+
+// testPolicy is the §4.1 pair: d1 answered for everyone, d2 for the super
+// proxy's resolver alone, every other name NXDOMAIN.
+func testPolicy(name string) Rule {
+	switch name {
+	case "d1.probe.tft-example.net.":
+		return d1Rule
+	case "d2.probe.tft-example.net.":
+		return d2Rule
+	}
+	return nil
+}
+
 func testAuthority(t *testing.T) (*Authority, *simnet.Virtual) {
 	t.Helper()
 	clock := simnet.NewVirtual(t0)
 	a := NewAuthority("probe.tft-example.net", clock)
-	a.SetRule("d1.probe.tft-example.net", Always(webIP))
-	a.SetRule("d2.probe.tft-example.net", OnlyFrom(webIP, func(src netip.Addr) bool {
-		return src == superDNS
-	}))
+	a.SetFallback(testPolicy)
 	return a, clock
 }
 
@@ -127,13 +143,38 @@ func TestMalformedQueryDropped(t *testing.T) {
 	}
 }
 
-func TestDeleteRule(t *testing.T) {
-	a, _ := testAuthority(t)
-	a.DeleteRule("d1.probe.tft-example.net")
-	resp := lookupA(t, a, nodeIP, "d1.probe.tft-example.net")
-	if resp.RCode != dnswire.RCodeNXDomain {
-		t.Fatalf("RCode after delete = %v", resp.RCode)
+// TestSetFallbackIsTheWholePolicy: with no policy, or where the policy's
+// rule for a name is nil, every in-zone name is NXDOMAIN with the zone's
+// SOA; a second SetFallback replaces the first whole, so a name only the
+// first answered is NXDOMAIN after it.
+func TestSetFallbackIsTheWholePolicy(t *testing.T) {
+	a := NewAuthority("probe.tft-example.net", simnet.NewVirtual(t0))
+	check := func(stage string, src netip.Addr, name string, want dnswire.RCode) {
+		t.Helper()
+		resp := lookupA(t, a, src, name)
+		if resp.RCode != want {
+			t.Fatalf("%s: %s from %v answered %v, want %v", stage, name, src, resp.RCode, want)
+		}
+		if want == dnswire.RCodeNXDomain && (len(resp.Authorities) != 1 || resp.Authorities[0].Type != dnswire.TypeSOA) {
+			t.Fatalf("%s: NXDOMAIN for %s carries %+v, want the SOA", stage, name, resp.Authorities)
+		}
 	}
+	const d1, d2 = "d1.probe.tft-example.net", "d2.probe.tft-example.net"
+	check("no policy", superDNS, d1, dnswire.RCodeNXDomain)
+	a.SetFallback(testPolicy)
+	check("test policy", nodeIP, d1, dnswire.RCodeSuccess)
+	check("nil rule", superDNS, "never-configured.probe.tft-example.net", dnswire.RCodeNXDomain)
+	landing := Always(landingIP)
+	a.SetFallback(func(name string) Rule {
+		if name == d2+"." {
+			return landing
+		}
+		return nil
+	})
+	check("replaced", superDNS, d1, dnswire.RCodeNXDomain)
+	check("replaced", nodeIP, d2, dnswire.RCodeSuccess)
+	a.SetFallback(nil)
+	check("nil policy", nodeIP, d2, dnswire.RCodeNXDomain)
 }
 
 // fabricWorld wires an authority and resolvers onto a fabric.
@@ -271,10 +312,20 @@ func TestResolverUnreachableAuthorityServFail(t *testing.T) {
 }
 
 func TestServeUDPEndToEnd(t *testing.T) {
+	for _, listen := range []string{"127.0.0.1:0", "[::1]:0"} {
+		t.Run(listen, func(t *testing.T) { serveUDPEndToEnd(t, listen) })
+	}
+}
+
+// serveUDPEndToEnd runs one exchange through UDPExchanger against ServeUDP
+// listening at listen — an IPv6 server is dialled as [addr]:port — and
+// checks that ServeUDP returns once its socket is closed. A host without
+// that loopback address skips, saying so.
+func serveUDPEndToEnd(t *testing.T, listen string) {
 	a, _ := testAuthority(t)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	pc, err := net.ListenPacket("udp", listen)
 	if err != nil {
-		t.Fatal(err)
+		t.Skipf("SKIPPED: cannot listen on %s on this host: %v", listen, err)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -284,7 +335,7 @@ func TestServeUDPEndToEnd(t *testing.T) {
 	q := dnswire.NewQuery(77, "d1.probe.tft-example.net", dnswire.TypeA)
 	wire, _ := q.Marshal()
 	server := pc.LocalAddr().(*net.UDPAddr).AddrPort()
-	respWire, err := (&UDPExchanger{Port: server.Port(), Timeout: 2 * time.Second}).
+	respWire, err := (&UDPExchanger{Port: server.Port()}).
 		ExchangeDNS(netip.Addr{}, server.Addr(), wire)
 	if err != nil {
 		t.Fatal(err)

@@ -38,10 +38,9 @@ func oracleResolve(a *Authority, src netip.Addr, q *dnswire.Message) *dnswire.Me
 	}
 
 	logged := Query{Time: a.clock.Now(), Src: src, Name: name, Type: question.Type}
-	p := a.policy.Load()
-	rule := p.rules[name]
-	if rule == nil && p.fallback != nil {
-		rule = p.fallback(name)
+	var rule Rule
+	if f := a.policy.Load(); f != nil && *f != nil {
+		rule = (*f)(name)
 	}
 	l := a.log(name)
 	l.mu.Lock()
@@ -73,12 +72,13 @@ func oracleResolve(a *Authority, src netip.Addr, q *dnswire.Message) *dnswire.Me
 func TestHandlerMatchesTreeOracle(t *testing.T) {
 	flat, _ := testAuthority(t)
 	tree, _ := testAuthority(t)
+	u7 := Always(landingIP)
 	for _, a := range []*Authority{flat, tree} {
 		a.SetFallback(func(name string) Rule {
 			if len(name) > 3 && name[:3] == "u-7" {
-				return Always(landingIP)
+				return u7
 			}
-			return nil
+			return testPolicy(name)
 		})
 	}
 	handle := flat.Handler()

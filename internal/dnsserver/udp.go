@@ -2,7 +2,6 @@ package dnsserver
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"net/netip"
 	"time"
@@ -44,41 +43,47 @@ func addrOf(a net.Addr) netip.Addr {
 	return netip.Addr{}
 }
 
+// udpTimeout bounds one exchange over a real socket.
+const udpTimeout = 2 * time.Second
+
 // UDPExchanger implements the Exchanger interface over real UDP sockets,
-// letting Resolver instances run against network DNS servers (cmd/authdns).
+// letting Resolver instances run against network DNS servers such as
+// cmd/authdns; NewUDPResolver builds the resolver around one.
 type UDPExchanger struct {
-	// Port is the server's UDP port (default 53; loopback demos use high
-	// ports).
+	// Port is the server's UDP port.
 	Port uint16
 	// BindSrc binds the local socket to the src address handed to
 	// ExchangeDNS. On loopback, distinct 127.x.y.z sources let the
 	// authoritative server discriminate callers — which the d2 gate
 	// requires.
 	BindSrc bool
-	// Timeout per exchange (default 3s).
-	Timeout time.Duration
+}
+
+// NewUDPResolver builds an honest resolver at addr whose queries go over
+// real UDP to server. A valid egress is bound as the source of every query,
+// so it is the address the authority logs; the zero egress leaves the
+// source to the operating system.
+func NewUDPResolver(addr netip.Addr, server netip.AddrPort, egress netip.Addr) *Resolver {
+	r := NewResolver(addr, &UDPExchanger{Port: server.Port(), BindSrc: egress.IsValid()},
+		func(string) (netip.Addr, bool) { return server.Addr(), true })
+	if egress.IsValid() {
+		r.EgressFor = func(netip.Addr) netip.Addr { return egress }
+	}
+	return r
 }
 
 // ExchangeDNS implements Exchanger.
 func (u *UDPExchanger) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error) {
-	port := u.Port
-	if port == 0 {
-		port = 53
-	}
-	timeout := u.Timeout
-	if timeout == 0 {
-		timeout = 3 * time.Second
-	}
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: udpTimeout}
 	if u.BindSrc && src.IsValid() {
 		d.LocalAddr = &net.UDPAddr{IP: src.AsSlice()}
 	}
-	conn, err := d.Dial("udp", fmt.Sprintf("%s:%d", dst, port))
+	conn, err := d.Dial("udp", netip.AddrPortFrom(dst, u.Port).String())
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	if err := conn.SetDeadline(simnet.Real{}.Now().Add(timeout)); err != nil {
+	if err := conn.SetDeadline(simnet.Real{}.Now().Add(udpTimeout)); err != nil {
 		return nil, err
 	}
 	if _, err := conn.Write(query); err != nil {

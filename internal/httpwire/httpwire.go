@@ -496,15 +496,18 @@ func RoundTrip(conn io.Writer, br *bufio.Reader, req *Request) (*Response, error
 }
 
 // SplitHostPort separates "host:port" with a default port when none is
-// present. Unlike net.SplitHostPort it never errors on a bare host.
+// present. Unlike net.SplitHostPort it never errors on a bare host. An IPv6
+// literal comes back without its brackets, with a port or without, and a
+// bare address with more than one colon is a host with no port.
 func SplitHostPort(target string, defaultPort uint16) (host string, port uint16) {
-	host = target
-	port = defaultPort
-	if i := strings.LastIndexByte(target, ':'); i >= 0 && !strings.Contains(target[i+1:], "]") {
+	host, port = target, defaultPort
+	if i := strings.LastIndexByte(target, ':'); i >= 0 && (strings.IndexByte(target[:i], ':') < 0 || strings.HasSuffix(target[:i], "]")) {
 		if p, err := strconv.Atoi(target[i+1:]); err == nil && p > 0 && p < 65536 {
-			host = target[:i]
-			port = uint16(p)
+			host, port = target[:i], uint16(p)
 		}
+	}
+	if len(host) >= 2 && host[0] == '[' && host[len(host)-1] == ']' {
+		host = host[1 : len(host)-1]
 	}
 	return host, port
 }

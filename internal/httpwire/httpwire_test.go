@@ -77,6 +77,31 @@ func TestConnectForm(t *testing.T) {
 	}
 }
 
+// TestSplitHostPort: a target splits at its last colon; an IPv6 literal
+// loses its brackets, with a port or without; a bare address with more than
+// one colon is a host with no port; a port that does not parse leaves the
+// target whole.
+func TestSplitHostPort(t *testing.T) {
+	for _, tc := range []struct {
+		target string
+		host   string
+		port   uint16
+	}{
+		{"192.0.2.10:443", "192.0.2.10", 443},
+		{"example.org", "example.org", 80},
+		{"example.org:8080", "example.org", 8080},
+		{"example.org:http", "example.org:http", 80},
+		{"[2001:db8::1]:443", "2001:db8::1", 443},
+		{"[::1]", "::1", 80},
+		{"2001:db8::1", "2001:db8::1", 80},
+		{"::1", "::1", 80},
+	} {
+		if host, port := SplitHostPort(tc.target, 80); host != tc.host || port != tc.port {
+			t.Errorf("SplitHostPort(%q, 80) = %q, %d; want %q, %d", tc.target, host, port, tc.host, tc.port)
+		}
+	}
+}
+
 func TestEmptyBodyNoContentLength(t *testing.T) {
 	req, err := parseReq(t, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")
 	if err != nil {

@@ -31,6 +31,26 @@ func PutReader(br *bufio.Reader) {
 	readerPool.Put(br)
 }
 
+// ReadRequestFrom reads one request from r through a pooled reader that
+// goes back before it returns: for a connection nothing reads through a
+// buffer afterwards, since bytes buffered past the request go with it.
+func ReadRequestFrom(r io.Reader) (*Request, error) {
+	br := GetReader(r)
+	req, err := ReadRequest(br)
+	PutReader(br)
+	return req, err
+}
+
+// Exchange writes req on rw and reads the response through a pooled reader
+// that goes back before it returns: one request/response exchange on a
+// connection nothing reads through a buffer afterwards.
+func Exchange(rw io.ReadWriter, req *Request) (*Response, error) {
+	br := GetReader(rw)
+	resp, err := RoundTrip(rw, br, req)
+	PutReader(br)
+	return resp, err
+}
+
 // writerPool recycles the bufio.Writers Request.Write and Response.Write
 // serialize through. Writers never escape those calls, so pooling is
 // invisible to callers.

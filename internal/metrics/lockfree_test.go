@@ -30,6 +30,44 @@ func TestExistingNameTakesNoLock(t *testing.T) {
 	}
 }
 
+// TestExistingNameAllocatesNothing: finding an instrument that exists is a
+// read of the published map, for all four kinds.
+func TestExistingNameAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{1}
+	lookups := func() {
+		r.Counter("c")
+		r.Gauge("g")
+		r.Histogram("h", bounds)
+		r.Labeled("l")
+	}
+	lookups()
+	if got := testing.AllocsPerRun(100, lookups); got != 0 {
+		t.Fatalf("four lookups of existing names allocate %.0f times, want 0", got)
+	}
+}
+
+// TestConcurrentCreationsAgree: goroutines racing to create one name all get
+// the instrument that was published; the others' are dropped.
+func TestConcurrentCreationsAgree(t *testing.T) {
+	r := NewRegistry()
+	got := make([]*Histogram, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = r.Histogram("h", []float64{1})
+		}()
+	}
+	wg.Wait()
+	for _, h := range got {
+		if h != got[0] {
+			t.Fatal("racing creators of one name got different histograms")
+		}
+	}
+}
+
 //go:noinline
 func shardAtThisDepth() int {
 	var probe byte

@@ -277,17 +277,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	if c := r.counters.all()[name]; c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters.all()[name]
-	if c == nil {
-		c = new(Counter)
-		r.counters.add(name, c)
-	}
-	return c
+	return get(&r.mu, &r.counters, name, func() *Counter { return new(Counter) })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -297,17 +287,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	if g := r.gauges.all()[name]; g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges.all()[name]
-	if g == nil {
-		g = new(Gauge)
-		r.gauges.add(name, g)
-	}
-	return g
+	return get(&r.mu, &r.gauges, name, func() *Gauge { return new(Gauge) })
 }
 
 // Histogram returns the named histogram, creating it with bounds on first
@@ -318,17 +298,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	if h := r.histograms.all()[name]; h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.histograms.all()[name]
-	if h == nil {
-		h = newHistogram(bounds)
-		r.histograms.add(name, h)
-	}
-	return h
+	return get(&r.mu, &r.histograms, name, func() *Histogram { return newHistogram(bounds) })
 }
 
 // Labeled returns the named labeled counter, creating it on first use.
@@ -338,15 +308,27 @@ func (r *Registry) Labeled(name string) *LabeledCounter {
 	if r == nil {
 		return nil
 	}
-	if lc := r.labeled.all()[name]; lc != nil {
-		return lc
+	return get(&r.mu, &r.labeled, name, newLabeledCounter)
+}
+
+// get is every lookup's get-or-create: the instrument b holds under name,
+// or, on first use, the one create makes, published under mu. A hit reads
+// the published map without a lock and allocates nothing. A miss runs
+// create before taking mu (a call through a func value under a lock is
+// opaque to the lock-order check) and, if another creator published the
+// name first, drops its own for that one.
+//
+//tftlint:hotpath
+func get[T any](mu *sync.Mutex, b *byName[T], name string, create func() *T) *T {
+	if v := b.all()[name]; v != nil {
+		return v
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lc := r.labeled.all()[name]
-	if lc == nil {
-		lc = newLabeledCounter()
-		r.labeled.add(name, lc)
+	v := create()
+	mu.Lock()
+	defer mu.Unlock()
+	if first := b.all()[name]; first != nil {
+		return first
 	}
-	return lc
+	b.add(name, v)
+	return v
 }

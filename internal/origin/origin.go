@@ -179,9 +179,7 @@ func (s *Server) ConnHandler() simnet.ConnHandler {
 	return func(conn net.Conn) {
 		defer conn.Close()
 		src, _ := simnet.RemoteIP(conn)
-		br := httpwire.GetReader(conn)
-		req, err := httpwire.ReadRequest(br)
-		httpwire.PutReader(br)
+		req, err := httpwire.ReadRequestFrom(conn)
 		if err != nil {
 			return
 		}
@@ -194,10 +192,7 @@ func (s *Server) ConnHandler() simnet.ConnHandler {
 func StaticPage(body []byte, contentType string) simnet.ConnHandler {
 	return func(conn net.Conn) {
 		defer conn.Close()
-		br := httpwire.GetReader(conn)
-		_, err := httpwire.ReadRequest(br)
-		httpwire.PutReader(br)
-		if err != nil {
+		if _, err := httpwire.ReadRequestFrom(conn); err != nil {
 			return
 		}
 		resp := httpwire.NewResponse(200, body)

@@ -60,9 +60,7 @@ func (w *World) refetchFunc(userAgent string) func(src netip.Addr, host, path st
 			if skew < 0 {
 				req.Header.Set(origin.SkewHeader, skew.String())
 			}
-			br := httpwire.GetReader(conn)
-			httpwire.RoundTrip(conn, br, req)
-			httpwire.PutReader(br)
+			httpwire.Exchange(conn, req)
 		}
 		if delay < 0 {
 			do(delay)

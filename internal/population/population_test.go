@@ -25,6 +25,15 @@ func dnsWorld(t testing.TB) *World {
 
 func sc(n int, s float64) int { return int(float64(n) * s) }
 
+// nodes materializes every row of w's population, as a pick does.
+func nodes(w *World) []*proxynet.ExitNode {
+	out := make([]*proxynet.ExitNode, w.Spec.Len())
+	for i := range out {
+		out[i] = w.Spec.Materialize(i, w.Fabric)
+	}
+	return out
+}
+
 func approx(t *testing.T, label string, got, want int, tol float64) {
 	t.Helper()
 	lo := int(float64(want) * (1 - tol))
@@ -76,7 +85,7 @@ func TestDNSWorldDeterministic(t *testing.T) {
 	if w1.Pool.Len() != w2.Pool.Len() {
 		t.Fatalf("pool sizes differ: %d vs %d", w1.Pool.Len(), w2.Pool.Len())
 	}
-	n1, n2 := w1.Pool.Nodes(), w2.Pool.Nodes()
+	n1, n2 := nodes(w1), nodes(w2)
 	for i := range n1 {
 		if n1[i].ZID != n2[i].ZID || n1[i].Addr != n2[i].Addr || n1[i].Country != n2[i].Country {
 			t.Fatalf("node %d differs: %v vs %v", i, n1[i], n2[i])
@@ -93,9 +102,9 @@ func TestDNSWorldGroundTruthBehaviour(t *testing.T) {
 	// Ground truth must match behaviour: a node marked hijacked must
 	// actually receive a rewritten NXDOMAIN, and a clean node must not.
 	w := dnsWorld(t)
-	w.Auth.SetRule("gone."+Zone, nil) // ensure NXDOMAIN (no rule)
+	// No answer policy is installed: "gone" is NXDOMAIN at the authority.
 	checked := map[string]int{}
-	for _, n := range w.Pool.Nodes() {
+	for _, n := range nodes(w) {
 		tr := w.TruthFor(n.ZID)
 		kind := "clean"
 		if tr.DNSHijacker != "" {
@@ -144,7 +153,7 @@ func TestDNSWorldGoogleUsersExist(t *testing.T) {
 
 func TestDNSWorldNodeAddressesResolveToTruthAS(t *testing.T) {
 	w := dnsWorld(t)
-	for i, n := range w.Pool.Nodes() {
+	for i, n := range nodes(w) {
 		if i%97 != 0 {
 			continue
 		}
@@ -240,7 +249,7 @@ func TestMonitorWorld(t *testing.T) {
 	}
 	// TalkTalk coverage fraction: monitored / ISP total ≈ 45.2%.
 	ttTotal, ttMon := 0, 0
-	for _, n := range w.Pool.Nodes() {
+	for _, n := range nodes(w) {
 		org, ok := w.Geo.Org(n.ASN)
 		if ok && org.ID == "talktalk-gb" {
 			ttTotal++
@@ -265,7 +274,7 @@ func TestMonitorWorldRefetchArrives(t *testing.T) {
 	}
 	// Find a TrendMicro node and fetch through it directly.
 	var node *proxynet.ExitNode
-	for _, n := range w.Pool.Nodes() {
+	for _, n := range nodes(w) {
 		if w.TruthFor(n.ZID).MonitorProduct == "Trend Micro" {
 			node = n
 			break

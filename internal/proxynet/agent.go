@@ -139,9 +139,7 @@ func (p *remotePeer) rpc(req *httpwire.Request) (*httpwire.Response, error) {
 		return nil, err
 	}
 	conn.SetDeadline(simnet.Real{}.Now().Add(agentRPCTimeout))
-	br := httpwire.GetReader(conn)
-	resp, err := httpwire.RoundTrip(conn, br, req)
-	httpwire.PutReader(br)
+	resp, err := httpwire.Exchange(conn, req)
 	if err != nil {
 		p.drop(conn)
 		return nil, err
@@ -203,17 +201,10 @@ func (p *remotePeer) tunnel(ctx context.Context, client net.Conn, ip netip.Addr,
 	if err != nil {
 		return err
 	}
-	// host:port built by appends; Sprintf here showed up in the tunnel
-	// allocation profile.
-	hp := ip.AppendTo(make([]byte, 0, 48))
-	hp = append(hp, ':')
-	hp = strconv.AppendUint(hp, uint64(port), 10)
-	req := httpwire.NewRequest("CONNECT", string(hp))
+	req := httpwire.NewRequest("CONNECT", netip.AddrPortFrom(ip, port).String())
 	stampTrace(ctx, req)
 	// The reader goes back at once: the relay reads conn itself.
-	br := httpwire.GetReader(conn)
-	resp, err := httpwire.RoundTrip(conn, br, req)
-	httpwire.PutReader(br)
+	resp, err := httpwire.Exchange(conn, req)
 	if err != nil || resp.StatusCode != 200 {
 		p.drop(conn)
 		if err == nil {
@@ -253,9 +244,7 @@ func (g *Gateway) Serve(l net.Listener) error {
 // handle performs one agent connection's registration handshake.
 func (g *Gateway) handle(conn net.Conn) {
 	conn.SetDeadline(simnet.Real{}.Now().Add(agentRegisterTimeout))
-	br := httpwire.GetReader(conn)
-	req, err := httpwire.ReadRequest(br)
-	httpwire.PutReader(br)
+	req, err := httpwire.ReadRequestFrom(conn)
 	if err != nil || req.Method != methodRegister || req.Target == "" {
 		conn.Close()
 		return

@@ -24,7 +24,7 @@ func TestSessionRepinsAfterPinnedNodeChurnsOffline(t *testing.T) {
 	}
 	first := dbg.ZID
 
-	for _, n := range w.pool.Nodes() {
+	for _, n := range w.nodes {
 		if n.ZID == first {
 			n.SetOnline(false)
 		}
@@ -72,7 +72,7 @@ func TestSessionsSurviveChurnViaRetry(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		w.clock.Advance(5 * time.Second)
 		// Each node's availability flips with probability 0.6 a round.
-		for _, n := range w.pool.Nodes() {
+		for _, n := range w.nodes {
 			if rng.Float64() < 0.6 {
 				n.SetOnline(!n.Online())
 			}

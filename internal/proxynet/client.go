@@ -105,9 +105,7 @@ func (c *Client) Get(ctx context.Context, o Options, url string) (*httpwire.Resp
 	req.Header.Set("Proxy-Authorization", c.proxyAuth(o))
 	stampTrace(ctx, req)
 	req.Header.Set("Host", host)
-	br := httpwire.GetReader(conn)
-	resp, err := httpwire.RoundTrip(conn, br, req)
-	httpwire.PutReader(br)
+	resp, err := httpwire.Exchange(conn, req)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -97,7 +97,7 @@ func TestPoolPropertyPickRespectsExclusionAndCountry(t *testing.T) {
 	w := newTestWorld(t, 0)
 	f := func(excludeMask uint8) bool {
 		exclude := map[string]bool{}
-		for i, n := range w.pool.Nodes() {
+		for i, n := range w.nodes {
 			if excludeMask&(1<<uint(i%8)) != 0 {
 				exclude[n.ZID] = true
 			}
@@ -145,7 +145,7 @@ func TestMalformedProxyRequests(t *testing.T) {
 func TestAllNodesOfflineNoPeers(t *testing.T) {
 	w := newTestWorld(t, 0)
 	w.setRule("d1", dnsserver.Always(webIP))
-	for _, n := range w.pool.Nodes() {
+	for _, n := range w.nodes {
 		n.SetOnline(false)
 	}
 	resp, dbg, err := w.client.Get(t.Context(), Options{}, "http://d1."+zone+"/")

@@ -148,10 +148,7 @@ func (n *ExitNode) fetch(ctx context.Context, src netip.Addr, host string, port 
 	}
 	req := httpwire.NewRequest("GET", path)
 	req.Header.Set("Host", host)
-	br := httpwire.GetReader(conn)
-	resp, err := httpwire.RoundTrip(conn, br, req)
-	httpwire.PutReader(br)
-	return resp, err
+	return httpwire.Exchange(conn, req)
 }
 
 // observedFetch is fetch with the path's monitors watching. Apart from

@@ -121,14 +121,6 @@ func (p *Pool) CountryCounts() map[geo.CountryCode]int {
 	return countryCounts(p.byCountry)
 }
 
-// Peers returns the underlying peer slice (not a copy; treat as
-// read-only).
-func (p *Pool) Peers() []Peer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peers
-}
-
 // SetPrepare implements NodeSource: the hook runs immediately on every
 // registered in-process node and on each node added afterwards.
 func (p *Pool) SetPrepare(prepare func(*ExitNode)) {
@@ -143,18 +135,4 @@ func (p *Pool) SetPrepare(prepare func(*ExitNode)) {
 			prepare(n)
 		}
 	}
-}
-
-// Nodes returns the in-process exit nodes in the pool. The simulated worlds
-// only ever contain these; remote peers are skipped.
-func (p *Pool) Nodes() []*ExitNode {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*ExitNode, 0, len(p.peers))
-	for _, peer := range p.peers {
-		if n, ok := peer.(*ExitNode); ok {
-			out = append(out, n)
-		}
-	}
-	return out
 }

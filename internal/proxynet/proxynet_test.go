@@ -14,6 +14,7 @@ import (
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
+	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/middlebox"
@@ -45,6 +46,7 @@ type testWorld struct {
 	pool   *Pool
 	sp     *SuperProxy
 	client *Client
+	nodes  []*ExitNode // the exit nodes newTestWorld put in pool, in order
 
 	// requestRig's hostnames, and which proxiedGet takes next.
 	urls    []string
@@ -95,6 +97,7 @@ func newTestWorld(t testing.TB, churn float64) *testWorld {
 		if err := w.pool.Add(node); err != nil {
 			t.Fatal(err)
 		}
+		w.nodes = append(w.nodes, node)
 	}
 	w.sp = NewSuperProxy(proxyIP, w.pool, spResolver, w.clock)
 	w.fabric.HandleTCP(proxyIP, ProxyPort, w.sp.ConnHandler())
@@ -102,8 +105,22 @@ func newTestWorld(t testing.TB, churn float64) *testWorld {
 	return w
 }
 
+// setRule makes the authority answer name (a label under zone) with r, and
+// every other name NXDOMAIN.
 func (w *testWorld) setRule(name string, r dnsserver.Rule) {
-	w.auth.SetRule(name+"."+zone, r)
+	w.auth.SetFallback(answering(name+"."+zone, r))
+}
+
+// answering is an authority policy that answers name with r and every other
+// name NXDOMAIN; r is built once, by the caller, not per query.
+func answering(name string, r dnsserver.Rule) func(string) dnsserver.Rule {
+	name = dnswire.CanonicalName(name)
+	return func(q string) dnsserver.Rule {
+		if q == name {
+			return r
+		}
+		return nil
+	}
 }
 
 func TestUsernameRoundTrip(t *testing.T) {
@@ -219,7 +236,7 @@ func TestHijackedNodeReturnsLandingContent(t *testing.T) {
 		return src == geo.SuperProxyResolverEgress
 	}))
 	// Hijack every node's resolver.
-	for _, n := range w.pool.Nodes() {
+	for _, n := range w.nodes {
 		n.Resolver = &dnsserver.Resolver{
 			Addr: ispDNSIP, Net: w.fabric,
 			Upstream: func(string) (netip.Addr, bool) { return authIP, true },
@@ -403,7 +420,7 @@ func TestConnectTunnelMITM(t *testing.T) {
 	spec := middlebox.ProductSpec{Product: "Avast", IssuerCN: "Avast Web/Mail Shield Root",
 		Kind: "Anti-Virus/Security", Invalid: middlebox.InvalidDistinctIssuer}
 	pcs := spec.Build(t0, store)
-	for _, n := range w.pool.Nodes() {
+	for _, n := range w.nodes {
 		n.Path = &middlebox.Path{TLS: []middlebox.TLSInterceptor{
 			pcs.Instance(n.ZID, func() time.Time { return t0 }),
 		}}
@@ -461,7 +478,7 @@ func TestBadAuthRejected(t *testing.T) {
 func TestHTTPInterceptorModifiesProxiedContent(t *testing.T) {
 	w := newTestWorld(t, 0)
 	w.setRule("d1", dnsserver.Always(webIP))
-	for _, n := range w.pool.Nodes() {
+	for _, n := range w.nodes {
 		n.Path = &middlebox.Path{HTTP: []middlebox.HTTPInterceptor{
 			middlebox.HTMLInjector{Product: "adware", Signature: "msmdzbsyrw.org", SignatureIsURL: true},
 		}}

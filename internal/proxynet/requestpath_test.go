@@ -61,7 +61,7 @@ func requestRig(tb testing.TB) (*testWorld, context.Context) {
 	w.auth.SetFallback(func(string) dnsserver.Rule { return d1 })
 	tr := trace.New(w.clock.Now, 64)
 	w.sp.Tracer = tr
-	for _, n := range w.pool.Nodes() {
+	for _, n := range w.nodes {
 		n.Tracer = tr
 	}
 	w.urls = make([]string, 256)
@@ -145,7 +145,7 @@ func BenchmarkProxiedCONNECT(b *testing.B) {
 	w, _ := tunnelWorld(b)
 	tr := trace.New(w.clock.Now, 0)
 	w.sp.Tracer = tr
-	for _, n := range w.pool.Nodes() {
+	for _, n := range w.nodes {
 		n.Tracer = tr
 	}
 	root := tr.StartRoot("probe.bench", trace.KindClient)

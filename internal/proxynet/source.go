@@ -27,9 +27,6 @@ type NodeSource interface {
 	Len() int
 	// CountryCounts reports the advertised node count per country.
 	CountryCounts() map[geo.CountryCode]int
-	// Nodes materializes every in-process exit node — a test and
-	// instrumentation helper; O(population) on a LazyPool.
-	Nodes() []*ExitNode
 	// SetPrepare installs a hook applied to every exit node before it is
 	// handed out (and, for eager pools, to already-registered nodes).
 	// Instrumentation uses it to stamp tracers without the source having to
@@ -198,17 +195,6 @@ func countryCounts[E any](byCountry map[geo.CountryCode][]E) map[geo.CountryCode
 	out := make(map[geo.CountryCode]int, len(byCountry))
 	for cc, nodes := range byCountry {
 		out[cc] = len(nodes)
-	}
-	return out
-}
-
-// Nodes implements NodeSource by materializing the full population.
-func (p *LazyPool) Nodes() []*ExitNode {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*ExitNode, p.n)
-	for i := range out {
-		out[i] = p.node(i)
 	}
 	return out
 }

@@ -244,11 +244,9 @@ func (sp *SuperProxy) ConnHandler() simnet.ConnHandler {
 // connection detached into a still-live CONNECT tunnel: true means the
 // tunnel now owns (and will close) conn; false means the caller closes it.
 func (sp *SuperProxy) ServeConn(conn net.Conn) bool {
-	// The reader returns to the pool right away: both request paths read
-	// from conn directly after the head-of-line request is parsed.
-	br := httpwire.GetReader(conn)
-	req, err := httpwire.ReadRequest(br)
-	httpwire.PutReader(br)
+	// Both request paths read from conn directly once the head-of-line
+	// request is parsed.
+	req, err := httpwire.ReadRequestFrom(conn)
 	if err != nil {
 		return false
 	}

@@ -3,7 +3,6 @@ package proxynet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"net/netip"
 	"time"
@@ -28,13 +27,13 @@ type TCPDialer struct {
 
 // Dial implements Dialer. The src address is ignored: real networks do not
 // let applications spoof sources, and the one gate that tells callers apart
-// (d2) keys on the DNS source, which dnsserver.UDPExchanger binds.
+// (d2) keys on the DNS source, which dnsserver.NewUDPResolver binds.
 func (d *TCPDialer) Dial(ctx context.Context, _, dst netip.Addr, port uint16) (net.Conn, error) {
 	var target string
 	if d.MapAddr != nil {
 		target = d.MapAddr(dst, port)
 	} else {
-		target = fmt.Sprintf("%s:%d", dst, port)
+		target = netip.AddrPortFrom(dst, port).String()
 	}
 	nd := net.Dialer{Timeout: d.Timeout}
 	if nd.Timeout == 0 {

@@ -88,12 +88,7 @@ func newTCPRig(t *testing.T, siteChain []*cert.Certificate) *tcpRig {
 
 	// Super proxy: client listener + agent gateway.
 	dnsAP, _ := netip.ParseAddrPort(r.dnsAddr)
-	upstream := func(string) (netip.Addr, bool) { return dnsAP.Addr(), true }
-	exch := &dnsserver.UDPExchanger{Port: dnsAP.Port(), Timeout: 2 * time.Second}
-	spResolver := &dnsserver.Resolver{
-		Addr: geo.GoogleDNSAddr, Net: exch, Upstream: upstream,
-		EgressFor: func(netip.Addr) netip.Addr { return geo.SuperProxyResolverEgress },
-	}
+	spResolver := dnsserver.NewUDPResolver(geo.GoogleDNSAddr, dnsAP, netip.Addr{})
 	r.pool = NewPool(simnet.NewRand(21), 0)
 	r.sp = NewSuperProxy(localIP(), r.pool, spResolver, r.clock)
 	r.sp.HTTPPort = r.webPort
@@ -121,13 +116,8 @@ func newTCPRig(t *testing.T, siteChain []*cert.Certificate) *tcpRig {
 func (r *tcpRig) startAgent(zid string, cc geo.CountryCode, hijack dnsserver.NXRewriter, path *middlebox.Path) {
 	r.t.Helper()
 	dnsAP, _ := netip.ParseAddrPort(r.dnsAddr)
-	upstream := func(string) (netip.Addr, bool) { return dnsAP.Addr(), true }
-	resolver := &dnsserver.Resolver{
-		Addr:     netip.MustParseAddr("127.0.0.1"),
-		Net:      &dnsserver.UDPExchanger{Port: dnsAP.Port(), Timeout: 2 * time.Second},
-		Upstream: upstream,
-		Hijack:   hijack,
-	}
+	resolver := dnsserver.NewUDPResolver(localIP(), dnsAP, netip.Addr{})
+	resolver.Hijack = hijack
 	node := &ExitNode{
 		ZID: zid, Addr: localIP(), Country: cc,
 		Resolver: resolver, Path: path,
@@ -139,25 +129,23 @@ func (r *tcpRig) startAgent(zid string, cc geo.CountryCode, hijack dnsserver.NXR
 	go agent.Run(ctx)
 }
 
-// waitPeers blocks until n peers registered.
-func (r *tcpRig) waitPeers(n int) {
+// waitPeers blocks until every zID named is registered and online.
+func (r *tcpRig) waitPeers(zids ...string) {
 	r.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if r.pool.Len() >= n {
-			online := 0
-			for _, p := range r.pool.Peers() {
-				if p.Online() {
-					online++
-				}
+		online := 0
+		for _, zid := range zids {
+			if p, ok := r.pool.Get(zid); ok && p.Online() {
+				online++
 			}
-			if online >= n {
-				return
-			}
+		}
+		if online == len(zids) {
+			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	r.t.Fatalf("only %d peers registered", r.pool.Len())
+	r.t.Fatalf("peers %v not all online after 5 s (%d registered)", zids, r.pool.Len())
 }
 
 func (r *tcpRig) client() *Client {
@@ -169,11 +157,41 @@ func (r *tcpRig) client() *Client {
 	}
 }
 
+// TestTCPDialerReachesIPv6: TCPDialer dials an IPv6 destination as
+// [addr]:port. A host without IPv6 loopback skips, saying so.
+func TestTCPDialerReachesIPv6(t *testing.T) {
+	l, err := net.Listen("tcp", "[::1]:0")
+	if err != nil {
+		t.Skipf("SKIPPED: cannot listen on [::1] on this host: %v", err)
+	}
+	defer l.Close()
+	accepted := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err == nil {
+			conn.Close()
+		}
+		accepted <- err
+	}()
+	ap, err := netip.ParseAddrPort(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := (&TCPDialer{}).Dial(context.Background(), netip.Addr{}, ap.Addr(), ap.Port())
+	if err != nil {
+		t.Fatalf("dialing %v: %v", ap, err)
+	}
+	conn.Close()
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTCPProxiedGetThroughAgent(t *testing.T) {
 	r := newTCPRig(t, nil)
-	r.auth.SetRule("d1."+zone, dnsserver.Always(r.webIPReal))
+	r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
 	r.startAgent("zremote01", "DE", nil, nil)
-	r.waitPeers(1)
+	r.waitPeers("zremote01")
 
 	resp, dbg, err := r.client().Get(context.Background(), Options{},
 		fmt.Sprintf("http://d1.%s:%d/object.css", zone, r.webPort))
@@ -201,9 +219,9 @@ func TestTCPRemoteDNSHonestNXDomain(t *testing.T) {
 	// (rule absent => both see NXDOMAIN is wrong because the super proxy
 	// gate would refuse). So: rule answers everyone for d1 and the node's
 	// *resolver* hijack behaviour is what we vary below.
-	r.auth.SetRule("d1."+zone, dnsserver.Always(r.webIPReal))
+	r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
 	r.startAgent("zremote02", "DE", nil, nil)
-	r.waitPeers(1)
+	r.waitPeers("zremote02")
 
 	// Remote DNS resolution happens on the agent and succeeds.
 	resp, dbg, err := r.client().Get(context.Background(), Options{RemoteDNS: true},
@@ -224,7 +242,7 @@ func TestTCPHijackingAgentResolver(t *testing.T) {
 	// the experiment the other way: rule answers only "super" — here we
 	// emulate the gate by answering every query (the hijack path is what
 	// is under test).
-	r.auth.SetRule("dgate."+zone, dnsserver.Always(r.webIPReal))
+	r.auth.SetFallback(answering("dgate."+zone, dnsserver.Always(r.webIPReal)))
 
 	// Landing page host on TCP.
 	landing := middlebox.LandingSpec{Operator: "LoopISP",
@@ -237,12 +255,8 @@ func TestTCPHijackingAgentResolver(t *testing.T) {
 	// node's dialer maps the landing IP to the landing port.
 	hijack := dnsserver.StaticNX{Name: "loopisp", Landing: netip.MustParseAddr("127.0.0.1")}
 	dnsAP, _ := netip.ParseAddrPort(r.dnsAddr)
-	resolver := &dnsserver.Resolver{
-		Addr:     localIP(),
-		Net:      &dnsserver.UDPExchanger{Port: dnsAP.Port(), Timeout: 2 * time.Second},
-		Upstream: func(string) (netip.Addr, bool) { return dnsAP.Addr(), true },
-		Hijack:   hijack,
-	}
+	resolver := dnsserver.NewUDPResolver(localIP(), dnsAP, netip.Addr{})
+	resolver.Hijack = hijack
 	node := &ExitNode{
 		ZID: "zhijack1", Addr: localIP(), Country: "MY",
 		Resolver: resolver,
@@ -259,7 +273,7 @@ func TestTCPHijackingAgentResolver(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go (&Agent{Node: node, Gateway: r.agentAddr, Conns: 2}).Run(ctx)
-	r.waitPeers(1)
+	r.waitPeers("zhijack1")
 
 	// The super proxy resolves d9 => NXDOMAIN would block the request, so
 	// clients request dgate (resolvable) with remote DNS; the agent's
@@ -305,7 +319,7 @@ func TestTCPConnectTunnelWithMITM(t *testing.T) {
 		pcs.Instance("zmitm", func() time.Time { return t0 }),
 	}}
 	r.startAgent("zmitm0001", "RU", nil, path)
-	r.waitPeers(1)
+	r.waitPeers("zmitm0001")
 
 	conn, dbg, err := r.client().Connect(context.Background(), Options{},
 		fmt.Sprintf("127.0.0.1:%d", r.tlsPort))
@@ -330,9 +344,9 @@ func TestTCPAgentSurvivesTunnelConsumption(t *testing.T) {
 	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},
 		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "s2"})
 	r := newTCPRig(t, []*cert.Certificate{leaf, root.Cert})
-	r.auth.SetRule("d1."+zone, dnsserver.Always(r.webIPReal))
+	r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
 	r.startAgent("zsurvive1", "DE", nil, nil)
-	r.waitPeers(1)
+	r.waitPeers("zsurvive1")
 	client := r.client()
 
 	// Tunnel (consumes an agent conn), then a GET must still work because

@@ -14,7 +14,7 @@ import (
 func instrumentWorld(w *testWorld) *trace.Tracer {
 	tr := trace.New(w.clock.Now, 0)
 	w.sp.Tracer = tr
-	for _, n := range w.pool.Nodes() {
+	for _, n := range w.nodes {
 		n.Tracer = tr
 	}
 	return tr

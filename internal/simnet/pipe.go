@@ -551,86 +551,56 @@ func (r *ring) read(gen uint64, p []byte, block bool) (int, error) {
 	return total, nil
 }
 
-// write copies p into the ring, blocking while the window is full. It
-// returns the byte count written before any error.
-func (r *ring) write(gen uint64, p []byte) (int, error) {
-	if len(p) == 0 {
-		r.mu.Lock()
-		closed := r.gen != gen || r.wclosed || r.rclosed
-		r.mu.Unlock()
-		if closed {
-			return 0, io.ErrClosedPipe
-		}
-		return 0, nil
-	}
+// write copies p into the Stream's out-direction ring and returns the count
+// written before any error. Write (block set) and TryWrite part only at a
+// full window: Write grows an inline handler's side (see growBuf) or parks,
+// TryWrite returns the short count with ErrWouldBlock and grows nothing.
+// Every other outcome is the same for both, an empty p included: it meets
+// the close, reset or deadline a longer write would, or returns (0, nil).
+func (r *ring) write(gen uint64, p []byte, block bool) (int, error) {
 	total := 0
+	r.mu.Lock()
 	for {
-		r.mu.Lock()
-		for {
-			if r.gen != gen || r.wclosed || r.rclosed {
+		if r.gen != gen || r.wclosed || r.rclosed {
+			r.mu.Unlock()
+			return total, io.ErrClosedPipe
+		}
+		if r.fault != nil && r.fault.failErr != nil {
+			err := r.fault.failErr
+			r.mu.Unlock()
+			return total, err
+		}
+		if r.wdead.timed {
+			r.mu.Unlock()
+			return total, os.ErrDeadlineExceeded
+		}
+		if len(p) == 0 {
+			r.mu.Unlock()
+			return 0, nil
+		}
+		if r.n >= r.window {
+			switch {
+			case !block:
 				r.mu.Unlock()
-				return total, io.ErrClosedPipe
-			}
-			if r.fault != nil && r.fault.failErr != nil {
-				err := r.fault.failErr
+				return total, ErrWouldBlock
+			case !r.grow:
+				r.pumpOrWait()
+				continue
+			case !r.growBuf(len(p) - total):
 				r.mu.Unlock()
-				return total, err
+				return total, errWindowOverflow
 			}
-			if r.wdead.timed {
-				r.mu.Unlock()
-				return total, os.ErrDeadlineExceeded
-			}
-			if r.n < r.window {
-				break
-			}
-			if r.grow {
-				if !r.growBuf(len(p) - total) {
-					r.mu.Unlock()
-					return total, errWindowOverflow
-				}
-				break
-			}
-			r.pumpOrWait()
 		}
 		total += r.copyIn(p[total:])
 		r.changed()
 		if total == len(p) {
 			return total, nil
 		}
+		if !block {
+			return total, ErrWouldBlock
+		}
+		r.mu.Lock()
 	}
-}
-
-// tryWrite is the non-blocking write: it appends what fits and reports
-// ErrWouldBlock alongside a short count when the window is full.
-func (r *ring) tryWrite(gen uint64, p []byte) (int, error) {
-	r.mu.Lock()
-	if r.gen != gen || r.wclosed || r.rclosed {
-		r.mu.Unlock()
-		return 0, io.ErrClosedPipe
-	}
-	if r.fault != nil && r.fault.failErr != nil {
-		err := r.fault.failErr
-		r.mu.Unlock()
-		return 0, err
-	}
-	if r.wdead.timed {
-		r.mu.Unlock()
-		return 0, os.ErrDeadlineExceeded
-	}
-	if len(p) == 0 {
-		r.mu.Unlock()
-		return 0, nil
-	}
-	if r.n == r.window {
-		r.mu.Unlock()
-		return 0, ErrWouldBlock
-	}
-	total := r.copyIn(p)
-	r.changed()
-	if total < len(p) {
-		return total, ErrWouldBlock
-	}
-	return total, nil
 }
 
 // closeWrite marks the direction's write side closed: the reader drains
@@ -730,7 +700,7 @@ func (s *Stream) out() *ring { return &s.c.pair.r[s.side] }
 func (s *Stream) Read(p []byte) (int, error) { return s.in().read(s.c.gen, p, true) }
 
 // Write implements net.Conn.
-func (s *Stream) Write(p []byte) (int, error) { return s.out().write(s.c.gen, p) }
+func (s *Stream) Write(p []byte) (int, error) { return s.out().write(s.c.gen, p, true) }
 
 // TryRead is the non-blocking Read: it returns whatever is buffered, or
 // (0, ErrWouldBlock) when nothing is and the peer still writes. io.EOF and
@@ -740,7 +710,7 @@ func (s *Stream) TryRead(p []byte) (int, error) { return s.in().read(s.c.gen, p,
 // TryWrite is the non-blocking Write: it buffers what fits in the window
 // and returns the count written, with ErrWouldBlock when p did not fit
 // entirely.
-func (s *Stream) TryWrite(p []byte) (int, error) { return s.out().tryWrite(s.c.gen, p) }
+func (s *Stream) TryWrite(p []byte) (int, error) { return s.out().write(s.c.gen, p, false) }
 
 // SetNotify arms fn as the stream's readiness callback: it fires, without
 // any lock held, after every state transition on either direction — data

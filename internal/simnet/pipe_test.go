@@ -74,6 +74,79 @@ func TestPipeWriteBlocksBeyondWindow(t *testing.T) {
 	}
 }
 
+// TestWriteAndTryWriteAgree: Write and TryWrite are one write path. On a
+// ring closed at either end, reset, or past its write deadline, and with an
+// empty p or one that fits, they return the same count and error. They part
+// only at a full window: TryWrite returns the short count with
+// ErrWouldBlock, where Write parks (TestPipeWriteBlocksBeyondWindow) or, on
+// an inline handler's side, grows the ring; TryWrite grows nothing.
+func TestWriteAndTryWriteAgree(t *testing.T) {
+	const window = 8
+	past := time.Now().Add(-time.Hour)
+	closeWriter := func(wr, _ *Stream) { wr.Close() }
+	closeReader := func(_, rd *Stream) { rd.Close() }
+	reset := func(wr, _ *Stream) { wr.InjectReset() }
+	expire := func(wr, _ *Stream) { wr.SetWriteDeadline(past) }
+	for _, tc := range []struct {
+		state string
+		prep  func(wr, rd *Stream)
+		p, n  int
+		err   error
+	}{
+		{"open", nil, 0, 0, nil},
+		{"open", nil, 5, 5, nil},
+		{"closed", closeWriter, 0, 0, io.ErrClosedPipe},
+		{"closed", closeWriter, 5, 0, io.ErrClosedPipe},
+		{"peer-closed", closeReader, 0, 0, io.ErrClosedPipe},
+		{"peer-closed", closeReader, 5, 0, io.ErrClosedPipe},
+		{"reset", reset, 0, 0, ErrInjectedReset},
+		{"reset", reset, 5, 0, ErrInjectedReset},
+		{"expired", expire, 0, 0, os.ErrDeadlineExceeded},
+		{"expired", expire, 5, 0, os.ErrDeadlineExceeded},
+	} {
+		for _, op := range []struct {
+			name  string
+			write func(*Stream, []byte) (int, error)
+		}{{"Write", (*Stream).Write}, {"TryWrite", (*Stream).TryWrite}} {
+			wr, rd := Pipe(window)
+			if tc.prep != nil {
+				tc.prep(wr, rd)
+			}
+			if n, err := op.write(wr, make([]byte, tc.p)); n != tc.n || !errors.Is(err, tc.err) {
+				t.Errorf("%s of %d bytes on a %s ring = (%d, %v), want (%d, %v)", op.name, tc.p, tc.state, n, err, tc.n, tc.err)
+			}
+			wr.Close()
+			rd.Close()
+		}
+	}
+
+	wr, rd := Pipe(window)
+	defer rd.Close()
+	defer wr.Close()
+	for _, want := range []struct {
+		n   int
+		err error
+	}{{5, nil}, {3, ErrWouldBlock}, {0, ErrWouldBlock}} {
+		if n, err := wr.TryWrite(make([]byte, 5)); n != want.n || !errors.Is(err, want.err) {
+			t.Fatalf("TryWrite of 5 bytes into an %d-byte window = (%d, %v), want (%d, %v)", window, n, err, want.n, want.err)
+		}
+	}
+
+	c := newConn(window, Real{}, nil, true)
+	grower := &c.s[1]
+	defer c.s[0].Close()
+	defer grower.Close()
+	if n, err := grower.Write(make([]byte, window)); n != window || err != nil {
+		t.Fatalf("filling the growing side = (%d, %v)", n, err)
+	}
+	if n, err := grower.TryWrite(make([]byte, 5)); n != 0 || !errors.Is(err, ErrWouldBlock) || grower.out().window != window {
+		t.Fatalf("TryWrite on a full growing side = (%d, %v), window %d; want (0, ErrWouldBlock), window %d", n, err, grower.out().window, window)
+	}
+	if n, err := grower.Write(make([]byte, 5)); n != 5 || err != nil || grower.out().window <= window {
+		t.Fatalf("Write on a full growing side = (%d, %v), window %d; want (5, nil) and a grown window", n, err, grower.out().window)
+	}
+}
+
 // TestPipeCloseWithPendingData: data buffered before Close must still be
 // delivered, then EOF — the TCP-like close the relays depend on.
 func TestPipeCloseWithPendingData(t *testing.T) {

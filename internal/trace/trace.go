@@ -49,11 +49,7 @@ const hexDigits = "0123456789abcdef"
 // fmt.Sprintf("%016x") costs three.
 func hex16(v uint64) string {
 	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = hexDigits[v&0xf]
-		v >>= 4
-	}
-	return string(b[:])
+	return string(appendHex16(b[:0], v))
 }
 
 // appendHex16 appends v as 16 lowercase hex digits.
