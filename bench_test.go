@@ -456,7 +456,7 @@ func BenchmarkAblationASSampling(b *testing.B) {
 	}
 	run := func(quota int) *core.HTTPDataset {
 		exp := &core.HTTPExperiment{
-			Client: w.Client, Geo: w.Geo,
+			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: benchSeed, PerASQuota: quota,
 		}
@@ -646,7 +646,7 @@ func BenchmarkAblationBudget(b *testing.B) {
 	}
 	run := func(maxBytes int64) (complete, truncated int) {
 		exp := &core.HTTPExperiment{
-			Client: w.Client, Geo: w.Geo,
+			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: benchSeed, Budget: core.NewBudget(maxBytes),
 			Crawl: core.CrawlConfig{MaxSessions: 600},

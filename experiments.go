@@ -123,7 +123,7 @@ var httpExperiment = &experiment[*core.HTTPDataset, *analysis.HTTPAnalysis]{
 	build:          population.BuildHTTPWorld,
 	driver: func(w *population.World, o Options) crawlDriver[*core.HTTPDataset] {
 		return &core.HTTPExperiment{
-			Client: w.Client, Geo: w.Geo,
+			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: o.Seed, Crawl: o.Crawl,
 		}
@@ -181,7 +181,7 @@ var monitorExperiment = &experiment[*core.MonDataset, *analysis.MonAnalysis]{
 	build: population.BuildMonitorWorld,
 	driver: func(w *population.World, o Options) crawlDriver[*core.MonDataset] {
 		return &core.MonitorExperiment{
-			Client: w.Client, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
+			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: o.Seed, Crawl: o.Crawl,
 			Watch: 24 * time.Hour,

@@ -34,10 +34,12 @@ func (r *ScanResult) HijackRate() float64 { return rate(r.Hijacking, r.Open) }
 // is precisely the method's blind spot).
 func OpenResolverScan(net dnsserver.Exchanger, from netip.Addr, targets []netip.Addr, zone string) *ScanResult {
 	res := &ScanResult{Scanned: len(targets)}
+	// The exchange hands each query back when it returns, so one datagram
+	// serves the whole scan.
+	buf := make([]byte, 0, 512)
 	for i, target := range targets {
 		name := fmt.Sprintf("nx-scan-%06d.%s", i, zone)
-		q := dnswire.NewQuery(uint16(i), name, dnswire.TypeA)
-		wire, err := q.Marshal()
+		wire, err := dnswire.AppendQuery(buf, uint16(i), name, dnswire.TypeA)
 		if err != nil {
 			continue
 		}

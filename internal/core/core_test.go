@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand/v2"
 	"net/netip"
 	"testing"
@@ -203,7 +204,7 @@ func TestHTTPExperimentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := &HTTPExperiment{
-		Client: w.Client, Geo: w.Geo,
+		Client: w.Client, Auth: w.Auth, Geo: w.Geo,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
 	}
 	w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
@@ -335,7 +336,7 @@ func TestMonitorExperimentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := &MonitorExperiment{
-		Client: w.Client, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
+		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
 		Watch: 24 * time.Hour,
 	}
@@ -385,6 +386,66 @@ func TestMonitorExperimentEndToEnd(t *testing.T) {
 	if pre == 0 {
 		t.Error("no pre-fetch (negative delay) requests observed")
 	}
+}
+
+// TestHTTPAndMonitorForgetProbeNames: once a small HTTP crawl and a small
+// monitoring crawl are done, the authority's log holds nothing for any name
+// either asked about — every session forgot its own when it ended — while
+// QueryCount still counts every query those names drew.
+func TestHTTPAndMonitorForgetProbeNames(t *testing.T) {
+	session := func(i int) string { return fmt.Sprintf("s%08d", i) }
+	t.Run("http", func(t *testing.T) {
+		w, err := population.BuildHTTPWorld(testSeed, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
+		exp := &HTTPExperiment{
+			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+			Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
+			Crawl: CrawlConfig{MaxSessions: 60},
+		}
+		ds, err := exp.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= ds.Crawl.Sessions; i++ {
+			for idx := range content.Kinds {
+				host := fmt.Sprintf("%s%s-%d.%s", httpPrefix, session(i), idx, population.Zone)
+				if q := w.Auth.QueriesFor(host); len(q) != 0 {
+					t.Fatalf("%s is still logged: %+v", host, q)
+				}
+			}
+		}
+		if n := w.Auth.QueryCount(); len(ds.Observations) == 0 || n < len(ds.Observations) {
+			t.Fatalf("%d queries counted for %d observations", n, len(ds.Observations))
+		}
+	})
+	t.Run("monitor", func(t *testing.T) {
+		w, err := population.BuildMonitorWorld(testSeed, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
+		exp := &MonitorExperiment{
+			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
+			Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
+			Crawl: CrawlConfig{MaxSessions: 200}, Watch: 24 * time.Hour,
+		}
+		ds, err := exp.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= ds.Crawl.Sessions; i++ {
+			host := monPrefix + session(i) + "." + population.Zone
+			if q := w.Auth.QueriesFor(host); len(q) != 0 {
+				t.Fatalf("%s is still logged: %+v", host, q)
+			}
+		}
+		if n := w.Auth.QueryCount(); len(ds.Observations) == 0 || n < len(ds.Observations) {
+			t.Fatalf("%d queries counted for %d observations", n, len(ds.Observations))
+		}
+	})
 }
 
 func TestOpenResolverScanBaseline(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/tftproject/tft/internal/content"
+	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/proxynet"
 )
@@ -89,7 +90,11 @@ type HTTPDataset struct {
 
 // HTTPExperiment drives §5's methodology.
 type HTTPExperiment struct {
-	Client  *proxynet.Client
+	Client *proxynet.Client
+	// Auth is the world's authoritative server. Nothing reads the queries
+	// for a session's names once the session ends, so each is forgotten
+	// then: its log holds O(in-flight sessions) entries.
+	Auth    *dnsserver.Authority
 	Geo     *geo.Registry
 	Zone    string
 	Weights map[geo.CountryCode]int
@@ -156,7 +161,11 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 	// whether to go on to the next object. It is a function of its own so
 	// that the response buffer goes back to its pool on every way out.
 	fetch := func(idx int, k content.Kind) (oc outcome, more bool) {
-		host := httpPrefix + sess + "-" + strconv.Itoa(idx) + "." + e.Zone
+		// The authority keys its log by the dotted name; the host is that
+		// name less its last byte.
+		fqdn := httpPrefix + sess + "-" + strconv.Itoa(idx) + "." + e.Zone + "."
+		host := fqdn[:len(fqdn)-1]
+		defer e.Auth.Forget(fqdn)
 		resp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+k.Path())
 		defer resp.Release()
 		if err != nil || dbg == nil || dbg.ZID == "" || dbg.Err != "" {

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/proxynet"
@@ -52,7 +53,12 @@ type MonDataset = Dataset[*MonObservation]
 
 // MonitorExperiment drives §7's methodology.
 type MonitorExperiment struct {
-	Client  *proxynet.Client
+	Client *proxynet.Client
+	// Auth is the world's authoritative server. A node's name is resolved
+	// once, by its own fetch — a monitor's refetch dials the web server's
+	// address and asks the authority nothing — so the name's queries are
+	// forgotten when the fetch ends.
+	Auth    *dnsserver.Authority
 	Web     *origin.Server
 	Geo     *geo.Registry
 	Clock   *simnet.Virtual
@@ -101,7 +107,9 @@ func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 
 // fetch issues the single request for a node's unique domain.
 func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*MonObservation, outcome) {
-	host := monPrefix + sess + "." + e.Zone
+	fqdn := monPrefix + sess + "." + e.Zone + "."
+	host := fqdn[:len(fqdn)-1]
+	defer e.Auth.Forget(fqdn)
 	opts := proxynet.Options{Country: cc, Session: sess}
 	at := e.Clock.Now()
 	resp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+"/")

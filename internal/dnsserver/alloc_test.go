@@ -19,10 +19,11 @@ func lookupRig(tb testing.TB) (*Resolver, *Authority) {
 	return NewResolver(ispDNSIP, fabric, func(string) (netip.Addr, bool) { return authIP, true }), a
 }
 
-// TestLookupAllocs holds one Lookup — query, authority, reply — to four
-// allocations however it ends: the query's wire bytes; at the authority the
-// question's name, which the query log keeps, the log slot and the reply's
-// wire bytes. The resolver reads the reply where it lies.
+// TestLookupAllocs holds one Lookup — query, authority, reply — to two
+// allocations however it ends: at the authority the question's name, which
+// the query log keeps, and the reply's wire bytes. The query is written into
+// a pooled datagram, a name's first log entry lives in the log's map value,
+// and the resolver reads the reply where it lies.
 func TestLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -45,15 +46,15 @@ func TestLookupAllocs(t *testing.T) {
 			}
 			a.Forget(tc.name + ".") // as the experiments do: one log slot per lookup
 		})
-		if got > 4 {
-			t.Errorf("%s Lookup allocates %.0f times, ceiling 4", tc.outcome, got)
+		if got > 2 {
+			t.Errorf("%s Lookup allocates %.0f times, ceiling 2", tc.outcome, got)
 		}
 	}
 }
 
-// TestAuthorityAnswerAllocs holds the authority's side alone to its three —
-// name, log slot, reply — so that a regression in escape analysis (a reply
-// tree moved to the heap) is reported against the side that has it.
+// TestAuthorityAnswerAllocs holds the authority's side alone to its two —
+// name and reply — so that a regression (a log entry or a reply that
+// allocates again) is reported against the side that has it.
 func TestAuthorityAnswerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -61,7 +62,7 @@ func TestAuthorityAnswerAllocs(t *testing.T) {
 	_, a := lookupRig(t)
 	handle := a.Handler()
 	for _, name := range []string{"d1.probe.tft-example.net", "d2.probe.tft-example.net"} {
-		query, err := dnswire.NewQuery(9, name, dnswire.TypeA).Marshal()
+		query, err := dnswire.AppendQuery(nil, 9, name, dnswire.TypeA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,8 +72,43 @@ func TestAuthorityAnswerAllocs(t *testing.T) {
 			}
 			a.Forget(name + ".")
 		})
-		if got > 3 {
-			t.Errorf("answering %s allocates %.0f times, ceiling 3", name, got)
+		if got > 2 {
+			t.Errorf("answering %s allocates %.0f times, ceiling 2", name, got)
+		}
+	}
+}
+
+// TestResolverHandlerAllocs holds a resolver's wire service to four
+// allocations for a relayed query — the question's name, the Lookup's two,
+// the reply — and two for a refused one: the name and the reply.
+func TestResolverHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r, a := lookupRig(t)
+	handle := r.Handler(func(src netip.Addr) bool { return src == nodeIP })
+	for _, tc := range []struct {
+		why     string
+		src     netip.Addr
+		ceiling float64
+	}{
+		{"relayed", nodeIP, 4},
+		{"refused", superDNS, 2},
+	} {
+		for _, name := range []string{"d1.probe.tft-example.net", "d2.probe.tft-example.net"} {
+			query, err := dnswire.AppendQuery(nil, 9, name, dnswire.TypeA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := testing.AllocsPerRun(200, func() {
+				if handle(tc.src, query) == nil {
+					t.Fatalf("%s query for %s dropped", tc.why, name)
+				}
+				a.Forget(name + ".")
+			})
+			if got > tc.ceiling {
+				t.Errorf("%s query for %s allocates %.0f times, ceiling %.0f", tc.why, name, got, tc.ceiling)
+			}
 		}
 	}
 }

@@ -14,9 +14,9 @@
 // question asked, and dropped. Only the datagrams themselves cross the
 // network. The package owns both responders on the wire, Authority.Handler
 // and Resolver.Handler — the service a resolver offers open-resolver
-// scanners — and both encode through one reply step; the resolver's
-// encodes what Lookup returned, and so relays neither the authority's SOA
-// nor any record besides the address.
+// scanners — and both encode through one reply step, dnswire.AppendReply;
+// the resolver's encodes what Lookup returned, and so relays neither the
+// authority's SOA nor any record besides the address.
 package dnsserver
 
 import (
@@ -68,9 +68,9 @@ type Authority struct {
 	zone  string
 	clock simnet.Clock
 
-	// soa is the record every NXDOMAIN carries, built once: the zone never
-	// changes. Responses share its payload and must not write to it.
-	soa dnswire.Record
+	// soa is the record every NXDOMAIN carries, framed once: the zone never
+	// changes.
+	soa dnswire.SOA
 
 	// policy is the answer policy SetFallback installed, read by every
 	// query.
@@ -87,9 +87,18 @@ const logStripes = 16
 // queryLog is one stripe of the per-name query log.
 type queryLog struct {
 	mu     sync.Mutex
-	byName map[string][]Query // name -> logged queries, arrival order
+	byName map[string]loggedQueries
 	total  int
 	_      [64]byte // the next stripe's lock is on another cache line
+}
+
+// loggedQueries are one name's logged queries, in arrival order. A probe
+// name is asked about once or twice, so the first query lives in the map
+// value itself — 96 bytes, which the map keeps inline — and only a second
+// one allocates.
+type loggedQueries struct {
+	first Query
+	rest  []Query
 }
 
 // NewAuthority creates an authoritative server for zone.
@@ -98,17 +107,11 @@ func NewAuthority(zone string, clock simnet.Clock) *Authority {
 	a := &Authority{
 		zone:  zone,
 		clock: clock,
-		soa: dnswire.Record{
-			Name: zone, Type: dnswire.TypeSOA, Class: dnswire.ClassIN, TTL: 60,
-			SOA: &dnswire.SOAData{
-				MName: "ns1." + zone, RName: "hostmaster." + zone,
-				Serial: 2016041300, Refresh: 7200, Retry: 900, Expire: 1209600, MinTTL: 60,
-			},
-		},
-		seed: maphash.MakeSeed(),
+		soa:   dnswire.NewSOA(zone, 60, 2016041300, 7200, 900, 1209600, 60),
+		seed:  maphash.MakeSeed(),
 	}
 	for i := range a.logs {
-		a.logs[i].byName = make(map[string][]Query)
+		a.logs[i].byName = make(map[string]loggedQueries)
 	}
 	return a
 }
@@ -126,9 +129,10 @@ func (a *Authority) SetFallback(f func(name string) Rule) {
 func (a *Authority) Handler() simnet.DNSHandler { return a.answer }
 
 // answer is the authority on the wire: one query datagram in, the response
-// datagram out. Malformed input, a response, or anything but one question is
-// dropped (nil), mirroring a server that refuses garbage. decide hands back
-// values, so nothing but the question's name and the encoded reply is made.
+// datagram out. Malformed input, a response, anything but one question, or a
+// question whose name holds a compression pointer is dropped (nil),
+// mirroring a server that refuses garbage. An NXDOMAIN carries the zone's
+// SOA. The question's name and the reply are all it makes.
 //
 //tftlint:hotpath
 func (a *Authority) answer(src netip.Addr, query []byte) []byte {
@@ -136,50 +140,36 @@ func (a *Authority) answer(src netip.Addr, query []byte) []byte {
 	if err != nil || h.Response || h.Questions != 1 {
 		return nil
 	}
-	name, rcode, ip := a.decide(src, q.Name, q.Type)
-	var record [1]dnswire.Record
-	switch rcode {
-	case dnswire.RCodeSuccess:
-		record[0] = dnswire.Record{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 5, A: ip}
-		return reply(h, q, true, rcode, record[:], nil)
-	case dnswire.RCodeNXDomain:
-		record[0] = a.soa
-		return reply(h, q, true, rcode, nil, record[:])
+	ans := a.decide(src, q.Name, q.Type)
+	var soa *dnswire.SOA
+	if ans.RCode == dnswire.RCodeNXDomain {
+		soa = &a.soa
 	}
-	return reply(h, q, true, rcode, nil, nil)
+	return reply(query, true, ans, soa)
 }
 
-// reply encodes the response to the query (h, q) that both responders, the
-// authority and a resolver's service, send: the query's ID, opcode,
-// recursion-desired bit and question echoed, recursion available, and the
-// given sections. The reply is a Message over its caller's records on this
-// frame, so the encoded bytes are all it makes; a record that does not
-// encode drops the reply (nil).
+// reply encodes the response to query that both responders, the authority
+// and a resolver's service, send (dnswire.AppendReply), in one buffer of its
+// exact size. A reply that does not encode is dropped (nil).
 //
 //tftlint:hotpath
-func reply(h dnswire.Header, q dnswire.Question, authoritative bool, rcode dnswire.RCode, answers, authorities []dnswire.Record) []byte {
-	questions := [1]dnswire.Question{q}
-	resp := dnswire.Message{
-		ID: h.ID, Response: true, Opcode: h.Opcode, Authoritative: authoritative,
-		RecursionDesired: h.RecursionDesired, RecursionAvailable: true,
-		RCode: rcode, Questions: questions[:], Answers: answers, Authorities: authorities,
-	}
-	out, err := resp.Marshal()
+func reply(query []byte, authoritative bool, ans dnswire.Answer, soa *dnswire.SOA) []byte {
+	out, err := dnswire.AppendReply(nil, query, authoritative, ans, soa)
 	if err != nil {
 		return nil
 	}
 	return out
 }
 
-// decide is the authority's policy for one question from src, logging it:
-// the name in canonical form, the response code, and with NOERROR the
-// address.
+// decide is the authority's policy for one question from src, logging it
+// under the name's canonical form: REFUSED outside the zone, NXDOMAIN, or
+// NOERROR with the address.
 //
 //tftlint:hotpath
-func (a *Authority) decide(src netip.Addr, qname string, qtype dnswire.Type) (name string, rcode dnswire.RCode, ip netip.Addr) {
-	name = dnswire.CanonicalName(qname)
-	if !dnswire.IsSubdomain(name, a.zone) {
-		return name, dnswire.RCodeRefused, netip.Addr{}
+func (a *Authority) decide(src netip.Addr, qname string, qtype dnswire.Type) dnswire.Answer {
+	name := dnswire.CanonicalName(qname)
+	if !a.inZone(name) {
+		return dnswire.Answer{RCode: dnswire.RCodeRefused}
 	}
 
 	// Only the append needs an order: the clock and the policy are read
@@ -189,20 +179,44 @@ func (a *Authority) decide(src netip.Addr, qname string, qtype dnswire.Type) (na
 	if f := a.policy.Load(); f != nil && *f != nil {
 		rule = (*f)(name)
 	}
-	l := a.log(name)
-	l.mu.Lock()
-	l.byName[name] = append(l.byName[name], logged)
-	l.total++
-	l.mu.Unlock()
+	a.record(logged)
 
 	if qtype != dnswire.TypeA || rule == nil {
-		return name, dnswire.RCodeNXDomain, netip.Addr{}
+		return dnswire.Answer{RCode: dnswire.RCodeNXDomain}
 	}
 	ip, ok := rule(src)
 	if !ok {
-		return name, dnswire.RCodeNXDomain, netip.Addr{}
+		return dnswire.Answer{RCode: dnswire.RCodeNXDomain}
 	}
-	return name, dnswire.RCodeSuccess, ip
+	return dnswire.Answer{RCode: dnswire.RCodeSuccess, A: ip, TTL: 5}
+}
+
+// inZone reports whether name, in canonical form as the zone is, is the zone
+// or falls under it.
+//
+//tftlint:hotpath
+func (a *Authority) inZone(name string) bool {
+	z := a.zone
+	if z == "." || name == z {
+		return true
+	}
+	return len(name) > len(z) && name[len(name)-len(z)-1] == '.' && name[len(name)-len(z):] == z
+}
+
+// record appends q to the log of its name, which is in canonical form.
+//
+//tftlint:hotpath
+func (a *Authority) record(q Query) {
+	l := a.log(q.Name)
+	l.mu.Lock()
+	if e, ok := l.byName[q.Name]; ok {
+		e.rest = append(e.rest, q)
+		l.byName[q.Name] = e
+	} else {
+		l.byName[q.Name] = loggedQueries{first: q}
+	}
+	l.total++
+	l.mu.Unlock()
 }
 
 // log returns the stripe of the query log that holds name (in canonical
@@ -219,9 +233,11 @@ func (a *Authority) QueriesFor(name string) []Query {
 	l := a.log(name)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Query, len(l.byName[name]))
-	copy(out, l.byName[name])
-	return out
+	e, ok := l.byName[name]
+	if !ok {
+		return []Query{}
+	}
+	return append(append(make([]Query, 0, 1+len(e.rest)), e.first), e.rest...)
 }
 
 // Forget drops the logged queries for a name. Experiments that fully

@@ -1,8 +1,10 @@
 package dnsserver
 
 import (
+	"bytes"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -299,6 +301,137 @@ func TestLookupFromAnyClientAddress(t *testing.T) {
 	}
 }
 
+// TestReplyEchoesQuestionAsSent: both responders copy the question into
+// their reply as it arrived, upper case included, where the tree they
+// replaced re-encoded it lower-case; every pointer in the reply lands in that
+// copy, and the authority logs the name in canonical form.
+func TestReplyEchoesQuestionAsSent(t *testing.T) {
+	a, _ := testAuthority(t)
+	f := simnet.NewFabric()
+	f.HandleDNS(authIP, a.Handler())
+	resolver := NewResolver(ispDNSIP, f, upstreamAll).Handler(nil)
+	for _, tc := range []struct {
+		name  string
+		rcode dnswire.RCode
+		a     netip.Addr
+	}{
+		{"D1.Probe.TFT-Example.Net", dnswire.RCodeSuccess, webIP},
+		{"Never-Configured.PROBE.tft-example.NET", dnswire.RCodeNXDomain, netip.Addr{}},
+		{"www.Google.com", dnswire.RCodeRefused, netip.Addr{}},
+	} {
+		query, err := dnswire.AppendQuery(nil, 5, "x", dnswire.TypeA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// AppendQuery lower-cases; write the mixed-case name by hand.
+		query = query[:12]
+		for _, l := range strings.Split(tc.name, ".") {
+			query = append(append(query, byte(len(l))), l...)
+		}
+		query = append(query, 0, 0, byte(dnswire.TypeA), 0, byte(dnswire.ClassIN))
+		for who, handle := range map[string]simnet.DNSHandler{"authority": a.Handler(), "resolver": resolver} {
+			resp := handle(nodeIP, query)
+			if resp == nil || !bytes.Equal(resp[12:len(query)], query[12:]) {
+				t.Fatalf("%s's reply to %s: %x, question not as sent (%x)", who, tc.name, resp, query[12:])
+			}
+			m, err := dnswire.Unmarshal(resp)
+			if err != nil || m.Questions[0].Name != tc.name+"." || m.RCode != tc.rcode {
+				t.Fatalf("%s's reply to %s decodes to %+v, %v", who, tc.name, m, err)
+			}
+			if tc.rcode == dnswire.RCodeSuccess && m.Answers[0].Name != tc.name+"." {
+				t.Fatalf("%s's answer is owned by %q", who, m.Answers[0].Name)
+			}
+			if who == "authority" && tc.rcode == dnswire.RCodeNXDomain {
+				soa := m.Authorities[0]
+				if soa.Name != "PROBE.tft-example.NET." || soa.SOA.MName != "ns1.PROBE.tft-example.NET." ||
+					soa.SOA.RName != "hostmaster.PROBE.tft-example.NET." {
+					t.Fatalf("the SOA points elsewhere than the question's zone: %+v %+v", soa, *soa.SOA)
+				}
+			}
+			ans, err := dnswire.ParseAnswer(resp, 5, tc.name, dnswire.TypeA)
+			if err != nil || ans.RCode != tc.rcode || ans.A != tc.a {
+				t.Fatalf("%s's reply to %s reads %+v, %v", who, tc.name, ans, err)
+			}
+		}
+	}
+	if got := a.QueriesFor("d1.probe.tft-example.net"); len(got) != 2 || got[0].Name != "d1.probe.tft-example.net." {
+		t.Fatalf("the log holds %+v for d1", got)
+	}
+}
+
+// TestQuestionPointerDropped: a query whose question name ends in a
+// compression pointer — to the zero QDCOUNT high byte, the root — is one
+// ParseQuery accepts, and both responders drop it: copied into the reply as
+// it stands, the pointer would point into the reply's header.
+func TestQuestionPointerDropped(t *testing.T) {
+	query := []byte{0x12, 0x34, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 'd', '1', 0xC0, 4, 0, 1, 0, 1}
+	if _, q, err := dnswire.ParseQuery(query); err != nil || q.Name != "d1." {
+		t.Fatalf("ParseQuery = %+v, %v; the query should be well-formed", q, err)
+	}
+	f, a := fabricWorld(t)
+	for who, handle := range map[string]simnet.DNSHandler{
+		"authority":         a.Handler(),
+		"resolver":          NewResolver(ispDNSIP, f, upstreamAll).Handler(nil),
+		"refusing resolver": NewResolver(ispDNSIP, f, upstreamAll).Handler(func(netip.Addr) bool { return false }),
+	} {
+		if resp := handle(nodeIP, query); resp != nil {
+			t.Errorf("%s answered a question with a pointer: %x", who, resp)
+		}
+	}
+}
+
+// TestUDPResolverEgress: over real UDP on loopback, NewUDPResolver binds a
+// valid egress as the source of its queries, so it is the Src the authority
+// logs; the zero egress binds nothing and the operating system picks the
+// source, which is neither the egress nor the resolver's own address.
+func TestUDPResolverEgress(t *testing.T) {
+	egress := netip.MustParseAddr("127.0.0.2")
+	probe, err := net.ListenPacket("udp", netip.AddrPortFrom(egress, 0).String())
+	if err != nil {
+		t.Skipf("SKIPPED: cannot bind %v on this host: %v", egress, err)
+	}
+	probe.Close()
+	a, _ := testAuthority(t)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("SKIPPED: cannot listen on 127.0.0.1 on this host: %v", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ServeUDP(pc, a.Handler())
+	}()
+	defer func() {
+		pc.Close()
+		<-done
+	}()
+	server := pc.LocalAddr().(*net.UDPAddr).AddrPort()
+	resolverAddr := netip.MustParseAddr("127.0.0.3")
+	const name = "d1.probe.tft-example.net"
+	for _, tc := range []struct {
+		why    string
+		egress netip.Addr
+	}{{"bound egress", egress}, {"zero egress", netip.Addr{}}} {
+		r := NewUDPResolver(resolverAddr, server, tc.egress)
+		ans, err := r.Lookup(nodeIP, name, dnswire.TypeA)
+		if err != nil || ans.RCode != dnswire.RCodeSuccess || ans.A != webIP {
+			t.Fatalf("%s: Lookup = %+v, %v", tc.why, ans, err)
+		}
+		logged := a.QueriesFor(name)
+		a.Forget(name)
+		if len(logged) != 1 {
+			t.Fatalf("%s: the authority logged %+v", tc.why, logged)
+		}
+		src := logged[0].Src
+		switch {
+		case tc.egress.IsValid() && src != tc.egress:
+			t.Errorf("%s: the authority saw %v, want the egress %v", tc.why, src, tc.egress)
+		case !tc.egress.IsValid() && (!src.IsLoopback() || src == egress || src == resolverAddr):
+			t.Errorf("%s: the authority saw %v; the source was not left to the system", tc.why, src)
+		}
+	}
+}
+
 func TestResolverUnreachableAuthorityServFail(t *testing.T) {
 	f := simnet.NewFabric()
 	r := NewResolver(ispDNSIP, f, upstreamAll) // authIP not registered
@@ -397,7 +530,7 @@ func TestLookupRejectsAnotherQuerysAnswer(t *testing.T) {
 
 	// A query reflected back is not a response; the echo differing only in
 	// case and the trailing dot is this query's answer.
-	reflect := exchangerFunc(func(_, _ netip.Addr, query []byte) ([]byte, error) { return query, nil })
+	reflect := exchangerFunc(func(_, _ netip.Addr, query []byte) ([]byte, error) { return bytes.Clone(query), nil })
 	if ans, _ := NewResolver(ispDNSIP, reflect, upstreamAll).Lookup(nodeIP, "d1.probe.tft-example.net", dnswire.TypeA); ans.RCode != dnswire.RCodeServFail {
 		t.Fatalf("reflected query returned %+v, want SERVFAIL", ans)
 	}

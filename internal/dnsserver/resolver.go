@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"net/netip"
+	"sync"
 
 	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/geo"
@@ -9,9 +10,35 @@ import (
 )
 
 // Exchanger moves one DNS datagram from src to dst — *simnet.Fabric
-// implements it, as does the real-UDP adapter.
+// implements it, as does the real-UDP adapter. query is the caller's again
+// when ExchangeDNS returns — Lookup recycles it at once — so an
+// implementation keeps none of it, and the response it returns shares no
+// storage with it.
 type Exchanger interface {
 	ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error)
+}
+
+// queryBufs recycles the datagrams Lookup writes its queries into: 512
+// bytes, the most a DNS datagram over UDP carries, and more than a query for
+// any name (at most 272). No handle to one is out once its exchange has
+// returned, so ownership, not a generation, is the rule.
+var queryBufs = sync.Pool{New: func() any { return new([512]byte) }}
+
+// poisonQueryOnPut makes putQueryBuf overwrite a datagram before pooling it,
+// so that a handler still holding the query reads garbage at once rather
+// than whenever the next lookup fills the buffer. Tests switch it on around
+// whole crawls; nothing else may.
+var poisonQueryOnPut bool
+
+func getQueryBuf() *[512]byte { return queryBufs.Get().(*[512]byte) }
+
+func putQueryBuf(b *[512]byte) {
+	if poisonQueryOnPut {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	queryBufs.Put(b)
 }
 
 // NXRewriter is an NXDOMAIN hijack policy: given the queried name, return
@@ -77,11 +104,14 @@ func (r *Resolver) Lookup(client netip.Addr, name string, qtype dnswire.Type) (d
 		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
 	}
 	id := queryID(client, name)
-	wire, err := dnswire.NewQuery(id, name, qtype).Marshal()
+	buf := getQueryBuf()
+	wire, err := dnswire.AppendQuery(buf[:0], id, name, qtype)
 	if err != nil {
+		putQueryBuf(buf)
 		return dnswire.Answer{}, err
 	}
 	respWire, err := r.Net.ExchangeDNS(r.egress(client), auth, wire)
+	putQueryBuf(buf)
 	if err != nil {
 		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
 	}
@@ -97,8 +127,9 @@ func (r *Resolver) Lookup(client netip.Addr, name string, qtype dnswire.Type) (d
 // closed ISP resolver answers outsiders (§8). An admitted query is relayed
 // through Lookup, and the reply carries what Lookup returns and no more: the
 // response code and, when there is one, the address under the question's
-// own name. Malformed input, a response, anything but one question, or a
-// failed Lookup is dropped (nil).
+// own name. Malformed input, a response, anything but one question, a
+// failed Lookup, or a question whose name holds a compression pointer is
+// dropped (nil).
 func (r *Resolver) Handler(admit func(src netip.Addr) bool) simnet.DNSHandler {
 	return func(src netip.Addr, query []byte) []byte {
 		h, q, err := dnswire.ParseQuery(query)
@@ -106,17 +137,13 @@ func (r *Resolver) Handler(admit func(src netip.Addr) bool) simnet.DNSHandler {
 			return nil
 		}
 		if admit != nil && !admit(src) {
-			return reply(h, q, false, dnswire.RCodeRefused, nil, nil)
+			return reply(query, false, dnswire.Answer{RCode: dnswire.RCodeRefused}, nil)
 		}
 		ans, err := r.Lookup(src, q.Name, q.Type)
 		if err != nil {
 			return nil
 		}
-		if !ans.A.IsValid() {
-			return reply(h, q, false, ans.RCode, nil, nil)
-		}
-		record := [1]dnswire.Record{{Name: q.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ans.TTL, A: ans.A}}
-		return reply(h, q, false, ans.RCode, record[:], nil)
+		return reply(query, false, ans, nil)
 	}
 }
 

@@ -14,6 +14,11 @@
 // well-formed and builds nothing; Unmarshal (the whole tree), ParseQuery
 // (header and question) and ParseAnswer (an Answer, matched to its query)
 // read what it has passed.
+//
+// Encoding is split in two the same way. Message.Marshal writes any tree,
+// compressing names. AppendQuery and AppendReply write the two datagrams an
+// exchange is made of — a query, and the reply to one ParseQuery accepted —
+// straight into a caller's buffer, with no tree.
 package dnswire
 
 import (
@@ -118,7 +123,11 @@ type SOAData struct {
 	Serial, Refresh, Retry, Expire, MinTTL uint32
 }
 
-// Message is a DNS message.
+// Message is a DNS message as a tree. No production path builds one:
+// queries and replies are written by AppendQuery and AppendReply and read by
+// ParseQuery and ParseAnswer. The tree, with NewQuery, Reply, Marshal and
+// Unmarshal, stays for the benchmark's dnswire layer drive and as the oracle
+// the tests hold those four to.
 type Message struct {
 	ID                 uint16
 	Response           bool
@@ -367,7 +376,7 @@ func appendRecord(buf []byte, r *Record, comp *compTable) ([]byte, error) {
 }
 
 // appendName encodes a domain name, emitting a compression pointer when a
-// suffix has been written before.
+// suffix has been written before; with comp nil it writes every label.
 //
 //tftlint:hotpath
 func appendName(buf []byte, name string, comp *compTable) ([]byte, error) {
@@ -387,11 +396,13 @@ func appendName(buf []byte, name string, comp *compTable) ([]byte, error) {
 	// the compression-table probes and inserts allocate nothing.
 	for i := 0; i < len(trimmed); {
 		suffix := trimmed[i:]
-		if off, ok := comp.lookup(suffix); ok && off < 0x3FFF {
-			return binary.BigEndian.AppendUint16(buf, uint16(0xC000|off)), nil
-		}
-		if len(buf) < 0x3FFF {
-			comp.add(suffix, len(buf))
+		if comp != nil {
+			if off, ok := comp.lookup(suffix); ok && off < 0x3FFF {
+				return binary.BigEndian.AppendUint16(buf, uint16(0xC000|off)), nil
+			}
+			if len(buf) < 0x3FFF {
+				comp.add(suffix, len(buf))
+			}
 		}
 		l := suffix
 		if j := strings.IndexByte(suffix, '.'); j >= 0 {
@@ -408,6 +419,174 @@ func appendName(buf []byte, name string, comp *compTable) ([]byte, error) {
 		i += len(l) + 1
 	}
 	return append(buf, 0), nil
+}
+
+// AppendQuery appends to dst a standard recursive query for (name, qtype):
+// the header, and one question whose name is written whole and lower-cased
+// — the bytes NewQuery(id, name, qtype).Marshal() returns.
+//
+//tftlint:hotpath
+func AppendQuery(dst []byte, id uint16, name string, qtype Type) ([]byte, error) {
+	dst = append(dst, byte(id>>8), byte(id), flagRD>>8, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+	dst, err := appendName(dst, name, nil)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, byte(qtype>>8), byte(qtype), 0, byte(ClassIN)), nil
+}
+
+// ErrQuestionPointer is AppendReply's verdict on a query whose question name
+// holds a compression pointer. The question is copied into the reply as
+// sent, where such a pointer would point into the reply's header instead.
+var ErrQuestionPointer = errors.New("dnswire: compression pointer in the question")
+
+// errNotInZone is AppendReply's verdict when the SOA's zone is no suffix of
+// the question's labels.
+var errNotInZone = errors.New("dnswire: question is not in the SOA's zone")
+
+// SOA is the record an authority's NXDOMAIN carries in its authority
+// section: owner the zone, MNAME ns1.<zone>, RNAME hostmaster.<zone>.
+// AppendReply writes the owner and the ends of both names as pointers to the
+// zone's labels inside the question, so all the record holds of its own is
+// framed once, by NewSOA.
+type SOA struct {
+	zone string       // canonical
+	rr   [soaLen]byte // the record after its owner, both pointers zero
+}
+
+// The layout of SOA.rr: TYPE, CLASS, TTL, RDLENGTH, then MNAME (the label
+// "ns1" and a pointer), RNAME (the label "hostmaster" and a pointer) and the
+// five 32-bit fields.
+const (
+	soaMPtr = 10 + 4
+	soaRPtr = soaMPtr + 2 + 11
+	soaLen  = soaRPtr + 2 + 20
+)
+
+// NewSOA frames the SOA record of zone, with the given TTL, serial and
+// timers.
+func NewSOA(zone string, ttl, serial, refresh, retry, expire, minTTL uint32) SOA {
+	s := SOA{zone: CanonicalName(zone)}
+	rr := binary.BigEndian.AppendUint16(s.rr[:0], uint16(TypeSOA))
+	rr = binary.BigEndian.AppendUint16(rr, uint16(ClassIN))
+	rr = binary.BigEndian.AppendUint32(rr, ttl)
+	rr = binary.BigEndian.AppendUint16(rr, soaLen-10)
+	rr = append(rr, 3, 'n', 's', '1', 0, 0, 10)
+	rr = append(rr, "hostmaster"...)
+	rr = append(rr, 0, 0)
+	for _, v := range [...]uint32{serial, refresh, retry, expire, minTTL} {
+		rr = binary.BigEndian.AppendUint32(rr, v)
+	}
+	return s
+}
+
+// AppendReply appends to dst the reply to query, a datagram ParseQuery
+// accepted as a query with one question, and makes at most one allocation,
+// of the reply's exact size. The header echoes the query's ID, opcode and
+// recursion-desired bit, sets QR and RA, AA as authoritative says and
+// ans.RCode. The question is copied as sent, case included. Then comes one
+// A record, when ans.A is valid, owned by the question's name through the
+// pointer 0xC00C and carrying ans.TTL; otherwise soa's record in the
+// authority section when soa is non-nil, whose zone must be a suffix of the
+// question's labels; otherwise nothing.
+//
+//tftlint:hotpath
+func AppendReply(dst, query []byte, authoritative bool, ans Answer, soa *SOA) ([]byte, error) {
+	nameEnd := 12
+	for {
+		if nameEnd >= len(query) {
+			return nil, ErrShortMessage
+		}
+		l := int(query[nameEnd])
+		if l == 0 {
+			nameEnd++
+			break
+		}
+		if l&0xC0 != 0 {
+			return nil, ErrQuestionPointer
+		}
+		nameEnd += 1 + l
+	}
+	qEnd := nameEnd + 4
+	if qEnd > len(query) {
+		return nil, ErrShortMessage
+	}
+	size, an, ns, zone := qEnd, byte(0), byte(0), 0
+	switch {
+	case ans.A.IsValid():
+		if !ans.A.Is4() {
+			return nil, errANotIPv4
+		}
+		size, an = size+16, 1
+	case soa != nil:
+		if zone = zoneAt(query, nameEnd, soa.zone); zone < 0 {
+			return nil, errNotInZone
+		}
+		if nameEnd-zone-1 > 255-11 { // RNAME would pass 255 octets
+			return nil, ErrNameTooLong
+		}
+		size, ns = size+2+soaLen, 1
+	}
+
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	flags := flagQR>>8 | query[2]&0x79 // opcode and RD echoed
+	if authoritative {
+		flags |= flagAA >> 8
+	}
+	dst = append(dst, query[0], query[1], flags, flagRA|byte(ans.RCode&0xF), 0, 1, 0, an, 0, ns, 0, 0)
+	dst = append(dst, query[12:qEnd]...)
+	switch {
+	case an == 1:
+		a4 := ans.A.As4()
+		dst = append(dst, 0xC0, 12, 0, byte(TypeA), 0, byte(ClassIN))
+		dst = binary.BigEndian.AppendUint32(dst, ans.TTL)
+		dst = append(dst, 0, 4, a4[0], a4[1], a4[2], a4[3])
+	case ns == 1:
+		ptr := uint16(0xC000 | zone)
+		dst = binary.BigEndian.AppendUint16(dst, ptr)
+		rr := len(dst)
+		dst = append(dst, soa.rr[:]...)
+		binary.BigEndian.PutUint16(dst[rr+soaMPtr:], ptr)
+		binary.BigEndian.PutUint16(dst[rr+soaRPtr:], ptr)
+	}
+	return dst, nil
+}
+
+// zoneAt returns the offset of the label at which the question name that
+// ends at nameEnd (past its root label) spells zone, a canonical name,
+// ASCII case aside; -1 when no label does.
+//
+//tftlint:hotpath
+func zoneAt(query []byte, nameEnd int, zone string) int {
+	at := nameEnd - 1 // the root
+	if zone != "." {
+		at -= len(zone)
+	}
+	off := 12
+	for off < at {
+		off += 1 + int(query[off])
+	}
+	if off != at {
+		return -1
+	}
+	for z := 0; ; {
+		l := int(query[off])
+		if l == 0 { // every byte from at on has matched
+			return at
+		}
+		if z+l >= len(zone) || zone[z+l] != '.' {
+			return -1
+		}
+		for i := 0; i < l; i++ {
+			if lowerASCII(query[off+1+i]) != zone[z+i] {
+				return -1
+			}
+		}
+		z += l + 1
+		off += l + 1
+	}
 }
 
 // Header is the fixed twelve bytes a message opens with, decoded: the flags
@@ -650,6 +829,7 @@ var (
 	errARDLength       = fmt.Errorf("%w: A RDATA is not 4 octets", ErrBadRecord)
 	errTXTOverrun      = fmt.Errorf("%w: TXT string overruns RDATA", ErrBadRecord)
 	errUnsupportedType = fmt.Errorf("%w: unsupported type", ErrBadRecord)
+	errANotIPv4        = fmt.Errorf("%w: A record with non-IPv4 address", ErrBadRecord)
 )
 
 // Unmarshal decodes a wire-format message into the tree.

@@ -499,3 +499,31 @@ func TestParseAnswerMatchesItsQuery(t *testing.T) {
 		t.Errorf("malformed and mismatched: err = %v, want ErrShortMessage first", err)
 	}
 }
+
+// TestAppendAllocs: a query appended into a buffer with room makes nothing,
+// and a reply is one allocation of its exact size.
+func TestAppendAllocs(t *testing.T) {
+	buf := make([]byte, 0, 512)
+	var query []byte
+	if n := testing.AllocsPerRun(100, func() { query, _ = AppendQuery(buf, 7, "d1-s1.probe.tft-example.net", TypeA) }); n != 0 {
+		t.Errorf("AppendQuery allocates %.0f times, want 0", n)
+	}
+	soa := NewSOA("probe.tft-example.net", 60, 1, 2, 3, 4, 5)
+	for _, tc := range []struct {
+		ans  Answer
+		soa  *SOA
+		size int
+	}{
+		{Answer{RCode: RCodeSuccess, A: netip.AddrFrom4([4]byte{192, 0, 2, 1}), TTL: 5}, nil, len(query) + 16},
+		{Answer{RCode: RCodeNXDomain}, &soa, len(query) + 51},
+		{Answer{RCode: RCodeRefused}, nil, len(query)},
+	} {
+		var reply []byte
+		if n := testing.AllocsPerRun(100, func() { reply, _ = AppendReply(nil, query, true, tc.ans, tc.soa) }); n != 1 {
+			t.Errorf("%v: AppendReply allocates %.0f times, want 1", tc.ans.RCode, n)
+		}
+		if len(reply) != tc.size || cap(reply) != tc.size {
+			t.Errorf("%v: reply of %d bytes in %d, want %d", tc.ans.RCode, len(reply), cap(reply), tc.size)
+		}
+	}
+}

@@ -286,3 +286,132 @@ func FuzzNameRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendAgreesWithTree holds the append encoders to the tree they
+// replaced on every production path. AppendQuery writes, byte for byte, what
+// NewQuery(...).Marshal() does, and fails where it fails. For every query
+// ParseQuery accepts with one question, AppendReply is built in each of the
+// three shapes the responders send — an A answer, NXDOMAIN with the SOA of a
+// zone made of the question's last labels, REFUSED — and:
+//
+//   - where the question is plain (lower-case ASCII labels with no dot or
+//     white space in them, not the root), the SOA's zone is not the root
+//     either and the tree encodes its reply, the two replies are the same
+//     bytes; or, where the tree compresses
+//     MNAME or RNAME whole (a question under ns1.<zone> or
+//     hostmaster.<zone>), they decode to the same tree;
+//   - otherwise the reply is still the answer to the question as asked:
+//     ParseAnswer reads from it the code and address it was given, and
+//     reads the same from the tree's reply wherever that is an answer to
+//     the question too. (The tree re-spells a question with a byte past
+//     0x7F or white space, so that its reply is nobody's answer.)
+//
+// A question whose name holds a compression pointer is ErrQuestionPointer.
+func FuzzAppendAgreesWithTree(f *testing.F) {
+	// Each name's zone is its last three labels: probe.tft-example.net for
+	// the names the crawl asks about.
+	for _, name := range []string{"d1-s7.probe.tft-example.net", "D2-S7.Probe.TFT-Example.Net.", ".",
+		"ns1.probe.tft-example.net", "x.hostmaster.probe.tft-example.net", "tft-example.net",
+		" spaced .name", "caf\xc3\xa9.example"} {
+		for shape := range uint8(3) {
+			q, _ := AppendQuery(nil, 7, "x", TypeA)
+			q = append(q[:12], wireName(strings.Split(strings.TrimSuffix(name, "."), ".")...)...)
+			f.Add(append(q, 0, 1, 0, 1), name, uint16(7), uint16(TypeA), shape, uint8(3), uint32(5))
+		}
+	}
+	f.Add(wireOf(flagRD, 1, 0, 0, []byte{2, 'd', '1', 0xC0, 4, 0, 1, 0, 1}), "d1", uint16(9), uint16(TypeTXT), uint8(1), uint8(1), uint32(0))
+	f.Add(wireOf(flagRD|3<<11, 1, 0, 0, wireName("a.b", "c"), []byte{0, 1, 0, 1}), strings.Repeat("l", 64), uint16(0), uint16(28), uint8(1), uint8(2), uint32(1))
+
+	f.Fuzz(func(t *testing.T, data []byte, name string, id, qtype uint16, shape, k uint8, ttl uint32) {
+		want, wantErr := NewQuery(id, name, Type(qtype)).Marshal()
+		got, err := AppendQuery(nil, id, name, Type(qtype))
+		if !bytes.Equal(got, want) || (err == nil) != (wantErr == nil) {
+			t.Fatalf("AppendQuery(%q) = %x, %v; the tree %x, %v", name, got, err, want, wantErr)
+		}
+
+		h, q, err := ParseQuery(data)
+		if err != nil || h.Questions != 1 {
+			return
+		}
+		end, labels, plain := 12, []string(nil), true
+		for data[end] != 0 {
+			if data[end]&0xC0 != 0 {
+				if _, err := AppendReply(nil, data, true, Answer{RCode: RCodeRefused}, nil); !errors.Is(err, ErrQuestionPointer) {
+					t.Fatalf("a question with a pointer: AppendReply err = %v", err)
+				}
+				return
+			}
+			l := string(data[end+1 : end+1+int(data[end])])
+			labels = append(labels, l)
+			plain = plain && lowerNoSpace(l) && !strings.Contains(l, ".")
+			end += 1 + int(data[end])
+		}
+		plain = plain && len(labels) > 0
+
+		tree, err := Unmarshal(data)
+		if err != nil {
+			t.Fatalf("ParseQuery accepts what Unmarshal does not: %v", err)
+		}
+		resp := tree.Reply()
+		resp.Authoritative = shape%2 == 0
+		var ans Answer
+		var soa *SOA
+		zone := "."
+		switch shape % 3 {
+		case 0:
+			ans = Answer{RCode: RCodeSuccess, A: netip.AddrFrom4([4]byte{198, 51, byte(id >> 8), byte(id)}), TTL: ttl}
+			resp.Answers = append(resp.Answers, Record{Name: q.Name, Type: TypeA, Class: ClassIN, TTL: ttl, A: ans.A})
+		case 1:
+			ans = Answer{RCode: RCodeNXDomain}
+			if n := int(k) % (len(labels) + 1); n > 0 {
+				zone = CanonicalName(strings.Join(labels[len(labels)-n:], "."))
+			}
+			s := NewSOA(zone, ttl, 1, 2, 3, 4, 5)
+			soa = &s
+			resp.Authorities = []Record{{Name: zone, Type: TypeSOA, Class: ClassIN, TTL: ttl, SOA: &SOAData{
+				MName: "ns1." + zone, RName: "hostmaster." + zone, Serial: 1, Refresh: 2, Retry: 3, Expire: 4, MinTTL: 5}}}
+		default:
+			ans = Answer{RCode: RCodeRefused}
+		}
+		resp.RCode = ans.RCode
+		mine, err := AppendReply(nil, data, resp.Authoritative, ans, soa)
+		if err != nil {
+			// The zone is spelt from the question's labels through
+			// CanonicalName, which changes bytes past 0x7F.
+			if plain || !errors.Is(err, errNotInZone) {
+				t.Fatalf("AppendReply(%x): %v", data, err)
+			}
+			return
+		}
+		if len(mine) != cap(mine) {
+			t.Errorf("reply of %d bytes in a buffer of %d", len(mine), cap(mine))
+		}
+		theirs, treeErr := resp.Marshal()
+
+		if plain && (soa == nil || zone != ".") && treeErr == nil {
+			if bytes.Equal(mine, theirs) {
+				return
+			}
+			qname := CanonicalName(q.Name)
+			if soa == nil || !(strings.HasSuffix("."+qname, ".ns1."+zone) || strings.HasSuffix("."+qname, ".hostmaster."+zone)) {
+				t.Fatalf("query %x: AppendReply\n%x\nthe tree\n%x", data, mine, theirs)
+			}
+			m1, err1 := Unmarshal(mine)
+			m2, err2 := Unmarshal(theirs)
+			if err1 != nil || err2 != nil || !reflect.DeepEqual(m1, m2) {
+				t.Fatalf("query %x: AppendReply decodes to\n%+v (%v)\nthe tree to\n%+v (%v)", data, m1, err1, m2, err2)
+			}
+			return
+		}
+		read, err := ParseAnswer(mine, h.ID, q.Name, q.Type)
+		if err != nil || read != ans {
+			t.Fatalf("query %x: AppendReply's %x reads %+v, %v; it was given %+v", data, mine, read, err, ans)
+		}
+		if treeErr != nil {
+			return
+		}
+		if read2, err := ParseAnswer(theirs, h.ID, q.Name, q.Type); err == nil && read2 != read {
+			t.Fatalf("query %x: the tree's reply reads %+v, AppendReply's %+v", data, read2, read)
+		}
+	})
+}

@@ -26,6 +26,7 @@ var poolPairs = []poolPair{
 	{get: "GetReader", put: "PutReader", pkgSuffix: "internal/httpwire"},
 	{get: "getWriter", put: "putWriter"},
 	{get: "getCopyBuf", put: "putCopyBuf"},
+	{get: "getQueryBuf", put: "putQueryBuf"},
 	{get: "takeBuf", put: "recycleBuf", owned: true},
 	{get: "takePair", put: "recyclePair", owned: true},
 }

@@ -38,7 +38,9 @@ type ConnHandler func(conn net.Conn)
 // DNSHandler answers a single DNS query datagram. src is the querying host's
 // address (what the paper's authoritative server logs to learn which
 // resolver asked). The returned slice is the response datagram; a nil return
-// simulates a dropped query.
+// simulates a dropped query. query is the caller's again when the call
+// returns — a resolver recycles its query datagrams — so a handler keeps
+// none of it and returns a response that shares no storage with it.
 type DNSHandler func(src netip.Addr, query []byte) []byte
 
 // Fabric is an in-memory network: a registry of hosts addressable by IP,

@@ -14,11 +14,19 @@ import (
 //go:linkname releasePoison github.com/tftproject/tft/internal/httpwire.poisonOnRelease
 var releasePoison bool
 
-// poisonReleasedBodies turns the hook on until the test ends. The crawls it
-// covers start after the write and are done before the cleanup, so the
-// plain bool is ordered with every reader.
-func poisonReleasedBodies(t *testing.T) {
+// queryPoison is internal/dnsserver's hook of the same kind: while it is
+// set, a resolver overwrites its query datagram with 0xDB as soon as the
+// exchange returns, so a DNS handler that kept any of the query shows up as
+// a changed hash.
+//
+//go:linkname queryPoison github.com/tftproject/tft/internal/dnsserver.poisonQueryOnPut
+var queryPoison bool
+
+// poisonRecycledBuffers turns both hooks on until the test ends. The crawls
+// it covers start after the writes and are done before the cleanup, so the
+// plain bools are ordered with every reader.
+func poisonRecycledBuffers(t *testing.T) {
 	t.Helper()
-	releasePoison = true
-	t.Cleanup(func() { releasePoison = false })
+	releasePoison, queryPoison = true, true
+	t.Cleanup(func() { releasePoison, queryPoison = false, false })
 }

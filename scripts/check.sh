@@ -46,7 +46,7 @@ stage() {
 		$GO test -race ./...
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all fourteen
+		# Short fuzz smoke over the parser-shaped attack surfaces, all fifteen
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
 		# holds ChainSize to what MarshalChain writes), the string decoder
@@ -56,7 +56,9 @@ stage() {
 		# accepts round-trips through WriteRecord), DNS messages — the
 		# tree decoder, the scan layer and its two flat readers against the
 		# one-pass decoder they replaced (same verdict, same sentinel, same
-		# values), and name compression round trips — the HTTP request and
+		# values), the append encoders against the tree writer they replaced
+		# (same bytes for a plain question, else the same verdict), and name
+		# compression round trips — the HTTP request and
 		# response parsers (the latter through its pooled, poisoned body
 		# path), and the HTTP head parser against the line-at-a-time parser
 		# it replaced and net/http (same verdict, same fields, same bytes
@@ -77,6 +79,7 @@ stage() {
 		$GO test -run=NONE -fuzz='FuzzReadRecord$' -fuzztime=5s ./internal/tlssim
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/dnswire
 		$GO test -run=NONE -fuzz='FuzzFlatAgreesWithTree$' -fuzztime=5s ./internal/dnswire
+		$GO test -run=NONE -fuzz='FuzzAppendAgreesWithTree$' -fuzztime=5s ./internal/dnswire
 		$GO test -run=NONE -fuzz='FuzzNameRoundTrip$' -fuzztime=5s ./internal/dnswire
 		$GO test -run=NONE -fuzz='FuzzReadResponse$' -fuzztime=5s ./internal/httpwire
 		$GO test -run=NONE -fuzz='FuzzReadRequest$' -fuzztime=5s ./internal/httpwire
