@@ -413,7 +413,7 @@ func BenchmarkAblationTwoPhaseTLS(b *testing.B) {
 	run := func(full bool, seed uint64) *core.TLSDataset {
 		exp := &core.TLSExperiment{
 			Client: w.Client, Geo: w.Geo, Trust: w.Trust,
-			Targets: core.TargetsFromRegistry(w.Sites),
+			Sites:   w.Sites,
 			Weights: w.Pool.CountryCounts(), Seed: seed,
 			Now: w.Clock.Now, AlwaysFullScan: full,
 		}
@@ -456,7 +456,7 @@ func BenchmarkAblationASSampling(b *testing.B) {
 	}
 	run := func(quota int) *core.HTTPDataset {
 		exp := &core.HTTPExperiment{
-			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: benchSeed, PerASQuota: quota,
 		}
@@ -646,7 +646,7 @@ func BenchmarkAblationBudget(b *testing.B) {
 	}
 	run := func(maxBytes int64) (complete, truncated int) {
 		exp := &core.HTTPExperiment{
-			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: benchSeed, Budget: core.NewBudget(maxBytes),
 			Crawl: core.CrawlConfig{MaxSessions: 600},

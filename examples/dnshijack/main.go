@@ -106,7 +106,7 @@ func main() {
 	}
 	startAgent("zhonest01", honestSrc, nil, false)
 	startAgent("zhijack01", hijackSrc,
-		dnsserver.StaticNX{Name: "LoopTel", Landing: loop}, true)
+		middlebox.PathNXHijack{Product: "LoopTel", Landing: loop}, true)
 
 	for pool.Len() < 2 {
 		//tftlint:ignore simclock -- settle poll while real agents register over real sockets

@@ -123,7 +123,7 @@ var httpExperiment = &experiment[*core.HTTPDataset, *analysis.HTTPAnalysis]{
 	build:          population.BuildHTTPWorld,
 	driver: func(w *population.World, o Options) crawlDriver[*core.HTTPDataset] {
 		return &core.HTTPExperiment{
-			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: o.Seed, Crawl: o.Crawl,
 		}
@@ -152,7 +152,7 @@ var tlsExperiment = &experiment[*core.TLSDataset, *analysis.TLSAnalysis]{
 	driver: func(w *population.World, o Options) crawlDriver[*core.TLSDataset] {
 		return &core.TLSExperiment{
 			Client: w.Client, Geo: w.Geo, Trust: w.Trust,
-			Targets: core.TargetsFromRegistry(w.Sites),
+			Sites:   w.Sites,
 			Weights: w.Pool.CountryCounts(),
 			Seed:    o.Seed, Crawl: o.Crawl,
 			Now: w.Clock.Now,

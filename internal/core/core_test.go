@@ -6,14 +6,17 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/tftproject/tft/internal/content"
+	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/simnet"
+	"github.com/tftproject/tft/internal/trace"
 )
 
 const (
@@ -204,7 +207,7 @@ func TestHTTPExperimentEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := &HTTPExperiment{
-		Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
 	}
 	w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
@@ -261,7 +264,7 @@ func TestTLSExperimentEndToEnd(t *testing.T) {
 	}
 	exp := &TLSExperiment{
 		Client: closesOnce(t, w.Client), Geo: w.Geo, Trust: w.Trust,
-		Targets: TargetsFromRegistry(w.Sites),
+		Sites:   w.Sites,
 		Weights: w.Pool.CountryCounts(), Seed: testSeed,
 		Now: w.Clock.Now,
 	}
@@ -301,7 +304,7 @@ func TestTLSLaunderingVisible(t *testing.T) {
 	}
 	exp := &TLSExperiment{
 		Client: w.Client, Geo: w.Geo, Trust: w.Trust,
-		Targets: TargetsFromRegistry(w.Sites),
+		Sites:   w.Sites,
 		Weights: w.Pool.CountryCounts(), Seed: testSeed,
 		Now: w.Clock.Now,
 	}
@@ -388,64 +391,146 @@ func TestMonitorExperimentEndToEnd(t *testing.T) {
 	}
 }
 
-// TestHTTPAndMonitorForgetProbeNames: once a small HTTP crawl and a small
-// monitoring crawl are done, the authority's log holds nothing for any name
-// either asked about — every session forgot its own when it ended — while
-// QueryCount still counts every query those names drew.
+// TestHTTPAndMonitorForgetProbeNames: once a small DNS, HTTP or monitoring
+// crawl is done — run to completion, or cancelled at a seeded session —
+// the authority's log holds nothing for any probe name of any session and
+// the web server's log nothing for any DNS or HTTP name or any observed
+// monitor host: every session forgot its names when it ended, and the
+// monitoring crawl forgets a host once it has read it. QueryCount and
+// RequestCount still count every arrival, and the trace ring retains at
+// most its capacity. Out of scope: a monitor's refetch for a duplicate
+// session lands in the web log after that session ended, and nothing reads
+// or forgets it.
 func TestHTTPAndMonitorForgetProbeNames(t *testing.T) {
+	const ringCap = 32
 	session := func(i int) string { return fmt.Sprintf("s%08d", i) }
-	t.Run("http", func(t *testing.T) {
-		w, err := population.BuildHTTPWorld(testSeed, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
-		exp := &HTTPExperiment{
-			Client: w.Client, Auth: w.Auth, Geo: w.Geo,
-			Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
-			Crawl: CrawlConfig{MaxSessions: 60},
-		}
-		ds, err := exp.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= ds.Crawl.Sessions; i++ {
-			for idx := range content.Kinds {
-				host := fmt.Sprintf("%s%s-%d.%s", httpPrefix, session(i), idx, population.Zone)
-				if q := w.Auth.QueriesFor(host); len(q) != 0 {
-					t.Fatalf("%s is still logged: %+v", host, q)
+	crawls := []struct {
+		name  string
+		build func(seed uint64, scale float64) (*population.World, error)
+		// run crawls w and returns the sessions it issued, the observations
+		// it made and the web-log hosts of the nodes it observed.
+		run func(ctx context.Context, w *population.World, cfg CrawlConfig) (sessions, observations int, hosts []string, err error)
+		// names lists a session's probe names: those the authority logs, and
+		// those the web server must not keep.
+		names func(sess string) (auth, web []string)
+	}{
+		{
+			name: "dns", build: population.BuildDNSWorld,
+			run: func(ctx context.Context, w *population.World, cfg CrawlConfig) (int, int, []string, error) {
+				cfg.MaxSessions = 200
+				ds, err := (&DNSExperiment{
+					Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
+					Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed, Crawl: cfg,
+				}).Run(ctx)
+				return ds.Crawl.Sessions, len(ds.Observations), nil, err
+			},
+			names: func(sess string) (auth, web []string) {
+				d1, d2 := d1Prefix+sess+"."+population.Zone, d2Prefix+sess+"."+population.Zone
+				return []string{d1, d2}, []string{d1, d2}
+			},
+		},
+		{
+			name: "http", build: population.BuildHTTPWorld,
+			run: func(ctx context.Context, w *population.World, cfg CrawlConfig) (int, int, []string, error) {
+				cfg.MaxSessions = 60
+				ds, err := (&HTTPExperiment{
+					Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
+					Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed, Crawl: cfg,
+				}).Run(ctx)
+				return ds.Crawl.Sessions, len(ds.Observations), nil, err
+			},
+			names: func(sess string) (auth, web []string) {
+				for idx := range content.Kinds {
+					auth = append(auth, fmt.Sprintf("%s%s-%d.%s", httpPrefix, sess, idx, population.Zone))
+				}
+				return auth, auth
+			},
+		},
+		{
+			name: "monitor", build: population.BuildMonitorWorld,
+			run: func(ctx context.Context, w *population.World, cfg CrawlConfig) (int, int, []string, error) {
+				cfg.MaxSessions = 200
+				ds, err := (&MonitorExperiment{
+					Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
+					Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed, Crawl: cfg,
+					Watch: 24 * time.Hour,
+				}).Run(ctx)
+				var hosts []string
+				for _, o := range ds.Observations {
+					hosts = append(hosts, o.Host)
+				}
+				return ds.Crawl.Sessions, len(ds.Observations), hosts, err
+			},
+			names: func(sess string) (auth, web []string) {
+				return []string{monPrefix + sess + "." + population.Zone}, nil
+			},
+		},
+	}
+	for _, c := range crawls {
+		t.Run(c.name, func(t *testing.T) {
+			for _, cancelled := range []bool{false, true} {
+				w, err := c.build(testSeed, 0.01)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				probeRules := ProbeRules(population.WebIP, geo.SuperProxyResolverEgress)
+				rules := probeRules
+				if cancelled {
+					// The first query for the seeded session's names cancels
+					// the crawl while that session is in flight.
+					stop := session(1 + testRand().IntN(40))
+					rules = func(name string) dnsserver.Rule {
+						if strings.Contains(name, stop) {
+							cancel()
+						}
+						return probeRules(name)
+					}
+				}
+				w.Auth.SetFallback(rules)
+				// The super proxy's spans too, so that every run wraps the ring.
+				tracer := trace.New(w.Clock.Now, ringCap)
+				w.Super.Tracer = tracer
+				sessions, observations, observed, err := c.run(ctx, w, CrawlConfig{Tracer: tracer})
+				cancel()
+				if cancelled != (err != nil) {
+					t.Fatalf("cancelled=%v: Run err = %v", cancelled, err)
+				}
+				// A run to completion must have observed nodes, so that the
+				// forget path of a successful session ran.
+				if !cancelled && observations == 0 {
+					t.Fatalf("%d sessions made no observation", sessions)
+				}
+				for i := 1; i <= sessions; i++ {
+					auth, web := c.names(session(i))
+					for _, name := range auth {
+						if q := w.Auth.QueriesFor(name); len(q) != 0 {
+							t.Fatalf("cancelled=%v: %s is still in the authority's log: %+v", cancelled, name, q)
+						}
+					}
+					for _, host := range web {
+						if r := w.Web.RequestsFor(host); len(r) != 0 {
+							t.Fatalf("cancelled=%v: %s is still in the web log: %+v", cancelled, host, r)
+						}
+					}
+				}
+				for _, host := range observed {
+					if r := w.Web.RequestsFor(host); len(r) != 0 {
+						t.Fatalf("cancelled=%v: observed %s is still in the web log: %+v", cancelled, host, r)
+					}
+				}
+				if n := w.Auth.QueryCount(); n == 0 || n < observations {
+					t.Fatalf("cancelled=%v: %d queries counted for %d observations", cancelled, n, observations)
+				}
+				if n := w.Web.RequestCount(); n == 0 || n < observations {
+					t.Fatalf("cancelled=%v: %d requests counted for %d observations", cancelled, n, observations)
+				}
+				if n := tracer.Retained(); n > ringCap {
+					t.Fatalf("cancelled=%v: trace ring retains %d spans, capacity %d", cancelled, n, ringCap)
 				}
 			}
-		}
-		if n := w.Auth.QueryCount(); len(ds.Observations) == 0 || n < len(ds.Observations) {
-			t.Fatalf("%d queries counted for %d observations", n, len(ds.Observations))
-		}
-	})
-	t.Run("monitor", func(t *testing.T) {
-		w, err := population.BuildMonitorWorld(testSeed, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
-		exp := &MonitorExperiment{
-			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
-			Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
-			Crawl: CrawlConfig{MaxSessions: 200}, Watch: 24 * time.Hour,
-		}
-		ds, err := exp.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= ds.Crawl.Sessions; i++ {
-			host := monPrefix + session(i) + "." + population.Zone
-			if q := w.Auth.QueriesFor(host); len(q) != 0 {
-				t.Fatalf("%s is still logged: %+v", host, q)
-			}
-		}
-		if n := w.Auth.QueryCount(); len(ds.Observations) == 0 || n < len(ds.Observations) {
-			t.Fatalf("%d queries counted for %d observations", n, len(ds.Observations))
-		}
-	})
+		})
+	}
 }
 
 func TestOpenResolverScanBaseline(t *testing.T) {

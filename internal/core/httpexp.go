@@ -11,6 +11,7 @@ import (
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
+	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/proxynet"
 )
 
@@ -91,10 +92,12 @@ type HTTPDataset struct {
 // HTTPExperiment drives §5's methodology.
 type HTTPExperiment struct {
 	Client *proxynet.Client
-	// Auth is the world's authoritative server. Nothing reads the queries
-	// for a session's names once the session ends, so each is forgotten
-	// then: its log holds O(in-flight sessions) entries.
+	// Auth and Web are the world's authoritative and web servers. Nothing
+	// reads the queries or requests for a session's names once the session
+	// ends, so each is forgotten then: their logs hold O(in-flight
+	// sessions) entries.
 	Auth    *dnsserver.Authority
+	Web     *origin.Server
 	Geo     *geo.Registry
 	Zone    string
 	Weights map[geo.CountryCode]int
@@ -166,6 +169,7 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 		fqdn := httpPrefix + sess + "-" + strconv.Itoa(idx) + "." + e.Zone + "."
 		host := fqdn[:len(fqdn)-1]
 		defer e.Auth.Forget(fqdn)
+		defer e.Web.Forget(host)
 		resp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+k.Path())
 		defer resp.Release()
 		if err != nil || dbg == nil || dbg.ZID == "" || dbg.Err != "" {

@@ -126,9 +126,11 @@ func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.Count
 }
 
 // collect splits the server log for the node's domain into its own request
-// and the unexpected ones, computing delays.
+// and the unexpected ones, computing delays. Nothing reads the host's log
+// again, so it is forgotten here.
 func (e *MonitorExperiment) collect(obs *MonObservation) {
 	reqs := e.Web.RequestsFor(obs.Host)
+	e.Web.Forget(obs.Host)
 	if len(reqs) == 0 {
 		return
 	}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/geo"
+	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/proxynet"
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/tlssim"
@@ -36,26 +37,6 @@ func (c SiteClass) String() string {
 		return "invalid"
 	}
 	return fmt.Sprintf("SiteClass(%d)", int(c))
-}
-
-// TLSSite is one probe target.
-type TLSSite struct {
-	Host string
-	// Addr is the CONNECT target, the site's IP:443, rendered once rather
-	// than on every probe.
-	Addr string
-	// KnownChain is what the genuine server presents; for the invalid sites
-	// the team controls, detection is an exact match against it.
-	KnownChain []*cert.Certificate
-	Class      SiteClass
-}
-
-// TLSTargets is the experiment's site list.
-type TLSTargets struct {
-	// Popular holds each country's Alexa-style top sites.
-	Popular      map[geo.CountryCode][]TLSSite
-	Universities []TLSSite
-	Invalid      []TLSSite
 }
 
 // SiteResult is the per-site handshake outcome.
@@ -107,10 +88,12 @@ type TLSDataset struct {
 
 // TLSExperiment drives §6's methodology.
 type TLSExperiment struct {
-	Client  *proxynet.Client
-	Geo     *geo.Registry
-	Trust   *cert.Store
-	Targets *TLSTargets
+	Client *proxynet.Client
+	Geo    *geo.Registry
+	Trust  *cert.Store
+	// Sites is the target list: the world's site registry. A site's class
+	// is the list it was drawn from.
+	Sites   *population.SiteRegistry
 	Weights map[geo.CountryCode]int
 	Crawl   CrawlConfig
 	Seed    uint64
@@ -147,28 +130,29 @@ func (e *TLSExperiment) Run(ctx context.Context) (*TLSDataset, error) {
 
 // measure performs the two-phase scan (§6.1, Figure 3) through one node.
 func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*TLSObservation, outcome) {
-	popular := e.Targets.Popular[cc]
+	popular := e.Sites.Popular[cc]
 	if len(popular) == 0 {
 		// No usable ranking for this country (the reason the experiment
 		// covers 115 countries, §6.2).
 		return nil, outcomeFailed
 	}
 	rng := simnet.SubRand(e.Seed, "tls/"+sess)
-	phase1 := []TLSSite{
+	// One site of each class, in SiteClass order.
+	phase1 := [...]*population.Site{
 		popular[rng.IntN(len(popular))],
-		e.Targets.Universities[rng.IntN(len(e.Targets.Universities))],
-		e.Targets.Invalid[rng.IntN(len(e.Targets.Invalid))],
+		e.Sites.Universities[rng.IntN(len(e.Sites.Universities))],
+		e.Sites.Invalid[rng.IntN(len(e.Sites.Invalid))],
 	}
 	opts := proxynet.Options{Country: cc, Session: sess}
 	obs := &TLSObservation{}
 
 	for i, site := range phase1 {
-		res, dbg, err := e.probe(ctx, opts, site)
+		res, dbg, err := e.probe(ctx, opts, site, SiteClass(i))
 		if err != nil {
 			if i == 0 {
 				return nil, classifyFailure(err, dbg)
 			}
-			res = SiteResult{Host: site.Host, Class: site.Class, Err: err.Error()}
+			res.Err = err.Error()
 		}
 		if i == 0 {
 			if !cr.observe(dbg.ZID) {
@@ -190,29 +174,29 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 		for _, s := range obs.Sites {
 			probed[s.Host] = true
 		}
-		full := make([]TLSSite, 0, 33)
-		full = append(full, popular...)
-		full = append(full, e.Targets.Universities...)
-		full = append(full, e.Targets.Invalid...)
-		for _, site := range full {
-			if probed[site.Host] {
-				continue
+	scan:
+		for class, sites := range [...][]*population.Site{popular, e.Sites.Universities, e.Sites.Invalid} {
+			for _, site := range sites {
+				if probed[site.Host] {
+					continue
+				}
+				res, dbg, err := e.probe(ctx, opts, site, SiteClass(class))
+				if err != nil {
+					res.Err = err.Error()
+				} else if dbg.ZID != obs.ZID {
+					break scan
+				}
+				obs.Sites = append(obs.Sites, res)
 			}
-			res, dbg, err := e.probe(ctx, opts, site)
-			if err != nil {
-				res = SiteResult{Host: site.Host, Class: site.Class, Err: err.Error()}
-			} else if dbg.ZID != obs.ZID {
-				break
-			}
-			obs.Sites = append(obs.Sites, res)
 		}
 	}
 	return obs, outcomeOK
 }
 
-// probe collects and judges one site's chain through the tunnel.
-func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site TLSSite) (SiteResult, *proxynet.Debug, error) {
-	res := SiteResult{Host: site.Host, Class: site.Class}
+// probe collects and judges one site's chain through the tunnel. On error
+// the result carries the site's host and class alone.
+func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site *population.Site, class SiteClass) (SiteResult, *proxynet.Debug, error) {
+	res := SiteResult{Host: site.Host, Class: class}
 	if e.probes != nil {
 		atomic.AddInt64(e.probes, 1)
 	}
@@ -230,14 +214,14 @@ func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site T
 		return res, dbg, fmt.Errorf("empty chain")
 	}
 	leaf := chain[0]
-	res.IssuerCN = issuerCN(leaf, site.KnownChain[0])
+	res.IssuerCN = issuerCN(leaf, site.Chain[0])
 	res.LeafKey = leaf.PublicKey
 	res.ChainValid = e.Trust.Verify(site.Host, chain, e.Now()) == nil
-	switch site.Class {
+	switch class {
 	case SiteInvalid:
 		// Exact-match check: the team knows exactly which certificate it
 		// serves (§6.1).
-		res.Replaced = leaf.Fingerprint() != site.KnownChain[0].Fingerprint()
+		res.Replaced = leaf.Fingerprint() != site.Chain[0].Fingerprint()
 	default:
 		// CDNs rotate certificates, so validation — not exact matching —
 		// is the criterion for the first two classes (§6.1 footnote).

@@ -35,7 +35,7 @@ func TestLookupAllocs(t *testing.T) {
 	}{
 		{"answered", "d1.probe.tft-example.net", nil, dnswire.Answer{RCode: dnswire.RCodeSuccess, A: webIP, TTL: 5}},
 		{"refused", "d2.probe.tft-example.net", nil, dnswire.Answer{RCode: dnswire.RCodeNXDomain}},
-		{"hijacked", "d2.probe.tft-example.net", StaticNX{Landing: landingIP}, dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landingIP, TTL: 300}},
+		{"hijacked", "d2.probe.tft-example.net", landingNX(landingIP), dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landingIP, TTL: 300}},
 	} {
 		r, a := lookupRig(t)
 		r.Hijack = tc.hijack

@@ -248,7 +248,7 @@ func oracleRelay(r *Resolver, admit func(netip.Addr) bool, src netip.Addr, query
 func TestResolverHandlerMatchesRelayOracle(t *testing.T) {
 	honest, _ := lookupRig(t)
 	hijacking, _ := lookupRig(t)
-	hijacking.Hijack = StaticNX{Landing: landingIP}
+	hijacking.Hijack = landingNX(landingIP)
 	closed := func(src netip.Addr) bool { return src == nodeIP }
 	rng := rand.New(rand.NewPCG(20160413, 26))
 	names := []string{

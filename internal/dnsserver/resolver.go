@@ -180,14 +180,3 @@ func queryID(client netip.Addr, name string) uint16 {
 	}
 	return uint16(h>>16) ^ uint16(h)
 }
-
-// StaticNX is the simplest NXRewriter: every NXDOMAIN becomes landing.
-type StaticNX struct {
-	// Name labels the rewriting party where a resolver is printed; no code
-	// reads it.
-	Name    string
-	Landing netip.Addr
-}
-
-// RewriteNX implements NXRewriter.
-func (s StaticNX) RewriteNX(string) (netip.Addr, bool) { return s.Landing, true }

@@ -29,7 +29,7 @@ func sc(n int, s float64) int { return int(float64(n) * s) }
 func nodes(w *World) []*proxynet.ExitNode {
 	out := make([]*proxynet.ExitNode, w.Spec.Len())
 	for i := range out {
-		out[i] = w.Spec.Materialize(i, w.Fabric)
+		out[i] = w.Spec.Materialize(i, w.Fabric, w.Clock)
 	}
 	return out
 }

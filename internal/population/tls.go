@@ -17,6 +17,9 @@ import (
 type Site struct {
 	Host string
 	IP   netip.Addr
+	// Addr is the CONNECT target, IP:443, rendered once so that a probe
+	// builds no string.
+	Addr string
 	// Chain is the certificate chain the genuine server presents.
 	Chain []*cert.Certificate
 	// AltChain, when non-nil, is a second genuine chain the site rotates
@@ -98,7 +101,7 @@ const tlsASCapacity = 81 // ~808k nodes over ~10k ASes
 // the two across connections, like a CDN-fronted service.
 func (b *tlsBuilder) registerSite(host string, asn geo.ASN, chain, alt []*cert.Certificate, invalid bool) *Site {
 	ip := b.addr(asn)
-	s := &Site{Host: host, IP: ip, Chain: chain, AltChain: alt, Invalid: invalid}
+	s := &Site{Host: host, IP: ip, Addr: netip.AddrPortFrom(ip, 443).String(), Chain: chain, AltChain: alt, Invalid: invalid}
 	framed := tlssim.FrameChain(chain)
 	serve := func(string) []byte { return framed }
 	if alt != nil {

@@ -156,7 +156,7 @@ func newWorld(seed uint64, scale float64, label string) (*World, error) {
 		EgressFor: func(netip.Addr) netip.Addr { return geo.SuperProxyResolverEgress },
 	}
 	w.lazy = proxynet.NewLazyPool(simnet.SubRand(seed, "pool/"+label), 0.01,
-		func(i int) *proxynet.ExitNode { return w.Spec.Materialize(i, w.Fabric) },
+		func(i int) *proxynet.ExitNode { return w.Spec.Materialize(i, w.Fabric, w.Clock) },
 		w.Spec.Index)
 	w.Pool = w.lazy
 	w.Super = proxynet.NewSuperProxy(ProxyIP, w.Pool, spResolver, w.Clock)

@@ -8,6 +8,7 @@ import (
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/middlebox"
 	"github.com/tftproject/tft/internal/proxynet"
+	"github.com/tftproject/tft/internal/simnet"
 )
 
 // WorldSpec is the recorded blueprint of a world's exit-node population.
@@ -85,9 +86,10 @@ func (s *WorldSpec) add(cc geo.CountryCode, asn geo.ASN, addr netip.Addr, resolv
 }
 
 // Materialize builds the live exit node for row i, carrying its traffic
-// over net. Every call returns a fresh instance; all cross-pick state lives
-// in the shared resolver/path/env components.
-func (s *WorldSpec) Materialize(i int, net proxynet.Dialer) *proxynet.ExitNode {
+// over net with its deadline budgets on clock. Every call returns a fresh
+// instance; all cross-pick state lives in the shared resolver/path/env
+// components.
+func (s *WorldSpec) Materialize(i int, net proxynet.Dialer, clock simnet.Clock) *proxynet.ExitNode {
 	return &proxynet.ExitNode{
 		ZID:      s.ZID(i),
 		Addr:     s.addrs[i],
@@ -97,6 +99,7 @@ func (s *WorldSpec) Materialize(i int, net proxynet.Dialer) *proxynet.ExitNode {
 		Path:     s.paths[i],
 		Env:      s.envs[i],
 		Net:      net,
+		Clock:    clock,
 	}
 }
 

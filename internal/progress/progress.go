@@ -218,9 +218,9 @@ func (t *Tracker) CaptureWatermarks() Watermarks {
 	runtime.ReadMemStats(&ms)
 	g := int64(runtime.NumGoroutine())
 	t.heapBytes.Store(ms.HeapAlloc)
-	storeMaxUint64(&t.peakHeapBytes, ms.HeapAlloc)
+	storeMax(&t.peakHeapBytes, ms.HeapAlloc)
 	t.goroutines.Store(g)
-	storeMaxInt64(&t.peakGoroutines, g)
+	storeMax(&t.peakGoroutines, g)
 	t.gcPauseNs.Store(ms.PauseTotalNs)
 	return t.watermarks()
 }
@@ -236,16 +236,11 @@ func (t *Tracker) watermarks() Watermarks {
 	}
 }
 
-func storeMaxUint64(p *atomic.Uint64, v uint64) {
-	for {
-		old := p.Load()
-		if v <= old || p.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
-
-func storeMaxInt64(p *atomic.Int64, v int64) {
+// storeMax raises *p to v unless it already holds at least v.
+func storeMax[T int64 | uint64](p interface {
+	Load() T
+	CompareAndSwap(old, new T) bool
+}, v T) {
 	for {
 		old := p.Load()
 		if v <= old || p.CompareAndSwap(old, v) {

@@ -83,12 +83,10 @@ type HealthTracker struct {
 	seed  uint64
 	nodes sync.Map // zid -> *nodeHealth
 
-	open atomic.Int64 // nodes currently open
-
 	mTrips  *metrics.Counter
 	mProbes *metrics.Counter
 	mResets *metrics.Counter
-	gOpen   *metrics.Gauge
+	gOpen   *metrics.Gauge // open breakers of every tracker on the registry
 }
 
 // NewHealthTracker builds a breaker on clock whose cooldown jitter derives
@@ -129,7 +127,7 @@ func (h *HealthTracker) Allow(zid string) bool {
 			}
 			if nh.state.CompareAndSwap(breakerOpen, breakerHalfOpen) {
 				nh.probing.Store(true)
-				h.gOpen.Set(h.open.Add(-1))
+				h.gOpen.Add(-1)
 				h.mProbes.Inc()
 				return true
 			}
@@ -160,7 +158,7 @@ func (h *HealthTracker) Success(zid string) {
 	nh.trips.Store(0)
 	nh.probing.Store(false)
 	if prev == breakerOpen {
-		h.gOpen.Set(h.open.Add(-1))
+		h.gOpen.Add(-1)
 	}
 	if prev != breakerClosed {
 		h.mResets.Inc()
@@ -203,16 +201,19 @@ func (h *HealthTracker) trip(nh *nodeHealth, zid string) {
 	d := backoffDelay(breakerCooldown, breakerCooldownMax, 0.25, int(trip-1), healthJitterDraw(h.seed, zid, trip))
 	nh.until.Store(h.clock.Now().Add(d).UnixNano())
 	nh.fails.Store(0)
-	h.gOpen.Set(h.open.Add(1))
+	h.gOpen.Add(1)
 	h.mTrips.Inc()
 }
 
-// OpenCount returns how many breakers are currently open.
+// OpenCount returns how many breakers are open: the
+// proxy_breaker_open_nodes gauge, so 0 for a tracker built without a
+// registry. Trackers that share a registry share the gauge, so it counts
+// the open breakers of all of them, a finished run's included.
 func (h *HealthTracker) OpenCount() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.open.Load()
+	return h.gOpen.Value()
 }
 
 // State returns zid's breaker state label — for tests and statusz, not the

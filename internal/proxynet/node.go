@@ -54,9 +54,13 @@ type ExitNode struct {
 	Env *middlebox.Env
 	// Net carries the node's traffic.
 	Net Dialer
-	// Clock, when non-nil, arms per-attempt deadline budgets on the node's
-	// outbound connections (fetchBudget, tunnelBudget) so a faulted or
-	// stalled origin cannot wedge an attempt forever. Under the virtual
+	// Clock is the timebase of the per-attempt deadline budgets every
+	// outbound connection of the node carries (fetchBudget, tunnelBudget),
+	// so a faulted or stalled origin cannot wedge an attempt forever. It
+	// governs fabric streams only; a real socket, or a nil Clock, measures
+	// the budgets on the wall clock (deadlineClock). A simulated world
+	// gives every node its clock (population's Materialize), so only
+	// real-socket nodes such as cmd/exitnode leave it nil. Under the virtual
 	// clock — which never advances mid-crawl — the budgets are inert and
 	// the stall fault's own deadline collapse does the bounding; on real
 	// networks they are live timers.
@@ -140,12 +144,10 @@ func (n *ExitNode) fetch(ctx context.Context, src netip.Addr, host string, port 
 		return nil, err
 	}
 	defer conn.Close()
-	if n.Clock != nil {
-		conn.SetDeadline(deadlineClock(conn, n.Clock).Now().Add(fetchBudget))
-		// Clearing on the way out stops the deadline timer rather
-		// than leaving it to fire against a closed stream.
-		defer conn.SetDeadline(time.Time{})
-	}
+	conn.SetDeadline(deadlineClock(conn, n.Clock).Now().Add(fetchBudget))
+	// Clearing on the way out stops the deadline timer rather than leaving
+	// it to fire against a closed stream.
+	defer conn.SetDeadline(time.Time{})
 	req := httpwire.NewRequest("GET", path)
 	req.Header.Set("Host", host)
 	return httpwire.Exchange(conn, req)
@@ -190,15 +192,10 @@ func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, p
 		endTunnel(span, done, err)
 		return false
 	}
-	timed := n.Clock != nil
-	if timed {
-		server.SetDeadline(deadlineClock(server, n.Clock).Now().Add(tunnelBudget))
-	}
+	server.SetDeadline(deadlineClock(server, n.Clock).Now().Add(tunnelBudget))
 	finish := func(err error) {
-		if timed {
-			// The budget covers the relay only; clearing stops the timer.
-			server.SetDeadline(time.Time{})
-		}
+		// The budget covers the relay only; clearing stops the timer.
+		server.SetDeadline(time.Time{})
 		endTunnel(span, done, err)
 	}
 

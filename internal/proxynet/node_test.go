@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -244,4 +245,91 @@ func TestRelayBothBenignBothWays(t *testing.T) {
 	if err := relayBoth(client, server, nil); err != nil {
 		t.Fatalf("clean teardown returned %v, want nil", err)
 	}
+}
+
+// deadlineConn records every SetDeadline made on the conn it wraps. It is
+// no *simnet.Stream, so the node measures its budgets on the wall clock,
+// as it does on a real socket.
+type deadlineConn struct {
+	net.Conn
+	mu        sync.Mutex
+	deadlines []time.Time
+}
+
+func (c *deadlineConn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadlines = append(c.deadlines, t)
+	c.mu.Unlock()
+	return c.Conn.SetDeadline(t)
+}
+
+// deadlineDialer wraps each conn it dials in a deadlineConn.
+type deadlineDialer struct {
+	Dialer
+	conns []*deadlineConn
+}
+
+func (d *deadlineDialer) Dial(ctx context.Context, src, dst netip.Addr, port uint16) (net.Conn, error) {
+	conn, err := d.Dialer.Dial(ctx, src, dst, port)
+	if err != nil {
+		return nil, err
+	}
+	dc := &deadlineConn{Conn: conn}
+	d.conns = append(d.conns, dc)
+	return dc, nil
+}
+
+// TestExitNodeBudgetsWithoutClock: a node with no Clock — cmd/exitnode's
+// configuration — still arms its fetch and tunnel budgets on the wall
+// clock, and clears each when the leg ends.
+func TestExitNodeBudgetsWithoutClock(t *testing.T) {
+	f, node := smtpFabric(t, nil)
+	dialer := &deadlineDialer{Dialer: f}
+	node.Net = dialer
+	webIP2 := netip.MustParseAddr("198.51.100.80")
+	f.HandleTCP(webIP2, 80, func(conn net.Conn) {
+		defer conn.Close()
+		if _, err := httpwire.ReadRequest(bufio.NewReader(conn)); err != nil {
+			return
+		}
+		httpwire.NewResponse(200, nil).Write(conn)
+	})
+	check := func(leg string, budget time.Duration, do func()) {
+		t.Helper()
+		before := time.Now()
+		do()
+		after := time.Now()
+		if len(dialer.conns) != 1 {
+			t.Fatalf("%s dialed %d conns, want 1", leg, len(dialer.conns))
+		}
+		c := dialer.conns[0]
+		dialer.conns = nil
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if len(c.deadlines) != 2 {
+			t.Fatalf("%s set %d deadlines (%v), want the budget then a clear", leg, len(c.deadlines), c.deadlines)
+		}
+		if armed := c.deadlines[0]; armed.Before(before.Add(budget)) || armed.After(after.Add(budget)) {
+			t.Fatalf("%s armed %v, want %v after a wall time in [%v, %v]", leg, armed, budget, before, after)
+		}
+		if !c.deadlines[1].IsZero() {
+			t.Fatalf("%s left the deadline at %v", leg, c.deadlines[1])
+		}
+	}
+	check("fetch", fetchBudget, func() {
+		if _, err := node.FetchHTTP(context.Background(), "x.example", 80, "/", webIP2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("tunnel", tunnelBudget, func() {
+		client, nodeSide := net.Pipe()
+		defer nodeSide.Close()
+		ended := make(chan error, 1)
+		go node.Tunnel(context.Background(), nodeSide, mailIP, 25, func(err error) { ended <- err })
+		if _, err := smtpwire.Probe(client, "probe.tft-example.net"); err != nil {
+			t.Fatal(err)
+		}
+		client.Close()
+		<-ended // the budget is cleared before done fires
+	})
 }

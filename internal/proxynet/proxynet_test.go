@@ -240,7 +240,7 @@ func TestHijackedNodeReturnsLandingContent(t *testing.T) {
 		n.Resolver = &dnsserver.Resolver{
 			Addr: ispDNSIP, Net: w.fabric,
 			Upstream: func(string) (netip.Addr, bool) { return authIP, true },
-			Hijack:   dnsserver.StaticNX{Name: "testisp", Landing: landingIP},
+			Hijack:   middlebox.PathNXHijack{Product: "testisp", Landing: landingIP},
 		}
 	}
 	resp, dbg, err := w.client.Get(context.Background(), Options{RemoteDNS: true}, "http://d2."+zone+"/")

@@ -44,9 +44,9 @@ type tcpRig struct {
 
 func localIP() netip.Addr { return netip.MustParseAddr("127.0.0.1") }
 
-func listenTCP(t *testing.T) (net.Listener, uint16) {
+func listenTCP(t *testing.T, ip netip.Addr) (net.Listener, uint16) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := net.Listen("tcp", netip.AddrPortFrom(ip, 0).String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,9 @@ func listenTCP(t *testing.T) (net.Listener, uint16) {
 	return l, ap.Port()
 }
 
-func newTCPRig(t *testing.T, siteChain []*cert.Certificate) *tcpRig {
+// newTCPRig starts the rig. With a non-nil siteChain it also serves a TLS
+// site on siteIP, at the one port the super proxy lets a CONNECT reach.
+func newTCPRig(t *testing.T, siteIP netip.Addr, siteChain []*cert.Certificate) *tcpRig {
 	t.Helper()
 	r := &tcpRig{t: t, clock: simnet.NewVirtual(t0), webIPReal: localIP(), clientSrc: localIP()}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -73,14 +75,14 @@ func newTCPRig(t *testing.T, siteChain []*cert.Certificate) *tcpRig {
 
 	// Measurement web server over TCP.
 	r.web = origin.NewServer(r.clock)
-	wl, webPort := listenTCP(t)
+	wl, webPort := listenTCP(t, localIP())
 	t.Cleanup(func() { wl.Close() })
 	go ServeListener(wl, r.web.ConnHandler())
 	r.webPort = webPort
 
 	// TLS site over TCP, if requested.
 	if siteChain != nil {
-		tl, tlsPort := listenTCP(t)
+		tl, tlsPort := listenTCP(t, siteIP)
 		t.Cleanup(func() { tl.Close() })
 		go ServeListener(tl, origin.TLSSite(func(string) []*cert.Certificate { return siteChain }))
 		r.tlsPort = tlsPort
@@ -97,13 +99,13 @@ func newTCPRig(t *testing.T, siteChain []*cert.Certificate) *tcpRig {
 		r.sp.ConnectPort = 443
 	}
 
-	cl, _ := listenTCP(t)
+	cl, _ := listenTCP(t, localIP())
 	t.Cleanup(func() { cl.Close() })
 	go r.sp.Serve(cl)
 	r.proxyAddr = cl.Addr().String()
 
 	gw := NewGateway(r.pool)
-	al, _ := listenTCP(t)
+	al, _ := listenTCP(t, localIP())
 	t.Cleanup(func() { al.Close() })
 	go gw.Serve(al)
 	r.agentAddr = al.Addr().String()
@@ -188,7 +190,7 @@ func TestTCPDialerReachesIPv6(t *testing.T) {
 }
 
 func TestTCPProxiedGetThroughAgent(t *testing.T) {
-	r := newTCPRig(t, nil)
+	r := newTCPRig(t, netip.Addr{}, nil)
 	r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
 	r.startAgent("zremote01", "DE", nil, nil)
 	r.waitPeers("zremote01")
@@ -210,7 +212,7 @@ func TestTCPProxiedGetThroughAgent(t *testing.T) {
 }
 
 func TestTCPRemoteDNSHonestNXDomain(t *testing.T) {
-	r := newTCPRig(t, nil)
+	r := newTCPRig(t, netip.Addr{}, nil)
 	// d2 answered only for the super proxy's resolver; real sockets cannot
 	// spoof, so on loopback everyone shares 127.0.0.1 — gate instead on a
 	// name the super proxy can resolve but the node cannot: use the
@@ -235,7 +237,7 @@ func TestTCPRemoteDNSHonestNXDomain(t *testing.T) {
 }
 
 func TestTCPHijackingAgentResolver(t *testing.T) {
-	r := newTCPRig(t, nil)
+	r := newTCPRig(t, netip.Addr{}, nil)
 	// d2 exists for the super proxy (everyone, since loopback cannot
 	// discriminate sources) but the agent's resolver hijacks NXDOMAIN.
 	// Use a name with no rule at all: super proxy would block it. So gate
@@ -247,13 +249,13 @@ func TestTCPHijackingAgentResolver(t *testing.T) {
 	// Landing page host on TCP.
 	landing := middlebox.LandingSpec{Operator: "LoopISP",
 		RedirectURL: "http://search.loopisp.example/q"}.Render()
-	ll, landingPort := listenTCP(t)
+	ll, landingPort := listenTCP(t, localIP())
 	t.Cleanup(func() { ll.Close() })
 	go ServeListener(ll, origin.StaticPage(landing, "text/html"))
 
 	// The hijacking resolver points NXDOMAIN at the landing host; the
 	// node's dialer maps the landing IP to the landing port.
-	hijack := dnsserver.StaticNX{Name: "loopisp", Landing: netip.MustParseAddr("127.0.0.1")}
+	hijack := middlebox.PathNXHijack{Product: "loopisp", Landing: netip.MustParseAddr("127.0.0.1")}
 	dnsAP, _ := netip.ParseAddrPort(r.dnsAddr)
 	resolver := dnsserver.NewUDPResolver(localIP(), dnsAP, netip.Addr{})
 	resolver.Hijack = hijack
@@ -309,7 +311,7 @@ func TestTCPConnectTunnelWithMITM(t *testing.T) {
 	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},
 		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "s"})
 	chain := []*cert.Certificate{leaf, root.Cert}
-	r := newTCPRig(t, chain)
+	r := newTCPRig(t, localIP(), chain)
 
 	store := cert.NewStore(root.Cert)
 	spec := middlebox.ProductSpec{Product: "Avast", IssuerCN: "Avast Web/Mail Shield Root",
@@ -339,11 +341,45 @@ func TestTCPConnectTunnelWithMITM(t *testing.T) {
 	}
 }
 
+// TestTCPConnectToIPv6Origin: a client CONNECTs to an IPv6 origin, written
+// [::1]:port, through the real-socket super proxy and agent, and reads the
+// site's own chain. A host without IPv6 loopback skips, saying so.
+func TestTCPConnectToIPv6Origin(t *testing.T) {
+	l, err := net.Listen("tcp", "[::1]:0")
+	if err != nil {
+		t.Skipf("SKIPPED: cannot listen on [::1] on this host: %v", err)
+	}
+	l.Close()
+	root := cert.NewRootCA(cert.Name{CommonName: "R6"}, "r6", t0.Add(-time.Hour), 1000*time.Hour)
+	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site6.example"},
+		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "s6"})
+	r := newTCPRig(t, netip.IPv6Loopback(), []*cert.Certificate{leaf, root.Cert})
+	r.startAgent("zipv6node", "DE", nil, nil)
+	r.waitPeers("zipv6node")
+
+	target := netip.AddrPortFrom(netip.IPv6Loopback(), r.tlsPort).String()
+	conn, dbg, err := r.client().Connect(context.Background(), Options{}, target)
+	if err != nil {
+		t.Fatalf("CONNECT %s: %v", target, err)
+	}
+	defer conn.Close()
+	if dbg.ZID != "zipv6node" {
+		t.Fatalf("tunnel via %q", dbg.ZID)
+	}
+	got, err := tlssim.CollectChain(conn, "site6.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Fingerprint() != leaf.Fingerprint() {
+		t.Fatalf("chain through the tunnel is not the site's: %d certificates", len(got))
+	}
+}
+
 func TestTCPAgentSurvivesTunnelConsumption(t *testing.T) {
 	root := cert.NewRootCA(cert.Name{CommonName: "R"}, "r2", t0.Add(-time.Hour), 1000*time.Hour)
 	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},
 		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "s2"})
-	r := newTCPRig(t, []*cert.Certificate{leaf, root.Cert})
+	r := newTCPRig(t, localIP(), []*cert.Certificate{leaf, root.Cert})
 	r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
 	r.startAgent("zsurvive1", "DE", nil, nil)
 	r.waitPeers("zsurvive1")

@@ -30,8 +30,6 @@ const (
 	// FaultCorrupt flips one bit pattern in every Every-th byte delivered
 	// on the receive direction — an on-path link mangling payloads.
 	FaultCorrupt
-
-	numFaultKinds
 )
 
 // String returns the kind's metric label.
@@ -161,8 +159,6 @@ type FaultPlane struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	armed    atomic.Int64
-	injected [numFaultKinds]atomic.Int64
 	onInject atomic.Pointer[func(kind string)]
 }
 
@@ -181,29 +177,14 @@ func NewFaultPlane(profile FaultProfile, seed uint64, clock Clock) *FaultPlane {
 }
 
 // OnInject installs a hook called once per injected fault with the kind's
-// metric label — the bridge to the run's fault_injected_total counter. The
-// hook may fire from a timer callback and must not block.
+// metric label — the bridge to the run's fault_injected_total counter, and
+// the plane's only report: it keeps no counts of its own. The hook may fire
+// from a timer callback and must not block.
 func (p *FaultPlane) OnInject(fn func(kind string)) {
 	if p == nil {
 		return
 	}
 	p.onInject.Store(&fn)
-}
-
-// Armed returns how many faults the plane has armed so far.
-func (p *FaultPlane) Armed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.armed.Load()
-}
-
-// Injected returns how many faults of kind have fired.
-func (p *FaultPlane) Injected(kind FaultKind) int64 {
-	if p == nil || kind >= numFaultKinds {
-		return 0
-	}
-	return p.injected[kind].Load()
 }
 
 // matches reports whether the profile applies to a dial of port.
@@ -237,10 +218,6 @@ func (p *FaultPlane) arm(s *Stream, port uint16) {
 		}
 	}
 	p.mu.Unlock()
-	if len(hits) == 0 {
-		return
-	}
-	p.armed.Add(int64(len(hits)))
 	for _, spec := range hits {
 		if spec.Delay > 0 {
 			spec := spec
@@ -265,7 +242,6 @@ func (p *FaultPlane) fire(s *Stream, spec FaultSpec) {
 	case FaultCorrupt:
 		s.InjectCorrupt(spec.Every)
 	}
-	p.injected[spec.Kind].Add(1)
 	if fn := p.onInject.Load(); fn != nil {
 		(*fn)(spec.Kind.String())
 	}

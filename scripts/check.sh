@@ -43,7 +43,12 @@ stage() {
 		$GO test ./...
 		;;
 	race)
-		$GO test -race ./...
+		# The root package — every experiment end to end, the goldens and the
+		# cross-process daemons — runs alone after the rest: under the
+		# detector it outlasts go test's default ten-minute timeout.
+		root=$($GO list .)
+		$GO test -race $($GO list ./... | grep -vx "$root")
+		$GO test -race -timeout 40m .
 		;;
 	fuzz)
 		# Short fuzz smoke over the parser-shaped attack surfaces, all fifteen

@@ -113,13 +113,10 @@ func (o *Options) instrument(w *population.World) {
 	if w.Super.Tracer == nil {
 		w.Super.Tracer = o.Crawl.Tracer
 	}
-	tracer, clock := o.Crawl.Tracer, w.Clock
+	tracer := o.Crawl.Tracer
 	w.Pool.SetPrepare(func(n *proxynet.ExitNode) {
 		if n.Tracer == nil {
 			n.Tracer = tracer
-		}
-		if n.Clock == nil {
-			n.Clock = clock
 		}
 	})
 	if lp, ok := w.Pool.(*proxynet.LazyPool); ok {
