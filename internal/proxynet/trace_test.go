@@ -67,7 +67,8 @@ func TestTracePropagationAcrossRetries(t *testing.T) {
 
 	// Request 2 finds the pin dead, records the failed attempt, retries.
 	root := tr.StartRoot("probe.retry", trace.KindClient)
-	ctx := trace.NewContext(context.Background(), root.Context())
+	rc := root.Context() // an ended span's handle names no span
+	ctx := trace.NewContext(context.Background(), rc)
 	_, dbg2, err := w.client.Get(ctx, opts, url)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestTracePropagationAcrossRetries(t *testing.T) {
 	}
 	waitSpans(t, tr, "proxy.get", 2)
 
-	tid := root.Context().Trace
+	tid := rc.Trace
 	var get *trace.SpanData
 	var attempts, resolves, fetches []trace.SpanData
 	for _, d := range tr.Spans() {
@@ -100,8 +101,8 @@ func TestTracePropagationAcrossRetries(t *testing.T) {
 	if get == nil {
 		t.Fatalf("no proxy.get span in trace %s", tid)
 	}
-	if get.Parent != root.Context().Span {
-		t.Fatalf("proxy.get parent = %v, want client root %v", get.Parent, root.Context().Span)
+	if get.Parent != rc.Span {
+		t.Fatalf("proxy.get parent = %v, want client root %v", get.Parent, rc.Span)
 	}
 	if len(attempts) < 2 {
 		t.Fatalf("attempts = %d, want the dead pin plus a winner: %+v", len(attempts), attempts)

@@ -121,22 +121,17 @@ const (
 	KindTunnel Kind = "tunnel"
 )
 
+// vocabulary is the span vocabulary in chain order. A retained span records
+// its kind as its place here.
+var vocabulary = [...]Kind{KindClient, KindProxy, KindAttempt, KindDNS, KindFetch, KindTunnel}
+
 // Kinds lists the span vocabulary in chain order — the /traces endpoint's
 // filter validation and usage text iterate this instead of hard-coding the
 // names.
-func Kinds() []Kind {
-	return []Kind{KindClient, KindProxy, KindAttempt, KindDNS, KindFetch, KindTunnel}
-}
+func Kinds() []Kind { return slices.Clone(vocabulary[:]) }
 
 // ValidKind reports whether k is part of the span vocabulary.
-func ValidKind(k Kind) bool {
-	for _, v := range Kinds() {
-		if v == k {
-			return true
-		}
-	}
-	return false
-}
+func ValidKind(k Kind) bool { return slices.Contains(vocabulary[:], k) }
 
 // attrKind discriminates the typed value fields of an Attr.
 type attrKind uint8
@@ -264,27 +259,27 @@ func (d *SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 
 // Span is a handle to one in-flight operation: the storage the tracer issued
 // for it and the generation it was issued in. Created by a Tracer, finished
-// with End, at which point the span is frozen — later SetAttrs and SetError
-// calls change nothing — and enters the tracer's collector. The collector
-// keeps the storage until the ring overwrites it and then issues it again,
-// to a new span in a later generation; a handle from an earlier generation
-// behaves as a handle to an ended span does, never as a handle to the span
-// now living there. The zero Span (what a nil *Tracer hands out) is a valid
-// no-op, and all methods are safe for concurrent use.
+// with End, at which point the span is encoded into the tracer's ring and
+// its storage goes back to the tracer, to be issued to the next span
+// started. A handle is stale from its span's End on: SetAttrs, SetError and
+// End change nothing and Context is the zero context, whoever the storage
+// has been issued to since. The zero Span (what a nil *Tracer hands out) is
+// a valid no-op, and all methods are safe for concurrent use.
 type Span struct {
 	s   *span
 	gen uint64
 }
 
-// span is a span's storage. mu guards every field but next.
+// span is an open span's storage. mu guards gen, and data while a handle
+// of the current generation is out.
 type span struct {
 	mu     sync.Mutex
-	gen    uint64  // counts up each time the storage is issued
-	tracer *Tracer // nil once ended
+	gen    uint64  // counts up at each End: the handles issued before it are stale
+	tracer *Tracer // the tracer that allocated it, whose free list it returns to
 
 	data SpanData
 	// inline is where data.Attrs starts out: room for what the proxy chain's
-	// spans carry, so that a span and its attributes are one allocation.
+	// spans carry, so that a span's attributes cost no allocation.
 	inline [inlineAttrs]Attr
 
 	next *span // free-list link, guarded by the stripe's lock
@@ -294,13 +289,9 @@ type span struct {
 // and path at start, status at the end.
 const inlineAttrs = 4
 
-// open reports whether the storage still holds the span issued in gen,
-// unended. Caller holds s.mu.
-func (s *span) open(gen uint64) bool { return s.gen == gen && s.tracer != nil }
-
 // Context returns the span's propagation context (zero for the zero span, so
 // child spans of an untraced request become roots of their own traces, and
-// for a span whose storage has been issued again).
+// for a span that has ended).
 func (h Span) Context() SpanContext {
 	if h.s == nil {
 		return SpanContext{}
@@ -320,7 +311,7 @@ func (h Span) SetAttrs(attrs ...Attr) {
 		return
 	}
 	h.s.mu.Lock()
-	if h.s.open(h.gen) {
+	if h.s.gen == h.gen {
 		h.s.data.Attrs = append(h.s.data.Attrs, attrs...)
 	}
 	h.s.mu.Unlock()
@@ -332,7 +323,7 @@ func (h Span) SetError(msg string) {
 		return
 	}
 	h.s.mu.Lock()
-	if h.s.open(h.gen) {
+	if h.s.gen == h.gen {
 		h.s.data.Err = msg
 	}
 	h.s.mu.Unlock()
@@ -341,24 +332,28 @@ func (h Span) SetError(msg string) {
 // End closes the span, stamping the end time and handing it to the
 // collector. Idempotent: only the first End records.
 func (h Span) End() {
-	if h.s == nil {
+	s := h.s
+	if s == nil {
 		return
 	}
-	h.s.mu.Lock()
-	if !h.s.open(h.gen) {
-		h.s.mu.Unlock()
+	s.mu.Lock()
+	if s.gen != h.gen {
+		s.mu.Unlock()
 		return
 	}
-	t := h.s.tracer
-	h.s.tracer = nil
-	h.s.data.End = t.now()
-	h.s.mu.Unlock()
-	t.collect(h.s)
+	s.gen++
+	s.data.End = s.tracer.now()
+	s.mu.Unlock()
+	// No handle names the storage now, and none will until retire has put
+	// it on the free list: what follows reads it without the lock.
+	s.tracer.retire(s)
 }
 
-// defaultCapacity bounds a tracer's span memory: roughly one default-scale
-// crawl's worth of request trees, small enough to cap a long-lived
-// daemon's footprint.
+// defaultCapacity bounds a tracer's span memory, small enough to cap a
+// long-lived daemon's footprint: at 136 bytes a span, 2.2 MB. It is not a
+// crawl's worth: a Scale 0.05 DNS crawl (seed 20160413) records 0.76 M
+// spans over 103 K sessions, so the ring holds its last ≈ 2.2 K sessions.
+// Total counts every span recorded.
 const defaultCapacity = 16384
 
 // lastID hands out process-unique span and trace IDs, a block at a time. A
@@ -406,19 +401,41 @@ func newID() uint64 {
 // many were ever recorded). A nil *Tracer is a valid no-op sink.
 type Tracer struct {
 	nowFn func() time.Time
+	// base is the tracer's first clock reading, without its monotonic
+	// reading: a retained span's times are offsets from it, and come back
+	// in its Location.
+	base time.Time
 
 	// An ended span claims the next ring slot with one add on total and is
-	// swapped into it: no lock, and completion order is the order of the adds.
-	// A slot claimed but not yet written reads as nil, or as the span it is
-	// about to overwrite.
-	buf   []atomic.Pointer[span]
+	// encoded into it under the slot's lock: completion order is the order
+	// of the adds. The slots hold no pointer, so the garbage collector never
+	// scans them.
+	ring  []slot
 	total atomic.Int64
+	// spills holds the records longer than a slot, by slot index; spillMu
+	// is taken under the slot's lock.
+	spillMu sync.Mutex
+	spills  map[int64][]byte
 
-	// Storage the ring has overwritten waits here to be issued again, so that
-	// a tracer whose ring has wrapped allocates no further span: an End puts
-	// one in and a start takes one out. Striped by caller, as idStripes is.
+	// Ended spans' storage waits here to be issued again, so that a tracer
+	// allocates storage only for as many spans as are ever open at once: an
+	// End puts one in and a start takes one out. Striped by caller, as
+	// idStripes is.
 	free [numStripes]freeStripe
 }
+
+// slot is one retained span, as a record (record.go).
+type slot struct {
+	mu  sync.Mutex
+	seq int64 // the total.Add that claimed it, 1 + the span's place in completion order; 0 before the first
+	n   uint8 // the record's length in rec; 0 when it is in the tracer's spills
+	rec [slotBytes]byte
+}
+
+// slotBytes makes a slot 136 bytes. That holds every span of a clean
+// probe in each of the five crawls with IDs of up to four varint bytes, so
+// what spills is a violating probe's root or a span with a long error.
+const slotBytes = 119
 
 // freeStripe is one stripe of a tracer's free list, linked through span.next
 // and padded to its own cache line.
@@ -438,7 +455,7 @@ func New(now func() time.Time, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
-	return &Tracer{nowFn: now, buf: make([]atomic.Pointer[span], capacity)}
+	return &Tracer{nowFn: now, base: now().Round(0), ring: make([]slot, capacity), spills: map[int64][]byte{}}
 }
 
 func (t *Tracer) now() time.Time {
@@ -474,25 +491,20 @@ func (t *Tracer) start(parent SpanContext, name string, kind Kind, attrs []Attr)
 	}
 	s := t.recycled()
 	if s == nil {
-		s = &span{}
+		s = &span{tracer: t}
 	}
-	// Under the lock even when fresh: a handle from the storage's last
-	// generation may be calling in.
-	s.mu.Lock()
-	s.gen++
-	s.tracer = t
+	// Without the lock: storage off the free list has no handle of its
+	// generation out, and a stale handle reads nothing but gen.
 	s.data = d
 	// A copy, so that the caller's variadic slice stays on its stack.
 	s.data.Attrs = append(s.inline[:0], attrs...)
-	h := Span{s: s, gen: s.gen}
-	s.mu.Unlock()
-	return h
+	return Span{s: s, gen: s.gen}
 }
 
 // recycled takes a span's storage off the free list: from the caller's own
 // stripe, or the next one that has any — a goroutine whose starts and Ends
 // hash to different stripes would otherwise fill one and starve the other.
-// nil when every stripe is empty, as all are until the ring has wrapped.
+// nil when every stripe is empty.
 //
 //tftlint:hotpath
 func (t *Tracer) recycled() *span {
@@ -517,48 +529,68 @@ func (t *Tracer) recycled() *span {
 	return nil
 }
 
-// collect appends an ended span to the ring; the span it overwrites goes to
-// the free list.
+// retire encodes an ended span into the ring slot its completion claims,
+// then puts its storage on the free list.
 //
 //tftlint:hotpath
-func (t *Tracer) collect(s *span) {
-	slot := (t.total.Add(1) - 1) % int64(len(t.buf))
-	old := t.buf[slot].Swap(s)
-	if old == nil {
-		return
+func (t *Tracer) retire(s *span) {
+	seq := t.total.Add(1)
+	i := (seq - 1) % int64(len(t.ring))
+	sl := &t.ring[i]
+	sl.mu.Lock()
+	// A span claiming the slot a lap later may have got here first.
+	if seq > sl.seq {
+		spilled := sl.seq > 0 && sl.n == 0 // the record being overwritten
+		rec := t.appendRecord(sl.rec[:0], &s.data)
+		sl.seq, sl.n = seq, uint8(len(rec))
+		if len(rec) > len(sl.rec) { // appending moved it off the slot
+			sl.n = 0
+		}
+		if spilled || sl.n == 0 {
+			t.spillMu.Lock()
+			if sl.n == 0 {
+				t.spills[i] = rec
+			} else {
+				delete(t.spills, i)
+			}
+			t.spillMu.Unlock()
+		}
 	}
+	sl.mu.Unlock()
+
 	var probe byte
 	st := &t.free[metrics.ShardIndex(&probe)%numStripes]
 	st.mu.Lock()
-	old.next = st.head.Load()
-	st.head.Store(old)
+	s.next = st.head.Load()
+	st.head.Store(s)
 	st.mu.Unlock()
 }
 
-// Spans returns a copy of the retained finished spans in completion order.
+// Spans returns the retained finished spans in completion order, decoded:
+// the records are the caller's.
 func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
 	}
-	total, size := t.total.Load(), int64(len(t.buf))
+	total, size := t.total.Load(), int64(len(t.ring))
 	at := max(total-size, 0) // the oldest retained span
 	out := make([]SpanData, 0, total-at)
 	for ; at < total; at++ {
-		slot := &t.buf[at%size]
-		s := slot.Load()
-		if s == nil {
-			continue
+		i := at % size
+		sl := &t.ring[i]
+		sl.mu.Lock()
+		// Else the span that claimed it has not written it yet, or one a
+		// lap newer has since.
+		if sl.seq == at+1 {
+			rec := sl.rec[:sl.n]
+			if sl.n == 0 {
+				t.spillMu.Lock()
+				rec = t.spills[i]
+				t.spillMu.Unlock()
+			}
+			out = append(out, t.decode(string(rec)))
 		}
-		// Storage is issued again only after the ring has let go of it, and
-		// then under its lock: a span still in its slot with the lock held is
-		// the ended span the slot was given, whole.
-		s.mu.Lock()
-		if slot.Load() == s {
-			d := s.data
-			d.Attrs = slices.Clone(d.Attrs) // out of the span's inline array
-			out = append(out, d)
-		}
-		s.mu.Unlock()
+		sl.mu.Unlock()
 	}
 	return out
 }
@@ -578,5 +610,5 @@ func (t *Tracer) Retained() int {
 	if t == nil {
 		return 0
 	}
-	return int(min(t.total.Load(), int64(len(t.buf))))
+	return int(min(t.total.Load(), int64(len(t.ring))))
 }

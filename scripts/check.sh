@@ -51,7 +51,7 @@ stage() {
 		$GO test -race -timeout 40m .
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all fifteen
+		# Short fuzz smoke over the parser-shaped attack surfaces, all sixteen
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
 		# holds ChainSize to what MarshalChain writes), the string decoder
@@ -73,10 +73,14 @@ stage() {
 		# by their json tags against the mirrored record types they replaced
 		# (same bytes or same error, same observations read back), and any
 		# bytes through the six readers (an error, or records that write out
-		# and read back stably). Five seconds each — a corpus regression check,
-		# not a campaign. FuzzHeadEquivalence runs without input
-		# minimisation: its seeds include 4 KB lines and 129-line blocks,
-		# and minimising one of those takes the whole five seconds.
+		# and read back stably), and the span tracer's record ring against
+		# the pointer ring it replaced (a script of starts, attributes,
+		# errors, Ends and clock steps: the same spans, Total and Retained).
+		# Five seconds each — a corpus regression check, not a campaign.
+		# FuzzHeadEquivalence and FuzzRingAgreesWithOracle run without input
+		# minimisation: the first's seeds include 4 KB lines and 129-line
+		# blocks, the second's scripts of a kilobyte, and minimising one of
+		# those takes the whole five seconds.
 		$GO test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
 		$GO test -run=NONE -fuzz='FuzzUnmarshalChain$' -fuzztime=5s ./internal/cert
@@ -92,12 +96,14 @@ stage() {
 		$GO test -run=NONE -fuzz='FuzzProbe$' -fuzztime=5s ./internal/smtpwire
 		$GO test -run=NONE -fuzz='FuzzRecordsAgreeWithOracle$' -fuzztime=5s ./internal/dataset
 		$GO test -run=NONE -fuzz='FuzzReadRelease$' -fuzztime=5s ./internal/dataset
+		$GO test -run=NONE -fuzz='FuzzRingAgreesWithOracle$' -fuzztime=5s -fuzzminimizetime=0 ./internal/trace
 		;;
 	bench)
 		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,
 		# monitoring, SMTP, the one-worker/two-worker scaling pair) plus the
 		# micro-benches of the path every one of them is made of — the simnet
-		# pipe, one proxied GET and one CONNECT end to end over a fabric, one
+		# pipe, one proxied GET and one CONNECT end to end over a fabric, a
+		# probe's six spans on a wrapped tracer from every core, one
 		# resolver lookup against the authority: a smoke test that the
 		# default-scale worlds still build and crawl and the fast path still
 		# runs, not a performance measurement. Every Ablation and Baseline
@@ -106,11 +112,12 @@ stage() {
 		# ObjectSizeAblation, the CrawlConfig stop rule) is one rename from
 		# dead unless that benchmark runs on every check. FullScaleDNS (~50 s,
 		# ~1 GB) stays out. For a reading of the per-request path without a
-		# crawl, run the last two lines with -benchtime=2s; for what a second
+		# crawl, run the last three lines with -benchtime=2s; for what a second
 		# worker buys, CrawlWorkers with -benchtime=5x -count=6.
 		$GO test -run=NONE -bench='(DNS|HTTP|TLS|Monitor)ExperimentRun$|ExtensionSMTP$|Ablation|Baseline|CrawlWorkers$' -benchtime=1x .
 		$GO test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
 		$GO test -run=NONE -bench='Proxied(GET|CONNECT)$' -benchtime=1x -benchmem ./internal/proxynet
+		$GO test -run=NONE -bench='SpanParallel$' -benchtime=1x -benchmem ./internal/trace
 		$GO test -run=NONE -bench='Lookup$' -benchtime=1x -benchmem ./internal/dnsserver
 		;;
 	tftbench)
