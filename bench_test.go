@@ -24,9 +24,7 @@ import (
 	"github.com/tftproject/tft/internal/analysis"
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/core"
-	"github.com/tftproject/tft/internal/dataset"
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/progress"
 	"github.com/tftproject/tft/internal/simnet"
@@ -484,7 +482,7 @@ func BenchmarkAblationASSampling(b *testing.B) {
 		return len(set)
 	}
 	b.Logf("sampled: %d measured (%d skipped), %d modified ASes; exhaustive: %d measured, %d modified ASes",
-		len(sampled.Observations), sampled.SkippedQuota, modASes(sampled),
+		len(sampled.Observations), sampled.Discarded, modASes(sampled),
 		len(exhaustive.Observations), modASes(exhaustive))
 	b.ReportMetric(float64(len(exhaustive.Observations))/float64(len(sampled.Observations)), "bandwidth-savings-x")
 }
@@ -714,51 +712,17 @@ func BenchmarkExtensionLongitudinal(b *testing.B) {
 }
 
 // BenchmarkFullScaleDNS runs the §4 DNS experiment at the paper's full
-// population (Scale=1.0) through the complete streaming pipeline: lazy
-// world, crawl workers feeding per-shard sinks, per-shard
-// analysis aggregates merged after the run, and per-shard streaming
-// dataset writers — with in-memory dataset accumulation disabled, so peak
-// heap is the pipeline's true working set. Alongside ns/op it reports the
-// peak heap sampled during the crawl and the measured-node count as custom
-// metrics on the benchmark line.
+// population (Scale=1.0, eight workers) down the path `tft -experiment dns
+// -scale 1.0` takes: RunDNS (lazy world, crawl workers feeding per-shard
+// sinks, merged dataset, analysis), then the release writer and the tables.
+// Alongside ns/op it reports the peak heap sampled over all three and the
+// measured-node count as custom metrics on the benchmark line.
 func BenchmarkFullScaleDNS(b *testing.B) {
-	const workers = 8
 	for i := 0; i < b.N; i++ {
-		w, err := population.BuildDNSWorld(benchSeed, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		shardAgg := make([]*analysis.DNSAnalysis, workers)
-		shardWriters := make([]*dataset.DNSWriter, workers)
-		for s := range shardAgg {
-			shardAgg[s] = analysis.NewDNSAnalysis(analysis.Config{Scale: 1.0}, w.Geo)
-			sw, err := dataset.NewDNSWriter(io.Discard, benchSeed, 1.0, dataset.StreamRecords)
-			if err != nil {
-				b.Fatal(err)
-			}
-			shardWriters[s] = sw
-		}
-		exp := &core.DNSExperiment{
-			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
-			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-			Seed:                benchSeed,
-			DiscardObservations: true,
-			Sink: func(shard int, o *core.DNSObservation) {
-				shardAgg[shard].Observe(o)
-				if err := shardWriters[shard].Write(o); err != nil {
-					b.Error(err)
-				}
-			},
-		}
-		exp.Crawl.Workers = workers
-		exp.Crawl.Metrics = metrics.NewRegistry()
-		w.Auth.SetFallback(core.ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
-
 		// The flight recorder doubles as the benchmark's heap sampler: the
 		// tracker's watermarks record peak heap while the sampler drives
 		// the 50ms cadence on the wall clock.
 		tracker := progress.NewTracker()
-		exp.Crawl.Progress = tracker
 		sampler := &progress.Sampler{
 			Tracker:  tracker,
 			Clock:    simnet.Real{},
@@ -767,34 +731,24 @@ func BenchmarkFullScaleDNS(b *testing.B) {
 		if err := sampler.Start(); err != nil {
 			b.Fatal(err)
 		}
-
-		ds, err := exp.Run(context.Background())
+		run, err := RunDNS(context.Background(), Options{Seed: benchSeed, Scale: 1.0, Workers: 8,
+			Crawl: core.CrawlConfig{Progress: tracker}})
 		if err != nil {
 			b.Fatal(err)
 		}
+		if err := run.WriteDataset(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		run.Tables()
 		if err := sampler.Stop(); err != nil {
 			b.Fatal(err)
 		}
 		peak := tracker.CaptureWatermarks().PeakHeapBytes
 
-		merged := shardAgg[0]
-		for _, a := range shardAgg[1:] {
-			merged.Merge(a)
-		}
-		merged.Finalize()
-		for _, sw := range shardWriters {
-			if err := sw.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if len(ds.Observations) != 0 {
-			b.Fatalf("DiscardObservations left %d observations in memory", len(ds.Observations))
-		}
-		sum := merged.Summary()
+		sum := run.Analysis.Summary()
 		if sum.MeasuredNodes == 0 {
 			b.Fatal("no nodes measured at full scale")
 		}
-
 		b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
 		b.ReportMetric(float64(sum.MeasuredNodes), "nodes")
 	}

@@ -8,14 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"testing"
-
-	"github.com/tftproject/tft/internal/core"
-	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
-	"github.com/tftproject/tft/internal/population"
 )
 
 // updateGolden rewrites testdata/golden_runs.txt from the current tree:
@@ -148,56 +142,28 @@ func TestDNSRunDeterministic(t *testing.T) {
 
 // TestDNSShardSinksMergeCanonically is the sharding half of the
 // determinism gate. A multi-worker crawl's dataset is produced by merging
-// per-shard sinks; this re-derives that merge from the Sink callback's
-// per-shard streams and requires the result to equal the dataset the run
-// returned — same observation set, same canonical ZID order, no worker
-// allowed to drop, duplicate, or reorder a record. The crawl's stop point
-// legitimately depends on worker interleaving (the novelty window is
-// evaluated in completion order, as on a real crawl), so the invariant is
-// merge fidelity for whatever set was measured, not cross-worker-count
-// equality.
+// per-shard sinks; the flight recorder counts every successful probe on its
+// shard independently of them. The merged dataset must hold exactly that
+// many records in strictly increasing zID order — so no worker dropped,
+// duplicated or reordered one. The crawl's stop point legitimately depends
+// on worker interleaving (the novelty window is evaluated in completion
+// order, as on a real crawl), so the invariant is merge fidelity for
+// whatever set was measured, not cross-worker-count equality.
 func TestDNSShardSinksMergeCanonically(t *testing.T) {
-	const workers = 7
-	w, err := population.BuildDNSWorld(20160413, 0.02)
+	run, err := RunDNS(context.Background(), Options{Seed: 20160413, Scale: 0.02, Workers: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := make([][]*core.DNSObservation, workers)
-	exp := &core.DNSExperiment{
-		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: 20160413,
-		Sink: func(shard int, o *core.DNSObservation) {
-			shards[shard] = append(shards[shard], o)
-		},
+	obs := run.Dataset.Observations
+	if len(obs) == 0 {
+		t.Fatal("no observations; merge check proved nothing")
 	}
-	exp.Crawl.Workers = workers
-	exp.Crawl.Metrics = metrics.NewRegistry()
-	w.Auth.SetFallback(core.ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
-	ds, err := exp.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if done := run.Manifest().NodesDone; int64(len(obs)) != done {
+		t.Fatalf("dataset has %d observations, the shards measured %d", len(obs), done)
 	}
-
-	var merged []*core.DNSObservation
-	for _, s := range shards {
-		merged = append(merged, s...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].ZID < merged[j].ZID })
-	if len(merged) == 0 {
-		t.Fatal("sink saw no observations; merge check proved nothing")
-	}
-	if len(merged) != len(ds.Observations) {
-		t.Fatalf("sink streams carry %d observations, dataset has %d", len(merged), len(ds.Observations))
-	}
-	for i := range merged {
-		if merged[i] != ds.Observations[i] {
-			t.Fatalf("observation %d: merged sink stream has %q, dataset has %q",
-				i, merged[i].ZID, ds.Observations[i].ZID)
-		}
-		if i > 0 && merged[i-1].ZID >= merged[i].ZID {
-			t.Fatalf("dataset order not strictly increasing at %d: %q >= %q",
-				i, merged[i-1].ZID, merged[i].ZID)
+	for i := 1; i < len(obs); i++ {
+		if obs[i-1].ZID >= obs[i].ZID {
+			t.Fatalf("dataset order not strictly increasing at %d: %q >= %q", i, obs[i-1].ZID, obs[i].ZID)
 		}
 	}
 }

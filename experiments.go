@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"time"
 
 	"github.com/tftproject/tft/internal/analysis"
 	"github.com/tftproject/tft/internal/core"
@@ -133,7 +132,7 @@ var httpExperiment = &experiment[*core.HTTPDataset, *analysis.HTTPAnalysis]{
 		s := a.Summary()
 		return fmt.Sprintf("== HTTP (§5): %d nodes, %d ASes, %d countries; crawl skipped %d by AS quota\n"+
 			"   HTML modified %d (injected %d, block pages %d), images %d, JS %d, CSS %d\n",
-			s.MeasuredNodes, s.ASes, s.Countries, ds.SkippedQuota,
+			s.MeasuredNodes, s.ASes, s.Countries, ds.Discarded,
 			s.HTMLModified, s.HTMLInjected, s.HTMLBlockPage, s.ImageModified, s.JSReplaced, s.CSSReplaced)
 	},
 	overview: func(a *analysis.HTTPAnalysis, _ *core.HTTPDataset) analysis.DatasetOverview {
@@ -184,7 +183,6 @@ var monitorExperiment = &experiment[*core.MonDataset, *analysis.MonAnalysis]{
 			Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
 			Zone: population.Zone, Weights: w.Pool.CountryCounts(),
 			Seed: o.Seed, Crawl: o.Crawl,
-			Watch: 24 * time.Hour,
 		}
 	},
 	analyze: analysis.AnalyzeMonitor,

@@ -72,15 +72,19 @@ func NewBudget(maxBytes int64) *Budget {
 // Charge records n bytes against zid, reporting whether the node remains
 // within budget. Callers must stop measuring a node once Charge returns
 // false.
-func (b *Budget) Charge(zid string, n int) bool {
+func (b *Budget) Charge(zid string, n int) bool { return b.charge(zid, n, b.Metrics) }
+
+// charge is Charge reporting into m: the HTTP crawl passes its own
+// registry for a budget that has none.
+func (b *Budget) charge(zid string, n int, m *metrics.Registry) bool {
 	b.mu.Lock()
 	before := b.used[zid]
 	b.used[zid] += int64(n)
 	after := b.used[zid]
 	b.mu.Unlock()
-	chargeBytes(b.Metrics, n)
+	chargeBytes(m, n)
 	if before <= b.MaxBytes && after > b.MaxBytes {
-		b.Metrics.Counter("budget_exhausted_total").Inc()
+		m.Counter("budget_exhausted_total").Inc()
 	}
 	return after <= b.MaxBytes
 }
@@ -97,19 +101,6 @@ func (b *Budget) Used(zid string) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.used[zid]
-}
-
-// orDefault is the HTTP driver's budget preamble: a nil budget becomes the
-// paper's 1 MB cap, and a budget without a registry of its own reports into
-// the crawl's.
-func (b *Budget) orDefault(m *metrics.Registry) *Budget {
-	if b == nil {
-		b = NewBudget(0)
-	}
-	if b.Metrics == nil {
-		b.Metrics = m
-	}
-	return b
 }
 
 // CrawlConfig tunes the §3.2 exit-node discovery loop shared by all
@@ -494,10 +485,6 @@ type crawlSpec[T comparable] struct {
 	// discardedCounter names the counter outcomeDiscarded bumps — what a
 	// discard means is experiment policy.
 	discardedCounter string
-	// sink and dropObservations carry DNSExperiment.Sink and
-	// DiscardObservations to the loop's one emission point.
-	sink             func(shard int, obs T)
-	dropObservations bool
 }
 
 // shardSink accumulates one worker shard's records and outcome tallies.
@@ -570,12 +557,7 @@ func runCrawl[T comparable](ctx context.Context, cfg CrawlConfig, weights map[ge
 				prog.Violation(shard)
 				m.Counter(x.violationCounter).Inc()
 			}
-			if x.sink != nil {
-				x.sink(shard, obs)
-			}
-			if !x.dropObservations {
-				sink.obs = append(sink.obs, obs)
-			}
+			sink.obs = append(sink.obs, obs)
 		case outcomeFailed:
 			prog.Fail(shard)
 			m.Counter("crawl_failures_total").Inc()

@@ -6,14 +6,15 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/geo"
+	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/trace"
@@ -252,7 +253,7 @@ func TestHTTPExperimentEndToEnd(t *testing.T) {
 	if htmlMod == 0 || imgMod == 0 {
 		t.Fatalf("htmlMod=%d imgMod=%d; expected detections", htmlMod, imgMod)
 	}
-	if ds.SkippedQuota == 0 {
+	if ds.Discarded == 0 {
 		t.Error("AS sampling never skipped a node; quota logic untested")
 	}
 }
@@ -341,7 +342,6 @@ func TestMonitorExperimentEndToEnd(t *testing.T) {
 	exp := &MonitorExperiment{
 		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
 		Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed,
-		Watch: 24 * time.Hour,
 	}
 	w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
 	ds, err := exp.Run(context.Background())
@@ -453,7 +453,6 @@ func TestHTTPAndMonitorForgetProbeNames(t *testing.T) {
 				ds, err := (&MonitorExperiment{
 					Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
 					Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed, Crawl: cfg,
-					Watch: 24 * time.Hour,
 				}).Run(ctx)
 				var hosts []string
 				for _, o := range ds.Observations {
@@ -730,4 +729,85 @@ func TestLongitudinalDNSEvolution(t *testing.T) {
 	if !waves[2].Start.After(waves[0].Start) {
 		t.Fatal("clock did not advance between waves")
 	}
+}
+
+// leavesUnchanged runs a driver and requires its value to read the same
+// afterwards. blind clears the fields reflect.DeepEqual cannot compare
+// (non-nil funcs are never deeply equal).
+func leavesUnchanged[D any](t *testing.T, d *D, run func() error, blind func(*D)) {
+	t.Helper()
+	before := *d
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	after := *d
+	if blind != nil {
+		blind(&before)
+		blind(&after)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("Run wrote its driver:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// TestRunLeavesDriverUnchanged: every driver's Run resolves its defaults
+// and keeps its per-crawl state (the HTTP budget and its registry, the TLS
+// tunnel count, the wave count) in locals, so a driver reads the same after
+// a crawl as before it. A second Run of one value then starts from what the
+// caller wrote, and two at once share nothing through it.
+func TestRunLeavesDriverUnchanged(t *testing.T) {
+	ctx := context.Background()
+	cfg := func() CrawlConfig { return CrawlConfig{MaxSessions: 40, Metrics: metrics.NewRegistry()} }
+	world := func(t *testing.T, build func(uint64, float64) (*population.World, error), scale float64) *population.World {
+		w, err := build(testSeed, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Auth.SetFallback(ProbeRules(population.WebIP, geo.SuperProxyResolverEgress))
+		return w
+	}
+	dns := func(w *population.World) *DNSExperiment {
+		return &DNSExperiment{Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
+			Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed, Crawl: cfg()}
+	}
+	t.Run("dns", func(t *testing.T) {
+		e := dns(world(t, population.BuildDNSWorld, dnsScale))
+		leavesUnchanged(t, e, func() error { _, err := e.Run(ctx); return err }, nil)
+	})
+	t.Run("longitudinal", func(t *testing.T) {
+		w := world(t, population.BuildDNSWorld, dnsScale)
+		e := &LongitudinalDNS{Experiment: dns(w), Clock: w.Clock}
+		leavesUnchanged(t, e, func() error { _, err := e.Run(ctx); return err }, nil)
+	})
+	t.Run("http", func(t *testing.T) {
+		w := world(t, population.BuildHTTPWorld, 0.01)
+		e := &HTTPExperiment{Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
+			Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed, Crawl: cfg()}
+		leavesUnchanged(t, e, func() error { _, err := e.Run(ctx); return err }, nil)
+		// A budget the caller passes is charged and otherwise left as it was.
+		e.Budget = NewBudget(0)
+		leavesUnchanged(t, e, func() error { _, err := e.Run(ctx); return err }, nil)
+		if e.Budget.Metrics != nil {
+			t.Error("Run installed its registry in the caller's budget")
+		}
+	})
+	t.Run("tls", func(t *testing.T) {
+		w := world(t, population.BuildTLSWorld, tlsScale)
+		e := &TLSExperiment{Client: w.Client, Geo: w.Geo, Trust: w.Trust, Sites: w.Sites,
+			Weights: w.Pool.CountryCounts(), Seed: testSeed, Crawl: cfg(), Now: w.Clock.Now}
+		leavesUnchanged(t, e, func() error { _, err := e.Run(ctx); return err },
+			func(e *TLSExperiment) { e.Now = nil })
+	})
+	t.Run("monitor", func(t *testing.T) {
+		w := world(t, population.BuildMonitorWorld, monScale)
+		e := &MonitorExperiment{Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
+			Zone: population.Zone, Weights: w.Pool.CountryCounts(), Seed: testSeed, Crawl: cfg()}
+		leavesUnchanged(t, e, func() error { _, err := e.Run(ctx); return err }, nil)
+	})
+	t.Run("smtp", func(t *testing.T) {
+		w := world(t, population.BuildSMTPWorld, 0.005)
+		e := &SMTPExperiment{Client: w.Client, Geo: w.Geo, Weights: w.Pool.CountryCounts(),
+			Seed: testSeed, MailIP: population.MailIP, MailHost: population.MailHost, Crawl: cfg()}
+		leavesUnchanged(t, e, func() error { _, err := e.Run(ctx); return err }, nil)
+	})
 }

@@ -52,16 +52,6 @@ type DNSExperiment struct {
 	Weights map[geo.CountryCode]int
 	Crawl   CrawlConfig
 	Seed    uint64
-	// Sink, when non-nil, receives every successful observation as it is
-	// produced, tagged with the worker shard that measured it. Calls within
-	// one shard are sequential; distinct shards call concurrently, so sinks
-	// keeping global state must synchronize (per-shard state needs not).
-	Sink func(shard int, o *DNSObservation)
-	// DiscardObservations drops successful observations after the Sink has
-	// seen them instead of accumulating them in the dataset — the streaming
-	// mode paper-scale crawls use to keep resident memory bounded by the
-	// analysis aggregates rather than the observation count.
-	DiscardObservations bool
 }
 
 // namePrefixes used under the zone.
@@ -112,7 +102,6 @@ func (e *DNSExperiment) Run(ctx context.Context) (*DNSDataset, error) {
 			}
 		},
 		discardedCounter: "crawl_discarded_total",
-		sink:             e.Sink, dropObservations: e.DiscardObservations,
 	})
 }
 

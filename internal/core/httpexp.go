@@ -80,14 +80,10 @@ func (o *HTTPObservation) AnyModified() bool {
 	return false
 }
 
-// HTTPDataset is the HTTP experiment's output.
-type HTTPDataset struct {
-	Dataset[*HTTPObservation]
-	// SkippedQuota is Discarded under its §5.1 name: nodes left unmeasured
-	// because their AS already had its three samples and showed no
-	// modification.
-	SkippedQuota int
-}
+// HTTPDataset is the HTTP experiment's output. Discarded counts the nodes
+// the §5.1 sampling skipped: their AS already had its three samples and
+// showed no modification.
+type HTTPDataset = Dataset[*HTTPObservation]
 
 // HTTPExperiment drives §5's methodology.
 type HTTPExperiment struct {
@@ -104,31 +100,51 @@ type HTTPExperiment struct {
 	Budget  *Budget
 	Crawl   CrawlConfig
 	Seed    uint64
-	// PerASQuota is the initial sample per AS (paper: 3). Setting it very
-	// high disables the sampling strategy (the exhaustive ablation).
+	// PerASQuota is the initial sample per AS (zero means the paper's 3).
+	// Setting it very high disables the sampling strategy (the exhaustive
+	// ablation).
 	PerASQuota int
 }
 
 const httpPrefix = "h-"
 
-// Run executes the crawl.
+// Run executes the crawl. It reads the driver and never writes it: the
+// defaults, the budget's registry and the AS sampling state are the
+// crawl's own.
 func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
-	if e.PerASQuota <= 0 {
-		e.PerASQuota = 3
+	quota := e.PerASQuota
+	if quota <= 0 {
+		quota = 3
 	}
 	m := e.Crawl.Metrics
-	e.Budget = e.Budget.orDefault(m)
+	// A nil budget is the paper's 1 MB cap, and a budget without a registry
+	// of its own reports into the crawl's.
+	budget, charged := e.Budget, m
+	if budget == nil {
+		budget = NewBudget(0)
+	}
+	if budget.Metrics != nil {
+		charged = budget.Metrics
+	}
 	// The AS sampling quota is inherently global — every shard consults it
 	// before fully measuring a node — so it stays behind a mutex while the
 	// dataset accumulation streams lock-free into per-shard sinks.
 	var mu sync.Mutex
 	asCount := make(map[geo.ASN]int)
 	asFlagged := make(map[geo.ASN]bool)
+	// skip is the bandwidth-minimizing strategy: an AS that already gave
+	// quota clean samples is not fully measured again (§5.1).
+	skip := func(asn geo.ASN) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return asCount[asn] >= quota && !asFlagged[asn]
+	}
+	charge := func(zid string, n int) bool { return budget.charge(zid, n, charged) }
 
-	crawl, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*HTTPObservation]{
+	return runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*HTTPObservation]{
 		name: "http", stream: "crawl/http",
 		measure: func(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*HTTPObservation, outcome) {
-			return e.measure(ctx, cr, cc, sess, &mu, asCount, asFlagged)
+			return e.measure(ctx, cr, cc, sess, skip, charge)
 		},
 		zid:              func(o *HTTPObservation) string { return o.ZID },
 		violation:        (*HTTPObservation).AnyModified,
@@ -146,12 +162,12 @@ func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
 		},
 		discardedCounter: "http_quota_skipped_total",
 	})
-	return &HTTPDataset{Dataset: *crawl, SkippedQuota: crawl.Discarded}, err
 }
 
-// measure fetches the four objects through one node.
+// measure fetches the four objects through one node: skip is the crawl's
+// AS sampling verdict, charge its §3.4 budget.
 func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string,
-	mu *sync.Mutex, asCount map[geo.ASN]int, asFlagged map[geo.ASN]bool) (*HTTPObservation, outcome) {
+	skip func(geo.ASN) bool, charge func(zid string, n int) bool) (*HTTPObservation, outcome) {
 
 	opts := proxynet.Options{Country: cc, Session: sess}
 	obs := &HTTPObservation{}
@@ -188,19 +204,14 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 			obs.ZID = dbg.ZID
 			obs.NodeIP = dbg.NodeIP
 			obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
-			// The bandwidth-minimizing strategy: skip fully measuring
-			// ASes that already gave 3 clean samples (§5.1).
-			mu.Lock()
-			skip := asCount[obs.ASN] >= e.PerASQuota && !asFlagged[obs.ASN]
-			mu.Unlock()
-			if skip {
+			if skip(obs.ASN) {
 				return outcomeDiscarded, false
 			}
 		} else if dbg.ZID != obs.ZID {
 			// Node switched mid-measurement; keep what we have.
 			return outcomeOK, true
 		}
-		if !e.Budget.Charge(obs.ZID, len(resp.Body)) {
+		if !charge(obs.ZID, len(resp.Body)) {
 			return outcomeOK, false
 		}
 		obs.Objects[int(k)] = classify(k, resp.StatusCode, resp.Body)

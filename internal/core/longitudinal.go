@@ -57,11 +57,12 @@ type LongitudinalDNS struct {
 
 // Run executes the waves.
 func (l *LongitudinalDNS) Run(ctx context.Context) ([]Wave, error) {
-	if l.Waves <= 0 {
-		l.Waves = 4
+	n := l.Waves
+	if n <= 0 {
+		n = 4
 	}
 	var waves []Wave
-	for i := 0; i < l.Waves; i++ {
+	for i := range n {
 		if i > 0 {
 			l.Clock.Advance(waveInterval)
 			if l.BetweenWaves != nil {

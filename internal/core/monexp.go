@@ -66,19 +66,17 @@ type MonitorExperiment struct {
 	Weights map[geo.CountryCode]int
 	Crawl   CrawlConfig
 	Seed    uint64
-	// Watch is how long the server log is monitored after the fetches
-	// (paper: 24 hours).
-	Watch time.Duration
 }
 
 const monPrefix = "u-"
 
+// watchWindow is how long the server log is monitored after the fetches
+// (paper: 24 hours).
+const watchWindow = 24 * time.Hour
+
 // Run crawls, waits out the watch window on the virtual clock, then
 // collects the unexpected requests.
 func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
-	if e.Watch <= 0 {
-		e.Watch = 24 * time.Hour
-	}
 	m, prog := e.Crawl.Metrics, e.Crawl.Progress
 	// No violation hook: whether a node is monitored is only known once the
 	// watch window below has run out.
@@ -90,7 +88,7 @@ func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 
 	// Monitors schedule their refetches on the virtual clock; advancing
 	// past the watch window delivers every one that falls inside it.
-	e.Clock.Advance(e.Watch)
+	e.Clock.Advance(watchWindow)
 
 	for _, obs := range ds.Observations {
 		e.collect(obs)
@@ -154,7 +152,7 @@ func (e *MonitorExperiment) collect(obs *MonObservation) {
 	}
 	obs.OwnSrc = reqs[ownIdx].Src
 	ownAt := reqs[ownIdx].Time
-	cutoff := ownAt.Add(e.Watch)
+	cutoff := ownAt.Add(watchWindow)
 	for i, r := range reqs {
 		if i == ownIdx || r.Time.After(cutoff) {
 			continue

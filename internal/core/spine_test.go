@@ -90,7 +90,7 @@ func TestCrawlSpineToyExperiment(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			reg, prog := metrics.NewRegistry(), progress.NewTracker()
 			tracer := trace.New(nil, 2*toySessions) // retains every span
-			onOK, sunk := make([]int, workers), make([]int, workers)
+			onOK := make([]int, workers)
 			ds, err := runCrawl(context.Background(),
 				CrawlConfig{Workers: workers, Window: 10 * toySessions, MaxSessions: toySessions,
 					Metrics: reg, Progress: prog, Tracer: tracer},
@@ -103,7 +103,6 @@ func TestCrawlSpineToyExperiment(t *testing.T) {
 					violationCounter: "toy_flagged_total", violationDetail: "toy_flagged",
 					onOK:             func(shard int, _ *toyObs) { onOK[shard]++ },
 					discardedCounter: "toy_discarded_total",
-					sink:             func(shard int, _ *toyObs) { sunk[shard]++ },
 				})
 			if err != nil {
 				t.Fatal(err)
@@ -166,8 +165,8 @@ func TestCrawlSpineToyExperiment(t *testing.T) {
 					gotSpans, violating, want, wantViolations)
 			}
 			for shard := range onOK {
-				if onOK[shard] != sunk[shard] || int64(sunk[shard]) != st.Shards[shard].Done {
-					t.Errorf("shard %d: onOK saw %d, sink saw %d, tracker %d", shard, onOK[shard], sunk[shard], st.Shards[shard].Done)
+				if int64(onOK[shard]) != st.Shards[shard].Done {
+					t.Errorf("shard %d: onOK saw %d, tracker %d", shard, onOK[shard], st.Shards[shard].Done)
 				}
 			}
 		})

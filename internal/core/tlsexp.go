@@ -101,18 +101,18 @@ type TLSExperiment struct {
 	Now func() time.Time
 	// AlwaysFullScan disables the two-phase optimization (ablation).
 	AlwaysFullScan bool
-
-	probes *int64
 }
 
-// Run executes the crawl.
+// Run executes the crawl. The tunnel count is the crawl's own, so two runs
+// of one driver, one after the other or at once, each count their own.
 func (e *TLSExperiment) Run(ctx context.Context) (*TLSDataset, error) {
 	m := e.Crawl.Metrics
-	ds := &TLSDataset{}
-	e.probes = &ds.Probes
+	var probes atomic.Int64
 	crawl, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*TLSObservation]{
 		name: "tls", stream: "crawl/tls",
-		measure:          e.measure,
+		measure: func(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*TLSObservation, outcome) {
+			return e.measure(ctx, cr, cc, sess, &probes)
+		},
 		zid:              func(o *TLSObservation) string { return o.ZID },
 		violation:        (*TLSObservation).AnyReplaced,
 		violationCounter: "tls_replaced_total", violationDetail: "tls_cert_replaced",
@@ -123,13 +123,14 @@ func (e *TLSExperiment) Run(ctx context.Context) (*TLSDataset, error) {
 		},
 		discardedCounter: "crawl_discarded_total",
 	})
-	ds.Dataset = *crawl
+	ds := &TLSDataset{Dataset: *crawl, Probes: probes.Load()}
 	m.Counter("tls_probes_total").Add(ds.Probes)
 	return ds, err
 }
 
-// measure performs the two-phase scan (§6.1, Figure 3) through one node.
-func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*TLSObservation, outcome) {
+// measure performs the two-phase scan (§6.1, Figure 3) through one node,
+// counting each tunnel it opens in probes.
+func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string, probes *atomic.Int64) (*TLSObservation, outcome) {
 	popular := e.Sites.Popular[cc]
 	if len(popular) == 0 {
 		// No usable ranking for this country (the reason the experiment
@@ -147,7 +148,7 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 	obs := &TLSObservation{}
 
 	for i, site := range phase1 {
-		res, dbg, err := e.probe(ctx, opts, site, SiteClass(i))
+		res, dbg, err := e.probe(ctx, opts, site, SiteClass(i), probes)
 		if err != nil {
 			if i == 0 {
 				return nil, classifyFailure(err, dbg)
@@ -180,7 +181,7 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 				if probed[site.Host] {
 					continue
 				}
-				res, dbg, err := e.probe(ctx, opts, site, SiteClass(class))
+				res, dbg, err := e.probe(ctx, opts, site, SiteClass(class), probes)
 				if err != nil {
 					res.Err = err.Error()
 				} else if dbg.ZID != obs.ZID {
@@ -193,13 +194,12 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 	return obs, outcomeOK
 }
 
-// probe collects and judges one site's chain through the tunnel. On error
-// the result carries the site's host and class alone.
-func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site *population.Site, class SiteClass) (SiteResult, *proxynet.Debug, error) {
+// probe opens one tunnel, counted in probes, and collects and judges the
+// site's chain through it. On error the result carries the site's host and
+// class alone.
+func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site *population.Site, class SiteClass, probes *atomic.Int64) (SiteResult, *proxynet.Debug, error) {
 	res := SiteResult{Host: site.Host, Class: class}
-	if e.probes != nil {
-		atomic.AddInt64(e.probes, 1)
-	}
+	probes.Add(1)
 	conn, dbg, err := e.Client.Connect(ctx, opts, site.Addr)
 	if err != nil {
 		return res, dbg, err

@@ -6,12 +6,12 @@
 // re-running the measurement.
 //
 // The package owns the file around the records — the header, the format
-// version, the record count and streaming. Each record is a core
-// observation encoded by its own json tags, so the record shape is
-// declared once, on the observation type. Records deliberately contain
-// only what the paper could publish: no request bodies beyond hijack
-// landing pages, and node identity limited to zID/IP/AS/country;
-// TestReleaseFieldSet pins each experiment's keys.
+// version and the record count. Each record is a core observation encoded
+// by its own json tags, so the record shape is declared once, on the
+// observation type. Records deliberately contain only what the paper could
+// publish: no request bodies beyond hijack landing pages, and node
+// identity limited to zID/IP/AS/country; TestReleaseFieldSet pins each
+// experiment's keys.
 package dataset
 
 import (
@@ -41,9 +41,15 @@ const FormatName = "tft-dataset"
 // Version is the current format version.
 const Version = 1
 
+// StreamRecords is the Header.Records sentinel of a streamed file, one
+// whose writer emitted the header before it knew how many records would
+// follow. The readers accept it and consume records until EOF; this
+// program's writers always know the count.
+const StreamRecords = -1
+
 // WriteDNS streams a DNS dataset.
 func WriteDNS(w io.Writer, seed uint64, scale float64, ds *core.DNSDataset) error {
-	return writeAll(w, "dns", seed, scale, ds.Observations)
+	return writeRecords(w, "dns", seed, scale, len(ds.Observations), ds.Observations)
 }
 
 // ReadDNS loads a DNS dataset.
@@ -53,21 +59,17 @@ func ReadDNS(r io.Reader) (*Header, *core.DNSDataset, error) {
 
 // WriteHTTP streams an HTTP dataset.
 func WriteHTTP(w io.Writer, seed uint64, scale float64, ds *core.HTTPDataset) error {
-	return writeAll(w, "http", seed, scale, ds.Observations)
+	return writeRecords(w, "http", seed, scale, len(ds.Observations), ds.Observations)
 }
 
 // ReadHTTP loads an HTTP dataset.
 func ReadHTTP(r io.Reader) (*Header, *core.HTTPDataset, error) {
-	h, ds, err := readRecords[core.HTTPObservation](r, "http")
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, &core.HTTPDataset{Dataset: *ds}, nil
+	return readRecords[core.HTTPObservation](r, "http")
 }
 
 // WriteTLS streams a TLS dataset.
 func WriteTLS(w io.Writer, seed uint64, scale float64, ds *core.TLSDataset) error {
-	return writeAll(w, "tls", seed, scale, ds.Observations)
+	return writeRecords(w, "tls", seed, scale, len(ds.Observations), ds.Observations)
 }
 
 // ReadTLS loads a TLS dataset.
@@ -81,7 +83,7 @@ func ReadTLS(r io.Reader) (*Header, *core.TLSDataset, error) {
 
 // WriteMonitor streams a monitoring dataset.
 func WriteMonitor(w io.Writer, seed uint64, scale float64, ds *core.MonDataset) error {
-	return writeAll(w, "monitor", seed, scale, ds.Observations)
+	return writeRecords(w, "monitor", seed, scale, len(ds.Observations), ds.Observations)
 }
 
 // ReadMonitor loads a monitoring dataset.
@@ -91,7 +93,7 @@ func ReadMonitor(r io.Reader) (*Header, *core.MonDataset, error) {
 
 // WriteSMTP streams an SMTP-extension dataset.
 func WriteSMTP(w io.Writer, seed uint64, scale float64, ds *core.SMTPDataset) error {
-	return writeAll(w, "smtp", seed, scale, ds.Observations)
+	return writeRecords(w, "smtp", seed, scale, len(ds.Observations), ds.Observations)
 }
 
 // ReadSMTP loads an SMTP-extension dataset.
@@ -121,7 +123,7 @@ func readHeader(r io.Reader, wantExperiment string) (*Header, *json.Decoder, err
 	return &h, dec, nil
 }
 
-// readRecords is the read side's counterpart of Writer[T]: it validates the
+// readRecords is the read side's counterpart of writeRecords: it validates the
 // header and decodes each record line into a fresh T — exactly
 // Header.Records of them, or to EOF for a streamed file.
 func readRecords[T any](r io.Reader, experiment string) (*Header, *core.Dataset[*T], error) {
@@ -143,26 +145,23 @@ func readRecords[T any](r io.Reader, experiment string) (*Header, *core.Dataset[
 	return h, ds, nil
 }
 
-// writeAll writes a whole dataset: the header with its exact record count,
-// then every record.
-func writeAll[T any](w io.Writer, experiment string, seed uint64, scale float64, recs []T) error {
-	sw, err := newStreamWriter[T](w, experiment, seed, scale, len(recs))
-	if err != nil {
+// writeRecords writes one dataset file: the header claiming records, then
+// one JSON line per element of recs. The exported writers pass len(recs);
+// the package's tests also claim StreamRecords or a count recs falls short
+// of, the files a reader must accept or refuse.
+func writeRecords[T any](w io.Writer, experiment string, seed uint64, scale float64, records int, recs []T) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	if err := enc.Encode(Header{Format: FormatName, Version: Version, Experiment: experiment,
+		Seed: seed, Scale: scale, Records: records}); err != nil {
 		return err
 	}
-	return drain(sw, recs)
-}
-
-// drain writes every record through a streaming writer and closes it,
-// preserving the first error encountered.
-func drain[T any](sw *Writer[T], recs []T) error {
 	for _, o := range recs {
-		if err := sw.Write(o); err != nil {
-			sw.Close()
+		if err := enc.Encode(o); err != nil {
 			return err
 		}
 	}
-	return sw.Close()
+	return bw.Flush()
 }
 
 // geoRecord lines carry one of the three snapshot row kinds.
@@ -186,7 +185,7 @@ func WriteGeo(w io.Writer, seed uint64, scale float64, reg *geo.Registry) error 
 	for i := range prefixes {
 		recs = append(recs, geoRecord{Prefix: &prefixes[i]})
 	}
-	return writeAll(w, "geo", seed, scale, recs)
+	return writeRecords(w, "geo", seed, scale, len(recs), recs)
 }
 
 // ReadGeo rebuilds a registry from a snapshot file.

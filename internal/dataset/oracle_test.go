@@ -283,14 +283,14 @@ func oracleRead[R, T any](r io.Reader, experiment string, conv func(*R) T) ([]T,
 	return out, nil
 }
 
-// agreeWithOracle writes o through Writer[T] and through the oracle: both
+// agreeWithOracle writes o through writeRecords and through the oracle: both
 // fail with one error or write the same bytes, and those bytes read back
 // the same through the exported reader and the oracle's.
 func agreeWithOracle[T, R any](t *testing.T, experiment string, o T, toRecord func(T) any,
 	read func(io.Reader) ([]T, error), fromRecord func(*R) T) {
 	t.Helper()
 	var got, want bytes.Buffer
-	gotErr := writeAll(&got, experiment, 1, 0.5, []T{o})
+	gotErr := writeRecords(&got, experiment, 1, 0.5, 1, []T{o})
 	wantErr := oracleWrite(&want, experiment, []T{o}, toRecord)
 	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 		t.Fatalf("%s: write error %v, oracle %v", experiment, gotErr, wantErr)

@@ -25,18 +25,13 @@ type readerCase struct {
 }
 
 func readerCaseOf[T, D any](experiment string, obs []T,
-	open func(io.Writer, uint64, float64, int) (*Writer[T], error),
 	read func(io.Reader) (*Header, D, error), observations func(D) []T) readerCase {
 	return readerCase{
 		experiment: experiment,
 		file: func(t testing.TB, records int) string {
 			t.Helper()
 			var buf bytes.Buffer
-			sw, err := open(&buf, 3, 0.5, records)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := drain(sw, obs); err != nil {
+			if err := writeRecords(&buf, experiment, 3, 0.5, records, obs); err != nil {
 				t.Fatal(err)
 			}
 			return buf.String()
@@ -65,9 +60,9 @@ func readerCases() []readerCase {
 			{ZID: "z1", NodeIP: ip("91.1.2.3"), ResolverIP: ip("91.1.0.53"), ASN: 64500, Country: "MY",
 				Hijacked: true, LandingDomains: []string{"midascdn.nervesis.com"}, LandingBody: []byte("<html>ads</html>")},
 			{ZID: "z2", NodeIP: ip("91.1.2.4"), ASN: 64500, Country: "MY", SharedAnycast: true},
-		}, NewDNSWriter, ReadDNS, func(ds *core.DNSDataset) []*core.DNSObservation { return ds.Observations }),
+		}, ReadDNS, func(ds *core.DNSDataset) []*core.DNSObservation { return ds.Observations }),
 		readerCaseOf("http", []*core.HTTPObservation{httpA, httpB},
-			NewHTTPWriter, ReadHTTP, func(ds *core.HTTPDataset) []*core.HTTPObservation { return ds.Observations }),
+			ReadHTTP, func(ds *core.HTTPDataset) []*core.HTTPObservation { return ds.Observations }),
 		readerCaseOf("tls", []*core.TLSObservation{
 			{ZID: "z1", NodeIP: ip("91.8.8.8"), ASN: 64500, Country: "DE", Phase2: true,
 				Sites: []core.SiteResult{
@@ -77,7 +72,7 @@ func readerCases() []readerCase {
 				}},
 			{ZID: "z2", NodeIP: ip("91.8.8.9"), ASN: 64501, Country: "RU",
 				Sites: []core.SiteResult{{Host: "a.example", Class: core.SitePopular, ChainValid: true}}},
-		}, NewTLSWriter, ReadTLS, func(ds *core.TLSDataset) []*core.TLSObservation { return ds.Observations }),
+		}, ReadTLS, func(ds *core.TLSDataset) []*core.TLSObservation { return ds.Observations }),
 		readerCaseOf("monitor", []*core.MonObservation{
 			{ZID: "z1", NodeIP: ip("91.3.3.3"), ASN: 64500, Country: "GB", Host: "u-1.probe.example",
 				RequestAt: at, ViaVPN: true, OwnSrc: ip("203.0.113.9"),
@@ -87,12 +82,12 @@ func readerCases() []readerCase {
 					{Src: ip("150.70.1.2"), ASN: 100, Org: "Trend Micro", Delay: -time.Second},
 				}},
 			{ZID: "z2", NodeIP: ip("91.3.3.4"), ASN: 64500, Country: "GB", Host: "u-2.probe.example", RequestAt: at},
-		}, NewMonitorWriter, ReadMonitor, func(ds *core.MonDataset) []*core.MonObservation { return ds.Observations }),
+		}, ReadMonitor, func(ds *core.MonDataset) []*core.MonObservation { return ds.Observations }),
 		readerCaseOf("smtp", []*core.SMTPObservation{
 			{ZID: "z1", NodeIP: ip("91.1.2.3"), ASN: 64500, Country: "US", StartTLS: true,
 				Banner: "220 mail.tft-project.net ESMTP"},
 			{ZID: "z2", NodeIP: ip("91.1.2.4"), ASN: 64501, Country: "IN", Blocked: true},
-		}, NewSMTPWriter, ReadSMTP, func(ds *core.SMTPDataset) []*core.SMTPObservation { return ds.Observations }),
+		}, ReadSMTP, func(ds *core.SMTPDataset) []*core.SMTPObservation { return ds.Observations }),
 	}
 }
 

@@ -54,15 +54,6 @@ type RunManifest struct {
 	Watermarks Watermarks `json:"watermarks"`
 }
 
-// Write serializes the manifest as indented JSON (Type suppressed).
-func (m *RunManifest) Write(w io.Writer) error {
-	out := *m
-	out.Type = ""
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // WriteLine appends the manifest as one JSONL line with Type "manifest" —
 // the checkpoint stream's closing record.
 func (m *RunManifest) WriteLine(w io.Writer) error {

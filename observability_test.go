@@ -169,16 +169,17 @@ func TestRunDNSFlightRecorder(t *testing.T) {
 		t.Errorf("manifest time range invalid: %+v", man)
 	}
 
-	// WriteManifest renders valid JSON carrying the same counts.
+	// The checkpoint stream's closing line is valid JSON carrying the same
+	// counts.
 	var buf bytes.Buffer
-	if err := run.WriteManifest(&buf); err != nil {
+	if err := man.WriteLine(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var back progress.RunManifest
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("manifest JSON invalid: %v", err)
 	}
-	if back.Sessions != man.Sessions || back.NodesDone != man.NodesDone {
+	if back.Type != "manifest" || back.Sessions != man.Sessions || back.NodesDone != man.NodesDone {
 		t.Errorf("round-tripped manifest %+v != %+v", back, man)
 	}
 

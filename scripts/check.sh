@@ -15,6 +15,19 @@ GO=${GO:-go}
 GATE="fmt vet lint build test race fuzz bench tftbench"
 EXTRA="shards chaos"
 
+# exists PKG PATTERN...: fail unless every pattern names a test or fuzz
+# target in PKG. go test exits 0 when -run or -fuzz matches nothing, so a
+# stage that names its tests checks them first, or a rename drops one from
+# the gate without a word.
+exists() {
+	pkg=$1
+	shift
+	for pattern in "$@"; do
+		$GO test -list "$pattern" "$pkg" </dev/null | grep -q '^\(Test\|Fuzz\)' ||
+			{ echo "check.sh: no test or fuzz target matches $pattern in $pkg" >&2; exit 1; }
+	done
+}
+
 stage() {
 	case "$1" in
 	fmt)
@@ -80,23 +93,29 @@ stage() {
 		# FuzzHeadEquivalence and FuzzRingAgreesWithOracle run without input
 		# minimisation: the first's seeds include 4 KB lines and 129-line
 		# blocks, the second's scripts of a kilobyte, and minimising one of
-		# those takes the whole five seconds.
-		$GO test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
-		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
-		$GO test -run=NONE -fuzz='FuzzUnmarshalChain$' -fuzztime=5s ./internal/cert
-		$GO test -run=NONE -fuzz='FuzzChainAgreesWithOracle$' -fuzztime=5s ./internal/cert
-		$GO test -run=NONE -fuzz='FuzzReadRecord$' -fuzztime=5s ./internal/tlssim
-		$GO test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/dnswire
-		$GO test -run=NONE -fuzz='FuzzFlatAgreesWithTree$' -fuzztime=5s ./internal/dnswire
-		$GO test -run=NONE -fuzz='FuzzAppendAgreesWithTree$' -fuzztime=5s ./internal/dnswire
-		$GO test -run=NONE -fuzz='FuzzNameRoundTrip$' -fuzztime=5s ./internal/dnswire
-		$GO test -run=NONE -fuzz='FuzzReadResponse$' -fuzztime=5s ./internal/httpwire
-		$GO test -run=NONE -fuzz='FuzzReadRequest$' -fuzztime=5s ./internal/httpwire
-		$GO test -run=NONE -fuzz='FuzzHeadEquivalence$' -fuzztime=5s -fuzzminimizetime=0 ./internal/httpwire
-		$GO test -run=NONE -fuzz='FuzzProbe$' -fuzztime=5s ./internal/smtpwire
-		$GO test -run=NONE -fuzz='FuzzRecordsAgreeWithOracle$' -fuzztime=5s ./internal/dataset
-		$GO test -run=NONE -fuzz='FuzzReadRelease$' -fuzztime=5s ./internal/dataset
-		$GO test -run=NONE -fuzz='FuzzRingAgreesWithOracle$' -fuzztime=5s -fuzzminimizetime=0 ./internal/trace
+		# those takes the whole five seconds. A target that no longer exists
+		# fails the stage: go test fuzzes nothing and exits 0 otherwise.
+		while read -r pkg target flags; do
+			exists "$pkg" "^$target\$"
+			$GO test -run=NONE -fuzz="^$target\$" -fuzztime=5s $flags "$pkg" </dev/null
+		done <<-EOF
+		./internal/proxynet FuzzUsernameRoundTrip
+		./internal/cert FuzzUnmarshal
+		./internal/cert FuzzUnmarshalChain
+		./internal/cert FuzzChainAgreesWithOracle
+		./internal/tlssim FuzzReadRecord
+		./internal/dnswire FuzzUnmarshal
+		./internal/dnswire FuzzFlatAgreesWithTree
+		./internal/dnswire FuzzAppendAgreesWithTree
+		./internal/dnswire FuzzNameRoundTrip
+		./internal/httpwire FuzzReadResponse
+		./internal/httpwire FuzzReadRequest
+		./internal/httpwire FuzzHeadEquivalence -fuzzminimizetime=0
+		./internal/smtpwire FuzzProbe
+		./internal/dataset FuzzRecordsAgreeWithOracle
+		./internal/dataset FuzzReadRelease
+		./internal/trace FuzzRingAgreesWithOracle -fuzzminimizetime=0
+		EOF
 		;;
 	bench)
 		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,
@@ -129,6 +148,7 @@ stage() {
 	shards)
 		# Small-K shard-merge smoke: per-shard sinks and aggregate Merge must
 		# reproduce the unsharded tables byte-for-byte.
+		exists . '^TestDNSShardSinksMergeCanonically$' '^TestDNSMergePartialsMatchUnsharded$'
 		$GO test -run='TestDNSShardSinksMergeCanonically|TestDNSMergePartialsMatchUnsharded' .
 		;;
 	chaos)
@@ -136,6 +156,9 @@ stage() {
 		# the race detector, plus the fixed-seed end-to-end soaks (byte-identical
 		# reruns, faulted probes excluded from violation rates, watchdog
 		# silent).
+		exists ./internal/simnet '^TestFault' '^TestInject'
+		exists ./internal/proxynet '^TestHealth' '^TestBackoff' '^TestSession'
+		exists . '^TestChaos'
 		$GO test -race -run 'TestFault|TestInject|TestHealth|TestBackoff|TestSession' ./internal/simnet ./internal/proxynet
 		$GO test -run 'TestChaos' .
 		;;

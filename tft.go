@@ -244,11 +244,9 @@ type Run interface {
 	WriteGeo(w io.Writer) error
 
 	// Manifest is the run's flight-recorder closing record (seed, scale,
-	// workers, duration, final counts, peak watermarks); WriteManifest
-	// serializes it as indented JSON. Results.Dump collects the campaign's
-	// manifests into manifest.json.
+	// workers, duration, final counts, peak watermarks). Results.Dump
+	// collects the campaign's manifests into manifest.json.
 	Manifest() *progress.RunManifest
-	WriteManifest(w io.Writer) error
 }
 
 // crawlDataset and tableSet are what ExperimentRun needs from an
@@ -386,14 +384,6 @@ func (r *ExperimentRun[D, A]) WriteGeo(w io.Writer) error {
 // Manifest returns the run's flight-recorder manifest: seed, scale,
 // workers, duration, final counts, and peak runtime watermarks.
 func (r *ExperimentRun[D, A]) Manifest() *progress.RunManifest { return r.man }
-
-// WriteManifest serializes the manifest as indented JSON.
-func (r *ExperimentRun[D, A]) WriteManifest(w io.Writer) error {
-	if r.man == nil {
-		return nil
-	}
-	return r.man.Write(w)
-}
 
 // Results is the output of a full four-experiment campaign.
 type Results struct {
