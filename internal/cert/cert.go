@@ -23,7 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 	"unicode"
 	"unicode/utf8"
@@ -245,8 +245,9 @@ type CA struct {
 	Cert *Certificate
 	key  KeyPair
 
-	mu     sync.Mutex
-	serial uint64
+	// serial is the last serial number issued. Atomic, not locked: a
+	// TLS interceptor issues inside the event core, where nothing blocks.
+	serial atomic.Uint64
 }
 
 // NewRootCA creates a self-signed root.
@@ -262,7 +263,9 @@ func NewRootCA(name Name, keySeed string, notBefore time.Time, lifetime time.Dur
 		PublicKey:    kp.Public,
 	}
 	c.Signature = sign(kp.Public, c)
-	return &CA{Cert: c, key: kp, serial: 1}
+	ca := &CA{Cert: c, key: kp}
+	ca.serial.Store(1)
+	return ca
 }
 
 // Template carries the caller-controlled fields of a new certificate.
@@ -279,10 +282,7 @@ type Template struct {
 
 // Issue signs a new certificate from the template.
 func (ca *CA) Issue(tmpl Template) *Certificate {
-	ca.mu.Lock()
-	ca.serial++
-	serial := ca.serial
-	ca.mu.Unlock()
+	serial := ca.serial.Add(1)
 	kp := NewKeyPair(tmpl.KeySeed)
 	c := &Certificate{
 		SerialNumber: serial,
@@ -304,7 +304,9 @@ func (ca *CA) IssueIntermediate(name Name, keySeed string, notBefore time.Time, 
 		Subject: name, NotBefore: notBefore, NotAfter: notBefore.Add(lifetime),
 		IsCA: true, KeySeed: keySeed,
 	})
-	return &CA{Cert: c, key: NewKeyPair(keySeed), serial: 1000}
+	sub := &CA{Cert: c, key: NewKeyPair(keySeed)}
+	sub.serial.Store(1000)
+	return sub
 }
 
 // Verification errors.

@@ -15,8 +15,8 @@ func Serve(accept func() func()) {
 	}
 }
 
-// Relay spawns one goroutine per direction.
-func Relay(c2s, s2c func()) {
+// Bridge spawns one goroutine per direction.
+func Bridge(c2s, s2c func()) {
 	go c2s()
 	go func() {
 		s2c()

@@ -203,9 +203,8 @@ func (p *remotePeer) tunnel(ctx context.Context, client net.Conn, ip netip.Addr,
 	}
 	req := httpwire.NewRequest("CONNECT", netip.AddrPortFrom(ip, port).String())
 	stampTrace(ctx, req)
-	// The reader goes back at once: the relay reads conn itself.
-	resp, err := httpwire.Exchange(conn, req)
-	if err != nil || resp.StatusCode != 200 {
+	tunnel, resp, err := connectHandshake(conn, req)
+	if tunnel == nil {
 		p.drop(conn)
 		if err == nil {
 			err = tunnelRefused(resp.StatusCode)
@@ -213,7 +212,7 @@ func (p *remotePeer) tunnel(ctx context.Context, client net.Conn, ip netip.Addr,
 		return err
 	}
 	defer p.drop(conn)
-	return relayBoth(client, conn, nil)
+	return relayBoth(client, tunnel, nil, nil)
 }
 
 // tunnelRefused formats the non-200 CONNECT failure. Outlined so the cold

@@ -124,25 +124,35 @@ func (c *Client) Connect(ctx context.Context, o Options, target string) (net.Con
 	req := httpwire.NewRequest("CONNECT", target)
 	req.Header.Set("Proxy-Authorization", c.proxyAuth(o))
 	stampTrace(ctx, req)
-	// Tunnel-lifetime reader: it may hold bytes past the CONNECT response,
-	// so on success bufferedConn owns it and Puts it on Close.
-	br := httpwire.GetReader(conn)
-	resp, err := httpwire.RoundTrip(conn, br, req)
+	tunnel, resp, err := connectHandshake(conn, req)
 	if err != nil {
-		httpwire.PutReader(br)
 		conn.Close()
 		return nil, nil, err
 	}
 	dbg := ParseDebug(&resp.Header)
-	if resp.StatusCode != 200 {
-		httpwire.PutReader(br)
+	if tunnel == nil {
 		conn.Close()
 		if dbg.Err == "" {
 			dbg.Err = resp.Reason
 		}
 		return nil, dbg, fmt.Errorf("proxynet: CONNECT failed: %d %s", resp.StatusCode, dbg.Err)
 	}
-	return &bufferedConn{Conn: conn, br: br}, dbg, nil
+	return tunnel, dbg, nil
+}
+
+// connectHandshake sends the CONNECT req on conn and reads the response.
+// On a 200 it returns the tunnel: conn read through the response's reader,
+// which may already hold the first bytes the far end sent, and which the
+// tunnel Puts on Close. On any other status the tunnel is nil. Either
+// way, the caller still owns conn.
+func connectHandshake(conn net.Conn, req *httpwire.Request) (*bufferedConn, *httpwire.Response, error) {
+	br := httpwire.GetReader(conn)
+	resp, err := httpwire.RoundTrip(conn, br, req)
+	if err != nil || resp.StatusCode != 200 {
+		httpwire.PutReader(br)
+		return nil, resp, err
+	}
+	return &bufferedConn{Conn: conn, br: br}, resp, nil
 }
 
 // bufferedConn drains any bytes the response reader buffered before handing

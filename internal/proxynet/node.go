@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/netip"
 	"sync/atomic"
@@ -169,15 +168,17 @@ func (n *ExitNode) observedFetch(ctx context.Context, src netip.Addr, host strin
 // records the port as an attribute.
 var errPortBlocked = errors.New("proxynet: outbound port blocked by the node's ISP")
 
-// Tunnel bridges client to ip:port — the CONNECT data phase. With TLS
-// interceptors on the node's path, the relay parses the handshake and lets
-// them replace the certificate chain; otherwise bytes pass transparently.
+// Tunnel bridges client to ip:port — the CONNECT data phase. The relay
+// passes bytes through transparently unless the node's path rewrites them
+// (see rewrites): then it is the same relay, rewriting chunks in flight.
 //
 // When both tunnel legs are fabric streams the relay runs on the event
 // core (see splice) and Tunnel returns true immediately with the tunnel
 // still live; done fires once it finishes. Otherwise the relay blocks (or,
-// for a stream client, detaches onto one goroutine) and done fires with
-// the first non-benign error either direction hit. done may be nil.
+// for a stream client, detaches onto goroutines) and done fires with the
+// first non-benign error either direction hit. A tunnel that ended
+// cleanly reports what its rewrites left behind instead: a TLS
+// interceptor's handshake cut short or malformed. done may be nil.
 //
 //tftlint:hotpath
 func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, port uint16, done func(error)) bool {
@@ -193,58 +194,51 @@ func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, p
 		return false
 	}
 	server.SetDeadline(deadlineClock(server, n.Clock).Now().Add(tunnelBudget))
+	c2s, s2c, end := n.rewrites(port)
 	finish := func(err error) {
+		if err == nil && end != nil {
+			err = end()
+		}
 		// The budget covers the relay only; clearing stops the timer.
 		server.SetDeadline(time.Time{})
 		endTunnel(span, done, err)
 	}
 
-	var rewrite func([]byte) []byte
-	if stream := n.Path.StreamFor(port); len(stream) > 0 {
-		rewrite = func(chunk []byte) []byte {
-			for _, ic := range stream {
-				chunk = ic.RewriteS2C(chunk)
-			}
-			return chunk
-		}
-	}
 	cs, clientStream := client.(*simnet.Stream)
 	ss, serverStream := server.(*simnet.Stream)
-
-	// TLS-intercepting products engage on TLS-bearing tunnels; mail ports
-	// belong to the stream interceptors above.
-	if rewrite == nil && n.Path != nil && len(n.Path.TLS) > 0 && port != 25 && port != 587 {
-		relay := func() error {
-			err := tlssim.Relay(client, server, n.Path.ApplyTLS)
-			client.Close()
-			server.Close()
-			if benignRelayErr(err) {
-				return nil
-			}
-			return err
-		}
-		if clientStream {
-			//tftlint:ignore nogo -- TLS-intercept relays parse the handshake with blocking record reads; one goroutine per intercepted tunnel, off the transparent hot path
-			go func() { finish(relay()) }()
-			return true
-		}
-		finish(relay())
-		return false
-	}
-
 	if clientStream && serverStream {
 		// The hot path: both legs are fabric streams, so the relay is a
 		// callback-driven state machine on the event core — no goroutines.
-		startSplice(cs, ss, rewrite, finish)
+		startSplice(cs, ss, c2s, s2c, finish)
 		return true
 	}
 	if clientStream {
 		//tftlint:ignore nogo -- mixed stream/socket tunnel: the real-socket leg needs blocking reads, so the relay detaches onto goroutines
-		go func() { finish(relayBoth(client, server, rewrite)) }()
+		go func() { finish(relayBoth(client, server, c2s, s2c)) }()
 		return true
 	}
-	finish(relayBoth(client, server, rewrite))
+	finish(relayBoth(client, server, c2s, s2c))
 	return false
+}
+
+// rewrites picks the chunk rewrites of a tunnel to port: the path's stream
+// interceptors rewrite the server's chunks on the ports they engage on;
+// otherwise its TLS interceptors rewrite the handshake (tlssim.Intercept)
+// on every port but the mail ports, which belong to the stream
+// interceptors. end, when non-nil, reports what the handshake left behind.
+func (n *ExitNode) rewrites(port uint16) (c2s, s2c func([]byte) []byte, end func() error) {
+	if stream := n.Path.StreamFor(port); len(stream) > 0 {
+		return nil, func(chunk []byte) []byte {
+			for _, ic := range stream {
+				chunk = ic.RewriteS2C(chunk)
+			}
+			return chunk
+		}, nil
+	}
+	if n.Path != nil && len(n.Path.TLS) > 0 && port != 25 && port != 587 {
+		return tlssim.Intercept(n.Path.ApplyTLS)
+	}
+	return nil, nil, nil
 }
 
 // endTunnel closes a tunnel's span, with err when it failed, and reports
@@ -260,43 +254,17 @@ func endTunnel(span trace.Span, done func(error), err error) {
 }
 
 // relayBoth copies bytes both ways until either side closes — the blocking
-// fallback for tunnels with a real socket on at least one leg. rewrite,
-// when non-nil, transforms server→client chunks (STARTTLS strippers and
-// kin). The first direction to finish tears both connections down; the
-// returned error is the first non-benign one either direction hit, so a
-// benign EOF on one leg cannot mask a real failure on the other.
-func relayBoth(client, server net.Conn, rewrite func([]byte) []byte) error {
+// fallback for tunnels with a real socket on at least one leg. c2s and
+// s2c, when non-nil, transform the chunks of their direction. The first
+// direction to finish tears both connections down; the returned error is
+// the first non-benign one either direction hit, so a benign EOF on one
+// leg cannot mask a real failure on the other.
+func relayBoth(client, server net.Conn, c2s, s2c func([]byte) []byte) error {
 	done := make(chan error, 2)
 	//tftlint:ignore nogo -- blocking relay fallback: the client→server direction runs on its own goroutine for the tunnel's lifetime
-	go func() {
-		buf := getCopyBuf()
-		defer putCopyBuf(buf)
-		_, err := io.CopyBuffer(server, client, *buf)
-		done <- err
-	}()
+	go func() { done <- relayChunks(server, client, c2s) }()
 	//tftlint:ignore nogo -- blocking relay fallback: the server→client direction runs on its own goroutine for the tunnel's lifetime
-	go func() {
-		bp := getCopyBuf()
-		defer putCopyBuf(bp)
-		buf := *bp
-		for {
-			nr, err := server.Read(buf)
-			if nr > 0 {
-				chunk := buf[:nr]
-				if rewrite != nil {
-					chunk = rewrite(chunk)
-				}
-				if _, werr := client.Write(chunk); werr != nil {
-					done <- werr
-					return
-				}
-			}
-			if err != nil {
-				done <- err
-				return
-			}
-		}
-	}()
+	go func() { done <- relayChunks(client, server, s2c) }()
 	first := <-done
 	client.Close()
 	server.Close()
@@ -308,6 +276,30 @@ func relayBoth(client, server net.Conn, rewrite func([]byte) []byte) error {
 		return second
 	}
 	return nil
+}
+
+// relayChunks copies src to dst, each chunk through rewrite when it is
+// set, until a read or a write fails.
+func relayChunks(dst, src net.Conn, rewrite func([]byte) []byte) error {
+	bp := getCopyBuf()
+	defer putCopyBuf(bp)
+	for {
+		nr, err := src.Read(*bp)
+		if nr > 0 {
+			chunk := (*bp)[:nr]
+			if rewrite != nil {
+				chunk = rewrite(chunk)
+			}
+			if len(chunk) > 0 {
+				if _, werr := dst.Write(chunk); werr != nil {
+					return werr
+				}
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // String identifies the node in logs.

@@ -230,7 +230,7 @@ func TestRelayBothSurfacesErrorBehindBenignEOF(t *testing.T) {
 	server.reads = [][]byte{[]byte("payload")}
 	server.readGate = client.eofSent // serve data only after the EOF leg finished
 
-	err := relayBoth(client, server, nil)
+	err := relayBoth(client, server, nil, nil)
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("relayBoth returned %v, want the non-benign write error %v", err, wantErr)
 	}
@@ -242,7 +242,7 @@ func TestRelayBothBenignBothWays(t *testing.T) {
 	client := newScriptConn()
 	server := newScriptConn()
 	server.reads = [][]byte{[]byte("hello")}
-	if err := relayBoth(client, server, nil); err != nil {
+	if err := relayBoth(client, server, nil, nil); err != nil {
 		t.Fatalf("clean teardown returned %v, want nil", err)
 	}
 }

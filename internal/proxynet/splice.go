@@ -21,44 +21,40 @@ import (
 // fires exactly once with the first non-benign error either direction hit
 // (nil when both legs ended in an orderly close).
 type splice struct {
-	// state is the lock-free drain coordinator (spliceRunning,
-	// spliceAgain, spliceFinished bits). kick is a stream notify callback
-	// and runs inside the run-to-completion scheduler, where taking a
-	// mutex could park the event loop; CAS transitions collapse concurrent
-	// kicks into one drain without ever blocking.
-	state atomic.Uint32
+	// kicks is the lock-free drain coordinator: the notifies not yet
+	// drained. kick is a stream notify callback and runs inside the
+	// run-to-completion scheduler, where taking a mutex could park the
+	// event loop; the count collapses concurrent kicks into one drain
+	// without ever blocking.
+	kicks    atomic.Int32
+	finished atomic.Bool // set by finish: no drain pumps again
 
 	dirs [2]spliceDir
 	done func(error)
 }
 
-const (
-	spliceRunning  = 1 << iota // a kick is draining the state machines
-	spliceAgain                // a notify arrived while running; drain once more
-	spliceFinished             // torn down; all further kicks are no-ops
-)
-
 // spliceDir is one copy direction of the tunnel.
 type spliceDir struct {
 	src, dst *simnet.Stream
-	// rewrite, when set, transforms each chunk (the server→client leg of
-	// STARTTLS-stripping tunnels).
+	// rewrite, when set, transforms each chunk (a TLS interceptor's two
+	// legs, a STARTTLS stripper's server→client leg).
 	rewrite func([]byte) []byte
 	buf     *[]byte // pooled copy buffer
 	stash   []byte  // bytes read but not yet written (dst window was full)
 }
 
 // startSplice arms a relay between client and server and drives it until
-// either side finishes. rewrite, when non-nil, applies to server→client
-// chunks. done fires exactly once.
+// either side finishes. c2s and s2c, when non-nil, transform the chunks
+// of their direction; they run inside kicks, so they must not block. done
+// fires exactly once.
 //
 //tftlint:hotpath
-func startSplice(client, server *simnet.Stream, rewrite func([]byte) []byte, done func(error)) {
+func startSplice(client, server *simnet.Stream, c2s, s2c func([]byte) []byte, done func(error)) {
 	s := &splice{done: done}
 	//tftlint:ignore poolpair -- tunnel-lifetime buffer: Get here, Put in finish when the splice tears down
-	s.dirs[0] = spliceDir{src: client, dst: server, buf: getCopyBuf()}
+	s.dirs[0] = spliceDir{src: client, dst: server, rewrite: c2s, buf: getCopyBuf()}
 	//tftlint:ignore poolpair -- tunnel-lifetime buffer: Get here, Put in finish when the splice tears down
-	s.dirs[1] = spliceDir{src: server, dst: client, rewrite: rewrite, buf: getCopyBuf()}
+	s.dirs[1] = spliceDir{src: server, dst: client, rewrite: s2c, buf: getCopyBuf()}
 	kick := s.kick // one method value for both streams: each evaluation is a closure
 	client.SetNotify(kick)
 	server.SetNotify(kick)
@@ -68,48 +64,21 @@ func startSplice(client, server *simnet.Stream, rewrite func([]byte) []byte, don
 }
 
 // kick drains both direction state machines until neither can progress.
-// It is the streams' notify callback and may fire from any goroutine; the
-// running/again pair collapses concurrent kicks into one drain loop. Only
-// the goroutine that wins the running bit touches the per-direction state,
-// so pump still needs no synchronization of its own.
+// It is the streams' notify callback and may fire from any goroutine: only
+// the kick that raises kicks from zero drains, and it pumps again for as
+// long as kicks arrived during its pump. Only that goroutine touches the
+// per-direction state, so pump still needs no synchronization of its own.
+// Once the splice is finished, the next drain to start returns without
+// counting down, so every kick after it returns at once.
 //
 //tftlint:hotpath
 func (s *splice) kick() {
-	for {
-		st := s.state.Load()
-		if st&spliceFinished != 0 {
-			return
-		}
-		if st&spliceRunning != 0 {
-			if s.state.CompareAndSwap(st, st|spliceAgain) {
-				return
-			}
-			continue
-		}
-		if s.state.CompareAndSwap(st, st|spliceRunning) {
-			break
-		}
+	if s.kicks.Add(1) != 1 {
+		return
 	}
-	for {
+	for n := int32(1); !s.finished.Load(); {
 		s.pump()
-		redrain := false
-		for {
-			st := s.state.Load()
-			if st&spliceFinished != 0 {
-				return
-			}
-			if st&spliceAgain != 0 {
-				if s.state.CompareAndSwap(st, st&^spliceAgain) {
-					redrain = true
-					break
-				}
-				continue
-			}
-			if s.state.CompareAndSwap(st, st&^spliceRunning) {
-				return
-			}
-		}
-		if !redrain {
+		if n = s.kicks.Add(-n); n == 0 {
 			return
 		}
 	}
@@ -158,15 +127,7 @@ func (s *splice) pump() {
 // finish tears the tunnel down: disarm the callbacks, close both ends,
 // return the buffers, and report the outcome exactly once.
 func (s *splice) finish(err error) {
-	for {
-		st := s.state.Load()
-		if st&spliceFinished != 0 {
-			return
-		}
-		if s.state.CompareAndSwap(st, st|spliceFinished) {
-			break
-		}
-	}
+	s.finished.Store(true)
 	client, server := s.dirs[0].src, s.dirs[1].src
 	client.SetNotify(nil)
 	server.SetNotify(nil)

@@ -8,6 +8,9 @@
 // on-path interceptor) sees records, not structures. A man-in-the-middle
 // replaces the server's certificate record in flight, which is exactly how
 // the AV products, OpenDNS, and the Cloudguard malware of §6.2 operate.
+// Intercept expresses that replacement as a rewrite of the chunks a tunnel
+// relays, so an intercepted tunnel runs on the same relay as a transparent
+// one.
 //
 // A handshake is two records, and each crosses its stream in one Write:
 // the client builds header and hello in one buffer, and a server answers
@@ -23,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"github.com/tftproject/tft/internal/cert"
 )
@@ -220,38 +224,108 @@ func ServeOnce(rw io.ReadWriter, records RecordSource) error {
 // Returning nil leaves the original chain untouched.
 type ChainInterceptor func(serverName string, original []*cert.Certificate) []*cert.Certificate
 
-// Relay pipes a handshake between client and server, optionally rewriting
-// the server's certificate record through icept (nil means transparent).
-// This is the exit node's tunnel role: bytes in, bytes out — except when a
-// middlebox sits on the path.
-func Relay(client, server io.ReadWriter, icept ChainInterceptor) error {
-	hello, err := ReadRecord(client)
-	if err != nil {
-		return err
+// Intercept returns the rewrites an exit node's tunnel relays a
+// handshake through when icept sits on its path (nil icept is
+// transparent): c2s for the client's chunks, s2c for the server's. Each
+// holds its direction's first record back until it is whole. The client's
+// hello is forwarded as it arrived, and its SNI kept. The server's first
+// record, if it carries certificates icept replaces, becomes
+// FrameChain(replacement); any other record is forwarded as it arrived.
+// Every byte after a direction's first record passes through untouched.
+// A malformed first record stops its direction: nothing more is
+// forwarded, and end, called once the tunnel is over, reports why —
+// ErrUnexpected, ParseHello's or cert.UnmarshalChain's error, or
+// io.ErrUnexpectedEOF for a record cut short. It reports nil when both
+// directions' first records arrived well formed, or never started.
+//
+// A relay calls each rewrite from one goroutine at a time, the two
+// directions possibly from two, and takes a chunk's output before passing
+// the next chunk; the output may alias the chunk. The rewrites never
+// block: they run inside the event core's splice kicks.
+func Intercept(icept ChainInterceptor) (c2s, s2c func([]byte) []byte, end func() error) {
+	var hs struct {
+		sni           atomic.Value // string: all the two directions share
+		hello, answer firstRecord
 	}
-	if hello.Type != RecordClientHello {
-		return fmt.Errorf("%w: %d", ErrUnexpected, hello.Type)
+	c2s = func(chunk []byte) []byte {
+		return hs.hello.pass(chunk, func(rec []byte) ([]byte, error) {
+			if RecordType(rec[0]) != RecordClientHello {
+				return nil, fmt.Errorf("%w: %d", ErrUnexpected, rec[0])
+			}
+			sni, err := ParseHello(rec[4:])
+			hs.sni.Store(sni)
+			return rec, err
+		})
 	}
-	sni, err := ParseHello(hello.Payload)
-	if err != nil {
-		return err
+	s2c = func(chunk []byte) []byte {
+		return hs.answer.pass(chunk, func(rec []byte) ([]byte, error) {
+			if RecordType(rec[0]) != RecordCertificates || icept == nil {
+				return rec, nil
+			}
+			chain, err := cert.UnmarshalChain(rec[4:])
+			if err != nil {
+				return nil, err
+			}
+			sni, _ := hs.sni.Load().(string)
+			if replaced := icept(sni, chain); replaced != nil {
+				return FrameChain(replaced), nil
+			}
+			return rec, nil
+		})
 	}
-	if err := WriteRecord(server, hello.Type, hello.Payload); err != nil {
-		return err
-	}
-	resp, err := ReadRecord(server)
-	if err != nil {
-		return err
-	}
-	if resp.Type == RecordCertificates && icept != nil {
-		chain, err := cert.UnmarshalChain(resp.Payload)
-		if err != nil {
+	end = func() error {
+		if err := hs.hello.end(); err != nil {
 			return err
 		}
-		if replaced := icept(sni, chain); replaced != nil {
-			_, err := client.Write(FrameChain(replaced))
-			return err
-		}
+		return hs.answer.end()
 	}
-	return WriteRecord(client, resp.Type, resp.Payload)
+	return c2s, s2c, end
+}
+
+// firstRecord is one direction's progress through its first record.
+type firstRecord struct {
+	held []byte // the record so far, when it spans chunks
+	done bool   // the first record was whole and checked
+	err  error  // the check's verdict: nothing passes once set
+}
+
+// pass relays chunk through the direction: nothing until the first record
+// is whole, then the record check returns for it (the record itself, or
+// its replacement), then every byte untouched. Only a record that spans
+// chunks is copied.
+func (f *firstRecord) pass(chunk []byte, check func(rec []byte) ([]byte, error)) []byte {
+	switch {
+	case f.err != nil:
+		return nil
+	case f.done:
+		return chunk
+	case f.held != nil:
+		f.held = append(f.held, chunk...)
+		chunk = f.held
+	}
+	n := 4
+	if len(chunk) >= n {
+		n += int(chunk[1])<<16 | int(chunk[2])<<8 | int(chunk[3])
+	}
+	if len(chunk) < n {
+		if f.held == nil {
+			f.held = append([]byte(nil), chunk...)
+		}
+		return nil
+	}
+	f.held, f.done = nil, true
+	out, err := check(chunk[:n])
+	if f.err = err; err != nil {
+		return nil
+	}
+	// When out is the record itself, this appends the rest in place.
+	return append(out, chunk[n:]...)
+}
+
+// end reports what the direction left behind.
+func (f *firstRecord) end() error {
+	if f.err == nil && f.held != nil {
+		return io.ErrUnexpectedEOF
+	}
+	return f.err
 }

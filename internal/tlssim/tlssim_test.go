@@ -163,8 +163,9 @@ func TestUnknownSNIGetsAlert(t *testing.T) {
 	}
 }
 
-// relayPair runs a client handshake through a Relay to a server, returning
-// the chain the client sees.
+// relayPair runs a client handshake through Intercept's rewrites to a
+// server, one goroutine a direction as a blocking relay runs them,
+// returning the chain the client sees.
 func relayPair(t *testing.T, chain []*cert.Certificate, icept ChainInterceptor) []*cert.Certificate {
 	t.Helper()
 	clientEnd, relayClientSide := net.Pipe()
@@ -174,16 +175,36 @@ func relayPair(t *testing.T, chain []*cert.Certificate, icept ChainInterceptor) 
 		defer serverEnd.Close()
 		ServeOnce(serverEnd, func(string) []byte { return FrameChain(chain) })
 	}()
-	go func() {
-		defer relayClientSide.Close()
-		defer relayServerSide.Close()
-		if err := Relay(relayClientSide, relayServerSide, icept); err != nil && !errors.Is(err, io.EOF) {
-			t.Logf("relay: %v", err)
+	c2s, s2c, end := Intercept(icept)
+	pipe := func(dst, src net.Conn, rewrite func([]byte) []byte, done chan<- struct{}) {
+		defer close(done)
+		buf := make([]byte, 512)
+		for {
+			n, err := src.Read(buf)
+			if out := rewrite(buf[:n]); len(out) > 0 {
+				if _, werr := dst.Write(out); werr != nil {
+					break
+				}
+			}
+			if err != nil {
+				break
+			}
 		}
-	}()
+		relayClientSide.Close()
+		relayServerSide.Close()
+	}
+	up, down := make(chan struct{}), make(chan struct{})
+	go pipe(relayServerSide, relayClientSide, c2s, up)
+	go pipe(relayClientSide, relayServerSide, s2c, down)
 	got, err := CollectChain(clientEnd, "www.example.org")
 	if err != nil {
 		t.Fatal(err)
+	}
+	clientEnd.Close()
+	<-up
+	<-down
+	if err := end(); err != nil {
+		t.Fatalf("end() = %v", err)
 	}
 	return got
 }

@@ -76,16 +76,16 @@ func TestRunDNSDefaultScaleMetrics(t *testing.T) {
 	}
 }
 
-// Workers precedence: an explicit Crawl.Workers wins over the convenience
-// Options.Workers knob; the knob still applies when Crawl is untouched.
+// Workers precedence: Options.Workers is the one worker-count knob, and
+// it overwrites Crawl.Workers, set or not; zero defers to the crawl
+// engine's default.
 func TestWorkersPrecedence(t *testing.T) {
-	o := Options{Workers: 3}.withDefaults()
-	if o.Crawl.Workers != 3 {
-		t.Fatalf("Options.Workers not applied: %+v", o.Crawl)
-	}
-	o = Options{Workers: 3, Crawl: core.CrawlConfig{Workers: 5}}.withDefaults()
-	if o.Crawl.Workers != 5 {
-		t.Fatalf("Crawl.Workers overridden: %+v", o.Crawl)
+	for _, c := range []struct{ workers, crawl int }{{3, 0}, {3, 5}, {0, 5}, {0, 0}} {
+		o := Options{Workers: c.workers, Crawl: core.CrawlConfig{Workers: c.crawl}}.withDefaults()
+		if o.Crawl.Workers != c.workers {
+			t.Errorf("Workers %d, Crawl.Workers %d: the crawl runs %d workers, want %d",
+				c.workers, c.crawl, o.Crawl.Workers, c.workers)
+		}
 	}
 }
 

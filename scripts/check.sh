@@ -15,16 +15,16 @@ GO=${GO:-go}
 GATE="fmt vet lint build test race fuzz bench tftbench"
 EXTRA="shards chaos"
 
-# exists PKG PATTERN...: fail unless every pattern names a test or fuzz
-# target in PKG. go test exits 0 when -run or -fuzz matches nothing, so a
-# stage that names its tests checks them first, or a rename drops one from
-# the gate without a word.
+# exists PKG PATTERN...: fail unless every pattern names a test, fuzz
+# target or benchmark in PKG. go test exits 0 when -run, -fuzz or -bench
+# matches nothing, so a stage that names its tests checks them first, or a
+# rename drops one from the gate without a word.
 exists() {
 	pkg=$1
 	shift
 	for pattern in "$@"; do
-		$GO test -list "$pattern" "$pkg" </dev/null | grep -q '^\(Test\|Fuzz\)' ||
-			{ echo "check.sh: no test or fuzz target matches $pattern in $pkg" >&2; exit 1; }
+		$GO test -list "$pattern" "$pkg" </dev/null | grep -q '^\(Test\|Fuzz\|Benchmark\)' ||
+			{ echo "check.sh: no test, fuzz target or benchmark matches $pattern in $pkg" >&2; exit 1; }
 	done
 }
 
@@ -64,14 +64,18 @@ stage() {
 		$GO test -race -timeout 40m .
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all sixteen
+		# Short fuzz smoke over the parser-shaped attack surfaces, all seventeen
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
 		# holds ChainSize to what MarshalChain writes), the string decoder
 		# against the byte decoder it replaced (same verdict, same error,
 		# same chain, ChainSize the bytes read), handshake records (a lying
 		# length costs at most one chunk past what arrived; what ReadRecord
-		# accepts round-trips through WriteRecord), DNS messages — the
+		# accepts round-trips through WriteRecord), the exit node's handshake
+		# rewrites against the blocking relay they replaced (any client and
+		# server bytes, any chunk boundaries: each side receives the same
+		# first record, then the rest untouched, and the tunnel ends in the
+		# same error), DNS messages — the
 		# tree decoder, the scan layer and its two flat readers against the
 		# one-pass decoder they replaced (same verdict, same sentinel, same
 		# values), the append encoders against the tree writer they replaced
@@ -90,10 +94,11 @@ stage() {
 		# the pointer ring it replaced (a script of starts, attributes,
 		# errors, Ends and clock steps: the same spans, Total and Retained).
 		# Five seconds each — a corpus regression check, not a campaign.
-		# FuzzHeadEquivalence and FuzzRingAgreesWithOracle run without input
-		# minimisation: the first's seeds include 4 KB lines and 129-line
-		# blocks, the second's scripts of a kilobyte, and minimising one of
-		# those takes the whole five seconds. A target that no longer exists
+		# FuzzHeadEquivalence, FuzzInterceptAgreesWithRelay and
+		# FuzzRingAgreesWithOracle run without input minimisation: the
+		# first's seeds include 4 KB lines and 129-line blocks, the second
+		# takes three inputs, the third scripts of a kilobyte, and
+		# minimising one of those takes the whole five seconds. A target that no longer exists
 		# fails the stage: go test fuzzes nothing and exits 0 otherwise.
 		while read -r pkg target flags; do
 			exists "$pkg" "^$target\$"
@@ -104,6 +109,7 @@ stage() {
 		./internal/cert FuzzUnmarshalChain
 		./internal/cert FuzzChainAgreesWithOracle
 		./internal/tlssim FuzzReadRecord
+		./internal/tlssim FuzzInterceptAgreesWithRelay -fuzzminimizetime=0
 		./internal/dnswire FuzzUnmarshal
 		./internal/dnswire FuzzFlatAgreesWithTree
 		./internal/dnswire FuzzAppendAgreesWithTree
@@ -132,12 +138,19 @@ stage() {
 		# dead unless that benchmark runs on every check. FullScaleDNS (~50 s,
 		# ~1 GB) stays out. For a reading of the per-request path without a
 		# crawl, run the last three lines with -benchtime=2s; for what a second
-		# worker buys, CrawlWorkers with -benchtime=5x -count=6.
-		$GO test -run=NONE -bench='(DNS|HTTP|TLS|Monitor)ExperimentRun$|ExtensionSMTP$|Ablation|Baseline|CrawlWorkers$' -benchtime=1x .
-		$GO test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
-		$GO test -run=NONE -bench='Proxied(GET|CONNECT)$' -benchtime=1x -benchmem ./internal/proxynet
-		$GO test -run=NONE -bench='SpanParallel$' -benchtime=1x -benchmem ./internal/trace
-		$GO test -run=NONE -bench='Lookup$' -benchtime=1x -benchmem ./internal/dnsserver
+		# worker buys, CrawlWorkers with -benchtime=5x -count=6. A line is a
+		# package and its patterns, one benchmark or family each; every
+		# pattern must match, or a renamed benchmark leaves the gate.
+		while read -r pkg patterns; do
+			exists "$pkg" $patterns
+			$GO test -run=NONE -bench="$(echo $patterns | tr ' ' '|')" -benchtime=1x -benchmem "$pkg" </dev/null
+		done <<-EOF
+		. DNSExperimentRun$ HTTPExperimentRun$ TLSExperimentRun$ MonitorExperimentRun$ ExtensionSMTP$ Ablation Baseline CrawlWorkers$
+		./internal/simnet Pipe
+		./internal/proxynet ProxiedGET$ ProxiedCONNECT$
+		./internal/trace SpanParallel$
+		./internal/dnsserver Lookup$
+		EOF
 		;;
 	tftbench)
 		# The benchmark is a nested module, so none of vet, test, race or

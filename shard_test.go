@@ -10,34 +10,6 @@ import (
 	"github.com/tftproject/tft/internal/analysis"
 )
 
-// TestResolveWorkers pins the Options.Workers vs Crawl.Workers precedence:
-// an explicit Crawl.Workers wins, Options.Workers fills in otherwise, and
-// zero defers to the engine default.
-func TestResolveWorkers(t *testing.T) {
-	cases := []struct {
-		name               string
-		optWorkers, crawlW int
-		want               int
-	}{
-		{"both set, crawl wins", 8, 3, 3},
-		{"only options", 8, 0, 8},
-		{"only crawl", 0, 5, 5},
-		{"neither", 0, 0, 0},
-		{"negative crawl defers to options", 4, -1, 4},
-	}
-	for _, c := range cases {
-		if got := resolveWorkers(c.optWorkers, c.crawlW); got != c.want {
-			t.Errorf("%s: resolveWorkers(%d, %d) = %d, want %d",
-				c.name, c.optWorkers, c.crawlW, got, c.want)
-		}
-	}
-	opts := Options{Workers: 8, Scale: 0.02}
-	opts.Crawl.Workers = 3
-	if got := opts.withDefaults().Crawl.Workers; got != 3 {
-		t.Errorf("withDefaults kept Crawl.Workers = %d, want 3", got)
-	}
-}
-
 // renderDNSAnalysis flattens everything a DNS aggregate promises to
 // reproduce: the three paper tables and the headline summary.
 func renderDNSAnalysis(a *analysis.DNSAnalysis) []byte {

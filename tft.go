@@ -50,14 +50,12 @@ type Options struct {
 	// Scale multiplies the paper's population sizes (0 < Scale <= 1;
 	// default 0.05).
 	Scale float64
-	// Workers is the measurement concurrency (default 8). Precedence: a
-	// non-zero Crawl.Workers wins over this field; Workers only applies
-	// when Crawl.Workers is unset.
+	// Workers is the measurement concurrency (default 8).
 	Workers int
-	// Crawl overrides the stop-rule parameters when non-zero. A non-zero
-	// Crawl.Workers takes precedence over Options.Workers. When
-	// Crawl.Metrics is nil, each Run* call installs a fresh registry so
-	// every run exposes a Metrics() snapshot.
+	// Crawl overrides the stop-rule parameters when non-zero. Its Workers
+	// is overwritten with Options.Workers. When Crawl.Metrics is nil, each
+	// Run* call installs a fresh registry so every run exposes a Metrics()
+	// snapshot.
 	Crawl core.CrawlConfig
 	// Chaos names a fault-injection profile (simnet.ProfileNames) to arm on
 	// the world's fabric; it also installs the super proxy's per-exit
@@ -74,19 +72,8 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 20160413
 	}
-	o.Crawl.Workers = resolveWorkers(o.Workers, o.Crawl.Workers)
+	o.Crawl.Workers = o.Workers
 	return o
-}
-
-// resolveWorkers collapses the Options.Workers vs Crawl.Workers precedence
-// into one place: an explicitly-set Crawl.Workers wins, Options.Workers is
-// the convenience knob for callers who leave Crawl untouched, and zero
-// defers to the crawl engine's default.
-func resolveWorkers(optWorkers, crawlWorkers int) int {
-	if crawlWorkers > 0 {
-		return crawlWorkers
-	}
-	return optWorkers
 }
 
 // instrument ensures the run has a metrics registry and a span tracer, and
