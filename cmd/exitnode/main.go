@@ -81,7 +81,7 @@ func main() {
 		if err != nil {
 			fatal("bad -hijack-landing", "err", err)
 		}
-		resolver.Hijack = middlebox.PathNXHijack{Product: "exitnode-flag", Landing: landing}
+		resolver.NXLanding = landing
 		logger.Info("NXDOMAIN hijacking enabled", "landing", landing.String())
 	}
 

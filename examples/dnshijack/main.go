@@ -85,11 +85,11 @@ func main() {
 	go gw.Serve(al)
 
 	// Two exit-node agents: honest and hijacking.
-	startAgent := func(zid string, egress netip.Addr, hijack dnsserver.NXRewriter, mapLanding bool) {
+	startAgent := func(zid string, egress, landing netip.Addr) {
 		resolver := dnsserver.NewUDPResolver(egress, dnsAP, egress)
-		resolver.Hijack = hijack
+		resolver.NXLanding = landing
 		dialer := &proxynet.TCPDialer{Timeout: 2 * time.Second}
-		if mapLanding {
+		if landing.IsValid() {
 			dialer.MapAddr = func(dst netip.Addr, port uint16) string {
 				// NXDOMAIN answers point at the landing host; route the
 				// node's port-80-equivalent fetch there.
@@ -104,9 +104,8 @@ func main() {
 		}
 		go (&proxynet.Agent{Node: node, Gateway: al.Addr().String(), Conns: 2}).Run(context.Background())
 	}
-	startAgent("zhonest01", honestSrc, nil, false)
-	startAgent("zhijack01", hijackSrc,
-		middlebox.PathNXHijack{Product: "LoopTel", Landing: loop}, true)
+	startAgent("zhonest01", honestSrc, netip.Addr{})
+	startAgent("zhijack01", hijackSrc, loop)
 
 	for pool.Len() < 2 {
 		//tftlint:ignore simclock -- settle poll while real agents register over real sockets

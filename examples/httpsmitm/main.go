@@ -88,7 +88,7 @@ func main() {
 	for i, ps := range products {
 		pcs := ps.Build(epoch, trust)
 		addNode(fmt.Sprintf("zmitm%04d", i),
-			&middlebox.Path{TLS: []middlebox.TLSInterceptor{pcs.Instance(fmt.Sprintf("node%d", i), clock.Now)}})
+			&middlebox.Path{TLS: []*middlebox.CertMITM{pcs.Instance(fmt.Sprintf("node%d", i), clock.Now)}})
 	}
 
 	proxyIP := netip.MustParseAddr("203.0.113.22")

@@ -691,11 +691,11 @@ func TestLongitudinalDNSEvolution(t *testing.T) {
 		BetweenWaves: func(wave int) {
 			if wave == 1 {
 				// A big hijacker retires between the first two waves.
-				if n := w.SetOrgHijack("talktalk-gb", nil); n == 0 {
+				if n := w.SetOrgHijack("talktalk-gb", netip.Addr{}); n == 0 {
 					t.Fatal("no TalkTalk resolvers to flip")
 				}
-				w.SetOrgHijack("verizon-us", nil)
-				w.SetOrgHijack("tmnet-my", nil)
+				w.SetOrgHijack("verizon-us", netip.Addr{})
+				w.SetOrgHijack("tmnet-my", netip.Addr{})
 			}
 		},
 	}

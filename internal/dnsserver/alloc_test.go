@@ -30,15 +30,15 @@ func TestLookupAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		outcome, name string
-		hijack        NXRewriter
+		landing       netip.Addr
 		want          dnswire.Answer
 	}{
-		{"answered", "d1.probe.tft-example.net", nil, dnswire.Answer{RCode: dnswire.RCodeSuccess, A: webIP, TTL: 5}},
-		{"refused", "d2.probe.tft-example.net", nil, dnswire.Answer{RCode: dnswire.RCodeNXDomain}},
-		{"hijacked", "d2.probe.tft-example.net", landingNX(landingIP), dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landingIP, TTL: 300}},
+		{"answered", "d1.probe.tft-example.net", netip.Addr{}, dnswire.Answer{RCode: dnswire.RCodeSuccess, A: webIP, TTL: 5}},
+		{"refused", "d2.probe.tft-example.net", netip.Addr{}, dnswire.Answer{RCode: dnswire.RCodeNXDomain}},
+		{"hijacked", "d2.probe.tft-example.net", landingIP, dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landingIP, TTL: 300}},
 	} {
 		r, a := lookupRig(t)
-		r.Hijack = tc.hijack
+		r.NXLanding = tc.landing
 		got := testing.AllocsPerRun(200, func() {
 			ans, err := r.Lookup(nodeIP, tc.name, dnswire.TypeA)
 			if err != nil || ans != tc.want {

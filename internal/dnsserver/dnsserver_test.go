@@ -214,15 +214,10 @@ func TestHonestResolverEgressIsItsAddr(t *testing.T) {
 	}
 }
 
-// landingNX rewrites every NXDOMAIN to one landing address.
-type landingNX netip.Addr
-
-func (l landingNX) RewriteNX(string) (netip.Addr, bool) { return netip.Addr(l), true }
-
 func TestHijackingResolverRewritesNXDomain(t *testing.T) {
 	f, _ := fabricWorld(t)
 	r := NewResolver(ispDNSIP, f, upstreamAll)
-	r.Hijack = landingNX(landingIP)
+	r.NXLanding = landingIP
 	resp, err := r.Lookup(nodeIP, "d2.probe.tft-example.net", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +233,7 @@ func TestHijackingResolverRewritesNXDomain(t *testing.T) {
 func TestHijackingResolverLeavesSuccessAlone(t *testing.T) {
 	f, _ := fabricWorld(t)
 	r := NewResolver(ispDNSIP, f, upstreamAll)
-	r.Hijack = landingNX(landingIP)
+	r.NXLanding = landingIP
 	resp, err := r.Lookup(nodeIP, "d1.probe.tft-example.net", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)

@@ -248,7 +248,7 @@ func oracleRelay(r *Resolver, admit func(netip.Addr) bool, src netip.Addr, query
 func TestResolverHandlerMatchesRelayOracle(t *testing.T) {
 	honest, _ := lookupRig(t)
 	hijacking, _ := lookupRig(t)
-	hijacking.Hijack = landingNX(landingIP)
+	hijacking.NXLanding = landingIP
 	closed := func(src netip.Addr) bool { return src == nodeIP }
 	rng := rand.New(rand.NewPCG(20160413, 26))
 	names := []string{
@@ -305,7 +305,7 @@ func TestResolverHandlerMatchesRelayOracle(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 			t.Fatalf("datagram %d (%x from %v, hijack %v, open %v):\n got %x\nwant %x",
-				i, wire, src, r.Hijack != nil, admit == nil, got, want)
+				i, wire, src, r.NXLanding.IsValid(), admit == nil, got, want)
 		}
 		switch {
 		case got == nil:

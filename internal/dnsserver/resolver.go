@@ -41,17 +41,10 @@ func putQueryBuf(b *[512]byte) {
 	queryBufs.Put(b)
 }
 
-// NXRewriter is an NXDOMAIN hijack policy: given the queried name, return
-// the landing-page address to substitute for the error (ok=false leaves the
-// NXDOMAIN untouched). Implementations live with the middlebox behaviours.
-type NXRewriter interface {
-	RewriteNX(name string) (netip.Addr, bool)
-}
-
 // Resolver is a recursive resolver as an exit node experiences it: a
 // service address to send queries to, an egress address the authoritative
-// side observes, and optionally a hijack policy applied to NXDOMAIN
-// answers.
+// side observes, and optionally a landing page NXDOMAIN answers are
+// hijacked to.
 type Resolver struct {
 	// Addr is the service address clients are configured with.
 	Addr netip.Addr
@@ -60,8 +53,9 @@ type Resolver struct {
 	// Upstream locates the authoritative server for a name. Names without
 	// an upstream yield SERVFAIL, which the experiments never trigger.
 	Upstream func(name string) (netip.Addr, bool)
-	// Hijack, when non-nil, rewrites NXDOMAIN answers (§4.3.1–4.3.2).
-	Hijack NXRewriter
+	// NXLanding, when valid, is the landing page the resolver answers
+	// NXDOMAIN with (§4.3.1–4.3.2); the zero address is an honest resolver.
+	NXLanding netip.Addr
 	// EgressFor maps the querying client to the egress address the
 	// authoritative server sees. Nil means queries egress from Addr. The
 	// Google anycast resolver overrides this so different clients surface
@@ -93,7 +87,7 @@ func (r *Resolver) egress(client netip.Addr) netip.Addr {
 }
 
 // Lookup resolves name for client and returns what the client learns: the
-// response code and first address, after any hijack policy has run. A name
+// response code and first address, after any NXDOMAIN hijack. A name
 // with no authority, an exchange that fails, and a datagram that is
 // malformed or not the answer to this query are all SERVFAIL.
 //
@@ -119,7 +113,7 @@ func (r *Resolver) Lookup(client netip.Addr, name string, qtype dnswire.Type) (d
 	if err != nil {
 		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
 	}
-	return r.applyHijack(name, ans), nil
+	return r.applyHijack(ans), nil
 }
 
 // Handler serves the resolver on the wire to the sources admit lets in
@@ -147,16 +141,13 @@ func (r *Resolver) Handler(admit func(src netip.Addr) bool) simnet.DNSHandler {
 	}
 }
 
-// applyHijack rewrites an NXDOMAIN answer per the resolver's policy.
-func (r *Resolver) applyHijack(name string, ans dnswire.Answer) dnswire.Answer {
-	if r.Hijack == nil || ans.RCode != dnswire.RCodeNXDomain {
+// applyHijack rewrites an NXDOMAIN answer to the resolver's landing page,
+// when it has one.
+func (r *Resolver) applyHijack(ans dnswire.Answer) dnswire.Answer {
+	if !r.NXLanding.IsValid() || ans.RCode != dnswire.RCodeNXDomain {
 		return ans
 	}
-	landing, ok := r.Hijack.RewriteNX(name)
-	if !ok {
-		return ans
-	}
-	return dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landing, TTL: 300}
+	return dnswire.Answer{RCode: dnswire.RCodeSuccess, A: r.NXLanding, TTL: 300}
 }
 
 // queryID derives a deterministic query ID from client and name so runs are

@@ -64,7 +64,9 @@ type CertMITM struct {
 	serial atomic.Uint64
 }
 
-// InterceptChain implements TLSInterceptor.
+// InterceptChain returns the chain the product puts in place of chain, the
+// origin's for serverName, or nil when it leaves the chain alone (selective
+// MITM).
 func (m *CertMITM) InterceptChain(serverName string, chain []*cert.Certificate) []*cert.Certificate {
 	if len(chain) == 0 {
 		return nil

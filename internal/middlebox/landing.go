@@ -2,10 +2,7 @@ package middlebox
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
-
-	"github.com/tftproject/tft/internal/dnswire"
 )
 
 // SharedRedirectJS is the JavaScript block §4.3.1 found byte-identical in
@@ -61,28 +58,3 @@ func (l LandingSpec) Render() []byte {
 	sb.WriteString("</body>\n</html>\n")
 	return []byte(sb.String())
 }
-
-// PathNXHijack is a DNS interceptor that rewrites NXDOMAIN answers into an
-// A record for a landing page. In §4.3.3 this models both transparent DNS
-// proxies in ISPs and resolver-tampering software on the host — the cases
-// where the node uses Google DNS and still receives a hijacked answer.
-type PathNXHijack struct {
-	// Product names the hijacking party ("Deutsche Telekom path proxy",
-	// "Norton ConnectSafe client", ...).
-	Product string
-	// Landing is the page users are sent to.
-	Landing netip.Addr
-}
-
-// InterceptDNS implements DNSInterceptor.
-func (h PathNXHijack) InterceptDNS(_ string, ans dnswire.Answer) dnswire.Answer {
-	if ans.RCode != dnswire.RCodeNXDomain {
-		return ans
-	}
-	return dnswire.Answer{RCode: dnswire.RCodeSuccess, A: h.Landing, TTL: 60}
-}
-
-// RewriteNX lets PathNXHijack double as a resolver hijack policy
-// (dnsserver.NXRewriter): ISP resolvers and their path proxies serve the
-// same landing pages.
-func (h PathNXHijack) RewriteNX(string) (netip.Addr, bool) { return h.Landing, true }

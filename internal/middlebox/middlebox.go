@@ -1,33 +1,24 @@
 // Package middlebox implements the parties that violate end-to-end
-// connectivity in the paper, as composable interceptors an exit node's
-// traffic flows through: NXDOMAIN hijackers (§4), HTML injectors and image
-// transcoders (§5), TLS certificate replacers (§6), and content monitors
-// (§7).
+// connectivity in the paper, the violators an exit node's traffic flows
+// through: NXDOMAIN hijackers (§4), HTML injectors and image transcoders
+// (§5), TLS certificate replacers (§6), content monitors (§7) and STARTTLS
+// strippers (§3.4).
 //
-// An exit node owns a Path — an ordered interceptor stack modelling
-// end-host software first (malware, AV products), then the LAN, then ISP
-// equipment. The proxynet exit-node agent consults the Path around every
-// network operation; interceptors never see each other, only the traffic.
+// An exit node owns a Path: one field per kind of violator, each list
+// ordered end-host software first (malware, AV products), then the LAN,
+// then ISP equipment. The proxynet exit-node agent consults the Path around
+// every network operation; violators never see each other, only the
+// traffic. Only HTTP rewriting, which four types do, is an interface.
 package middlebox
 
 import (
 	"math/rand/v2"
 	"net/netip"
-	"sync"
-	"time"
 
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/dnswire"
 	"github.com/tftproject/tft/internal/httpwire"
 )
-
-// DNSInterceptor rewrites DNS answers on the node's path — a transparent
-// DNS proxy in the ISP or resolver-tampering software on the host (§4.3.3).
-type DNSInterceptor interface {
-	// InterceptDNS returns what the node learns in place of ans, the
-	// resolver's answer for the queried name: ans itself, or a rewrite.
-	InterceptDNS(name string, ans dnswire.Answer) dnswire.Answer
-}
 
 // HTTPInterceptor rewrites HTTP responses in flight (§5).
 type HTTPInterceptor interface {
@@ -38,53 +29,20 @@ type HTTPInterceptor interface {
 	InterceptHTTP(host, path string, resp *httpwire.Response) *httpwire.Response
 }
 
-// TLSInterceptor replaces certificate chains in CONNECT tunnels (§6).
-// Returning nil leaves the original chain untouched (selective MITM).
-type TLSInterceptor interface {
-	InterceptChain(serverName string, chain []*cert.Certificate) []*cert.Certificate
-}
-
-// Env gives monitors a deterministic random stream and the ability to issue
-// their own HTTP fetches.
-type Env struct {
-	// Rand is the node's own stream; randMu serialises the draws of
-	// concurrent fetches through the node.
-	Rand   *rand.Rand
-	randMu sync.Mutex
-	// Refetch issues a monitoring fetch of http://host+path from src after
-	// delay. A negative delay models a monitor that raced ahead of the
-	// user's held request (Bluecoat, §7.2.1): the fetch happens now but the
-	// origin is asked to log it backdated. See origin.SkewHeader.
-	Refetch func(src netip.Addr, host, path string, delay time.Duration)
-}
-
-// Monitor observes the node's HTTP requests and may duplicate them (§7).
-type Monitor interface {
-	// Observe is called when the node fetches http://host+path. proceed
-	// performs the node's own fetch and must be called exactly once.
-	Observe(env *Env, host, path string, proceed func())
-}
-
-// StreamInterceptor rewrites raw tunnel bytes — middleboxes that operate
-// below any protocol this repository parses, like the STARTTLS strippers
-// the §3.4 SMTP extension hunts for. Only the server→client direction is
-// rewritten (capability advertisements flow that way).
-type StreamInterceptor interface {
-	// AppliesTo reports whether the interceptor engages for tunnels to the
-	// given destination port.
-	AppliesTo(port uint16) bool
-	// RewriteS2C rewrites one server→client chunk.
-	RewriteS2C(chunk []byte) []byte
-}
-
-// Path is one exit node's interceptor stack, applied in slice order
-// (end-host software before ISP equipment).
+// Path is one exit node's violators, one field per kind; each list applies
+// in slice order (end-host software before ISP equipment).
 type Path struct {
-	DNS      []DNSInterceptor
-	HTTP     []HTTPInterceptor
-	TLS      []TLSInterceptor
-	Stream   []StreamInterceptor
-	Monitors []Monitor
+	// NXLanding, when valid, is the landing page a DNS hijacker on the path
+	// sends NXDOMAIN answers to: a transparent DNS proxy in the ISP, or
+	// resolver-tampering software on the host — the cases where the node
+	// uses Google DNS and still receives a hijacked answer (§4.3.3).
+	NXLanding netip.Addr
+	HTTP      []HTTPInterceptor
+	// TLS replaces certificate chains in CONNECT tunnels (§6).
+	TLS []*CertMITM
+	// Stream rewrites the server's bytes of tunnels to the mail ports.
+	Stream   []STARTTLSStripper
+	Monitors []*Watcher
 	// BlockedPorts lists destination ports the node's ISP refuses outright
 	// (residential port-25 blocking).
 	BlockedPorts []uint16
@@ -94,12 +52,13 @@ type Path struct {
 	VPNEgress netip.Addr
 }
 
-// ApplyDNS runs the DNS interceptors in order.
-func (p *Path) ApplyDNS(name string, ans dnswire.Answer) dnswire.Answer {
-	for _, ic := range p.DNS {
-		ans = ic.InterceptDNS(name, ans)
+// ApplyDNS returns what the node learns in place of ans, its resolver's
+// answer: the landing page for an NXDOMAIN when the path hijacks, else ans.
+func (p *Path) ApplyDNS(ans dnswire.Answer) dnswire.Answer {
+	if !p.NXLanding.IsValid() || ans.RCode != dnswire.RCodeNXDomain {
+		return ans
 	}
-	return ans
+	return dnswire.Answer{RCode: dnswire.RCodeSuccess, A: p.NXLanding, TTL: 60}
 }
 
 // ApplyHTTP runs the HTTP interceptors in order.
@@ -114,24 +73,20 @@ func (p *Path) ApplyHTTP(host, path string, resp *httpwire.Response) *httpwire.R
 // the chain wins (stacked SSL proxies do not compose in practice). It
 // returns nil when none does.
 func (p *Path) ApplyTLS(serverName string, chain []*cert.Certificate) []*cert.Certificate {
-	for _, ic := range p.TLS {
-		if replaced := ic.InterceptChain(serverName, chain); replaced != nil {
+	for _, m := range p.TLS {
+		if replaced := m.InterceptChain(serverName, chain); replaced != nil {
 			return replaced
 		}
 	}
 	return nil
 }
 
-// ObserveFetch threads a node fetch through every monitor, innermost last,
-// so each monitor's proceed wraps the next.
-func (p *Path) ObserveFetch(env *Env, host, path string, fetch func()) {
-	wrapped := fetch
+// Observe shows the monitors the node's fetch of http://host+path, once it
+// has happened, innermost (last) first.
+func (p *Path) Observe(host, path string) {
 	for i := len(p.Monitors) - 1; i >= 0; i-- {
-		m := p.Monitors[i]
-		inner := wrapped
-		wrapped = func() { m.Observe(env, host, path, inner) }
+		p.Monitors[i].Observe(host, path)
 	}
-	wrapped()
 }
 
 // PortBlocked reports whether the node's ISP refuses connections to port.
@@ -147,18 +102,13 @@ func (p *Path) PortBlocked(port uint16) bool {
 	return false
 }
 
-// StreamFor collects the stream interceptors engaging for a port.
-func (p *Path) StreamFor(port uint16) []StreamInterceptor {
-	if p == nil {
+// StreamFor returns the stream rewriters engaging for tunnels to port:
+// the path's STARTTLS strippers on the mail ports, none elsewhere.
+func (p *Path) StreamFor(port uint16) []STARTTLSStripper {
+	if p == nil || !MailPort(port) {
 		return nil
 	}
-	var out []StreamInterceptor
-	for _, ic := range p.Stream {
-		if ic.AppliesTo(port) {
-			out = append(out, ic)
-		}
-	}
-	return out
+	return p.Stream
 }
 
 // decide returns a deterministic pseudo-random bool with probability prob,

@@ -61,26 +61,24 @@ func TestLandingPageTagline(t *testing.T) {
 	}
 }
 
-func TestPathNXHijackRewrites(t *testing.T) {
-	h := PathNXHijack{Product: "norton-connectsafe", Landing: landingIP}
-	got := h.InterceptDNS("typo.example.net", dnswire.Answer{RCode: dnswire.RCodeNXDomain})
-	if want := (dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landingIP, TTL: 60}); got != want {
+func TestPathNXLandingRewrites(t *testing.T) {
+	nx := dnswire.Answer{RCode: dnswire.RCodeNXDomain}
+	p := &Path{NXLanding: landingIP}
+	if got, want := p.ApplyDNS(nx), (dnswire.Answer{RCode: dnswire.RCodeSuccess, A: landingIP, TTL: 60}); got != want {
 		t.Fatalf("NXDOMAIN became %+v, want %+v", got, want)
 	}
-	// NOERROR answers pass through untouched.
-	webIP := netip.MustParseAddr("198.51.100.10")
-	ok := dnswire.Answer{RCode: dnswire.RCodeSuccess, A: webIP, TTL: 5}
-	if got := h.InterceptDNS("real.example.net", ok); got != ok {
-		t.Fatalf("NOERROR answer became %+v", got)
+	// Any other answer passes through untouched.
+	for _, ans := range []dnswire.Answer{
+		{RCode: dnswire.RCodeSuccess, A: netip.MustParseAddr("198.51.100.10"), TTL: 5},
+		{RCode: dnswire.RCodeServFail},
+	} {
+		if got := p.ApplyDNS(ans); got != ans {
+			t.Fatalf("%+v became %+v", ans, got)
+		}
 	}
-	// A Path runs its interceptors in order: the first rewrite leaves the
-	// second nothing to hijack.
-	path := &Path{DNS: []DNSInterceptor{h, PathNXHijack{Landing: webIP}}}
-	if got := path.ApplyDNS("typo.example.net", dnswire.Answer{RCode: dnswire.RCodeNXDomain}); got.A != landingIP {
-		t.Fatalf("path answered %+v", got)
-	}
-	if ip, hijack := h.RewriteNX("x"); !hijack || ip != landingIP {
-		t.Fatal("RewriteNX mismatch")
+	// The zero address is an honest path.
+	if got := (&Path{}).ApplyDNS(nx); got != nx {
+		t.Fatalf("honest path answered %+v", got)
 	}
 }
 
@@ -425,7 +423,7 @@ func TestPathTLSFirstReplacementWins(t *testing.T) {
 	pcA := kasperskySpec().Build(epoch, store)
 	pcB := avastSpec().Build(epoch, store)
 	now := func() time.Time { return epoch }
-	p := Path{TLS: []TLSInterceptor{pcA.Instance("n", now), pcB.Instance("n", now)}}
+	p := Path{TLS: []*CertMITM{pcA.Instance("n", now), pcB.Instance("n", now)}}
 	got := p.ApplyTLS("www.bank.example", valid)
 	if got[0].Issuer.CommonName != "Kaspersky Anti-Virus Personal Root" {
 		t.Fatalf("issuer = %q (second interceptor won?)", got[0].Issuer.CommonName)
@@ -440,15 +438,15 @@ type refetchRec struct {
 	delay time.Duration
 }
 
-func watchEnv(rng *rand.Rand) (*Env, *[]refetchRec) {
+// recordRefetches gives w the stream rng and a Refetch that records into
+// the returned slice.
+func recordRefetches(w *Watcher, rng *rand.Rand) *[]refetchRec {
 	var recs []refetchRec
-	env := &Env{
-		Rand: rng,
-		Refetch: func(src netip.Addr, host, path string, delay time.Duration) {
-			recs = append(recs, refetchRec{src, host, delay})
-		},
+	w.Rand = rng
+	w.Refetch = func(src netip.Addr, host, path string, delay time.Duration) {
+		recs = append(recs, refetchRec{src, host, delay})
 	}
-	return env, &recs
+	return &recs
 }
 
 func TestWatcherTwoRequestsBimodal(t *testing.T) {
@@ -461,13 +459,9 @@ func TestWatcherTwoRequestsBimodal(t *testing.T) {
 				Sources: []netip.Addr{netip.MustParseAddr("150.70.1.2")}},
 		},
 	}
-	env, recs := watchEnv(simnet.NewRand(5))
-	proceeded := 0
+	recs := recordRefetches(tm, simnet.NewRand(5))
 	for i := 0; i < 50; i++ {
-		tm.Observe(env, "u1.example.net", "/", func() { proceeded++ })
-	}
-	if proceeded != 50 {
-		t.Fatalf("proceed called %d times", proceeded)
+		tm.Observe("u1.example.net", "/")
 	}
 	if len(*recs) != 100 {
 		t.Fatalf("refetches = %d, want 100", len(*recs))
@@ -483,7 +477,7 @@ func TestWatcherTwoRequestsBimodal(t *testing.T) {
 }
 
 // TestWatcherConcurrentFetchesThroughOneNode: two crawl workers whose
-// sessions land on the same node run Observe against one Env at once; the
+// sessions land on the same node run Observe on its one Watcher at once; the
 // node's random stream must not be drawn from by both (-race is the judge),
 // and every fetch must still plan its full set of requests.
 func TestWatcherConcurrentFetchesThroughOneNode(t *testing.T) {
@@ -497,10 +491,8 @@ func TestWatcherConcurrentFetchesThroughOneNode(t *testing.T) {
 		},
 	}
 	var refetches atomic.Int64
-	env := &Env{
-		Rand:    simnet.NewRand(7),
-		Refetch: func(netip.Addr, string, string, time.Duration) { refetches.Add(1) },
-	}
+	w.Rand = simnet.NewRand(7)
+	w.Refetch = func(netip.Addr, string, string, time.Duration) { refetches.Add(1) }
 	const workers, fetches = 4, 500
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -508,7 +500,7 @@ func TestWatcherConcurrentFetchesThroughOneNode(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < fetches; j++ {
-				w.Observe(env, "u1.example.net", "/", func() {})
+				w.Observe("u1.example.net", "/")
 			}
 		}()
 	}
@@ -528,9 +520,9 @@ func TestWatcherPreFetch(t *testing.T) {
 			Lead:         DelaySpec{Min: 100 * time.Millisecond, Max: 2 * time.Second},
 		}},
 	}
-	env, recs := watchEnv(simnet.NewRand(6))
+	recs := recordRefetches(bc, simnet.NewRand(6))
 	for i := 0; i < 400; i++ {
-		bc.Observe(env, "u.example.net", "/", func() {})
+		bc.Observe("u.example.net", "/")
 	}
 	neg := 0
 	for _, r := range *recs {
@@ -544,30 +536,26 @@ func TestWatcherPreFetch(t *testing.T) {
 	}
 }
 
-func TestObserveFetchOrdering(t *testing.T) {
+// TestPathObserveInnermostFirst: the monitor nearest the origin (the last
+// in the path) sees the fetch first, as a fetch nested in each monitor's
+// observation would reach it.
+func TestPathObserveInnermostFirst(t *testing.T) {
 	var order []string
-	mkWatcher := func(name string) Monitor {
-		return watcherFunc{fn: func(env *Env, host, path string, proceed func()) {
-			order = append(order, "pre-"+name)
-			proceed()
-			order = append(order, "post-"+name)
-		}}
+	watcher := func(name string) *Watcher {
+		return &Watcher{
+			Product:  name,
+			Requests: []RefetchSpec{{Sources: []netip.Addr{landingIP}}},
+			Rand:     simnet.NewRand(8),
+			Refetch: func(netip.Addr, string, string, time.Duration) {
+				order = append(order, name)
+			},
+		}
 	}
-	p := Path{Monitors: []Monitor{mkWatcher("outer"), mkWatcher("inner")}}
-	env, _ := watchEnv(simnet.NewRand(8))
-	p.ObserveFetch(env, "h", "/", func() { order = append(order, "fetch") })
-	want := []string{"pre-outer", "pre-inner", "fetch", "post-inner", "post-outer"}
-	if strings.Join(order, ",") != strings.Join(want, ",") {
-		t.Fatalf("order = %v", order)
+	p := Path{Monitors: []*Watcher{watcher("outer"), watcher("inner")}}
+	p.Observe("h", "/")
+	if want := []string{"inner", "outer"}; strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
-}
-
-type watcherFunc struct {
-	fn func(env *Env, host, path string, proceed func())
-}
-
-func (w watcherFunc) Observe(env *Env, host, path string, proceed func()) {
-	w.fn(env, host, path, proceed)
 }
 
 func TestDelaySpecBounds(t *testing.T) {
@@ -588,11 +576,10 @@ func TestDelaySpecBounds(t *testing.T) {
 }
 
 func TestSTARTTLSStripperPortScope(t *testing.T) {
-	st := STARTTLSStripper{Product: "mailguard"}
-	if !st.AppliesTo(25) || !st.AppliesTo(587) {
+	if !MailPort(25) || !MailPort(587) {
 		t.Fatal("mail ports not covered")
 	}
-	if st.AppliesTo(443) || st.AppliesTo(80) {
+	if MailPort(443) || MailPort(80) {
 		t.Fatal("non-mail ports covered")
 	}
 }
@@ -600,7 +587,7 @@ func TestSTARTTLSStripperPortScope(t *testing.T) {
 func TestPathBlockedPortsAndStreamFor(t *testing.T) {
 	p := &Path{
 		BlockedPorts: []uint16{25},
-		Stream:       []StreamInterceptor{STARTTLSStripper{Product: "x"}},
+		Stream:       []STARTTLSStripper{{Product: "x"}},
 	}
 	if !p.PortBlocked(25) || p.PortBlocked(443) {
 		t.Fatal("blocked-port logic wrong")

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/netip"
+	"sync"
 	"time"
 )
 
@@ -55,36 +56,45 @@ type Watcher struct {
 	Product string
 	// Requests lists the unexpected requests issued per observed fetch.
 	Requests []RefetchSpec
+	// Rand is the node's own stream; randMu serialises the draws of
+	// concurrent fetches through the node.
+	Rand   *rand.Rand
+	randMu sync.Mutex
+	// Refetch issues a monitoring fetch of http://host+path from src after
+	// delay. A negative delay models a monitor that raced ahead of the
+	// user's held request (Bluecoat, §7.2.1): the fetch happens now but the
+	// origin is asked to log it backdated. See origin.SkewHeader.
+	Refetch func(src netip.Addr, host, path string, delay time.Duration)
 }
 
-// Observe implements Monitor.
-func (w *Watcher) Observe(env *Env, host, path string, proceed func()) {
-	proceed()
+// Observe issues the watcher's requests for the node's fetch of
+// http://host+path, which has just happened.
+func (w *Watcher) Observe(host, path string) {
 	// Two crawl workers can land on the same node at once, and the node's
 	// random stream is the one thing their fetches share: draw the whole
-	// plan under the Env's lock, act on it outside (a pre-fetch dials).
+	// plan under the lock, act on it outside (a pre-fetch dials).
 	type refetch struct {
 		src   netip.Addr
 		delay time.Duration
 	}
 	var buf [4]refetch
 	plan := buf[:0]
-	env.randMu.Lock()
+	w.randMu.Lock()
 	for _, spec := range w.Requests {
 		if len(spec.Sources) == 0 {
 			continue
 		}
-		src := spec.Sources[env.Rand.IntN(len(spec.Sources))]
+		src := spec.Sources[w.Rand.IntN(len(spec.Sources))]
 		var delay time.Duration
-		if spec.PreFetchProb > 0 && decide(env.Rand, spec.PreFetchProb) {
-			delay = -spec.Lead.Sample(env.Rand)
+		if spec.PreFetchProb > 0 && decide(w.Rand, spec.PreFetchProb) {
+			delay = -spec.Lead.Sample(w.Rand)
 		} else {
-			delay = spec.Delay.Sample(env.Rand)
+			delay = spec.Delay.Sample(w.Rand)
 		}
 		plan = append(plan, refetch{src, delay})
 	}
-	env.randMu.Unlock()
+	w.randMu.Unlock()
 	for _, r := range plan {
-		env.Refetch(r.src, host, path, r.delay)
+		w.Refetch(r.src, host, path, r.delay)
 	}
 }

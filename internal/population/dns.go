@@ -2,6 +2,7 @@ package population
 
 import (
 	"fmt"
+	"net/netip"
 	"sort"
 
 	"github.com/tftproject/tft/internal/dnsserver"
@@ -72,14 +73,13 @@ func (b *dnsBuilder) buildISPGroups() {
 			AdCount:         4,
 		}.Render()
 		landing := b.landingHost(g.LandingDomain, asns[0], page)
-		rewriter := middlebox.PathNXHijack{Product: "isp:" + g.ISP, Landing: landing}
 
 		nServers := b.scaled(g.Servers)
 		servers := make([]*dnsserver.Resolver, nServers)
 		for i := range servers {
-			servers[i] = b.ispResolver(asns[i%len(asns)], rewriter)
+			servers[i] = b.ispResolver(asns[i%len(asns)], landing)
 		}
-		honest := b.ispResolver(asns[0], nil)
+		honest := b.ispResolver(asns[0], netip.Addr{})
 
 		nNodes := b.scaled(g.Nodes)
 		for i := 0; i < nNodes; i++ {
@@ -105,7 +105,7 @@ func (b *dnsBuilder) buildISPGroups() {
 		}
 		for i := 0; i < nPath; i++ {
 			asn := asns[i%min(len(asns), max(1, g.PathASNs))]
-			path := &middlebox.Path{DNS: []middlebox.DNSInterceptor{rewriter}}
+			path := &middlebox.Path{NXLanding: landing}
 			n := b.addNode(g.Country, asn, b.Google, path)
 			b.labels(n).DNSHijacker = "path:" + g.ISP
 			b.note(g.Country, true)
@@ -126,10 +126,9 @@ func (b *dnsBuilder) buildPathOnlyISPs() {
 			AdCount:     4,
 		}.Render()
 		landing := b.landingHost(g.LandingDomain, asn, page)
-		rewriter := middlebox.PathNXHijack{Product: "path:" + g.ISP, Landing: landing}
 		n := b.scaled(g.Nodes)
 		for i := 0; i < n; i++ {
-			path := &middlebox.Path{DNS: []middlebox.DNSInterceptor{rewriter}}
+			path := &middlebox.Path{NXLanding: landing}
 			node := b.addNode(g.Country, asn, b.Google, path)
 			b.labels(node).DNSHijacker = "path:" + g.ISP
 			b.note(g.Country, true)
@@ -150,7 +149,6 @@ func (b *dnsBuilder) buildPublicResolvers() {
 			AdCount:     6,
 		}.Render()
 		landing := b.landingHost(g.LandingDomain, asn, page)
-		rewriter := middlebox.PathNXHijack{Product: "public:" + g.Org, Landing: landing}
 
 		nServers := b.scaled(g.Servers)
 		nNodes := b.scaled(g.Nodes)
@@ -160,7 +158,7 @@ func (b *dnsBuilder) buildPublicResolvers() {
 		perServer := max(4, nNodes/nServers)
 		countries := b.pickCountries(6, nil)
 		for si := 0; si < nServers; si++ {
-			server := b.publicResolver(asn, rewriter)
+			server := b.publicResolver(asn, landing)
 			for i := 0; i < perServer; i++ {
 				cc := countries[(si+i)%len(countries)]
 				n := b.addNode(cc, b.bgAS(cc), server, nil)
@@ -190,7 +188,7 @@ func (b *dnsBuilder) buildPublicResolvers() {
 	}
 	countries := b.pickCountries(12, nil)
 	for s := 0; s < nServers; s++ {
-		r := b.publicResolver(asn, nil)
+		r := b.publicResolver(asn, netip.Addr{})
 		for i := 0; i < nodesEach; i++ {
 			cc := countries[(s+i)%len(countries)]
 			b.addNode(cc, b.bgAS(cc), r, nil)
@@ -213,12 +211,11 @@ func (b *dnsBuilder) buildSoftwareHijackers() {
 			AdCount:     2,
 		}.Render()
 		landing := b.landingHost(g.LandingDomain, adASN, page)
-		rewriter := middlebox.PathNXHijack{Product: "software:" + g.Product, Landing: landing}
 		countries := b.pickCountries(g.Countries, nil)
 		nNodes := b.scaled(g.Nodes)
 		for i := 0; i < nNodes; i++ {
 			cc := countries[i%len(countries)]
-			path := &middlebox.Path{DNS: []middlebox.DNSInterceptor{rewriter}}
+			path := &middlebox.Path{NXLanding: landing}
 			n := b.addNode(cc, b.bgAS(cc), b.Google, path)
 			b.labels(n).DNSHijacker = "software:" + g.Product
 			b.note(cc, true)
@@ -246,9 +243,8 @@ func (b *dnsBuilder) buildMiscPathHijacks() {
 			AdCount:     3,
 		}.Render()
 		landing := b.landingHost(domain, asns[0], page)
-		rewriter := middlebox.PathNXHijack{Product: "software:misc", Landing: landing}
 		cc := countries[i%len(countries)]
-		path := &middlebox.Path{DNS: []middlebox.DNSInterceptor{rewriter}}
+		path := &middlebox.Path{NXLanding: landing}
 		n := b.addNode(cc, b.bgAS(cc), b.Google, path)
 		b.labels(n).DNSHijacker = "software:misc"
 		b.note(cc, true)
@@ -260,7 +256,7 @@ func (b *dnsBuilder) buildMiscPathHijacks() {
 func (b *dnsBuilder) buildBeninCluster() {
 	org := b.namedOrg(BeninGoogleAS.Org, "OPT Benin", "BJ")
 	asn := b.namedAS(BeninGoogleAS.ASN, org, false)
-	honest := b.ispResolver(asn, nil)
+	honest := b.ispResolver(asn, netip.Addr{})
 	total := b.scaled(BeninGoogleAS.Total)
 	google := b.scaled(BeninGoogleAS.GoogleNodes)
 	if google > total {
@@ -348,8 +344,7 @@ func (b *dnsBuilder) fillCountry(cc geo.CountryCode, targetTotal, targetHijack i
 			AdCount:     3,
 		}.Render()
 		landing := b.landingHost(domain, asn, page)
-		rewriter := middlebox.PathNXHijack{Product: "isp:" + org.Name, Landing: landing}
-		server := b.ispResolver(asn, rewriter)
+		server := b.ispResolver(asn, landing)
 		// Stay below the (scale-adjusted) 10-node server-observation cutoff
 		// so these contribute to totals and attribution but never to
 		// Table 4 — matching the paper's below-threshold ISP servers.
@@ -386,7 +381,7 @@ func (b *dnsBuilder) fillCountry(cc geo.CountryCode, targetTotal, targetHijack i
 		}
 		if serverLeft == 0 {
 			serverASN = b.bgAS(cc)
-			server = b.ispResolver(serverASN, nil)
+			server = b.ispResolver(serverASN, netip.Addr{})
 			serverLeft = 8 + int(b.rng.IntN(30))
 		}
 		b.addNode(cc, serverASN, server, nil)
@@ -404,15 +399,15 @@ func StandardEvolution(w *World) func(wave int) {
 		switch wave {
 		case 1:
 			// TMnet retires NXDOMAIN monetization.
-			w.SetOrgHijack("tmnet-my", nil)
+			w.SetOrgHijack("tmnet-my", netip.Addr{})
 		case 2:
 			// The big U.S. deployments follow.
-			w.SetOrgHijack("verizon-us", nil)
-			w.SetOrgHijack("cox-us", nil)
+			w.SetOrgHijack("verizon-us", netip.Addr{})
+			w.SetOrgHijack("cox-us", netip.Addr{})
 		case 3:
 			// And the U.K. ones.
-			w.SetOrgHijack("talktalk-gb", nil)
-			w.SetOrgHijack("bt-gb", nil)
+			w.SetOrgHijack("talktalk-gb", netip.Addr{})
+			w.SetOrgHijack("bt-gb", netip.Addr{})
 		}
 	}
 }

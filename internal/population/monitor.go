@@ -41,7 +41,7 @@ type monBuilder struct {
 	total int
 }
 
-// refetchFunc builds the middlebox.Env Refetch implementation: the monitor
+// refetchFunc builds a middlebox.Watcher's Refetch: the monitor
 // fetches http://host+path from one of its own addresses, now or later on
 // the virtual clock, carrying its product's scanner User-Agent (§7.2 mines
 // the field); negative delays carry the backdating skew header (see
@@ -76,11 +76,14 @@ func scannerUA(product string) string {
 	return ua + "-reputation-scanner/1.0"
 }
 
-// monitorEnv builds the per-node Env monitors run in.
-func (b *monBuilder) monitorEnv(zid, product string) *middlebox.Env {
-	return &middlebox.Env{
-		Rand:    simnet.SubRand(b.Seed, "monenv/"+zid),
-		Refetch: b.refetchFunc(scannerUA(product)),
+// watcher builds node zid's watcher for product, drawing from the node's
+// own random stream.
+func (b *monBuilder) watcher(zid, product string, requests []middlebox.RefetchSpec) *middlebox.Watcher {
+	return &middlebox.Watcher{
+		Product:  product,
+		Requests: requests,
+		Rand:     simnet.SubRand(b.Seed, "monenv/"+zid),
+		Refetch:  b.refetchFunc(scannerUA(product)),
 	}
 }
 
@@ -115,17 +118,14 @@ func (b *monBuilder) buildGroup(g *MonitorGroup) {
 		}
 	}
 
-	makeWatcher := func() *middlebox.Watcher {
-		w := &middlebox.Watcher{Product: g.Name}
-		for i, rs := range g.Requests {
-			w.Requests = append(w.Requests, middlebox.RefetchSpec{
-				Delay:        middlebox.DelaySpec{Min: rs.Min, Max: rs.Max, LogUniform: rs.LogUniform},
-				Sources:      reqSources[i],
-				PreFetchProb: rs.PreFetchProb,
-				Lead:         middlebox.DelaySpec{Min: rs.LeadMin, Max: rs.LeadMax},
-			})
-		}
-		return w
+	var requests []middlebox.RefetchSpec
+	for i, rs := range g.Requests {
+		requests = append(requests, middlebox.RefetchSpec{
+			Delay:        middlebox.DelaySpec{Min: rs.Min, Max: rs.Max, LogUniform: rs.LogUniform},
+			Sources:      reqSources[i],
+			PreFetchProb: rs.PreFetchProb,
+			Lead:         middlebox.DelaySpec{Min: rs.LeadMin, Max: rs.LeadMax},
+		})
 	}
 
 	// VPN egress pool for AnchorFree-style entities: every entity address
@@ -137,12 +137,11 @@ func (b *monBuilder) buildGroup(g *MonitorGroup) {
 
 	addMonitored := func(cc geo.CountryCode, asn geo.ASN, i int) {
 		node := b.addNode(cc, asn, b.Google, nil)
-		path := &middlebox.Path{Monitors: []middlebox.Monitor{makeWatcher()}}
+		path := &middlebox.Path{Monitors: []*middlebox.Watcher{b.watcher(node.ZID(), g.Name, requests)}}
 		if g.VPN {
 			path.VPNEgress = vpnEgress[i%len(vpnEgress)]
 		}
 		node.SetPath(path)
-		node.SetEnv(b.monitorEnv(node.ZID(), g.Name))
 		b.labels(node).MonitorProduct = g.Name
 		b.total++
 	}
@@ -201,14 +200,11 @@ func (b *monBuilder) buildMiscMonitors() {
 		for i := 0; i < nodesEach; i++ {
 			cc := countries[(gi+i)%len(countries)]
 			node := b.addNode(cc, b.bgAS(cc), b.Google, nil)
-			node.SetPath(&middlebox.Path{Monitors: []middlebox.Monitor{&middlebox.Watcher{
-				Product: name,
-				Requests: []middlebox.RefetchSpec{{
-					Delay:   middlebox.DelaySpec{Min: 5 * time.Second, Max: 900 * time.Second, LogUniform: true},
-					Sources: srcs,
-				}},
-			}}})
-			node.SetEnv(b.monitorEnv(node.ZID(), name))
+			w := b.watcher(node.ZID(), name, []middlebox.RefetchSpec{{
+				Delay:   middlebox.DelaySpec{Min: 5 * time.Second, Max: 900 * time.Second, LogUniform: true},
+				Sources: srcs,
+			}})
+			node.SetPath(&middlebox.Path{Monitors: []*middlebox.Watcher{w}})
 			b.labels(node).MonitorProduct = name
 			b.total++
 		}

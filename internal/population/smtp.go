@@ -94,7 +94,7 @@ func (b *smtpBuilder) build() {
 		stripper := middlebox.STARTTLSStripper{Product: "mailguard appliance"}
 		for i := 0; i < perAS && placedStrip < stripped; i++ {
 			node := b.addNode(cc, asn, b.Google,
-				&middlebox.Path{Stream: []middlebox.StreamInterceptor{stripper}})
+				&middlebox.Path{Stream: []middlebox.STARTTLSStripper{stripper}})
 			b.labels(node).HTTPModifier = "smtp:starttls-stripped"
 			placedStrip++
 		}

@@ -234,7 +234,7 @@ func (b *tlsBuilder) buildProducts() {
 			}
 			asn := b.bgAS(cc)
 			node := b.addNode(cc, asn, b.Google, nil)
-			node.SetPath(&middlebox.Path{TLS: []middlebox.TLSInterceptor{pcs.Instance(node.ZID(), now)}})
+			node.SetPath(&middlebox.Path{TLS: []*middlebox.CertMITM{pcs.Instance(node.ZID(), now)}})
 			b.labels(node).TLSProduct = spec.Product
 			b.total++
 		}
@@ -253,7 +253,7 @@ func (b *tlsBuilder) buildProducts() {
 		cc := b.countries[int(b.rng.IntN(len(b.countries)))]
 		asn := b.bgAS(cc)
 		node := b.addNode(cc, asn, b.Google, nil)
-		node.SetPath(&middlebox.Path{TLS: []middlebox.TLSInterceptor{pcs.Instance(node.ZID(), now)}})
+		node.SetPath(&middlebox.Path{TLS: []*middlebox.CertMITM{pcs.Instance(node.ZID(), now)}})
 		b.labels(node).TLSProduct = spec.Product
 		b.total++
 	}

@@ -265,20 +265,22 @@ type ResolverEntry struct {
 	Open bool
 }
 
-// ispResolver builds an honest or hijacking ISP resolver homed in asn. ISP
-// resolvers are closed: they refuse queries from outside their operator.
-func (w *World) ispResolver(asn geo.ASN, hijack dnsserver.NXRewriter) *dnsserver.Resolver {
+// ispResolver builds an ISP resolver homed in asn, answering NXDOMAIN with
+// landing (the zero address: honestly). ISP resolvers are closed: they
+// refuse queries from outside their operator.
+func (w *World) ispResolver(asn geo.ASN, landing netip.Addr) *dnsserver.Resolver {
 	r := dnsserver.NewResolver(w.addr(asn), w.Fabric, w.upstreamFn)
-	r.Hijack = hijack
+	r.NXLanding = landing
 	w.registerResolver(r, false)
 	w.indexResolver(asn, r)
 	return r
 }
 
-// publicResolver builds a resolver that answers the whole Internet.
-func (w *World) publicResolver(asn geo.ASN, hijack dnsserver.NXRewriter) *dnsserver.Resolver {
+// publicResolver builds a resolver that answers the whole Internet,
+// hijacking NXDOMAIN to landing as ispResolver does.
+func (w *World) publicResolver(asn geo.ASN, landing netip.Addr) *dnsserver.Resolver {
 	r := dnsserver.NewResolver(w.addr(asn), w.Fabric, w.upstreamFn)
-	r.Hijack = hijack
+	r.NXLanding = landing
 	w.registerResolver(r, true)
 	return r
 }
@@ -291,12 +293,13 @@ func (w *World) indexResolver(asn geo.ASN, r *dnsserver.Resolver) {
 }
 
 // SetOrgHijack flips the NXDOMAIN policy of every resolver an organization
-// operates — an evolution event for longitudinal scenarios. Passing a nil
-// rewriter makes the ISP honest. It returns how many resolvers changed.
-func (w *World) SetOrgHijack(org geo.OrgID, rewriter dnsserver.NXRewriter) int {
+// operates — an evolution event for longitudinal scenarios: they answer
+// NXDOMAIN with landing, and the zero address makes the ISP honest. It
+// returns how many resolvers changed.
+func (w *World) SetOrgHijack(org geo.OrgID, landing netip.Addr) int {
 	rs := w.ResolversByOrg[org]
 	for _, r := range rs {
-		r.Hijack = rewriter
+		r.NXLanding = landing
 	}
 	return len(rs)
 }

@@ -21,8 +21,9 @@ import (
 // object plus pool and truth map entries. A node's ground truth is
 // its row: the identity columns and the labels its builder set.
 //
-// Storage is structure-of-arrays: shared components (resolvers, interceptor
-// paths, monitor envs) are stored as pointers to objects the builders share
+// Storage is structure-of-arrays: shared components (resolvers and violator
+// paths, a monitored node's path holding its monitor and that monitor's
+// random stream) are stored as pointers to objects the builders share
 // between many nodes, so two materializations of the same index observe the
 // same cross-pick state.
 type WorldSpec struct {
@@ -31,7 +32,6 @@ type WorldSpec struct {
 	countries []geo.CountryCode
 	resolvers []*dnsserver.Resolver
 	paths     []*middlebox.Path
-	envs      []*middlebox.Env
 	labels    []Labels
 }
 
@@ -80,14 +80,13 @@ func (s *WorldSpec) add(cc geo.CountryCode, asn geo.ASN, addr netip.Addr, resolv
 	s.countries = append(s.countries, cc)
 	s.resolvers = append(s.resolvers, resolver)
 	s.paths = append(s.paths, path)
-	s.envs = append(s.envs, nil)
 	s.labels = append(s.labels, Labels{})
 	return i
 }
 
 // Materialize builds the live exit node for row i, carrying its traffic
 // over net with its deadline budgets on clock. Every call returns a fresh
-// instance; all cross-pick state lives in the shared resolver/path/env
+// instance; all cross-pick state lives in the shared resolver and path
 // components.
 func (s *WorldSpec) Materialize(i int, net proxynet.Dialer, clock simnet.Clock) *proxynet.ExitNode {
 	return &proxynet.ExitNode{
@@ -97,16 +96,14 @@ func (s *WorldSpec) Materialize(i int, net proxynet.Dialer, clock simnet.Clock) 
 		Country:  s.countries[i],
 		Resolver: s.resolvers[i],
 		Path:     s.paths[i],
-		Env:      s.envs[i],
 		Net:      net,
 		Clock:    clock,
 	}
 }
 
 // NodeHandle is the builders' reference to a recorded node: enough to set
-// the per-node components assigned after creation (interceptor path,
-// monitor env) and the ground-truth labels, without keeping a live node
-// around.
+// the component assigned after creation (the violator path) and the
+// ground-truth labels, without keeping a live node around.
 type NodeHandle struct {
 	spec *WorldSpec
 	idx  int
@@ -115,8 +112,5 @@ type NodeHandle struct {
 // ZID returns the node's persistent identifier.
 func (h NodeHandle) ZID() string { return h.spec.ZID(h.idx) }
 
-// SetPath assigns the node's interceptor stack.
+// SetPath assigns the node's violator path.
 func (h NodeHandle) SetPath(p *middlebox.Path) { h.spec.paths[h.idx] = p }
-
-// SetEnv assigns the node's monitor environment.
-func (h NodeHandle) SetEnv(e *middlebox.Env) { h.spec.envs[h.idx] = e }

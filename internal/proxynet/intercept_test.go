@@ -60,7 +60,7 @@ func interceptedTunnel(t *testing.T, dial func(*simnet.Fabric) Dialer) tunnelRun
 		Kind: "Anti-Virus/Security", Invalid: middlebox.InvalidDistinctIssuer}
 	node := &ExitNode{
 		ZID: "zmitm0001", Addr: netip.MustParseAddr("91.9.9.10"), Country: "DE", Net: dial(f),
-		Path: &middlebox.Path{TLS: []middlebox.TLSInterceptor{
+		Path: &middlebox.Path{TLS: []*middlebox.CertMITM{
 			spec.Build(t0, cert.NewStore(root.Cert)).Instance("zmitm0001", func() time.Time { return t0 }),
 		}},
 	}

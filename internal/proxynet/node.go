@@ -47,10 +47,8 @@ type ExitNode struct {
 	Country geo.CountryCode
 	// Resolver is the DNS service the node is configured with.
 	Resolver *dnsserver.Resolver
-	// Path is the node's interceptor stack.
+	// Path holds the node's violators.
 	Path *middlebox.Path
-	// Env supplies the clock/rand/refetch plumbing monitors need.
-	Env *middlebox.Env
 	// Net carries the node's traffic.
 	Net Dialer
 	// Clock is the timebase of the per-attempt deadline budgets every
@@ -100,7 +98,7 @@ func (n *ExitNode) ResolveA(ctx context.Context, name string) (netip.Addr, dnswi
 		return netip.Addr{}, dnswire.RCodeServFail, err
 	}
 	if n.Path != nil {
-		ans = n.Path.ApplyDNS(name, ans)
+		ans = n.Path.ApplyDNS(ans)
 	}
 	span.SetAttrs(trace.Int("rcode", int64(ans.RCode)))
 	return ans.A, ans.RCode, nil
@@ -108,8 +106,8 @@ func (n *ExitNode) ResolveA(ctx context.Context, name string) (netip.Addr, dnswi
 
 // FetchHTTP performs the node's part of a proxied GET: connect to ip:port,
 // request path with the given Host header, and return the response after
-// the node's interceptor stack has had its way with it. Monitors on the
-// path observe the fetch.
+// the node's HTTP interceptors have had their way with it. Monitors on the
+// path observe the fetch, failed or not.
 func (n *ExitNode) FetchHTTP(ctx context.Context, host string, port uint16, path string, ip netip.Addr) (*httpwire.Response, error) {
 	span := n.Tracer.StartChild(trace.FromContext(ctx), "node.fetch", trace.KindFetch,
 		trace.Str("zid", n.ZID), trace.Str("host", host), trace.Str("path", path))
@@ -118,12 +116,9 @@ func (n *ExitNode) FetchHTTP(ctx context.Context, host string, port uint16, path
 	if n.Path != nil && n.Path.VPNEgress.IsValid() {
 		src = n.Path.VPNEgress
 	}
-	var resp *httpwire.Response
-	var err error
-	if n.Path != nil && n.Env != nil && len(n.Path.Monitors) > 0 {
-		resp, err = n.observedFetch(ctx, src, host, port, path, ip)
-	} else {
-		resp, err = n.fetch(ctx, src, host, port, path, ip)
+	resp, err := n.fetch(ctx, src, host, port, path, ip)
+	if n.Path != nil {
+		n.Path.Observe(host, path)
 	}
 	if err != nil {
 		span.SetError(err.Error())
@@ -150,17 +145,6 @@ func (n *ExitNode) fetch(ctx context.Context, src netip.Addr, host string, port 
 	req := httpwire.NewRequest("GET", path)
 	req.Header.Set("Host", host)
 	return httpwire.Exchange(conn, req)
-}
-
-// observedFetch is fetch with the path's monitors watching. Apart from
-// FetchHTTP so that a node with no monitor — nearly every node — does not
-// pay for the closure the monitors are handed and the boxed results it
-// writes to.
-func (n *ExitNode) observedFetch(ctx context.Context, src netip.Addr, host string, port uint16, path string, ip netip.Addr) (resp *httpwire.Response, err error) {
-	n.Path.ObserveFetch(n.Env, host, path, func() {
-		resp, err = n.fetch(ctx, src, host, port, path, ip)
-	})
-	return resp, err
 }
 
 // errPortBlocked reports an ISP-filtered outbound port. A sentinel rather
@@ -221,21 +205,21 @@ func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, p
 	return false
 }
 
-// rewrites picks the chunk rewrites of a tunnel to port: the path's stream
-// interceptors rewrite the server's chunks on the ports they engage on;
+// rewrites picks the chunk rewrites of a tunnel to port: the path's
+// STARTTLS strippers rewrite the server's chunks on the mail ports;
 // otherwise its TLS interceptors rewrite the handshake (tlssim.Intercept)
-// on every port but the mail ports, which belong to the stream
-// interceptors. end, when non-nil, reports what the handshake left behind.
+// on every port but the mail ports. end, when non-nil, reports what the
+// handshake left behind.
 func (n *ExitNode) rewrites(port uint16) (c2s, s2c func([]byte) []byte, end func() error) {
 	if stream := n.Path.StreamFor(port); len(stream) > 0 {
 		return nil, func(chunk []byte) []byte {
-			for _, ic := range stream {
-				chunk = ic.RewriteS2C(chunk)
+			for _, st := range stream {
+				chunk = st.RewriteS2C(chunk)
 			}
 			return chunk
 		}, nil
 	}
-	if n.Path != nil && len(n.Path.TLS) > 0 && port != 25 && port != 587 {
+	if n.Path != nil && len(n.Path.TLS) > 0 && !middlebox.MailPort(port) {
 		return tlssim.Intercept(n.Path.ApplyTLS)
 	}
 	return nil, nil, nil

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/httpwire"
 	"github.com/tftproject/tft/internal/middlebox"
@@ -68,7 +70,7 @@ func TestTunnelSMTPTransparent(t *testing.T) {
 }
 
 func TestTunnelSMTPStripper(t *testing.T) {
-	path := &middlebox.Path{Stream: []middlebox.StreamInterceptor{
+	path := &middlebox.Path{Stream: []middlebox.STARTTLSStripper{
 		middlebox.STARTTLSStripper{Product: "mailguard"},
 	}}
 	_, node := smtpFabric(t, path)
@@ -81,6 +83,99 @@ func TestTunnelSMTPStripper(t *testing.T) {
 	}
 	if len(sess.Capabilities) != 2 {
 		t.Fatalf("other capabilities damaged: %v", sess.Capabilities)
+	}
+}
+
+// TestTunnelRewritesByPort: on a node carrying both a certificate replacer
+// and a STARTTLS stripper, the stripper owns the mail ports and the
+// replacer every other port.
+func TestTunnelRewritesByPort(t *testing.T) {
+	spec := middlebox.ProductSpec{Product: "Avast", IssuerCN: "Avast Web/Mail Shield Root",
+		Kind: "Anti-Virus/Security", Invalid: middlebox.InvalidDistinctIssuer}
+	node := &ExitNode{Path: &middlebox.Path{
+		TLS:    []*middlebox.CertMITM{spec.Build(t0, cert.NewStore()).Instance("z", func() time.Time { return t0 })},
+		Stream: []middlebox.STARTTLSStripper{{Product: "mailguard"}},
+	}}
+	ehlo := "250-mail.tft-example.net\r\n250-STARTTLS\r\n250 SIZE 1000\r\n"
+	for _, tc := range []struct {
+		port     uint16
+		stripper bool
+	}{{25, true}, {587, true}, {443, false}, {8443, false}} {
+		c2s, s2c, end := node.rewrites(tc.port)
+		if tc.stripper {
+			if c2s != nil || end != nil || s2c == nil {
+				t.Fatalf("port %d: want the stripper's server rewrite alone", tc.port)
+			}
+			if got := string(s2c([]byte(ehlo))); strings.Contains(got, "STARTTLS") {
+				t.Fatalf("port %d: STARTTLS survived: %q", tc.port, got)
+			}
+			continue
+		}
+		if c2s == nil || s2c == nil || end == nil {
+			t.Fatalf("port %d: want the handshake rewrites", tc.port)
+		}
+	}
+}
+
+// TestFetchHTTPShowsMonitorsTheFetch: a node's monitor issues its planned
+// requests once the node's own fetch is done, and issues them when that
+// fetch failed too.
+func TestFetchHTTPShowsMonitorsTheFetch(t *testing.T) {
+	w := newTestWorld(t, 0)
+	node := w.nodes[0]
+	// Exported fields, so a failure prints the addresses.
+	type refetch struct {
+		Src   netip.Addr
+		URL   string
+		Delay time.Duration
+	}
+	var got []refetch
+	later, ahead := netip.MustParseAddr("150.70.1.1"), netip.MustParseAddr("199.19.250.1")
+	node.Path = &middlebox.Path{Monitors: []*middlebox.Watcher{{
+		Product: "monitor",
+		Requests: []middlebox.RefetchSpec{
+			{Delay: middlebox.DelaySpec{Min: 30 * time.Second}, Sources: []netip.Addr{later}},
+			{PreFetchProb: 1, Lead: middlebox.DelaySpec{Min: 2 * time.Second}, Sources: []netip.Addr{ahead}},
+		},
+		Rand: simnet.NewRand(1),
+		Refetch: func(src netip.Addr, host, path string, delay time.Duration) {
+			got = append(got, refetch{src, host + path, delay})
+			// The monitor's request reaches the origin at once.
+			conn, err := w.fabric.Dial(context.Background(), src, webIP, 80)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			req := httpwire.NewRequest("GET", path)
+			req.Header.Set("Host", host)
+			httpwire.Exchange(conn, req)
+		},
+	}}}
+	host := "u1." + zone
+	want := []refetch{{later, host + "/obj", 30 * time.Second}, {ahead, host + "/obj", -2 * time.Second}}
+
+	if _, err := node.FetchHTTP(context.Background(), host, 80, "/obj", webIP); err != nil {
+		t.Fatal(err)
+	}
+	var srcs []netip.Addr
+	for _, r := range w.web.RequestsFor(host) {
+		srcs = append(srcs, r.Src)
+	}
+	if len(srcs) != 3 || srcs[0] != node.Addr || srcs[1] != later || srcs[2] != ahead {
+		t.Fatalf("origin saw requests from %v, want the node %v first, then %v and %v", srcs, node.Addr, later, ahead)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("refetches = %v, want %v", got, want)
+	}
+
+	got = nil
+	refused := netip.MustParseAddr("198.51.100.200")
+	if _, err := node.FetchHTTP(context.Background(), host, 80, "/obj", refused); err == nil {
+		t.Fatal("fetch from an origin that refuses connections succeeded")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("after a failed fetch, refetches = %v, want %v", got, want)
 	}
 }
 
@@ -103,7 +198,7 @@ func TestTunnelStripperDoesNotTouchOtherPorts(t *testing.T) {
 	// The stripper applies to mail ports only; an echo service on another
 	// port must pass bytes through unmodified even with the stripper on
 	// the path.
-	path := &middlebox.Path{Stream: []middlebox.StreamInterceptor{
+	path := &middlebox.Path{Stream: []middlebox.STARTTLSStripper{
 		middlebox.STARTTLSStripper{Product: "mailguard"},
 	}}
 	f, node := smtpFabric(t, path)

@@ -239,8 +239,8 @@ func TestHijackedNodeReturnsLandingContent(t *testing.T) {
 	for _, n := range w.nodes {
 		n.Resolver = &dnsserver.Resolver{
 			Addr: ispDNSIP, Net: w.fabric,
-			Upstream: func(string) (netip.Addr, bool) { return authIP, true },
-			Hijack:   middlebox.PathNXHijack{Product: "testisp", Landing: landingIP},
+			Upstream:  func(string) (netip.Addr, bool) { return authIP, true },
+			NXLanding: landingIP,
 		}
 	}
 	resp, dbg, err := w.client.Get(context.Background(), Options{RemoteDNS: true}, "http://d2."+zone+"/")
@@ -421,7 +421,7 @@ func TestConnectTunnelMITM(t *testing.T) {
 		Kind: "Anti-Virus/Security", Invalid: middlebox.InvalidDistinctIssuer}
 	pcs := spec.Build(t0, store)
 	for _, n := range w.nodes {
-		n.Path = &middlebox.Path{TLS: []middlebox.TLSInterceptor{
+		n.Path = &middlebox.Path{TLS: []*middlebox.CertMITM{
 			pcs.Instance(n.ZID, func() time.Time { return t0 }),
 		}}
 	}

@@ -42,7 +42,7 @@ var (
 // LazyPool selects from a population of node specs without keeping the
 // nodes resident: each pick materializes a fresh *ExitNode from the backing
 // spec store and drops it when the caller is done. All cross-pick node
-// state (resolver, interceptor path, monitor env) lives in components the
+// state (resolver, violator path with its monitors) lives in components the
 // materializer shares between instances, so two materializations of one
 // zID behave identically. Nodes in a LazyPool are always online; churn is
 // modeled by the same per-pick roll *Pool uses.

@@ -115,11 +115,10 @@ func newTCPRig(t *testing.T, siteIP netip.Addr, siteChain []*cert.Certificate) *
 }
 
 // startAgent launches an in-process exit-node agent.
-func (r *tcpRig) startAgent(zid string, cc geo.CountryCode, hijack dnsserver.NXRewriter, path *middlebox.Path) {
+func (r *tcpRig) startAgent(zid string, cc geo.CountryCode, path *middlebox.Path) {
 	r.t.Helper()
 	dnsAP, _ := netip.ParseAddrPort(r.dnsAddr)
 	resolver := dnsserver.NewUDPResolver(localIP(), dnsAP, netip.Addr{})
-	resolver.Hijack = hijack
 	node := &ExitNode{
 		ZID: zid, Addr: localIP(), Country: cc,
 		Resolver: resolver, Path: path,
@@ -192,7 +191,7 @@ func TestTCPDialerReachesIPv6(t *testing.T) {
 func TestTCPProxiedGetThroughAgent(t *testing.T) {
 	r := newTCPRig(t, netip.Addr{}, nil)
 	r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
-	r.startAgent("zremote01", "DE", nil, nil)
+	r.startAgent("zremote01", "DE", nil)
 	r.waitPeers("zremote01")
 
 	resp, dbg, err := r.client().Get(context.Background(), Options{},
@@ -222,7 +221,7 @@ func TestTCPRemoteDNSHonestNXDomain(t *testing.T) {
 	// gate would refuse). So: rule answers everyone for d1 and the node's
 	// *resolver* hijack behaviour is what we vary below.
 	r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
-	r.startAgent("zremote02", "DE", nil, nil)
+	r.startAgent("zremote02", "DE", nil)
 	r.waitPeers("zremote02")
 
 	// Remote DNS resolution happens on the agent and succeeds.
@@ -255,10 +254,9 @@ func TestTCPHijackingAgentResolver(t *testing.T) {
 
 	// The hijacking resolver points NXDOMAIN at the landing host; the
 	// node's dialer maps the landing IP to the landing port.
-	hijack := middlebox.PathNXHijack{Product: "loopisp", Landing: netip.MustParseAddr("127.0.0.1")}
 	dnsAP, _ := netip.ParseAddrPort(r.dnsAddr)
 	resolver := dnsserver.NewUDPResolver(localIP(), dnsAP, netip.Addr{})
-	resolver.Hijack = hijack
+	resolver.NXLanding = netip.MustParseAddr("127.0.0.1")
 	node := &ExitNode{
 		ZID: "zhijack1", Addr: localIP(), Country: "MY",
 		Resolver: resolver,
@@ -317,10 +315,10 @@ func TestTCPConnectTunnelWithMITM(t *testing.T) {
 	spec := middlebox.ProductSpec{Product: "Avast", IssuerCN: "Avast Web/Mail Shield Root",
 		Kind: "Anti-Virus/Security", Invalid: middlebox.InvalidDistinctIssuer}
 	pcs := spec.Build(t0, store)
-	path := &middlebox.Path{TLS: []middlebox.TLSInterceptor{
+	path := &middlebox.Path{TLS: []*middlebox.CertMITM{
 		pcs.Instance("zmitm", func() time.Time { return t0 }),
 	}}
-	r.startAgent("zmitm0001", "RU", nil, path)
+	r.startAgent("zmitm0001", "RU", path)
 	r.waitPeers("zmitm0001")
 
 	conn, dbg, err := r.client().Connect(context.Background(), Options{},
@@ -354,7 +352,7 @@ func TestTCPConnectToIPv6Origin(t *testing.T) {
 	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site6.example"},
 		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "s6"})
 	r := newTCPRig(t, netip.IPv6Loopback(), []*cert.Certificate{leaf, root.Cert})
-	r.startAgent("zipv6node", "DE", nil, nil)
+	r.startAgent("zipv6node", "DE", nil)
 	r.waitPeers("zipv6node")
 
 	target := netip.AddrPortFrom(netip.IPv6Loopback(), r.tlsPort).String()
@@ -381,7 +379,7 @@ func TestTCPAgentSurvivesTunnelConsumption(t *testing.T) {
 		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "s2"})
 	r := newTCPRig(t, localIP(), []*cert.Certificate{leaf, root.Cert})
 	r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
-	r.startAgent("zsurvive1", "DE", nil, nil)
+	r.startAgent("zsurvive1", "DE", nil)
 	r.waitPeers("zsurvive1")
 	client := r.client()
 

@@ -9,11 +9,11 @@ set -eu
 
 GO=${GO:-go}
 
-# The gate, in order; EXTRA stages run only when named: each re-runs a
-# subset of what test and race have already run. No stage writes a tracked
-# file.
+# The gate, in order; EXTRA stages run only when named: shards and chaos
+# each re-run a subset of what test and race have already run, and loc
+# counts code lines. No stage writes a tracked file.
 GATE="fmt vet lint build test race fuzz bench tftbench"
-EXTRA="shards chaos"
+EXTRA="shards chaos loc"
 
 # exists PKG PATTERN...: fail unless every pattern names a test, fuzz
 # target or benchmark in PKG. go test exits 0 when -run, -fuzz or -bench
@@ -174,6 +174,16 @@ stage() {
 		exists . '^TestChaos'
 		$GO test -race -run 'TestFault|TestInject|TestHealth|TestBackoff|TestSession' ./internal/simnet ./internal/proxynet
 		$GO test -run 'TestChaos' .
+		;;
+	loc)
+		# The code-line count a simplifying change reports: the lines of the
+		# non-test .go files of every package go list names, less blank
+		# lines and // comment lines. Writes nothing.
+		for dir in $($GO list -f '{{.Dir}}' ./...); do
+			for f in "$dir"/*.go; do
+				case $f in *_test.go) ;; *) cat "$f" ;; esac
+			done
+		done | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//'
 		;;
 	*)
 		echo "check.sh: unknown stage '$1' (have: $GATE $EXTRA)" >&2
