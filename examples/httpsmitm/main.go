@@ -57,7 +57,7 @@ func main() {
 	}
 	for host, ip := range siteIPs {
 		host := host
-		fabric.HandleTCPStream(ip, 443, origin.TLSSite(func(sni string) []*cert.Certificate { return chains[host] }))
+		fabric.HandleTCP(ip, 443, origin.TLSSite(func(sni string) []*cert.Certificate { return chains[host] }))
 	}
 
 	// Exit nodes: clean, Avast-style, Kaspersky-style (launders invalid

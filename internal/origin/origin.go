@@ -2,8 +2,9 @@
 // infrastructure: the web server that serves the probe objects and logs
 // every arriving request (the paper's detection signal for both the exit
 // node's identity, §4.1 step 2, and content monitoring, §7), plus helpers
-// for hijacker landing pages and TLS sites (a site serves a certificate
-// record framed before the handshake, FramedTLSSite).
+// for hijacker landing pages, TLS sites (a site serves a certificate
+// record framed before the handshake, FramedTLSSite) and the mail server
+// of the SMTP extension (MailServer).
 package origin
 
 import (
@@ -16,6 +17,7 @@ import (
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/httpwire"
 	"github.com/tftproject/tft/internal/simnet"
+	"github.com/tftproject/tft/internal/smtpwire"
 	"github.com/tftproject/tft/internal/tlssim"
 )
 
@@ -216,10 +218,26 @@ func TLSSite(chains tlssim.ChainSource) simnet.ConnHandler {
 
 // FramedTLSSite returns a handler that answers tlssim handshakes with the
 // certificate record records supplies for the requested SNI, as framed:
-// the serve path encodes nothing.
+// the serve path encodes nothing. On a fabric stream the site answers on
+// the stream's readiness callbacks, so it may be registered with HandleTCP
+// behind a CONNECT tunnel; any other connection (a real socket) is served
+// by tlssim.ServeOnce.
 func FramedTLSSite(records tlssim.RecordSource) simnet.ConnHandler {
 	return func(conn net.Conn) {
+		if s, ok := conn.(*simnet.Stream); ok {
+			serveTLS(s, records)
+			return
+		}
 		defer conn.Close()
 		tlssim.ServeOnce(conn, records)
 	}
+}
+
+// MailServer returns a handler that serves mail's SMTP session prefix on
+// a fabric stream's readiness callbacks — the greeting written at accept —
+// so the server-talks-first protocol may be registered with HandleTCP
+// behind a CONNECT tunnel. The fabric hands every handler a
+// *simnet.Stream.
+func MailServer(mail *smtpwire.Server) simnet.ConnHandler {
+	return func(conn net.Conn) { serveMail(conn.(*simnet.Stream), mail) }
 }

@@ -192,11 +192,13 @@ func (c *helloConn) Write(p []byte) (int, error) {
 
 func (c *helloConn) Close() error { return nil }
 
-// TestFramedTLSSiteServesTheRecordItHolds: a site answers a handshake by
-// writing the record it was given — that buffer, in one Write, no chain
-// encoded — so serving costs what reading the hello does: its header, its
-// payload and the server name, three allocations (five before, when every
-// handshake encoded the chain and wrote the header apart).
+// TestFramedTLSSiteServesTheRecordItHolds: on a connection that is not a
+// fabric stream (a real socket), a site answers a handshake by writing the
+// record it was given — that buffer, in one Write, no chain encoded — so
+// serving costs what reading the hello does: its header, its payload and
+// the server name, three allocations (five before, when every handshake
+// encoded the chain and wrote the header apart). TestTLSSiteAllocs counts
+// the readiness form a fabric stream gets.
 func TestFramedTLSSiteServesTheRecordItHolds(t *testing.T) {
 	root := cert.NewRootCA(cert.Name{CommonName: "R"}, "r", t0.Add(-time.Hour), 1000*time.Hour)
 	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},

@@ -1,10 +1,10 @@
 package population
 
 import (
-	"net"
 	"net/netip"
 
 	"github.com/tftproject/tft/internal/middlebox"
+	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/smtpwire"
 )
 
@@ -44,12 +44,9 @@ func BuildSMTPWorld(seed uint64, scale float64) (*World, error) {
 	w.Super.AnyPortConnect = true
 
 	// The measurement mail server. SMTP is server-talks-first (the 220
-	// greeting) and multi-round, so it keeps a goroutine per connection.
-	mail := smtpwire.NewServer(MailHost)
-	w.Fabric.HandleTCPStream(MailIP, 25, func(conn net.Conn) {
-		defer conn.Close()
-		mail.ServeOnce(conn)
-	})
+	// greeting) and multi-round, so it answers on its stream's readiness
+	// callbacks: the greeting at accept, then a reply per line.
+	w.Fabric.HandleTCP(MailIP, 25, origin.MailServer(smtpwire.NewServer(MailHost)))
 
 	b := &smtpBuilder{World: w, asPools: w.newASPools(asCapacity)}
 	b.build()

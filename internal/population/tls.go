@@ -114,12 +114,11 @@ func (b *tlsBuilder) registerSite(host string, asn geo.ASN, chain, alt []*cert.C
 			return framed
 		}
 	}
-	// Stream, not run-to-completion: HTTPS origins are dialed by the exit
-	// node while setting up a CONNECT tunnel, so their first bytes (the
-	// ClientHello) only arrive after the tunnel's 200 has reached the client
-	// and the relay is armed — the handler cannot run to completion inline
-	// on whichever goroutine happens to pump it.
-	b.Fabric.HandleTCPStream(ip, 443, origin.FramedTLSSite(serve))
+	// HTTPS origins are dialed by the exit node while it sets up a CONNECT
+	// tunnel, so their ClientHello arrives only after the tunnel's 200 has
+	// reached the client and the splice is armed: the site answers on its
+	// stream's readiness callbacks, not by running to completion.
+	b.Fabric.HandleTCP(ip, 443, origin.FramedTLSSite(serve))
 	b.sites.byHost[host] = s
 	return s
 }

@@ -53,7 +53,7 @@ func interceptedTunnel(t *testing.T, dial func(*simnet.Fabric) Dialer) tunnelRun
 	root := cert.NewRootCA(cert.Name{CommonName: "Site Root"}, "sr", t0.Add(-time.Hour), 1000*time.Hour)
 	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},
 		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "site"})
-	f.HandleTCPStream(siteIP, 443, origin.TLSSite(func(string) []*cert.Certificate {
+	f.HandleTCP(siteIP, 443, origin.TLSSite(func(string) []*cert.Certificate {
 		return []*cert.Certificate{leaf, root.Cert}
 	}))
 	spec := middlebox.ProductSpec{Product: "Avast", IssuerCN: "Avast Web/Mail Shield Root",

@@ -17,6 +17,7 @@ import (
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/httpwire"
 	"github.com/tftproject/tft/internal/middlebox"
+	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/smtpwire"
 )
@@ -27,13 +28,9 @@ var mailIP = netip.MustParseAddr("198.51.100.25")
 func smtpFabric(t *testing.T, path *middlebox.Path) (*simnet.Fabric, *ExitNode) {
 	t.Helper()
 	f := simnet.NewFabric()
-	mail := smtpwire.NewServer("mail.tft-example.net")
-	// SMTP is server-talks-first: the greeting must flow before the client
-	// writes, so the handler keeps its own goroutine.
-	f.HandleTCPStream(mailIP, 25, func(conn net.Conn) {
-		defer conn.Close()
-		mail.ServeOnce(conn)
-	})
+	// SMTP is server-talks-first: the greeting is written at accept, and
+	// each line answered on the stream's readiness callbacks.
+	f.HandleTCP(mailIP, 25, origin.MailServer(smtpwire.NewServer("mail.tft-example.net")))
 	node := &ExitNode{
 		ZID: "zsmtp0001", Addr: netip.MustParseAddr("91.9.9.9"), Country: "DE",
 		Resolver: dnsserver.NewResolver(netip.MustParseAddr("91.9.0.53"), f,
@@ -83,6 +80,42 @@ func TestTunnelSMTPStripper(t *testing.T) {
 	}
 	if len(sess.Capabilities) != 2 {
 		t.Fatalf("other capabilities damaged: %v", sess.Capabilities)
+	}
+}
+
+// TestAnyPortTunnelSMTP: an SMTP probe through the super proxy's any-port
+// CONNECT — fabric streams end to end, so the splice relays and the mail
+// server answers on its stream's readiness callbacks — sees the greeting
+// and the EHLO reply, and behind a stripper the reply without STARTTLS.
+func TestAnyPortTunnelSMTP(t *testing.T) {
+	for _, strip := range []bool{false, true} {
+		w := newTestWorld(t, 0)
+		w.sp.AnyPortConnect = true
+		w.fabric.HandleTCP(mailIP, 25, origin.MailServer(smtpwire.NewServer("mail.tft-example.net")))
+		if strip {
+			for _, n := range w.nodes {
+				n.Path = &middlebox.Path{Stream: []middlebox.STARTTLSStripper{{Product: "mailguard"}}}
+			}
+		}
+		conn, _, err := w.client.Connect(context.Background(), Options{}, mailIP.String()+":25")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := smtpwire.Probe(conn, "probe.tft-example.net")
+		conn.Close()
+		if err != nil {
+			t.Fatalf("stripper %v: %v", strip, err)
+		}
+		if sess.Banner != "mail.tft-example.net ESMTP tftmail ready" {
+			t.Fatalf("stripper %v: banner %q", strip, sess.Banner)
+		}
+		want := []string{smtpwire.Cap8BitMIME, smtpwire.CapPipelive, smtpwire.CapStartTLS}
+		if strip {
+			want = want[:2]
+		}
+		if !slices.Equal(sess.Capabilities, want) || sess.StartTLS != !strip {
+			t.Fatalf("stripper %v: capabilities %q, STARTTLS %v", strip, sess.Capabilities, sess.StartTLS)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sync/atomic"
 
 	"github.com/tftproject/tft/internal/simnet"
 )
@@ -21,14 +20,7 @@ import (
 // fires exactly once with the first non-benign error either direction hit
 // (nil when both legs ended in an orderly close).
 type splice struct {
-	// kicks is the lock-free drain coordinator: the notifies not yet
-	// drained. kick is a stream notify callback and runs inside the
-	// run-to-completion scheduler, where taking a mutex could park the
-	// event loop; the count collapses concurrent kicks into one drain
-	// without ever blocking.
-	kicks    atomic.Int32
-	finished atomic.Bool // set by finish: no drain pumps again
-
+	k    simnet.Kicker // serialises the streams' notifies into one pump at a time
 	dirs [2]spliceDir
 	done func(error)
 }
@@ -64,25 +56,12 @@ func startSplice(client, server *simnet.Stream, c2s, s2c func([]byte) []byte, do
 }
 
 // kick drains both direction state machines until neither can progress.
-// It is the streams' notify callback and may fire from any goroutine: only
-// the kick that raises kicks from zero drains, and it pumps again for as
-// long as kicks arrived during its pump. Only that goroutine touches the
-// per-direction state, so pump still needs no synchronization of its own.
-// Once the splice is finished, the next drain to start returns without
-// counting down, so every kick after it returns at once.
+// It is the streams' notify callback and may fire from any goroutine: the
+// Kicker runs one pump at a time, so only that goroutine touches the
+// per-direction state, and pump needs no synchronization of its own.
 //
 //tftlint:hotpath
-func (s *splice) kick() {
-	if s.kicks.Add(1) != 1 {
-		return
-	}
-	for n := int32(1); !s.finished.Load(); {
-		s.pump()
-		if n = s.kicks.Add(-n); n == 0 {
-			return
-		}
-	}
-}
+func (s *splice) kick() { s.k.Kick(s.pump) }
 
 // pump advances each direction until it blocks, the tunnel finishes, or an
 // error surfaces. Only one pump runs at a time (kick serializes), so the
@@ -127,7 +106,7 @@ func (s *splice) pump() {
 // finish tears the tunnel down: disarm the callbacks, close both ends,
 // return the buffers, and report the outcome exactly once.
 func (s *splice) finish(err error) {
-	s.finished.Store(true)
+	s.k.Finish()
 	client, server := s.dirs[0].src, s.dirs[1].src
 	client.SetNotify(nil)
 	server.SetNotify(nil)

@@ -130,6 +130,46 @@ func TestTunnelRoundTripReusesItsReader(t *testing.T) {
 	}
 }
 
+// TestTunnelsSpawnNoGoroutine: a CONNECT tunnel to a site registered with
+// HandleTCP costs no goroutine — the site answers on its stream's readiness
+// callbacks, the splice relays on the tunnel's — so across 200 sequential
+// probes the goroutine count never passes its baseline, not even while a
+// tunnel is open and its site waits for the hello.
+func TestTunnelsSpawnNoGoroutine(t *testing.T) {
+	w, chain := tunnelWorld(t)
+	store := cert.NewStore(chain[len(chain)-1])
+	w.handshake(t, store) // settles the session pin
+	base := goroutinesAtRest()
+	for i := 0; i < 200; i++ {
+		conn := w.connect(t)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("tunnel %d open: %d goroutines, baseline %d", i, n, base)
+		}
+		if _, err := tlssim.CollectChain(conn, "site.example"); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("after 200 tunnels: %d goroutines, baseline %d", n, base)
+	}
+}
+
+// goroutinesAtRest is the goroutine count once the goroutines earlier
+// tests left behind have exited: the count has stopped falling.
+func goroutinesAtRest() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
 // TestTunnelHandshakeAllocs holds one warmed §6 probe on tunnelWorld — the
 // CONNECT, the handshake through the tunnel, the verdict, the close — to an
 // allocation ceiling. It measured 27 when the ceiling was set, and 36 at

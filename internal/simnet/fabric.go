@@ -24,15 +24,26 @@ var (
 // Handlers registered with HandleTCP run on the fabric's run-to-completion
 // scheduler: the accept is queued as a task and executes inline on whichever
 // goroutine next blocks on a fabric stream, not on a goroutine of its own.
-// That requires the protocol to be client-talks-first request/response: the
-// handler must be able to run to completion once the dialer has written its
-// request (nested dials and reads inside the handler are fine — they pump
-// the same queue), and the request must fit the stream window so the dialer
-// never blocks mid-request with the handler wanting more. Responses of any
-// size are fine: the service-side send ring grows instead of blocking.
-// Protocols where the server talks first or that interleave multiple rounds
-// with the dialer before the dialer ever blocks on a read it can satisfy
-// must register with HandleTCPStream instead.
+// A handler serves its connection in one of two ways:
+//
+//   - Run to completion, for client-talks-first request/response: the
+//     handler must be able to finish once the dialer has written its
+//     request (nested dials and reads inside the handler are fine — they
+//     pump the same queue), and the request must fit the stream window so
+//     the dialer never blocks mid-request with the handler wanting more.
+//     Responses of any size are fine: the service-side send ring grows
+//     instead of blocking.
+//   - On readiness callbacks, for every other protocol — the server talks
+//     first, rounds interleave with the dialer, or the request arrives only
+//     once something else has happened (a CONNECT-tunneled origin's hello
+//     crosses after the tunnel's 200): the handler drains its *Stream with
+//     TryRead and TryWrite, arms SetNotify if it must wait, drains again
+//     and returns, and answers from the callbacks, as the world's TLS
+//     sites and mail server do (origin.FramedTLSSite, origin.MailServer).
+//
+// The goroutine-per-connection stream mode, registered below, has no
+// production caller; it is kept for the benchmark harness's layer drives
+// (scripts/tftbench), and goes once they register through HandleTCP.
 type ConnHandler func(conn net.Conn)
 
 // DNSHandler answers a single DNS query datagram. src is the querying host's
@@ -128,9 +139,13 @@ func (f *Fabric) HandleTCP(addr netip.Addr, port uint16, h ConnHandler) {
 }
 
 // HandleTCPStream registers h as the listener for (addr, port), running each
-// accepted connection on its own goroutine — for protocols where the server
-// talks first or that interleave rounds with the dialer (SMTP's greeting,
-// interactive tunnels). Registering a nil handler removes the listener.
+// accepted connection on its own goroutine. It has no production caller:
+// every world origin answers on the event core (HandleTCP, on readiness
+// callbacks where it must wait — see ConnHandler). It is kept only for the
+// benchmark harness's layer drives (scripts/tftbench), which register their
+// TLS sites through it, until they move to HandleTCP and this mode and its
+// spawned goroutine are deleted. Registering a nil handler removes the
+// listener.
 func (f *Fabric) HandleTCPStream(addr netip.Addr, port uint16, h ConnHandler) {
 	f.handleTCP(addr, port, h, true)
 }
@@ -207,8 +222,8 @@ func (f *Fabric) freeze() *map[netip.Addr]*host {
 // The remote handler does not get a goroutine of its own: the accept is
 // queued on the fabric's run queue and executes inline on whichever
 // goroutine next blocks on a fabric stream — usually the dialer itself, the
-// moment it waits for the response. Handlers registered with
-// HandleTCPStream are the exception and run on a spawned goroutine.
+// moment it waits for the response. Only the stream mode's handlers (kept
+// for the benchmark harness) run on a spawned goroutine.
 //
 // The stream is a buffered Pipe, not a net.Pipe: writes up to the fabric's
 // window complete without waiting for the reader, which removes the
@@ -245,7 +260,7 @@ func (f *Fabric) connect(svc service, src, dst netip.Addr, port uint16) *Stream 
 	// schedule is a function of dial order alone.
 	f.Faults.arm(local, port)
 	if svc.stream {
-		//tftlint:ignore nogo -- stream handlers (server-talks-first or multi-round protocols) deadlock on the dialer's event loop and keep their own goroutine by contract
+		//tftlint:ignore nogo -- the stream mode, kept only for the benchmark harness's layer drives: each accept runs on its own goroutine by contract
 		go svc.h(remote)
 	} else {
 		f.tasks.push(task{h: svc.h, conn: remote})

@@ -209,7 +209,7 @@ func (pp *pair) maybeReclaim(gen uint64) {
 		r.rdead.gen++
 		r.wdead.gen++
 		r.rdead.timed, r.wdead.timed = false, false
-		r.notify, r.fault, r.pump = nil, nil, nil
+		r.notify, r.fault, r.pump = [2]func(){}, nil, nil
 		r.mu.Unlock()
 		rt.Stop()
 		wt.Stop()
@@ -255,7 +255,7 @@ type ring struct {
 	pump    *taskQueue // fabric run queue drained while blocked (may be nil)
 	grow    bool       // widen past the window instead of blocking writes
 	version uint64     // state-transition counter
-	notify  func()     // readiness callback (see Stream.SetNotify)
+	notify  [2]func()  // readiness callbacks, one per stream end (see Stream.SetNotify)
 
 	fault *ringFault // injected-fault state; nil on healthy rings
 }
@@ -491,15 +491,17 @@ func (r *ring) copyIn(p []byte) int {
 }
 
 // changed ends a state transition: it bumps version, wakes every parked
-// operation, releases r.mu and runs the readiness callback outside it — the
-// order SetNotify promises. Caller holds r.mu.
+// operation, releases r.mu and runs the readiness callbacks outside it —
+// the dialing end's first — the order SetNotify promises. Caller holds r.mu.
 func (r *ring) changed() {
 	r.version++
 	r.cond.Broadcast()
-	fn := r.notify
+	fns := r.notify
 	r.mu.Unlock()
-	if fn != nil {
-		fn()
+	for _, fn := range fns {
+		if fn != nil {
+			fn()
+		}
 	}
 }
 
@@ -671,11 +673,11 @@ func (r *ring) setDeadline(gen uint64, clock Clock, t time.Time, d *deadline) {
 	r.mu.Unlock()
 }
 
-// setNotify arms (or clears) the ring's readiness callback.
-func (r *ring) setNotify(gen uint64, fn func()) {
+// setNotify arms (or clears) the readiness callback of the ring's end side.
+func (r *ring) setNotify(gen uint64, side uint8, fn func()) {
 	r.mu.Lock()
 	if r.gen == gen {
-		r.notify = fn
+		r.notify[side] = fn
 	}
 	r.mu.Unlock()
 }
@@ -716,10 +718,13 @@ func (s *Stream) TryWrite(p []byte) (int, error) { return s.out().write(s.c.gen,
 // any lock held, after every state transition on either direction — data
 // arriving or draining, a side closing, a deadline expiring. Callbacks must
 // be brief, must tolerate spurious invocations, and at most one consumer
-// per stream end may arm one. A nil fn disarms.
+// per stream end may arm one. Each end holds its own slot, so the two ends
+// of one connection arm, fire and disarm apart: a site answering on its
+// end and a splice relaying from the other do not overwrite each other. A
+// nil fn disarms.
 func (s *Stream) SetNotify(fn func()) {
-	s.in().setNotify(s.c.gen, fn)
-	s.out().setNotify(s.c.gen, fn)
+	s.in().setNotify(s.c.gen, s.side, fn)
+	s.out().setNotify(s.c.gen, s.side, fn)
 }
 
 // Close implements net.Conn: the peer drains any buffered data and then

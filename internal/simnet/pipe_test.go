@@ -430,3 +430,48 @@ func TestFabricDialStreamAddrs(t *testing.T) {
 		t.Fatalf("client sees peer %v, want %v", ip, srv)
 	}
 }
+
+// TestSetNotifyPerEnd: each end of one connection holds its own readiness
+// callback. With both armed, every transition on either direction fires
+// both — a write, a read that drains, a half-close — and neither arming
+// overwrites the other.
+func TestSetNotifyPerEnd(t *testing.T) {
+	a, b := Pipe(0)
+	var fired [2]int
+	a.SetNotify(func() { fired[0]++ })
+	b.SetNotify(func() { fired[1]++ })
+	for _, step := range []struct {
+		name string
+		do   func()
+	}{
+		{"a writes", func() { a.Write([]byte("hi")) }},
+		{"b drains", func() { b.TryRead(make([]byte, 8)) }},
+		{"b writes", func() { b.TryWrite([]byte("yo")) }},
+		{"a half-closes", func() { a.CloseWrite() }},
+	} {
+		before := fired
+		step.do()
+		if fired[0] == before[0] || fired[1] == before[1] {
+			t.Fatalf("%s: a's callback fired %d times, b's %d; want both",
+				step.name, fired[0]-before[0], fired[1]-before[1])
+		}
+	}
+}
+
+// TestSetNotifyDisarmIsPerEnd: disarming one end leaves the other end's
+// callback armed on both directions.
+func TestSetNotifyDisarmIsPerEnd(t *testing.T) {
+	a, b := Pipe(0)
+	var aFired, bFired int
+	a.SetNotify(func() { aFired++ })
+	b.SetNotify(func() { bFired++ })
+	a.SetNotify(nil)
+	a.Write([]byte("to b"))
+	b.Write([]byte("to a"))
+	if aFired != 0 {
+		t.Fatalf("a's disarmed callback fired %d times", aFired)
+	}
+	if bFired != 2 {
+		t.Fatalf("b's callback fired %d times over two writes, one a direction; want 2", bFired)
+	}
+}

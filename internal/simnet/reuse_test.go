@@ -158,7 +158,7 @@ func TestReusedConnStartsClean(t *testing.T) {
 	for i := range live.c.pair.r {
 		r := &live.c.pair.r[i]
 		r.mu.Lock()
-		if r.fault != nil || r.notify != nil || r.buf != nil || r.n != 0 || r.window != DefaultWindow ||
+		if r.fault != nil || r.notify[0] != nil || r.notify[1] != nil || r.buf != nil || r.n != 0 || r.window != DefaultWindow ||
 			r.rdead.timed || r.wdead.timed || r.rdead.timer != (Timer{}) || r.wdead.timer != (Timer{}) ||
 			r.wclosed || r.rclosed || r.grow != (i == 1) {
 			t.Errorf("ring %d of a reused pair is not clean: %+v", i, r)

@@ -67,11 +67,13 @@ func NewServer(hostname string) *Server {
 	}
 }
 
-// ServeOnce handles a single session prefix on rw.
+// ServeOnce handles a single session prefix on rw: the greeting, then
+// each command line's Reply, every one in one Write — the chunks an
+// on-path rewriter sees — until QUIT, an error or the client's EOF. The
+// world's mail server answers on readiness callbacks instead
+// (origin.MailServer); this blocking form is the oracle it is held to.
 func (s *Server) ServeOnce(rw io.ReadWriter) error {
-	w := bufio.NewWriter(rw)
-	fmt.Fprintf(w, "%s\r\n", s.Banner)
-	if err := w.Flush(); err != nil {
+	if _, err := rw.Write(s.Greeting()); err != nil {
 		return err
 	}
 	r := bufio.NewReader(rw)
@@ -80,32 +82,43 @@ func (s *Server) ServeOnce(rw io.ReadWriter) error {
 		if err != nil {
 			return err
 		}
-		cmd := strings.ToUpper(strings.TrimSpace(line))
-		switch {
-		case strings.HasPrefix(cmd, "EHLO"), strings.HasPrefix(cmd, "HELO"):
-			caps := append([]string(nil), s.Capabilities...)
-			sort.Strings(caps)
-			fmt.Fprintf(w, "250-%s greets you\r\n", s.Banner.Hostname)
-			for i, c := range caps {
-				sep := "-"
-				if i == len(caps)-1 {
-					sep = " "
-				}
-				fmt.Fprintf(w, "250%s%s\r\n", sep, c)
-			}
-			if err := w.Flush(); err != nil {
-				return err
-			}
-		case strings.HasPrefix(cmd, "QUIT"):
-			fmt.Fprintf(w, "221 %s closing\r\n", s.Banner.Hostname)
-			return w.Flush()
-		default:
-			fmt.Fprintf(w, "502 command not implemented\r\n")
-			if err := w.Flush(); err != nil {
-				return err
-			}
+		reply, quit := s.Reply(line)
+		if _, err := rw.Write(reply); err != nil || quit {
+			return err
 		}
 	}
+}
+
+// Greeting is the 220 line a server opens a session with.
+func (s *Server) Greeting() []byte {
+	return []byte(s.Banner.String() + "\r\n")
+}
+
+// Reply returns the server's answer to one command line (its "\n"
+// included or not) and whether the session ends after it: the
+// capabilities for EHLO or HELO, 221 for QUIT, 502 for anything else.
+// Every server answers through it: ServeOnce, and the event-driven mail
+// server that gathers lines from a stream's readiness callbacks
+// (origin.MailServer).
+func (s *Server) Reply(line string) (reply []byte, quit bool) {
+	cmd := strings.ToUpper(strings.TrimSpace(line))
+	switch {
+	case strings.HasPrefix(cmd, "EHLO"), strings.HasPrefix(cmd, "HELO"):
+		caps := append([]string(nil), s.Capabilities...)
+		sort.Strings(caps)
+		reply = fmt.Appendf(nil, "250-%s greets you\r\n", s.Banner.Hostname)
+		for i, c := range caps {
+			sep := "-"
+			if i == len(caps)-1 {
+				sep = " "
+			}
+			reply = fmt.Appendf(reply, "250%s%s\r\n", sep, c)
+		}
+		return reply, false
+	case strings.HasPrefix(cmd, "QUIT"):
+		return fmt.Appendf(nil, "221 %s closing\r\n", s.Banner.Hostname), true
+	}
+	return []byte("502 command not implemented\r\n"), false
 }
 
 // Probe performs the client half on rw: read the greeting, EHLO, collect

@@ -2,6 +2,7 @@ package smtpwire
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -125,4 +126,39 @@ func TestServerUnknownCommand(t *testing.T) {
 		t.Fatalf("reply = %q", buf[:n])
 	}
 	c.Write([]byte("QUIT\r\n"))
+}
+
+// writeLog is a server's side of a scripted session: it reads the script
+// and keeps every Write apart.
+type writeLog struct {
+	script *strings.Reader
+	writes []string
+}
+
+func (w *writeLog) Read(p []byte) (int, error) { return w.script.Read(p) }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, string(p))
+	return len(p), nil
+}
+
+// TestServeOnceTranscript pins a session's bytes and their Writes: the
+// greeting, then one Write per command line — the chunks an on-path
+// stripper rewrites — matched on the trimmed, upper-cased line, up to and
+// including QUIT's.
+func TestServeOnceTranscript(t *testing.T) {
+	srv := NewServer("mail.tft-example.net")
+	w := &writeLog{script: strings.NewReader("ehlo x\r\nMAIL FROM:<a>\r\n  quit\r\nEHLO after\r\n")}
+	if err := srv.ServeOnce(w); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"220 mail.tft-example.net ESMTP tftmail ready\r\n",
+		"250-mail.tft-example.net greets you\r\n250-8BITMIME\r\n250-PIPELINING\r\n250 STARTTLS\r\n",
+		"502 command not implemented\r\n",
+		"221 mail.tft-example.net closing\r\n",
+	}
+	if !slices.Equal(w.writes, want) {
+		t.Fatalf("writes = %q\nwant %q", w.writes, want)
+	}
 }

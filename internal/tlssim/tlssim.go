@@ -189,32 +189,52 @@ type RecordSource func(serverName string) []byte
 func FrameChain(chain []*cert.Certificate) []byte {
 	n := cert.ChainSize(chain)
 	if n > MaxRecordSize {
-		const msg = "certificate chain exceeds the record size"
-		return append(appendHeader(make([]byte, 0, 4+len(msg)), RecordAlert, len(msg)), msg...)
+		return alertRecord("certificate chain exceeds the record size")
 	}
 	return cert.AppendChain(appendHeader(make([]byte, 0, 4+n), RecordCertificates, n), chain)
 }
 
+// alertRecord frames an alert carrying msg, header included, in one
+// buffer.
+func alertRecord(msg string) []byte {
+	return append(appendHeader(make([]byte, 0, 4+len(msg)), RecordAlert, len(msg)), msg...)
+}
+
 // ServeOnce performs the server side for a single handshake on rw: it
-// reads the hello and writes the record records supplies for its SNI.
+// reads the hello and writes Answer's record for it in one Write. A
+// first record that is no well-formed hello is answered with nothing.
 func ServeOnce(rw io.ReadWriter, records RecordSource) error {
 	rec, err := ReadRecord(rw)
 	if err != nil {
 		return err
 	}
-	if rec.Type != RecordClientHello {
-		return fmt.Errorf("%w: %d", ErrUnexpected, rec.Type)
-	}
-	sni, err := ParseHello(rec.Payload)
+	answer, err := Answer(rec.Type, rec.Payload, records)
 	if err != nil {
 		return err
 	}
-	framed := records(sni)
-	if framed == nil {
-		return WriteRecord(rw, RecordAlert, []byte("unrecognized name: "+sni))
-	}
-	_, err = rw.Write(framed)
+	_, err = rw.Write(answer)
 	return err
+}
+
+// Answer decodes a client's first record, of type typ, and returns the
+// record a server answers it with: the one records supplies for the
+// hello's SNI, or an alert when it supplies none. A record that is not a
+// well-formed hello returns ErrUnexpected or ParseHello's error, and is
+// answered with nothing. It is the hello decoder of every server:
+// ServeOnce's, and the event-driven sites' that gather the record from a
+// stream's readiness callbacks (origin.FramedTLSSite).
+func Answer(typ RecordType, payload []byte, records RecordSource) ([]byte, error) {
+	if typ != RecordClientHello {
+		return nil, fmt.Errorf("%w: %d", ErrUnexpected, typ)
+	}
+	sni, err := ParseHello(payload)
+	if err != nil {
+		return nil, err
+	}
+	if framed := records(sni); framed != nil {
+		return framed, nil
+	}
+	return alertRecord("unrecognized name: " + sni), nil
 }
 
 // ChainInterceptor rewrites a server's certificate chain in flight. The

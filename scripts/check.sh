@@ -64,7 +64,7 @@ stage() {
 		$GO test -race -timeout 40m .
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all seventeen
+		# Short fuzz smoke over the parser-shaped attack surfaces, all nineteen
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
 		# holds ChainSize to what MarshalChain writes), the string decoder
@@ -92,7 +92,12 @@ stage() {
 		# bytes through the six readers (an error, or records that write out
 		# and read back stably), and the span tracer's record ring against
 		# the pointer ring it replaced (a script of starts, attributes,
-		# errors, Ends and clock steps: the same spans, Total and Retained).
+		# errors, Ends and clock steps: the same spans, Total and Retained),
+		# and the world's TLS sites and mail server answering on readiness
+		# callbacks against the blocking servers they replaced,
+		# tlssim.ServeOnce and smtpwire.Server.ServeOnce (any client bytes,
+		# any chunk boundaries: the same bytes written at each step, the
+		# close at the same step).
 		# Five seconds each — a corpus regression check, not a campaign.
 		# FuzzHeadEquivalence, FuzzInterceptAgreesWithRelay and
 		# FuzzRingAgreesWithOracle run without input minimisation: the
@@ -121,6 +126,8 @@ stage() {
 		./internal/dataset FuzzRecordsAgreeWithOracle
 		./internal/dataset FuzzReadRelease
 		./internal/trace FuzzRingAgreesWithOracle -fuzzminimizetime=0
+		./internal/origin FuzzTLSSiteAgreesWithServeOnce
+		./internal/origin FuzzMailServerAgreesWithServeOnce
 		EOF
 		;;
 	bench)
