@@ -167,6 +167,10 @@ func FuzzHeadEquivalence(f *testing.F) {
 		// Content-Length twice: agreeing, disagreeing.
 		{"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabcdef", 0},
 		{"HTTP/1.1 200 OK\r\nContent-Length: 3\r\ncontent-length: 1\r\n\r\nabcdef", 0},
+		// Content-Length with a sign: RFC 9110 and net/http allow digits
+		// alone.
+		{"HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nhi", 0},
+		{"POST / HTTP/1.1\r\nContent-Length: -0\r\n\r\n", 0},
 		// A header block the connection closes on.
 		{"GET / HTTP/1.1\r\nHost: x", 0},
 		{"GET / HTTP/1.1\r\nHost: x\r\n", 0},

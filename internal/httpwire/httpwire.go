@@ -214,11 +214,35 @@ type Response struct {
 	// pooled is the pool box of the buffer ReadResponse read Body into,
 	// nil when the body was not pooled or has been released.
 	pooled *[]byte
+	// shared says nobody ever writes Body's bytes (see MarkShared).
+	shared bool
 }
 
 // NewResponse builds a response with standard reason text and body.
 func NewResponse(code int, body []byte) *Response {
 	return &Response{StatusCode: code, Reason: ReasonPhrase(code), Proto: "HTTP/1.1", Body: body}
+}
+
+// MarkShared declares that nobody ever stores into r.Body's bytes: not the
+// caller, not whoever the response reaches. Write may then queue a body of
+// minPooledBody bytes or more on a stream by reference (a fabric stream's
+// WriteShared) instead of copying it, and the reader at the far end takes
+// the same bytes by reference in turn, its response marked as this one is.
+// The origin marks content.Object's canonical bodies with it; nothing else
+// may. A holder may still point Body at new bytes — an interceptor's
+// rewrite — and those bytes fall under the same promise.
+func (r *Response) MarkShared() { r.shared = true }
+
+// sharedWriter is a stream that can queue bytes by reference:
+// simnet.Stream.
+type sharedWriter interface {
+	WriteShared(p []byte) (int, error)
+}
+
+// sharedTaker is a stream that can hand queued bytes over by reference:
+// simnet.Stream.
+type sharedTaker interface {
+	TakeShared(n int) []byte
 }
 
 // ReasonPhrase returns the standard reason for common status codes.
@@ -262,7 +286,10 @@ func (r *Request) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Write serializes the response. Content-Length is always set.
+// Write serializes the response. Content-Length is always set. A shared
+// body (see MarkShared) of minPooledBody bytes or more bound for a stream
+// that takes bytes by reference is queued there after the head is flushed,
+// not copied.
 func (r *Response) Write(w io.Writer) error {
 	bw := getWriter(w)
 	defer putWriter(bw)
@@ -278,6 +305,15 @@ func (r *Response) Write(w io.Writer) error {
 	bw.WriteString("\r\n")
 	r.Header.writeWith(bw, "Content-Length", strconv.Itoa(len(r.Body)))
 	bw.WriteString("\r\n")
+	if r.shared && len(r.Body) >= minPooledBody {
+		if sw, ok := w.(sharedWriter); ok {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			_, err := sw.WriteShared(r.Body)
+			return err
+		}
+	}
 	bw.Write(r.Body)
 	return bw.Flush()
 }
@@ -320,14 +356,26 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	s := string(head)
 	req := &Request{Method: s[:sp1], Target: s[sp1+1 : sp2], Proto: s[sp2+1 : end]}
 	req.Header.setFields(s[end:])
-	if req.Body, _, err = readBody(br, &req.Header, false); err != nil {
+	n, err := contentLength(&req.Header)
+	if err != nil {
 		return nil, err
+	}
+	if n >= 0 {
+		req.Body = make([]byte, n)
+		if _, err := io.ReadFull(br, req.Body); err != nil {
+			return nil, err
+		}
 	}
 	return req, nil
 }
 
 // ReadResponse parses one response from br.
-func ReadResponse(br *bufio.Reader) (*Response, error) {
+func ReadResponse(br *bufio.Reader) (*Response, error) { return readResponse(br, nil) }
+
+// readResponse is ReadResponse from a reader that wraps src, when src is
+// non-nil: a body src holds as a shared segment, with nothing of it in br,
+// is taken by reference (see Response.readBody).
+func readResponse(br *bufio.Reader, src sharedTaker) (*Response, error) {
 	var scratch [headScratch]byte
 	head, err := appendLine(scratch[:0], br)
 	if err != nil {
@@ -356,8 +404,14 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 		resp.Reason = s[sp2+1 : end]
 	}
 	resp.Header.setFields(s[end:])
-	if resp.Body, resp.pooled, err = readBody(br, &resp.Header, true); err != nil {
+	n, err := contentLength(&resp.Header)
+	if err != nil {
 		return nil, err
+	}
+	if n >= 0 {
+		if err := resp.readBody(br, n, src); err != nil {
+			return nil, err
+		}
 	}
 	return resp, nil
 }
@@ -454,36 +508,52 @@ func (h *Header) setFields(block string) {
 	}
 }
 
-// readBody reads the body Content-Length announces, nil without the
-// header. With pool set, a body of minPooledBody bytes or more is read into
-// a buffer from bodyPools, whose box comes back beside it (see
-// Response.Release).
-func readBody(br *bufio.Reader, h *Header, pool bool) ([]byte, *[]byte, error) {
+// contentLength is the body length h's Content-Length announces, -1 when
+// there is no such header. The value must be RFC 9110's 1*DIGIT, as
+// net/http requires: no sign, no space, nothing but ASCII digits.
+func contentLength(h *Header) (int, error) {
 	cl := h.Get("Content-Length")
 	if cl == "" {
-		return nil, nil, nil
+		return -1, nil
 	}
-	n, err := strconv.Atoi(cl)
-	if err != nil || n < 0 {
-		return nil, nil, fmt.Errorf("%w: Content-Length %q", ErrMalformed, cl)
+	for i := 0; i < len(cl); i++ {
+		if cl[i] < '0' || cl[i] > '9' {
+			return 0, fmt.Errorf("%w: Content-Length %q", ErrMalformed, cl)
+		}
+	}
+	n, err := strconv.Atoi(cl) // digits alone: fails only past the int range
+	if err != nil {
+		return 0, fmt.Errorf("%w: Content-Length %q", ErrMalformed, cl)
 	}
 	if n > MaxBodyBytes {
-		return nil, nil, ErrBodyTooBig
+		return 0, ErrBodyTooBig
 	}
-	var body []byte
-	var box *[]byte
-	if pool && n >= minPooledBody {
-		body, box = getBody(n)
-	} else {
-		body = make([]byte, n)
+	return n, nil
+}
+
+// readBody reads an n-byte body from br. A body of minPooledBody bytes or
+// more is taken by reference when src holds all of it as a shared segment
+// and br holds none of it: the response is then marked shared, as the one
+// written was. Otherwise it is read into a buffer from bodyPools, whose box
+// the response keeps (see Release); a smaller body is a plain allocation.
+func (r *Response) readBody(br *bufio.Reader, n int, src sharedTaker) error {
+	if n < minPooledBody {
+		r.Body = make([]byte, n)
+		_, err := io.ReadFull(br, r.Body)
+		return err
 	}
-	if _, err := io.ReadFull(br, body); err != nil {
-		if box != nil {
-			putBody(box)
+	if src != nil && br.Buffered() == 0 {
+		if b := src.TakeShared(n); b != nil {
+			r.Body, r.shared = b, true
+			return nil
 		}
-		return nil, nil, err
 	}
-	return body, box, nil
+	r.Body, r.pooled = getBody(n)
+	if _, err := io.ReadFull(br, r.Body); err != nil {
+		r.Release()
+		return err
+	}
+	return nil
 }
 
 // RoundTrip writes req on conn and reads the response. The caller owns the

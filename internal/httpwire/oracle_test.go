@@ -129,8 +129,10 @@ func oracleReadBody(br *bufio.Reader, h map[string]string) ([]byte, error) {
 	if cl == "" {
 		return nil, nil
 	}
-	n, err := strconv.Atoi(cl)
-	if err != nil || n < 0 {
+	// RFC 9110's 1*DIGIT: ParseUint at base 10 takes no sign, unlike Atoi,
+	// which let "+2" and "-0" through.
+	n, err := strconv.ParseUint(cl, 10, 63)
+	if err != nil {
 		return nil, fmt.Errorf("%w: Content-Length %q", ErrMalformed, cl)
 	}
 	if n > MaxBodyBytes {

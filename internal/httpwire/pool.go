@@ -43,10 +43,16 @@ func ReadRequestFrom(r io.Reader) (*Request, error) {
 
 // Exchange writes req on rw and reads the response through a pooled reader
 // that goes back before it returns: one request/response exchange on a
-// connection nothing reads through a buffer afterwards.
+// connection nothing reads through a buffer afterwards. On a stream that
+// hands bytes over by reference (a fabric stream), a shared body crosses
+// that way (see Response.MarkShared).
 func Exchange(rw io.ReadWriter, req *Request) (*Response, error) {
+	if err := req.Write(rw); err != nil {
+		return nil, err
+	}
 	br := GetReader(rw)
-	resp, err := RoundTrip(rw, br, req)
+	src, _ := rw.(sharedTaker)
+	resp, err := readResponse(br, src)
 	PutReader(br)
 	return resp, err
 }
@@ -117,14 +123,16 @@ func getBody(n int) ([]byte, *[]byte) {
 // not be read afterwards. Call it once the response is fully consumed:
 // forwarded, compared, or copied from. It does nothing for a response whose
 // body was small enough to be allocated plainly, for one built with
-// NewResponse, for a nil response, or when called a second time, and
+// NewResponse, for a shared body (one taken by reference, or marked with
+// MarkShared: every holder along the chain may still read those bytes, and
+// no pool owns them), for a nil response, or when called a second time, and
 // skipping it is always safe: the garbage collector takes the buffer
 // instead.
 //
 // The buffer released is the one that was read into, even when r.Body has
 // since been replaced (an interceptor rewriting the page).
 func (r *Response) Release() {
-	if r == nil || r.pooled == nil {
+	if r == nil || r.pooled == nil || r.shared {
 		return
 	}
 	putBody(r.pooled)

@@ -93,11 +93,17 @@ func (s *Server) Handle(src netip.Addr, req *httpwire.Request) *httpwire.Respons
 		return httpwire.NewResponse(400, []byte("unsupported method"))
 	}
 	body, contentType := indexBody, "text/html; charset=utf-8"
-	if k, ok := objectByPath[req.Target]; ok {
+	k, object := objectByPath[req.Target]
+	if object {
 		body, contentType = content.Object(k), k.ContentType()
 	}
 	resp := httpwire.NewResponse(200, body)
 	resp.Header.Set("Content-Type", contentType)
+	if object {
+		// The canonical bytes are never written: every hop of the proxy
+		// chain may hold them by reference.
+		resp.MarkShared()
+	}
 	return resp
 }
 

@@ -12,11 +12,12 @@ import (
 )
 
 // TestProxiedObjectFetchRecyclesItsBuffers: the 258 KB JavaScript object
-// crosses origin → exit node → super proxy → client. Once the grown rings
-// and the two body buffers exist, a further GET allocates only its small
-// change (requests, headers, pairs, log entries): about 9 KB, held to 16 KB
-// here, against 3 MB when the object was regenerated, each ring regrown
-// and each body reallocated per fetch.
+// crosses origin → exit node → super proxy → client, by reference on these
+// fault-free streams (TestProxiedObjectIsShared). A warmed GET allocates
+// only its small change (requests, headers, pairs, log entries): about
+// 3 KB, held to 16 KB here. It was 9 KB while the object was copied through
+// grown rings into two pooled body buffers, and 3 MB when the object was
+// regenerated, each ring regrown and each body reallocated per fetch.
 func TestProxiedObjectFetchRecyclesItsBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")

@@ -1,17 +1,22 @@
 package proxynet
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net"
 	"net/netip"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
+	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/httpwire"
+	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/trace"
 )
 
@@ -138,6 +143,72 @@ func BenchmarkProxiedGET(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.proxiedGet(b, ctx)
+	}
+}
+
+// proxiedObject GETs the §5.1 JavaScript object under the rig's next
+// hostname, as a crawl's HTTP probe does, and checks the bytes.
+func (w *testWorld) proxiedObject(tb testing.TB, ctx context.Context) *httpwire.Response {
+	url := w.urls[w.nextURL%len(w.urls)] + content.KindJS.Path()[1:]
+	w.nextURL++
+	resp, dbg, err := w.client.Get(ctx, Options{Country: "DE", Session: "7"}, url)
+	if err != nil || resp.StatusCode != 200 || dbg.ZID == "" || len(resp.Body) != len(content.Object(content.KindJS)) {
+		tb.Fatalf("proxied GET of the object: %v %+v %+v", err, resp, dbg)
+	}
+	host := url[len("http://"):strings.LastIndexByte(url, '/')]
+	w.auth.Forget(host)
+	w.web.Forget(host)
+	return resp
+}
+
+// corruptingDialer arms a corrupt fault on every stream it dials: the
+// client's leg to the super proxy, when the client dials through it.
+type corruptingDialer struct{ Dialer }
+
+func (d corruptingDialer) Dial(ctx context.Context, src, dst netip.Addr, port uint16) (net.Conn, error) {
+	conn, err := d.Dialer.Dial(ctx, src, dst, port)
+	if s, ok := conn.(*simnet.Stream); ok {
+		s.InjectCorrupt(1 << 12)
+	}
+	return conn, err
+}
+
+// TestProxiedObjectIsShared: on fault-free streams the 258 KB object
+// crosses origin → exit node → super proxy → client by reference, so the
+// client's body is content.Object's own slice. A fault on the client's leg
+// makes that hop copy: the client's body is then a private buffer carrying
+// the corruption, and the object itself is untouched.
+func TestProxiedObjectIsShared(t *testing.T) {
+	w, ctx := requestRig(t)
+	obj := content.Object(content.KindJS)
+	want := sha256.Sum256(obj)
+	resp := w.proxiedObject(t, ctx)
+	if &resp.Body[0] != &obj[0] {
+		t.Fatal("the client's body is a copy of the object, not the object")
+	}
+	resp.Release() // does nothing for a shared body
+
+	w.client.Net = corruptingDialer{w.fabric}
+	resp = w.proxiedObject(t, ctx)
+	if &resp.Body[0] == &obj[0] || bytes.Equal(resp.Body, obj) {
+		t.Fatal("the corrupted hop handed the client the object itself, or an uncorrupted copy")
+	}
+	resp.Release()
+	if sha256.Sum256(obj) != want {
+		t.Fatal("the fault wrote into the canonical object")
+	}
+}
+
+// BenchmarkProxiedObject is one proxied GET of the 258 KB JavaScript
+// object end to end: the §5.1 probe's largest fetch.
+func BenchmarkProxiedObject(b *testing.B) {
+	w, ctx := requestRig(b)
+	w.proxiedObject(b, ctx).Release()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(content.Object(content.KindJS))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.proxiedObject(b, ctx).Release()
 	}
 }
 

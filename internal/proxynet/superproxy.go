@@ -509,7 +509,8 @@ func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *ht
 	sp.armWriteDeadline(conn)
 	resp.Write(conn)
 	sp.clearWriteDeadline(conn)
-	// The client has its own copy now; the exit node's goes back to the pool.
+	// The client has its own copy now, and the exit node's goes back to the
+	// pool; a shared body was never pooled, and the client holds it too.
 	resp.Release()
 }
 

@@ -9,9 +9,13 @@ import (
 	"time"
 )
 
-// DefaultWindow is the per-direction buffer window of a fabric stream. 64KB
-// holds any single httpwire message the measurement stack emits, so a writer
-// streams an entire request or response without ever blocking on the reader.
+// DefaultWindow is the per-direction buffer window of a fabric stream. It
+// holds every request and every small response the measurement stack emits,
+// so a writer streams those without blocking on the reader. It does not hold
+// every response: the §5.1 JavaScript object alone is 258 KB. A canonical
+// object crosses as a shared segment (Stream.WriteShared), which takes no
+// window space; any other write past the window parks the writer, or grows an
+// inline handler's side (see growBuf).
 const DefaultWindow = 64 << 10
 
 // ErrWouldBlock is returned by TryRead and TryWrite when the operation
@@ -201,6 +205,7 @@ func (pp *pair) maybeReclaim(gen uint64) {
 		buf, bufp := r.buf, r.bufp
 		r.buf, r.bufp = nil, nil
 		r.n, r.start = 0, 0
+		r.seg = nil
 		// Detach the timers under the lock but stop them after releasing
 		// it: Stop takes the clock's lock, and the gen bump already
 		// neuters a racing fire.
@@ -246,6 +251,11 @@ type ring struct {
 	start  int     // index of the first unread byte
 	n      int     // unread byte count
 	window int     // buffer capacity
+
+	// seg is the read-only segment queued behind the n ring bytes (see
+	// Stream.WriteShared): the writer's own slice, never written through,
+	// taking no window space. nil when none is pending.
+	seg []byte
 
 	wclosed bool // write side closed: reads drain then EOF, writes fail
 	rclosed bool // read side closed: writes fail immediately
@@ -391,10 +401,12 @@ func (r *ring) ensureBuf() {
 // running inline on the event core, whose dialer sits beneath them on the
 // stack and cannot drain the response until they finish. Blocking here
 // would deadlock; growing trades memory, bounded by maxGrownWindow, for
-// progress on exactly the rings that need it (see Fabric.Dial). It reports
-// false, leaving the ring as it was, when holding need more bytes would
-// pass that bound. Caller holds r.mu with r.n == r.window, so buf is
-// allocated and fully occupied.
+// progress on exactly the rings that need it (see Fabric.Dial). Only copied
+// bytes need it: a shared segment takes no window space, so a canonical
+// object never grows a ring, and growBuf serves copied writes (and fold)
+// alone. It reports false, leaving the ring as it was, when holding need more
+// bytes would pass that bound. Caller holds r.mu; buf is allocated unless
+// the ring is empty.
 func (r *ring) growBuf(need int) bool {
 	if need > maxGrownWindow-r.n {
 		return false
@@ -465,6 +477,28 @@ func (r *ring) copyOut(p []byte) int {
 	return total
 }
 
+// advanceSeg consumes k bytes of the pending segment, dropping it once it
+// is drained. Caller holds r.mu.
+func (r *ring) advanceSeg(k int) {
+	if r.seg = r.seg[k:]; len(r.seg) == 0 {
+		r.seg = nil
+	}
+}
+
+// fold copies the pending segment into the ring, growing it as far as need
+// be: what an inline handler's Write does rather than wait behind a segment
+// its dialer cannot take until the handler returns. It reports false,
+// leaving the ring as it was, when that would pass maxGrownWindow. Caller
+// holds r.mu.
+func (r *ring) fold() bool {
+	if len(r.seg) > r.window-r.n && !r.growBuf(len(r.seg)) {
+		return false
+	}
+	r.copyIn(r.seg)
+	r.seg = nil
+	return true
+}
+
 // copyIn appends up to window-n bytes of p into the ring. Caller holds r.mu.
 func (r *ring) copyIn(p []byte) int {
 	free := r.window - r.n
@@ -506,9 +540,11 @@ func (r *ring) changed() {
 }
 
 // read copies buffered bytes out for the Stream whose in-direction this ring
-// is. An empty, open ring parks the caller when block is set (Read) and
-// reports ErrWouldBlock when it is not (TryRead); every other outcome is the
-// same for both.
+// is: ring bytes while there are any, then the pending segment's — never
+// both in one call, so a reader that stops at the end of the ring bytes
+// finds the segment whole for TakeShared. An empty, open ring parks the
+// caller when block is set (Read) and reports ErrWouldBlock when it is not
+// (TryRead); every other outcome is the same for both.
 func (r *ring) read(gen uint64, p []byte, block bool) (int, error) {
 	r.mu.Lock()
 	for {
@@ -524,7 +560,7 @@ func (r *ring) read(gen uint64, p []byte, block bool) (int, error) {
 			r.mu.Unlock()
 			return 0, os.ErrDeadlineExceeded
 		}
-		if r.n > 0 {
+		if r.n > 0 || r.seg != nil {
 			break
 		}
 		if r.wclosed {
@@ -545,7 +581,13 @@ func (r *ring) read(gen uint64, p []byte, block bool) (int, error) {
 	if r.fault != nil {
 		dst = r.fault.capRead(p)
 	}
-	total := r.copyOut(dst)
+	var total int
+	if r.n > 0 {
+		total = r.copyOut(dst)
+	} else {
+		total = copy(dst, r.seg)
+		r.advanceSeg(total)
+	}
 	if r.fault != nil {
 		r.fault.deliver(dst[:total])
 	}
@@ -553,15 +595,36 @@ func (r *ring) read(gen uint64, p []byte, block bool) (int, error) {
 	return total, nil
 }
 
+// takeShared hands over the next n bytes by reference: see
+// Stream.TakeShared.
+func (r *ring) takeShared(gen uint64, n int) []byte {
+	r.mu.Lock()
+	if r.gen != gen || r.rclosed || r.fault != nil || r.rdead.timed || r.n > 0 || n <= 0 || len(r.seg) < n {
+		r.mu.Unlock()
+		return nil
+	}
+	p := r.seg[:n:n]
+	r.advanceSeg(n)
+	r.changed()
+	return p
+}
+
 // write copies p into the Stream's out-direction ring and returns the count
-// written before any error. Write (block set) and TryWrite part only at a
-// full window: Write grows an inline handler's side (see growBuf) or parks,
-// TryWrite returns the short count with ErrWouldBlock and grows nothing.
-// Every other outcome is the same for both, an empty p included: it meets
-// the close, reset or deadline a longer write would, or returns (0, nil).
-func (r *ring) write(gen uint64, p []byte, block bool) (int, error) {
+// written before any error. Write (block set) and TryWrite part only where
+// the ring cannot take the bytes: at a full window Write grows an inline
+// handler's side (see growBuf) or parks; behind a pending segment Write
+// folds the segment into an inline handler's side (see fold) or parks until
+// the reader has drained it. TryWrite returns the short count with
+// ErrWouldBlock in both places and grows nothing. Every other outcome is the
+// same for both, an empty p included: it meets the close, reset or deadline
+// a longer write would, or returns (0, nil). With shared set (WriteShared,
+// always blocking), p is queued as the segment instead of copied when no
+// segment is pending and no fault is armed; otherwise it is copied as Write
+// copies.
+func (r *ring) write(gen uint64, p []byte, block, shared bool) (int, error) {
 	total := 0
 	r.mu.Lock()
+	shared = shared && r.seg == nil && r.fault == nil
 	for {
 		if r.gen != gen || r.wclosed || r.rclosed {
 			r.mu.Unlock()
@@ -579,6 +642,24 @@ func (r *ring) write(gen uint64, p []byte, block bool) (int, error) {
 		if len(p) == 0 {
 			r.mu.Unlock()
 			return 0, nil
+		}
+		if shared {
+			r.seg = p[:len(p):len(p)]
+			r.changed()
+			return len(p), nil
+		}
+		if r.seg != nil {
+			switch {
+			case !block:
+				r.mu.Unlock()
+				return total, ErrWouldBlock
+			case !r.grow:
+				r.pumpOrWait()
+				continue
+			case !r.fold():
+				r.mu.Unlock()
+				return total, errWindowOverflow
+			}
 		}
 		if r.n >= r.window {
 			switch {
@@ -702,7 +783,26 @@ func (s *Stream) out() *ring { return &s.c.pair.r[s.side] }
 func (s *Stream) Read(p []byte) (int, error) { return s.in().read(s.c.gen, p, true) }
 
 // Write implements net.Conn.
-func (s *Stream) Write(p []byte) (int, error) { return s.out().write(s.c.gen, p, true) }
+func (s *Stream) Write(p []byte) (int, error) { return s.out().write(s.c.gen, p, true, false) }
+
+// WriteShared is Write for bytes nobody ever stores into. While no fault is
+// armed on the direction and no earlier segment is pending, it queues p
+// itself, by reference, behind the bytes already buffered: a read-only
+// segment that takes no window space, so it neither parks the writer nor
+// grows the ring. Otherwise it behaves as Write. The reader copies out of
+// the segment as it would out of the ring (faults included: they apply to
+// the reader's copy, never to p), or takes it by reference with TakeShared.
+// p must never change afterwards: a reader may hold it past both Closes.
+func (s *Stream) WriteShared(p []byte) (int, error) {
+	return s.out().write(s.c.gen, p, true, true)
+}
+
+// TakeShared returns the next n bytes of the receive direction by reference
+// — a slice of what a WriteShared queued, capacity clipped to n — when all n
+// are segment bytes, no fault is armed and nothing else stands in the way of
+// a read (a close, a deadline). Otherwise it returns nil and consumes
+// nothing, and the caller reads the bytes as usual. The bytes are read-only.
+func (s *Stream) TakeShared(n int) []byte { return s.in().takeShared(s.c.gen, n) }
 
 // TryRead is the non-blocking Read: it returns whatever is buffered, or
 // (0, ErrWouldBlock) when nothing is and the peer still writes. io.EOF and
@@ -711,8 +811,8 @@ func (s *Stream) TryRead(p []byte) (int, error) { return s.in().read(s.c.gen, p,
 
 // TryWrite is the non-blocking Write: it buffers what fits in the window
 // and returns the count written, with ErrWouldBlock when p did not fit
-// entirely.
-func (s *Stream) TryWrite(p []byte) (int, error) { return s.out().write(s.c.gen, p, false) }
+// entirely. Nothing fits behind a pending shared segment.
+func (s *Stream) TryWrite(p []byte) (int, error) { return s.out().write(s.c.gen, p, false, false) }
 
 // SetNotify arms fn as the stream's readiness callback: it fires, without
 // any lock held, after every state transition on either direction — data

@@ -131,9 +131,10 @@ func TestStaleStreamIsInert(t *testing.T) {
 }
 
 // TestReusedConnStartsClean: whatever the last connection left on the pair —
-// a reset, a ring grown past its window, an armed deadline on the virtual
-// clock, a notify callback — the next one starts with none of it, and the
-// old deadline's instant passing does not time it out.
+// a reset, a ring grown past its window, a pending shared segment, an armed
+// deadline on the virtual clock, a notify callback — the next one starts
+// with none of it, and the old deadline's instant passing does not time it
+// out.
 func TestReusedConnStartsClean(t *testing.T) {
 	clock := NewVirtual(t0)
 	f := echoFabric(clock)
@@ -144,6 +145,9 @@ func TestReusedConnStartsClean(t *testing.T) {
 		}
 		if got := remote.out().window; got <= DefaultWindow {
 			t.Fatalf("the old connection's ring did not grow: window %d", got)
+		}
+		if _, err := local.WriteShared(make([]byte, 8)); err != nil || local.out().seg == nil {
+			t.Fatalf("the old connection queued no shared segment: %v", err)
 		}
 		local.SetDeadline(clock.Now().Add(time.Minute))
 		remote.SetDeadline(clock.Now().Add(time.Minute))
@@ -158,7 +162,7 @@ func TestReusedConnStartsClean(t *testing.T) {
 	for i := range live.c.pair.r {
 		r := &live.c.pair.r[i]
 		r.mu.Lock()
-		if r.fault != nil || r.notify[0] != nil || r.notify[1] != nil || r.buf != nil || r.n != 0 || r.window != DefaultWindow ||
+		if r.fault != nil || r.notify[0] != nil || r.notify[1] != nil || r.buf != nil || r.n != 0 || r.seg != nil || r.window != DefaultWindow ||
 			r.rdead.timed || r.wdead.timed || r.rdead.timer != (Timer{}) || r.wdead.timer != (Timer{}) ||
 			r.wclosed || r.rclosed || r.grow != (i == 1) {
 			t.Errorf("ring %d of a reused pair is not clean: %+v", i, r)

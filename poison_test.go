@@ -1,8 +1,12 @@
 package tft
 
 import (
+	"context"
+	"crypto/sha256"
 	"testing"
 	_ "unsafe" // for go:linkname
+
+	"github.com/tftproject/tft/internal/content"
 )
 
 // releasePoison is internal/httpwire's test hook, reached by linkname so
@@ -24,9 +28,45 @@ var queryPoison bool
 
 // poisonRecycledBuffers turns both hooks on until the test ends. The crawls
 // it covers start after the writes and are done before the cleanup, so the
-// plain bools are ordered with every reader.
+// plain bools are ordered with every reader. The cleanup also checks that
+// every canonical §5.1 object still hashes as it did at the start: origin,
+// exit node, super proxy and client all hold content.Object's own bytes on a
+// fault-free hop, so a write into any body that crossed by reference shows
+// up there.
 func poisonRecycledBuffers(t *testing.T) {
 	t.Helper()
 	releasePoison, queryPoison = true, true
-	t.Cleanup(func() { releasePoison, queryPoison = false, false })
+	before := objectDigests()
+	t.Cleanup(func() {
+		releasePoison, queryPoison = false, false
+		for i, d := range objectDigests() {
+			if d != before[i] {
+				t.Errorf("the canonical %s object changed: a holder wrote into a shared body", content.Kinds[i].Path())
+			}
+		}
+	})
+}
+
+// objectDigests hashes every canonical object, in content.Kinds order.
+func objectDigests() [][sha256.Size]byte {
+	d := make([][sha256.Size]byte, len(content.Kinds))
+	for i, k := range content.Kinds {
+		d[i] = sha256.Sum256(content.Object(k))
+	}
+	return d
+}
+
+// TestLossyHTTPCrawlLeavesObjectsIntact: under lossy-links every link may
+// corrupt, truncate or reset, so some hops copy the objects and others hand
+// them over by reference. The crawl must still leave every canonical object
+// as it was, which poisonRecycledBuffers checks when the test ends.
+func TestLossyHTTPCrawlLeavesObjectsIntact(t *testing.T) {
+	poisonRecycledBuffers(t)
+	run, err := RunExperiment(context.Background(), "http", chaosOpts("lossy-links"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Manifest().Faults == 0 {
+		t.Fatal("lossy-links injected no client-visible faults; the check proved nothing")
+	}
 }

@@ -64,7 +64,7 @@ stage() {
 		$GO test -race -timeout 40m .
 		;;
 	fuzz)
-		# Short fuzz smoke over the parser-shaped attack surfaces, all nineteen
+		# Short fuzz smoke over the parser-shaped attack surfaces, all twenty
 		# targets in the tree: proxy usernames (zone/session encoding),
 		# certificate and certificate-chain unmarshalling (the latter also
 		# holds ChainSize to what MarshalChain writes), the string decoder
@@ -97,13 +97,17 @@ stage() {
 		# callbacks against the blocking servers they replaced,
 		# tlssim.ServeOnce and smtpwire.Server.ServeOnce (any client bytes,
 		# any chunk boundaries: the same bytes written at each step, the
-		# close at the same step).
+		# close at the same step), and a fabric stream carrying shared
+		# segments against the same stream with every write copied (a script
+		# of copied and shared writes, CloseWrite, reads of any size,
+		# TakeShared and the five faults: the same bytes, errors and EOF at
+		# each step, and no shared source changed).
 		# Five seconds each — a corpus regression check, not a campaign.
-		# FuzzHeadEquivalence, FuzzInterceptAgreesWithRelay and
-		# FuzzRingAgreesWithOracle run without input minimisation: the
-		# first's seeds include 4 KB lines and 129-line blocks, the second
-		# takes three inputs, the third scripts of a kilobyte, and
-		# minimising one of those takes the whole five seconds. A target that no longer exists
+		# FuzzHeadEquivalence, FuzzInterceptAgreesWithRelay,
+		# FuzzRingAgreesWithOracle and FuzzSharedAgreesWithCopy run without
+		# input minimisation: the first's seeds include 4 KB lines and
+		# 129-line blocks, the second takes three inputs, the last two
+		# scripts, and minimising one of those takes the whole five seconds. A target that no longer exists
 		# fails the stage: go test fuzzes nothing and exits 0 otherwise.
 		while read -r pkg target flags; do
 			exists "$pkg" "^$target\$"
@@ -128,15 +132,17 @@ stage() {
 		./internal/trace FuzzRingAgreesWithOracle -fuzzminimizetime=0
 		./internal/origin FuzzTLSSiteAgreesWithServeOnce
 		./internal/origin FuzzMailServerAgreesWithServeOnce
+		./internal/simnet FuzzSharedAgreesWithCopy -fuzzminimizetime=0
 		EOF
 		;;
 	bench)
 		# One iteration of the end-to-end crawl benchmarks (DNS, HTTP, TLS,
 		# monitoring, SMTP, the one-worker/two-worker scaling pair) plus the
 		# micro-benches of the path every one of them is made of — the simnet
-		# pipe, one proxied GET and one CONNECT end to end over a fabric, a
-		# probe's six spans on a wrapped tracer from every core, one
-		# resolver lookup against the authority: a smoke test that the
+		# pipe, one proxied GET of the probe page, one of the 258 KB object
+		# and one CONNECT end to end over a fabric, a probe's six spans on a
+		# wrapped tracer from every core, one resolver lookup against the
+		# authority: a smoke test that the
 		# default-scale worlds still build and crawl and the fast path still
 		# runs, not a performance measurement. Every Ablation and Baseline
 		# benchmark runs too (seven, ~5 s): a field kept because a benchmark
@@ -154,7 +160,7 @@ stage() {
 		done <<-EOF
 		. DNSExperimentRun$ HTTPExperimentRun$ TLSExperimentRun$ MonitorExperimentRun$ ExtensionSMTP$ Ablation Baseline CrawlWorkers$
 		./internal/simnet Pipe
-		./internal/proxynet ProxiedGET$ ProxiedCONNECT$
+		./internal/proxynet ProxiedGET$ ProxiedObject$ ProxiedCONNECT$
 		./internal/trace SpanParallel$
 		./internal/dnsserver Lookup$
 		EOF
