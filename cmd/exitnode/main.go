@@ -87,7 +87,7 @@ func main() {
 
 	path := &middlebox.Path{}
 	if *injectSig != "" {
-		path.HTTP = append(path.HTTP, middlebox.HTMLInjector{
+		path.HTTP = append(path.HTTP, &middlebox.HTMLInjector{
 			Product: "flag adware", Signature: *injectSig, SignatureIsURL: true,
 		})
 		logger.Info("HTML injection enabled", "signature", *injectSig)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/tftproject/tft/internal/httpwire"
 )
@@ -36,29 +37,38 @@ type HTMLInjector struct {
 	// ExtraBytes pads the injection to model heavyweight ad payloads
 	// (AdTaily adds ~335 KB, oiasudoj ~23 KB).
 	ExtraBytes int
+
+	// The injection depends on the fields alone, so it is built once, at
+	// the first response the injector rewrites, and shared by every node
+	// the injector sits on.
+	once   sync.Once
+	inject []byte
 }
 
 // InterceptHTTP implements HTTPInterceptor.
-func (in HTMLInjector) InterceptHTTP(host, path string, resp *httpwire.Response) *httpwire.Response {
+func (in *HTMLInjector) InterceptHTTP(host, path string, resp *httpwire.Response) *httpwire.Response {
 	if resp.StatusCode != 200 || !isHTML(resp) {
 		return resp
 	}
 	if len(resp.Body) < MinInjectSize {
 		return resp
 	}
-	var inject string
+	in.once.Do(in.build)
+	resp.Body = injectBeforeBodyClose(resp.Body, in.inject)
+	return resp
+}
+
+// build writes the injection: the script, then the ad padding.
+func (in *HTMLInjector) build() {
 	if in.SignatureIsURL {
-		inject = fmt.Sprintf("<script src=\"http://%s/adframe.js\" async></script>\n", in.Signature)
+		in.inject = fmt.Appendf(nil, "<script src=\"http://%s/adframe.js\" async></script>\n", in.Signature)
 	} else {
-		inject = fmt.Sprintf("<script>%s /* injected */</script>\n", in.Signature)
+		in.inject = fmt.Appendf(nil, "<script>%s /* injected */</script>\n", in.Signature)
 	}
 	if in.ExtraBytes > 0 {
-		pad := fmt.Sprintf("<div style=\"display:none\" class=\"ad-payload\">%s</div>\n",
+		in.inject = fmt.Appendf(in.inject, "<div style=\"display:none\" class=\"ad-payload\">%s</div>\n",
 			strings.Repeat("ad ", in.ExtraBytes/3))
-		inject += pad
 	}
-	resp.Body = injectBeforeBodyClose(resp.Body, []byte(inject))
-	return resp
 }
 
 // NetSparkMetaTag is the marker §5.2 found on every page filtered by

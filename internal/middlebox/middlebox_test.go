@@ -135,8 +135,8 @@ func TestHTMLInjectorSkipsNonHTML(t *testing.T) {
 // body; the canonical hashes must not move.
 func TestInterceptorsNeverWriteIntoTheBodyTheyAreHanded(t *testing.T) {
 	interceptors := []HTTPInterceptor{
-		HTMLInjector{Product: "url", Signature: "d36mw5gp02ykm5.cloudfront.net", SignatureIsURL: true},
-		HTMLInjector{Product: "keyword", Signature: "var oiasudoj;", ExtraBytes: 23 << 10},
+		&HTMLInjector{Product: "url", Signature: "d36mw5gp02ykm5.cloudfront.net", SignatureIsURL: true},
+		&HTMLInjector{Product: "keyword", Signature: "var oiasudoj;", ExtraBytes: 23 << 10},
 		ContentFilter{Product: "netspark"},
 		BlockPage{Product: "blocked", Message: "blocked"},
 		BlockPage{Product: "empty", Empty: true},
@@ -407,8 +407,8 @@ func TestPathApplyOrderAndEmpty(t *testing.T) {
 		t.Fatal("the zero path did not hand the response through")
 	}
 	p.HTTP = []HTTPInterceptor{
-		HTMLInjector{Product: "a", Signature: "first-sig", SignatureIsURL: false},
-		HTMLInjector{Product: "b", Signature: "second-sig", SignatureIsURL: false},
+		&HTMLInjector{Product: "a", Signature: "first-sig", SignatureIsURL: false},
+		&HTMLInjector{Product: "b", Signature: "second-sig", SignatureIsURL: false},
 	}
 	resp := p.ApplyHTTP("h", "/object.html", htmlResp())
 	i1 := bytes.Index(resp.Body, []byte("first-sig"))

@@ -224,26 +224,19 @@ func TLSSite(chains tlssim.ChainSource) simnet.ConnHandler {
 
 // FramedTLSSite returns a handler that answers tlssim handshakes with the
 // certificate record records supplies for the requested SNI, as framed:
-// the serve path encodes nothing. On a fabric stream the site answers on
-// the stream's readiness callbacks, so it may be registered with HandleTCP
-// behind a CONNECT tunnel; any other connection (a real socket) is served
-// by tlssim.ServeOnce.
+// the serve path encodes nothing. The site answers on its stream's
+// readiness callbacks, so it may be registered with HandleTCP behind a
+// CONNECT tunnel; a real socket enters the same handler through
+// simnet.AsStream.
 func FramedTLSSite(records tlssim.RecordSource) simnet.ConnHandler {
-	return func(conn net.Conn) {
-		if s, ok := conn.(*simnet.Stream); ok {
-			serveTLS(s, records)
-			return
-		}
-		defer conn.Close()
-		tlssim.ServeOnce(conn, records)
-	}
+	return func(conn net.Conn) { serveTLS(simnet.AsStream(conn, nil), records) }
 }
 
 // MailServer returns a handler that serves mail's SMTP session prefix on
-// a fabric stream's readiness callbacks — the greeting written at accept —
-// so the server-talks-first protocol may be registered with HandleTCP
-// behind a CONNECT tunnel. The fabric hands every handler a
-// *simnet.Stream.
+// its stream's readiness callbacks — the greeting written at accept — so
+// the server-talks-first protocol may be registered with HandleTCP behind
+// a CONNECT tunnel; a real socket enters the same handler through
+// simnet.AsStream.
 func MailServer(mail *smtpwire.Server) simnet.ConnHandler {
-	return func(conn net.Conn) { serveMail(conn.(*simnet.Stream), mail) }
+	return func(conn net.Conn) { serveMail(simnet.AsStream(conn, nil), mail) }
 }

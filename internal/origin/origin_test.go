@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"net/netip"
 	"testing"
@@ -12,7 +13,9 @@ import (
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/httpwire"
+	"github.com/tftproject/tft/internal/proxynet"
 	"github.com/tftproject/tft/internal/simnet"
+	"github.com/tftproject/tft/internal/smtpwire"
 	"github.com/tftproject/tft/internal/tlssim"
 )
 
@@ -174,49 +177,83 @@ func TestTLSSiteOverFabric(t *testing.T) {
 	}
 }
 
-// helloConn is the server end of one handshake: it reads a hello and keeps
-// the last buffer the handler wrote.
-type helloConn struct {
-	net.Conn // nil: a TLS site only reads, writes and closes
-	hello    bytes.Reader
-	last     []byte
-	writes   int
+// serveLoopback serves h on a loopback listener through
+// proxynet.ServeListener, as cmd/originweb and the real-network rigs do,
+// and returns the listener's address.
+func serveLoopback(t *testing.T, h simnet.ConnHandler) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go proxynet.ServeListener(l, h)
+	return l.Addr().String()
 }
 
-func (c *helloConn) Read(p []byte) (int, error) { return c.hello.Read(p) }
-
-func (c *helloConn) Write(p []byte) (int, error) {
-	c.last, c.writes = p, c.writes+1
-	return len(p), nil
-}
-
-func (c *helloConn) Close() error { return nil }
-
-// TestFramedTLSSiteServesTheRecordItHolds: on a connection that is not a
-// fabric stream (a real socket), a site answers a handshake by writing the
-// record it was given — that buffer, in one Write, no chain encoded — so
-// serving costs what reading the hello does: its header, its payload and
-// the server name, three allocations (five before, when every handshake
-// encoded the chain and wrote the header apart). TestTLSSiteAllocs counts
-// the readiness form a fabric stream gets.
+// TestFramedTLSSiteServesTheRecordItHolds: on a real socket a site answers
+// a handshake with the record it was given, byte for byte, and closes; the
+// record carries the chain the client collects. TestTLSSiteAllocs counts
+// the readiness form every connection is served by.
 func TestFramedTLSSiteServesTheRecordItHolds(t *testing.T) {
 	root := cert.NewRootCA(cert.Name{CommonName: "R"}, "r", t0.Add(-time.Hour), 1000*time.Hour)
 	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},
 		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "s"})
 	rec := tlssim.FrameChain([]*cert.Certificate{leaf, root.Cert})
 	const sni = "site.example"
-	hello := append([]byte{byte(tlssim.RecordClientHello), 0, 0, 2 + byte(len(sni)), 0, byte(len(sni))}, sni...)
-	serve := FramedTLSSite(func(string) []byte { return rec })
-	conn := &helloConn{}
-	if n := testing.AllocsPerRun(100, func() {
-		conn.hello.Reset(hello)
-		conn.writes = 0
-		serve(conn)
-		if conn.writes != 1 || len(conn.last) != len(rec) || &conn.last[0] != &rec[0] {
-			t.Fatalf("the site wrote %d times, last %d bytes; want its %d-byte record once", conn.writes, len(conn.last), len(rec))
+	addr := serveLoopback(t, FramedTLSSite(func(name string) []byte {
+		if name == sni {
+			return rec
 		}
-	}); n > 3 {
-		t.Errorf("serving a framed record allocated %v times, want at most 3", n)
+		return nil
+	}))
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := append([]byte{byte(tlssim.RecordClientHello), 0, 0, 2 + byte(len(sni)), 0, byte(len(sni))}, sni...)
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, rec) {
+		t.Fatalf("the site sent %d bytes and closed; want its %d-byte record", len(got), len(rec))
+	}
+
+	conn2, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	chain, err := tlssim.CollectChain(conn2, sni)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(chain) != 2 || chain[0].Subject.CommonName != sni || chain[1].Subject.CommonName != "R" {
+		t.Fatalf("collected %d certificates, want the site's leaf and root", len(chain))
+	}
+}
+
+// TestMailServerOverSocket: the mail server answers an SMTP probe on a
+// real socket: the greeting at accept, then the EHLO reply.
+func TestMailServerOverSocket(t *testing.T) {
+	addr := serveLoopback(t, MailServer(smtpwire.NewServer("mail.tft-example.net")))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sess, err := smtpwire.Probe(conn, "probe.tft-example.net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Banner != "mail.tft-example.net ESMTP tftmail ready" || !sess.StartTLS {
+		t.Fatalf("banner %q, capabilities %q", sess.Banner, sess.Capabilities)
 	}
 }
 

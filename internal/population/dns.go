@@ -310,7 +310,18 @@ func (b *dnsBuilder) fillCountries() {
 	restTotal := b.scaledBg(DNSTotalNodes - namedTotal)
 	restHijack := b.scaledBg(DNSHijackTotal - namedHijack)
 	nRest := DNSTotalCountries - len(named)
-	rest := b.pickCountries(nRest, named)
+	// The public resolvers and the misc path hijacks drew their countries
+	// from the whole registry, so some unnamed countries already hold
+	// hijacked nodes: they come first, and get their honest fill, and
+	// pickCountries supplies only the remainder.
+	var rest []geo.CountryCode
+	for _, c := range geo.Countries {
+		if !named[c.Code] && b.total[c.Code] > 0 {
+			rest = append(rest, c.Code)
+			named[c.Code] = true
+		}
+	}
+	rest = append(rest, b.pickCountries(nRest-len(rest), named)...)
 	var weightSum float64
 	for i := range rest {
 		weightSum += 1 / float64(i+3)

@@ -67,7 +67,7 @@ func (b *httpBuilder) buildInjectors() {
 		if g.FilterISP {
 			continue // Rimon handled above
 		}
-		inj := middlebox.HTMLInjector{
+		inj := &middlebox.HTMLInjector{
 			Product: g.Product, Signature: g.Signature, SignatureIsURL: g.IsURL,
 			ExtraBytes: g.ExtraBytes,
 		}
@@ -95,7 +95,7 @@ func (b *httpBuilder) buildInjectors() {
 	nMisc := b.scaledBg(MiscInjectedNodes)
 	for i := 0; i < nMisc; i++ {
 		sig := miscSignature(i)
-		inj := middlebox.HTMLInjector{Product: "misc adware", Signature: sig, SignatureIsURL: true}
+		inj := &middlebox.HTMLInjector{Product: "misc adware", Signature: sig, SignatureIsURL: true}
 		cc := miscCountries[i%len(miscCountries)]
 		path := &middlebox.Path{HTTP: []middlebox.HTTPInterceptor{inj}}
 		b.addHTTPNode(cc, b.bgAS(cc), path, "misc adware", "")
@@ -105,7 +105,7 @@ func (b *httpBuilder) buildInjectors() {
 	// a node-unique keyword.
 	nUnid := b.scaledBg(UnidentifiedInjectedNodes)
 	for i := 0; i < nUnid; i++ {
-		inj := middlebox.HTMLInjector{Product: "unidentified injector",
+		inj := &middlebox.HTMLInjector{Product: "unidentified injector",
 			Signature: "(function(){/*" + miscSignature(i+1000) + "*/})();"}
 		cc := miscCountries[(i*3)%len(miscCountries)]
 		path := &middlebox.Path{HTTP: []middlebox.HTTPInterceptor{inj}}

@@ -427,6 +427,9 @@ func (w *World) fillHarmonic(countries []geo.CountryCode, remaining int, add fun
 // pickCountries returns n distinct background countries, deterministically
 // pseudo-shuffled, excluding any in the given set.
 func (w *World) pickCountries(n int, exclude map[geo.CountryCode]bool) []geo.CountryCode {
+	if n <= 0 {
+		return nil // the loop below stops only at n, so it would take every country
+	}
 	var out []geo.CountryCode
 	perm := w.rng.Perm(len(geo.Countries))
 	for _, i := range perm {

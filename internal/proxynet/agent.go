@@ -124,9 +124,15 @@ func (p *remotePeer) put(conn net.Conn) {
 	}
 }
 
-// drop discards a connection (error or consumed by a tunnel).
+// drop discards a broken connection.
 func (p *remotePeer) drop(conn net.Conn) {
 	conn.Close()
+	p.release()
+}
+
+// release counts a connection out of the pool: dropped, or consumed by a
+// tunnel, whose bridge closes it once its last bytes are out.
+func (p *remotePeer) release() {
 	p.mu.Lock()
 	p.live--
 	p.mu.Unlock()
@@ -185,21 +191,17 @@ func (p *remotePeer) FetchHTTP(ctx context.Context, host string, port uint16, pa
 }
 
 // Tunnel implements Peer: the agent connection carrying the CONNECT becomes
-// the tunnel and is consumed. Agent tunnels ride real sockets, so the relay
-// always runs synchronously — done has fired by the time Tunnel returns.
+// the tunnel and is consumed. The relay is the exit node's splice, both
+// sockets entering it through simnet.AsStream, so a tunnel that started
+// detaches and returns true; done fires when it ends.
 func (p *remotePeer) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, port uint16, done func(error)) bool {
-	err := p.tunnel(ctx, client, ip, port)
-	if done != nil {
-		done(err)
+	if done == nil {
+		done = func(error) {}
 	}
-	return false
-}
-
-//tftlint:hotpath
-func (p *remotePeer) tunnel(ctx context.Context, client net.Conn, ip netip.Addr, port uint16) error {
 	conn, err := p.borrow()
 	if err != nil {
-		return err
+		done(err)
+		return false
 	}
 	req := httpwire.NewRequest("CONNECT", netip.AddrPortFrom(ip, port).String())
 	stampTrace(ctx, req)
@@ -207,18 +209,16 @@ func (p *remotePeer) tunnel(ctx context.Context, client net.Conn, ip netip.Addr,
 	if tunnel == nil {
 		p.drop(conn)
 		if err == nil {
-			err = tunnelRefused(resp.StatusCode)
+			err = fmt.Errorf("proxynet: agent tunnel refused: %d", resp.StatusCode)
 		}
-		return err
+		done(err)
+		return false
 	}
-	defer p.drop(conn)
-	return relayBoth(client, tunnel, nil, nil)
-}
-
-// tunnelRefused formats the non-200 CONNECT failure. Outlined so the cold
-// branch's fmt machinery stays out of the hotpath-annotated tunnel.
-func tunnelRefused(code int) error {
-	return fmt.Errorf("proxynet: agent tunnel refused: %d", code)
+	startSplice(simnet.AsStream(client, nil), simnet.AsStream(tunnel, nil), nil, nil, func(err error) {
+		p.release()
+		done(err)
+	})
+	return true
 }
 
 // Gateway accepts agent registrations and materializes remote peers into a
@@ -360,15 +360,18 @@ func (a *Agent) serveOne(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
+	// Cancelling ctx closes the connection, a live tunnel's included: one a
+	// CONNECT detached onto stops the watch when it ends, and otherwise the
+	// return does.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	// The connection's reader goes back to the pool exactly once: here when
-	// the request loop breaks, or by the tunnel a CONNECT hands it to.
+	// The connection and its reader are released exactly once: here when
+	// the request loop breaks, or by the tunnel a CONNECT detaches onto.
 	br := httpwire.GetReader(conn)
-	tunnelled := false
+	detached := false
 	defer func() {
-		if !tunnelled {
+		if !detached {
+			stop()
+			conn.Close()
 			httpwire.PutReader(br)
 		}
 	}()
@@ -428,15 +431,10 @@ func (a *Agent) serveOne(ctx context.Context) error {
 			}
 			// The connection becomes the tunnel and is consumed; the node
 			// relays (and its TLS interceptors, if any, do their work).
-			// The client is a real socket, never a fabric stream, so the
-			// relay runs synchronously and has finished by the return.
-			tunnelled = true
-			tunnel := &bufferedConn{Conn: conn, br: br}
-			a.Node.Tunnel(rctx, tunnel, ip, port, nil)
-			// A relay closes its client; a tunnel refused before it had
-			// one (blocked port, unreachable server) does not. Close is
-			// idempotent and returns the reader on whichever call is first.
-			tunnel.Close()
+			// A tunnel that started owns it, reader included, and closes
+			// it when the relay ends; one refused before it had it
+			// (blocked port, unreachable server) leaves it here.
+			detached = a.Node.Tunnel(rctx, &bufferedConn{Conn: conn, br: br}, ip, port, func(error) { stop() })
 			return nil
 		default:
 			httpwire.NewResponse(400, []byte("unknown agent op")).Write(conn)

@@ -120,8 +120,8 @@ func TestInterceptedTunnelTruncatedCertificate(t *testing.T) {
 }
 
 // TestInterceptedTunnelSocketServer: a fabric client tunnelled to a server
-// leg that is no fabric stream — the blocking relay on its own goroutines —
-// carries the same rewrite.
+// leg that is no fabric stream — bridged into the splice by simnet.AsStream
+// — carries the same rewrite.
 func TestInterceptedTunnelSocketServer(t *testing.T) {
 	replacedCleanly(t, interceptedTunnel(t, func(f *simnet.Fabric) Dialer {
 		return &deadlineDialer{Dialer: f}

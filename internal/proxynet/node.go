@@ -156,13 +156,15 @@ var errPortBlocked = errors.New("proxynet: outbound port blocked by the node's I
 // passes bytes through transparently unless the node's path rewrites them
 // (see rewrites): then it is the same relay, rewriting chunks in flight.
 //
-// When both tunnel legs are fabric streams the relay runs on the event
-// core (see splice) and Tunnel returns true immediately with the tunnel
-// still live; done fires once it finishes. Otherwise the relay blocks (or,
-// for a stream client, detaches onto goroutines) and done fires with the
-// first non-benign error either direction hit. A tunnel that ended
-// cleanly reports what its rewrites left behind instead: a TLS
-// interceptor's handshake cut short or malformed. done may be nil.
+// The relay runs on the event core (see splice) whatever the legs are: a
+// leg that is not a fabric stream, such as a real socket, enters it through
+// simnet.AsStream. Once the server leg is dialed, Tunnel returns true with
+// the tunnel still live and owning client; done fires once it finishes,
+// with the first non-benign error the relay hit, or, for a tunnel that
+// ended cleanly, what its rewrites left behind: a TLS interceptor's
+// handshake cut short or malformed. A tunnel refused before that (a blocked
+// port, a failed dial) reports to done and returns false, leaving client to
+// the caller. done may be nil.
 //
 //tftlint:hotpath
 func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, port uint16, done func(error)) bool {
@@ -187,22 +189,8 @@ func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, p
 		server.SetDeadline(time.Time{})
 		endTunnel(span, done, err)
 	}
-
-	cs, clientStream := client.(*simnet.Stream)
-	ss, serverStream := server.(*simnet.Stream)
-	if clientStream && serverStream {
-		// The hot path: both legs are fabric streams, so the relay is a
-		// callback-driven state machine on the event core — no goroutines.
-		startSplice(cs, ss, c2s, s2c, finish)
-		return true
-	}
-	if clientStream {
-		//tftlint:ignore nogo -- mixed stream/socket tunnel: the real-socket leg needs blocking reads, so the relay detaches onto goroutines
-		go func() { finish(relayBoth(client, server, c2s, s2c)) }()
-		return true
-	}
-	finish(relayBoth(client, server, c2s, s2c))
-	return false
+	startSplice(simnet.AsStream(client, server), simnet.AsStream(server, client), c2s, s2c, finish)
+	return true
 }
 
 // rewrites picks the chunk rewrites of a tunnel to port: the path's
@@ -234,55 +222,6 @@ func endTunnel(span trace.Span, done func(error), err error) {
 	span.End()
 	if done != nil {
 		done(err)
-	}
-}
-
-// relayBoth copies bytes both ways until either side closes — the blocking
-// fallback for tunnels with a real socket on at least one leg. c2s and
-// s2c, when non-nil, transform the chunks of their direction. The first
-// direction to finish tears both connections down; the returned error is
-// the first non-benign one either direction hit, so a benign EOF on one
-// leg cannot mask a real failure on the other.
-func relayBoth(client, server net.Conn, c2s, s2c func([]byte) []byte) error {
-	done := make(chan error, 2)
-	//tftlint:ignore nogo -- blocking relay fallback: the client→server direction runs on its own goroutine for the tunnel's lifetime
-	go func() { done <- relayChunks(server, client, c2s) }()
-	//tftlint:ignore nogo -- blocking relay fallback: the server→client direction runs on its own goroutine for the tunnel's lifetime
-	go func() { done <- relayChunks(client, server, s2c) }()
-	first := <-done
-	client.Close()
-	server.Close()
-	second := <-done
-	if !benignRelayErr(first) {
-		return first
-	}
-	if !benignRelayErr(second) {
-		return second
-	}
-	return nil
-}
-
-// relayChunks copies src to dst, each chunk through rewrite when it is
-// set, until a read or a write fails.
-func relayChunks(dst, src net.Conn, rewrite func([]byte) []byte) error {
-	bp := getCopyBuf()
-	defer putCopyBuf(bp)
-	for {
-		nr, err := src.Read(*bp)
-		if nr > 0 {
-			chunk := (*bp)[:nr]
-			if rewrite != nil {
-				chunk = rewrite(chunk)
-			}
-			if len(chunk) > 0 {
-				if _, werr := dst.Write(chunk); werr != nil {
-					return werr
-				}
-			}
-		}
-		if err != nil {
-			return err
-		}
 	}
 }
 

@@ -45,10 +45,9 @@ func tunnelProbe(t *testing.T, node *ExitNode) (*smtpwire.Session, error) {
 	t.Helper()
 	client, nodeSide := net.Pipe()
 	defer client.Close()
-	go func() {
-		defer nodeSide.Close()
-		node.Tunnel(context.Background(), nodeSide, mailIP, 25, nil)
-	}()
+	if !node.Tunnel(context.Background(), nodeSide, mailIP, 25, nil) {
+		nodeSide.Close()
+	}
 	return smtpwire.Probe(client, "probe.tft-example.net")
 }
 
@@ -218,10 +217,10 @@ func TestTunnelBlockedPort(t *testing.T) {
 	client, nodeSide := net.Pipe()
 	defer client.Close()
 	errCh := make(chan error, 1)
-	go func() {
-		defer nodeSide.Close()
-		node.Tunnel(context.Background(), nodeSide, mailIP, 25, func(err error) { errCh <- err })
-	}()
+	if node.Tunnel(context.Background(), nodeSide, mailIP, 25, func(err error) { errCh <- err }) {
+		t.Fatal("a tunnel to a blocked port detached")
+	}
+	nodeSide.Close()
 	if err := <-errCh; err == nil {
 		t.Fatal("tunnel to a blocked port succeeded")
 	}
@@ -244,10 +243,9 @@ func TestTunnelStripperDoesNotTouchOtherPorts(t *testing.T) {
 	})
 	client, nodeSide := net.Pipe()
 	defer client.Close()
-	go func() {
-		defer nodeSide.Close()
-		node.Tunnel(context.Background(), nodeSide, echoIP, 7777, nil)
-	}()
+	if !node.Tunnel(context.Background(), nodeSide, echoIP, 7777, nil) {
+		t.Fatal("the tunnel to the echo service did not start")
+	}
 	payload := "250-STARTTLS would be stripped if this were port 25\r\n"
 	if _, err := client.Write([]byte(payload)); err != nil {
 		t.Fatal(err)
@@ -297,27 +295,34 @@ func TestResolveAWithServFailUpstream(t *testing.T) {
 	}
 }
 
-// scriptConn is a scripted net.Conn for relay error-propagation tests: Read
-// serves the scripted payloads (after an optional gate) and then returns
-// readErr; Write returns writeErr when set.
+// scriptConn is a scripted net.Conn, a socket leg for the tunnel's
+// error-propagation tests: Read serves the scripted payloads (each after
+// readGate, when set) and then returns readErr; Write waits for writeGate,
+// when set, and fails with writeErr when that is set. Close fails a Read
+// waiting on its gate with net.ErrClosed.
 type scriptConn struct {
-	reads    [][]byte
-	readGate <-chan struct{} // when non-nil, Read blocks on it first
-	readErr  error
-	writeErr error
-	eofSent  chan struct{} // closed when Read has returned readErr
+	reads     [][]byte
+	readGate  <-chan struct{}
+	readErr   error
+	writeGate <-chan struct{}
+	writeErr  error
+	eofSent   chan struct{} // closed when Read has returned readErr
+	closed    chan struct{}
+	close     sync.Once
 }
 
 func newScriptConn() *scriptConn {
-	return &scriptConn{readErr: io.EOF, eofSent: make(chan struct{})}
+	return &scriptConn{readErr: io.EOF, eofSent: make(chan struct{}),
+		closed: make(chan struct{})}
 }
 
 func (c *scriptConn) Read(p []byte) (int, error) {
 	if c.readGate != nil {
-		<-c.readGate
-		// Let the other leg's benign result reach the relay first, so the
-		// test exercises the benign-first, error-second ordering.
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-c.readGate:
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
 	}
 	if len(c.reads) == 0 {
 		select {
@@ -328,50 +333,84 @@ func (c *scriptConn) Read(p []byte) (int, error) {
 		return 0, c.readErr
 	}
 	n := copy(p, c.reads[0])
-	c.reads = c.reads[1:]
+	if c.reads[0] = c.reads[0][n:]; len(c.reads[0]) == 0 {
+		c.reads = c.reads[1:]
+	}
 	return n, nil
 }
 
 func (c *scriptConn) Write(p []byte) (int, error) {
+	if c.writeGate != nil {
+		<-c.writeGate
+	}
 	if c.writeErr != nil {
 		return 0, c.writeErr
 	}
 	return len(p), nil
 }
 
-func (c *scriptConn) Close() error                       { return nil }
+func (c *scriptConn) Close() error {
+	c.close.Do(func() { close(c.closed) })
+	return nil
+}
+
 func (c *scriptConn) LocalAddr() net.Addr                { return &net.TCPAddr{} }
 func (c *scriptConn) RemoteAddr() net.Addr               { return &net.TCPAddr{} }
 func (c *scriptConn) SetDeadline(t time.Time) error      { return nil }
 func (c *scriptConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *scriptConn) SetWriteDeadline(t time.Time) error { return nil }
 
-// TestRelayBothSurfacesErrorBehindBenignEOF pins the error contract of the
-// blocking relay fallback: the client leg hits a clean EOF first (benign),
-// then the server→client direction fails with a real write error. The relay
-// must surface the write error — a benign first result may not mask it.
-func TestRelayBothSurfacesErrorBehindBenignEOF(t *testing.T) {
-	wantErr := errors.New("client write: connection reset")
-	client := newScriptConn() // reads: immediate EOF; writes fail
-	client.writeErr = wantErr
-	server := newScriptConn()
-	server.reads = [][]byte{[]byte("payload")}
-	server.readGate = client.eofSent // serve data only after the EOF leg finished
+// connDialer dials conn, whatever the address.
+type connDialer struct{ conn net.Conn }
 
-	err := relayBoth(client, server, nil, nil)
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("relayBoth returned %v, want the non-benign write error %v", err, wantErr)
+func (d connDialer) Dial(context.Context, netip.Addr, netip.Addr, uint16) (net.Conn, error) {
+	return d.conn, nil
+}
+
+// scriptTunnel runs a tunnel between two scripted socket legs through
+// ExitNode.Tunnel and returns what its done reported.
+func scriptTunnel(t *testing.T, client, server *scriptConn) error {
+	t.Helper()
+	node := &ExitNode{ZID: "zscript01", Net: connDialer{server}}
+	ended := make(chan error, 1)
+	if !node.Tunnel(context.Background(), client, mailIP, 25, func(err error) { ended <- err }) {
+		t.Fatal("the tunnel did not start")
+	}
+	return waitEnded(t, ended)
+}
+
+// TestTunnelSurfacesSocketErrorBehindBenignEOF pins the error contract of a
+// tunnel between real sockets: the server leg sends more than the relay
+// can hold below the splice and then ends in a clean EOF; only then does
+// the client socket's write fail. The tunnel must report that failure as a
+// transport fault, not the EOF before it as an orderly close. Below the
+// splice sit the client bridge's window and one 32 KB read of its socket
+// writer, 96 KB; with that writer blocked, the relay as a whole holds at
+// least 160 KB (both bridges' windows and that read). The 128 KB payload
+// lies between, so the server's EOF is read before the write fails, and
+// the splice cannot have reached it.
+func TestTunnelSurfacesSocketErrorBehindBenignEOF(t *testing.T) {
+	server := newScriptConn()
+	server.reads = [][]byte{make([]byte, 128<<10)}
+	client := newScriptConn()
+	client.writeErr = errors.New("client write: connection reset")
+	client.writeGate = server.eofSent     // fail only after the server's EOF
+	client.readGate = make(chan struct{}) // and send nothing until closed
+
+	err := scriptTunnel(t, client, server)
+	if err == nil || !IsTransportFault(err) {
+		t.Fatalf("tunnel reported %v, want a transport fault", err)
 	}
 }
 
-// TestRelayBothBenignBothWays: both directions ending in EOF/closed-pipe is
-// a clean teardown, not an error.
-func TestRelayBothBenignBothWays(t *testing.T) {
+// TestTunnelBenignBothWays: both socket legs ending in EOF is a clean
+// teardown, not an error.
+func TestTunnelBenignBothWays(t *testing.T) {
 	client := newScriptConn()
 	server := newScriptConn()
 	server.reads = [][]byte{[]byte("hello")}
-	if err := relayBoth(client, server, nil, nil); err != nil {
-		t.Fatalf("clean teardown returned %v, want nil", err)
+	if err := scriptTunnel(t, client, server); err != nil {
+		t.Fatalf("clean teardown reported %v, want nil", err)
 	}
 }
 
@@ -451,9 +490,10 @@ func TestExitNodeBudgetsWithoutClock(t *testing.T) {
 	})
 	check("tunnel", tunnelBudget, func() {
 		client, nodeSide := net.Pipe()
-		defer nodeSide.Close()
 		ended := make(chan error, 1)
-		go node.Tunnel(context.Background(), nodeSide, mailIP, 25, func(err error) { ended <- err })
+		if !node.Tunnel(context.Background(), nodeSide, mailIP, 25, func(err error) { ended <- err }) {
+			t.Fatal("the tunnel did not start")
+		}
 		if _, err := smtpwire.Probe(client, "probe.tft-example.net"); err != nil {
 			t.Fatal(err)
 		}

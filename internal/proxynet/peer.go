@@ -32,10 +32,10 @@ type Peer interface {
 	// Tunnel bridges client to ip:port (normally 443) through the node —
 	// the CONNECT data phase. done, when non-nil, fires exactly once with
 	// the tunnel's outcome (nil for an orderly close). The return value
-	// reports whether the tunnel detached: true means the relay is still
-	// live when Tunnel returns (done fires later) and the peer owns both
-	// connections; false means the tunnel already finished — done has
-	// fired and both connections are closed — or never started.
+	// reports whether the tunnel detached: true means the relay is live
+	// when Tunnel returns (done fires later) and the peer owns both
+	// connections, whatever their substrate; false means the tunnel never
+	// started — done has fired and client is still the caller's to close.
 	Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, port uint16, done func(error)) bool
 }
 

@@ -480,7 +480,7 @@ func TestHTTPInterceptorModifiesProxiedContent(t *testing.T) {
 	w.setRule("d1", dnsserver.Always(webIP))
 	for _, n := range w.nodes {
 		n.Path = &middlebox.Path{HTTP: []middlebox.HTTPInterceptor{
-			middlebox.HTMLInjector{Product: "adware", Signature: "msmdzbsyrw.org", SignatureIsURL: true},
+			&middlebox.HTMLInjector{Product: "adware", Signature: "msmdzbsyrw.org", SignatureIsURL: true},
 		}}
 	}
 	resp, _, err := w.client.Get(context.Background(), Options{}, "http://d1."+zone+"/object.html")

@@ -8,17 +8,17 @@ import (
 	"github.com/tftproject/tft/internal/simnet"
 )
 
-// splice is the event-driven tunnel relay: it bridges two fabric streams
-// without parking goroutines on blocking reads. Each direction is a small
-// state machine driven by the streams' readiness callbacks — TryRead into a
-// pooled buffer, TryWrite out, stash the remainder when the destination
-// window is full, resume on the next notify. A tunnel at rest costs two
-// pooled buffers and no goroutines.
+// splice is the one tunnel relay: it bridges two streams without parking
+// goroutines on blocking reads (a real socket is a stream through
+// simnet.AsStream). Each direction is a small state machine driven by the
+// streams' readiness callbacks — TryRead into a pooled buffer, TryWrite
+// out, stash the remainder when the destination window is full, resume on
+// the next notify. A tunnel at rest costs two pooled buffers and no
+// goroutines.
 //
-// Teardown matches the historical goroutine relay: the first direction to
-// finish (EOF or error) closes both connections. The completion callback
-// fires exactly once with the first non-benign error either direction hit
-// (nil when both legs ended in an orderly close).
+// Teardown: the first direction to finish (EOF or error) closes both
+// connections. The completion callback fires exactly once, with that
+// direction's error when it is not benign (nil for an orderly close).
 type splice struct {
 	k    simnet.Kicker // serialises the streams' notifies into one pump at a time
 	dirs [2]spliceDir

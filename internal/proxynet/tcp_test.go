@@ -114,8 +114,9 @@ func newTCPRig(t *testing.T, siteIP netip.Addr, siteChain []*cert.Certificate) *
 	return r
 }
 
-// startAgent launches an in-process exit-node agent.
-func (r *tcpRig) startAgent(zid string, cc geo.CountryCode, path *middlebox.Path) {
+// startAgent launches an in-process exit-node agent and returns the
+// cancel of its context.
+func (r *tcpRig) startAgent(zid string, cc geo.CountryCode, path *middlebox.Path) context.CancelFunc {
 	r.t.Helper()
 	dnsAP, _ := netip.ParseAddrPort(r.dnsAddr)
 	resolver := dnsserver.NewUDPResolver(localIP(), dnsAP, netip.Addr{})
@@ -128,6 +129,7 @@ func (r *tcpRig) startAgent(zid string, cc geo.CountryCode, path *middlebox.Path
 	ctx, cancel := context.WithCancel(context.Background())
 	r.t.Cleanup(cancel)
 	go agent.Run(ctx)
+	return cancel
 }
 
 // waitPeers blocks until every zID named is registered and online.

@@ -179,7 +179,7 @@ type ChainSource func(serverName string) []*cert.Certificate
 
 // RecordSource supplies the framed certificate record (FrameChain) a
 // server answers an SNI value with. A nil return produces an alert
-// (unknown server name). ServeOnce writes the record as it is and never
+// (unknown server name). A server writes the record as it is and never
 // modifies it, so one record may answer every handshake.
 type RecordSource func(serverName string) []byte
 
@@ -203,6 +203,10 @@ func alertRecord(msg string) []byte {
 // ServeOnce performs the server side for a single handshake on rw: it
 // reads the hello and writes Answer's record for it in one Write. A
 // first record that is no well-formed hello is answered with nothing.
+// It has no production caller: every site answers on its stream's
+// readiness callbacks (origin.FramedTLSSite), a real socket's too, through
+// simnet.AsStream. This blocking form is the reference the readiness site
+// is held to, byte for byte and close for close.
 func ServeOnce(rw io.ReadWriter, records RecordSource) error {
 	rec, err := ReadRecord(rw)
 	if err != nil {

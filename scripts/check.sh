@@ -11,7 +11,7 @@ GO=${GO:-go}
 
 # The gate, in order; EXTRA stages run only when named: shards and chaos
 # each re-run a subset of what test and race have already run, and loc
-# counts code lines. No stage writes a tracked file.
+# counts code lines and lint waivers. No stage writes a tracked file.
 GATE="fmt vet lint build test race fuzz bench tftbench"
 EXTRA="shards chaos loc"
 
@@ -189,14 +189,18 @@ stage() {
 		$GO test -run 'TestChaos' .
 		;;
 	loc)
-		# The code-line count a simplifying change reports: the lines of the
-		# non-test .go files of every package go list names, less blank
-		# lines and // comment lines. Writes nothing.
-		for dir in $($GO list -f '{{.Dir}}' ./...); do
+		# The two figures a simplifying change reports: the code-line count
+		# (the lines of the non-test .go files of every package go list
+		# names, less blank lines and // comment lines) and the number of
+		# //tftlint:ignore waivers tftlint -waivers lists. Writes nothing.
+		lines=$(for dir in $($GO list -f '{{.Dir}}' ./...); do
 			for f in "$dir"/*.go; do
 				case $f in *_test.go) ;; *) cat "$f" ;; esac
 			done
-		done | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//'
+		done | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//')
+		waivers=$($GO run ./cmd/tftlint -waivers ./... | wc -l)
+		echo "$lines code lines"
+		echo "$waivers tftlint waivers"
 		;;
 	*)
 		echo "check.sh: unknown stage '$1' (have: $GATE $EXTRA)" >&2
