@@ -36,7 +36,6 @@ var wrapNet = func(d proxynet.Dialer) proxynet.Dialer { return d }
 func main() {
 	fabric := simnet.NewFabric()
 	clock := simnet.NewVirtual(epoch)
-	fabric.Clock = clock // stream deadlines (the proxy's write budget) run on the same clock
 	trust, cas := cert.NewOSRootStore(epoch)
 
 	// Three sites: a valid one, a self-signed one, an expired one.

@@ -135,10 +135,6 @@ func newWorld(seed uint64, scale float64, label string) (*World, error) {
 	if err := geo.InstallGoogle(w.Geo); err != nil {
 		return nil, err
 	}
-	// Stream deadlines live on virtual time: a simulated run never stalls on
-	// a wall-clock timer, and Advance can expire idle connections.
-	w.Fabric.Clock = w.Clock
-
 	w.Auth = dnsserver.NewAuthority(Zone, w.Clock)
 	w.Fabric.HandleDNS(AuthIP, w.Auth.Handler())
 	w.Web = origin.NewServer(w.Clock)
@@ -156,7 +152,7 @@ func newWorld(seed uint64, scale float64, label string) (*World, error) {
 		EgressFor: func(netip.Addr) netip.Addr { return geo.SuperProxyResolverEgress },
 	}
 	w.lazy = proxynet.NewLazyPool(simnet.SubRand(seed, "pool/"+label), 0.01,
-		func(i int) *proxynet.ExitNode { return w.Spec.Materialize(i, w.Fabric, w.Clock) },
+		func(i int) *proxynet.ExitNode { return w.Spec.Materialize(i, w.Fabric) },
 		w.Spec.Index)
 	w.Pool = w.lazy
 	w.Super = proxynet.NewSuperProxy(ProxyIP, w.Pool, spResolver, w.Clock)

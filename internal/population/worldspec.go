@@ -8,7 +8,6 @@ import (
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/middlebox"
 	"github.com/tftproject/tft/internal/proxynet"
-	"github.com/tftproject/tft/internal/simnet"
 )
 
 // WorldSpec is the recorded blueprint of a world's exit-node population.
@@ -85,10 +84,9 @@ func (s *WorldSpec) add(cc geo.CountryCode, asn geo.ASN, addr netip.Addr, resolv
 }
 
 // Materialize builds the live exit node for row i, carrying its traffic
-// over net with its deadline budgets on clock. Every call returns a fresh
-// instance; all cross-pick state lives in the shared resolver and path
-// components.
-func (s *WorldSpec) Materialize(i int, net proxynet.Dialer, clock simnet.Clock) *proxynet.ExitNode {
+// over net. Every call returns a fresh instance; all cross-pick state lives
+// in the shared resolver and path components.
+func (s *WorldSpec) Materialize(i int, net proxynet.Dialer) *proxynet.ExitNode {
 	return &proxynet.ExitNode{
 		ZID:      s.ZID(i),
 		Addr:     s.addrs[i],
@@ -97,7 +95,6 @@ func (s *WorldSpec) Materialize(i int, net proxynet.Dialer, clock simnet.Clock) 
 		Resolver: s.resolvers[i],
 		Path:     s.paths[i],
 		Net:      net,
-		Clock:    clock,
 	}
 }
 

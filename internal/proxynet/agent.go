@@ -23,7 +23,9 @@ import (
 //	agent → gateway:  REGISTER <zid>      (once per connection)
 //	gateway → agent:  RESOLVE <name>      → 200 with rcode/ip headers
 //	                  GET <path>          → the fetched response
-//	                  CONNECT <ip:port>   → 200, then a raw byte tunnel
+//	                  CONNECT <ip:port>   → 200, then a raw byte tunnel;
+//	                                        403 if the node's ISP blocks the
+//	                                        port, 502 if its dial failed
 const (
 	methodRegister = "REGISTER"
 	methodResolve  = "RESOLVE"
@@ -40,7 +42,8 @@ const agentConnsPerPeer = 16
 
 // Agent-protocol timeouts: waiting for an idle connection, one RPC
 // round-trip, and the registration handshake. Agent connections ride real
-// sockets, so every one of them runs on the wall clock (simnet.Real).
+// sockets, so every one of them runs on the wall clock (simnet.Real,
+// setBudget).
 const (
 	agentBorrowTimeout   = 2 * time.Second
 	agentRPCTimeout      = 30 * time.Second
@@ -53,6 +56,10 @@ const (
 	agentBackoff    = 500 * time.Millisecond
 	agentBackoffCap = 30 * time.Second
 )
+
+// statusPortBlocked is the agent's answer to a CONNECT whose port the node's
+// ISP blocks; the gateway maps it back to errPortBlocked.
+const statusPortBlocked = 403
 
 // errPeerBusy is returned when a remote peer has no idle agent connection.
 var errPeerBusy = errors.New("proxynet: remote peer has no available agent connection")
@@ -144,13 +151,13 @@ func (p *remotePeer) rpc(req *httpwire.Request) (*httpwire.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(simnet.Real{}.Now().Add(agentRPCTimeout))
+	setBudget(conn, agentRPCTimeout)
 	resp, err := httpwire.Exchange(conn, req)
 	if err != nil {
 		p.drop(conn)
 		return nil, err
 	}
-	conn.SetDeadline(time.Time{})
+	setBudget(conn, 0)
 	p.put(conn)
 	return resp, nil
 }
@@ -193,7 +200,9 @@ func (p *remotePeer) FetchHTTP(ctx context.Context, host string, port uint16, pa
 // Tunnel implements Peer: the agent connection carrying the CONNECT becomes
 // the tunnel and is consumed. The relay is the exit node's splice, both
 // sockets entering it through simnet.AsStream, so a tunnel that started
-// detaches and returns true; done fires when it ends.
+// detaches and returns true; done fires when it ends. The agent dials before
+// it answers, so a refusal reaches done as the in-process node reports it:
+// errPortBlocked for a blocked port, an error for a failed dial.
 func (p *remotePeer) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, port uint16, done func(error)) bool {
 	if done == nil {
 		done = func(error) {}
@@ -209,7 +218,10 @@ func (p *remotePeer) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr,
 	if tunnel == nil {
 		p.drop(conn)
 		if err == nil {
-			err = fmt.Errorf("proxynet: agent tunnel refused: %d", resp.StatusCode)
+			err = fmt.Errorf("proxynet: agent tunnel refused: %d %s", resp.StatusCode, resp.Body)
+			if resp.StatusCode == statusPortBlocked {
+				err = errPortBlocked
+			}
 		}
 		done(err)
 		return false
@@ -242,7 +254,7 @@ func (g *Gateway) Serve(l net.Listener) error {
 
 // handle performs one agent connection's registration handshake.
 func (g *Gateway) handle(conn net.Conn) {
-	conn.SetDeadline(simnet.Real{}.Now().Add(agentRegisterTimeout))
+	setBudget(conn, agentRegisterTimeout)
 	req, err := httpwire.ReadRequestFrom(conn)
 	if err != nil || req.Method != methodRegister || req.Target == "" {
 		conn.Close()
@@ -281,7 +293,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	conn.SetDeadline(time.Time{})
+	setBudget(conn, 0)
 	if !peer.addConn(conn) {
 		conn.Close()
 	}
@@ -426,15 +438,28 @@ func (a *Agent) serveOne(ctx context.Context) error {
 				httpwire.NewResponse(400, []byte("bad tunnel target")).Write(conn)
 				return err
 			}
+			// The node dials before the gateway hears 200, so a refusal
+			// reaches the super proxy's breaker as it would in-process.
+			span, server, err := a.Node.dialTunnel(rctx, ip, port)
+			if err != nil {
+				endTunnel(span, nil, err)
+				status := 502
+				if errors.Is(err, errPortBlocked) {
+					status = statusPortBlocked
+				}
+				return httpwire.NewResponse(status, []byte(err.Error())).Write(conn)
+			}
 			if err := httpwire.NewResponse(200, nil).Write(conn); err != nil {
+				server.Close()
+				endTunnel(span, nil, err)
 				return err
 			}
 			// The connection becomes the tunnel and is consumed; the node
 			// relays (and its TLS interceptors, if any, do their work).
-			// A tunnel that started owns it, reader included, and closes
-			// it when the relay ends; one refused before it had it
-			// (blocked port, unreachable server) leaves it here.
-			detached = a.Node.Tunnel(rctx, &bufferedConn{Conn: conn, br: br}, ip, port, func(error) { stop() })
+			// The tunnel owns it, reader included, and closes it when the
+			// relay ends.
+			detached = true
+			a.Node.relayTunnel(span, &bufferedConn{Conn: conn, br: br}, server, port, func(error) { stop() })
 			return nil
 		default:
 			httpwire.NewResponse(400, []byte("unknown agent op")).Write(conn)

@@ -51,16 +51,11 @@ type ExitNode struct {
 	Path *middlebox.Path
 	// Net carries the node's traffic.
 	Net Dialer
-	// Clock is the timebase of the per-attempt deadline budgets every
-	// outbound connection of the node carries (fetchBudget, tunnelBudget),
-	// so a faulted or stalled origin cannot wedge an attempt forever. It
-	// governs fabric streams only; a real socket, or a nil Clock, measures
-	// the budgets on the wall clock (deadlineClock). A simulated world
-	// gives every node its clock (population's Materialize), so only
-	// real-socket nodes such as cmd/exitnode leave it nil. Under the virtual
-	// clock — which never advances mid-crawl — the budgets are inert and
-	// the stall fault's own deadline collapse does the bounding; on real
-	// networks they are live timers.
+	// Clock is read by nothing. The node's budgets (fetchBudget,
+	// tunnelBudget) bound real sockets only, on the wall clock (setBudget).
+	// The field stays because scripts/tftbench/drives.go assigns it, and
+	// goes once the benchmark reaches the program through one seam
+	// (ROADMAP item 13).
 	Clock simnet.Clock
 	// Tracer, when non-nil, records a span per node-side operation (DNS
 	// resolution, origin fetch, tunnel relay), parented under the span
@@ -138,10 +133,10 @@ func (n *ExitNode) fetch(ctx context.Context, src netip.Addr, host string, port 
 		return nil, err
 	}
 	defer conn.Close()
-	conn.SetDeadline(deadlineClock(conn, n.Clock).Now().Add(fetchBudget))
+	setBudget(conn, fetchBudget)
 	// Clearing on the way out stops the deadline timer rather than leaving
-	// it to fire against a closed stream.
-	defer conn.SetDeadline(time.Time{})
+	// it to fire against a closed socket.
+	defer setBudget(conn, 0)
 	req := httpwire.NewRequest("GET", path)
 	req.Header.Set("Host", host)
 	return httpwire.Exchange(conn, req)
@@ -168,29 +163,43 @@ var errPortBlocked = errors.New("proxynet: outbound port blocked by the node's I
 //
 //tftlint:hotpath
 func (n *ExitNode) Tunnel(ctx context.Context, client net.Conn, ip netip.Addr, port uint16, done func(error)) bool {
-	span := n.Tracer.StartChild(trace.FromContext(ctx), "node.tunnel", trace.KindTunnel,
-		trace.Str("zid", n.ZID), trace.Int("port", int64(port)))
-	if n.Path.PortBlocked(port) {
-		endTunnel(span, done, errPortBlocked)
-		return false
-	}
-	server, err := n.Net.Dial(ctx, n.Addr, ip, port)
+	span, server, err := n.dialTunnel(ctx, ip, port)
 	if err != nil {
 		endTunnel(span, done, err)
 		return false
 	}
-	server.SetDeadline(deadlineClock(server, n.Clock).Now().Add(tunnelBudget))
+	n.relayTunnel(span, client, server, port, done)
+	return true
+}
+
+// dialTunnel is Tunnel's first step: it opens the tunnel's span and dials
+// the server leg, or refuses with errPortBlocked. On an error the span is
+// still open, for the caller to end with endTunnel.
+func (n *ExitNode) dialTunnel(ctx context.Context, ip netip.Addr, port uint16) (trace.Span, net.Conn, error) {
+	span := n.Tracer.StartChild(trace.FromContext(ctx), "node.tunnel", trace.KindTunnel,
+		trace.Str("zid", n.ZID), trace.Int("port", int64(port)))
+	if n.Path.PortBlocked(port) {
+		return span, nil, errPortBlocked
+	}
+	server, err := n.Net.Dial(ctx, n.Addr, ip, port)
+	return span, server, err
+}
+
+// relayTunnel is Tunnel's second step: it starts the relay between client
+// and the dialed server leg, which then owns both, and ends span when the
+// relay does.
+func (n *ExitNode) relayTunnel(span trace.Span, client, server net.Conn, port uint16, done func(error)) {
+	setBudget(server, tunnelBudget)
 	c2s, s2c, end := n.rewrites(port)
 	finish := func(err error) {
 		if err == nil && end != nil {
 			err = end()
 		}
 		// The budget covers the relay only; clearing stops the timer.
-		server.SetDeadline(time.Time{})
+		setBudget(server, 0)
 		endTunnel(span, done, err)
 	}
 	startSplice(simnet.AsStream(client, server), simnet.AsStream(server, client), c2s, s2c, finish)
-	return true
 }
 
 // rewrites picks the chunk rewrites of a tunnel to port: the path's

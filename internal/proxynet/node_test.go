@@ -20,6 +20,7 @@ import (
 	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/smtpwire"
+	"github.com/tftproject/tft/internal/tlssim"
 )
 
 var mailIP = netip.MustParseAddr("198.51.100.25")
@@ -415,8 +416,8 @@ func TestTunnelBenignBothWays(t *testing.T) {
 }
 
 // deadlineConn records every SetDeadline made on the conn it wraps. It is
-// no *simnet.Stream, so the node measures its budgets on the wall clock,
-// as it does on a real socket.
+// no *simnet.Stream, so the node and the super proxy arm their budgets on
+// it, on the wall clock, as they do on a real socket.
 type deadlineConn struct {
 	net.Conn
 	mu        sync.Mutex
@@ -446,9 +447,9 @@ func (d *deadlineDialer) Dial(ctx context.Context, src, dst netip.Addr, port uin
 	return dc, nil
 }
 
-// TestExitNodeBudgetsWithoutClock: a node with no Clock — cmd/exitnode's
-// configuration — still arms its fetch and tunnel budgets on the wall
-// clock, and clears each when the leg ends.
+// TestExitNodeBudgetsWithoutClock: a node whose legs are not fabric
+// streams — cmd/exitnode's real sockets — arms its fetch and tunnel budgets
+// on the wall clock, and clears each when the leg ends.
 func TestExitNodeBudgetsWithoutClock(t *testing.T) {
 	f, node := smtpFabric(t, nil)
 	dialer := &deadlineDialer{Dialer: f}
@@ -500,4 +501,87 @@ func TestExitNodeBudgetsWithoutClock(t *testing.T) {
 		client.Close()
 		<-ended // the budget is cleared before done fires
 	})
+}
+
+// TestSuperProxyWriteBudgetOnSockets: the super proxy bounds each response
+// write to a client that is not a fabric stream by respWriteBudget on the
+// wall clock and clears the bound after the write, for a forwarded response
+// and for an error response (fail) alike.
+func TestSuperProxyWriteBudgetOnSockets(t *testing.T) {
+	w := newTestWorld(t, 0)
+	w.setRule("d1", dnsserver.Always(webIP))
+	var conns []*deadlineConn
+	w.fabric.HandleTCP(proxyIP, ProxyPort, func(conn net.Conn) {
+		dc := &deadlineConn{Conn: conn}
+		conns = append(conns, dc)
+		if !w.sp.ServeConn(dc) {
+			dc.Close()
+		}
+	})
+	// d1 is forwarded; d2 has no rule, so the super proxy's existence check
+	// fails it with a 502.
+	for host, status := range map[string]int{"d1": 200, "d2": 502} {
+		before := time.Now()
+		resp, _, err := w.client.Get(context.Background(), Options{}, "http://"+host+"."+zone+"/")
+		after := time.Now()
+		if err != nil || resp.StatusCode != status {
+			t.Fatalf("%s: %v, %v; want status %d", host, resp, err, status)
+		}
+		c := conns[len(conns)-1]
+		c.mu.Lock()
+		deadlines := c.deadlines
+		c.mu.Unlock()
+		if len(deadlines) != 2 {
+			t.Fatalf("%s set deadlines %v, want the budget then a clear", host, deadlines)
+		}
+		if armed := deadlines[0]; armed.Before(before.Add(respWriteBudget)) || armed.After(after.Add(respWriteBudget)) {
+			t.Fatalf("%s armed %v, want %v after a wall time in [%v, %v]", host, armed, respWriteBudget, before, after)
+		}
+		if !deadlines[1].IsZero() {
+			t.Fatalf("%s left the deadline at %v", host, deadlines[1])
+		}
+	}
+}
+
+// TestFabricStreamsArmNoDeadline: a proxied request over fabric streams
+// schedules nothing on the world's virtual clock. The origin of a GET, a
+// site as it accepts a CONNECT tunnel, and the tunnel while it is live all
+// see Pending() == 0: a budget could not fire there, so none is armed.
+func TestFabricStreamsArmNoDeadline(t *testing.T) {
+	w := newTestWorld(t, 0)
+	w.setRule("d1", dnsserver.Always(webIP))
+	web := w.web.ConnHandler()
+	atGet := -1
+	w.fabric.HandleTCP(webIP, 80, func(conn net.Conn) {
+		atGet = w.clock.Pending()
+		web(conn)
+	})
+	resp, _, err := w.client.Get(context.Background(), Options{}, "http://d1."+zone+"/")
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("GET: %v, %v", resp, err)
+	}
+	if atGet != 0 {
+		t.Fatalf("%d callbacks pending on the virtual clock while the origin served a GET", atGet)
+	}
+
+	root := cert.NewRootCA(cert.Name{CommonName: "Site Root"}, "sr", t0.Add(-time.Hour), 1000*time.Hour)
+	leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},
+		NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "site"})
+	site := origin.TLSSite(func(string) []*cert.Certificate { return []*cert.Certificate{leaf, root.Cert} })
+	atAccept := -1
+	w.fabric.HandleTCP(siteIP, 443, func(conn net.Conn) {
+		atAccept = w.clock.Pending()
+		site(conn)
+	})
+	conn, _, err := w.client.Connect(context.Background(), Options{}, siteIP.String()+":443")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := tlssim.CollectChain(conn, "site.example"); err != nil {
+		t.Fatal(err)
+	}
+	if live := w.clock.Pending(); atAccept != 0 || live != 0 {
+		t.Fatalf("callbacks pending on the virtual clock: %d as the site accepted the tunnel, %d while it is live", atAccept, live)
+	}
 }

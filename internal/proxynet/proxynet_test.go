@@ -59,10 +59,6 @@ func newTestWorld(t testing.TB, churn float64) *testWorld {
 		fabric: simnet.NewFabric(),
 		clock:  simnet.NewVirtual(t0),
 	}
-	// Production worlds inject the virtual clock into the fabric (see
-	// population.Build), so stream deadlines live on virtual time; the
-	// super proxy's response write deadlines depend on that agreement.
-	w.fabric.Clock = w.clock
 	w.auth = dnsserver.NewAuthority(zone, w.clock)
 	w.fabric.HandleDNS(authIP, w.auth.Handler())
 	w.web = origin.NewServer(w.clock)

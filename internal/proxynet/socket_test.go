@@ -2,6 +2,7 @@ package proxynet
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/netip"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/tftproject/tft/internal/cert"
+	"github.com/tftproject/tft/internal/middlebox"
 	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/smtpwire"
@@ -160,5 +162,42 @@ func TestAgentCancelEndsLiveTunnel(t *testing.T) {
 	client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if n, err := client.Read(buf); err == nil {
 		t.Fatalf("the client read %q from a tunnel its agent's cancel should have ended", buf[:n])
+	}
+}
+
+// TestAgentTunnelRefusalIsNotClean: a remote node dials before its agent
+// answers a CONNECT, so a refused tunnel reaches done as the in-process node
+// reports it: a closed port as an error, a port its ISP blocks as
+// errPortBlocked, which trips no breaker. Neither detaches.
+func TestAgentTunnelRefusalIsNotClean(t *testing.T) {
+	r := newTCPRig(t, netip.Addr{}, nil)
+	// A port something listens on, so that only the block refuses it, and
+	// one nothing listens on.
+	open, blocked := listenTCP(t, localIP())
+	t.Cleanup(func() { open.Close() })
+	shut, closed := listenTCP(t, localIP())
+	shut.Close()
+	r.startAgent("zremote10", "DE", &middlebox.Path{BlockedPorts: []uint16{blocked}})
+	for _, c := range []struct {
+		name    string
+		port    uint16
+		blocked bool
+	}{{"closed port", closed, false}, {"blocked port", blocked, true}} {
+		r.waitPeers("zremote10")
+		peer, _ := r.pool.Get("zremote10")
+		client, gatewaySide := net.Pipe()
+		ended := make(chan error, 1)
+		detached := peer.Tunnel(context.Background(), gatewaySide, localIP(), c.port, func(err error) { ended <- err })
+		err := waitEnded(t, ended)
+		client.Close()
+		if !detached {
+			gatewaySide.Close()
+		}
+		if detached || err == nil {
+			t.Fatalf("%s: detached %v, outcome %v; want a refusal", c.name, detached, err)
+		}
+		if errors.Is(err, errPortBlocked) != c.blocked {
+			t.Fatalf("%s: outcome %v; errPortBlocked wanted: %v", c.name, err, c.blocked)
+		}
 	}
 }

@@ -269,38 +269,32 @@ func (sp *SuperProxy) ServeConn(conn net.Conn) bool {
 // response (or error) back to a client whose receive path has stalled.
 const respWriteBudget = 10 * time.Second
 
-// deadlineClock returns the timebase governing conn's deadlines: fabric
-// streams keep deadlines on the world's injected clock, but a real socket
-// always measures them against the wall clock — mixed rigs (virtual
-// session clock, real TCP conns) would otherwise arm deadlines that are
-// decades stale.
-func deadlineClock(conn net.Conn, injected simnet.Clock) simnet.Clock {
-	if _, ok := conn.(*simnet.Stream); ok && injected != nil {
-		return injected
+// setBudget bounds every wait on conn to d from now on the wall clock;
+// d == 0 clears the bound, which also stops its timer. A fabric stream gets
+// no bound: a simulated world's time is its virtual clock, which no crawl
+// advances while a session is in flight, so a budget there could never
+// fire, and a stalled or faulted stream fails on its own (the stall fault's
+// deadline error). A real socket — a daemon's client, an agent connection,
+// an origin cmd/exitnode dials — is where peers stop answering.
+func setBudget(conn net.Conn, d time.Duration) {
+	if _, ok := conn.(*simnet.Stream); ok {
+		return
 	}
-	return simnet.Real{}
+	var t time.Time
+	if d > 0 {
+		t = simnet.Real{}.Now().Add(d)
+	}
+	conn.SetDeadline(t)
 }
 
-// armWriteDeadline puts a write deadline on a client connection so a
-// stalled or fault-injected client cannot wedge the service goroutine.
-func (sp *SuperProxy) armWriteDeadline(conn net.Conn) {
-	conn.SetWriteDeadline(deadlineClock(conn, sp.Clock).Now().Add(respWriteBudget))
-}
-
-// clearWriteDeadline removes the response write deadline — required before
-// a CONNECT tunnel detaches, and it releases the deadline timer.
-func (sp *SuperProxy) clearWriteDeadline(conn net.Conn) {
-	conn.SetWriteDeadline(time.Time{})
-}
-
-// fail writes an error response carrying the debug headers, under a write
-// deadline so an unresponsive client cannot hold the goroutine.
+// fail writes an error response carrying the debug headers, under the write
+// budget so an unresponsive client cannot hold the goroutine.
 func (sp *SuperProxy) fail(conn net.Conn, status int, errStr, zid string, ip netip.Addr, attempts []Attempt) {
 	resp := httpwire.NewResponse(status, []byte(errStr))
 	attachDebug(resp, zid, ip, attempts, errStr)
-	sp.armWriteDeadline(conn)
+	setBudget(conn, respWriteBudget)
 	resp.Write(conn)
-	sp.clearWriteDeadline(conn)
+	setBudget(conn, 0)
 }
 
 // resolveSuper is the existence check Luminati runs before forwarding
@@ -506,9 +500,9 @@ func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *ht
 	aspan.End()
 	sp.logRequest(under, "GET", req.Target, node.PeerID(), "", len(attempts))
 	attachDebug(resp, node.PeerID(), node.PeerIP(), attempts, "")
-	sp.armWriteDeadline(conn)
+	setBudget(conn, respWriteBudget)
 	resp.Write(conn)
-	sp.clearWriteDeadline(conn)
+	setBudget(conn, 0)
 	// The client has its own copy now, and the exit node's goes back to the
 	// pool; a shared body was never pooled, and the client holds it too.
 	resp.Release()
@@ -550,11 +544,11 @@ func (sp *SuperProxy) handleConnect(parent trace.SpanContext, conn net.Conn, req
 	ok := httpwire.NewResponse(200, nil)
 	ok.Reason = "Connection established"
 	attachDebug(ok, node.PeerID(), node.PeerIP(), attempts, "")
-	sp.armWriteDeadline(conn)
+	setBudget(conn, respWriteBudget)
 	err = ok.Write(conn)
 	// The deadline must not outlive the handshake: the tunnel relays on
 	// this connection for as long as the client keeps it open.
-	sp.clearWriteDeadline(conn)
+	setBudget(conn, 0)
 	if err != nil {
 		sp.Health.Failure(node.PeerID())
 		aspan.SetError(err.Error())

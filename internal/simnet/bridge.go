@@ -40,7 +40,7 @@ func AsStream(c, peer net.Conn) *Stream {
 		q = r.pump
 		r.mu.Unlock()
 	}
-	pc := newConn(DefaultWindow, Real{}, q, false)
+	pc := newConn(DefaultWindow, q, false)
 	near, far := &pc.s[0], &pc.s[1]
 	//tftlint:ignore nogo -- socket bridge: a real socket's reads block in the OS, so one goroutine per bridged socket carries them into the pipe
 	go func() {

@@ -71,7 +71,7 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer { return Timer{real: time
 // in the traversed window fire in timestamp order.
 //
 // The heap holds only live timers: Stop removes its event at once, so a
-// cleared deadline drops its closure (and whatever that pins) even on a clock
+// stopped timer drops its closure (and whatever that pins) even on a clock
 // nobody advances. Fired and stopped events are recycled through a free list,
 // so a run that schedules millions of callbacks (a full-scale monitor window)
 // reuses a bounded set of event objects instead of allocating one per
@@ -115,22 +115,6 @@ func (v *Virtual) setNow(t time.Time) {
 // AfterFunc implements Clock. Callbacks scheduled with a non-positive delay
 // fire at the current virtual time on the next Advance or Run call.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
-	return v.after(d, callback(f), 0)
-}
-
-// fired is what an event calls when it fires, with the argument it was
-// scheduled with. Anything pointer-shaped sits in an event at no cost, which
-// is what lets a stream deadline arm itself without a closure: see
-// deadline.fire.
-type fired interface{ fire(arg uint64) }
-
-// callback is a plain AfterFunc callback as a fired.
-type callback func()
-
-func (f callback) fire(uint64) { f() }
-
-// after schedules f.fire(arg) for d from now.
-func (v *Virtual) after(d time.Duration, f fired, arg uint64) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if d < 0 {
@@ -139,7 +123,7 @@ func (v *Virtual) after(d time.Duration, f fired, arg uint64) Timer {
 	ev := v.alloc()
 	ev.at = v.Now().Add(d)
 	ev.seq = v.seq
-	ev.f, ev.arg = f, arg
+	ev.f = f
 	v.seq++
 	heap.Push(&v.events, ev)
 	return Timer{clock: v, ev: ev, gen: ev.gen}
@@ -222,7 +206,7 @@ func (v *Virtual) advanceTo(t time.Time) int {
 		}
 		v.mu.Unlock()
 		for _, ev := range batch {
-			ev.f.fire(ev.arg)
+			ev.f()
 		}
 		v.mu.Lock()
 		fired += len(batch)
@@ -278,8 +262,7 @@ func (v *Virtual) recycle(ev *event) {
 type event struct {
 	at    time.Time
 	seq   uint64
-	f     fired
-	arg   uint64
+	f     func()
 	gen   uint64
 	index int    // position in the heap, -1 once popped or removed
 	next  *event // free-list link

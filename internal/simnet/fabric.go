@@ -57,13 +57,10 @@ type DNSHandler func(src netip.Addr, query []byte) []byte
 // Fabric is an in-memory network: a registry of hosts addressable by IP,
 // offering TCP-like stream dialing and DNS-like datagram exchange. It is the
 // simulation analogue of the real net package and is safe for concurrent
-// use.
+// use. It has no clock: a dialed stream's deadlines run on the wall clock,
+// as a bare Pipe's do, and a simulated world arms none (its time is a
+// virtual clock that no crawl advances mid-session).
 type Fabric struct {
-	// Clock is the timebase for stream deadlines on dialed connections
-	// (nil means the wall clock). Simulated worlds inject their Virtual
-	// clock so SetDeadline instants live on virtual time.
-	Clock Clock
-
 	// Faults, when non-nil, is the chaos plane: every Dial matching its
 	// profile may have deterministic seeded faults armed on the dialer's
 	// stream end (see FaultPlane).
@@ -121,14 +118,6 @@ func (s *services) listener(port uint16) service {
 // NewFabric returns an empty network fabric.
 func NewFabric() *Fabric {
 	return &Fabric{hosts: make(map[netip.Addr]*host)}
-}
-
-// clock returns the injected deadline clock, defaulting to the wall clock.
-func (f *Fabric) clock() Clock {
-	if f.Clock != nil {
-		return f.Clock
-	}
-	return Real{}
 }
 
 // HandleTCP registers h as the listener for (addr, port), dispatched on the
@@ -251,7 +240,7 @@ func (f *Fabric) connect(svc service, src, dst netip.Addr, port uint16) *Stream 
 	// A sequential handler's dialer is parked beneath it on the stack while
 	// it runs, so a response larger than the window could never drain: the
 	// service-side send ring grows instead of blocking.
-	c := newConn(DefaultWindow, f.clock(), &f.tasks, !svc.stream)
+	c := newConn(DefaultWindow, &f.tasks, !svc.stream)
 	c.ends[0] = endpoint{ip: src}
 	c.ends[1] = endpoint{ip: dst, port: port}
 	local, remote := &c.s[0], &c.s[1]

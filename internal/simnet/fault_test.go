@@ -216,7 +216,6 @@ func TestFaultPlaneDelayedInjectionViaAfterFunc(t *testing.T) {
 		Specs: []FaultSpec{{Kind: FaultReset, Prob: 1.0, Delay: 5 * time.Second}},
 	}
 	f := NewFabric()
-	f.Clock = clock
 	f.Faults = NewFaultPlane(profile, 1, clock)
 	var resets atomic.Int64 // the profile's only kind
 	f.Faults.OnInject(func(string) { resets.Add(1) })

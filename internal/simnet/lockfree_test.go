@@ -148,10 +148,10 @@ func TestAdvanceAllocatesNothing(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	c := NewVirtual(t0)
-	tick := callback(func() {})
+	tick := func() {}
 	rearm := func() {
 		for i := 1; i <= 1000; i++ {
-			c.after(time.Duration(i)*time.Millisecond, tick, 0)
+			c.AfterFunc(time.Duration(i)*time.Millisecond, tick)
 		}
 	}
 	rearm()

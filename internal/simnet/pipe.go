@@ -102,10 +102,9 @@ var pairPool sync.Pool
 // close is still delivered, and the peer sees io.EOF only after draining
 // it. CloseWrite half-closes like a TCP FIN.
 //
-// A bare Pipe runs deadlines on the wall clock; fabric-dialed streams run
-// them on the fabric's injected Clock.
+// Deadlines run on the wall clock, on a bare Pipe as on a dialed stream.
 func Pipe(window int) (*Stream, *Stream) {
-	c := newConn(window, Real{}, nil, false)
+	c := newConn(window, nil, false)
 	return &c.s[0], &c.s[1]
 }
 
@@ -125,24 +124,23 @@ type pair struct {
 // the pair serves now. The addresses stay here for the same reason: a
 // net.Addr handed out by LocalAddr is the caller's for good.
 type conn struct {
-	pair  *pair
-	gen   uint64
-	clock Clock       // deadline timebase
-	ends  [2]endpoint // fabric endpoint addresses (zero on a bare Pipe)
-	s     [2]Stream
+	pair *pair
+	gen  uint64
+	ends [2]endpoint // fabric endpoint addresses (zero on a bare Pipe)
+	s    [2]Stream
 }
 
-// newConn builds a connection whose deadlines run on clock and whose blocked
-// operations drain pump (when non-nil) before parking. grow lets the second
-// end out-write the window (see Fabric.Dial).
+// newConn builds a connection whose blocked operations drain pump (when
+// non-nil) before parking. grow lets the second end out-write the window
+// (see Fabric.Dial).
 //
 //tftlint:hotpath
-func newConn(window int, clock Clock, pump *taskQueue, grow bool) *conn {
+func newConn(window int, pump *taskQueue, grow bool) *conn {
 	if window <= 0 {
 		window = DefaultWindow
 	}
 	pp := takePair()
-	c := &conn{pair: pp, clock: clock}
+	c := &conn{pair: pp}
 	for i := range pp.r {
 		r := &pp.r[i]
 		// Under the lock: an end from the pair's last generation may be
@@ -207,8 +205,7 @@ func (pp *pair) maybeReclaim(gen uint64) {
 		r.n, r.start = 0, 0
 		r.seg = nil
 		// Detach the timers under the lock but stop them after releasing
-		// it: Stop takes the clock's lock, and the gen bump already
-		// neuters a racing fire.
+		// it: the gen bump already neuters a racing fire.
 		rt, wt := r.rdead.timer, r.wdead.timer
 		r.rdead.timer, r.wdead.timer = Timer{}, Timer{}
 		r.rdead.gen++
@@ -710,15 +707,15 @@ func (r *ring) closeRead(gen uint64) {
 	r.changed()
 }
 
-// setDeadline (re)arms one side's deadline flag and timer on the
-// connection's clock: the fabric's injected Clock for dialed streams
-// (simnet.Real in daemons), the wall clock for bare Pipes.
-func (r *ring) setDeadline(gen uint64, clock Clock, t time.Time, d *deadline) {
-	// Clock reads and timer stops stay outside the critical section; the
-	// gen bump under the lock invalidates a stale timer that fires in the
-	// gap (lockorder: the clock is an interface, and calls through one
-	// under r.mu are opaque to the acquisition graph).
-	now := clock.Now()
+// setDeadline (re)arms one side's deadline flag and timer on the wall
+// clock, a dialed stream's as a bare Pipe's. A deadline bounds a real wait:
+// the proxy chain arms its budgets on real sockets only, never on a fabric
+// stream, whose world runs on the virtual clock.
+func (r *ring) setDeadline(gen uint64, t time.Time, d *deadline) {
+	// The clock read and the timer stop stay outside the critical section;
+	// the gen bump under the lock invalidates a stale timer that fires in
+	// the gap.
+	now := Real{}.Now()
 	var stale Timer
 	defer func() { stale.Stop() }()
 	r.mu.Lock()
@@ -741,16 +738,9 @@ func (r *ring) setDeadline(gen uint64, clock Clock, t time.Time, d *deadline) {
 	}
 	d.timed = false
 	// The timer must arm under r.mu so a concurrent setDeadline cannot
-	// observe a half-armed deadline. A Virtual clock — every simulated
-	// world's — takes the deadline itself and the generation, so arming
-	// allocates nothing; any other clock is handed a closure over the two.
+	// observe a half-armed deadline.
 	armed := d.gen
-	if v, ok := clock.(*Virtual); ok {
-		d.timer = v.after(wait, d, armed)
-	} else {
-		//tftlint:ignore lockorder -- arming under r.mu, as above: the wall clock's AfterFunc takes no lock of this package's, and ring.mu -> clock.mu is its one cross-type order, never reversed
-		d.timer = clock.AfterFunc(wait, func() { d.fire(armed) })
-	}
+	d.timer = Real{}.AfterFunc(wait, func() { d.fire(armed) })
 	r.mu.Unlock()
 }
 
@@ -869,14 +859,14 @@ func (s *Stream) SetDeadline(t time.Time) error {
 // SetReadDeadline implements net.Conn.
 func (s *Stream) SetReadDeadline(t time.Time) error {
 	r := s.in()
-	r.setDeadline(s.c.gen, s.c.clock, t, &r.rdead)
+	r.setDeadline(s.c.gen, t, &r.rdead)
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn.
 func (s *Stream) SetWriteDeadline(t time.Time) error {
 	r := s.out()
-	r.setDeadline(s.c.gen, s.c.clock, t, &r.wdead)
+	r.setDeadline(s.c.gen, t, &r.wdead)
 	return nil
 }
 

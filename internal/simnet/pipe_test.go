@@ -132,7 +132,7 @@ func TestWriteAndTryWriteAgree(t *testing.T) {
 		}
 	}
 
-	c := newConn(window, Real{}, nil, true)
+	c := newConn(window, nil, true)
 	grower := &c.s[1]
 	defer c.s[0].Close()
 	defer grower.Close()

@@ -14,9 +14,8 @@ import (
 )
 
 // echoFabric serves a one-byte echo on hostB:7, inline on the dialer.
-func echoFabric(clock Clock) *Fabric {
+func echoFabric() *Fabric {
 	f := NewFabric()
-	f.Clock = clock
 	f.HandleTCP(hostB, 7, func(c net.Conn) {
 		defer c.Close()
 		var b [1]byte
@@ -51,7 +50,7 @@ func echoes(conn net.Conn, b byte) error {
 func reissue(t *testing.T, f *Fabric, use func(local, remote *Stream)) (staleLocal, staleRemote, live *Stream) {
 	t.Helper()
 	for try := 0; try < 200; try++ {
-		old := newConn(DefaultWindow, f.clock(), &f.tasks, true)
+		old := newConn(DefaultWindow, &f.tasks, true)
 		old.ends[0], old.ends[1] = endpoint{ip: hostC}, endpoint{ip: hostB, port: 9}
 		old.s[0].dialed, old.s[1].dialed = true, true
 		if use != nil {
@@ -79,7 +78,7 @@ func reissue(t *testing.T, f *Fabric, use func(local, remote *Stream)) (staleLoc
 // been issued to another connection, is a closed stream — io.ErrClosedPipe
 // or nothing to do — and the connection living in the pair never notices.
 func TestStaleStreamIsInert(t *testing.T) {
-	f := echoFabric(nil)
+	f := echoFabric()
 	staleA, staleB, live := reissue(t, f, nil)
 
 	buf := make([]byte, 8)
@@ -131,14 +130,14 @@ func TestStaleStreamIsInert(t *testing.T) {
 }
 
 // TestReusedConnStartsClean: whatever the last connection left on the pair —
-// a reset, a ring grown past its window, a pending shared segment, an armed
-// deadline on the virtual clock, a notify callback — the next one starts
-// with none of it, and the old deadline's instant passing does not time it
-// out.
+// a reset, a ring grown past its window, a pending shared segment, armed
+// deadlines, a notify callback — the next one starts with none of it: the
+// old deadlines' timers are stopped, and an old deadline's instant passing
+// does not time it out.
 func TestReusedConnStartsClean(t *testing.T) {
-	clock := NewVirtual(t0)
-	f := echoFabric(clock)
+	f := echoFabric()
 	var notified atomic.Int32
+	var timers []Timer // the closed connection's minute-long deadlines
 	_, _, live := reissue(t, f, func(local, remote *Stream) {
 		if _, err := remote.Write(make([]byte, 3*DefaultWindow)); err != nil {
 			t.Fatal(err)
@@ -149,8 +148,9 @@ func TestReusedConnStartsClean(t *testing.T) {
 		if _, err := local.WriteShared(make([]byte, 8)); err != nil || local.out().seg == nil {
 			t.Fatalf("the old connection queued no shared segment: %v", err)
 		}
-		local.SetDeadline(clock.Now().Add(time.Minute))
-		remote.SetDeadline(clock.Now().Add(time.Minute))
+		local.SetDeadline(Real{}.Now().Add(time.Minute))
+		remote.SetDeadline(Real{}.Now().Add(10 * time.Millisecond))
+		timers = append(timers[:0], local.in().rdead.timer, local.out().wdead.timer)
 		local.SetNotify(func() { notified.Add(1) })
 		remote.SetNotify(func() { notified.Add(1) })
 		local.InjectReset()
@@ -169,15 +169,17 @@ func TestReusedConnStartsClean(t *testing.T) {
 		}
 		r.mu.Unlock()
 	}
-	if got := clock.Pending(); got != 0 {
-		t.Fatalf("%d deadline timer(s) of the closed connection still pending", got)
+	for i, tm := range timers {
+		if tm == (Timer{}) || tm.Stop() {
+			t.Fatalf("deadline timer %d of the closed connection was still pending", i)
+		}
 	}
 	// Full back-pressure on the dialer's side: the last connection's grown
 	// window is not this one's.
 	if n, err := live.TryWrite(make([]byte, 2*DefaultWindow)); n != DefaultWindow || !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("TryWrite on a reused default ring = (%d, %v), want (%d, ErrWouldBlock)", n, err, DefaultWindow)
 	}
-	clock.Advance(2 * time.Minute)
+	time.Sleep(20 * time.Millisecond) // past the short deadlines' instant
 	var got [1]byte
 	if _, err := io.ReadFull(live, got[:]); err != nil { // runs the echo handler
 		t.Fatalf("read on the reused connection after the old deadline passed: %v", err)
@@ -191,12 +193,11 @@ func TestReusedConnStartsClean(t *testing.T) {
 // with its firing calls back after its connection has been reclaimed and the
 // pair reissued, and times out nobody.
 func TestStaleDeadlineTimerIsNeutered(t *testing.T) {
-	clock := NewVirtual(t0)
-	f := echoFabric(clock)
+	f := echoFabric()
 	var stale *deadline
 	var armed uint64
 	_, _, live := reissue(t, f, func(local, _ *Stream) {
-		local.SetReadDeadline(clock.Now().Add(time.Hour))
+		local.SetReadDeadline(Real{}.Now().Add(time.Hour))
 		stale = &local.in().rdead
 		armed = stale.gen
 	})
@@ -205,7 +206,7 @@ func TestStaleDeadlineTimerIsNeutered(t *testing.T) {
 	if err := echoes(live, 1); err != nil {
 		t.Fatalf("live connection after a stale deadline fired: %v", err)
 	}
-	live.SetReadDeadline(clock.Now().Add(-time.Second))
+	live.SetReadDeadline(Real{}.Now().Add(-time.Second))
 	if _, err := live.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("the live connection's own deadline: %v", err)
 	}
@@ -217,7 +218,7 @@ func TestStaleDeadlineTimerIsNeutered(t *testing.T) {
 // it before the reader has woken. It must see the end of its own connection,
 // never a byte of theirs.
 func TestBlockedReaderAcrossReuse(t *testing.T) {
-	f := echoFabric(nil)
+	f := echoFabric()
 	stop := make(chan struct{})
 	var dialers sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -243,7 +244,7 @@ func TestBlockedReaderAcrossReuse(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 300; i++ {
-		c := newConn(DefaultWindow, Real{}, nil, false)
+		c := newConn(DefaultWindow, nil, false)
 		a, b := &c.s[0], &c.s[1]
 		parked := make(chan struct{})
 		done := make(chan struct{})
@@ -282,7 +283,7 @@ func TestBlockedReaderAcrossReuse(t *testing.T) {
 // handler's one-byte buffer.
 func TestDialRoundTripAllocs(t *testing.T) {
 	skipIfPoolLossy(t)
-	f := echoFabric(NewVirtual(t0))
+	f := echoFabric()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	one := []byte{1}

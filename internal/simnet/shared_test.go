@@ -95,7 +95,7 @@ func TestWriteBehindSegmentWaits(t *testing.T) {
 // dialer, so a write behind a pending segment copies the segment into the
 // ring first, growing it, and returns at once.
 func TestInlineWriteFoldsSegment(t *testing.T) {
-	c := newConn(0, Real{}, nil, true)
+	c := newConn(0, nil, true)
 	dialer, handler := &c.s[0], &c.s[1]
 	body := patterned(100 << 10)
 	want := bytes.Clone(body)
@@ -194,7 +194,7 @@ func FuzzSharedAgreesWithCopy(f *testing.F) {
 		}
 		window := 8 + int(script[0]%56)
 		script = script[1:]
-		sc, cc := newConn(window, Real{}, nil, true), newConn(window, Real{}, nil, true)
+		sc, cc := newConn(window, nil, true), newConn(window, nil, true)
 		sw, sr := &sc.s[1], &sc.s[0] // the shared side: writer grows
 		cw, cr := &cc.s[1], &cc.s[0] // every write copied
 		var sources, saved [][]byte

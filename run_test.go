@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tftproject/tft/internal/core"
+	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/trace"
 )
 
@@ -145,5 +146,54 @@ func TestResultsRunsAndNilMetricsTable(t *testing.T) {
 		if run.Metrics() == nil {
 			t.Fatalf("run %q: nil-registry Metrics() must return an empty snapshot", run.Name())
 		}
+	}
+}
+
+// spansOf returns a finished run, its retained spans and the number of spans
+// its tracer ever recorded.
+func spansOf[D crawlDataset, A tableSet](r *ExperimentRun[D, A], err error) (Run, []trace.SpanData, int64, error) {
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return r, r.Spans(), r.Opts.Crawl.Tracer.Total(), nil
+}
+
+// TestCrawlsRunAtOneInstant pins the premise that lets a fabric stream carry
+// no deadline: no crawl advances the world's virtual clock while a session is
+// in flight. Every span of a small dns, http, tls, smtp and monitor crawl
+// starts and ends at population.Epoch; the monitor's refetches, which run as
+// the clock crosses the monitoring day after the crawl, record none.
+func TestCrawlsRunAtOneInstant(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Seed: 7, Scale: 0.005, Workers: 2, Crawl: core.CrawlConfig{MaxSessions: 150}}
+	crawls := map[string]func() (Run, []trace.SpanData, int64, error){
+		"dns":     func() (Run, []trace.SpanData, int64, error) { return spansOf(RunDNS(ctx, opts)) },
+		"http":    func() (Run, []trace.SpanData, int64, error) { return spansOf(RunHTTP(ctx, opts)) },
+		"tls":     func() (Run, []trace.SpanData, int64, error) { return spansOf(RunTLS(ctx, opts)) },
+		"smtp":    func() (Run, []trace.SpanData, int64, error) { return spansOf(RunSMTP(ctx, opts)) },
+		"monitor": func() (Run, []trace.SpanData, int64, error) { return spansOf(RunMonitor(ctx, opts)) },
+	}
+	for name, crawl := range crawls {
+		t.Run(name, func(t *testing.T) {
+			run, spans, total, err := crawl()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(spans)) != total {
+				t.Fatalf("the tracer kept %d of %d spans; the check needs every one", len(spans), total)
+			}
+			probes := 0
+			for _, sp := range spans {
+				if sp.Kind == trace.KindClient {
+					probes++
+				}
+				if !sp.Start.Equal(population.Epoch) || !sp.End.Equal(population.Epoch) {
+					t.Fatalf("span %s ran from %v to %v, not at the epoch %v", sp.Name, sp.Start, sp.End, population.Epoch)
+				}
+			}
+			if probes == 0 || probes != run.Stats().Sessions {
+				t.Fatalf("%d probe spans for %d sessions", probes, run.Stats().Sessions)
+			}
+		})
 	}
 }

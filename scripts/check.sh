@@ -10,10 +10,11 @@ set -eu
 GO=${GO:-go}
 
 # The gate, in order; EXTRA stages run only when named: shards and chaos
-# each re-run a subset of what test and race have already run, and loc
-# counts code lines and lint waivers. No stage writes a tracked file.
+# each re-run a subset of what test and race have already run, loc counts
+# code lines and lint waivers, and census counts a session's lock
+# operations. No stage writes a tracked file.
 GATE="fmt vet lint build test race fuzz bench tftbench"
-EXTRA="shards chaos loc"
+EXTRA="shards chaos loc census"
 
 # exists PKG PATTERN...: fail unless every pattern names a test, fuzz
 # target or benchmark in PKG. go test exits 0 when -run, -fuzz or -bench
@@ -201,6 +202,14 @@ stage() {
 		waivers=$($GO run ./cmd/tftlint -waivers ./... | wc -l)
 		echo "$lines code lines"
 		echo "$waivers tftlint waivers"
+		;;
+	census)
+		# The lock census behind DESIGN.md §6's shared-state table, with the
+		# table's arguments: how often a dns session takes each lock or does
+		# each atomic write, by whose it is (every worker's, a stripe's, one
+		# connection's). A -cover build of cmd/tft in a temporary directory,
+		# about ten seconds; writes nothing.
+		$GO run ./scripts/lockcensus -experiment dns -scale 0.0375 -seed 7 -workers 2
 		;;
 	*)
 		echo "check.sh: unknown stage '$1' (have: $GATE $EXTRA)" >&2
