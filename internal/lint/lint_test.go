@@ -65,6 +65,7 @@ func TestFixtures(t *testing.T) {
 		"ctxfirst/bad",
 		"nogo/bad",
 		"noblock/bad",
+		"noblock/readiness",
 		"maporder/bad",
 		"lockorder/bad",
 		"hotalloc/bad",

@@ -1,15 +1,17 @@
 package lint
 
 // noblock enforces the run-to-completion contract of the simnet event core:
-// callbacks registered on the fabric's task queue (taskQueue.push) or as
-// stream readiness handlers (Stream.SetNotify) execute inline on whichever
-// goroutine next pumps the queue, so anything that blocks in one — a
-// channel operation, a mutex, a blocking Stream.Read/Write, an io.Copy over
-// a net.Conn — parks the entire scheduler. Only the non-blocking readiness
-// APIs (TryRead, TryWrite, SetNotify) are legal inside them. The analyzer
-// finds every registration site, then chases same-package static calls and
-// function literals from the handler body (CFG-reachable code only, via
-// ReachWalk) looking for blocking operations.
+// callbacks registered on the fabric's task queue (taskQueue.push), as
+// stream readiness handlers (Stream.SetNotify) or as the drain a readiness
+// handler's Kicker serialises (Kicker.Kick) execute inline on whichever
+// goroutine next pumps the queue or fires the notify, so anything that
+// blocks in one — a channel operation, a mutex, a blocking
+// Stream.Read/Write, an io.Copy over a net.Conn — parks the entire
+// scheduler. Only the non-blocking readiness APIs (TryRead, TryWrite,
+// SetNotify) are legal inside them. The analyzer finds every registration
+// site, then chases same-package static calls and function literals from
+// the handler body (CFG-reachable code only, via ReachWalk) looking for
+// blocking operations.
 
 import (
 	"go/ast"
@@ -18,18 +20,29 @@ import (
 	"strings"
 )
 
-// noblockScoped limits the analyzer to the event-core packages plus its own
+// noblockScoped limits the analyzer to the event-core packages — the fabric,
+// the proxy chain's splice and the world's readiness handlers — plus its own
 // fixtures; registration APIs elsewhere (none today) are out of contract.
 func noblockScoped(relFile string) bool {
 	return strings.HasPrefix(relFile, "internal/simnet/") ||
 		strings.HasPrefix(relFile, "internal/proxynet/") ||
+		strings.HasPrefix(relFile, "internal/origin/") ||
 		strings.Contains(relFile, "testdata/src/noblock/")
+}
+
+// noblockRoots names each registration method by the receiver type that
+// declares it: a callback handed to one runs on the event core.
+var noblockRoots = map[string]string{
+	"SetNotify": "Stream",
+	"push":      "taskQueue",
+	"Kick":      "Kicker",
 }
 
 // runNoBlock locates handler registrations and diagnoses blocking
 // operations reachable from their bodies.
 func runNoBlock(p *Pass) []Diagnostic {
 	g := NewCallGraph(p)
+	locals := make(map[*types.Var]ast.Expr) // each local's initial value
 	var ds []Diagnostic
 	// reported dedupes sinks reachable from more than one registration:
 	// the first (file-order) root wins.
@@ -39,12 +52,20 @@ func runNoBlock(p *Pass) []Diagnostic {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			// Source order puts a local's definition before its uses.
+			if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.DEFINE && len(as.Lhs) == len(as.Rhs) {
+				for i, lhs := range as.Lhs {
+					if v, ok := p.Info.Defs[lhs.(*ast.Ident)].(*types.Var); ok {
+						locals[v] = as.Rhs[i]
+					}
+				}
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			body, ok := noblockRoot(p, g, call)
-			if !ok {
+			body := noblockRoot(p, g, locals, call)
+			if body == nil {
 				return true
 			}
 			file, line, _ := p.Rel(call.Pos())
@@ -70,44 +91,50 @@ func runNoBlock(p *Pass) []Diagnostic {
 	return ds
 }
 
-// noblockRoot reports whether call registers a run-to-completion callback —
-// Stream.SetNotify(fn) or taskQueue.push(fn) — and resolves the callback's
-// body. Dynamic callbacks (interface-valued, cross-package) resolve to
-// nothing and are skipped: the walk is intra-package by design.
-func noblockRoot(p *Pass, g *CallGraph, call *ast.CallExpr) (*ast.BlockStmt, bool) {
+// noblockRoot returns the body of the callback call registers to run to
+// completion — through Stream.SetNotify(fn), taskQueue.push(fn) or
+// Kicker.Kick(fn) — or nil. The method is known by the receiver of the
+// method called, so a Kick promoted through an embedded Kicker counts.
+// Dynamic callbacks (interface-valued, cross-package) resolve to nothing
+// and are skipped: the walk is intra-package by design.
+func noblockRoot(p *Pass, g *CallGraph, locals map[*types.Var]ast.Expr, call *ast.CallExpr) *ast.BlockStmt {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(call.Args) == 0 {
-		return nil, false
+		return nil
 	}
-	switch sel.Sel.Name {
-	case "SetNotify":
-		if recvTypeName(p, sel.X) != "Stream" {
-			return nil, false
-		}
-	case "push":
-		if recvTypeName(p, sel.X) != "taskQueue" {
-			return nil, false
-		}
-	default:
-		return nil, false
+	method, ok := p.Info.Selections[sel]
+	if !ok {
+		return nil
 	}
-	switch arg := ast.Unparen(call.Args[0]).(type) {
+	if sig, _ := method.Obj().Type().(*types.Signature); noblockRoots[sel.Sel.Name] != recvName(sig) {
+		return nil
+	}
+	return callbackBody(p, g, locals, call.Args[0])
+}
+
+// callbackBody resolves a callback to the body that runs, or nil: a
+// function literal's, or the declaration's of a function or method named
+// directly, as a method value, or through a local initialised from one
+// (kick := s.kick).
+func callbackBody(p *Pass, g *CallGraph, locals map[*types.Var]ast.Expr, fn ast.Expr) *ast.BlockStmt {
+	switch fn := ast.Unparen(fn).(type) {
 	case *ast.FuncLit:
-		return arg.Body, true
-	case *ast.Ident, *ast.SelectorExpr:
-		var id *ast.Ident
-		if s, ok := arg.(*ast.SelectorExpr); ok {
-			id = s.Sel
-		} else {
-			id = arg.(*ast.Ident)
-		}
-		if fn, ok := p.Info.Uses[id].(*types.Func); ok {
-			if fd := g.decls[fn]; fd != nil {
-				return fd.Body, true
+		return fn.Body
+	case *ast.SelectorExpr:
+		return callbackBody(p, g, locals, fn.Sel)
+	case *ast.Ident:
+		switch obj := p.Info.Uses[fn].(type) {
+		case *types.Func:
+			if fd := g.decls[obj]; fd != nil {
+				return fd.Body
+			}
+		case *types.Var:
+			if init, ok := locals[obj]; ok {
+				return callbackBody(p, g, locals, init)
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // recvTypeName returns the name of the named type (pointers stripped) of an

@@ -119,7 +119,7 @@ func (s *tlsSite) drain() {
 			return
 		}
 		if err != nil {
-			s.finish() // EOF before the record's end, a reset, a deadline
+			s.finish() // EOF before the record's end, a reset, a stall
 			return
 		}
 	}
@@ -190,7 +190,7 @@ func (s *mailSession) drain() {
 				return
 			}
 			if err != nil {
-				s.finish() // EOF, whole line or not, a reset, a deadline
+				s.finish() // EOF, whole line or not, a reset, a stall
 				return
 			}
 			s.pending = s.in[:n]

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
-	"time"
 
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/smtpwire"
@@ -26,8 +24,8 @@ func hello(sni string) []byte {
 }
 
 // dialSite registers a site on a fabric with HandleTCP and dials it. ran
-// reports whether the site's accept has run.
-func dialSite(t *testing.T) (conn net.Conn, ran func() bool) {
+// reports whether the site's accept has run; runAccept runs it.
+func dialSite(t *testing.T) (conn net.Conn, runAccept func(), ran func() bool) {
 	t.Helper()
 	f := simnet.NewFabric()
 	site := FramedTLSSite(func(string) []byte { return siteRecord })
@@ -36,34 +34,40 @@ func dialSite(t *testing.T) (conn net.Conn, ran func() bool) {
 		accepted = true
 		site(c)
 	})
+	f.HandleTCP(srvIP, 9, func(c net.Conn) { c.Close() })
 	conn, err := f.Dial(context.Background(), nodeIP, srvIP, 443)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return conn, func() bool { return accepted }
-}
-
-// runAccept blocks on conn until a short deadline passes: the blocked read
-// pumps the fabric's run queue, so the site's accept runs with nothing
-// written to it yet.
-func runAccept(t *testing.T, conn net.Conn) {
-	t.Helper()
-	conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
-	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("a site with no hello answered %d bytes, %v", n, err)
+	// A second dial, to a handler that only closes, read to its EOF: the
+	// read pumps the fabric's run queue, which is FIFO, so the site's accept
+	// runs first, with nothing more written to it.
+	runAccept = func() {
+		t.Helper()
+		other, err := f.Dial(context.Background(), nodeIP, srvIP, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer other.Close()
+		if got, err := io.ReadAll(other); err != nil || len(got) != 0 {
+			t.Fatalf("the closing handler answered %q, %v", got, err)
+		}
+		if n, err := conn.(*simnet.Stream).TryRead(make([]byte, 1)); n != 0 || !errors.Is(err, simnet.ErrWouldBlock) {
+			t.Fatalf("a site with no whole hello answered %d bytes, %v", n, err)
+		}
 	}
-	conn.SetReadDeadline(time.Time{})
+	return conn, runAccept, func() bool { return accepted }
 }
 
 // TestTLSSiteAnswersAHelloAfterItsAccept: the site's accept runs, finds
 // nothing and returns; the hello written after it is answered from the
 // stream's readiness callback, with the record as it is, then the close.
 func TestTLSSiteAnswersAHelloAfterItsAccept(t *testing.T) {
-	conn, ran := dialSite(t)
-	runAccept(t, conn)
+	conn, runAccept, ran := dialSite(t)
+	runAccept()
 	if !ran() {
-		t.Fatal("the accept did not run while the dialer was blocked")
+		t.Fatal("the accept did not run before the one queued after it")
 	}
 	if _, err := conn.Write(hello("site.example")); err != nil {
 		t.Fatal(err)
@@ -77,10 +81,10 @@ func TestTLSSiteAnswersAHelloAfterItsAccept(t *testing.T) {
 // short of the header, is answered once it is whole.
 func TestTLSSiteGathersASplitHello(t *testing.T) {
 	for _, cut := range []int{1, 3, 4, 7} {
-		conn, _ := dialSite(t)
+		conn, runAccept, _ := dialSite(t)
 		h := hello("site.example")
 		conn.Write(h[:cut])
-		runAccept(t, conn)
+		runAccept()
 		conn.Write(h[cut:])
 		if got, err := io.ReadAll(conn); err != nil || string(got) != string(siteRecord) {
 			t.Fatalf("cut at %d: read %q, %v; want the site's record, then EOF", cut, got, err)
@@ -102,7 +106,7 @@ func TestTLSSiteClosesWithNothingWritten(t *testing.T) {
 		{"a hello whose name overruns it", []byte{byte(tlssim.RecordClientHello), 0, 0, 3, 0, 9, 'x'}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn, _ := dialSite(t)
+			conn, _, _ := dialSite(t)
 			conn.Write(tc.sent)
 			conn.(*simnet.Stream).CloseWrite()
 			if got, err := io.ReadAll(conn); err != nil || len(got) != 0 {

@@ -73,7 +73,6 @@ type remotePeer struct {
 	mu   sync.Mutex
 	idle chan net.Conn
 	live int
-	gone bool
 }
 
 // PeerID implements Peer.
@@ -90,16 +89,13 @@ func (p *remotePeer) PeerCountry() geo.CountryCode { return p.country }
 func (p *remotePeer) Online() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.live > 0 && !p.gone
+	return p.live > 0
 }
 
 // addConn registers a fresh agent connection.
 func (p *remotePeer) addConn(conn net.Conn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.gone {
-		return false
-	}
 	select {
 	case p.idle <- conn:
 		p.live++

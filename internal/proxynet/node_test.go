@@ -415,9 +415,10 @@ func TestTunnelBenignBothWays(t *testing.T) {
 	}
 }
 
-// deadlineConn records every SetDeadline made on the conn it wraps. It is
-// no *simnet.Stream, so the node and the super proxy arm their budgets on
-// it, on the wall clock, as they do on a real socket.
+// deadlineConn records every SetDeadline made on the conn it wraps: the
+// budgets the node and the super proxy ask of a real socket, on the wall
+// clock. The fabric stream beneath refuses them, as it refuses every
+// deadline.
 type deadlineConn struct {
 	net.Conn
 	mu        sync.Mutex

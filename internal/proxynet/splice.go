@@ -96,7 +96,7 @@ func (s *splice) pump() {
 			if err == simnet.ErrWouldBlock {
 				break
 			}
-			// io.EOF, a close, or a deadline: this direction is over.
+			// io.EOF, a close, a reset or a stall: this direction is over.
 			s.finish(err)
 			return
 		}

@@ -270,16 +270,12 @@ func (sp *SuperProxy) ServeConn(conn net.Conn) bool {
 const respWriteBudget = 10 * time.Second
 
 // setBudget bounds every wait on conn to d from now on the wall clock;
-// d == 0 clears the bound, which also stops its timer. A fabric stream gets
-// no bound: a simulated world's time is its virtual clock, which no crawl
-// advances while a session is in flight, so a budget there could never
-// fire, and a stalled or faulted stream fails on its own (the stall fault's
-// deadline error). A real socket — a daemon's client, an agent connection,
-// an origin cmd/exitnode dials — is where peers stop answering.
+// d == 0 clears the bound, which also stops its timer. A real socket — a
+// daemon's client, an agent connection, an origin cmd/exitnode dials — is
+// where peers stop answering. A fabric stream refuses every deadline (see
+// simnet.Pipe), and the refusal is ignored: a stalled or faulted stream
+// fails on its own.
 func setBudget(conn net.Conn, d time.Duration) {
-	if _, ok := conn.(*simnet.Stream); ok {
-		return
-	}
 	var t time.Time
 	if d > 0 {
 		t = simnet.Real{}.Now().Add(d)

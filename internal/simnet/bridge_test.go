@@ -81,7 +81,8 @@ func TestBridgeSocketErrorsReset(t *testing.T) {
 	defer close(write.gate)
 	s = AsStream(write, nil)
 	s.Write([]byte("x"))
-	s.SetReadDeadline(time.Now().Add(5 * time.Second))
+	hang := Real{}.AfterFunc(5*time.Second, func() { s.Close() })
+	defer hang.Stop()
 	if _, err := s.Read(make([]byte, 1)); !errors.Is(err, ErrInjectedReset) {
 		t.Fatalf("after a write error the stream read %v, want ErrInjectedReset", err)
 	}

@@ -57,9 +57,9 @@ type DNSHandler func(src netip.Addr, query []byte) []byte
 // Fabric is an in-memory network: a registry of hosts addressable by IP,
 // offering TCP-like stream dialing and DNS-like datagram exchange. It is the
 // simulation analogue of the real net package and is safe for concurrent
-// use. It has no clock: a dialed stream's deadlines run on the wall clock,
-// as a bare Pipe's do, and a simulated world arms none (its time is a
-// virtual clock that no crawl advances mid-session).
+// use. It has no clock, and its streams take no deadline (see Pipe): a
+// simulated world's time is a virtual clock that no crawl advances
+// mid-session.
 type Fabric struct {
 	// Faults, when non-nil, is the chaos plane: every Dial matching its
 	// profile may have deterministic seeded faults armed on the dialer's

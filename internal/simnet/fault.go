@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // FaultKind names one transport-fault mechanism the fault plane can inject
@@ -18,8 +17,9 @@ const (
 	// and write fails with ErrInjectedReset, as a TCP RST would.
 	FaultReset FaultKind = iota
 	// FaultStall delivers AfterBytes of the receive direction and then
-	// behaves like a connection that went silent until the reader's
-	// deadline: reads fail with os.ErrDeadlineExceeded.
+	// fails every read with os.ErrDeadlineExceeded at once: what a reader
+	// whose budget ran out behind a silent peer would see, without waiting
+	// on any clock.
 	FaultStall
 	// FaultTrickle caps every read on the receive direction at Chunk
 	// bytes — a slow link that releases bytes a few at a time.
@@ -56,11 +56,6 @@ type FaultSpec struct {
 	// Prob is the per-dial arming probability in [0, 1], drawn from the
 	// plane's seeded stream in spec order.
 	Prob float64
-	// Delay, when positive, defers the injection by that much clock time
-	// via Clock.AfterFunc; zero injects at dial time. Crawl-facing
-	// profiles use zero: the crawl worlds never advance the virtual clock
-	// mid-run, so only byte-count triggers are observable there.
-	Delay time.Duration
 	// AfterBytes is the receive-direction byte count delivered before a
 	// stall or truncation engages.
 	AfterBytes int64
@@ -150,11 +145,12 @@ func ProfileNames() []string {
 // Injection goes through the ring's existing state-transition path
 // (version bump, broadcast, readiness notify), so parked readers, pumping
 // handlers, and TryRead/TryWrite splices all observe a fault exactly like
-// any other stream event: no goroutines, no blocking, no timers unless a
-// spec asks for a Delay.
+// any other stream event: no goroutines, no blocking, no timers. Every
+// fault is armed at dial time and engages by byte count, never by elapsed
+// time: no crawl advances the clock mid-session, so a timed fault could
+// never be observed.
 type FaultPlane struct {
 	profile FaultProfile
-	clock   Clock
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -163,23 +159,21 @@ type FaultPlane struct {
 }
 
 // NewFaultPlane builds a plane for profile whose arming draws come from a
-// stream derived from seed and the profile name. clock drives Delay'd
-// injections (nil falls back to the wall clock).
+// stream derived from seed and the profile name. clock is read by nothing:
+// a fault never waits (see FaultPlane). The parameter stays because
+// scripts/tftbench passes one, and goes once the benchmark reaches the
+// program through one seam (ROADMAP item 13).
 func NewFaultPlane(profile FaultProfile, seed uint64, clock Clock) *FaultPlane {
-	if clock == nil {
-		clock = Real{}
-	}
 	return &FaultPlane{
 		profile: profile,
-		clock:   clock,
 		rng:     SubRand(seed, "faultplane/"+profile.Name),
 	}
 }
 
 // OnInject installs a hook called once per injected fault with the kind's
 // metric label — the bridge to the run's fault_injected_total counter, and
-// the plane's only report: it keeps no counts of its own. The hook may fire
-// from a timer callback and must not block.
+// the plane's only report: it keeps no counts of its own. The hook runs on
+// the dialing goroutine, inside Dial, and must not block.
 func (p *FaultPlane) OnInject(fn func(kind string)) {
 	if p == nil {
 		return
@@ -201,7 +195,7 @@ func (p *FaultPlane) matches(port uint16) bool {
 }
 
 // arm draws the profile's specs for one freshly dialed stream and injects
-// (or schedules) the hits on s — the dialer's end, so receive-direction
+// the hits on s — the dialer's end, so receive-direction
 // faults affect the bytes the dialer reads. Nil-safe: a fabric without a
 // plane pays one pointer check per dial.
 func (p *FaultPlane) arm(s *Stream, port uint16) {
@@ -219,11 +213,6 @@ func (p *FaultPlane) arm(s *Stream, port uint16) {
 	}
 	p.mu.Unlock()
 	for _, spec := range hits {
-		if spec.Delay > 0 {
-			spec := spec
-			p.clock.AfterFunc(spec.Delay, func() { p.fire(s, spec) })
-			continue
-		}
 		p.fire(s, spec)
 	}
 }

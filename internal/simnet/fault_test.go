@@ -209,51 +209,6 @@ func TestFaultPlanePortFilter(t *testing.T) {
 	}
 }
 
-func TestFaultPlaneDelayedInjectionViaAfterFunc(t *testing.T) {
-	clock := NewVirtual(time.Unix(0, 0))
-	profile := FaultProfile{
-		Name:  "test-delayed",
-		Specs: []FaultSpec{{Kind: FaultReset, Prob: 1.0, Delay: 5 * time.Second}},
-	}
-	f := NewFabric()
-	f.Faults = NewFaultPlane(profile, 1, clock)
-	var resets atomic.Int64 // the profile's only kind
-	f.Faults.OnInject(func(string) { resets.Add(1) })
-	f.HandleTCPStream(hostB, 80, func(conn net.Conn) {
-		defer conn.Close()
-		buf := make([]byte, 4)
-		for {
-			if _, err := io.ReadFull(conn, buf); err != nil {
-				return
-			}
-			conn.Write(buf)
-		}
-	})
-	conn, err := f.Dial(context.Background(), hostA, hostB, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Before the delay elapses the stream is healthy.
-	if _, err := conn.Write([]byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := resets.Load(); got != 0 {
-		t.Fatalf("injected %d resets before the delay elapsed", got)
-	}
-	clock.Advance(5 * time.Second)
-	if got := resets.Load(); got != 1 {
-		t.Fatalf("injected = %d after Advance, want 1", got)
-	}
-	if _, err := conn.Write([]byte("ping")); !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("post-delay write err = %v, want ErrInjectedReset", err)
-	}
-}
-
 func TestFaultPlaneOnInjectHook(t *testing.T) {
 	profile := FaultProfile{
 		Name:  "test-hook",

@@ -82,9 +82,9 @@ func recycleBuf(buf []byte, box *[]byte) {
 }
 
 // pairPool recycles the heavy half of a connection — both rings, with their
-// locks, conds and deadline state — between dials, as ringBufPool does their
-// storage: a crawl dials two or three times a session and closes every
-// connection before the next session starts.
+// locks and conds — between dials, as ringBufPool does their storage: a
+// crawl dials two or three times a session and closes every connection
+// before the next session starts.
 var pairPool sync.Pool
 
 // Pipe returns a connected pair of buffered in-memory stream ends, the
@@ -96,13 +96,18 @@ var pairPool sync.Pool
 //
 // Semantics match net.Pipe where both define behaviour: reads and writes
 // after a local Close return io.ErrClosedPipe, writes to an end whose
-// peer has closed return io.ErrClosedPipe, deadline expiry surfaces
-// os.ErrDeadlineExceeded (a net.Error with Timeout() == true). Where
-// net.Pipe cannot buffer, Pipe behaves like TCP: data written before a
-// close is still delivered, and the peer sees io.EOF only after draining
-// it. CloseWrite half-closes like a TCP FIN.
+// peer has closed return io.ErrClosedPipe. Where net.Pipe cannot buffer,
+// Pipe behaves like TCP: data written before a close is still delivered,
+// and the peer sees io.EOF only after draining it. CloseWrite half-closes
+// like a TCP FIN.
 //
-// Deadlines run on the wall clock, on a bare Pipe as on a dialed stream.
+// A stream takes no deadline, as net.Pipe took none before Go 1.10: the
+// Set*Deadline methods refuse any time but the zero one with
+// os.ErrNoDeadline. A simulated world's time is a virtual clock that no
+// crawl advances mid-session, so no wait on a fabric stream could be cut
+// by one; a stall fault fails a read at once (see ringFault), and a caller
+// that must not hang on a bare Pipe closes it (a Close wakes a parked Read
+// with io.ErrClosedPipe).
 func Pipe(window int) (*Stream, *Stream) {
 	c := newConn(window, nil, false)
 	return &c.s[0], &c.s[1]
@@ -118,8 +123,7 @@ type pair struct {
 // conn is the half of a connection a dial allocates and nothing recycles:
 // the two Stream ends, their addresses, and the generation the pair was
 // issued to them in. Every ring operation carries that generation and the
-// ring compares it under its lock, so an end that outlives its connection —
-// held past both Closes, by a late deadline or a delayed fault — finds a
+// ring compares it under its lock, so an end held past both Closes finds a
 // closed stream (io.ErrClosedPipe, or nothing to do), never the connection
 // the pair serves now. The addresses stay here for the same reason: a
 // net.Addr handed out by LocalAddr is the caller's for good.
@@ -166,7 +170,6 @@ func takePair() *pair {
 	for i := range pp.r {
 		r := &pp.r[i]
 		r.cond.L = &r.mu
-		r.rdead.ring, r.wdead.ring = r, r
 	}
 	return pp
 }
@@ -178,9 +181,8 @@ func recyclePair(pp *pair) { pairPool.Put(pp) }
 // ring storage goes back to the buffer pools and the pair to pairPool. Any
 // operation still in flight observes a closed flag, or the new generation,
 // under the ring lock before it could touch the buffer, so reclaiming here is
-// safe. Generations only count up — the rings' and the deadlines' — so
-// whatever still names the old one (a stale end, a deadline timer that fired
-// while being stopped) stays inert however often the pair is reissued.
+// safe. Generations only count up, so a stale end that still names the old
+// one stays inert however often the pair is reissued.
 func (pp *pair) maybeReclaim(gen uint64) {
 	for i := range pp.r {
 		r := &pp.r[i]
@@ -204,17 +206,8 @@ func (pp *pair) maybeReclaim(gen uint64) {
 		r.buf, r.bufp = nil, nil
 		r.n, r.start = 0, 0
 		r.seg = nil
-		// Detach the timers under the lock but stop them after releasing
-		// it: the gen bump already neuters a racing fire.
-		rt, wt := r.rdead.timer, r.wdead.timer
-		r.rdead.timer, r.wdead.timer = Timer{}, Timer{}
-		r.rdead.gen++
-		r.wdead.gen++
-		r.rdead.timed, r.wdead.timed = false, false
 		r.notify, r.fault, r.pump = [2]func(){}, nil, nil
 		r.mu.Unlock()
-		rt.Stop()
-		wt.Stop()
 		recycleBuf(buf, bufp)
 	}
 	recyclePair(pp)
@@ -228,7 +221,7 @@ func (pipeAddr) String() string  { return "pipe" }
 
 // ring is one direction of a Stream: a bounded ring buffer with a single
 // mutex/cond pair coordinating the (usually one) reader and writer, plus
-// the deadline and close state for that direction.
+// the close and fault state for that direction.
 //
 // version counts state transitions; a blocked operation snapshots it before
 // releasing the lock to run a queued fabric task, and re-checks instead of
@@ -256,8 +249,6 @@ type ring struct {
 
 	wclosed bool // write side closed: reads drain then EOF, writes fail
 	rclosed bool // read side closed: writes fail immediately
-
-	rdead, wdead deadline // per-side deadline state
 
 	pump    *taskQueue // fabric run queue drained while blocked (may be nil)
 	grow    bool       // widen past the window instead of blocking writes
@@ -359,29 +350,6 @@ func (r *ring) injectFault(gen uint64, mutate func(*ringFault)) {
 	}
 	//tftlint:ignore lockorder -- every mutate closure (Stream.Inject*) only assigns ringFault fields; none can lock
 	mutate(r.fault)
-	r.changed()
-}
-
-// deadline is one side's deadline: the exceeded flag, the pending timer,
-// and a generation counter that lets a re-arm invalidate the callback of a
-// timer whose Stop raced with its firing.
-type deadline struct {
-	ring  *ring // whose side this is
-	timed bool
-	timer Timer
-	gen   uint64
-}
-
-// fire is the deadline's timer callback: the deadline is exceeded, unless
-// it has been re-armed or cleared since gen.
-func (d *deadline) fire(gen uint64) {
-	r := d.ring
-	r.mu.Lock()
-	if d.gen != gen {
-		r.mu.Unlock()
-		return
-	}
-	d.timed = true
 	r.changed()
 }
 
@@ -553,10 +521,6 @@ func (r *ring) read(gen uint64, p []byte, block bool) (int, error) {
 			r.mu.Unlock()
 			return 0, err
 		}
-		if r.rdead.timed {
-			r.mu.Unlock()
-			return 0, os.ErrDeadlineExceeded
-		}
 		if r.n > 0 || r.seg != nil {
 			break
 		}
@@ -596,7 +560,7 @@ func (r *ring) read(gen uint64, p []byte, block bool) (int, error) {
 // Stream.TakeShared.
 func (r *ring) takeShared(gen uint64, n int) []byte {
 	r.mu.Lock()
-	if r.gen != gen || r.rclosed || r.fault != nil || r.rdead.timed || r.n > 0 || n <= 0 || len(r.seg) < n {
+	if r.gen != gen || r.rclosed || r.fault != nil || r.n > 0 || n <= 0 || len(r.seg) < n {
 		r.mu.Unlock()
 		return nil
 	}
@@ -613,8 +577,8 @@ func (r *ring) takeShared(gen uint64, n int) []byte {
 // folds the segment into an inline handler's side (see fold) or parks until
 // the reader has drained it. TryWrite returns the short count with
 // ErrWouldBlock in both places and grows nothing. Every other outcome is the
-// same for both, an empty p included: it meets the close, reset or deadline
-// a longer write would, or returns (0, nil). With shared set (WriteShared,
+// same for both, an empty p included: it meets the close or reset a longer
+// write would, or returns (0, nil). With shared set (WriteShared,
 // always blocking), p is queued as the segment instead of copied when no
 // segment is pending and no fault is armed; otherwise it is copied as Write
 // copies.
@@ -631,10 +595,6 @@ func (r *ring) write(gen uint64, p []byte, block, shared bool) (int, error) {
 			err := r.fault.failErr
 			r.mu.Unlock()
 			return total, err
-		}
-		if r.wdead.timed {
-			r.mu.Unlock()
-			return total, os.ErrDeadlineExceeded
 		}
 		if len(p) == 0 {
 			r.mu.Unlock()
@@ -707,43 +667,6 @@ func (r *ring) closeRead(gen uint64) {
 	r.changed()
 }
 
-// setDeadline (re)arms one side's deadline flag and timer on the wall
-// clock, a dialed stream's as a bare Pipe's. A deadline bounds a real wait:
-// the proxy chain arms its budgets on real sockets only, never on a fabric
-// stream, whose world runs on the virtual clock.
-func (r *ring) setDeadline(gen uint64, t time.Time, d *deadline) {
-	// The clock read and the timer stop stay outside the critical section;
-	// the gen bump under the lock invalidates a stale timer that fires in
-	// the gap.
-	now := Real{}.Now()
-	var stale Timer
-	defer func() { stale.Stop() }()
-	r.mu.Lock()
-	if r.gen != gen {
-		r.mu.Unlock()
-		return
-	}
-	stale, d.timer = d.timer, Timer{}
-	d.gen++
-	if t.IsZero() {
-		d.timed = false
-		r.mu.Unlock()
-		return
-	}
-	wait := t.Sub(now)
-	if wait <= 0 {
-		d.timed = true
-		r.changed()
-		return
-	}
-	d.timed = false
-	// The timer must arm under r.mu so a concurrent setDeadline cannot
-	// observe a half-armed deadline.
-	armed := d.gen
-	d.timer = Real{}.AfterFunc(wait, func() { d.fire(armed) })
-	r.mu.Unlock()
-}
-
 // setNotify arms (or clears) the readiness callback of the ring's end side.
 func (r *ring) setNotify(gen uint64, side uint8, fn func()) {
 	r.mu.Lock()
@@ -790,7 +713,7 @@ func (s *Stream) WriteShared(p []byte) (int, error) {
 // TakeShared returns the next n bytes of the receive direction by reference
 // — a slice of what a WriteShared queued, capacity clipped to n — when all n
 // are segment bytes, no fault is armed and nothing else stands in the way of
-// a read (a close, a deadline). Otherwise it returns nil and consumes
+// a read (a close). Otherwise it returns nil and consumes
 // nothing, and the caller reads the bytes as usual. The bytes are read-only.
 func (s *Stream) TakeShared(n int) []byte { return s.in().takeShared(s.c.gen, n) }
 
@@ -806,7 +729,7 @@ func (s *Stream) TryWrite(p []byte) (int, error) { return s.out().write(s.c.gen,
 
 // SetNotify arms fn as the stream's readiness callback: it fires, without
 // any lock held, after every state transition on either direction — data
-// arriving or draining, a side closing, a deadline expiring. Callbacks must
+// arriving or draining, a side closing, a fault armed. Callbacks must
 // be brief, must tolerate spurious invocations, and at most one consumer
 // per stream end may arm one. Each end holds its own slot, so the two ends
 // of one connection arm, fire and disarm apart: a site answering on its
@@ -849,26 +772,21 @@ func (s *Stream) addr(side uint8) net.Addr {
 	return &s.c.ends[side]
 }
 
-// SetDeadline implements net.Conn.
+// SetDeadline implements net.Conn: a stream takes no deadline (see Pipe).
+// It returns os.ErrNoDeadline for any t but the zero time, and changes
+// nothing either way.
 func (s *Stream) SetDeadline(t time.Time) error {
-	s.SetReadDeadline(t)
-	s.SetWriteDeadline(t)
-	return nil
+	if t.IsZero() {
+		return nil
+	}
+	return os.ErrNoDeadline
 }
 
-// SetReadDeadline implements net.Conn.
-func (s *Stream) SetReadDeadline(t time.Time) error {
-	r := s.in()
-	r.setDeadline(s.c.gen, t, &r.rdead)
-	return nil
-}
+// SetReadDeadline implements net.Conn as SetDeadline does.
+func (s *Stream) SetReadDeadline(t time.Time) error { return s.SetDeadline(t) }
 
-// SetWriteDeadline implements net.Conn.
-func (s *Stream) SetWriteDeadline(t time.Time) error {
-	r := s.out()
-	r.setDeadline(s.c.gen, t, &r.wdead)
-	return nil
-}
+// SetWriteDeadline implements net.Conn as SetDeadline does.
+func (s *Stream) SetWriteDeadline(t time.Time) error { return s.SetDeadline(t) }
 
 // InjectReset kills both directions of the stream: every further read and
 // write — on either end, buffered data included — fails with

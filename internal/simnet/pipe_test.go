@@ -75,18 +75,16 @@ func TestPipeWriteBlocksBeyondWindow(t *testing.T) {
 }
 
 // TestWriteAndTryWriteAgree: Write and TryWrite are one write path. On a
-// ring closed at either end, reset, or past its write deadline, and with an
-// empty p or one that fits, they return the same count and error. They part
-// only at a full window: TryWrite returns the short count with
-// ErrWouldBlock, where Write parks (TestPipeWriteBlocksBeyondWindow) or, on
-// an inline handler's side, grows the ring; TryWrite grows nothing.
+// ring closed at either end or reset, and with an empty p or one that fits,
+// they return the same count and error. They part only at a full window:
+// TryWrite returns the short count with ErrWouldBlock, where Write parks
+// (TestPipeWriteBlocksBeyondWindow) or, on an inline handler's side, grows
+// the ring; TryWrite grows nothing.
 func TestWriteAndTryWriteAgree(t *testing.T) {
 	const window = 8
-	past := time.Now().Add(-time.Hour)
 	closeWriter := func(wr, _ *Stream) { wr.Close() }
 	closeReader := func(_, rd *Stream) { rd.Close() }
 	reset := func(wr, _ *Stream) { wr.InjectReset() }
-	expire := func(wr, _ *Stream) { wr.SetWriteDeadline(past) }
 	for _, tc := range []struct {
 		state string
 		prep  func(wr, rd *Stream)
@@ -101,8 +99,6 @@ func TestWriteAndTryWriteAgree(t *testing.T) {
 		{"peer-closed", closeReader, 5, 0, io.ErrClosedPipe},
 		{"reset", reset, 0, 0, ErrInjectedReset},
 		{"reset", reset, 5, 0, ErrInjectedReset},
-		{"expired", expire, 0, 0, os.ErrDeadlineExceeded},
-		{"expired", expire, 5, 0, os.ErrDeadlineExceeded},
 	} {
 		for _, op := range []struct {
 			name  string
@@ -191,52 +187,71 @@ func TestPipeCloseWrite(t *testing.T) {
 	}
 }
 
-// TestPipeDeadlineExpiryMidRead: a blocked Read must wake with a timeout
-// error when its deadline passes.
-func TestPipeDeadlineExpiryMidRead(t *testing.T) {
-	a, _ := Pipe(0)
-	a.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
-	start := time.Now()
-	_, err := a.Read(make([]byte, 1))
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("Read = %v, want ErrDeadlineExceeded", err)
+// TestStreamRefusesDeadlines: a stream takes no deadline. Any time but the
+// zero one is refused with os.ErrNoDeadline, on both ends of a dialed stream
+// and of a bare Pipe, and the past deadline set last times out no later Read
+// or Write.
+func TestStreamRefusesDeadlines(t *testing.T) {
+	refuses := func(end string, c net.Conn) {
+		for _, set := range []struct {
+			name string
+			fn   func(time.Time) error
+		}{{"SetDeadline", c.SetDeadline}, {"SetReadDeadline", c.SetReadDeadline}, {"SetWriteDeadline", c.SetWriteDeadline}} {
+			if err := set.fn(time.Time{}); err != nil {
+				t.Errorf("%s end: %s(zero time) = %v, want nil", end, set.name, err)
+			}
+			for _, at := range []time.Time{time.Now().Add(time.Hour), time.Now().Add(-time.Hour)} {
+				if err := set.fn(at); !errors.Is(err, os.ErrNoDeadline) {
+					t.Errorf("%s end: %s(%v) = %v, want os.ErrNoDeadline", end, set.name, at, err)
+				}
+			}
+		}
 	}
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("deadline error is not a net.Error timeout: %v", err)
+	// echo answers four bytes with themselves and closes.
+	echo := func(c net.Conn) error {
+		defer c.Close()
+		var buf [4]byte
+		if _, err := io.ReadFull(c, buf[:]); err != nil {
+			return err
+		}
+		_, err := c.Write(buf[:])
+		return err
 	}
-	if time.Since(start) < 20*time.Millisecond {
-		t.Fatal("read returned before the deadline")
-	}
-}
 
-// TestPipeDeadlineExpiryMidWrite: a Write blocked on a full window must
-// wake with a timeout and report the partial count.
-func TestPipeDeadlineExpiryMidWrite(t *testing.T) {
-	a, _ := Pipe(1 << 10)
-	a.SetWriteDeadline(time.Now().Add(30 * time.Millisecond))
-	n, err := a.Write(make([]byte, 4<<10))
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("Write = %v, want ErrDeadlineExceeded", err)
-	}
-	if n != 1<<10 {
-		t.Fatalf("partial write = %d, want %d", n, 1<<10)
-	}
-}
-
-// TestPipeDeadlineReset: re-arming a later deadline after one expired must
-// clear the timed-out state (and a racing old timer must not re-set it).
-func TestPipeDeadlineReset(t *testing.T) {
 	a, b := Pipe(0)
-	a.SetReadDeadline(time.Now().Add(-time.Second))
-	if _, err := a.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("expired deadline read = %v", err)
+	defer a.Close()
+	refuses("pipe", a)
+	refuses("pipe peer", b)
+	echoed := make(chan error, 1)
+	go func() { echoed <- echo(b) }()
+	if _, err := a.Write([]byte("ping")); err != nil {
+		t.Fatalf("pipe Write after the refused deadlines: %v", err)
 	}
-	a.SetReadDeadline(time.Time{})
-	b.Write([]byte("y"))
-	buf := make([]byte, 1)
-	if _, err := a.Read(buf); err != nil || buf[0] != 'y' {
-		t.Fatalf("read after reset = %q, %v", buf, err)
+	if got, err := io.ReadAll(a); err != nil || string(got) != "ping" {
+		t.Fatalf("pipe Read after the refused deadlines = %q, %v; want the echo, then EOF", got, err)
+	}
+	if err := <-echoed; err != nil {
+		t.Fatalf("pipe peer's echo after the refused deadlines: %v", err)
+	}
+
+	f := NewFabric()
+	f.HandleTCP(hostB, 7, func(c net.Conn) {
+		refuses("accepted", c)
+		if err := echo(c); err != nil {
+			t.Errorf("accepted end's echo after the refused deadlines: %v", err)
+		}
+	})
+	conn, err := f.Dial(bg, hostA, hostB, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	refuses("dialing", conn)
+	if _, err := conn.Write([]byte("ping")); err != nil {
+		t.Fatalf("dialed Write after the refused deadlines: %v", err)
+	}
+	if got, err := io.ReadAll(conn); err != nil || string(got) != "ping" {
+		t.Fatalf("dialed Read after the refused deadlines = %q, %v; want the echo, then EOF", got, err)
 	}
 }
 
@@ -275,14 +290,6 @@ func TestPipeNetPipeParity(t *testing.T) {
 			b.Close()
 			if _, err := a.Read([]byte{0}); err != io.EOF {
 				t.Errorf("read from closed peer = %v, want EOF", err)
-			}
-			// Deadline expiry yields a net.Error timeout.
-			a, _ = make()
-			a.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
-			_, err := a.Read([]byte{0})
-			var ne net.Error
-			if !errors.As(err, &ne) || !ne.Timeout() {
-				t.Errorf("deadline read = %v, want net.Error timeout", err)
 			}
 			// Data crosses intact (reader goroutine for net.Pipe's sake).
 			a, b = make()

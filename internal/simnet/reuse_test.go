@@ -4,13 +4,11 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // echoFabric serves a one-byte echo on hostB:7, inline on the dialer.
@@ -99,9 +97,6 @@ func TestStaleStreamIsInert(t *testing.T) {
 			t.Errorf("stale TryWrite = %d, %v", n, err)
 		}
 		s.SetNotify(func() { t.Error("a stale end's notify fired") })
-		s.SetDeadline(time.Now().Add(-time.Hour))
-		s.SetReadDeadline(time.Now().Add(-time.Hour))
-		s.SetWriteDeadline(time.Now().Add(-time.Hour))
 		s.InjectReset()
 		s.InjectStall(0)
 		s.InjectTruncate(0)
@@ -130,14 +125,11 @@ func TestStaleStreamIsInert(t *testing.T) {
 }
 
 // TestReusedConnStartsClean: whatever the last connection left on the pair —
-// a reset, a ring grown past its window, a pending shared segment, armed
-// deadlines, a notify callback — the next one starts with none of it: the
-// old deadlines' timers are stopped, and an old deadline's instant passing
-// does not time it out.
+// a reset, a ring grown past its window, a pending shared segment, a notify
+// callback — the next one starts with none of it.
 func TestReusedConnStartsClean(t *testing.T) {
 	f := echoFabric()
 	var notified atomic.Int32
-	var timers []Timer // the closed connection's minute-long deadlines
 	_, _, live := reissue(t, f, func(local, remote *Stream) {
 		if _, err := remote.Write(make([]byte, 3*DefaultWindow)); err != nil {
 			t.Fatal(err)
@@ -148,9 +140,6 @@ func TestReusedConnStartsClean(t *testing.T) {
 		if _, err := local.WriteShared(make([]byte, 8)); err != nil || local.out().seg == nil {
 			t.Fatalf("the old connection queued no shared segment: %v", err)
 		}
-		local.SetDeadline(Real{}.Now().Add(time.Minute))
-		remote.SetDeadline(Real{}.Now().Add(10 * time.Millisecond))
-		timers = append(timers[:0], local.in().rdead.timer, local.out().wdead.timer)
 		local.SetNotify(func() { notified.Add(1) })
 		remote.SetNotify(func() { notified.Add(1) })
 		local.InjectReset()
@@ -163,52 +152,22 @@ func TestReusedConnStartsClean(t *testing.T) {
 		r := &live.c.pair.r[i]
 		r.mu.Lock()
 		if r.fault != nil || r.notify[0] != nil || r.notify[1] != nil || r.buf != nil || r.n != 0 || r.seg != nil || r.window != DefaultWindow ||
-			r.rdead.timed || r.wdead.timed || r.rdead.timer != (Timer{}) || r.wdead.timer != (Timer{}) ||
 			r.wclosed || r.rclosed || r.grow != (i == 1) {
 			t.Errorf("ring %d of a reused pair is not clean: %+v", i, r)
 		}
 		r.mu.Unlock()
-	}
-	for i, tm := range timers {
-		if tm == (Timer{}) || tm.Stop() {
-			t.Fatalf("deadline timer %d of the closed connection was still pending", i)
-		}
 	}
 	// Full back-pressure on the dialer's side: the last connection's grown
 	// window is not this one's.
 	if n, err := live.TryWrite(make([]byte, 2*DefaultWindow)); n != DefaultWindow || !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("TryWrite on a reused default ring = (%d, %v), want (%d, ErrWouldBlock)", n, err, DefaultWindow)
 	}
-	time.Sleep(20 * time.Millisecond) // past the short deadlines' instant
 	var got [1]byte
 	if _, err := io.ReadFull(live, got[:]); err != nil { // runs the echo handler
-		t.Fatalf("read on the reused connection after the old deadline passed: %v", err)
+		t.Fatalf("read on the reused connection: %v", err)
 	}
 	if n := notified.Load(); n != 0 {
 		t.Fatalf("the closed connection's notify fired %d times for the new one", n)
-	}
-}
-
-// TestStaleDeadlineTimerIsNeutered: a deadline timer whose Stop lost the race
-// with its firing calls back after its connection has been reclaimed and the
-// pair reissued, and times out nobody.
-func TestStaleDeadlineTimerIsNeutered(t *testing.T) {
-	f := echoFabric()
-	var stale *deadline
-	var armed uint64
-	_, _, live := reissue(t, f, func(local, _ *Stream) {
-		local.SetReadDeadline(Real{}.Now().Add(time.Hour))
-		stale = &local.in().rdead
-		armed = stale.gen
-	})
-	defer live.Close()
-	stale.fire(armed)
-	if err := echoes(live, 1); err != nil {
-		t.Fatalf("live connection after a stale deadline fired: %v", err)
-	}
-	live.SetReadDeadline(Real{}.Now().Add(-time.Second))
-	if _, err := live.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("the live connection's own deadline: %v", err)
 	}
 }
 

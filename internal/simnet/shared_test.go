@@ -145,7 +145,7 @@ func wouldPark(s *Stream) bool {
 	r := s.in()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gen == s.c.gen && !r.rclosed && r.fault.readFaultErr() == nil && !r.rdead.timed &&
+	return r.gen == s.c.gen && !r.rclosed && r.fault.readFaultErr() == nil &&
 		r.n == 0 && r.seg == nil && !r.wclosed
 }
 

@@ -1,9 +1,8 @@
 package smtpwire
 
 import (
-	"errors"
-	"os"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,8 +12,9 @@ import (
 // FuzzProbe: whatever answers port 25, Probe returns a session or an error
 // — never panics, never hangs. A scripted peer on a simnet.Pipe sends the
 // input as the server's side of the exchange and then half-closes, so an
-// honest Probe always has an end to read to; a read deadline turns a Probe
-// that waits anyway into a failure instead of a stuck fuzz worker. A session
+// honest Probe always has an end to read to; a timer that closes the
+// client's end after 5 s turns a Probe that waits anyway into a failure
+// instead of a stuck fuzz worker (a stream takes no deadline). A session
 // it does return is consistent: capabilities sorted, StartTLS exactly when
 // STARTTLS is among them.
 func FuzzProbe(f *testing.F) {
@@ -38,10 +38,15 @@ func FuzzProbe(f *testing.F) {
 			server.Write(script)
 			server.CloseWrite()
 		}()
-		client.SetReadDeadline(simnet.Real{}.Now().Add(5 * time.Second))
+		var hung atomic.Bool
+		hang := simnet.Real{}.AfterFunc(5*time.Second, func() {
+			hung.Store(true)
+			client.Close()
+		})
 		sess, err := Probe(client, "probe.tft-example.net")
+		hang.Stop()
 		switch {
-		case errors.Is(err, os.ErrDeadlineExceeded):
+		case hung.Load():
 			t.Fatalf("Probe still waiting on %q after the peer closed", script)
 		case err != nil:
 			if sess != nil {

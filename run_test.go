@@ -8,6 +8,7 @@ import (
 
 	"github.com/tftproject/tft/internal/core"
 	"github.com/tftproject/tft/internal/population"
+	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/trace"
 )
 
@@ -159,40 +160,60 @@ func spansOf[D crawlDataset, A tableSet](r *ExperimentRun[D, A], err error) (Run
 }
 
 // TestCrawlsRunAtOneInstant pins the premise that lets a fabric stream carry
-// no deadline: no crawl advances the world's virtual clock while a session is
-// in flight. Every span of a small dns, http, tls, smtp and monitor crawl
-// starts and ends at population.Epoch; the monitor's refetches, which run as
-// the clock crosses the monitoring day after the crawl, record none.
+// no deadline and a fault never wait: no crawl advances the world's virtual
+// clock while a session is in flight, with or without chaos. Every span of a
+// small dns, http, tls, smtp and monitor crawl, fault-free and under each
+// chaos profile, starts and ends at population.Epoch; the monitor's
+// refetches, which run as the clock crosses the monitoring day after the
+// crawl, record none.
 func TestCrawlsRunAtOneInstant(t *testing.T) {
 	ctx := context.Background()
-	opts := Options{Seed: 7, Scale: 0.005, Workers: 2, Crawl: core.CrawlConfig{MaxSessions: 150}}
-	crawls := map[string]func() (Run, []trace.SpanData, int64, error){
-		"dns":     func() (Run, []trace.SpanData, int64, error) { return spansOf(RunDNS(ctx, opts)) },
-		"http":    func() (Run, []trace.SpanData, int64, error) { return spansOf(RunHTTP(ctx, opts)) },
-		"tls":     func() (Run, []trace.SpanData, int64, error) { return spansOf(RunTLS(ctx, opts)) },
-		"smtp":    func() (Run, []trace.SpanData, int64, error) { return spansOf(RunSMTP(ctx, opts)) },
-		"monitor": func() (Run, []trace.SpanData, int64, error) { return spansOf(RunMonitor(ctx, opts)) },
+	crawls := map[string]func(Options) (Run, []trace.SpanData, int64, error){
+		"dns":     func(o Options) (Run, []trace.SpanData, int64, error) { return spansOf(RunDNS(ctx, o)) },
+		"http":    func(o Options) (Run, []trace.SpanData, int64, error) { return spansOf(RunHTTP(ctx, o)) },
+		"tls":     func(o Options) (Run, []trace.SpanData, int64, error) { return spansOf(RunTLS(ctx, o)) },
+		"smtp":    func(o Options) (Run, []trace.SpanData, int64, error) { return spansOf(RunSMTP(ctx, o)) },
+		"monitor": func(o Options) (Run, []trace.SpanData, int64, error) { return spansOf(RunMonitor(ctx, o)) },
 	}
 	for name, crawl := range crawls {
 		t.Run(name, func(t *testing.T) {
-			run, spans, total, err := crawl()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int64(len(spans)) != total {
-				t.Fatalf("the tracer kept %d of %d spans; the check needs every one", len(spans), total)
-			}
-			probes := 0
-			for _, sp := range spans {
-				if sp.Kind == trace.KindClient {
-					probes++
+			for _, chaos := range append([]string{""}, simnet.ProfileNames()...) {
+				label := chaos
+				if label == "" {
+					label = "fault-free"
 				}
-				if !sp.Start.Equal(population.Epoch) || !sp.End.Equal(population.Epoch) {
-					t.Fatalf("span %s ran from %v to %v, not at the epoch %v", sp.Name, sp.Start, sp.End, population.Epoch)
-				}
-			}
-			if probes == 0 || probes != run.Stats().Sessions {
-				t.Fatalf("%d probe spans for %d sessions", probes, run.Stats().Sessions)
+				t.Run(label, func(t *testing.T) {
+					opts := Options{Seed: 7, Scale: 0.005, Workers: 2, Chaos: chaos, Crawl: core.CrawlConfig{MaxSessions: 150}}
+					run, spans, total, err := crawl(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if int64(len(spans)) != total {
+						t.Fatalf("the tracer kept %d of %d spans; the check needs every one", len(spans), total)
+					}
+					probes := 0
+					for _, sp := range spans {
+						if sp.Kind == trace.KindClient {
+							probes++
+						}
+						if !sp.Start.Equal(population.Epoch) || !sp.End.Equal(population.Epoch) {
+							t.Fatalf("span %s ran from %v to %v, not at the epoch %v", sp.Name, sp.Start, sp.End, population.Epoch)
+						}
+					}
+					if probes == 0 || probes != run.Stats().Sessions {
+						t.Fatalf("%d probe spans for %d sessions", probes, run.Stats().Sessions)
+					}
+					// A profile that faults every port must have faulted this
+					// crawl, or the chaos input proved nothing. flaky-exits
+					// faults only 80 and 443, which an smtp crawl never dials.
+					injected := int64(0)
+					for _, n := range run.Metrics().Labeled["fault_injected_total"] {
+						injected += n
+					}
+					if prof, _ := simnet.ProfileByName(chaos); chaos != "" && len(prof.Ports) == 0 && injected == 0 {
+						t.Fatalf("the %s profile injected no fault", chaos)
+					}
+				})
 			}
 		})
 	}

@@ -11,10 +11,11 @@ GO=${GO:-go}
 
 # The gate, in order; EXTRA stages run only when named: shards and chaos
 # each re-run a subset of what test and race have already run, loc counts
-# code lines and lint waivers, and census counts a session's lock
-# operations. No stage writes a tracked file.
+# code lines and lint waivers, census counts a session's lock operations,
+# and report sweeps the paper report over nine seeds. No stage writes a
+# tracked file.
 GATE="fmt vet lint build test race fuzz bench tftbench"
-EXTRA="shards chaos loc census"
+EXTRA="shards chaos loc census report"
 
 # exists PKG PATTERN...: fail unless every pattern names a test, fuzz
 # target or benchmark in PKG. go test exits 0 when -run, -fuzz or -bench
@@ -210,6 +211,26 @@ stage() {
 		# connection's). A -cover build of cmd/tft in a temporary directory,
 		# about ten seconds; writes nothing.
 		$GO run ./scripts/lockcensus -experiment dns -scale 0.0375 -seed 7 -workers 2
+		;;
+	report)
+		# The paper-vs-measured report at nine seeds (20160413 and 1-8):
+		# cmd/tft built once into a temporary directory, then
+		# -experiment all -scale 0.05 -workers 1 at each seed. Prints each
+		# run's wall time (its "completed in" line) and every report row
+		# whose Holds column reads NO, with its seed, and fails if there is
+		# one. About 80 s on a 2-core host.
+		tmp=$(mktemp -d)
+		trap 'rm -rf "$tmp"' EXIT
+		$GO build -o "$tmp/tft" ./cmd/tft
+		held=yes
+		for seed in 20160413 1 2 3 4 5 6 7 8; do
+			"$tmp/tft" -experiment all -scale 0.05 -workers 1 -seed "$seed" >"$tmp/out" 2>&1 ||
+				{ cat "$tmp/out" >&2; echo "check.sh: tft failed at seed $seed" >&2; exit 1; }
+			echo "seed $seed: $(grep '^completed in' "$tmp/out")"
+			awk -v seed="$seed" '/^Report: /{r=1} r && !NF{r=0} r && $NF=="NO"{print "seed " seed " NO: " $0; no=1} END{exit no}' "$tmp/out" ||
+				held=no
+		done
+		[ "$held" = yes ] || { echo "check.sh: a paper report row reads NO" >&2; exit 1; }
 		;;
 	*)
 		echo "check.sh: unknown stage '$1' (have: $GATE $EXTRA)" >&2

@@ -124,7 +124,7 @@ func (o *Options) applyChaos(w *population.World) error {
 	if !ok {
 		return fmt.Errorf("unknown chaos profile %q (have %v)", o.Chaos, simnet.ProfileNames())
 	}
-	plane := simnet.NewFaultPlane(prof, o.Seed, w.Clock)
+	plane := simnet.NewFaultPlane(prof, o.Seed, nil)
 	faults := o.Crawl.Metrics.Labeled("fault_injected_total")
 	plane.OnInject(func(kind string) { faults.Inc(kind) })
 	w.Fabric.Faults = plane
