@@ -29,9 +29,12 @@
 //
 // -trace writes each run's retained spans as Chrome trace_event JSON — open
 // it at ui.perfetto.dev or chrome://tracing to see each probe's client →
-// super proxy → exit node span tree. A run's tracer retains its last 16 384
-// spans, not all of them: a Scale 0.05 DNS crawl records about 0.76 M, and
-// the tracer's Total() is the count of spans recorded. -trace-jsonl writes
+// super proxy → exit node span tree. A run's tracer commits a probe's
+// whole trace only when a verdict needs it: the probe found a violation,
+// failed or faulted, the super proxy retried it, or it falls in the 1-in-512
+// sample; every other probe's spans are dropped unencoded. Its ring holds
+// the last 16 384 spans committed, which at Scale 0.05 is not every
+// verdict's trace. -trace-jsonl writes
 // the same spans one JSON object per line for grep/jq pipelines; each
 // probe's root span (kind "client") is its record: session, country, zid,
 // outcome and, when the probe found one, violation.
@@ -94,8 +97,8 @@ func main() {
 		dump        = flag.String("dump", "", "directory to write the dataset release into (all experiments only)")
 		showMetrics = flag.Bool("metrics", false, "print each run's crawl-engine metrics table")
 		metricsJSON = flag.Bool("metrics-json", false, "dump each run's metrics snapshot as JSON to stdout")
-		traceOut    = flag.String("trace", "", "write each run's retained spans (its last 16384) as Chrome trace_event JSON to this file")
-		traceJSONL  = flag.String("trace-jsonl", "", "write each run's retained spans (its last 16384) as JSONL to this file")
+		traceOut    = flag.String("trace", "", "write each run's retained spans as Chrome trace_event JSON to this file: the traces of violating, failed, faulted and retried probes and a 1-in-512 sample, the last 16384 spans committed")
+		traceJSONL  = flag.String("trace-jsonl", "", "write each run's retained spans as JSONL to this file (the same spans as -trace)")
 
 		showProgress  = flag.Bool("progress", false, "rewrite a live progress line on stderr while the crawl runs")
 		progressJSONL = flag.String("progress-jsonl", "", "stream flight-recorder checkpoints and run manifests as JSONL to this file")

@@ -93,7 +93,7 @@ func TestCrawlSpineToyExperiment(t *testing.T) {
 			onOK := make([]int, workers)
 			ds, err := runCrawl(context.Background(),
 				CrawlConfig{Workers: workers, Window: 10 * toySessions, MaxSessions: toySessions,
-					Metrics: reg, Progress: prog, Tracer: tracer},
+					Metrics: reg, Progress: prog, Tracer: tracer, TraceSample: 1},
 				map[geo.CountryCode]int{"DE": 3, "US": 5}, testSeed,
 				crawlSpec[*toyObs]{
 					name: "toy", stream: "crawl/toy",

@@ -319,10 +319,13 @@ func (sp *SuperProxy) resolveSuper(parent trace.SpanContext, host string) (netip
 
 // failAttempt records one failed exit-node try both ways the service
 // reports it: as a timeline entry (the X-Hola-Timeline-Debug chain) and as
-// a closed error span under the request's server span.
+// a closed error span under the request's server span, which keeps its
+// trace: a retry, a breaker skip or a lost pin is committed whatever the
+// probe's root decides.
 func (sp *SuperProxy) failAttempt(parent trace.SpanContext, attempts []Attempt, zid, errStr string) []Attempt {
 	aspan := sp.Tracer.StartChild(parent, "proxy.attempt", trace.KindAttempt, trace.Str("zid", zid))
 	aspan.SetError(errStr)
+	aspan.Keep()
 	aspan.End()
 	return append(attempts, Attempt{ZID: zid, Err: errStr})
 }

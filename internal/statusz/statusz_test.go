@@ -28,6 +28,9 @@ func testServer(t *testing.T, pprof bool) (*Server, *httptest.Server) {
 	root.End()
 	other := tr.StartRoot("probe.http", trace.KindClient, trace.Str("zid", "z2"))
 	other.End()
+	clean := tr.StartRoot("probe.dns", trace.KindClient, trace.Str("zid", "z3"))
+	tr.StartChild(clean.Context(), "node.fetch", trace.KindFetch).End()
+	clean.Discard()
 
 	s := &Server{Metrics: reg, Tracer: tr, Pprof: pprof}
 	ts := httptest.NewServer(s.Handler())
@@ -56,7 +59,7 @@ func TestEndpoints(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "tft statusz") {
 		t.Fatalf("/statusz = %d %q", code, body)
 	}
-	if !strings.Contains(body, "3 retained / 3 total") {
+	if !strings.Contains(body, "spans:       3 retained / 3 committed / 2 discarded\n") {
 		t.Errorf("/statusz missing span counts:\n%s", body)
 	}
 

@@ -163,7 +163,8 @@ func spansOf[D crawlDataset, A tableSet](r *ExperimentRun[D, A], err error) (Run
 // no deadline and a fault never wait: no crawl advances the world's virtual
 // clock while a session is in flight, with or without chaos. Every span of a
 // small dns, http, tls, smtp and monitor crawl, fault-free and under each
-// chaos profile, starts and ends at population.Epoch; the monitor's
+// chaos profile (TraceSample 1 commits every trace, so that the check sees
+// them all), starts and ends at population.Epoch; the monitor's
 // refetches, which run as the clock crosses the monitoring day after the
 // crawl, record none.
 func TestCrawlsRunAtOneInstant(t *testing.T) {
@@ -183,7 +184,7 @@ func TestCrawlsRunAtOneInstant(t *testing.T) {
 					label = "fault-free"
 				}
 				t.Run(label, func(t *testing.T) {
-					opts := Options{Seed: 7, Scale: 0.005, Workers: 2, Chaos: chaos, Crawl: core.CrawlConfig{MaxSessions: 150}}
+					opts := Options{Seed: 7, Scale: 0.005, Workers: 2, Chaos: chaos, Crawl: core.CrawlConfig{MaxSessions: 150, TraceSample: 1}}
 					run, spans, total, err := crawl(opts)
 					if err != nil {
 						t.Fatal(err)

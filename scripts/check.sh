@@ -12,10 +12,10 @@ GO=${GO:-go}
 # The gate, in order; EXTRA stages run only when named: shards and chaos
 # each re-run a subset of what test and race have already run, loc counts
 # code lines and lint waivers, census counts a session's lock operations,
-# and report sweeps the paper report over nine seeds. No stage writes a
-# tracked file.
+# profile folds a DNS crawl's CPU profile by layer, and report sweeps the
+# paper report over nine seeds. No stage writes a tracked file.
 GATE="fmt vet lint build test race fuzz bench tftbench"
-EXTRA="shards chaos loc census report"
+EXTRA="shards chaos loc census profile report"
 
 # exists PKG PATTERN...: fail unless every pattern names a test, fuzz
 # target or benchmark in PKG. go test exits 0 when -run, -fuzz or -bench
@@ -211,6 +211,18 @@ stage() {
 		# connection's). A -cover build of cmd/tft in a temporary directory,
 		# about ten seconds; writes nothing.
 		$GO run ./scripts/lockcensus -experiment dns -scale 0.0375 -seed 7 -workers 2
+		;;
+	profile)
+		# DESIGN.md §6's by-layer CPU table for a DNS crawl: a CPU profile
+		# of five two-worker Scale 0.01 DNS crawls (BenchmarkCrawlWorkers),
+		# folded by scripts/cpufold. The profile and the test binary go to a
+		# temporary directory; about thirty seconds; writes nothing.
+		exists . '^BenchmarkCrawlWorkers$'
+		tmp=$(mktemp -d)
+		trap 'rm -rf "$tmp"' EXIT
+		$GO test -run=NONE -bench='CrawlWorkers/workers=2$' -benchtime=5x \
+			-cpuprofile "$tmp/cpu.prof" -o "$tmp/tft.test" . </dev/null >&2
+		$GO tool pprof -traces "$tmp/cpu.prof" | $GO run ./scripts/cpufold
 		;;
 	report)
 		# The paper-vs-measured report at nine seeds (20160413 and 1-8):

@@ -30,8 +30,8 @@ var violationDetails = map[string]string{
 // dataset), the tracer — one lock-free ring and striped ID blocks shared by
 // all of them — hands out no ID twice, loses no span it claimed a slot for,
 // and keeps every span's parent, and the root spans are the per-probe
-// record: one a session, agreeing with the manifest outcome by outcome and
-// verdict by verdict.
+// record: one a session (TraceSample 1 commits every trace), agreeing with
+// the manifest outcome by outcome and verdict by verdict.
 func TestWorkersShareOneWorld(t *testing.T) {
 	const spanRoom = 1 << 20 // more than any of these crawls records, so nothing is overwritten
 	type worldCase struct{ name, experiment, chaos string }
@@ -39,7 +39,7 @@ func TestWorkersShareOneWorld(t *testing.T) {
 		t.Helper()
 		tracer := trace.New(func() time.Time { return time.Time{} }, spanRoom)
 		run, err := RunExperiment(context.Background(), c.experiment,
-			Options{Seed: 20160413, Scale: 0.005, Workers: workers, Chaos: c.chaos, Crawl: core.CrawlConfig{Tracer: tracer}})
+			Options{Seed: 20160413, Scale: 0.005, Workers: workers, Chaos: c.chaos, Crawl: core.CrawlConfig{Tracer: tracer, TraceSample: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
