@@ -50,7 +50,7 @@ func (e *ObjectSizeAblation) Run(ctx context.Context) (ObjectSizeResult, error) 
 	tiny := origin.IndexBody()
 	full := content.Object(content.KindHTML)
 
-	cr.runWorkers(ctx, func(_ int, cc geo.CountryCode, sess string) {
+	cr.runWorkers(ctx, func(_ int, cc geo.CountryCode, sess string, _ bool) {
 		mu.Lock()
 		done := res.Nodes >= e.Samples
 		mu.Unlock()

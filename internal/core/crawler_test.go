@@ -56,7 +56,7 @@ func TestCrawlerWorkersConcurrencySafe(t *testing.T) {
 		weights, simnet.NewRand(3))
 	var mu sync.Mutex
 	perCountry := map[geo.CountryCode]int{}
-	cr.runWorkers(context.Background(), func(_ int, cc geo.CountryCode, sess string) {
+	cr.runWorkers(context.Background(), func(_ int, cc geo.CountryCode, sess string, _ bool) {
 		// Simulate a 40-node world.
 		zid := fmt.Sprintf("z%02d", len(sess)%5*8+int(sess[len(sess)-1])%8)
 		cr.observe(zid)
@@ -82,7 +82,7 @@ func TestCrawlerWorkersConcurrencySafe(t *testing.T) {
 
 func TestCrawlerEmptyWeights(t *testing.T) {
 	cr := newCrawler(CrawlConfig{}, nil, simnet.NewRand(4))
-	if _, _, ok := cr.next(context.Background()); ok {
+	if _, _, _, ok := cr.next(context.Background()); ok {
 		t.Fatal("crawl with no countries handed out a session")
 	}
 }
@@ -93,7 +93,7 @@ func TestCrawlerMaxSessionsCap(t *testing.T) {
 		map[geo.CountryCode]int{"DE": 1}, simnet.NewRand(5))
 	n := 0
 	for {
-		_, _, ok := cr.next(context.Background())
+		_, _, _, ok := cr.next(context.Background())
 		if !ok {
 			break
 		}

@@ -109,7 +109,7 @@ func TestCrawlerCancellationMidCrawl(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var n atomic.Int64
-	cr.runWorkers(ctx, func(_ int, cc geo.CountryCode, sess string) {
+	cr.runWorkers(ctx, func(_ int, cc geo.CountryCode, sess string, _ bool) {
 		cr.observe(sess) // all novel: the stop rule never fires
 		if n.Add(1) == cancelPoint {
 			cancel()
@@ -135,7 +135,7 @@ func TestCrawlerMetricsMatchStats(t *testing.T) {
 		CrawlConfig{Workers: 8, Window: 60, StopNewRate: 0.05, MaxSessions: 50000, Metrics: reg},
 		map[geo.CountryCode]int{"DE": 2, "US": 5, "BR": 1}, simnet.NewRand(4))
 	var dup atomic.Int64
-	cr.runWorkers(context.Background(), func(_ int, cc geo.CountryCode, sess string) {
+	cr.runWorkers(context.Background(), func(_ int, cc geo.CountryCode, sess string, _ bool) {
 		// A 100-node world: novelty dries up and the rule stops the crawl.
 		var sn int
 		fmt.Sscanf(sess, "s%d", &sn)
