@@ -29,12 +29,10 @@
 //
 // -trace writes each run's retained spans as Chrome trace_event JSON — open
 // it at ui.perfetto.dev or chrome://tracing to see each probe's client →
-// super proxy → exit node span tree. A run's tracer commits a probe's
-// whole trace only when a verdict needs it: the probe found a violation,
-// failed or faulted, the super proxy retried it, or it falls in the 1-in-512
-// sample; every other probe's spans are dropped unencoded. Its ring holds
-// the last 16 384 spans committed, which at Scale 0.05 is not every
-// verdict's trace. -trace-jsonl writes
+// super proxy → exit node span tree. A run traces a sample chosen before
+// each session starts: every 512th session, whole, and no span of any
+// other. Its ring holds the last 16 384 spans, which at Scale 0.05 is the
+// whole sample (a DNS crawl's is about 1.4 K spans). -trace-jsonl writes
 // the same spans one JSON object per line for grep/jq pipelines; each
 // probe's root span (kind "client") is its record: session, country, zid,
 // outcome and, when the probe found one, violation.
@@ -97,7 +95,7 @@ func main() {
 		dump        = flag.String("dump", "", "directory to write the dataset release into (all experiments only)")
 		showMetrics = flag.Bool("metrics", false, "print each run's crawl-engine metrics table")
 		metricsJSON = flag.Bool("metrics-json", false, "dump each run's metrics snapshot as JSON to stdout")
-		traceOut    = flag.String("trace", "", "write each run's retained spans as Chrome trace_event JSON to this file: the traces of violating, failed, faulted and retried probes and a 1-in-512 sample, the last 16384 spans committed")
+		traceOut    = flag.String("trace", "", "write each run's retained spans as Chrome trace_event JSON to this file: every 512th session's whole trace, the last 16384 spans")
 		traceJSONL  = flag.String("trace-jsonl", "", "write each run's retained spans as JSONL to this file (the same spans as -trace)")
 
 		showProgress  = flag.Bool("progress", false, "rewrite a live progress line on stderr while the crawl runs")

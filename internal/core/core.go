@@ -122,15 +122,14 @@ type CrawlConfig struct {
 	// window trajectory, and why the crawl stopped. A nil registry
 	// disables instrumentation at the cost of a nil check.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, wraps every measurement session in a client
-	// root span whose context the proxy chain's spans parent under,
+	// Tracer, when non-nil, wraps every sampled measurement session in a
+	// client root span whose context the proxy chain's spans parent under,
 	// yielding a complete per-request trace tree. Nil disables tracing.
 	Tracer *trace.Tracer
-	// TraceSample is how many clean sessions the tracer commits one trace
-	// of: a session whose number is a multiple of it. A session that found
-	// a violation, failed or faulted, and one the super proxy retried,
-	// commits its trace whatever the sample; every other session's trace is
-	// dropped unencoded. 0 means DefaultTraceSample; 1 commits every trace.
+	// TraceSample is how many sessions the tracer traces one of: a session
+	// whose number is a multiple of it. Every other session carries
+	// trace.Unsampled, and no hop starts a span for it. 0 means
+	// DefaultTraceSample; 1 traces every session.
 	TraceSample int
 	// Progress, when non-nil, is the flight recorder: the crawler reports
 	// each issued probe and the drivers report per-shard outcomes into it,
@@ -139,16 +138,9 @@ type CrawlConfig struct {
 	Progress *progress.Tracker
 }
 
-// DefaultTraceSample is CrawlConfig.TraceSample's default: the sample is
-// kept small beside the verdicts, which already overfill a default ring at
-// Scale 0.05. A Scale 0.05 DNS crawl (seed 20160413, two workers) of 98 K
-// sessions commits 1 740 violators' traces of 11.0 spans and 915 retried
-// ones of 8.3, 26.7 K spans against the ring's 16 384, so no sample would
-// let all it keeps fit; 1 in 512 adds 192 clean traces of 7.4 spans, 1.4 K
-// spans, and a measured run ended holding 913 of its 1 744 violators'
-// traces. At Scale 0.01 everything kept fits: 6.5 K spans for DNS, 8.5 K
-// for TLS, whose violating probe is 100 spans. Keeping every violator's
-// trace at Scale 0.05 needs a store for verdict traces beside the ring.
+// DefaultTraceSample is CrawlConfig.TraceSample's default: one session in
+// 512, so that an unsampled session, nearly all of them, pays nothing for
+// the tracer, and a crawl's sample is a few hundred whole traces.
 const DefaultTraceSample = 512
 
 // withDefaults fills unset fields.
@@ -367,29 +359,31 @@ var outcomeNames = [numOutcomes]string{"ok", "failed", "duplicate", "discarded",
 // String names the outcome for span attributes.
 func (o outcome) String() string { return outcomeNames[o] }
 
-// traceProbe opens the client-side root span for one measurement session —
-// the one per-probe record. The returned context parents everything the
-// proxy chain does for the probe; the probe's done stamps the measured
-// zID, the outcome and, when the probe found one, the violation, then
-// closes the span. A clean probe's four attributes fit the span's inline
-// storage; only a violating one spills. With a nil CrawlConfig.Tracer both
-// are cheap no-ops.
+// traceProbe opens the client-side root span for one sampled measurement
+// session — the one per-probe record. The returned context parents
+// everything the proxy chain does for the probe; the probe's done stamps
+// the measured zID, the outcome and, when the probe found one, the
+// violation, then ends the span. A clean probe's four attributes fit the
+// span's inline storage; only a violating one spills. A session outside the
+// sample opens no root: its context carries trace.Unsampled, so no hop
+// starts a span for it, and its done ends the zero Span. With a nil
+// CrawlConfig.Tracer both are cheap no-ops.
 func (c *crawler) traceProbe(ctx context.Context, name string, cc geo.CountryCode, sess string, sampled bool) (context.Context, probe) {
+	if c.cfg.Tracer == nil {
+		return ctx, probe{}
+	}
+	if !sampled {
+		return trace.NewContext(ctx, trace.Unsampled), probe{}
+	}
 	span := c.cfg.Tracer.StartRoot(name, trace.KindClient,
 		trace.Str("session", sess), trace.Str("country", string(cc)))
-	return trace.NewContext(ctx, span.Context()), probe{span: span, sampled: sampled}
+	return trace.NewContext(ctx, span.Context()), probe{span: span}
 }
 
-// probe is one session's root span and whether the session is in the
-// trace sample.
-type probe struct {
-	span    trace.Span
-	sampled bool
-}
+// probe is one session's root span, the zero Span outside the sample.
+type probe struct{ span trace.Span }
 
-// done records how the session ended on its root span and ends it: with
-// End, committing the trace, when a verdict needs it — a violation, a
-// failure, a fault — or the session is sampled, else with Discard.
+// done records how the session ended on its root span and ends it.
 func (p probe) done(zid string, oc outcome, violation string) {
 	span := p.span
 	attrs := [3]trace.Attr{trace.Str("outcome", oc.String())}
@@ -409,11 +403,7 @@ func (p probe) done(zid string, oc outcome, violation string) {
 	case outcomeFault:
 		span.SetError("probe_faulted")
 	}
-	if p.sampled || violation != "" || oc == outcomeFailed || oc == outcomeFault {
-		span.End()
-	} else {
-		span.Discard()
-	}
+	span.End()
 }
 
 // runWorkers drives measure() from cfg.Workers goroutines until the crawl

@@ -8,11 +8,11 @@ import (
 
 // runSpanEnd enforces span hygiene: the result of every trace.Tracer
 // StartRoot/StartChild call must be ended in the starting function — an
-// .End() or .Discard() call or defer on the assigned variable — or visibly
-// handed off (returned, passed as an argument, stored into a structure). A
-// span whose handle is thrown away or only decorated leaks an open span
-// from the bounded collector's point of view and silently truncates the
-// request's trace tree.
+// .End() call or defer on the assigned variable — or visibly handed off
+// (returned, passed as an argument, stored into a structure). A span that
+// is discarded or only decorated leaks an open span from the bounded
+// collector's point of view and silently truncates the request's trace
+// tree.
 //
 // The trace package itself is exempt: it is the implementation.
 func runSpanEnd(p *Pass) []Diagnostic {
@@ -139,11 +139,11 @@ func spanEndedOrEscapes(p *Pass, fd *ast.FuncDecl, obj any) bool {
 		}
 		switch par := parent(stack).(type) {
 		case *ast.SelectorExpr:
-			if par.X == id && (par.Sel.Name == "End" || par.Sel.Name == "Discard") {
+			if par.X == id && par.Sel.Name == "End" {
 				found = true
 			}
-			// Other selections (SetError, SetAttrs, Keep, Context) neither
-			// end the span nor move it.
+			// Other selections (SetError, SetAttrs, Context) neither end
+			// the span nor move it.
 		case *ast.AssignStmt:
 			for _, lhs := range par.Lhs {
 				if lhs == id {

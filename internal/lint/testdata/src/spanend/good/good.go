@@ -34,10 +34,3 @@ func Closure(t *trace.Tracer) func() {
 	span := t.StartRoot("closure", trace.KindClient)
 	return func() { span.End() }
 }
-
-// Discarded drops the span's trace instead of committing it.
-func Discarded(t *trace.Tracer) {
-	span := t.StartRoot("clean", trace.KindClient)
-	span.Keep()
-	span.Discard()
-}

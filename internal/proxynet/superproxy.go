@@ -319,13 +319,10 @@ func (sp *SuperProxy) resolveSuper(parent trace.SpanContext, host string) (netip
 
 // failAttempt records one failed exit-node try both ways the service
 // reports it: as a timeline entry (the X-Hola-Timeline-Debug chain) and as
-// a closed error span under the request's server span, which keeps its
-// trace: a retry, a breaker skip or a lost pin is committed whatever the
-// probe's root decides.
+// a closed error span under the request's server span.
 func (sp *SuperProxy) failAttempt(parent trace.SpanContext, attempts []Attempt, zid, errStr string) []Attempt {
 	aspan := sp.Tracer.StartChild(parent, "proxy.attempt", trace.KindAttempt, trace.Str("zid", zid))
 	aspan.SetError(errStr)
-	aspan.Keep()
 	aspan.End()
 	return append(attempts, Attempt{ZID: zid, Err: errStr})
 }
@@ -398,7 +395,8 @@ func (sp *SuperProxy) selectNode(params Params, parent trace.SpanContext) (Peer,
 
 // orParent is span's context, or parent when there is no span to have one:
 // a service with no tracer passes its caller's context on, so the hops
-// behind it still join the caller's trace.
+// behind it still join the caller's trace, and a request outside the trace
+// sample passes trace.Unsampled on, so they start no span either.
 func orParent(span trace.Span, parent trace.SpanContext) trace.SpanContext {
 	if sc := span.Context(); sc.Valid() {
 		return sc
@@ -430,7 +428,7 @@ func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *ht
 		trace.Str("target", req.Target))
 	defer span.End()
 	// under is the span whatever happens next belongs to: the request's,
-	// then the winning attempt's; without a tracer here, the client's.
+	// then the winning attempt's; without a span here, the client's context.
 	under := orParent(span, parent)
 	failGet := func(status int, errStr, zid string, ip netip.Addr, attempts []Attempt) {
 		span.SetError(errStr)
@@ -447,13 +445,13 @@ func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *ht
 		return
 	}
 
-	ip, ok := sp.resolveSuper(span.Context(), host)
+	ip, ok := sp.resolveSuper(under, host)
 	if !ok {
 		failGet(502, ErrDNSSuper, "", netip.Addr{}, nil)
 		return
 	}
 
-	node, attempts, aspan := sp.selectNode(params, span.Context())
+	node, attempts, aspan := sp.selectNode(params, under)
 	if node == nil {
 		failGet(502, ErrNoPeers, "", netip.Addr{}, attempts)
 		return
@@ -529,12 +527,12 @@ func (sp *SuperProxy) handleConnect(parent trace.SpanContext, conn net.Conn, req
 	if err != nil {
 		// Clients normally CONNECT to IP literals; resolve as a courtesy.
 		var ok bool
-		if ip, ok = sp.resolveSuper(span.Context(), hostStr); !ok {
+		if ip, ok = sp.resolveSuper(under, hostStr); !ok {
 			failConnect(502, ErrDNSSuper, "", netip.Addr{}, nil)
 			return false
 		}
 	}
-	node, attempts, aspan := sp.selectNode(params, span.Context())
+	node, attempts, aspan := sp.selectNode(params, under)
 	if node == nil {
 		failConnect(502, ErrNoPeers, "", netip.Addr{}, attempts)
 		return false

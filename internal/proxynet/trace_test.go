@@ -2,10 +2,15 @@ package proxynet
 
 import (
 	"context"
+	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
+	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/dnsserver"
+	"github.com/tftproject/tft/internal/origin"
+	"github.com/tftproject/tft/internal/tlssim"
 	"github.com/tftproject/tft/internal/trace"
 )
 
@@ -181,4 +186,105 @@ func TestTraceWithoutClientHeader(t *testing.T) {
 			t.Fatalf("span %q escaped the request trace: %+v", d.Name, d)
 		}
 	}
+}
+
+// A request outside the trace sample starts no span at any hop: not the
+// super proxy's request, resolve or attempt spans, a retry's error span
+// included, and not the exit node's, in process or behind an agent whose
+// header carries the mark. After each case a sampled request of the same
+// shape is traced whole, so the case would have shown its spans; every span
+// recorded belongs to that request's trace.
+func TestUnsampledRequestStartsNoSpan(t *testing.T) {
+	unsampled := trace.NewContext(context.Background(), trace.Unsampled)
+	// sampledOnly runs do under a client root and requires that the tracer
+	// holds nothing but that root's trace once name's span has landed.
+	sampledOnly := func(t *testing.T, tr *trace.Tracer, name string, do func(context.Context)) {
+		t.Helper()
+		if n := tr.Total(); n != 0 {
+			t.Fatalf("unsampled requests recorded %d spans", n)
+		}
+		root := tr.StartRoot("probe.sampled", trace.KindClient)
+		rc := root.Context()
+		do(trace.NewContext(context.Background(), rc))
+		root.End()
+		waitSpans(t, tr, name, 1)
+		for _, d := range tr.Spans() {
+			if d.TraceID != rc.Trace {
+				t.Fatalf("span %q of trace %v recorded for an unsampled request", d.Name, d.TraceID)
+			}
+		}
+	}
+
+	t.Run("get with retry", func(t *testing.T) {
+		w := newTestWorld(t, 0)
+		tr := instrumentWorld(w)
+		w.setRule("d1", dnsserver.Always(webIP))
+		url := "http://d1." + zone + "/object.html"
+		opts := Options{Country: "DE", Session: "808", RemoteDNS: true}
+		_, dbg, err := w.client.Get(unsampled, opts, url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, _ := w.pool.Get(dbg.ZID)
+		peer.(*ExitNode).SetOnline(false)
+		_, dbg2, err := w.client.Get(unsampled, opts, url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dbg2.Attempts) == 0 || dbg2.Attempts[0].ZID != dbg.ZID {
+			t.Fatalf("the dead pin was not retried: %+v", dbg2)
+		}
+		sampledOnly(t, tr, "node.fetch", func(ctx context.Context) {
+			if _, _, err := w.client.Get(ctx, opts, url); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+
+	t.Run("connect", func(t *testing.T) {
+		w := newTestWorld(t, 0)
+		tr := instrumentWorld(w)
+		root := cert.NewRootCA(cert.Name{CommonName: "Site Root"}, "sr", t0.Add(-time.Hour), 1000*time.Hour)
+		leaf := root.Issue(cert.Template{Subject: cert.Name{CommonName: "site.example"},
+			NotBefore: t0.Add(-time.Hour), NotAfter: t0.Add(1000 * time.Hour), KeySeed: "site"})
+		chain := []*cert.Certificate{leaf, root.Cert}
+		w.fabric.HandleTCP(siteIP, 443, origin.TLSSite(func(string) []*cert.Certificate { return chain }))
+		connect := func(ctx context.Context) {
+			conn, _, err := w.client.Connect(ctx, Options{}, siteIP.String()+":443")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tlssim.CollectChain(conn, "site.example"); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+		}
+		connect(unsampled)
+		sampledOnly(t, tr, "node.tunnel", connect)
+	})
+
+	t.Run("get through an agent", func(t *testing.T) {
+		r := newTCPRig(t, netip.Addr{}, nil)
+		tr := trace.New(nil, 0)
+		r.sp.Tracer = tr
+		r.auth.SetFallback(answering("d1."+zone, dnsserver.Always(r.webIPReal)))
+		dnsAP, _ := netip.ParseAddrPort(r.dnsAddr)
+		node := &ExitNode{
+			ZID: "zremote09", Addr: localIP(), Country: "DE", Tracer: tr,
+			Resolver: dnsserver.NewUDPResolver(localIP(), dnsAP, netip.Addr{}),
+			Net:      &TCPDialer{Timeout: 2 * time.Second},
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		go (&Agent{Node: node, Gateway: r.agentAddr, Conns: 2}).Run(ctx)
+		r.waitPeers("zremote09")
+		url := fmt.Sprintf("http://d1.%s:%d/", zone, r.webPort)
+		get := func(ctx context.Context) {
+			if _, dbg, err := r.client().Get(ctx, Options{RemoteDNS: true}, url); err != nil || dbg.ZID != "zremote09" {
+				t.Fatalf("served by %q: %v", dbg.ZID, err)
+			}
+		}
+		get(unsampled)
+		sampledOnly(t, tr, "node.fetch", get)
+	})
 }

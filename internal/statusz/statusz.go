@@ -97,8 +97,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "counters:    %d\n", len(snap.Counters))
 	fmt.Fprintf(w, "gauges:      %d\n", len(snap.Gauges))
 	fmt.Fprintf(w, "histograms:  %d\n", len(snap.Histograms))
-	fmt.Fprintf(w, "spans:       %d retained / %d committed / %d discarded\n",
-		s.Tracer.Retained(), s.Tracer.Total(), s.Tracer.Discarded())
+	fmt.Fprintf(w, "spans:       %d retained / %d committed\n", s.Tracer.Retained(), s.Tracer.Total())
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "endpoints:")
 	fmt.Fprintln(w, "  /metrics             Prometheus text exposition")

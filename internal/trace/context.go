@@ -10,10 +10,17 @@ import (
 // Luminati's own per-request attribution.
 const HeaderName = "X-Tft-Trace"
 
+// unsampledHeader is Unsampled's wire form, as traceparent's "not sampled"
+// flag is: the next hop traces nothing for the request either.
+const unsampledHeader = "v1;unsampled"
+
 // FormatHeader renders a span context in the wire form
-// "v1;t=<16-hex>;s=<16-hex>" ("" for an invalid context, meaning: do not
-// stamp a header at all).
+// "v1;t=<16-hex>;s=<16-hex>", Unsampled as "v1;unsampled", and any other
+// invalid context as "", meaning: do not stamp a header at all.
 func FormatHeader(sc SpanContext) string {
+	if sc.unsampled {
+		return unsampledHeader
+	}
 	if !sc.Valid() {
 		return ""
 	}
@@ -25,11 +32,14 @@ func FormatHeader(sc SpanContext) string {
 	return string(buf)
 }
 
-// ParseHeader parses FormatHeader's wire form, the only one any hop
-// writes: exactly "v1;t=<16-hex>;s=<16-hex>", hex digits in either case.
-// Anything else yields an invalid (zero) context — propagation is
-// best-effort, never an error.
+// ParseHeader parses FormatHeader's wire forms, the only ones any hop
+// writes: exactly "v1;t=<16-hex>;s=<16-hex>", hex digits in either case,
+// or "v1;unsampled". Anything else yields the zero context — propagation
+// is best-effort, never an error.
 func ParseHeader(s string) SpanContext {
+	if s == unsampledHeader {
+		return Unsampled
+	}
 	if len(s) != 40 || s[:5] != "v1;t=" || s[21:24] != ";s=" {
 		return SpanContext{}
 	}
@@ -78,9 +88,10 @@ func (c *spanCtx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
-// NewContext returns ctx carrying sc for downstream spans and log records.
+// NewContext returns ctx carrying sc for downstream spans and log records:
+// a valid context, or Unsampled. Any other leaves ctx as it is.
 func NewContext(ctx context.Context, sc SpanContext) context.Context {
-	if !sc.Valid() {
+	if !sc.Valid() && !sc.unsampled {
 		return ctx
 	}
 	return &spanCtx{Context: ctx, sc: sc}

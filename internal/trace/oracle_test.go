@@ -11,16 +11,10 @@ import (
 )
 
 // The tracer's retention as it was before a retained span became a record:
-// the ring holds the ended spans' storage itself, a commit swaps its span
-// into the slot it claims, and the span it evicts goes onto a free list to
-// be issued again. It stays here as the oracle the record ring is held to.
-// The free list is one list, not striped: the oracle runs on one goroutine.
-//
-// The oracle keeps the record ring's retention policy the plain way: a
-// root's stage is a struct with a slice of the spans waiting for it, found
-// through a map from the trace. Which stage a root claims is the one input
-// it takes from the record ring (the stage its trace ID names there); the
-// oracle decides for itself whether an open root holds it.
+// the ring holds the ended spans' storage itself, End swaps its span into
+// the slot it claims, and the span it evicts goes onto a free list to be
+// issued again. It stays here as the oracle the record ring is held to. The
+// free list is one list, not striped: the oracle runs on one goroutine.
 
 type oracleTracer struct {
 	nowFn func() time.Time
@@ -29,23 +23,12 @@ type oracleTracer struct {
 
 	freeMu sync.Mutex
 	free   *oracleSpan
-
-	stages  [numStages]oracleStage
-	stageOf map[TraceID]int // a staged root's trace to its stage
-}
-
-type oracleStage struct {
-	trace      TraceID
-	open, keep bool
-	waiting    []*oracleSpan
-	dropped    int64
 }
 
 type oracleSpan struct {
 	mu     sync.Mutex
 	gen    uint64        // counts up each time the storage is issued
 	tracer *oracleTracer // nil once ended
-	root   bool          // holds its trace's stage open
 	data   SpanData
 	inline [inlineAttrs]Attr
 	next   *oracleSpan
@@ -57,24 +40,18 @@ type oracleHandle struct {
 }
 
 func newOracle(now func() time.Time, capacity int) *oracleTracer {
-	return &oracleTracer{nowFn: now, buf: make([]atomic.Pointer[oracleSpan], capacity), stageOf: map[TraceID]int{}}
+	return &oracleTracer{nowFn: now, buf: make([]atomic.Pointer[oracleSpan], capacity)}
 }
 
 func (s *oracleSpan) open(gen uint64) bool { return s.gen == gen && s.tracer != nil }
 
-// start opens a span; a root claims stage unless an open root holds it.
-func (t *oracleTracer) start(parent SpanContext, stage int, name string, kind Kind, attrs ...Attr) oracleHandle {
+func (t *oracleTracer) start(parent SpanContext, name string, kind Kind, attrs ...Attr) oracleHandle {
 	d := SpanData{SpanID: SpanID(newID()), Name: name, Kind: kind, Start: t.nowFn()}
-	root := false
 	if parent.Valid() {
 		d.TraceID = parent.Trace
 		d.Parent = parent.Span
 	} else {
 		d.TraceID = TraceID(newID())
-		if st := &t.stages[stage]; !st.open {
-			*st = oracleStage{trace: d.TraceID, open: true, dropped: st.dropped}
-			t.stageOf[d.TraceID], root = stage, true
-		}
 	}
 	t.freeMu.Lock()
 	s := t.free
@@ -88,7 +65,6 @@ func (t *oracleTracer) start(parent SpanContext, stage int, name string, kind Ki
 	s.mu.Lock()
 	s.gen++
 	s.tracer = t
-	s.root = root
 	s.data = d
 	s.data.Attrs = append(s.inline[:0], attrs...)
 	h := oracleHandle{s: s, gen: s.gen}
@@ -124,29 +100,7 @@ func (h oracleHandle) SetError(msg string) {
 	h.s.mu.Unlock()
 }
 
-// stage is the stage holding trace id, or nil.
-func (t *oracleTracer) stage(id TraceID) *oracleStage {
-	i, ok := t.stageOf[id]
-	if !ok || t.stages[i].trace != id {
-		return nil
-	}
-	return &t.stages[i]
-}
-
-func (h oracleHandle) Keep() {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	if h.s.open(h.gen) {
-		if st := h.s.tracer.stage(h.s.data.TraceID); st != nil {
-			st.keep = true
-		}
-	}
-}
-
-func (h oracleHandle) End()     { h.end(true) }
-func (h oracleHandle) Discard() { h.end(false) }
-
-func (h oracleHandle) end(keep bool) {
+func (h oracleHandle) End() {
 	h.s.mu.Lock()
 	if !h.s.open(h.gen) {
 		h.s.mu.Unlock()
@@ -156,37 +110,7 @@ func (h oracleHandle) end(keep bool) {
 	h.s.tracer = nil
 	h.s.data.End = t.nowFn()
 	h.s.mu.Unlock()
-	st := t.stage(h.s.data.TraceID)
-	switch {
-	case st == nil:
-		t.collect(h.s)
-	case h.s.root:
-		st.open, st.keep = false, st.keep || keep
-		all := append(st.waiting, h.s)
-		st.waiting = nil
-		if !st.keep {
-			st.dropped += int64(len(all))
-			return
-		}
-		for _, s := range all {
-			t.collect(s)
-		}
-	case st.open && len(st.waiting) < stageDepth:
-		st.waiting = append(st.waiting, h.s)
-	case st.open || st.keep:
-		st.keep = true // past stageDepth: the trace is kept whole
-		t.collect(h.s)
-	default:
-		st.dropped++
-	}
-}
-
-func (t *oracleTracer) Discarded() int64 {
-	var n int64
-	for _, st := range t.stages {
-		n += st.dropped
-	}
-	return n
+	t.collect(h.s)
 }
 
 // collect appends an ended span to the ring; the span it overwrites goes to
@@ -328,16 +252,16 @@ func seedScript(rng *rand.Rand, capacity byte, ops int) []byte {
 	}
 	started := 0
 	for i := 0; i < ops; i++ {
-		op := []byte{0, 1, 1, 1, 2, 3, 4, 4, 5, 5, 6, 7, 8, 8, 9, 10}[rng.Intn(16)]
+		op := []byte{0, 1, 1, 1, 2, 3, 4, 4, 5, 5, 6, 7, 8, 9}[rng.Intn(14)]
 		if started == 0 {
 			op = 0
 		}
 		b = append(b, op)
 		switch op {
-		case 0, 1, 10:
+		case 0, 1, 8, 9:
 			if op == 1 {
 				b = append(b, byte(rng.Intn(256)))
-			} else if op == 10 {
+			} else if op == 9 {
 				b = append(b, byte(rng.Intn(256)), byte(rng.Intn(256)))
 			}
 			str()
@@ -353,7 +277,7 @@ func seedScript(rng *rand.Rand, capacity byte, ops int) []byte {
 		case 3:
 			b = append(b, byte(rng.Intn(256)))
 			str()
-		case 4, 5, 8, 9:
+		case 4, 5:
 			b = append(b, byte(rng.Intn(256)))
 		case 6:
 			b = append(b, byte(rng.Intn(256)), byte(rng.Intn(256)))
@@ -362,12 +286,13 @@ func seedScript(rng *rand.Rand, capacity byte, ops int) []byte {
 	return b
 }
 
-// FuzzRingAgreesWithOracle replays a script of starts (roots, children and
-// children of another tracer's span), attributes, errors, Keeps, Ends and
-// Discards — twice, and through stale handles — and clock steps against the
-// record ring and the pointer ring it replaced, and requires the same spans
-// (times equal and in the same Location), the same Total, Retained and
-// Discarded after every step that reads them and at the end. IDs are the
+// FuzzRingAgreesWithOracle replays a script of starts (roots, children,
+// children of another tracer's span and starts under Unsampled, which must
+// start nothing), attributes, errors, Ends — twice, and through stale
+// handles — and clock steps against the record ring and the pointer ring it
+// replaced, and requires the same spans (times equal and in the same
+// Location), the same Total and the same Retained after every step that
+// reads them and at the end. IDs are the
 // process's, so the two rings' differ; each side's are mapped to the
 // other's as the spans start.
 func FuzzRingAgreesWithOracle(f *testing.F) {
@@ -401,10 +326,9 @@ func FuzzRingAgreesWithOracle(f *testing.F) {
 		compare := func() {
 			t.Helper()
 			got, want := rec.Spans(), orc.Spans()
-			if rec.Total() != orc.total.Load() || rec.Retained() != orc.Retained() || len(got) != len(want) ||
-				rec.Discarded() != orc.Discarded() {
-				t.Fatalf("total %d, retained %d, %d spans, %d discarded; oracle %d, %d, %d, %d",
-					rec.Total(), rec.Retained(), len(got), rec.Discarded(), orc.total.Load(), orc.Retained(), len(want), orc.Discarded())
+			if rec.Total() != orc.total.Load() || rec.Retained() != orc.Retained() || len(got) != len(want) {
+				t.Fatalf("total %d, retained %d, %d spans; oracle %d, %d, %d",
+					rec.Total(), rec.Retained(), len(got), orc.total.Load(), orc.Retained(), len(want))
 			}
 			spilled := 0
 			for i := range rec.ring {
@@ -427,8 +351,8 @@ func FuzzRingAgreesWithOracle(f *testing.F) {
 			}
 		}
 		for s.more() {
-			switch op := s.byte() % 11; {
-			case op <= 1 || op == 10: // a root, a child of any span started so far, or of another tracer's
+			switch op := s.byte() % 10; {
+			case op <= 1 || op == 9: // a root, a child of any span started so far, or of another tracer's
 				var pr, po SpanContext
 				if op == 1 && len(handles) > 0 {
 					p := pick()
@@ -437,14 +361,13 @@ func FuzzRingAgreesWithOracle(f *testing.F) {
 					} else if pr.Valid() {
 						t.Fatalf("an ended span's handle names it: %+v", pr)
 					}
-				} else if op == 10 {
+				} else if op == 9 {
 					pr = SpanContext{Trace: TraceID(1<<62 | uint64(s.byte())), Span: SpanID(1<<62 | 1 + uint64(s.byte()))}
 					po = pr
 					mapID(uint64(pr.Span), uint64(po.Span))
 				}
 				name, kind, attrs := s.string(), s.kind(), s.attrs()
-				h := rec.StartChild(pr, name, kind, attrs...)
-				p := &pair{h: h, o: orc.start(po, int(uint64(h.Context().Trace)%numStages), name, kind, attrs...)}
+				p := &pair{h: rec.StartChild(pr, name, kind, attrs...), o: orc.start(po, name, kind, attrs...)}
 				hc, oc := p.h.Context(), p.o.Context()
 				mapID(uint64(hc.Span), uint64(oc.Span))
 				mapID(uint64(hc.Trace), uint64(oc.Trace))
@@ -467,15 +390,11 @@ func FuzzRingAgreesWithOracle(f *testing.F) {
 				clock = clock.Add(s.step())
 			case op == 7:
 				compare()
-			case op == 8:
-				p := pick()
-				p.h.Discard()
-				p.o.Discard()
-				p.ended = true
-			default:
-				p := pick()
-				p.h.Keep()
-				p.o.Keep()
+			default: // under Unsampled: no span, in the ring or out of it
+				name, kind, attrs := s.string(), s.kind(), s.attrs()
+				if h := rec.StartChild(Unsampled, name, kind, attrs...); h != (Span{}) {
+					t.Fatalf("a start under Unsampled returned a span: %+v", h.s.data)
+				}
 			}
 		}
 		compare()

@@ -9,13 +9,10 @@ import (
 // A retained span is a record: the span's fields as bytes, written into its
 // ring slot by End and decoded by Spans. In order:
 //
-//	head     one byte: in its low six bits 1 + the kind's place in the
-//	         vocabulary, or 0 and then the kind as a string, for a kind
-//	         outside it; bits 6 and 7 flag the span's and the parent's ID as
-//	         staged IDs of the trace (stagedID)
+//	kind     one byte: 1 + the kind's place in the vocabulary, or 0 and then
+//	         the kind as a string, for a kind outside it
 //	name     a string: a uvarint length, then the bytes
-//	IDs      the span's, the trace's and the parent's, each a uvarint, a
-//	         flagged one as its seq: a byte in a trace of under 128 spans
+//	IDs      the span's, the trace's and the parent's, each a uvarint
 //	times    the start and the end (appendTime)
 //	error    a string
 //	attrs    a uvarint count, then for each: a uvarint of the key's length
@@ -28,23 +25,15 @@ import (
 
 //tftlint:hotpath
 func (t *Tracer) appendRecord(b []byte, d *SpanData) []byte {
-	span, parent := uint64(d.SpanID), uint64(d.Parent)
-	var head byte
-	if seq, ok := seqOf(d.SpanID, d.TraceID); ok {
-		span, head = seq, head|stagedSpan
-	}
-	if seq, ok := seqOf(d.Parent, d.TraceID); ok {
-		parent, head = seq, head|stagedParent
-	}
 	if code := slices.Index(vocabulary[:], d.Kind); code >= 0 {
-		b = append(b, head|byte(code+1))
+		b = append(b, byte(code+1))
 	} else {
-		b = appendString(append(b, head), string(d.Kind))
+		b = appendString(append(b, 0), string(d.Kind))
 	}
 	b = appendString(b, d.Name)
-	b = binary.AppendUvarint(b, span)
+	b = binary.AppendUvarint(b, uint64(d.SpanID))
 	b = binary.AppendUvarint(b, uint64(d.TraceID))
-	b = binary.AppendUvarint(b, parent)
+	b = binary.AppendUvarint(b, uint64(d.Parent))
 	b = t.appendTime(b, d.Start)
 	b = t.appendTime(b, d.End)
 	b = appendString(b, d.Err)
@@ -60,12 +49,6 @@ func (t *Tracer) appendRecord(b []byte, d *SpanData) []byte {
 	}
 	return b
 }
-
-// The head byte's flags.
-const (
-	stagedSpan   = 1 << 6
-	stagedParent = 1 << 7
-)
 
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
@@ -89,22 +72,15 @@ func (t *Tracer) appendTime(b []byte, at time.Time) []byte {
 func (t *Tracer) decode(rec string) SpanData {
 	r := reader{rec}
 	var d SpanData
-	head := r.byte()
-	if code := head &^ (stagedSpan | stagedParent); code > 0 {
+	if code := r.byte(); code > 0 {
 		d.Kind = vocabulary[code-1]
 	} else {
 		d.Kind = Kind(r.string())
 	}
 	d.Name = r.string()
-	span := r.uvarint()
+	d.SpanID = SpanID(r.uvarint())
 	d.TraceID = TraceID(r.uvarint())
-	d.SpanID, d.Parent = SpanID(span), SpanID(r.uvarint())
-	if head&stagedSpan != 0 {
-		d.SpanID, _ = stagedID(d.TraceID, uint64(d.SpanID))
-	}
-	if head&stagedParent != 0 {
-		d.Parent, _ = stagedID(d.TraceID, uint64(d.Parent))
-	}
+	d.Parent = SpanID(r.uvarint())
 	d.Start = t.readTime(&r)
 	d.End = t.readTime(&r)
 	d.Err = r.string()

@@ -94,7 +94,15 @@ func unhexJSON(b []byte) (uint64, error) {
 type SpanContext struct {
 	Trace TraceID
 	Span  SpanID
+	// unsampled makes the context Unsampled.
+	unsampled bool
 }
+
+// Unsampled is the context of a request outside the trace sample: a span
+// started under it is the zero Span, and NewContext and FormatHeader carry
+// it to the next hop, so that no hop roots a trace of its own for the
+// request. It names no span, so it is not Valid.
+var Unsampled = SpanContext{unsampled: true}
 
 // Valid reports whether the context names a real span.
 func (sc SpanContext) Valid() bool { return sc.Trace != 0 && sc.Span != 0 }
@@ -259,13 +267,13 @@ func (d *SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 
 // Span is a handle to one in-flight operation: the storage the tracer issued
 // for it and the generation it was issued in. Created by a Tracer, finished
-// with End or Discard, at which point the span is committed (encoded into
-// the tracer's ring), waits for its root (see Tracer) or is dropped, and its
-// storage goes back to the tracer once nothing waits in it. A handle is
-// stale from its span's End on: SetAttrs, SetError, Keep, End and Discard
-// change nothing and Context is the zero context, whoever the storage has
-// been issued to since. The zero Span (what a nil *Tracer hands out) is a
-// valid no-op, and all methods are safe for concurrent use.
+// with End, at which point the span is encoded into the tracer's ring and
+// its storage is cleared and goes back to the tracer, to be issued to the
+// next span started. A handle is stale from its span's End on: SetAttrs,
+// SetError and End change nothing and Context is the zero context, whoever
+// the storage has been issued to since. The zero Span (what a nil *Tracer
+// hands out, and any tracer under Unsampled) is a valid no-op, and all
+// methods are safe for concurrent use.
 type Span struct {
 	s   *span
 	gen uint64
@@ -277,14 +285,13 @@ type span struct {
 	mu     sync.Mutex
 	gen    uint64  // counts up at each End: the handles issued before it are stale
 	tracer *Tracer // the tracer that allocated it, whose free list it returns to
-	root   bool    // the span is the root holding its trace's stage open
 
 	data SpanData
 	// inline is where data.Attrs starts out: room for what the proxy chain's
 	// spans carry, so that a span's attributes cost no allocation.
 	inline [inlineAttrs]Attr
 
-	next *span // free-list or stage link, guarded by the stripe's or the stage's lock
+	next *span // free-list link, guarded by the stripe's lock
 }
 
 // inlineAttrs covers the busiest span in the chain, node.fetch: zid, host
@@ -331,41 +338,9 @@ func (h Span) SetError(msg string) {
 	h.s.mu.Unlock()
 }
 
-// Keep marks the span's trace to be committed whatever its root ends with:
-// a Discard of the root commits it as End does. It changes nothing for a
-// span whose trace holds no stage here, which commits anyway.
-func (h Span) Keep() {
-	s := h.s
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.gen != h.gen {
-		s.mu.Unlock()
-		return
-	}
-	id := s.data.TraceID
-	s.mu.Unlock()
-	st := s.tracer.stage(id)
-	st.mu.Lock()
-	if st.trace == id {
-		st.keep = true
-	}
-	st.mu.Unlock()
-}
-
 // End closes the span, stamping the end time and handing it to the
-// collector: a root commits its trace, any other span commits or waits for
-// its root (see Tracer). Idempotent: only the first End or Discard counts.
-func (h Span) End() { h.end(true) }
-
-// Discard closes the span as End does, except that a root holding its
-// trace's stage drops the trace, itself and every span that waited for it,
-// unencoded, unless a span of the trace called Keep; the trace's spans that
-// end later are dropped too. On any other span it is End.
-func (h Span) Discard() { h.end(false) }
-
-func (h Span) end(keep bool) {
+// collector. Idempotent: only the first End records.
+func (h Span) End() {
 	s := h.s
 	if s == nil {
 		return
@@ -378,19 +353,17 @@ func (h Span) end(keep bool) {
 	s.gen++
 	s.data.End = s.tracer.now()
 	s.mu.Unlock()
-	// No handle names the storage now, and none will until it is back on
-	// the free list: what follows reads it without the lock.
-	s.tracer.finish(s, keep)
+	// No handle names the storage now, and none will until retire has put
+	// it on the free list: what follows reads it without the lock.
+	s.tracer.retire(s)
 }
 
 // defaultCapacity bounds a tracer's span memory, small enough to cap a
 // long-lived daemon's footprint: at 136 bytes a span, 2.2 MB. It is not a
-// crawl's worth of every span: a Scale 0.05 DNS crawl (seed 20160413) ends
-// 0.76 M spans over 103 K sessions, which is why a crawl commits only the
-// traces its verdicts need (core.CrawlConfig.TraceSample). Once it wraps,
-// the ring holds the last spans committed, in commit order: a trace's spans
-// commit together when its root ends, not each as it ends. Total counts
-// every span committed.
+// crawl's worth of spans: a Scale 0.05 DNS crawl (seed 20160413) would end
+// 0.76 M over 103 K sessions. A crawl traces only its sample
+// (core.CrawlConfig.TraceSample), every 512th session's whole trace, and the
+// ring holds the last spans of it. Total counts every span recorded.
 const defaultCapacity = 16384
 
 // lastID hands out process-unique span and trace IDs, a block at a time. A
@@ -433,22 +406,14 @@ func newID() uint64 {
 	}
 }
 
-// Tracer creates spans and retains committed ones in a fixed-capacity ring
+// Tracer creates spans and retains finished ones in a fixed-capacity ring
 // (oldest spans are overwritten once the ring wraps; Total reports how
-// many were ever committed). A nil *Tracer is a valid no-op sink.
+// many were ever recorded). A nil *Tracer is a valid no-op sink.
 //
-// A trace is committed or dropped as a whole, by its root. A root this
-// tracer starts claims a stage, the one its trace ID's low bits name, and
-// until the root ends, its trace's spans wait there as they end instead of
-// writing the ring. The root's End commits the waiting spans and then
-// itself; its Discard drops them all unencoded, unless a span of the trace
-// called Keep. The stage remembers that decision until another root claims
-// it, and a span of the trace that ends after its root follows it. A span
-// commits at its own End when its trace holds no stage: its root is
-// another tracer's (a daemon's request arrives carrying a client's
-// context), or the stage has been claimed by a newer root since. A trace
-// that outgrows its stage (stageDepth spans waiting) commits its further
-// spans as they end and is kept whole, whatever its root ends with.
+// Which requests are traced is decided before they start, by whoever
+// starts them: a sampled request's spans are each recorded at their own
+// End, and a request outside the sample carries Unsampled, under which no
+// span is started at all.
 type Tracer struct {
 	nowFn func() time.Time
 	// base is the tracer's first clock reading, without its monotonic
@@ -468,78 +433,10 @@ type Tracer struct {
 	spills  map[int64][]byte
 
 	// Ended spans' storage waits here to be issued again, so that a tracer
-	// allocates storage only for as many spans as are ever open or waiting
-	// at once: a start takes one out, and a root's End puts its trace's back
-	// in one batch. Striped by caller, as idStripes is.
+	// allocates storage only for as many spans as are ever open at once: an
+	// End puts one in and a start takes one out. Striped by caller, as
+	// idStripes is.
 	free [numStripes]freeStripe
-
-	// stages are the roots' waiting rooms, indexed by the low stageBits of
-	// a trace ID.
-	stages []stage
-}
-
-// stage is where a root's trace waits for it: a root claims the stage its
-// trace ID names when the root starts, and holds it open until it ends.
-// Padded to 128 bytes: two workers' consecutive roots claim neighbouring
-// stages.
-type stage struct {
-	mu    sync.Mutex
-	trace TraceID // the trace of the root that claimed it last; 0 before the first
-	seq   uint64  // the trace's span IDs handed out: the root's is 1
-	// head and tail link the trace's ended spans through span.next, in
-	// completion order, waiting for the root; waiting counts them.
-	head, tail *span
-	// spare links cleared storage the root took off the free list with its
-	// own, for the trace's next spans: a child's start takes it under the
-	// lock it takes for the child's ID anyway, and what is left goes back
-	// with the trace's storage when the root ends.
-	spare   *span
-	waiting int32
-	open    bool  // the root has not ended
-	keep    bool  // commit the trace: a span of it called Keep, or its root ended with End
-	dropped int64 // spans this stage has dropped, ever
-	_       [64]byte
-}
-
-const (
-	stageBits = 8
-	numStages = 1 << stageBits
-	// stageDepth bounds what one trace parks: its spans past that many
-	// commit as they end, and the trace is then kept whole, so that a root
-	// left open (a daemon's request that never finishes) pins a bounded
-	// amount of storage.
-	stageDepth = 64
-	// claimTries is how many trace IDs a root draws looking for a stage no
-	// open root holds before it settles for none: then its trace commits
-	// span by span.
-	claimTries = 4
-	// rootTake is how much storage a root takes off the free list, its own
-	// and its stage's spares: a probe's trace is six to eleven spans.
-	rootTake = 8
-	// A staged trace's span IDs are (trace, seq): the seq in the top
-	// 64-seqShift bits and the trace ID below, so that they never meet an
-	// ID newID hands out. A trace ID too wide for that, or a trace past
-	// maxSeq spans, draws its span IDs from newID.
-	seqShift = 48
-	maxSeq   = 1<<(64-seqShift) - 1
-)
-
-// stage returns the stage trace ID id names.
-func (t *Tracer) stage(id TraceID) *stage { return &t.stages[uint64(id)%numStages] }
-
-// stagedID is the span ID seq of trace id, and whether there is one.
-func stagedID(id TraceID, seq uint64) (SpanID, bool) {
-	if uint64(id)>>seqShift != 0 || seq > maxSeq {
-		return 0, false
-	}
-	return SpanID(seq<<seqShift | uint64(id)), true
-}
-
-// seqOf is stagedID's inverse: the seq of span ID s in trace id, if s is
-// one of the trace's staged IDs.
-func seqOf(s SpanID, id TraceID) (uint64, bool) {
-	seq := uint64(s) >> seqShift
-	return seq, seq != 0 && uint64(s)&(1<<seqShift-1) == uint64(id)
 }
 
 // slot is one retained span, as a record (record.go).
@@ -573,8 +470,7 @@ func New(now func() time.Time, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = defaultCapacity
 	}
-	return &Tracer{nowFn: now, base: now().Round(0), ring: make([]slot, capacity), spills: map[int64][]byte{},
-		stages: make([]stage, numStages)}
+	return &Tracer{nowFn: now, base: now().Round(0), ring: make([]slot, capacity), spills: map[int64][]byte{}}
 }
 
 func (t *Tracer) now() time.Time {
@@ -591,109 +487,43 @@ func (t *Tracer) StartRoot(name string, kind Kind, attrs ...Attr) Span {
 
 // StartChild opens a span under parent. An invalid parent context (an
 // untraced request) starts a fresh trace instead, so per-hop spans survive
-// callers that never propagated context.
+// callers that never propagated context; under Unsampled it starts nothing
+// and returns the zero Span.
 func (t *Tracer) StartChild(parent SpanContext, name string, kind Kind, attrs ...Attr) Span {
 	return t.start(parent, name, kind, attrs)
 }
 
 //tftlint:hotpath
 func (t *Tracer) start(parent SpanContext, name string, kind Kind, attrs []Attr) Span {
-	if t == nil {
+	if t == nil || parent.unsampled {
 		return Span{}
 	}
-	var tid TraceID
-	var sid, pid SpanID
-	var s *span
-	root := false
-	if parent.Valid() {
-		tid, pid = parent.Trace, parent.Span
-		sid, s = t.childID(parent.Trace)
-	} else {
-		var ok bool
-		var spare *span
-		if s = t.recycled(rootTake); s != nil {
-			spare, s.next = s.next, nil
-		}
-		tid, root = t.claim(spare)
-		if !root && spare != nil {
-			t.push(spare)
-		}
-		if sid, ok = stagedID(tid, 1); !root || !ok {
-			sid = SpanID(newID())
-		}
-	}
-	if s == nil {
-		s = t.recycled(1)
-	}
+	s := t.recycled()
 	if s == nil {
 		s = &span{tracer: t}
 	}
 	// Without the lock: storage off the free list has no handle of its
 	// generation out, and a stale handle reads nothing but gen. It comes
-	// cleared (release), so only what a new span sets is written.
-	s.root = root
+	// cleared (retire), so only what a new span sets is written.
 	d := &s.data
-	d.TraceID, d.SpanID, d.Parent, d.Name, d.Kind, d.Start = tid, sid, pid, name, kind, t.now()
+	d.SpanID, d.Name, d.Kind, d.Start = SpanID(newID()), name, kind, t.now()
+	if parent.Valid() {
+		d.TraceID, d.Parent = parent.Trace, parent.Span
+	} else {
+		d.TraceID = TraceID(newID())
+	}
 	// A copy, so that the caller's variadic slice stays on its stack.
 	d.Attrs = append(s.inline[:0], attrs...)
 	return Span{s: s, gen: s.gen}
 }
 
-// claim draws a new root's trace ID and claims the stage it names, drawing
-// again while an open root holds that one, and leaves spare there: true
-// when it got a stage.
+// recycled takes a span's storage off the free list: from the caller's own
+// stripe, or the next one that has any — a goroutine whose starts and Ends
+// hash to different stripes would otherwise fill one and starve the other.
+// nil when every stripe is empty.
 //
 //tftlint:hotpath
-func (t *Tracer) claim(spare *span) (TraceID, bool) {
-	for try := 1; ; try++ {
-		id := TraceID(newID())
-		st := t.stage(id)
-		st.mu.Lock()
-		if !st.open {
-			st.trace, st.seq, st.open, st.keep, st.spare = id, 1, true, false, spare
-			st.mu.Unlock()
-			return id, true
-		}
-		st.mu.Unlock()
-		if try == claimTries {
-			return id, false
-		}
-	}
-}
-
-// childID is the ID of a new span of trace id — the trace's next seq while
-// its stage knows it, else one from newID — and a spare off its stage, if
-// the stage has one for it.
-//
-//tftlint:hotpath
-func (t *Tracer) childID(id TraceID) (SpanID, *span) {
-	var sid SpanID
-	var s *span
-	ok := false
-	st := t.stage(id)
-	st.mu.Lock()
-	if st.trace == id {
-		if s = st.spare; s != nil {
-			st.spare, s.next = s.next, nil
-		}
-		if sid, ok = stagedID(id, st.seq+1); ok {
-			st.seq++
-		}
-	}
-	st.mu.Unlock()
-	if !ok {
-		sid = SpanID(newID())
-	}
-	return sid, s
-}
-
-// recycled takes up to n spans' storage off the free list, linked through
-// next: from the caller's own stripe, or the next one that has any — a
-// goroutine whose starts and Ends hash to different stripes would otherwise
-// fill one and starve the other. nil when every stripe is empty.
-//
-//tftlint:hotpath
-func (t *Tracer) recycled(n int) *span {
+func (t *Tracer) recycled() *span {
 	var probe byte
 	own := metrics.ShardIndex(&probe)
 	for i := 0; i < numStripes; i++ {
@@ -704,12 +534,8 @@ func (t *Tracer) recycled(n int) *span {
 		st.mu.Lock()
 		s := st.head.Load()
 		if s != nil {
-			last := s
-			for ; n > 1 && last.next != nil; n-- {
-				last = last.next
-			}
-			st.head.Store(last.next)
-			last.next = nil
+			st.head.Store(s.next)
+			s.next = nil
 		}
 		st.mu.Unlock()
 		if s != nil {
@@ -719,91 +545,20 @@ func (t *Tracer) recycled(n int) *span {
 	return nil
 }
 
-// finish files an ended span by its trace's stage: a root takes its
-// waiting spans and commits or drops them with itself, a span of an open
-// root's trace waits, one of an ended root's follows its decision, and any
-// other commits.
+// retire encodes an ended span into the ring slot its completion claims,
+// then clears its storage, so that it pins none of what it held, and puts
+// it on the free list.
 //
 //tftlint:hotpath
-func (t *Tracer) finish(s *span, keep bool) {
-	s.next = nil
-	st := t.stage(s.data.TraceID)
-	st.mu.Lock()
-	switch {
-	case st.trace != s.data.TraceID:
-		st.mu.Unlock()
-		t.commit(s)
-		t.release(s)
-	case s.root:
-		head, tail, spare, n := st.head, st.tail, st.spare, int64(st.waiting)+1
-		st.head, st.tail, st.spare, st.waiting, st.open = nil, nil, nil, 0, false
-		st.keep = st.keep || keep
-		keep = st.keep
-		if !keep {
-			st.dropped += n
-		}
-		st.mu.Unlock()
-		if tail == nil {
-			head = s
-		} else {
-			tail.next = s
-		}
-		if keep {
-			t.commit(head)
-		}
-		clearSpans(head)
-		s.next = spare // cleared already
-		t.push(head)
-	case st.open && st.waiting < stageDepth:
-		if st.tail == nil {
-			st.head = s
-		} else {
-			st.tail.next = s
-		}
-		st.tail = s
-		st.waiting++
-		st.mu.Unlock()
-	case st.open || st.keep:
-		// An open root's trace past stageDepth commits as it ends, and so
-		// is kept whole: a Discard now would leave these without a root.
-		st.keep = true
-		st.mu.Unlock()
-		t.commit(s)
-		t.release(s)
-	default:
-		st.dropped++
-		st.mu.Unlock()
-		t.release(s)
-	}
-}
-
-// commit encodes the spans linked from head into the ring slots one add on
-// total claims for them, in order.
-//
-//tftlint:hotpath
-func (t *Tracer) commit(head *span) {
-	n := int64(0)
-	for s := head; s != nil; s = s.next {
-		n++
-	}
-	seq := t.total.Add(n) - n
-	for s := head; s != nil; s = s.next {
-		seq++
-		t.write(seq, &s.data)
-	}
-}
-
-// write encodes d into the ring slot seq claimed.
-//
-//tftlint:hotpath
-func (t *Tracer) write(seq int64, d *SpanData) {
+func (t *Tracer) retire(s *span) {
+	seq := t.total.Add(1)
 	i := (seq - 1) % int64(len(t.ring))
 	sl := &t.ring[i]
 	sl.mu.Lock()
 	// A span claiming the slot a lap later may have got here first.
 	if seq > sl.seq {
 		spilled := sl.seq > 0 && sl.n == 0 // the record being overwritten
-		rec := t.appendRecord(sl.rec[:0], d)
+		rec := t.appendRecord(sl.rec[:0], &s.data)
 		sl.seq, sl.n = seq, uint8(len(rec))
 		if len(rec) > len(sl.rec) { // appending moved it off the slot
 			sl.n = 0
@@ -819,49 +574,19 @@ func (t *Tracer) write(seq int64, d *SpanData) {
 		}
 	}
 	sl.mu.Unlock()
-}
 
-// release clears the storage of the spans linked from head, so that none
-// pins what it held, and puts them on the free list.
-//
-//tftlint:hotpath
-func (t *Tracer) release(head *span) {
-	clearSpans(head)
-	t.push(head)
-}
-
-// clearSpans clears the storage of the spans linked from head, keeping the
-// links.
-//
-//tftlint:hotpath
-func clearSpans(head *span) {
-	for s := head; s != nil; s = s.next {
-		s.data = SpanData{}
-		clear(s.inline[:])
-	}
-}
-
-// push puts the storage linked from head on the free list in one batch,
-// head first to be issued again.
-//
-//tftlint:hotpath
-func (t *Tracer) push(head *span) {
-	tail := head
-	for tail.next != nil {
-		tail = tail.next
-	}
+	s.data = SpanData{}
+	clear(s.inline[:])
 	var probe byte
 	st := &t.free[metrics.ShardIndex(&probe)%numStripes]
 	st.mu.Lock()
-	tail.next = st.head.Load()
-	st.head.Store(head)
+	s.next = st.head.Load()
+	st.head.Store(s)
 	st.mu.Unlock()
 }
 
-// Spans returns the retained spans in commit order, decoded: the records
-// are the caller's. Commit order is not completion order: a trace's spans
-// come back together, those that waited for their root first, in the order
-// they ended, then the root.
+// Spans returns the retained spans in completion order, decoded: the
+// records are the caller's.
 func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
@@ -889,7 +614,7 @@ func (t *Tracer) Spans() []SpanData {
 	return out
 }
 
-// Total reports how many spans were ever committed, including overwritten
+// Total reports how many spans were ever recorded, including overwritten
 // ones.
 func (t *Tracer) Total() int64 {
 	if t == nil {
@@ -905,21 +630,4 @@ func (t *Tracer) Retained() int {
 		return 0
 	}
 	return int(min(t.total.Load(), int64(len(t.ring))))
-}
-
-// Discarded reports how many spans were ever dropped unencoded. Once every
-// root has ended, Total plus Discarded is the number of spans ended; until
-// then, an open root's ended spans are waiting and counted in neither.
-func (t *Tracer) Discarded() int64 {
-	if t == nil {
-		return 0
-	}
-	var n int64
-	for i := range t.stages {
-		st := &t.stages[i]
-		st.mu.Lock()
-		n += st.dropped
-		st.mu.Unlock()
-	}
-	return n
 }

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -213,6 +214,9 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if got := FormatHeader(SpanContext{}); got != "" {
 		t.Fatalf("invalid context formatted as %q", got)
 	}
+	if h := FormatHeader(Unsampled); h != "v1;unsampled" || ParseHeader(h) != Unsampled {
+		t.Fatalf("the unsampled mark formatted as %q, parsed back as %+v", h, ParseHeader(h))
+	}
 	if got := ParseHeader("v1;t=00000000DEADBEEF;s=0000000000001234"); got != sc {
 		t.Errorf("upper-case header parsed as %+v, want %+v", got, sc)
 	}
@@ -224,9 +228,10 @@ func TestHeaderRoundTrip(t *testing.T) {
 		"v1;s=0000000000001234;t=00000000deadbeef", "v1;t=deadbeef;s=1234",
 		"v1;t=00000000deadbeeg;s=0000000000001234", "v1;t=0000000000000000;s=0000000000001234",
 		"v1;t=00000000deadbeef;s=0000000000000000", "v1;t=00000000deadbeef;x=0000000000001234",
+		"v1;Unsampled", "v1;unsampled;", "v2;unsampled", "v1;unsampled=1",
 	} {
-		if got := ParseHeader(bad); got.Valid() {
-			t.Errorf("ParseHeader(%q) = %+v, want invalid", bad, got)
+		if got := ParseHeader(bad); got != (SpanContext{}) {
+			t.Errorf("ParseHeader(%q) = %+v, want the zero context", bad, got)
 		}
 	}
 }
@@ -337,8 +342,8 @@ func TestLogHandlerInjection(t *testing.T) {
 // while the ring fills and once it has wrapped: attributes given at the
 // start and added later land in the span's own storage, End encodes it into
 // its slot, and the next start is handed the storage the last End returned.
-// So does a whole trace, root and five children, whether its root ends it
-// with End or drops it with Discard. NewContext costs one.
+// So does a whole trace, root and five children, and a chain under
+// Unsampled starts nothing and allocates nothing. NewContext costs one.
 func TestSpanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -366,21 +371,15 @@ func TestSpanAllocs(t *testing.T) {
 	if last := spans[len(spans)-1]; len(last.Attrs) != 4 || last.Str("path") != "/" || last.Attr("status") != int64(200) {
 		t.Fatalf("collected span lost attributes: %+v", last)
 	}
-	for _, end := range []string{"End", "Discard"} {
-		probe := func() {
-			root := tr.StartRoot("probe.dns", KindClient, Str("session", "s00000001"), Str("country", "DE"))
-			for i := 0; i < 5; i++ {
-				tr.StartChild(root.Context(), "node.fetch", KindFetch, Str("zid", "z1")).End()
-			}
-			if end == "End" {
-				root.End()
-			} else {
-				root.Discard()
-			}
+	probe := func() {
+		root := tr.StartRoot("probe.dns", KindClient, Str("session", "s00000001"), Str("country", "DE"))
+		for i := 0; i < 5; i++ {
+			tr.StartChild(root.Context(), "node.fetch", KindFetch, Str("zid", "z1")).End()
 		}
-		if got := testing.AllocsPerRun(200, probe); got != 0 {
-			t.Errorf("a root and five children ended with %s allocate %.0f times, want 0", end, got)
-		}
+		root.End()
+	}
+	if got := testing.AllocsPerRun(200, probe); got != 0 {
+		t.Errorf("a root and five children allocate %.0f times, want 0", got)
 	}
 
 	ctx := context.Background()
@@ -394,6 +393,81 @@ func TestSpanAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("FromContext allocates %.0f times, want 0", got)
+	}
+
+	unsampled := NewContext(ctx, Unsampled)
+	before := tr.Total()
+	chain := func() {
+		get := tr.StartChild(FromContext(unsampled), "proxy.get", KindProxy, Str("target", "http://h/"))
+		for i := 0; i < 4; i++ {
+			s := tr.StartChild(FromContext(unsampled), "node.fetch", KindFetch, Str("zid", "z1"))
+			s.SetAttrs(Int("status", 200))
+			s.End()
+		}
+		get.End()
+	}
+	if got := testing.AllocsPerRun(200, chain); got != 0 || tr.Total() != before {
+		t.Errorf("a chain of five spans under Unsampled allocates %.0f times and records %d spans, want 0 and 0", got, tr.Total()-before)
+	}
+}
+
+// TestUnsampledStartsNothing: under Unsampled a tracer hands out the zero
+// Span, records nothing, and a context carrying the mark hands it on, so
+// that the next hop's spans are not started either, nor stamped on its log
+// records.
+func TestUnsampledStartsNothing(t *testing.T) {
+	tr := New(newFakeClock().Now, 16)
+	ctx := NewContext(context.Background(), Unsampled)
+	if FromContext(ctx) != Unsampled || Unsampled.Valid() {
+		t.Fatalf("the context carries %+v, valid %v", FromContext(ctx), Unsampled.Valid())
+	}
+	s := tr.StartChild(FromContext(ctx), "proxy.get", KindProxy)
+	s.SetAttrs(Str("k", "v"))
+	s.End()
+	if s != (Span{}) || tr.Total() != 0 || s.Context().Valid() {
+		t.Fatalf("a start under Unsampled gave %+v and recorded %d spans", s, tr.Total())
+	}
+	var buf bytes.Buffer
+	slog.New(NewLogHandler(slog.NewJSONHandler(&buf, nil))).InfoContext(ctx, "unsampled")
+	if strings.Contains(buf.String(), "trace_id") {
+		t.Fatalf("an unsampled request's record carries a trace id: %s", buf.String())
+	}
+}
+
+// TestDroppedStorageIsCleared: storage dropped back on the free list holds
+// nothing of the span that used it, so that it pins none of the strings it
+// held.
+func TestDroppedStorageIsCleared(t *testing.T) {
+	tr := New(newFakeClock().Now, 16)
+	root := tr.StartRoot("probe", KindClient, Str("session", "s1"))
+	child := tr.StartChild(root.Context(), "proxy.get", KindProxy)
+	child.SetError("boom")
+	child.End()
+	root.SetAttrs(Str("zid", "z1"))
+	root.End()
+	for _, s := range []*span{root.s, child.s} {
+		if s.data.Name != "" || s.data.Err != "" || s.data.Attrs != nil || s.inline != [inlineAttrs]Attr{} {
+			t.Fatalf("ended storage still holds %+v", s.data)
+		}
+	}
+}
+
+// TestForeignRootCommitsAtEnd: a span under another tracer's span — a
+// daemon's, under the context a request carried in — is recorded at its own
+// End, in that span's trace and under it.
+func TestForeignRootCommitsAtEnd(t *testing.T) {
+	tr := New(newFakeClock().Now, 16)
+	remote := SpanContext{Trace: 0xdeadbeef, Span: 0x1234}
+	get := tr.StartChild(remote, "proxy.get", KindProxy)
+	attempt := tr.StartChild(get.Context(), "proxy.attempt", KindAttempt)
+	attempt.End()
+	if got := names(tr.Spans()); !slices.Equal(got, []string{"proxy.attempt"}) {
+		t.Fatalf("recorded %v at the child's End, want [proxy.attempt]", got)
+	}
+	get.End()
+	spans := tr.Spans()
+	if len(spans) != 2 || spans[1].TraceID != remote.Trace || spans[1].Parent != remote.Span || spans[0].Parent != spans[1].SpanID {
+		t.Fatalf("foreign-rooted spans: %+v", spans)
 	}
 }
 
@@ -613,16 +687,25 @@ func TestRetainedBytesPerSpan(t *testing.T) {
 // root span and the five spans of its proxy chain under it (proxy.get,
 // proxy.resolve, proxy.attempt, node.resolve, node.fetch), started, decorated
 // and ended as the crawl does, on a default ring that has wrapped and a
-// clock that does not move, as a crawl's virtual clock mostly does not. The
-// root ends the trace with End, committing it, or with Discard, as a clean
-// unsampled probe's does.
+// clock that does not move, as a crawl's virtual clock mostly does not. End
+// is a sampled probe's, and Unsampled one outside the sample, whose root is
+// never opened and whose chain starts under Unsampled.
 func BenchmarkSpanParallel(b *testing.B) {
-	for _, end := range []string{"End", "Discard"} {
-		b.Run(end, func(b *testing.B) { benchmarkProbeSpans(b, end == "End") })
+	for _, name := range []string{"End", "Unsampled"} {
+		b.Run(name, func(b *testing.B) { benchmarkProbeSpans(b, name == "End") })
 	}
 }
 
-func benchmarkProbeSpans(b *testing.B, commit bool) {
+// under is the context a hop's children start under, as the super proxy's
+// orParent picks it: the hop's span's, or its parent's when it has none.
+func under(s Span, parent SpanContext) SpanContext {
+	if sc := s.Context(); sc.Valid() {
+		return sc
+	}
+	return parent
+}
+
+func benchmarkProbeSpans(b *testing.B, sampled bool) {
 	now := time.Date(2016, 4, 13, 0, 0, 0, 0, time.UTC)
 	tr := New(func() time.Time { return now }, 0)
 	for tr.Total() < defaultCapacity {
@@ -636,26 +719,29 @@ func benchmarkProbeSpans(b *testing.B, commit bool) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			root := tr.StartRoot("probe.dns", KindClient, Str("session", "s00019764"), Str("country", "DE"))
-			get := tr.StartChild(root.Context(), "proxy.get", KindProxy, Str("target", "http://"+host+"/"))
-			resolve := tr.StartChild(get.Context(), "proxy.resolve", KindDNS, Str("host", host))
+			var root Span
+			parent := Unsampled
+			if sampled {
+				root = tr.StartRoot("probe.dns", KindClient, Str("session", "s00019764"), Str("country", "DE"))
+				parent = root.Context()
+			}
+			get := tr.StartChild(parent, "proxy.get", KindProxy, Str("target", "http://"+host+"/"))
+			parent = under(get, parent)
+			resolve := tr.StartChild(parent, "proxy.resolve", KindDNS, Str("host", host))
 			resolve.SetAttrs(Int("rcode", 0))
 			resolve.End()
-			attempt := tr.StartChild(get.Context(), "proxy.attempt", KindAttempt, Str("zid", zid))
-			lookup := tr.StartChild(attempt.Context(), "node.resolve", KindDNS, Str("zid", zid), Str("name", host))
+			attempt := tr.StartChild(parent, "proxy.attempt", KindAttempt, Str("zid", zid))
+			parent = under(attempt, parent)
+			lookup := tr.StartChild(parent, "node.resolve", KindDNS, Str("zid", zid), Str("name", host))
 			lookup.SetAttrs(Int("rcode", 0))
 			lookup.End()
-			fetch := tr.StartChild(attempt.Context(), "node.fetch", KindFetch, Str("zid", zid), Str("host", host), Str("path", "/"))
+			fetch := tr.StartChild(parent, "node.fetch", KindFetch, Str("zid", zid), Str("host", host), Str("path", "/"))
 			fetch.SetAttrs(Int("status", 200))
 			fetch.End()
 			attempt.End()
 			get.End()
 			root.SetAttrs(Str("zid", zid), Str("outcome", "ok"))
-			if commit {
-				root.End()
-			} else {
-				root.Discard()
-			}
+			root.End()
 		}
 	})
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(6*b.N), "ns/span")

@@ -163,7 +163,7 @@ func spansOf[D crawlDataset, A tableSet](r *ExperimentRun[D, A], err error) (Run
 // no deadline and a fault never wait: no crawl advances the world's virtual
 // clock while a session is in flight, with or without chaos. Every span of a
 // small dns, http, tls, smtp and monitor crawl, fault-free and under each
-// chaos profile (TraceSample 1 commits every trace, so that the check sees
+// chaos profile (TraceSample 1 traces every session, so that the check sees
 // them all), starts and ends at population.Epoch; the monitor's
 // refetches, which run as the clock crosses the monitoring day after the
 // crawl, record none.

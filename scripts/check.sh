@@ -93,8 +93,10 @@ stage() {
 		# (same bytes or same error, same observations read back), and any
 		# bytes through the six readers (an error, or records that write out
 		# and read back stably), and the span tracer's record ring against
-		# the pointer ring it replaced (a script of starts, attributes,
-		# errors, Ends and clock steps: the same spans, Total and Retained),
+		# the pointer ring it replaced (a script of starts — roots,
+		# children, children of another tracer's span, and starts under
+		# trace.Unsampled, which must start nothing — attributes, errors,
+		# Ends and clock steps: the same spans, Total and Retained),
 		# and the world's TLS sites and mail server answering on readiness
 		# callbacks against the blocking servers they replaced,
 		# tlssim.ServeOnce and smtpwire.Server.ServeOnce (any client bytes,
@@ -143,7 +145,8 @@ stage() {
 		# micro-benches of the path every one of them is made of — the simnet
 		# pipe, one proxied GET of the probe page, one of the 258 KB object
 		# and one CONNECT end to end over a fabric, a probe's six spans on a
-		# wrapped tracer from every core, one resolver lookup against the
+		# wrapped tracer from every core, sampled and under trace.Unsampled,
+		# one resolver lookup against the
 		# authority: a smoke test that the
 		# default-scale worlds still build and crawl and the fast path still
 		# runs, not a performance measurement. Every Ablation and Baseline

@@ -29,7 +29,7 @@ const shared, striped, private = "shared by every worker", "striped by key or by
 var groupOf = map[string]string{
 	"cell": striped, "idStripe": striped, "sessionStripe": striped, "queryLog": striped,
 	"requestLog": striped, "labeledShard": striped, "shardCell": striped,
-	"freeStripe": striped, "slot": striped, "stage": striped,
+	"freeStripe": striped, "slot": striped,
 	"ring": private, "span": private, "bufferedConn": private, "pair": private,
 }
 

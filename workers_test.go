@@ -30,7 +30,7 @@ var violationDetails = map[string]string{
 // dataset), the tracer — one lock-free ring and striped ID blocks shared by
 // all of them — hands out no ID twice, loses no span it claimed a slot for,
 // and keeps every span's parent, and the root spans are the per-probe
-// record: one a session (TraceSample 1 commits every trace), agreeing with
+// record: one a session (TraceSample 1 traces every session), agreeing with
 // the manifest outcome by outcome and verdict by verdict.
 func TestWorkersShareOneWorld(t *testing.T) {
 	const spanRoom = 1 << 20 // more than any of these crawls records, so nothing is overwritten
