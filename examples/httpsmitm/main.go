@@ -15,6 +15,7 @@ import (
 	"log"
 	"net/netip"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/tftproject/tft/internal/cert"
@@ -116,7 +117,7 @@ func main() {
 		if seen[dbg0.ZID] {
 			continue
 		}
-		seen[dbg0.ZID] = true
+		seen[strings.Clone(dbg0.ZID)] = true // a kept zID must not pin the response
 		var zid string
 		keys := map[cert.KeyID]int{}
 		// Probe sites in sorted order: ranging the map directly would print

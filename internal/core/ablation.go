@@ -60,7 +60,10 @@ func (e *ObjectSizeAblation) Run(ctx context.Context) (ObjectSizeResult, error) 
 		host := fmt.Sprintf("%sablate-%s.%s", httpPrefix, sess, e.Zone)
 		opts := proxynet.Options{Country: cc, Session: sess}
 		tinyResp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+"/")
-		if err != nil || dbg == nil || dbg.Err != "" || !cr.observe(dbg.ZID) {
+		if err != nil || dbg == nil || dbg.Err != "" {
+			return
+		}
+		if _, isNew := cr.observe(dbg.ZID); !isNew {
 			return
 		}
 		fullResp, dbg2, err := e.Client.Get(ctx, opts, "http://"+host+"/object.html")

@@ -275,14 +275,18 @@ func (c *crawler) recordStop(reason string) {
 	c.cfg.Metrics.Labeled("crawl_stopped_total").Inc(reason)
 }
 
-// observe records a measured zID, returning false when this node was
-// already measured. It also advances the stop rule.
-func (c *crawler) observe(zid string) bool {
+// observe records a measured zID and advances the stop rule. For a node not
+// measured before it returns the copy of zid the crawl keeps, cloned here
+// and only here: zid is a substring of a response's head (see
+// proxynet.ParseDebug), which nothing kept may pin. For a revisit it returns
+// "" and false.
+func (c *crawler) observe(zid string) (kept string, isNew bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	isNew := !c.seen[zid]
+	isNew = !c.seen[zid]
 	if isNew {
-		c.seen[zid] = true
+		kept = strings.Clone(zid)
+		c.seen[kept] = true
 		c.mNodes.Inc()
 	} else {
 		c.mDuplicates.Inc()
@@ -311,7 +315,7 @@ func (c *crawler) observe(zid string) bool {
 		c.stopped = true
 		c.recordStop("stop_rule")
 	}
-	return isNew
+	return kept, isNew
 }
 
 // Stats summarises a crawl.
@@ -365,19 +369,26 @@ func (o outcome) String() string { return outcomeNames[o] }
 // the measured zID, the outcome and, when the probe found one, the
 // violation, then ends the span. A clean probe's four attributes fit the
 // span's inline storage; only a violating one spills. A session outside the
-// sample opens no root: its context carries trace.Unsampled, so no hop
-// starts a span for it, and its done ends the zero Span. With a nil
-// CrawlConfig.Tracer both are cheap no-ops.
-func (c *crawler) traceProbe(ctx context.Context, name string, cc geo.CountryCode, sess string, sampled bool) (context.Context, probe) {
+// sample opens no root (runCrawl hands it unsampledContext) and its done
+// ends the zero Span. With a nil CrawlConfig.Tracer both are cheap no-ops.
+func (c *crawler) traceProbe(ctx context.Context, name string, cc geo.CountryCode, sess string) (context.Context, probe) {
 	if c.cfg.Tracer == nil {
 		return ctx, probe{}
-	}
-	if !sampled {
-		return trace.NewContext(ctx, trace.Unsampled), probe{}
 	}
 	span := c.cfg.Tracer.StartRoot(name, trace.KindClient,
 		trace.Str("session", sess), trace.Str("country", string(cc)))
 	return trace.NewContext(ctx, span.Context()), probe{span: span}
+}
+
+// unsampledContext is the context of every session outside the trace
+// sample: ctx carrying trace.Unsampled, so that no hop starts a span for
+// it, or ctx itself with a nil CrawlConfig.Tracer. It is the same for every
+// session, so runCrawl builds it once.
+func (c *crawler) unsampledContext(ctx context.Context) context.Context {
+	if c.cfg.Tracer == nil {
+		return ctx
+	}
+	return trace.NewContext(ctx, trace.Unsampled)
 }
 
 // probe is one session's root span, the zero Span outside the sample.
@@ -568,9 +579,13 @@ func runCrawl[T comparable](ctx context.Context, cfg CrawlConfig, weights map[ge
 	spanName := "probe." + x.name
 	shards := make([]shardSink[T], cr.cfg.Workers)
 	var none T
+	unsampled := cr.unsampledContext(ctx)
 
 	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string, sampled bool) {
-		pctx, root := cr.traceProbe(ctx, spanName, cc, sess, sampled)
+		pctx, root := unsampled, probe{}
+		if sampled {
+			pctx, root = cr.traceProbe(ctx, spanName, cc, sess)
+		}
 		obs, oc := x.measure(pctx, cr, cc, sess)
 		var zid, violation string
 		if obs != none {

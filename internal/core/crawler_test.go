@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/tftproject/tft/internal/geo"
+	"github.com/tftproject/tft/internal/httpwire"
 	"github.com/tftproject/tft/internal/metrics"
+	"github.com/tftproject/tft/internal/proxynet"
 	"github.com/tftproject/tft/internal/simnet"
 )
 
@@ -37,8 +42,9 @@ func TestPropertyCrawlerObserveOnce(t *testing.T) {
 			map[geo.CountryCode]int{"DE": 1}, simnet.NewRand(2))
 		seen := map[uint8]bool{}
 		for _, id := range ids {
-			isNew := cr.observe(fmt.Sprintf("z%03d", id))
-			if isNew == seen[id] {
+			zid := fmt.Sprintf("z%03d", id)
+			kept, isNew := cr.observe(zid)
+			if isNew == seen[id] || isNew != (kept == zid) {
 				return false
 			}
 			seen[id] = true
@@ -143,5 +149,39 @@ func TestObjectSizeAblationRuns(t *testing.T) {
 	var zero ObjectSizeResult
 	if zero.TinyRate() != 0 || zero.FullRate() != 0 {
 		t.Fatal("zero-node rates not zero")
+	}
+}
+
+// TestKeptZIDPinsNoHead: the zID ParseDebug reads is a substring of the
+// response's head, and the copy observe keeps for a new node shares no byte
+// with it, so that neither a dataset nor the seen set pins a head. A revisit
+// keeps nothing.
+func TestKeptZIDPinsNoHead(t *testing.T) {
+	wire := "HTTP/1.1 200 OK\r\n" + proxynet.TimelineHeader + ": v1 zid=z0001 ip=91.4.4.4\r\nContent-Length: 0\r\n\r\n"
+	resp, err := httpwire.ReadResponse(bufio.NewReader(strings.NewReader(wire)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeline := resp.Header.Get(proxynet.TimelineHeader)
+	within := func(s string) bool {
+		p, head := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(timeline)))
+		return p >= head && p < head+uintptr(len(timeline))
+	}
+	dbg := proxynet.ParseDebug(&resp.Header)
+	if dbg.ZID != "z0001" || !within(dbg.ZID) {
+		t.Fatalf("ParseDebug's zID %q is not the substring of the head's timeline %q", dbg.ZID, timeline)
+	}
+	cr := newCrawler(CrawlConfig{}, map[geo.CountryCode]int{"DE": 1}, simnet.NewRand(1))
+	kept, isNew := cr.observe(dbg.ZID)
+	if !isNew || kept != dbg.ZID || within(kept) {
+		t.Fatalf("observe kept %q (new %v), sharing the head's bytes: %v", kept, isNew, within(kept))
+	}
+	for zid := range cr.seen {
+		if within(zid) {
+			t.Fatalf("the seen set's %q shares the head's bytes", zid)
+		}
+	}
+	if kept, isNew := cr.observe(dbg.ZID); isNew || kept != "" {
+		t.Fatalf("a revisit kept %q (new %v), want nothing", kept, isNew)
 	}
 }

@@ -115,28 +115,32 @@ func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 	// Probe names are unique per session, so once this probe returns their
 	// log entries can never be consulted again; releasing them keeps the
 	// authority and web-server logs at O(in-flight sessions) instead of
-	// O(all sessions) across a paper-scale crawl.
+	// O(all sessions) across a paper-scale crawl. d1's entries are taken —
+	// read and forgotten at once — when its fetch returns; d2's, which
+	// nothing reads, are forgotten on the way out.
 	defer func() {
-		e.Auth.Forget(fqdn1)
 		e.Auth.Forget(fqdn2)
-		e.Web.Forget(d1)
 		e.Web.Forget(d2)
 	}()
 	opts := proxynet.Options{Country: cc, Session: sess, RemoteDNS: true}
 
 	// Step 2: fetch d1; the node's resolver must answer, and both our DNS
-	// and web logs light up.
+	// and web logs light up: the super proxy's resolver and the node's ask
+	// the authority, and the node asks the web server.
 	resp1, dbg1, err := e.Client.Get(ctx, opts, "http://"+d1+"/")
+	var held [4]dnsserver.Query
+	queries := e.Auth.Take(fqdn1, held[:0])
+	reqs := e.Web.Take(d1)
 	if err != nil || dbg1 == nil || dbg1.ZID == "" || dbg1.Err != "" {
 		return nil, classifyFailure(err, dbg1)
 	}
-	if !cr.observe(dbg1.ZID) {
+	zid, isNew := cr.observe(dbg1.ZID)
+	if !isNew {
 		return nil, outcomeDuplicate
 	}
-	obs := &DNSObservation{ZID: dbg1.ZID}
+	obs := &DNSObservation{ZID: zid}
 
 	// The exit node's IP comes from the web server's request log.
-	reqs := e.Web.RequestsFor(d1)
 	if len(reqs) == 0 {
 		return nil, outcomeFailed
 	}
@@ -147,7 +151,7 @@ func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 	// from the super proxy's own resolution, and what remains is the
 	// node's resolver.
 	superSeen := false
-	for _, q := range e.Auth.QueriesFor(fqdn1) {
+	for _, q := range queries {
 		if !superSeen && q.Src == geo.SuperProxyResolverEgress {
 			superSeen = true
 			continue

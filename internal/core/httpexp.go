@@ -198,10 +198,11 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 			return outcomeOK, true
 		}
 		if idx == 0 {
-			if !cr.observe(dbg.ZID) {
+			zid, isNew := cr.observe(dbg.ZID)
+			if !isNew {
 				return outcomeDuplicate, false
 			}
-			obs.ZID = dbg.ZID
+			obs.ZID = zid
 			obs.NodeIP = dbg.NodeIP
 			obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 			if skip(obs.ASN) {

@@ -140,7 +140,7 @@ func TestCrawlerMetricsMatchStats(t *testing.T) {
 		var sn int
 		fmt.Sscanf(sess, "s%d", &sn)
 		zid := fmt.Sprintf("z%03d", sn*37%100)
-		if !cr.observe(zid) {
+		if _, isNew := cr.observe(zid); !isNew {
 			dup.Add(1)
 		}
 	})

@@ -114,21 +114,21 @@ func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.Count
 	if err != nil || dbg == nil || dbg.ZID == "" || dbg.Err != "" {
 		return nil, classifyFailure(err, dbg)
 	}
-	if !cr.observe(dbg.ZID) {
+	zid, isNew := cr.observe(dbg.ZID)
+	if !isNew {
 		return nil, outcomeDuplicate
 	}
 	chargeBytes(e.Crawl.Metrics, len(resp.Body))
-	obs := &MonObservation{ZID: dbg.ZID, NodeIP: dbg.NodeIP, Host: host, RequestAt: at}
+	obs := &MonObservation{ZID: zid, NodeIP: dbg.NodeIP, Host: host, RequestAt: at}
 	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 	return obs, outcomeOK
 }
 
 // collect splits the server log for the node's domain into its own request
 // and the unexpected ones, computing delays. Nothing reads the host's log
-// again, so it is forgotten here.
+// again, so it is taken: read and forgotten at once.
 func (e *MonitorExperiment) collect(obs *MonObservation) {
-	reqs := e.Web.RequestsFor(obs.Host)
-	e.Web.Forget(obs.Host)
+	reqs := e.Web.Take(obs.Host)
 	if len(reqs) == 0 {
 		return
 	}

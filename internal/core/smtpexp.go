@@ -78,10 +78,11 @@ func (e *SMTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 	if dbg.ZID == "" {
 		return nil, classifyFailure(nil, dbg)
 	}
-	if !cr.observe(dbg.ZID) {
+	zid, isNew := cr.observe(dbg.ZID)
+	if !isNew {
 		return nil, outcomeDuplicate
 	}
-	obs := &SMTPObservation{ZID: dbg.ZID, NodeIP: dbg.NodeIP}
+	obs := &SMTPObservation{ZID: zid, NodeIP: dbg.NodeIP}
 	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 	session, err := smtpwire.Probe(conn, e.MailHost)
 	if err != nil {

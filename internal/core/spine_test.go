@@ -44,9 +44,11 @@ func toyMeasure(_ context.Context, cr *crawler, _ geo.CountryCode, sess string) 
 	if n%10 == 6 {
 		obs.zid, obs.flagged = "shared", false
 	}
-	if !cr.observe(obs.zid) {
+	zid, isNew := cr.observe(obs.zid)
+	if !isNew {
 		return nil, outcomeDuplicate
 	}
+	obs.zid = zid
 	if n%10 == 7 {
 		return obs, outcomeDiscarded
 	}

@@ -156,10 +156,11 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 			res.Err = err.Error()
 		}
 		if i == 0 {
-			if !cr.observe(dbg.ZID) {
+			zid, isNew := cr.observe(dbg.ZID)
+			if !isNew {
 				return nil, outcomeDuplicate
 			}
-			obs.ZID = dbg.ZID
+			obs.ZID = zid
 			obs.NodeIP = dbg.NodeIP
 			obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 			obs.Sites = make([]SiteResult, 0, len(phase1))

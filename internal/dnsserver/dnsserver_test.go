@@ -490,7 +490,8 @@ func serveUDPEndToEnd(t *testing.T, listen string) {
 
 // staleNet is a network on which every reply arrives one exchange late: the
 // caller is handed the datagram that answered the query before its own, as a
-// late duplicate on a real socket would be.
+// late duplicate on a real socket would be — in a buffer of its own, since
+// the reply the fabric returns may lie in the recycled query datagram.
 type staleNet struct {
 	net  Exchanger
 	last []byte
@@ -498,7 +499,7 @@ type staleNet struct {
 
 func (s *staleNet) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error) {
 	resp, err := s.net.ExchangeDNS(src, dst, query)
-	resp, s.last = s.last, resp
+	resp, s.last = s.last, bytes.Clone(resp)
 	return resp, err
 }
 
@@ -543,4 +544,50 @@ type exchangerFunc func(src, dst netip.Addr, query []byte) ([]byte, error)
 
 func (f exchangerFunc) ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error) {
 	return f(src, dst, query)
+}
+
+// TestTakeIsReadThenForget: Take hands over what QueriesFor would read, in
+// arrival order and appended to the caller's slice, and leaves what Forget
+// would: nothing for the name, the count unchanged, and a second Take that
+// adds nothing. Into a slice with room it allocates nothing.
+func TestTakeIsReadThenForget(t *testing.T) {
+	a, _ := testAuthority(t)
+	const name = "d1.probe.tft-example.net"
+	ask := func() {
+		lookupA(t, a, superDNS, name)
+		lookupA(t, a, ispDNSIP, name)
+	}
+	ask()
+	want := a.QueriesFor(name)
+	if len(want) != 2 {
+		t.Fatalf("QueriesFor = %+v, want two queries", want)
+	}
+	var held [4]Query
+	held[0] = Query{Name: "already held"}
+	got := a.Take(name+".", held[:1])
+	if len(got) != 3 || got[0] != held[0] || got[1] != want[0] || got[2] != want[1] || &got[0] != &held[0] {
+		t.Fatalf("Take = %+v, want %+v after the held entry, in the caller's array", got, want)
+	}
+	if q := a.QueriesFor(name); len(q) != 0 {
+		t.Fatalf("after Take the log still holds %+v", q)
+	}
+	if again := a.Take(name, held[:0]); len(again) != 0 {
+		t.Fatalf("a second Take = %+v, want nothing", again)
+	}
+	if n := a.QueryCount(); n != 2 {
+		t.Fatalf("QueryCount after Take = %d, want 2", n)
+	}
+	if raceEnabled {
+		return
+	}
+	fqdn := name + "." // as a crawl names it: canonical already
+	canonical := []byte(fqdn)
+	if allocs := testing.AllocsPerRun(100, func() {
+		a.record(Query{Src: superDNS, Type: dnswire.TypeA}, canonical)
+		if len(a.Take(fqdn, held[:0])) != 1 {
+			t.Fatal("Take lost the query")
+		}
+	}); allocs > 1 {
+		t.Errorf("record and Take allocate %.0f times, want 1: the logged name", allocs)
+	}
 }

@@ -51,7 +51,7 @@ func oracleResolve(a *Authority, src netip.Addr, q *dnswire.Message) *dnswire.Me
 	if f := a.policy.Load(); f != nil && *f != nil {
 		rule = (*f)(name)
 	}
-	a.record(Query{Time: a.clock.Now(), Src: src, Name: name, Type: question.Type})
+	a.record(Query{Time: a.clock.Now(), Src: src, Type: question.Type}, []byte(name))
 
 	if question.Type != dnswire.TypeA || rule == nil {
 		resp.RCode = dnswire.RCodeNXDomain

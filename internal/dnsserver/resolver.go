@@ -10,10 +10,10 @@ import (
 )
 
 // Exchanger moves one DNS datagram from src to dst — *simnet.Fabric
-// implements it, as does the real-UDP adapter. query is the caller's again
-// when ExchangeDNS returns — Lookup recycles it at once — so an
-// implementation keeps none of it, and the response it returns shares no
-// storage with it.
+// implements it, as does the real-UDP adapter. An implementation keeps none
+// of query once ExchangeDNS returns, and the response it returns may lie in
+// query's capacity past its length (see simnet.DNSHandler): the caller is
+// done with both before it recycles the query, as Lookup is.
 type Exchanger interface {
 	ExchangeDNS(src, dst netip.Addr, query []byte) ([]byte, error)
 }
@@ -105,11 +105,12 @@ func (r *Resolver) Lookup(client netip.Addr, name string, qtype dnswire.Type) (d
 		return dnswire.Answer{}, err
 	}
 	respWire, err := r.Net.ExchangeDNS(r.egress(client), auth, wire)
-	putQueryBuf(buf)
-	if err != nil {
-		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
+	var ans dnswire.Answer
+	if err == nil {
+		// The reply may lie in buf, past the query: read it first.
+		ans, err = dnswire.ParseAnswer(respWire, id, name, qtype)
 	}
-	ans, err := dnswire.ParseAnswer(respWire, id, name, qtype)
+	putQueryBuf(buf)
 	if err != nil {
 		return dnswire.Answer{RCode: dnswire.RCodeServFail}, nil
 	}

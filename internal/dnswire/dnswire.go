@@ -931,24 +931,38 @@ func readName(data []byte, off int) (string, int) {
 //
 //tftlint:hotpath
 func ParseQuery(data []byte) (Header, Question, error) {
-	h, err := scanHeader(data)
-	if err != nil {
-		return Header{}, Question{}, err
-	}
 	var nb [256]byte
-	n, t, c, off, err := scanQuestions(data, h.Questions, &nb)
+	h, name, t, c, err := ParseQueryName(data, &nb)
 	if err != nil {
 		return Header{}, Question{}, err
-	}
-	for i := h.Answers + h.Authorities + h.Additionals; i > 0; i-- {
-		if _, off, err = scanRecord(data, off); err != nil {
-			return Header{}, Question{}, err
-		}
 	}
 	if h.Questions == 0 {
 		return h, Question{}, nil
 	}
-	return h, Question{Name: dotted(&nb, n), Type: t, Class: c}, nil
+	return h, Question{Name: dotted(&nb, len(name)), Type: t, Class: c}, nil
+}
+
+// ParseQueryName is ParseQuery making no string: the first question's name
+// is left in nb, and name is its dotted form there, nb[:n] — case as sent,
+// a dot after every label, empty for the root (whose string form is ".").
+// A datagram with no question returns an empty name and a zero type and
+// class.
+//
+//tftlint:hotpath
+func ParseQueryName(data []byte, nb *[256]byte) (h Header, name []byte, t Type, c Class, err error) {
+	if h, err = scanHeader(data); err != nil {
+		return Header{}, nil, 0, 0, err
+	}
+	n, t, c, off, err := scanQuestions(data, h.Questions, nb)
+	if err != nil {
+		return Header{}, nil, 0, 0, err
+	}
+	for i := h.Answers + h.Authorities + h.Additionals; i > 0; i-- {
+		if _, off, err = scanRecord(data, off); err != nil {
+			return Header{}, nil, 0, 0, err
+		}
+	}
+	return h, nb[:n], t, c, nil
 }
 
 // ParseAnswer reads a datagram as the response to the query (id, name,

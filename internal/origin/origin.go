@@ -75,8 +75,12 @@ func NewServer(clock simnet.Clock) *Server {
 	return s
 }
 
-// Handle processes one parsed request from src and returns the response.
-func (s *Server) Handle(src netip.Addr, req *httpwire.Request) *httpwire.Response {
+// Handle processes one parsed request from src and returns the response,
+// by value: ConnHandler writes it from its own frame, so a served request
+// allocates no response.
+//
+//tftlint:hotpath
+func (s *Server) Handle(src netip.Addr, req *httpwire.Request) httpwire.Response {
 	at := s.clock.Now()
 	if s.AllowSkew {
 		if skew := req.Header.Get(SkewHeader); skew != "" {
@@ -90,14 +94,14 @@ func (s *Server) Handle(src netip.Addr, req *httpwire.Request) *httpwire.Respons
 		UserAgent: req.Header.Get("User-Agent")})
 
 	if req.Method != "GET" {
-		return httpwire.NewResponse(400, []byte("unsupported method"))
+		return httpwire.Response{StatusCode: 400, Reason: "Bad Request", Proto: "HTTP/1.1", Body: []byte("unsupported method")}
 	}
 	body, contentType := indexBody, "text/html; charset=utf-8"
 	k, object := objectByPath[req.Target]
 	if object {
 		body, contentType = content.Object(k), k.ContentType()
 	}
-	resp := httpwire.NewResponse(200, body)
+	resp := httpwire.Response{StatusCode: 200, Reason: "OK", Proto: "HTTP/1.1", Body: body}
 	resp.Header.Set("Content-Type", contentType)
 	if object {
 		// The canonical bytes are never written: every hop of the proxy
@@ -157,6 +161,22 @@ func (s *Server) RequestsFor(host string) []Request {
 	return out
 }
 
+// Take returns the logged requests whose Host is host, in arrival order, and
+// forgets them, in one critical section: the log's own slice, handed over
+// rather than copied, since nothing else can reach it once it is gone. It is
+// what a crawl that reads a probe host's log once calls instead of
+// RequestsFor and Forget.
+//
+//tftlint:hotpath
+func (s *Server) Take(host string) []Request {
+	l := s.log(host)
+	l.mu.Lock()
+	reqs := l.byHost[host]
+	delete(l.byHost, host)
+	l.mu.Unlock()
+	return reqs
+}
+
 // Forget drops the logged requests for a host. Experiments that fully
 // consume a probe name's log release it so a paper-scale crawl holds
 // O(in-flight sessions) log entries instead of O(all sessions).
@@ -191,7 +211,8 @@ func (s *Server) ConnHandler() simnet.ConnHandler {
 		if err != nil {
 			return
 		}
-		s.Handle(src, req).Write(conn)
+		resp := s.Handle(src, req)
+		resp.Write(conn)
 	}
 }
 

@@ -265,3 +265,29 @@ func TestNonGETRejected(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 }
+
+// TestTakeIsReadThenForget: Take hands over what RequestsFor would read, in
+// arrival order, and leaves what Forget would: nothing for the host, the
+// count unchanged, and a second Take that returns nothing.
+func TestTakeIsReadThenForget(t *testing.T) {
+	s := NewServer(simnet.NewVirtual(t0))
+	const host = "d1-s1.probe.example"
+	s.Handle(nodeIP, getReq(host, "/"))
+	s.Handle(monIP, getReq(host, "/"))
+	want := s.RequestsFor(host)
+	if len(want) != 2 || want[0].Src != nodeIP || want[1].Src != monIP {
+		t.Fatalf("RequestsFor = %+v, want the node's request, then the monitor's", want)
+	}
+	if got := s.Take(host); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Take = %+v, want %+v", got, want)
+	}
+	if r := s.RequestsFor(host); len(r) != 0 {
+		t.Fatalf("after Take the log still holds %+v", r)
+	}
+	if again := s.Take(host); len(again) != 0 {
+		t.Fatalf("a second Take = %+v, want nothing", again)
+	}
+	if n := s.RequestCount(); n != 2 {
+		t.Fatalf("RequestCount after Take = %d, want 2", n)
+	}
+}

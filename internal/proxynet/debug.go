@@ -94,10 +94,11 @@ func attachDebug(resp *httpwire.Response, zid string, ip netip.Addr, attempts []
 	}
 }
 
-// ParseDebug extracts Debug from a proxy response's headers. ZID is a copy:
-// it ends up in datasets and in the crawler's seen set, and must not hold
-// the whole head of the response it arrived in. The rest — the error, the
-// failed attempts — are substrings of that head.
+// ParseDebug extracts Debug from a proxy response's headers. Every string
+// in it — the zID, the error, the failed attempts — is a substring of the
+// response's head, and holds the whole head while it lives: a caller that
+// keeps one past the response, as a crawl keeps a new node's zID in its
+// dataset and seen set, keeps a copy (strings.Clone).
 func ParseDebug(h *httpwire.Header) *Debug {
 	d := &Debug{Err: h.Get(UnblockerHeader)}
 	// Fields are single-spaced, as encodeTimeline writes them.
@@ -106,7 +107,7 @@ func ParseDebug(h *httpwire.Header) *Debug {
 		field, rest, more = strings.Cut(rest, " ")
 		switch {
 		case strings.HasPrefix(field, "zid="):
-			d.ZID = strings.Clone(field[len("zid="):])
+			d.ZID = field[len("zid="):]
 		case strings.HasPrefix(field, "ip="):
 			if ip, err := netip.ParseAddr(field[len("ip="):]); err == nil {
 				d.NodeIP = ip

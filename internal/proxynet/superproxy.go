@@ -272,10 +272,13 @@ const respWriteBudget = 10 * time.Second
 // setBudget bounds every wait on conn to d from now on the wall clock;
 // d == 0 clears the bound, which also stops its timer. A real socket — a
 // daemon's client, an agent connection, an origin cmd/exitnode dials — is
-// where peers stop answering. A fabric stream refuses every deadline (see
-// simnet.Pipe), and the refusal is ignored: a stalled or faulted stream
-// fails on its own.
+// where peers stop answering. A fabric stream takes no deadline
+// (simnet.TakesDeadlines), so setBudget leaves it alone and reads no
+// clock: a stalled or faulted stream fails on its own.
 func setBudget(conn net.Conn, d time.Duration) {
+	if !simnet.TakesDeadlines(conn) {
+		return
+	}
 	var t time.Time
 	if d > 0 {
 		t = simnet.Real{}.Now().Add(d)
@@ -284,14 +287,39 @@ func setBudget(conn net.Conn, d time.Duration) {
 }
 
 // fail writes an error response carrying the debug headers, under the write
-// budget so an unresponsive client cannot hold the goroutine.
+// budget so an unresponsive client cannot hold the goroutine. The response
+// lives in fail's frame, and its body is errStr's bytes from failBodies.
+//
+//tftlint:hotpath
 func (sp *SuperProxy) fail(conn net.Conn, status int, errStr, zid string, ip netip.Addr, attempts []Attempt) {
-	resp := httpwire.NewResponse(status, []byte(errStr))
-	attachDebug(resp, zid, ip, attempts, errStr)
+	body, ok := failBodies[errStr]
+	if !ok {
+		body = []byte(errStr)
+	}
+	resp := httpwire.Response{StatusCode: status, Reason: httpwire.ReasonPhrase(status), Proto: "HTTP/1.1", Body: body}
+	attachDebug(&resp, zid, ip, attempts, errStr)
 	setBudget(conn, respWriteBudget)
 	resp.Write(conn)
 	setBudget(conn, 0)
 }
+
+// The errors fail reports besides the Err* strings.
+const (
+	errMalformedTarget = "malformed proxy target"
+	errPortNotAllowed  = "port not allowed"
+	errConnectPort     = "CONNECT allowed to port 443 only"
+)
+
+// failBodies are fail's response bodies: every error string it is given,
+// converted to bytes once. Nothing writes into a response's body.
+var failBodies = func() map[string][]byte {
+	m := make(map[string][]byte)
+	for _, s := range []string{ErrDNSSuper, ErrDNSPeer, ErrNoPeers, ErrPeerFetch,
+		ErrPeerTransport, errMalformedTarget, errPortNotAllowed, errConnectPort} {
+		m[s] = []byte(s)
+	}
+	return m
+}()
 
 // resolveSuper is the existence check Luminati runs before forwarding
 // (§4.1) — the reason the d2 gate answers the super proxy's resolver — as a
@@ -437,11 +465,11 @@ func (sp *SuperProxy) handleGet(parent trace.SpanContext, conn net.Conn, req *ht
 	}
 	host, port, path, err := httpwire.ParseAbsoluteURL(req.Target)
 	if err != nil {
-		failGet(400, "malformed proxy target", "", netip.Addr{}, nil)
+		failGet(400, errMalformedTarget, "", netip.Addr{}, nil)
 		return
 	}
 	if port != sp.httpPort() {
-		failGet(403, "port not allowed", "", netip.Addr{}, nil)
+		failGet(403, errPortNotAllowed, "", netip.Addr{}, nil)
 		return
 	}
 
@@ -520,7 +548,7 @@ func (sp *SuperProxy) handleConnect(parent trace.SpanContext, conn net.Conn, req
 	}
 	hostStr, port := httpwire.SplitHostPort(req.Target, 0)
 	if !sp.AnyPortConnect && port != sp.connectPort() {
-		failConnect(403, "CONNECT allowed to port 443 only", "", netip.Addr{}, nil)
+		failConnect(403, errConnectPort, "", netip.Addr{}, nil)
 		return false
 	}
 	ip, err := netip.ParseAddr(hostStr)
@@ -538,9 +566,8 @@ func (sp *SuperProxy) handleConnect(parent trace.SpanContext, conn net.Conn, req
 		return false
 	}
 	under = orParent(aspan, under)
-	ok := httpwire.NewResponse(200, nil)
-	ok.Reason = "Connection established"
-	attachDebug(ok, node.PeerID(), node.PeerIP(), attempts, "")
+	ok := httpwire.Response{StatusCode: 200, Reason: "Connection established", Proto: "HTTP/1.1"}
+	attachDebug(&ok, node.PeerID(), node.PeerIP(), attempts, "")
 	setBudget(conn, respWriteBudget)
 	err = ok.Write(conn)
 	// The deadline must not outlive the handshake: the tunnel relays on

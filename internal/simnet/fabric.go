@@ -49,9 +49,10 @@ type ConnHandler func(conn net.Conn)
 // DNSHandler answers a single DNS query datagram. src is the querying host's
 // address (what the paper's authoritative server logs to learn which
 // resolver asked). The returned slice is the response datagram; a nil return
-// simulates a dropped query. query is the caller's again when the call
-// returns — a resolver recycles its query datagrams — so a handler keeps
-// none of it and returns a response that shares no storage with it.
+// simulates a dropped query. A handler keeps none of query once the call
+// returns, and may write the response into query's capacity past its
+// length: the caller is done with both before it recycles the query, as a
+// resolver recycles its query datagrams.
 type DNSHandler func(src netip.Addr, query []byte) []byte
 
 // Fabric is an in-memory network: a registry of hosts addressable by IP,
@@ -74,6 +75,10 @@ type Fabric struct {
 	mu     sync.Mutex
 	hosts  map[netip.Addr]*host
 	frozen atomic.Pointer[map[netip.Addr]*host] // nil: hosts has changed since the last copy
+
+	// Every Dial and ExchangeDNS reads Faults and frozen, and every dial and
+	// pump writes tasks.mu: the pad keeps them on different cache lines.
+	_ [64]byte
 
 	// tasks is the run queue of the run-to-completion scheduler: accepted
 	// HandleTCP connections wait here and run inline on whichever

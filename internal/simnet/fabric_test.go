@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/netip"
 	"testing"
+	"unsafe"
 )
 
 var (
@@ -178,5 +179,26 @@ func TestSubRandIndependence(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different labels produced identical streams")
+	}
+}
+
+// TestFabricReadMostlyFieldsApartFromTasks: what every Dial and ExchangeDNS
+// reads (Faults, frozen) lies at least a cache line from the run queue's
+// lock, which every dial and pump writes, so the readers share no line with
+// the writers.
+func TestFabricReadMostlyFieldsApartFromTasks(t *testing.T) {
+	var f Fabric
+	lock := unsafe.Offsetof(f.tasks) + unsafe.Offsetof(f.tasks.mu)
+	for _, field := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"Faults", unsafe.Offsetof(f.Faults), unsafe.Sizeof(f.Faults)},
+		{"frozen", unsafe.Offsetof(f.frozen), unsafe.Sizeof(f.frozen)},
+	} {
+		if end := field.off + field.size; end > lock || lock-end < 64 {
+			t.Errorf("Fabric.%s ends at offset %d, %d bytes below tasks.mu at %d; want at least 64",
+				field.name, end, int(lock)-int(end), lock)
+		}
 	}
 }

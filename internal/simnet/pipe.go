@@ -788,6 +788,15 @@ func (s *Stream) SetReadDeadline(t time.Time) error { return s.SetDeadline(t) }
 // SetWriteDeadline implements net.Conn as SetDeadline does.
 func (s *Stream) SetWriteDeadline(t time.Time) error { return s.SetDeadline(t) }
 
+// TakesDeadlines reports whether a deadline set on conn can take effect:
+// false for a fabric stream, which refuses every one (see Pipe), true for
+// any other conn. A caller that would read the clock only to compute a
+// deadline skips both where it is false.
+func TakesDeadlines(conn net.Conn) bool {
+	_, stream := conn.(*Stream)
+	return !stream
+}
+
 // InjectReset kills both directions of the stream: every further read and
 // write — on either end, buffered data included — fails with
 // ErrInjectedReset, as after a TCP RST.

@@ -187,6 +187,57 @@ func TestPipeCloseWrite(t *testing.T) {
 	}
 }
 
+// TestTakesDeadlines: a fabric stream, bare or dialed, takes no deadline,
+// and a loopback TCP conn does, so that a budget reads the clock for the
+// socket only.
+func TestTakesDeadlines(t *testing.T) {
+	a, b := Pipe(0)
+	defer a.Close()
+	defer b.Close()
+	if TakesDeadlines(a) || TakesDeadlines(b) {
+		t.Error("a pipe end takes deadlines")
+	}
+	f := NewFabric()
+	f.HandleTCP(hostB, 7, func(c net.Conn) { c.Close() })
+	c, err := f.Dial(context.Background(), hostA, hostB, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if TakesDeadlines(c) {
+		t.Error("a dialed fabric stream takes deadlines")
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("no loopback listener: %v", err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		s, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- s
+	}()
+	tcp, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	if s, ok := <-accepted; ok {
+		defer s.Close()
+	}
+	if !TakesDeadlines(tcp) {
+		t.Error("a loopback TCP conn takes no deadlines")
+	}
+	if err := tcp.SetDeadline(time.Now().Add(time.Hour)); err != nil {
+		t.Errorf("the loopback TCP conn refused a deadline: %v", err)
+	}
+}
+
 // TestStreamRefusesDeadlines: a stream takes no deadline. Any time but the
 // zero one is refused with os.ErrNoDeadline, on both ends of a dialed stream
 // and of a bare Pipe, and the past deadline set last times out no later Read

@@ -88,11 +88,19 @@ func (c *spanCtx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
+// unsampledBackground is context.Background() carrying Unsampled, made
+// once: every service hop of a request outside the sample starts from it.
+var unsampledBackground context.Context = &spanCtx{Context: context.Background(), sc: Unsampled}
+
 // NewContext returns ctx carrying sc for downstream spans and log records:
-// a valid context, or Unsampled. Any other leaves ctx as it is.
+// a valid context, or Unsampled. Any other leaves ctx as it is. Unsampled
+// over context.Background() is one shared context and costs nothing.
 func NewContext(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() && !sc.unsampled {
 		return ctx
+	}
+	if sc.unsampled && ctx == context.Background() {
+		return unsampledBackground
 	}
 	return &spanCtx{Context: ctx, sc: sc}
 }

@@ -343,7 +343,8 @@ func TestLogHandlerInjection(t *testing.T) {
 // start and added later land in the span's own storage, End encodes it into
 // its slot, and the next start is handed the storage the last End returned.
 // So does a whole trace, root and five children, and a chain under
-// Unsampled starts nothing and allocates nothing. NewContext costs one.
+// Unsampled starts nothing and allocates nothing. NewContext costs one, and
+// none for Unsampled over context.Background().
 func TestSpanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -395,7 +396,13 @@ func TestSpanAllocs(t *testing.T) {
 		t.Errorf("FromContext allocates %.0f times, want 0", got)
 	}
 
-	unsampled := NewContext(ctx, Unsampled)
+	var unsampled context.Context
+	if got := testing.AllocsPerRun(200, func() { unsampled = NewContext(ctx, Unsampled) }); got != 0 {
+		t.Errorf("NewContext(context.Background(), Unsampled) allocates %.0f times, want 0", got)
+	}
+	if FromContext(unsampled) != Unsampled {
+		t.Fatalf("the shared unsampled context carries %+v", FromContext(unsampled))
+	}
 	before := tr.Total()
 	chain := func() {
 		get := tr.StartChild(FromContext(unsampled), "proxy.get", KindProxy, Str("target", "http://h/"))

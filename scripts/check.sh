@@ -12,10 +12,11 @@ GO=${GO:-go}
 # The gate, in order; EXTRA stages run only when named: shards and chaos
 # each re-run a subset of what test and race have already run, loc counts
 # code lines and lint waivers, census counts a session's lock operations,
-# profile folds a DNS crawl's CPU profile by layer, and report sweeps the
-# paper report over nine seeds. No stage writes a tracked file.
+# profile and allocs fold a DNS crawl's CPU and allocation profiles by
+# layer, and report sweeps the paper report over nine seeds. No stage
+# writes a tracked file.
 GATE="fmt vet lint build test race fuzz bench tftbench"
-EXTRA="shards chaos loc census profile report"
+EXTRA="shards chaos loc census profile allocs report"
 
 # exists PKG PATTERN...: fail unless every pattern names a test, fuzz
 # target or benchmark in PKG. go test exits 0 when -run, -fuzz or -bench
@@ -226,6 +227,19 @@ stage() {
 		$GO test -run=NONE -bench='CrawlWorkers/workers=2$' -benchtime=5x \
 			-cpuprofile "$tmp/cpu.prof" -o "$tmp/tft.test" . </dev/null >&2
 		$GO tool pprof -traces "$tmp/cpu.prof" | $GO run ./scripts/cpufold
+		;;
+	allocs)
+		# DESIGN.md §6's by-layer allocation table for a DNS crawl: an
+		# allocation profile, every allocation sampled, of two-worker Scale
+		# 0.01 DNS crawls (BenchmarkCrawlWorkers, world build and analysis
+		# included), folded by scripts/cpufold. The profile and the test
+		# binary go to a temporary directory; writes nothing.
+		exists . '^BenchmarkCrawlWorkers$'
+		tmp=$(mktemp -d)
+		trap 'rm -rf "$tmp"' EXIT
+		$GO test -run=NONE -bench='CrawlWorkers/workers=2$' -benchtime=2x -benchmem \
+			-memprofile "$tmp/mem.prof" -memprofilerate=1 -o "$tmp/tft.test" . </dev/null >&2
+		$GO tool pprof -sample_index=alloc_objects -traces "$tmp/mem.prof" | $GO run ./scripts/cpufold
 		;;
 	report)
 		# The paper-vs-measured report at nine seeds (20160413 and 1-8):

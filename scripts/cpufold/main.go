@@ -1,12 +1,16 @@
-// Command cpufold folds a CPU profile by layer: every sample goes to the
-// innermost package of this repository on its stack, or, when the sample is
-// the garbage collector's or the stack has no repository frame, to runtime
-// GC, the runtime scheduler or "other". It reads the output of
-// `go tool pprof -traces` and prints a Markdown table, largest layer first:
-// DESIGN §6's by-layer CPU table.
+// Command cpufold folds a CPU or allocation profile by layer: every sample
+// goes to the innermost package of this repository on its stack, or, when
+// the sample is the garbage collector's or the stack has no repository
+// frame, to runtime GC, the runtime scheduler or "other". It reads the
+// output of `go tool pprof -traces` and prints a Markdown table, largest
+// layer first: DESIGN §6's by-layer CPU and allocation tables. A CPU
+// profile sums sample time; any other (`-sample_index=alloc_objects`) sums
+// sample counts.
 //
 //	go test -run=NONE -bench='HTTPExperimentRun$' -benchtime=150x -cpuprofile cpu.prof .
 //	go tool pprof -traces cpu.prof | go run ./scripts/cpufold
+//	go test -run=NONE -bench='HTTPExperimentRun$' -benchtime=150x -memprofile mem.prof .
+//	go tool pprof -sample_index=alloc_objects -traces mem.prof | go run ./scripts/cpufold
 package main
 
 import (
@@ -86,15 +90,24 @@ func repoPackage(fn string) (string, bool) {
 	return path, true
 }
 
+// profile is a folded profile: each layer's sum, in nanoseconds of CPU for
+// a CPU profile and in samples (allocations) for any other.
+type profile struct {
+	sums   map[string]int64
+	counts bool
+}
+
 // fold reads `go tool pprof -traces` output and sums each layer's sample
-// time.
-func fold(r io.Reader) (map[string]time.Duration, error) {
-	sums := map[string]time.Duration{}
-	var value time.Duration
+// values. The "Type:" line says which kind: cpu values are durations, any
+// other's are counts. An allocation profile's "bytes:" lines, the size of
+// the sampled objects, are skipped.
+func fold(r io.Reader) (profile, error) {
+	p := profile{sums: map[string]int64{}}
+	var value int64
 	var stack []string
 	flush := func() {
 		if len(stack) > 0 {
-			sums[layer(stack)] += value
+			p.sums[layer(stack)] += value
 		}
 		stack = stack[:0]
 	}
@@ -102,20 +115,22 @@ func fold(r io.Reader) (map[string]time.Duration, error) {
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
+		case strings.HasPrefix(line, "Type: "):
+			p.counts = strings.TrimSpace(line[len("Type: "):]) != "cpu"
 		case strings.HasPrefix(line, "-----"):
 			flush()
 		case strings.HasPrefix(line, " "):
 			fields := strings.Fields(line)
-			if len(fields) == 0 {
+			if len(fields) == 0 || fields[0] == "bytes:" {
 				continue
 			}
 			if len(stack) == 0 {
 				// The first line of a trace leads with its sample value.
-				d, err := time.ParseDuration(fields[0])
+				v, err := p.parse(fields[0])
 				if err != nil {
-					return nil, fmt.Errorf("cpufold: trace value %q: %v", fields[0], err)
+					return profile{}, fmt.Errorf("cpufold: trace value %q: %v", fields[0], err)
 				}
-				value, fields = d, fields[1:]
+				value, fields = v, fields[1:]
 			}
 			if len(fields) > 0 {
 				stack = append(stack, fields[0])
@@ -123,46 +138,68 @@ func fold(r io.Reader) (map[string]time.Duration, error) {
 		}
 	}
 	flush()
-	return sums, sc.Err()
+	return p, sc.Err()
+}
+
+// parse reads one sample value: a duration in a CPU profile, a count in any
+// other.
+func (p profile) parse(s string) (int64, error) {
+	if p.counts {
+		return strconv.ParseInt(s, 10, 64)
+	}
+	d, err := time.ParseDuration(s)
+	return int64(d), err
+}
+
+// format renders a sum as parse read it.
+func (p profile) format(v int64) string {
+	if p.counts {
+		return strconv.FormatInt(v, 10)
+	}
+	return time.Duration(v).String()
 }
 
 // table renders the sums largest first, ties by name, with each layer's
 // share of the total.
-func table(sums map[string]time.Duration) string {
-	names := make([]string, 0, len(sums))
-	var total time.Duration
-	for name, d := range sums {
+func table(p profile) string {
+	names := make([]string, 0, len(p.sums))
+	var total int64
+	for name, v := range p.sums {
 		names = append(names, name)
-		total += d
+		total += v
 	}
 	sort.Slice(names, func(i, j int) bool {
-		if sums[names[i]] != sums[names[j]] {
-			return sums[names[i]] > sums[names[j]]
+		if p.sums[names[i]] != p.sums[names[j]] {
+			return p.sums[names[i]] > p.sums[names[j]]
 		}
 		return names[i] < names[j]
 	})
+	column := "CPU"
+	if p.counts {
+		column = "allocations"
+	}
 	var b strings.Builder
-	b.WriteString("| layer | CPU | share |\n|---|---:|---:|\n")
+	fmt.Fprintf(&b, "| layer | %s | share |\n|---|---:|---:|\n", column)
 	for _, name := range names {
 		share := 0.0
 		if total > 0 {
-			share = 100 * float64(sums[name]) / float64(total)
+			share = 100 * float64(p.sums[name]) / float64(total)
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s %% |\n", name, sums[name], strconv.FormatFloat(share, 'f', 1, 64))
+		fmt.Fprintf(&b, "| %s | %s | %s %% |\n", name, p.format(p.sums[name]), strconv.FormatFloat(share, 'f', 1, 64))
 	}
-	fmt.Fprintf(&b, "| total | %s | 100.0 %% |\n", total)
+	fmt.Fprintf(&b, "| total | %s | 100.0 %% |\n", p.format(total))
 	return b.String()
 }
 
 func main() {
-	sums, err := fold(os.Stdin)
+	p, err := fold(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if len(sums) == 0 {
+	if len(p.sums) == 0 {
 		fmt.Fprintln(os.Stderr, "cpufold: no traces on stdin; pipe in `go tool pprof -traces <profile>`")
 		os.Exit(1)
 	}
-	fmt.Print(table(sums))
+	fmt.Print(table(p))
 }
