@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/tftproject/tft/internal/core"
 )
 
 // chaosOpts is the fixed-seed configuration the chaos soaks run under; a
@@ -106,6 +108,37 @@ func TestChaosHTTPSoak(t *testing.T) {
 	}
 	if man := first.Manifest(); man.Stalls != 0 {
 		t.Fatalf("stall watchdog fired %d times under chaos", man.Stalls)
+	}
+}
+
+// TestChaosHTTPFailuresAreNoViolation: under flaky-exits a node's fetches
+// fail after its first object (its exit drops out, or the session lands on
+// another node), and a failed object is no evidence of tampering. Every node
+// the crawl counts as violating must have an object that came back
+// modified, blocked or empty.
+func TestChaosHTTPFailuresAreNoViolation(t *testing.T) {
+	r, err := RunHTTP(context.Background(), chaosOpts("flaky-exits"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered, failed := 0, 0
+	for _, o := range r.Dataset.Observations {
+		var saw [core.ObjError + 1]bool
+		for _, obj := range o.Objects {
+			saw[obj.Outcome] = true
+		}
+		if saw[core.ObjModified] || saw[core.ObjBlocked] || saw[core.ObjEmpty] {
+			tampered++
+		} else if saw[core.ObjError] {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no node kept a failed object: the profile tested nothing")
+	}
+	if got := r.Manifest().Violations; got != int64(tampered) {
+		t.Fatalf("%d nodes counted as violating, %d with a modified, blocked or empty object (%d more with failed objects only)",
+			got, tampered, failed)
 	}
 }
 

@@ -70,10 +70,12 @@ type HTTPObservation struct {
 	Objects [4]ObjectResult `json:"objects"`
 }
 
-// AnyModified reports whether any object came back tampered.
+// AnyModified reports whether any object came back tampered: modified,
+// blocked or empty. A failed fetch (ObjError) is no evidence either way, as
+// the §5.2 analysis has it too.
 func (o *HTTPObservation) AnyModified() bool {
 	for _, r := range o.Objects {
-		if r.Outcome != ObjUnmodified {
+		if r.Outcome != ObjUnmodified && r.Outcome != ObjError {
 			return true
 		}
 	}
@@ -189,9 +191,9 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 		resp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+k.Path())
 		defer resp.Release()
 		if err != nil || dbg == nil || dbg.ZID == "" || dbg.Err != "" {
-			// A transport fault mid-measurement would leave ObjError
-			// objects that AnyModified reads as tampering; exclude the
-			// probe into the error budget rather than misclassify it.
+			// A transport fault mid-measurement sends the probe to the
+			// error budget. Any other failure after the first object
+			// leaves that object ObjError, which is no modification.
 			if failure := classifyFailure(err, dbg); failure == outcomeFault || idx == 0 {
 				return failure, false
 			}

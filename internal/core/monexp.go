@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"net/netip"
+	"sync"
 	"time"
 
 	"github.com/tftproject/tft/internal/dnsserver"
@@ -75,15 +76,29 @@ const monPrefix = "u-"
 const watchWindow = 24 * time.Hour
 
 // Run crawls, waits out the watch window on the virtual clock, then
-// collects the unexpected requests.
+// collects the unexpected requests. Nothing reads the log of a session that
+// produced no observation (a duplicate, a failure): its host is forgotten as
+// the session ends, and again once the collection is done, since a
+// monitor's refetch may have logged it anew in the watch window.
 func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 	m, prog := e.Crawl.Metrics, e.Crawl.Progress
+	var mu sync.Mutex
+	var unobserved []string // the hosts of the sessions without an observation
 	// No violation hook: whether a node is monitored is only known once the
 	// watch window below has run out.
 	ds, err := runCrawl(ctx, e.Crawl, e.Weights, e.Seed, crawlSpec[*MonObservation]{
 		name: "monitor", stream: "crawl/mon",
-		measure: e.fetch,
-		zid:     func(o *MonObservation) string { return o.ZID },
+		measure: func(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*MonObservation, outcome) {
+			obs, host, oc := e.fetch(ctx, cr, cc, sess)
+			if obs == nil {
+				e.Web.Forget(host)
+				mu.Lock()
+				unobserved = append(unobserved, host)
+				mu.Unlock()
+			}
+			return obs, oc
+		},
+		zid: func(o *MonObservation) string { return o.ZID },
 	})
 
 	// Monitors schedule their refetches on the virtual clock; advancing
@@ -100,11 +115,15 @@ func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 			m.Counter("monitor_unexpected_requests_total").Add(int64(len(obs.Unexpected)))
 		}
 	}
+	for _, host := range unobserved {
+		e.Web.Forget(host)
+	}
 	return ds, err
 }
 
-// fetch issues the single request for a node's unique domain.
-func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*MonObservation, outcome) {
+// fetch issues the single request for a node's unique domain, and returns
+// the domain's host with what it observed.
+func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*MonObservation, string, outcome) {
 	fqdn := monPrefix + sess + "." + e.Zone + "."
 	host := fqdn[:len(fqdn)-1]
 	defer e.Auth.Forget(fqdn)
@@ -112,16 +131,16 @@ func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.Count
 	at := e.Clock.Now()
 	resp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+"/")
 	if err != nil || dbg == nil || dbg.ZID == "" || dbg.Err != "" {
-		return nil, classifyFailure(err, dbg)
+		return nil, host, classifyFailure(err, dbg)
 	}
 	zid, isNew := cr.observe(dbg.ZID)
 	if !isNew {
-		return nil, outcomeDuplicate
+		return nil, host, outcomeDuplicate
 	}
 	chargeBytes(e.Crawl.Metrics, len(resp.Body))
 	obs := &MonObservation{ZID: zid, NodeIP: dbg.NodeIP, Host: host, RequestAt: at}
 	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
-	return obs, outcomeOK
+	return obs, host, outcomeOK
 }
 
 // collect splits the server log for the node's domain into its own request

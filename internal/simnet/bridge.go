@@ -19,7 +19,9 @@ import (
 // ErrInjectedReset, a transport fault). Closing the stream closes c once the
 // bytes written to it are out. The bridge has no half-close to pass on: a
 // CloseWrite on the stream closes c too, after which the stream's reads
-// fail as reset.
+// fail as reset. The pipe's rings go back to the pool once the consumer has
+// closed the stream and c's EOF has closed the far end; a pipe that was
+// reset is left to the collector instead.
 //
 // peer is the connection the consumer pairs the stream with (a tunnel's other
 // leg), or nil. When it is a fabric stream, the pipe's blocked operations
@@ -32,9 +34,9 @@ func AsStream(c, peer net.Conn) *Stream {
 	}
 	var q *taskQueue
 	if p, ok := peer.(*Stream); ok {
-		// Under the lock, as newConn and maybeReclaim write it. A peer past
-		// its connection's end would read the queue of whatever the pair
-		// serves now; no caller passes one.
+		// Under the lock, as the close that retires the ring clears it. A
+		// peer past its connection's end would read the queue of whatever
+		// the pair serves now; no caller passes one.
 		r := p.in()
 		r.mu.Lock()
 		q = r.pump

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -99,7 +100,8 @@ var pairPool sync.Pool
 // peer has closed return io.ErrClosedPipe. Where net.Pipe cannot buffer,
 // Pipe behaves like TCP: data written before a close is still delivered,
 // and the peer sees io.EOF only after draining it. CloseWrite half-closes
-// like a TCP FIN.
+// like a TCP FIN. Once both ends have closed, the rings go back to a pool
+// for a later Pipe or dial; an end kept past that is a closed stream.
 //
 // A stream takes no deadline, as net.Pipe took none before Go 1.10: the
 // Set*Deadline methods refuse any time but the zero one with
@@ -113,20 +115,24 @@ func Pipe(window int) (*Stream, *Stream) {
 	return &c.s[0], &c.s[1]
 }
 
-// pair is the recycled half of a connection: both direction rings. Once both
-// ends are fully closed it returns its ring storage to the buffer pools and
-// itself to pairPool, to be issued to a later dial in a later generation.
+// pair is the recycled half of a connection: both direction rings. A ring
+// retires in the close that sets the last of its two closed flags (see
+// ring.close), and the pair goes back to pairPool once both rings have
+// retired (see release), to be issued to a later dial in a later
+// generation. retired counts the rings retired by closes that retired one.
 type pair struct {
-	r [2]ring // r[0]: a→b, r[1]: b→a
+	r       [2]ring // r[0]: a→b, r[1]: b→a
+	retired atomic.Int32
 }
 
 // conn is the half of a connection a dial allocates and nothing recycles:
 // the two Stream ends, their addresses, and the generation the pair was
 // issued to them in. Every ring operation carries that generation and the
-// ring compares it under its lock, so an end held past both Closes finds a
-// closed stream (io.ErrClosedPipe, or nothing to do), never the connection
-// the pair serves now. The addresses stay here for the same reason: a
-// net.Addr handed out by LocalAddr is the caller's for good.
+// ring compares it under its lock before it acts, so an end held past its
+// ring's retirement finds a closed stream (io.ErrClosedPipe, or nothing to
+// do), never the connection the pair serves now. The addresses stay here
+// for the same reason: a net.Addr handed out by LocalAddr is the caller's
+// for good.
 type conn struct {
 	pair *pair
 	gen  uint64
@@ -136,7 +142,10 @@ type conn struct {
 
 // newConn builds a connection whose blocked operations drain pump (when
 // non-nil) before parking. grow lets the second end out-write the window
-// (see Fabric.Dial).
+// (see Fabric.Dial). It takes no lock: the retirement left each ring with
+// nothing but the generation to keep, sync.Pool orders these writes after
+// it, and an end of an earlier generation reads none of them once its
+// generation check under the ring lock has failed.
 //
 //tftlint:hotpath
 func newConn(window int, pump *taskQueue, grow bool) *conn {
@@ -144,24 +153,18 @@ func newConn(window int, pump *taskQueue, grow bool) *conn {
 		window = DefaultWindow
 	}
 	pp := takePair()
-	c := &conn{pair: pp}
+	c := &conn{pair: pp, gen: pp.r[0].gen} // both rings retire once a generation
 	for i := range pp.r {
 		r := &pp.r[i]
-		// Under the lock: an end from the pair's last generation may be
-		// calling in.
-		r.mu.Lock()
 		r.window, r.pump, r.grow = window, pump, grow && i == 1
-		r.wclosed, r.rclosed = false, false
-		c.gen = r.gen // the same in both rings: maybeReclaim bumps them together
-		r.mu.Unlock()
 	}
 	c.s[0] = Stream{c: c, side: 0}
 	c.s[1] = Stream{c: c, side: 1}
 	return c
 }
 
-// takePair returns a pair no connection holds: recycled, in the state
-// maybeReclaim left it in, or fresh.
+// takePair returns a pair no connection holds: recycled, in the state its
+// rings' retirements left it in, or fresh.
 func takePair() *pair {
 	if pp, _ := pairPool.Get().(*pair); pp != nil {
 		return pp
@@ -174,43 +177,21 @@ func takePair() *pair {
 	return pp
 }
 
-// recyclePair hands a reclaimed pair to the next dial.
+// recyclePair hands a pair whose rings have both retired to the next dial.
 func recyclePair(pp *pair) { pairPool.Put(pp) }
 
-// maybeReclaim ends generation gen once both ends are fully closed: the
-// ring storage goes back to the buffer pools and the pair to pairPool. Any
-// operation still in flight observes a closed flag, or the new generation,
-// under the ring lock before it could touch the buffer, so reclaiming here is
-// safe. Generations only count up, so a stale end that still names the old
-// one stays inert however often the pair is reissued.
-func (pp *pair) maybeReclaim(gen uint64) {
-	for i := range pp.r {
-		r := &pp.r[i]
-		r.mu.Lock()
-		closed := r.gen == gen && r.wclosed && r.rclosed
-		r.mu.Unlock()
-		if !closed {
-			return
-		}
+// release takes the number of rings one close retired: the pair goes back
+// once both have. A close that retires both, the ordinary sequential case,
+// returns it outright; one that retires a single ring counts it, and the
+// second such count returns the pair.
+func (pp *pair) release(retired int) {
+	if retired == 1 && pp.retired.Add(1) == 2 {
+		pp.retired.Store(0)
+		retired = 2
 	}
-	for i := range pp.r {
-		r := &pp.r[i]
-		r.mu.Lock()
-		if r.gen != gen {
-			// Both ends' Close got here; the other one is reclaiming.
-			r.mu.Unlock()
-			return
-		}
-		r.gen++
-		buf, bufp := r.buf, r.bufp
-		r.buf, r.bufp = nil, nil
-		r.n, r.start = 0, 0
-		r.seg = nil
-		r.notify, r.fault, r.pump = [2]func(){}, nil, nil
-		r.mu.Unlock()
-		recycleBuf(buf, bufp)
+	if retired == 2 {
+		recyclePair(pp)
 	}
-	recyclePair(pp)
 }
 
 // pipeAddr is the placeholder endpoint address, as with net.Pipe.
@@ -228,9 +209,10 @@ func (pipeAddr) String() string  { return "pipe" }
 // parking if the ring changed underneath — the lost-wakeup guard of the
 // run-to-completion scheduler.
 //
-// gen is the generation of the connection the ring serves (see conn). Every
-// entry point takes the caller's and, on a mismatch, does what it does on a
-// closed ring; blocking ones compare again each time they wake.
+// gen is the generation of the connection the ring serves (see conn), bumped
+// when the ring retires (see close). Every entry point takes the caller's
+// and, on a mismatch, does what it does on a closed ring; blocking ones
+// compare again each time they wake.
 type ring struct {
 	mu   sync.Mutex
 	cond sync.Cond
@@ -249,9 +231,9 @@ type ring struct {
 
 	wclosed bool // write side closed: reads drain then EOF, writes fail
 	rclosed bool // read side closed: writes fail immediately
+	grow    bool // widen past the window instead of blocking writes
 
 	pump    *taskQueue // fabric run queue drained while blocked (may be nil)
-	grow    bool       // widen past the window instead of blocking writes
 	version uint64     // state-transition counter
 	notify  [2]func()  // readiness callbacks, one per stream end (see Stream.SetNotify)
 
@@ -492,10 +474,13 @@ func (r *ring) copyIn(p []byte) int {
 // changed ends a state transition: it bumps version, wakes every parked
 // operation, releases r.mu and runs the readiness callbacks outside it —
 // the dialing end's first — the order SetNotify promises. Caller holds r.mu.
-func (r *ring) changed() {
+func (r *ring) changed() { r.changedFiring(r.notify) }
+
+// changedFiring is changed with the callbacks given: those a retiring close
+// took out of the slots it cleared.
+func (r *ring) changedFiring(fns [2]func()) {
 	r.version++
 	r.cond.Broadcast()
-	fns := r.notify
 	r.mu.Unlock()
 	for _, fn := range fns {
 		if fn != nil {
@@ -643,28 +628,40 @@ func (r *ring) write(gen uint64, p []byte, block, shared bool) (int, error) {
 	}
 }
 
-// closeWrite marks the direction's write side closed: the reader drains
-// whatever is buffered and then sees io.EOF.
-func (r *ring) closeWrite(gen uint64) {
+// close marks one side of the direction closed: the write side (the reader
+// drains whatever is buffered and then sees io.EOF, writes fail) or the read
+// side (pending and future writes fail with io.ErrClosedPipe, local reads
+// too). The close that leaves both sides closed retires the ring in the same
+// critical section and returns 1 (0 otherwise, for pair.release to sum): it
+// bumps gen, so every operation of the generation now meets a closed
+// stream, and drops the buffer, the segment, the readiness slots, the fault
+// and the run queue, leaving both flags clear for the next dial. Both flags
+// are never left set, so a repeated close, a Close after a CloseWrite
+// included, retires nothing. Either way the transition wakes the parked and
+// runs the callbacks armed before it.
+func (r *ring) close(gen uint64, write bool) (retired int) {
 	r.mu.Lock()
 	if r.gen != gen {
 		r.mu.Unlock()
-		return
+		return 0
 	}
-	r.wclosed = true
-	r.changed()
-}
-
-// closeRead marks the direction's read side closed: pending and future
-// writes fail with io.ErrClosedPipe, local reads too.
-func (r *ring) closeRead(gen uint64) {
-	r.mu.Lock()
-	if r.gen != gen {
-		r.mu.Unlock()
-		return
+	if write {
+		r.wclosed = true
+	} else {
+		r.rclosed = true
 	}
-	r.rclosed = true
-	r.changed()
+	if !r.wclosed || !r.rclosed {
+		r.changed()
+		return 0
+	}
+	r.gen++
+	buf, bufp, fns := r.buf, r.bufp, r.notify
+	r.buf, r.bufp, r.n, r.start, r.seg = nil, nil, 0, 0, nil
+	r.notify, r.fault, r.pump = [2]func(){}, nil, nil
+	r.wclosed, r.rclosed = false, false
+	r.changedFiring(fns)
+	recycleBuf(buf, bufp)
+	return 1
 }
 
 // setNotify arms (or clears) the readiness callback of the ring's end side.
@@ -744,16 +741,14 @@ func (s *Stream) SetNotify(fn func()) {
 // reads io.EOF; its writes — and every further local operation — fail with
 // io.ErrClosedPipe.
 func (s *Stream) Close() error {
-	s.out().closeWrite(s.c.gen)
-	s.in().closeRead(s.c.gen)
-	s.c.pair.maybeReclaim(s.c.gen)
+	s.c.pair.release(s.out().close(s.c.gen, true) + s.in().close(s.c.gen, false))
 	return nil
 }
 
 // CloseWrite half-closes the stream: the peer sees io.EOF after draining,
 // while reads on this end keep working — a TCP FIN.
 func (s *Stream) CloseWrite() error {
-	s.out().closeWrite(s.c.gen)
+	s.c.pair.release(s.out().close(s.c.gen, true))
 	return nil
 }
 

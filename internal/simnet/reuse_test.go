@@ -264,3 +264,172 @@ func TestDialRoundTripAllocs(t *testing.T) {
 		t.Errorf("a warmed dial round trip allocates %.0f times, ceiling %d", got, ceiling)
 	}
 }
+
+// drainPairs empties pairPool and reports how many times it held pp. It
+// counts one processor's pool: callers run at GOMAXPROCS 1 with the
+// collector off, as TestDialRoundTripAllocs does.
+func drainPairs(pp *pair) int {
+	n := 0
+	for {
+		p, _ := pairPool.Get().(*pair)
+		if p == nil {
+			return n
+		}
+		if p == pp {
+			n++
+		}
+	}
+}
+
+// staleIsInert fails t unless s, an end whose connection has ended, meets a
+// closed stream.
+func staleIsInert(t *testing.T, s *Stream) {
+	t.Helper()
+	var buf [4]byte
+	if n, err := s.Read(buf[:]); n != 0 || !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("stale Read = %d, %v", n, err)
+	}
+	if n, err := s.Write([]byte("stale")); n != 0 || !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("stale Write = %d, %v", n, err)
+	}
+	s.SetNotify(func() { t.Error("a stale end's notify fired") })
+	s.InjectReset()
+	s.CloseWrite()
+	s.Close()
+}
+
+// echoOnce fails t unless a byte written on one end of c arrives at the other.
+func echoOnce(t *testing.T, c *conn) {
+	t.Helper()
+	var got [1]byte
+	if _, err := c.s[0].Write([]byte{0x7e}); err != nil {
+		t.Fatalf("write on the live connection: %v", err)
+	}
+	if _, err := io.ReadFull(&c.s[1], got[:]); err != nil || got[0] != 0x7e {
+		t.Fatalf("read on the live connection = %x, %v", got, err)
+	}
+}
+
+// TestPairReturnsOnceBothEndsClose: in every order the two ends can close
+// in, the pair goes back to the pool at the step that gives the second end
+// its Close and at no other, exactly once, so two later dials never share
+// it; the ends kept from before stay inert and cannot end the connection the
+// pair serves next.
+func TestPairReturnsOnceBothEndsClose(t *testing.T) {
+	const a, b, closeWrite = 0, 1, true
+	type step struct {
+		end        int
+		closeWrite bool
+	}
+	orders := []struct {
+		name  string
+		steps []step
+	}{
+		{"a then b", []step{{a, false}, {b, false}}},
+		{"b then a", []step{{b, false}, {a, false}}},
+		{"a CloseWrite, a, b", []step{{a, closeWrite}, {a, false}, {b, false}}},
+		{"a CloseWrite, b, a", []step{{a, closeWrite}, {b, false}, {a, false}}},
+		{"b CloseWrite, b, a", []step{{b, closeWrite}, {b, false}, {a, false}}},
+		{"b CloseWrite, a, b", []step{{b, closeWrite}, {a, false}, {b, false}}},
+		{"a twice, b", []step{{a, false}, {a, false}, {b, false}}},
+		{"a, b, a again", []step{{a, false}, {b, false}, {a, false}}},
+		{"b CloseWrite twice, a, b", []step{{b, closeWrite}, {b, closeWrite}, {a, false}, {b, false}}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, o := range orders {
+		t.Run(o.name, func(t *testing.T) {
+			drainPairs(nil)
+			old := newConn(DefaultWindow, nil, false)
+			pp := old.pair
+			closed := [2]bool{}
+			for i, st := range o.steps {
+				end := &old.s[st.end]
+				if st.closeWrite {
+					end.CloseWrite()
+				} else {
+					end.Close()
+				}
+				last := !closed[st.end] && !st.closeWrite && closed[1-st.end]
+				closed[st.end] = closed[st.end] || !st.closeWrite
+				if !last {
+					if n := drainPairs(pp); n != 0 {
+						t.Fatalf("step %d: the pair is in the pool %d times before both ends closed", i, n)
+					}
+					continue
+				}
+				// Two dials: the first takes the pair back (but under the race
+				// detector, whose pool drops a Put in four), the second must
+				// find it taken.
+				live, other := newConn(DefaultWindow, nil, false), newConn(DefaultWindow, nil, false)
+				if live.pair != pp && !raceEnabled {
+					t.Fatalf("step %d: both ends closed and the pair did not come back", i)
+				}
+				if other.pair == live.pair || other.pair == pp {
+					t.Fatalf("step %d: two dials share a pair: it came back more than once", i)
+				}
+				if n := drainPairs(pp); n != 0 {
+					t.Fatalf("step %d: the pair is in the pool %d more times after two dials", i, n)
+				}
+				// The old ends may not reach the connection the pair serves now.
+				staleIsInert(t, &old.s[a])
+				staleIsInert(t, &old.s[b])
+				echoOnce(t, live)
+				live.s[0].Close()
+				if n := drainPairs(live.pair); n != 0 {
+					t.Fatalf("the stale ends' closes count toward the next connection: its pair came back after one Close")
+				}
+				live.s[1].Close()
+				if n := drainPairs(live.pair); n != 1 && !raceEnabled {
+					t.Fatalf("the next connection's pair came back %d times after both Closes", n)
+				}
+				other.s[0].Close()
+				other.s[1].Close()
+			}
+		})
+	}
+}
+
+// TestConcurrentClosesReturnThePairOnce (run with -race): both ends close at
+// once, from two goroutines, so that each may retire one ring and leave the
+// pair to the other's count. Both rings must end retired once, two later
+// dials never share a pair, and the old ends stay inert.
+func TestConcurrentClosesReturnThePairOnce(t *testing.T) {
+	for i := 0; i < 500; i++ {
+		c := newConn(DefaultWindow, nil, false)
+		pp, gen := c.pair, c.gen
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for side := range c.s {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c.s[side].Close()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for j := range pp.r {
+			r := &pp.r[j]
+			r.mu.Lock()
+			g, wc, rc := r.gen, r.wclosed, r.rclosed
+			r.mu.Unlock()
+			if g != gen+1 || wc || rc {
+				t.Fatalf("ring %d after both Closes: generation %d (from %d), closed flags %v %v", j, g, gen, wc, rc)
+			}
+		}
+		x, y := newConn(DefaultWindow, nil, false), newConn(DefaultWindow, nil, false)
+		if x.pair == y.pair {
+			t.Fatal("two dials share a pair: it came back more than once")
+		}
+		staleIsInert(t, &c.s[0])
+		staleIsInert(t, &c.s[1])
+		echoOnce(t, x)
+		echoOnce(t, y)
+		for _, l := range []*conn{x, y} {
+			l.s[0].Close()
+			l.s[1].Close()
+		}
+	}
+}

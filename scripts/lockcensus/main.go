@@ -9,6 +9,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -81,6 +82,7 @@ func main() {
 	}
 	sites, module := findSites(check)
 	groups, totals := map[string][]*site{}, map[string]float64{}
+	var all, trace float64 // every group's total, and internal/trace's share of it
 	for _, line := range lines(profile) {
 		// "import/path/file.go:line.col,line.col statements count", the blocks disjoint.
 		var l0, c0, l1, c1, stmts int
@@ -91,15 +93,13 @@ func main() {
 		}
 		for _, s := range sites[file] {
 			if (s.line > l0 || s.line == l0 && s.col >= c0) && (s.line < l1 || s.line == l1 && s.col < c1) {
-				group := groupOf[s.on]
-				if group == "" {
-					group = groupOf[strings.Split(s.on, ".")[0]]
-				}
-				if group == "" {
-					group = shared
-				}
+				group := cmp.Or(groupOf[s.on], groupOf[strings.Split(s.on, ".")[0]], shared)
 				s.n = count / sessions
 				groups[group], totals[group] = append(groups[group], s), totals[group]+s.n
+				all += s.n
+				if strings.HasPrefix(file, "internal/trace/") {
+					trace += s.n
+				}
 			}
 		}
 	}
@@ -112,6 +112,7 @@ func main() {
 			fmt.Printf("%8.2f  %-24s %s\n", s.n, s.on, s.at)
 		}
 	}
+	fmt.Printf("\nall: %.1f\noutside internal/trace: %.1f\n", all, all-trace)
 }
 
 // findSites type-checks every package of the module and returns its counted
