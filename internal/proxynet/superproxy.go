@@ -182,8 +182,6 @@ type SuperProxy struct {
 	// Resolver performs the super proxy's DNS resolution (Google's service;
 	// its egress is pinned so the d2 gate can whitelist it).
 	Resolver *dnsserver.Resolver
-	// Clock drives session TTLs.
-	Clock simnet.Clock
 	// HTTPPort and ConnectPort override the service's allowed target ports
 	// (80 and 443). Real-network demos run origins on unprivileged ports.
 	HTTPPort    uint16
@@ -228,7 +226,7 @@ func (sp *SuperProxy) connectPort() uint16 {
 
 // NewSuperProxy assembles a super proxy.
 func NewSuperProxy(addr netip.Addr, pool NodeSource, resolver *dnsserver.Resolver, clock simnet.Clock) *SuperProxy {
-	return &SuperProxy{Addr: addr, Pool: pool, Resolver: resolver, Clock: clock, sessions: newSessionTable(clock)}
+	return &SuperProxy{Addr: addr, Pool: pool, Resolver: resolver, sessions: newSessionTable(clock)}
 }
 
 // ConnHandler serves one proxied request per connection.

@@ -172,11 +172,8 @@ func goroutinesAtRest() int {
 
 // TestTunnelHandshakeAllocs holds one warmed §6 probe on tunnelWorld — the
 // CONNECT, the handshake through the tunnel, the verdict, the close — to an
-// allocation ceiling. It measured 27 when the ceiling was set, and 36 at
-// the parent, when the site encoded its chain for every handshake, each
-// record crossed in two Writes, the client decoded a string per name and a
-// struct per certificate, and the tunnel made two closures where it makes
-// one; the slack is for Go releases, not for regressions of ours.
+// allocation ceiling. It measured 27 when the ceiling was set; the slack is
+// for Go releases, not for regressions of ours.
 func TestTunnelHandshakeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")

@@ -181,9 +181,11 @@ func takePair() *pair {
 func recyclePair(pp *pair) { pairPool.Put(pp) }
 
 // release takes the number of rings one close retired: the pair goes back
-// once both have. A close that retires both, the ordinary sequential case,
-// returns it outright; one that retires a single ring counts it, and the
-// second such count returns the pair.
+// once both have. A close that retires both, as a connection's second
+// Close does when the first has returned, returns it outright; one that
+// retires a single ring counts it, and the second such count returns the
+// pair. That is a tunnel's case: the splice's readiness callback runs the
+// peer's Close between the two ring closes of the first end's.
 func (pp *pair) release(retired int) {
 	if retired == 1 && pp.retired.Add(1) == 2 {
 		pp.retired.Store(0)

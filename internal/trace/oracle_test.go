@@ -288,8 +288,8 @@ func seedScript(rng *rand.Rand, capacity byte, ops int) []byte {
 
 // FuzzRingAgreesWithOracle replays a script of starts (roots, children,
 // children of another tracer's span and starts under Unsampled, which must
-// start nothing), attributes, errors, Ends — twice, and through stale
-// handles — and clock steps against the record ring and the pointer ring it
+// start nothing), attributes, errors, Ends — twice, and through the
+// handles of ended spans — and clock steps against the record ring and the pointer ring it
 // replaced, and requires the same spans (times equal and in the same
 // Location), the same Total and the same Retained after every step that
 // reads them and at the end. IDs are the
@@ -331,8 +331,8 @@ func FuzzRingAgreesWithOracle(f *testing.F) {
 					rec.Total(), rec.Retained(), len(got), orc.total.Load(), orc.Retained(), len(want))
 			}
 			spilled := 0
-			for i := range rec.ring {
-				if rec.ring[i].seq > 0 && rec.ring[i].n == 0 {
+			for _, sl := range rec.ring[:rec.Retained()] {
+				if sl.n == 0 {
 					spilled++
 				}
 			}

@@ -26,8 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/tftproject/tft/internal/metrics"
 )
 
 // TraceID identifies one request's whole span tree.
@@ -265,33 +263,25 @@ func (d *SpanData) Str(key string) string {
 // Duration is the span's elapsed time on its tracer's clock.
 func (d *SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 
-// Span is a handle to one in-flight operation: the storage the tracer issued
-// for it and the generation it was issued in. Created by a Tracer, finished
-// with End, at which point the span is encoded into the tracer's ring and
-// its storage is cleared and goes back to the tracer, to be issued to the
-// next span started. A handle is stale from its span's End on: SetAttrs,
-// SetError and End change nothing and Context is the zero context, whoever
-// the storage has been issued to since. The zero Span (what a nil *Tracer
-// hands out, and any tracer under Unsampled) is a valid no-op, and all
-// methods are safe for concurrent use.
-type Span struct {
-	s   *span
-	gen uint64
-}
+// Span is a handle to one in-flight operation, created by a Tracer and
+// finished with End, at which point the span is encoded into the tracer's
+// ring. From End on, SetAttrs, SetError and End change nothing and Context
+// is the zero context. The zero Span (what a nil *Tracer hands out, and any
+// tracer under Unsampled) is a valid no-op, and all methods are safe for
+// concurrent use.
+type Span struct{ s *span }
 
-// span is an open span's storage. mu guards gen, and data while a handle
-// of the current generation is out.
+// span is an open span. mu guards ended, and data until ended is set.
 type span struct {
 	mu     sync.Mutex
-	gen    uint64  // counts up at each End: the handles issued before it are stale
-	tracer *Tracer // the tracer that allocated it, whose free list it returns to
+	ended  bool
+	tracer *Tracer
 
 	data SpanData
 	// inline is where data.Attrs starts out: room for what the proxy chain's
-	// spans carry, so that a span's attributes cost no allocation.
+	// spans carry, so that a span's attributes cost no allocation of their
+	// own.
 	inline [inlineAttrs]Attr
-
-	next *span // free-list link, guarded by the stripe's lock
 }
 
 // inlineAttrs covers the busiest span in the chain, node.fetch: zid, host
@@ -307,7 +297,7 @@ func (h Span) Context() SpanContext {
 	}
 	var sc SpanContext
 	h.s.mu.Lock()
-	if h.s.gen == h.gen {
+	if !h.s.ended {
 		sc = SpanContext{Trace: h.s.data.TraceID, Span: h.s.data.SpanID}
 	}
 	h.s.mu.Unlock()
@@ -320,7 +310,7 @@ func (h Span) SetAttrs(attrs ...Attr) {
 		return
 	}
 	h.s.mu.Lock()
-	if h.s.gen == h.gen {
+	if !h.s.ended {
 		h.s.data.Attrs = append(h.s.data.Attrs, attrs...)
 	}
 	h.s.mu.Unlock()
@@ -332,7 +322,7 @@ func (h Span) SetError(msg string) {
 		return
 	}
 	h.s.mu.Lock()
-	if h.s.gen == h.gen {
+	if !h.s.ended {
 		h.s.data.Err = msg
 	}
 	h.s.mu.Unlock()
@@ -346,65 +336,32 @@ func (h Span) End() {
 		return
 	}
 	s.mu.Lock()
-	if s.gen != h.gen {
+	if s.ended {
 		s.mu.Unlock()
 		return
 	}
-	s.gen++
+	s.ended = true
 	s.data.End = s.tracer.now()
 	s.mu.Unlock()
-	// No handle names the storage now, and none will until retire has put
-	// it on the free list: what follows reads it without the lock.
-	s.tracer.retire(s)
+	// Nothing writes data once the span has ended: retire reads it without
+	// the lock.
+	s.tracer.retire(&s.data)
 }
 
 // defaultCapacity bounds a tracer's span memory, small enough to cap a
-// long-lived daemon's footprint: at 136 bytes a span, 2.2 MB. It is not a
+// long-lived daemon's footprint: at 120 bytes a span, 2.0 MB. It is not a
 // crawl's worth of spans: a Scale 0.05 DNS crawl (seed 20160413) would end
 // 0.76 M over 103 K sessions. A crawl traces only its sample
 // (core.CrawlConfig.TraceSample), every 512th session's whole trace, and the
 // ring holds the last spans of it. Total counts every span recorded.
 const defaultCapacity = 16384
 
-// lastID hands out process-unique span and trace IDs, a block at a time. A
-// single counter shared by every tracer keeps IDs unique even when several
-// worlds (the all-experiments campaign) trace concurrently.
+// lastID hands out process-unique span and trace IDs. A single counter
+// shared by every tracer keeps IDs unique even when several worlds (the
+// all-experiments campaign) trace concurrently.
 var lastID atomic.Uint64
 
-// IDs are drawn from per-stripe blocks of idBlock, the stripe picked by the
-// calling goroutine (metrics.ShardIndex), so that concurrent workers share
-// one add per block rather than one per span. Values are unique and
-// otherwise no contract: blocks interleave between stripes, and one is
-// dropped part-used when two goroutines on a stripe race to replace it.
-const (
-	numStripes = 16
-	idBlock    = 64
-)
-
-// idStripe holds the last ID its stripe handed out (a multiple of idBlock:
-// the block is used up, or was never taken), padded to its own cache line.
-type idStripe struct {
-	last atomic.Uint64
-	_    [56]byte
-}
-
-var idStripes [numStripes]idStripe
-
-//tftlint:hotpath
-func newID() uint64 {
-	var probe byte
-	s := &idStripes[metrics.ShardIndex(&probe)%numStripes]
-	for {
-		last := s.last.Load()
-		id := last + 1
-		if last%idBlock == 0 {
-			id = lastID.Add(idBlock) - idBlock + 1
-		}
-		if s.last.CompareAndSwap(last, id) {
-			return id
-		}
-	}
-}
+func newID() uint64 { return lastID.Add(1) }
 
 // Tracer creates spans and retains finished ones in a fixed-capacity ring
 // (oldest spans are overwritten once the ring wraps; Total reports how
@@ -421,44 +378,27 @@ type Tracer struct {
 	// in its Location.
 	base time.Time
 
-	// An ended span claims the next ring slot with one add on total and is
-	// encoded into it under the slot's lock: completion order is the order
-	// of the adds. The slots hold no pointer, so the garbage collector never
+	// mu guards the ring: an ended span is encoded into slot total % len,
+	// and total counts it, so completion order is the order of the Ends
+	// taking mu. The slots hold no pointer, so the garbage collector never
 	// scans them.
+	mu    sync.Mutex
 	ring  []slot
-	total atomic.Int64
-	// spills holds the records longer than a slot, by slot index; spillMu
-	// is taken under the slot's lock.
-	spillMu sync.Mutex
-	spills  map[int64][]byte
-
-	// Ended spans' storage waits here to be issued again, so that a tracer
-	// allocates storage only for as many spans as are ever open at once: an
-	// End puts one in and a start takes one out. Striped by caller, as
-	// idStripes is.
-	free [numStripes]freeStripe
+	total int64
+	// spills holds the records longer than a slot, by slot index.
+	spills map[int64][]byte
 }
 
 // slot is one retained span, as a record (record.go).
 type slot struct {
-	mu  sync.Mutex
-	seq int64 // the total.Add that claimed it, 1 + the span's place in completion order; 0 before the first
 	n   uint8 // the record's length in rec; 0 when it is in the tracer's spills
 	rec [slotBytes]byte
 }
 
-// slotBytes makes a slot 136 bytes. That holds every span of a clean
+// slotBytes makes a slot 120 bytes. That holds every span of a clean
 // probe in each of the five crawls with IDs of up to four varint bytes, so
 // what spills is a violating probe's root or a span with a long error.
 const slotBytes = 119
-
-// freeStripe is one stripe of a tracer's free list, linked through span.next
-// and padded to its own cache line.
-type freeStripe struct {
-	mu   sync.Mutex
-	head atomic.Pointer[span] // written under mu; read without it to pass over an empty stripe
-	_    [48]byte
-}
 
 // New creates a tracer. now supplies timestamps (nil means the wall
 // clock); capacity bounds the collector (<= 0 means the default 16384).
@@ -498,13 +438,8 @@ func (t *Tracer) start(parent SpanContext, name string, kind Kind, attrs []Attr)
 	if t == nil || parent.unsampled {
 		return Span{}
 	}
-	s := t.recycled()
-	if s == nil {
-		s = &span{tracer: t}
-	}
-	// Without the lock: storage off the free list has no handle of its
-	// generation out, and a stale handle reads nothing but gen. It comes
-	// cleared (retire), so only what a new span sets is written.
+	// Without the lock: no handle to the span is out yet.
+	s := &span{tracer: t}
 	d := &s.data
 	d.SpanID, d.Name, d.Kind, d.Start = SpanID(newID()), name, kind, t.now()
 	if parent.Valid() {
@@ -514,75 +449,27 @@ func (t *Tracer) start(parent SpanContext, name string, kind Kind, attrs []Attr)
 	}
 	// A copy, so that the caller's variadic slice stays on its stack.
 	d.Attrs = append(s.inline[:0], attrs...)
-	return Span{s: s, gen: s.gen}
+	return Span{s}
 }
 
-// recycled takes a span's storage off the free list: from the caller's own
-// stripe, or the next one that has any — a goroutine whose starts and Ends
-// hash to different stripes would otherwise fill one and starve the other.
-// nil when every stripe is empty.
+// retire encodes an ended span into the next ring slot.
 //
 //tftlint:hotpath
-func (t *Tracer) recycled() *span {
-	var probe byte
-	own := metrics.ShardIndex(&probe)
-	for i := 0; i < numStripes; i++ {
-		st := &t.free[(own+i)%numStripes]
-		if st.head.Load() == nil {
-			continue
-		}
-		st.mu.Lock()
-		s := st.head.Load()
-		if s != nil {
-			st.head.Store(s.next)
-			s.next = nil
-		}
-		st.mu.Unlock()
-		if s != nil {
-			return s
-		}
-	}
-	return nil
-}
-
-// retire encodes an ended span into the ring slot its completion claims,
-// then clears its storage, so that it pins none of what it held, and puts
-// it on the free list.
-//
-//tftlint:hotpath
-func (t *Tracer) retire(s *span) {
-	seq := t.total.Add(1)
-	i := (seq - 1) % int64(len(t.ring))
+func (t *Tracer) retire(d *SpanData) {
+	t.mu.Lock()
+	i := t.total % int64(len(t.ring))
 	sl := &t.ring[i]
-	sl.mu.Lock()
-	// A span claiming the slot a lap later may have got here first.
-	if seq > sl.seq {
-		spilled := sl.seq > 0 && sl.n == 0 // the record being overwritten
-		rec := t.appendRecord(sl.rec[:0], &s.data)
-		sl.seq, sl.n = seq, uint8(len(rec))
-		if len(rec) > len(sl.rec) { // appending moved it off the slot
-			sl.n = 0
+	if rec := t.appendRecord(sl.rec[:0], d); len(rec) > len(sl.rec) { // appending moved it off the slot
+		sl.n = 0
+		t.spills[i] = rec
+	} else {
+		if sl.n == 0 { // the record overwritten spilled, or there was none
+			delete(t.spills, i)
 		}
-		if spilled || sl.n == 0 {
-			t.spillMu.Lock()
-			if sl.n == 0 {
-				t.spills[i] = rec
-			} else {
-				delete(t.spills, i)
-			}
-			t.spillMu.Unlock()
-		}
+		sl.n = uint8(len(rec))
 	}
-	sl.mu.Unlock()
-
-	s.data = SpanData{}
-	clear(s.inline[:])
-	var probe byte
-	st := &t.free[metrics.ShardIndex(&probe)%numStripes]
-	st.mu.Lock()
-	s.next = st.head.Load()
-	st.head.Store(s)
-	st.mu.Unlock()
+	t.total++
+	t.mu.Unlock()
 }
 
 // Spans returns the retained spans in completion order, decoded: the
@@ -591,25 +478,18 @@ func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil
 	}
-	total, size := t.total.Load(), int64(len(t.ring))
-	at := max(total-size, 0) // the oldest retained span
-	out := make([]SpanData, 0, total-at)
-	for ; at < total; at++ {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	size := int64(len(t.ring))
+	at := max(t.total-size, 0) // the oldest retained span
+	out := make([]SpanData, 0, t.total-at)
+	for ; at < t.total; at++ {
 		i := at % size
-		sl := &t.ring[i]
-		sl.mu.Lock()
-		// Else the span that claimed it has not written it yet, or one a
-		// lap newer has since.
-		if sl.seq == at+1 {
-			rec := sl.rec[:sl.n]
-			if sl.n == 0 {
-				t.spillMu.Lock()
-				rec = t.spills[i]
-				t.spillMu.Unlock()
-			}
-			out = append(out, t.decode(string(rec)))
+		rec := t.ring[i].rec[:t.ring[i].n]
+		if len(rec) == 0 {
+			rec = t.spills[i]
 		}
-		sl.mu.Unlock()
+		out = append(out, t.decode(string(rec)))
 	}
 	return out
 }
@@ -620,7 +500,9 @@ func (t *Tracer) Total() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.total.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
 }
 
 // Retained reports how many spans Spans would return: the ring's capacity
@@ -629,5 +511,7 @@ func (t *Tracer) Retained() int {
 	if t == nil {
 		return 0
 	}
-	return int(min(t.total.Load(), int64(len(t.ring))))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int(min(t.total, int64(len(t.ring))))
 }

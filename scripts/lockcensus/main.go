@@ -28,9 +28,8 @@ const shared, striped, private = "shared by every worker", "striped by key or by
 // groupOf says whose locks and counters not every worker shares (DESIGN §6):
 // by the type the field is on, or by "Type.field[]" for one element of it.
 var groupOf = map[string]string{
-	"cell": striped, "idStripe": striped, "sessionStripe": striped, "queryLog": striped,
+	"cell": striped, "sessionStripe": striped, "queryLog": striped,
 	"requestLog": striped, "labeledShard": striped, "shardCell": striped,
-	"freeStripe": striped, "slot": striped,
 	"ring": private, "span": private, "bufferedConn": private, "pair": private,
 }
 
